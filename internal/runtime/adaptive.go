@@ -404,9 +404,7 @@ func (c *adaptiveController) apply(k adaptKnob, old, new int64, epoch uint64) {
 	}
 	c.byRule[k].Add(1)
 	c.decisions.Add(1)
-	if pn, ok := c.sched.(policyNotifier); ok {
-		pn.policyChanged()
-	}
+	c.sched.policyChanged()
 	if c.rec != nil {
 		c.rec.RecordExternal(flightrec.KindAdapt, 0, epoch,
 			flightrec.PackAdapt(rule, uint64(old), uint64(new)))

@@ -99,6 +99,7 @@ func TestAdaptiveHysteresisPreventsFlapping(t *testing.T) {
 		opts:    AdaptiveOptions{Period: time.Millisecond, Hysteresis: 2, MinWindow: 4, MaxWindow: 256},
 		workers: 4,
 		pol:     newPolicyWords(32, 2),
+		sched:   newTestFIFO(4),
 	}
 	full := c.pol.fullMask
 	narrow := adaptDeltas{pending: 1}  // proposes the fast-only mask
@@ -216,7 +217,6 @@ func TestClassGateLivenessUnderMaskChurn(t *testing.T) {
 	defer cancel()
 	for iter := 0; iter < 10; iter++ {
 		r := New(heteroAdaptiveClasses())
-		pn, _ := r.sched.(policyNotifier)
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -235,9 +235,7 @@ func TestClassGateLivenessUnderMaskChurn(t *testing.T) {
 					r.pol.setClassMask(r.pol.fullMask)
 				}
 				narrow = !narrow
-				if pn != nil {
-					pn.policyChanged()
-				}
+				r.sched.policyChanged()
 				time.Sleep(50 * time.Microsecond)
 			}
 		}()

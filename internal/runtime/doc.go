@@ -108,14 +108,36 @@
 // locality scenario measures the effect against the window-disabled
 // baseline.
 //
+// # Source map
+//
+// One implementation per step of a task's life:
+//
+//	submit.go      the six Submit entry points (thin wrappers), submitSpecs
+//	               (the one submission path) and markReady (the one ready
+//	               transition, owner of the record-before-arm ordering rule)
+//	shard.go       the sharded dependence tracker (trackDeps, linkPreds)
+//	scheduler.go   the scheduler contract — one interface, no-op defaults
+//	               for the scheduler-specific hooks — and the pieces the
+//	               schedulers share (park/wake bookkeeping, the central lot)
+//	sched_fifo.go, sched_steal.go, sched_cats.go
+//	               the three schedulers
+//	worker.go      the worker loop: accountDispatch, runAttempt, finish,
+//	               complete, and the fault paths (retry, deadline, poison)
+//	signals.go     the per-worker counter block and sampleSignals, the one
+//	               reader Stats and the adaptive controller both go through
+//	adaptive.go, policy.go
+//	               the controller and the policy words it rewrites
+//	runtime.go     types, construction, Wait, Shutdown, Stats, Graph
+//
 // # Adaptive control
 //
 // WithAdaptive turns the static knobs above into a closed loop — the
-// paper's self-aware runtime. A signals layer of lock-free counters
-// (per-worker executed/steal/home-hit words, injector and parking
-// traffic, a queue-depth histogram) is sampled allocation-free every
-// AdaptiveOptions.Period by a background controller, which diffs
-// consecutive snapshots and runs pure rules over the deltas: a serial
+// paper's self-aware runtime. A signals layer of lock-free counters (one
+// padded block per worker — executed, steals, home hit/near/far — plus
+// injector and parking traffic and a queue-depth histogram) is sampled
+// allocation-free every AdaptiveOptions.Period by a background
+// controller, which diffs consecutive snapshots and runs pure rules over
+// the deltas: a serial
 // phase narrows the active-class mask to the fast class (slow workers
 // gate-park until the mask widens), a fan-out phase shrinks the locality
 // window and grows the injector refill chunk, a chain phase grows the

@@ -87,11 +87,3 @@ func (p *policyWords) setCritFirst(on bool) {
 		p.critFirst.Store(0)
 	}
 }
-
-// policyNotifier is implemented by schedulers that park workers on policy
-// state (the class gate): the controller calls policyChanged after
-// rewriting any policy word so gated workers re-examine the mask.
-// Optional: the runtime type-asserts.
-type policyNotifier interface {
-	policyChanged()
-}

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
-	"reflect"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -295,12 +292,8 @@ func (t *task) deps() []Dep {
 // clearDeps drops the dependence annotations (and the interface keys they
 // pin), keeping the overflow capacity for reuse.
 func (t *task) clearDeps() {
-	for i := range t.depsInl {
-		t.depsInl[i] = Dep{}
-	}
-	for i := range t.depsOvf {
-		t.depsOvf[i] = Dep{}
-	}
+	clear(t.depsInl[:])
+	clear(t.depsOvf)
 	t.depsOvf = t.depsOvf[:0]
 	t.ndeps = 0
 }
@@ -337,9 +330,7 @@ func (t *task) takeSuccs(buf []*task) []*task {
 		t.succsInl[i] = nil
 	}
 	buf = append(buf, t.succsOvf...)
-	for i := range t.succsOvf {
-		t.succsOvf[i] = nil
-	}
+	clear(t.succsOvf)
 	t.succsOvf = t.succsOvf[:0]
 	t.nsuccs = 0
 	return buf
@@ -454,7 +445,7 @@ func TaskPlacement(ctx context.Context) (Placement, bool) {
 // Everything else — foreign contexts, other runtimes' body contexts —
 // gets no hint. The hint is safe from any goroutine: hinted submissions
 // go through the target worker's mutex-guarded side buffer (see
-// localSubmitter), never directly onto its owner-only deque.
+// scheduler.submitLocal), never directly onto its owner-only deque.
 func (r *Runtime) submitHint(ctx context.Context) int {
 	if pc, ok := ctx.(*placementCtx); ok && pc.rt == r {
 		return pc.where.Worker
@@ -466,9 +457,6 @@ func (r *Runtime) submitHint(ctx context.Context) int {
 type Runtime struct {
 	opts  options
 	sched scheduler
-	// localSub is sched's localSubmitter side, when it has one: the safe
-	// landing zone for hinted (body-context) submissions.
-	localSub localSubmitter
 
 	// rec is the flight recorder (nil without WithFlightRecorder); every
 	// instrumentation site is gated on it so a recorder-less runtime pays
@@ -485,15 +473,12 @@ type Runtime struct {
 	classOf []int
 
 	// domains is the resolved memory-domain topology; domainOf maps
-	// workerID → domain index. domCounts is the per-domain dispatch
-	// accounting, allocated only for multi-domain pools (single-domain
-	// pools skip the hot-path counting entirely). topoEvents marks that
-	// dispatch events carry the packed home/exec domain pair — only the
-	// steal scheduler on a multi-domain pool, whose placement the
-	// verifier's domain-gating invariant can reason about.
+	// workerID → domain index. topoEvents marks that dispatch events carry
+	// the packed home/exec domain pair — only the steal scheduler on a
+	// multi-domain pool, whose placement the verifier's domain-gating
+	// invariant can reason about.
 	domains    []Domain
 	domainOf   []int32
-	domCounts  []domainCounters
 	topoEvents bool
 
 	// gate serialises submission against Shutdown: submitters hold the
@@ -511,13 +496,11 @@ type Runtime struct {
 	waitMu      sync.Mutex
 	waitCond    *sync.Cond
 
-	// slots is the backpressure semaphore (nil when unbounded). slotMu
-	// serialises multi-slot (batch) acquisition: a batch takes its slots
-	// while holding slotMu, so two batches can never interleave partial
-	// acquisitions and deadlock in hold-and-wait. Single submissions take
-	// one slot without slotMu — they hold nothing while waiting.
-	slotMu sync.Mutex
-	slots  chan struct{}
+	// slots is the backpressure semaphore (nil when unbounded); slotTurn
+	// is the one-at-a-time turnstile multi-slot acquisitions pass through
+	// (see acquireSlots).
+	slots    chan struct{}
+	slotTurn chan struct{}
 
 	errMu    sync.Mutex
 	firstErr error
@@ -570,21 +553,18 @@ func New(opts ...Option) *Runtime {
 		sig:      newSignals(o.workers),
 		pol:      newPolicyWords(o.localWindow, len(classes)),
 	}
-	if len(domains) > 1 {
-		r.domCounts = make([]domainCounters, len(domains))
-	}
-	if o.queueBound > 0 {
-		r.slots = make(chan struct{}, o.queueBound)
-	}
-	// Ring capacity covers twice the queue bound — every outstanding record
-	// plus the transient excess that recycle/slot races create — or a
-	// generous default for unbounded pools; bursts past it overflow to the
-	// sync.Pool tier.
+	// Freelist ring capacity covers twice the queue bound — every
+	// outstanding record plus the transient excess that recycle/slot races
+	// create — or a generous default for unbounded pools; bursts past it
+	// overflow to the sync.Pool tier.
 	freeCap := 2048
 	if o.queueBound > 0 {
+		r.slots = make(chan struct{}, o.queueBound)
+		r.slotTurn = make(chan struct{}, 1)
 		freeCap = 2 * o.queueBound
 	}
 	r.free = newTaskFreelist(freeCap)
+	r.pool.New = func() any { return new(task) }
 	r.waitCond = sync.NewCond(&r.waitMu)
 	if o.flight != nil {
 		// One submit lane per tracker shard: the submit path records a
@@ -608,7 +588,6 @@ func New(opts ...Option) *Runtime {
 		// would make the verifier's domain-gating check fire on sound runs.
 		r.topoEvents = len(domains) > 1
 	}
-	r.localSub, _ = r.sched.(localSubmitter)
 	for w := 0; w < o.workers; w++ {
 		r.wg.Add(1)
 		go r.worker(w)
@@ -642,314 +621,6 @@ func (r *Runtime) Shards() int { return len(r.shards) }
 // a flight recorder: the timeline survives the crash site.
 func (r *Runtime) FlightRecorder() *flightrec.Recorder { return r.rec }
 
-// Submit adds a task with the given dependences and returns its ID. cost is
-// an abstract work estimate used for criticality analysis (0 is fine); fn is
-// the task body. Submission order defines the program order used to resolve
-// WAR/WAW hazards, as in OmpSs. Submit fails with ErrShutdown after
-// Shutdown.
-func (r *Runtime) Submit(name string, cost float64, fn func(), deps ...Dep) (TaskID, error) {
-	return r.submit(context.Background(), name, cost, 0, nil, fn, deps)
-}
-
-// SubmitPriority is Submit with an explicit programmer priority hint (the
-// OmpSs priority clause); higher runs earlier under CATS.
-func (r *Runtime) SubmitPriority(name string, cost float64, priority int, fn func(), deps ...Dep) (TaskID, error) {
-	return r.submit(context.Background(), name, cost, priority, nil, fn, deps)
-}
-
-// SubmitCtx is the context-aware, error-returning submission path. The
-// context is remembered with the task: if it is cancelled before the task
-// starts, the body is skipped and the cancellation error captured; the body
-// itself receives ctx so in-flight work can observe cancellation. SubmitCtx
-// also blocks for a backpressure slot when WithQueueBound is set, aborting
-// with ctx.Err() if the context is cancelled while waiting.
-func (r *Runtime) SubmitCtx(ctx context.Context, name string, cost float64, fn Body, deps ...Dep) (TaskID, error) {
-	return r.submit(ctx, name, cost, 0, fn, nil, deps)
-}
-
-// SubmitPriorityCtx is SubmitCtx with a priority hint.
-func (r *Runtime) SubmitPriorityCtx(ctx context.Context, name string, cost float64, priority int, fn Body, deps ...Dep) (TaskID, error) {
-	return r.submit(ctx, name, cost, priority, fn, nil, deps)
-}
-
-// unwrapCtx strips a body's placement wrapper off a submission context,
-// returning the underlying submission context the wrapper delegates to —
-// the child task's context is the parent's own submission context, which
-// shares the same cancellation. Wrappers are immutable, so this is about
-// hygiene, not safety: without it a self-submitting chain would stack one
-// wrapper per generation and pay an ever-deeper delegation walk. Only a
-// top-level wrapper is stripped; a context the body derived from its
-// wrapper keeps the wrapper mid-chain, which is valid indefinitely.
-func unwrapCtx(ctx context.Context) context.Context {
-	if pc, ok := ctx.(*placementCtx); ok {
-		return pc.Context
-	}
-	return ctx
-}
-
-// submit is the shared single-task submission path. Exactly one of fn and
-// plain is set by the public wrappers.
-func (r *Runtime) submit(ctx context.Context, name string, cost float64, priority int, fn Body, plain func(), deps []Dep) (TaskID, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// The locality hint lives on the wrapper; resolve it before unwrapping.
-	hint := r.submitHint(ctx)
-	ctx = unwrapCtx(ctx)
-	if atomic.LoadInt32(&r.closed) != 0 {
-		return 0, ErrShutdown
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if r.slots != nil {
-		select {
-		case r.slots <- struct{}{}:
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}
-
-	r.gate.RLock()
-	// Authoritative guard: Shutdown sets closed under the gate's write
-	// side, so either this submission registers (and increments
-	// outstanding) while holding the read side — strictly before
-	// Shutdown's drain can observe the pool — or it sees closed here. The
-	// lock-free check above is only a fast path.
-	if atomic.LoadInt32(&r.closed) != 0 {
-		r.gate.RUnlock()
-		if r.slots != nil {
-			<-r.slots
-		}
-		return 0, ErrShutdown
-	}
-	t := r.newTask(ctx, name, cost, priority, fn, plain, deps)
-	mask := r.shardPlan(t)
-	r.lockShards(mask)
-	r.linkPreds(t, r.trackDeps(t))
-	// Flight recorder: a task that stays pending gets a submit event; an
-	// immediately-ready one gets only its ready event (submission implied),
-	// keeping the hot path at one event per submit. The submit event must
-	// be recorded BEFORE the final npreds decrement: our own reference
-	// keeps the count positive here, so no completing predecessor can
-	// record the task's ready event with an earlier sequence number.
-	// Recording inside the shard section lets the shard mutex double as
-	// the recorder lane's serialisation (recordSubmitLocked).
-	if r.rec != nil && atomic.LoadInt32(&t.npreds) > 1 {
-		r.recordSubmitLocked(t, mask)
-	}
-	r.unlockShards(mask)
-	r.gate.RUnlock()
-
-	// Capture the ID before publishing: the moment the task is pushed it
-	// can execute, complete, and be recycled for an unrelated submission,
-	// so no field of t may be read past this point.
-	id := t.id
-	if atomic.AddInt32(&t.npreds, -1) == 0 {
-		t.mu.Lock()
-		t.state = stateReady
-		t.home = int32(hint) // -1 for external submissions
-		rc := atomic.LoadUint64(&t.claim)
-		if r.rec != nil {
-			// Record BEFORE publishing readyClaim: that store is what arms
-			// any concurrent dispatch (a stale CATS insert that loads the
-			// fresh word can claim the task immediately), so the ready
-			// event's ring write must be complete first — then every
-			// snapshot that holds the dispatch also holds the ready, in
-			// sequence order. The bump path needs no extra care: it
-			// observes stateReady only under this same mutex.
-			r.rec.RecordExternal(flightrec.KindReady, uint64(id), rc, 0)
-		}
-		atomic.StoreUint64(&t.readyClaim, rc)
-		t.mu.Unlock()
-		// A hinted (body-context) submission lands in the target worker's
-		// submit buffer — safe from any goroutine, unlike the deque.
-		if hint < 0 || r.localSub == nil || !r.localSub.submitLocal(t, hint) {
-			r.sched.push(t, -1)
-		}
-	}
-	return id, nil
-}
-
-// recordSubmitLocked records a pending task's submit event on the recorder
-// lane of one of the shards the caller holds — the lowest set in mask —
-// so the shard mutex doubles as the lane's serialisation and the record
-// costs no locking of its own. A pending task always registered real
-// predecessors, so mask is non-zero on this path; the zero-mask fallback
-// only guards against a future caller.
-func (r *Runtime) recordSubmitLocked(t *task, mask uint64) {
-	if mask == 0 {
-		r.rec.RecordExternal(flightrec.KindSubmit, uint64(t.id), atomic.LoadUint64(&t.claim), 0)
-		return
-	}
-	r.rec.RecordLane(bits.TrailingZeros64(mask), flightrec.KindSubmit,
-		uint64(t.id), atomic.LoadUint64(&t.claim), 0)
-}
-
-// newTask readies a task record — reusing one from the freelist when
-// available — and allocates its ID/sequence number, counting it
-// outstanding. Must be called with the gate's read side held so the
-// increment is ordered before any concurrent Shutdown drain.
-func (r *Runtime) newTask(ctx context.Context, name string, cost float64, priority int, fn Body, plain func(), deps []Dep) *task {
-	t := r.free.get()
-	if t == nil {
-		var ok bool
-		t, ok = r.pool.Get().(*task)
-		if !ok {
-			t = &task{}
-		}
-	}
-	seq := atomic.AddInt64(&r.seq, 1) - 1
-	t.id = TaskID(seq)
-	t.name = name
-	t.cost = cost
-	atomic.StoreInt64(&t.priority, int64(priority))
-	t.fn = fn
-	t.plainFn = plain
-	t.ctx = ctx
-	t.onDone = nil // recycled records must not inherit a hook
-	t.retry = RetryPolicy{}
-	t.deadline = 0
-	t.attempt = 0
-	t.skipCause = nil
-	t.state = statePending
-	t.home = -1
-	// Atomic: a late scheduler push for the task that previously occupied
-	// this pooled record can still read seq (see catsScheduler.insert); the
-	// claim generation makes such an entry harmless, but the read itself
-	// must not race with the reinitialising store — affinity and exec are
-	// atomic for the same reason.
-	atomic.StoreInt32(&t.affinity, -1)
-	atomic.StoreInt32(&t.exec, -1)
-	atomic.StoreInt64(&t.seq, seq)
-	t.setDeps(deps)
-	if priority > 0 {
-		// Phase signal for the adaptive controller: the workload is using
-		// priority hints, so criticality-first placement has traction.
-		r.sig.critSubmit.Add(1)
-	}
-	atomic.AddInt64(&r.outstanding, 1)
-	return t
-}
-
-// trackDeps runs the renamer for t: it resolves RAW/WAR/WAW hazards
-// against the per-key tracking state, updates that state, and appends t to
-// the shard task log. Predecessor references are collected into the log
-// shard's predScratch — returned for linkPreds to consume while the shard
-// is still locked. Every shard t's keys hash to (plus the log shard) must
-// be locked by the caller.
-func (r *Runtime) trackDeps(t *task) []taskRef {
-	if len(t.deps()) == 0 {
-		if r.opts.retainTrace {
-			r.shards[t.logShard].tasks = append(r.shards[t.logShard].tasks, t)
-		}
-		return nil
-	}
-	// The log shard is deps[0].Key's shard, so it is always in the caller's
-	// lock mask when deps exist — its scratch is exclusively ours here.
-	ls := r.shards[t.logShard]
-	preds := ls.predScratch[:0]
-	addPred := func(p taskRef) {
-		if p.t == nil || p.t == t {
-			return
-		}
-		for _, q := range preds {
-			if q.t == p.t {
-				return
-			}
-		}
-		preds = append(preds, p)
-	}
-	self := t.ref()
-	for _, d := range t.deps() {
-		s := r.shards[r.shardIndex(d.Key)]
-		switch d.Mode {
-		case ModeIn:
-			addPred(s.lastWriter[d.Key])
-			s.readersTail[d.Key] = append(s.readersTail[d.Key], self)
-		case ModeOut, ModeInOut:
-			if d.Mode == ModeInOut {
-				addPred(s.lastWriter[d.Key])
-			}
-			// WAR: wait for every reader since the previous writer.
-			tail := s.readersTail[d.Key]
-			for _, rd := range tail {
-				addPred(rd)
-			}
-			// WAW: wait for the previous writer even for plain Out, since
-			// we do not rename storage.
-			addPred(s.lastWriter[d.Key])
-			s.lastWriter[d.Key] = self
-			// Zero the slots before truncating: tail[:0] alone keeps every
-			// old reader task reachable through the backing array until the
-			// next writer happens to overwrite each slot.
-			for i := range tail {
-				tail[i] = taskRef{}
-			}
-			s.readersTail[d.Key] = tail[:0]
-		}
-	}
-	if r.opts.retainTrace {
-		ls.tasks = append(ls.tasks, t)
-	}
-	ls.predScratch = preds // write back so the grown capacity is kept
-	return preds
-}
-
-// linkPreds registers the dependence edges collected by trackDeps. npreds
-// starts at 1 (the submission's own reference) so a predecessor completing
-// concurrently with registration can never drive the counter to zero
-// before every edge is in place; the caller's final decrement releases the
-// reference and publishes the task.
-//
-// Each predecessor reference is generation-checked under the
-// predecessor's mutex: a mismatch means the record was retired (its task
-// completed) and possibly reused for an unrelated task, so the reference
-// is dead and no other field of the record may be read — the generation
-// bump happens inside complete's critical section, which makes this check
-// exact, not best-effort.
-func (r *Runtime) linkPreds(t *task, preds []taskRef) {
-	atomic.StoreInt32(&t.npreds, 1)
-	for _, ref := range preds {
-		p := ref.t
-		p.mu.Lock()
-		if claimGen(atomic.LoadUint64(&p.claim)) != claimGen(ref.claim) {
-			p.mu.Unlock() // recycled record: the predecessor completed long ago
-			continue
-		}
-		// Data affinity: the worker that executed a predecessor plausibly
-		// holds the task's input hot — remember the latest one seen (a
-		// still-pending predecessor has no executor yet; the one finishing
-		// last overwrites this in complete's release loop).
-		if af := atomic.LoadInt32(&p.exec); af >= 0 {
-			atomic.StoreInt32(&t.affinity, af)
-		}
-		if p.state != stateDone {
-			p.addSucc(t)
-			atomic.AddInt32(&t.npreds, 1)
-			// CATS: a new successor raises the predecessor's bottom-level
-			// estimate (single-step propagation, as the original heuristic).
-			if est := atomic.LoadInt64(&t.priority) + 1; est > atomic.LoadInt64(&p.priority) {
-				atomic.StoreInt64(&p.priority, est)
-				// If p is already queued, tell a priority-aware scheduler so
-				// it can reinsert p at the new estimate (the CATS heap's
-				// stale-entry protocol).
-				if p.state == stateReady {
-					if b, ok := r.sched.(priorityBumper); ok {
-						b.bump(p)
-					}
-				}
-			}
-		}
-		p.mu.Unlock()
-	}
-	// Clear the scratch so completed predecessors are not pinned by the
-	// shard (the capacity is kept for the next registration).
-	for i := range preds {
-		preds[i] = taskRef{}
-	}
-}
-
 // setErr captures the first task failure.
 func (r *Runtime) setErr(err error) {
 	if err == nil {
@@ -968,567 +639,6 @@ func (r *Runtime) Err() error {
 	r.errMu.Lock()
 	defer r.errMu.Unlock()
 	return r.firstErr
-}
-
-// completionScratch is a worker's reusable completion state: buffers for
-// the captured successors and the newly-ready subset (living on the
-// worker — not the task, not the heap per call — keeps the completion path
-// allocation-free once they have grown to the workload's fan width), plus
-// the worker's cached ownedPusher assertion for the wake-free
-// single-successor hand-off.
-type completionScratch struct {
-	succs []*task
-	ready []*task
-	owned ownedPusher
-	// Flight-recorder bookkeeping for the dispatch-event elision on the
-	// chain hand-off (see the worker loop): the task last pushed through
-	// pushOwned and its ID at push time. The ID disambiguates: task IDs are
-	// never reused, so pointer+ID matching at the next pop proves the task
-	// is still the very life this worker readied — a stolen-and-recycled
-	// record fails the ID check and records its dispatch normally.
-	lastOwned   *task
-	lastOwnedID uint64
-	// selfDispatch carries the elision fact from this worker's pop to its
-	// complete(), which stamps it into the complete event.
-	selfDispatch bool
-}
-
-// worker is the body of one pool goroutine.
-func (r *Runtime) worker(id int) {
-	defer r.wg.Done()
-	where := Placement{
-		Worker:    id,
-		Class:     r.classOf[id],
-		ClassName: r.classes[r.classOf[id]].Name,
-		Speed:     r.classes[r.classOf[id]].Speed,
-		Domain:    int(r.domainOf[id]),
-	}
-	// Placement wrappers are allocated per distinct submission context and
-	// immutable afterwards, so task bodies see their placement through
-	// their context (TaskPlacement) at zero per-task allocation in the
-	// steady state, and any context a body retains (or derives and hands
-	// to a child task) stays valid after the body returns. Submissions
-	// made with one take the worker-local locality path (submitHint).
-	//
-	// bgWrap is the permanent wrapper for context.Background submissions
-	// (most tasks); curCtx/curWrap cache the wrapper of the last other
-	// submission context. The cache pins at most that one context per
-	// worker, and is dropped as soon as a Background-context body runs;
-	// curCtx only ever holds contexts of comparable dynamic type, so the
-	// identity check below can never hit Go's uncomparable-type panic
-	// (comparing against a context of a *different* type is always safe).
-	bgWrap := &placementCtx{Context: context.Background(), rt: r, where: where}
-	var curCtx context.Context
-	var curWrap *placementCtx
-	var sc completionScratch
-	// A class-aware scheduler tracks which workers are running critical
-	// work; it is told a dispatch ended before complete releases the
-	// successors, so their placement decisions see fresh state.
-	obs, _ := r.sched.(dispatchObserver)
-	// A locality-capable scheduler takes the single-successor hand-off
-	// without a wakeup — this goroutine is about to pop it anyway.
-	sc.owned, _ = r.sched.(ownedPusher)
-	for {
-		t, stole := r.sched.pop(id)
-		if t == nil {
-			if atomic.LoadInt32(&r.shutdown) != 0 {
-				return
-			}
-			continue
-		}
-		mySig := &r.sig.workers[id]
-		if stole {
-			atomic.AddUint64(&mySig.steals, 1)
-		}
-		// Locality signal: did the task run where its release aimed it?
-		if home := t.home; home >= 0 {
-			if int(home) == id {
-				atomic.AddUint64(&mySig.homeHit, 1)
-			} else {
-				atomic.AddUint64(&mySig.homeMiss, 1)
-			}
-		}
-		if r.rec != nil {
-			if stole {
-				r.rec.RecordWorker(id, flightrec.KindSteal, uint64(t.id), atomic.LoadUint64(&t.claim), 0)
-			}
-			// CATS records its own dispatch events inside pop (with the
-			// class-gating evidence only the scheduler has); for the other
-			// schedulers the worker records them here, strictly after the
-			// pop's synchronises-with edge to the ready-side push.
-			//
-			// Exception: the chain hand-off. When this pop returns the very
-			// task this worker just readied and pushed through pushOwned
-			// (pointer AND id match — ids are never reused, so a stolen,
-			// completed, recycled record cannot alias), the dispatch event is
-			// elided: one thread marked it ready and claimed it with nothing
-			// in between, so dispatched-was-ready holds by construction. The
-			// complete event carries CompleteSelfDispatch so the verifier
-			// knows the gap is deliberate.
-			sc.selfDispatch = !stole && t == sc.lastOwned && uint64(t.id) == sc.lastOwnedID
-			sc.lastOwned = nil
-			if !r.schedSelfRecords && !sc.selfDispatch {
-				arg2 := flightrec.PackDispatch(stole, false, 0, 0)
-				if r.topoEvents {
-					// Stamp the domain pair — where the task was released
-					// toward vs where it runs — so the verifier can check the
-					// domain-gating invariant against the parking timeline.
-					homeDom := -1
-					if t.home >= 0 {
-						homeDom = int(r.domainOf[t.home])
-					}
-					arg2 = flightrec.PackDispatchDomains(arg2, homeDom, int(r.domainOf[id]))
-				}
-				r.rec.RecordWorker(id, flightrec.KindDispatch, uint64(t.id),
-					atomic.LoadUint64(&t.claim), arg2)
-			}
-		}
-		if r.domCounts != nil {
-			d := int(r.domainOf[id])
-			if stole {
-				atomic.AddUint64(&r.domCounts[d].steals, 1)
-			}
-			if home := t.home; home >= 0 {
-				if int(r.domainOf[home]) == d {
-					atomic.AddUint64(&r.domCounts[d].local, 1)
-				} else {
-					atomic.AddUint64(&r.domCounts[d].cross, 1)
-				}
-			}
-		}
-		atomic.StoreInt32(&t.exec, int32(id))
-		t.mu.Lock()
-		t.state = stateRunning
-		poison := t.skipCause
-		t.mu.Unlock()
-		var taskErr error
-		// propagate is the poison handed to complete for the successors:
-		// non-nil only for terminal panics and the skips they caused.
-		var propagate error
-		// faultPack, when non-zero, is the terminal fault complete must
-		// record paired with the completion event (fault classes start at
-		// 1, so zero always means "no fault").
-		var faultPack uint64
-		if poison != nil {
-			// Poisoned: a predecessor terminally panicked, so this task's
-			// inputs were never produced. Skip the body, fail the task with
-			// a SkipError carrying the root cause, keep poisoning downstream.
-			atomic.AddUint64(&mySig.skipped, 1)
-			r.sig.quarantined.Add(1)
-			taskErr = &SkipError{TaskName: t.name, Cause: poison}
-			r.setErr(taskErr)
-			propagate = poison
-		} else if err := t.ctx.Err(); err != nil {
-			// Cancelled before starting: skip the body, record why.
-			atomic.AddUint64(&mySig.skipped, 1)
-			r.setErr(err)
-			taskErr = err
-		} else {
-			var pc context.Context
-			if t.fn != nil {
-				if t.attempt > 0 {
-					// Retried attempts are rare and must surface their
-					// attempt count through TaskPlacement: a fresh uncached
-					// wrapper keeps the shared cached wrappers (and the
-					// fault-free fast path's zero-allocation guarantee)
-					// attempt-free.
-					w := where
-					w.Attempt = int(t.attempt)
-					pc = &placementCtx{Context: t.ctx, rt: r, where: w}
-				} else if t.ctx == context.Background() {
-					pc = bgWrap
-					// Release the cached request-scoped context: a worker
-					// must not pin a dead request's values past the next
-					// Background-context dispatch.
-					curCtx, curWrap = nil, nil
-				} else if curWrap != nil && t.ctx == curCtx {
-					pc = curWrap // same submission scope as the last task
-				} else {
-					w := &placementCtx{Context: t.ctx, rt: r, where: where}
-					pc = w
-					if reflect.TypeOf(t.ctx).Comparable() {
-						curCtx, curWrap = t.ctx, w
-					} else {
-						// Never cache a context of uncomparable dynamic
-						// type: a later identity check against another
-						// value of the same type would panic.
-						curCtx, curWrap = nil, nil
-					}
-				}
-			}
-			var bodyErr error
-			if t.deadline > 0 {
-				bodyErr = r.runWithDeadline(t, pc)
-			} else {
-				bodyErr = execBody(t.name, t.fn, t.plainFn, pc)
-			}
-			if bodyErr != nil {
-				switch bodyErr.(type) {
-				case *PanicError:
-					r.sig.panics.Add(1)
-				case *DeadlineError:
-					r.sig.deadlineMiss.Add(1)
-				}
-				if r.maybeRetry(t, id, bodyErr) {
-					// Re-armed: the task stays outstanding and re-enters the
-					// scheduler after its backoff. OnDone and complete wait
-					// for the terminal attempt.
-					continue
-				}
-			}
-			atomic.AddUint64(&mySig.executed, 1)
-			if bodyErr != nil {
-				taskErr = bodyErr
-				switch bodyErr.(type) {
-				case *PanicError, *DeadlineError:
-					// Already task-labelled by construction.
-					r.setErr(bodyErr)
-				default:
-					r.setErr(fmt.Errorf("task %s: %w", t.name, bodyErr))
-				}
-				if pe, ok := bodyErr.(*PanicError); ok {
-					// Terminal panic: quarantine the task and poison its
-					// successors — a panicked producer's outputs don't exist,
-					// so running consumers against them compounds the damage.
-					r.sig.quarantined.Add(1)
-					propagate = pe
-				}
-				// The fault event itself is recorded by complete, in one
-				// paired ring write with the completion: the verifier's
-				// FaultResolution window is measured in collector sweeps,
-				// and any daylight between the two records (the OnDone hook
-				// would otherwise run in it) reads as a lost recovery.
-				faultPack = flightrec.PackFault(faultCode(bodyErr), int(t.attempt))
-			}
-		}
-		// The per-task completion hook fires here — after the body (or the
-		// skip decision) and before complete() can recycle the record — so
-		// a service layer can account for every admitted task exactly once,
-		// executed and skipped alike. It runs under panic isolation: a
-		// panicking hook is the submitting layer's bug, but it must not take
-		// the worker (and every tenant on the pool) down with it.
-		if t.onDone != nil {
-			r.callOnDone(t.onDone, taskErr, t.name)
-		}
-		if obs != nil {
-			obs.taskDone(id)
-		}
-		r.complete(t, id, &sc, propagate, faultPack)
-	}
-}
-
-// execBody invokes a task body under panic isolation: a panicking body is
-// recovered into a typed *PanicError carrying the panic value and the
-// goroutine stack, and the task fails like any error-returning body instead
-// of unwinding the worker. The body's identity is passed as plain values —
-// never the task record — so the deadline path can keep running an
-// abandoned body after the record has been recycled.
-func execBody(name string, fn Body, plain func(), pc context.Context) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{TaskName: name, Value: v, Stack: debug.Stack()}
-		}
-	}()
-	if fn != nil {
-		return fn(pc)
-	}
-	if plain != nil {
-		plain()
-	}
-	return nil
-}
-
-// runWithDeadline runs the body under its per-task deadline without ever
-// blocking the worker: the body runs on its own goroutine against a
-// deadline-bounded context, and when the bound passes first the task fails
-// with a *DeadlineError immediately. The overrunning body is abandoned —
-// its goroutine holds only the body closure and context (never the task
-// record, which complete may recycle at any moment after this returns) and
-// is collected whenever the body honours the cancellation or returns.
-func (r *Runtime) runWithDeadline(t *task, pc context.Context) error {
-	base := pc
-	if base == nil {
-		base = t.ctx
-	}
-	dctx, cancel := context.WithTimeout(base, t.deadline)
-	done := make(chan error, 1)
-	name, fn, plain := t.name, t.fn, t.plainFn
-	go func() {
-		defer cancel()
-		done <- execBody(name, fn, plain, dctx)
-	}()
-	// A cooperative body that observes the bound returns ctx.Err() through
-	// done, racing the watchdog arm; normalise both paths to the same
-	// verdict so classification never depends on which select arm wins.
-	verdict := func(err error) error {
-		if err != nil && errors.Is(err, context.DeadlineExceeded) && base.Err() == nil {
-			return &DeadlineError{TaskName: name, Limit: t.deadline}
-		}
-		return err
-	}
-	select {
-	case err := <-done:
-		return verdict(err)
-	case <-dctx.Done():
-		select {
-		case err := <-done:
-			// The body beat the bound observation: take its verdict.
-			return verdict(err)
-		default:
-		}
-		if err := base.Err(); err != nil {
-			// The submission context died, not the deadline: classify as a
-			// plain cancellation, like the pre-start skip path would.
-			return err
-		}
-		return &DeadlineError{TaskName: name, Limit: t.deadline}
-	}
-}
-
-// faultCode maps a failed attempt's error to its flight-recorder fault
-// class.
-func faultCode(err error) int {
-	switch err.(type) {
-	case *PanicError:
-		return flightrec.FaultPanic
-	case *DeadlineError:
-		return flightrec.FaultDeadline
-	default:
-		return flightrec.FaultError
-	}
-}
-
-// maybeRetry decides whether a failed attempt re-enters the scheduler
-// under the task's RetryPolicy. On re-arm it records the paired
-// fault+retry events, bumps the attempt count, and schedules the ready
-// transition after the capped exponential backoff; the task stays
-// outstanding throughout (complete never ran), so Wait and Shutdown drain
-// retries like any in-flight work. A cancelled submission context makes
-// the failure terminal: retrying work nobody is waiting for wastes the
-// pool.
-func (r *Runtime) maybeRetry(t *task, workerID int, cause error) bool {
-	if t.retry.Max <= 0 || int(t.attempt) >= t.retry.Max || t.ctx.Err() != nil {
-		return false
-	}
-	t.attempt++
-	n := int(t.attempt)
-	r.sig.retries.Add(1)
-	if r.rec != nil {
-		claim := atomic.LoadUint64(&t.claim)
-		r.rec.RecordWorker2(workerID,
-			flightrec.KindFault, uint64(t.id), claim, flightrec.PackFault(faultCode(cause), n-1),
-			flightrec.KindRetry, uint64(t.id), claim, flightrec.PackRetry(n, t.retry.Max))
-	}
-	if d := t.retry.delay(n); d > 0 {
-		time.AfterFunc(d, func() { r.rearm(t) })
-		return true
-	}
-	r.rearm(t)
-	return true
-}
-
-// rearm returns a failed attempt's task to the scheduler. The record is
-// still owned by the retry path — complete never ran, so the generation is
-// unchanged and no reference was invalidated; a retried task can therefore
-// never alias a recycled record. The ready transition mirrors submit's:
-// the ready event is recorded BEFORE the claim stores, because clearing
-// the dispatch-claim bit (set by a claiming scheduler like CATS at the
-// failed dispatch) is what re-arms concurrent dispatch through stale heap
-// entries — the stale entry and the fresh push then race on the same
-// claim CAS, so at most one dispatches.
-func (r *Runtime) rearm(t *task) {
-	t.mu.Lock()
-	t.state = stateReady
-	t.home = -1
-	rc := claimGen(atomic.LoadUint64(&t.claim)) << 1
-	if r.rec != nil {
-		r.rec.RecordExternal(flightrec.KindReady, uint64(t.id), rc, 0)
-	}
-	atomic.StoreUint64(&t.claim, rc)
-	atomic.StoreUint64(&t.readyClaim, rc)
-	t.mu.Unlock()
-	r.sched.push(t, -1)
-}
-
-// callOnDone fires the per-task completion hook under panic isolation: a
-// panicking hook must not take down the worker, so it is recovered,
-// counted, and surfaced through Err like a body panic.
-func (r *Runtime) callOnDone(hook func(error), taskErr error, name string) {
-	defer func() {
-		if v := recover(); v != nil {
-			r.sig.panics.Add(1)
-			r.setErr(&PanicError{TaskName: name, Value: v, Stack: debug.Stack()})
-		}
-	}()
-	hook(taskErr)
-}
-
-// complete marks a task done, releases its successors, and drops the
-// references the task no longer needs — the body closure (often the
-// heaviest retained object) and the submission context. Without trace
-// retention it goes further and retires the whole record into the
-// runtime's freelist: the generation bump in the claim word (performed
-// inside this critical section) atomically invalidates every reference
-// that may still point here — tracker lastWriter/readersTail entries and
-// stale CATS heap entries — so the record can be reused by the next
-// submission without those holders ever observing the new task's state.
-//
-// Newly-ready successors are released with the completing worker's
-// identity: the scheduler's locality path pushes them onto this worker's
-// own deque (LIFO, so the consumer reuses the producer's warm cache),
-// spilling to the shared injector past the locality window.
-//
-// poison, when non-nil, is the root panic failure this task propagates:
-// every successor is marked skipCause before its release, so it (and,
-// transitively, its own successors) skips instead of running against
-// inputs that were never produced.
-//
-// faultPack, when non-zero, is the terminal fault (PackFault word) this
-// completion resolves; it is recorded in the same paired ring write as the
-// completion event so the two can never be separated by a collector sweep.
-func (r *Runtime) complete(t *task, workerID int, sc *completionScratch, poison error, faultPack uint64) {
-	recycle := !r.opts.retainTrace
-	succs := sc.succs[:0]
-	// The complete event carries the pre-retirement claim word but is
-	// recorded after this critical section, paired with the first released
-	// successor's ready in one two-slot ring write (or standalone when
-	// nothing becomes ready). Deferring it past the generation bump is safe
-	// because task IDs are never reused: the record's next life gets a new
-	// ID, so no consumer can mistake its events for this task's.
-	completedID := uint64(t.id)
-	completedClaim := atomic.LoadUint64(&t.claim)
-	// If this task reached us through the elided chain hand-off, its
-	// complete event must say so (see the worker loop's dispatch record).
-	var completeFlags uint64
-	if sc.selfDispatch {
-		completeFlags = flightrec.CompleteSelfDispatch
-	}
-	t.mu.Lock()
-	t.state = stateDone
-	succs = t.takeSuccs(succs)
-	t.fn = nil
-	t.plainFn = nil
-	t.ctx = nil
-	t.onDone = nil
-	t.skipCause = nil
-	if recycle {
-		t.name = ""
-		t.clearDeps()
-		// Retire the record: from here on every generation-tagged
-		// reference to it is dead. This store must stay inside the t.mu
-		// critical section — linkPreds validates generations under the
-		// same mutex, so a reference holder either runs before this bump
-		// (and sees state == stateDone) or after it (and sees the
-		// mismatch without touching any other field).
-		atomic.StoreUint64(&t.claim, (claimGen(atomic.LoadUint64(&t.claim))+1)<<1)
-	}
-	t.mu.Unlock()
-	// Release successors in one scheduler call: a task that completes a
-	// wide fan (the steal-heavy shape) hands the whole fan over with a
-	// single wakeup instead of one signal per child.
-	ready := sc.ready[:0]
-	completeRecorded := r.rec == nil
-	if !completeRecorded && faultPack != 0 {
-		// A terminal fault rides one paired ring write with its completion
-		// so no goroutine pause can open a gap between them: the verifier
-		// expires an unresolved fault after one full collector sweep, and
-		// the resolving event must be adjacent by construction (exactly as
-		// maybeRetry pairs fault with retry).
-		completeRecorded = true
-		r.rec.RecordWorker2(workerID,
-			flightrec.KindFault, completedID, completedClaim, faultPack,
-			flightrec.KindComplete, completedID, completedClaim, completeFlags)
-	}
-	for _, s := range succs {
-		if poison != nil {
-			// Poison before the decrement: the final releaser (us or a
-			// concurrent predecessor, whose decrement is ordered after ours)
-			// publishes the store, and the dispatching worker reads it under
-			// s.mu after the release — so a poisoned successor can never
-			// observe a nil cause. First poison wins; one root is enough.
-			s.mu.Lock()
-			if s.skipCause == nil {
-				s.skipCause = poison
-			}
-			s.mu.Unlock()
-		}
-		if atomic.AddInt32(&s.npreds, -1) == 0 {
-			s.mu.Lock()
-			s.state = stateReady
-			// The completing worker is both the release target (home) and
-			// the executor of the successor's latest-finishing predecessor
-			// (affinity — the data is hot here).
-			s.home = int32(workerID)
-			atomic.StoreInt32(&s.affinity, int32(workerID))
-			rc := atomic.LoadUint64(&s.claim)
-			if r.rec != nil {
-				// Record before the readyClaim store, as in submit: the
-				// store arms concurrent dispatch through stale entries. The
-				// first released successor's ready shares a paired ring
-				// write with the completion event.
-				if !completeRecorded {
-					completeRecorded = true
-					r.rec.RecordWorker2(workerID,
-						flightrec.KindComplete, completedID, completedClaim, completeFlags,
-						flightrec.KindReady, uint64(s.id), rc, 0)
-				} else {
-					r.rec.RecordWorker(workerID, flightrec.KindReady, uint64(s.id), rc, 0)
-				}
-			}
-			atomic.StoreUint64(&s.readyClaim, rc)
-			s.mu.Unlock()
-			ready = append(ready, s)
-		}
-	}
-	if !completeRecorded {
-		r.rec.RecordWorker(workerID, flightrec.KindComplete, completedID, completedClaim, completeFlags)
-	}
-	switch len(ready) {
-	case 0:
-	case 1:
-		// The chain hand-off: keep the lone successor to this worker
-		// without a wakeup when the scheduler's locality path allows it —
-		// this goroutine pops it next, and signalling a parked thief here
-		// would only invite it to steal the link off the warm cache.
-		s := ready[0]
-		ownedID := uint64(s.id) // before the push: pushing publishes s
-		if sc.owned == nil || !sc.owned.pushOwned(s, workerID) {
-			r.sched.push(s, workerID)
-		} else if r.rec != nil && !r.schedSelfRecords {
-			// Arm the dispatch-event elision: if our next pop returns this
-			// very task life, its dispatch record is redundant.
-			sc.lastOwned = s
-			sc.lastOwnedID = ownedID
-		}
-	default:
-		r.sched.pushBatch(ready, workerID)
-	}
-	// Scrub the scratch so finished tasks are not pinned until the next
-	// completion happens to overwrite the slots.
-	for i := range succs {
-		succs[i] = nil
-	}
-	sc.succs = succs[:0]
-	for i := range ready {
-		ready[i] = nil
-	}
-	sc.ready = ready[:0]
-	// Retire the record BEFORE releasing the backpressure slot: the slot
-	// send unblocks a waiting submitter, and if the record is not in the
-	// freelist by the time that submitter reaches newTask, it allocates a
-	// fresh one — a leak of exactly one record per race, which is where the
-	// old steady-state benchmarks' residual bytes/op came from.
-	if recycle && !r.free.put(t) {
-		r.pool.Put(t)
-	}
-	if r.slots != nil {
-		<-r.slots
-	}
-	if atomic.AddInt64(&r.outstanding, -1) == 0 {
-		r.waitMu.Lock()
-		r.waitCond.Broadcast()
-		r.waitMu.Unlock()
-	}
 }
 
 // Backlog reports the number of submitted tasks that have not yet
@@ -1613,12 +723,12 @@ func (r *Runtime) Stats() Stats {
 }
 
 // StatsInto fills s with a snapshot of the execution counters, reusing the
-// capacity of s.PerWorker and s.PerClass when they are large enough — the
-// allocation-free variant of Stats for hot reporting loops (periodic
-// metrics exporters, per-round experiment sampling). The snapshot is one
-// signals-layer epoch sample: the per-worker and per-class aggregation is
-// done once into the runtime's reusable sample and copied out, rather
-// than recomputed from scattered fields.
+// capacity of s.PerWorker, s.PerClass and s.PerDomain when they are large
+// enough — the allocation-free variant of Stats for hot reporting loops
+// (periodic metrics exporters, per-round experiment sampling). The
+// snapshot is one signals-layer epoch sample: the per-worker, per-class
+// and per-domain grouping is done once into the runtime's reusable sample
+// and copied out.
 func (r *Runtime) StatsInto(s *Stats) {
 	r.sampleMu.Lock()
 	defer r.sampleMu.Unlock()
@@ -1645,41 +755,9 @@ func (r *Runtime) StatsInto(s *Stats) {
 	if r.ctrl != nil {
 		r.ctrl.statsInto(&s.Adaptive)
 	}
-	if cap(s.PerWorker) < len(smp.PerWorker) {
-		s.PerWorker = make([]uint64, len(smp.PerWorker))
-	}
-	s.PerWorker = s.PerWorker[:len(smp.PerWorker)]
-	copy(s.PerWorker, smp.PerWorker)
-	if cap(s.PerClass) < len(smp.PerClass) {
-		s.PerClass = make([]uint64, len(smp.PerClass))
-	}
-	s.PerClass = s.PerClass[:len(smp.PerClass)]
-	copy(s.PerClass, smp.PerClass)
-	if cap(s.PerDomain) < len(r.domains) {
-		s.PerDomain = make([]DomainStats, len(r.domains))
-	}
-	s.PerDomain = s.PerDomain[:len(r.domains)]
-	for i := range s.PerDomain {
-		s.PerDomain[i] = DomainStats{Workers: r.domains[i].Count}
-	}
-	for w := range smp.PerWorker {
-		s.PerDomain[r.domainOf[w]].Dispatched += smp.PerWorker[w]
-	}
-	if r.domCounts != nil {
-		for i := range s.PerDomain {
-			s.PerDomain[i].LocalDispatched = atomic.LoadUint64(&r.domCounts[i].local)
-			s.PerDomain[i].CrossDispatched = atomic.LoadUint64(&r.domCounts[i].cross)
-			s.PerDomain[i].Steals = atomic.LoadUint64(&r.domCounts[i].steals)
-		}
-	} else {
-		// Single domain: every dispatch is local by definition, and the
-		// global steal counter is the domain's.
-		s.PerDomain[0].LocalDispatched = s.PerDomain[0].Dispatched
-		s.PerDomain[0].Steals = s.Steals
-	}
-	if dss, ok := r.sched.(domainStatsSource); ok {
-		dss.domainStatsInto(s.PerDomain)
-	}
+	s.PerWorker = append(s.PerWorker[:0], smp.PerWorker...)
+	s.PerClass = append(s.PerClass[:0], smp.PerClass...)
+	s.PerDomain = append(s.PerDomain[:0], smp.PerDomain...)
 }
 
 // Graph exports the dependence graph of everything submitted so far as a

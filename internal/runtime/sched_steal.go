@@ -1,0 +1,869 @@
+package runtime
+
+import (
+	stdruntime "runtime"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/flightrec"
+)
+
+// stealScheduler is the multi-core dispatch path: one Chase–Lev deque per
+// worker plus one injector ring per memory domain for tasks released
+// off-pool.
+//
+//   - A worker that releases a task (successor wakeup in complete) pushes it
+//     onto its own deque bottom — no lock, no contention, LIFO locality.
+//     Past the locality window the release spills to same-domain siblings'
+//     submit buffers, then to the domain injector — same-worker →
+//     same-domain → anywhere, walking outward through the memory hierarchy.
+//   - Submitting goroutines (no worker identity) push into an injector —
+//     the domain of the task's data affinity when it has one, round-robin
+//     otherwise; an idle worker refills from its own domain's injector in
+//     chunks, and drains other domains' injectors (cross-domain overflow,
+//     small chunks) only when its own is dry.
+//   - A worker with nothing local steals from the top of a victim's deque
+//     (FIFO: the oldest task, which heads the largest remaining subtree) —
+//     a single CAS, no lock. Victims are visited in tiers: same-domain
+//     before cross-domain, fast-class before slow within each tier (see
+//     buildVictimPlans), each tier swept from a random offset.
+//   - Only when everything is empty does a worker park, on its DOMAIN's
+//     condition variable — wakeups carry the domain where the work landed,
+//     so the worker whose cache is closest to the data is woken first. The
+//     parking protocol is sequentially consistent: pushers bump the global
+//     pending count before enqueuing and check the global parked count
+//     after; parkers register (global count, then domain count) under
+//     their domain lock and re-check pending before sleeping — so a task
+//     published concurrently with a park attempt is always seen by one
+//     side, and a registered sleeper's domain count is always visible to
+//     the pusher's wake scan.
+type stealScheduler struct {
+	schedHooks
+	// parkLog carries the runtime's signals layer and flight recorder for
+	// the park/wake accounting of the domain lots and the class gate.
+	parkLog
+
+	deques []*wsDeque
+
+	// injs is one injector per memory domain (single-element for the
+	// degenerate topology); rrDom round-robins affinity-less injections.
+	injs  []lockedRing
+	rrDom atomic.Uint32
+
+	// pending counts queued tasks (deques + injectors + side buffers).
+	// Maintained with seqcst atomics purely for the parking protocol; the
+	// queues themselves are the source of truth.
+	pending atomic.Int64
+	// parked counts workers asleep across all domains, read lock-free by
+	// pushers deciding whether to wake anyone at all; parks holds the
+	// per-domain parking lots wakeups are routed through.
+	parked atomic.Int32
+	parks  []domainPark
+	woken  atomic.Bool
+
+	// fastN splits the deques into the fast-class range [0, fastN) and the
+	// slow range [fastN, len): within each domain tier, victim sweeps
+	// visit fast-class deques first (see buildVictimPlans). fastN ==
+	// len(deques) for homogeneous pools.
+	fastN int
+
+	// nd is the domain count (≥ 1); domOf maps workerID → domain;
+	// members lists each domain's workers in ID order.
+	nd      int
+	domOf   []int32
+	members [][]int32
+
+	// victims holds each worker's precomputed tier-ordered victim plan.
+	victims []victimPlan
+
+	// traffic is the per-domain injector/steal accounting surfaced through
+	// Stats.PerDomain; its injPush column, summed, is the injector-pressure
+	// signal the adaptive controller samples.
+	traffic []domainTraffic
+
+	// pol is the policy layer this scheduler consults on every hot path:
+	// pol.window is the locality window — a push carrying a worker hint
+	// goes to that worker's own deque only while the deque holds fewer
+	// than window tasks, and spills past it — first to same-domain
+	// siblings' submit buffers (multi-domain pools only), then to the
+	// domain injector — so a completing worker keeps its successors hot in
+	// cache without hoarding a wide fan that the rest of the pool would
+	// have to steal back one CAS at a time (window <= 0 disables the
+	// locality path entirely: every release goes through the injector, the
+	// central-queue baseline). pol.refillChunk caps the own-domain
+	// injector refill, pol.critFirst switches the crit heap on, and
+	// pol.classMask gates worker classes (see pop).
+	pol *policyWords
+	// classOf maps workerID → class index for the policy gate.
+	classOf func(int) int
+
+	// gateMu/gateCond form the class gate: a worker whose class bit is
+	// clear in pol.classMask parks here (outside the domain parking lots
+	// and the pending/parked protocol — a gated worker is withdrawn from
+	// the pool, not idle). Its deque and submit buffer stay stealable by
+	// active workers, and its queued tasks stay counted in pending, so no
+	// active worker can park while a gated worker's work remains.
+	gateMu   sync.Mutex
+	gateCond *sync.Cond
+
+	// crit is the criticality-first heap, live while pol.critFirst is set:
+	// ready tasks with positive priority are routed here instead of the
+	// deques, fast-class workers drain it before their own deque and slow
+	// workers only when every other source is dry — the CATS placement
+	// rule as a switchable mode. Entries are unique (no bump reinsertion
+	// on this scheduler), so no claim machinery is needed; critN mirrors
+	// the heap size for the lock-free empty check every pop makes, and the
+	// heap keeps draining after the mode switches off.
+	critMu sync.Mutex
+	crit   catsHeap
+	critN  atomic.Int64
+
+	// side holds one submit buffer per worker: the landing zone for
+	// hinted submissions (tasks submitted with a worker's body context,
+	// possibly from arbitrary goroutines — the deque bottom is owner-only,
+	// this is not) and for same-domain spill. The owner drains its buffer
+	// into its deque at the top of pop; thieves with nothing else to do
+	// steal from other workers' buffers, so a task parked here by a body
+	// that then blocks is still reachable by the rest of the pool.
+	side []lockedRing
+
+	rng []paddedRand
+}
+
+// domainPark is one memory domain's parking lot. n counts this domain's
+// sleepers (the wake scan's routing signal; the global parked count is the
+// "anyone at all?" fast path).
+type domainPark struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	n    atomic.Int32
+	_    [4]int64
+}
+
+// domainTraffic is one domain's steal/injector accounting (atomic access).
+type domainTraffic struct {
+	injPush     atomic.Uint64
+	crossRefill atomic.Uint64
+	crossSteal  atomic.Uint64
+	_           [5]uint64
+}
+
+// lockedRing is a mutex-guarded task ring — one memory domain's injector,
+// or one worker's submit buffer. n mirrors q.len() so the refill and pop
+// fast paths and thieves' sweeps can skip the lock when the ring is empty
+// (the steady state once work is distributed).
+type lockedRing struct {
+	mu sync.Mutex
+	q  taskRing
+	n  atomic.Int64
+	_  [4]int64 // keep neighbouring rings off one cache line
+}
+
+// offer buffers t unless the ring already holds win tasks.
+func (b *lockedRing) offer(t *task, win int64) bool {
+	b.mu.Lock()
+	if int64(b.q.len()) >= win {
+		b.mu.Unlock()
+		return false
+	}
+	b.q.push(t)
+	b.mu.Unlock()
+	b.n.Add(1)
+	return true
+}
+
+// paddedRand is a per-worker xorshift state, padded to a cache line so
+// victim-selection draws by different workers don't false-share.
+type paddedRand struct {
+	state uint64
+	_     [7]uint64
+}
+
+func newStealScheduler(layout classLayout, pol *policyWords, sig *signals, rec *flightrec.Recorder) *stealScheduler {
+	nd := layout.domainCount()
+	s := &stealScheduler{
+		parkLog: parkLog{sig: sig, rec: rec},
+		deques:  make([]*wsDeque, layout.workers),
+		rng:     make([]paddedRand, layout.workers),
+		fastN:   layout.fastN,
+		nd:      nd,
+		domOf:   make([]int32, layout.workers),
+		members: make([][]int32, nd),
+		injs:    make([]lockedRing, nd),
+		parks:   make([]domainPark, nd),
+		traffic: make([]domainTraffic, nd),
+		victims: buildVictimPlans(layout),
+		pol:     pol,
+		classOf: layout.class,
+		side:    make([]lockedRing, layout.workers),
+	}
+	for i := range s.deques {
+		s.deques[i] = newWSDeque()
+		s.rng[i].state = mix64(uint64(i) + 0x9e3779b97f4a7c15)
+		d := layout.domain(i)
+		s.domOf[i] = int32(d)
+		s.members[d] = append(s.members[d], int32(i))
+	}
+	for d := range s.parks {
+		s.parks[d].cond = sync.NewCond(&s.parks[d].mu)
+	}
+	s.gateCond = sync.NewCond(&s.gateMu)
+	return s
+}
+
+// localRoom reports how many more tasks worker w's deque may take through
+// the locality path (0 when the hint is invalid or locality is disabled)
+// under the given effective window.
+func (s *stealScheduler) localRoom(workerHint int, win int64) int64 {
+	if s.hintDomain(workerHint) < 0 || win <= 0 {
+		return 0
+	}
+	return max(win-s.deques[workerHint].size(), 0)
+}
+
+// hintDomain maps a push's worker hint to that worker's domain, -1 for no
+// (or an invalid) hint.
+func (s *stealScheduler) hintDomain(workerHint int) int {
+	if workerHint < 0 || workerHint >= len(s.deques) {
+		return -1
+	}
+	return int(s.domOf[workerHint])
+}
+
+func (s *stealScheduler) push(t *task, workerHint int) {
+	s.pending.Add(1)
+	s.wakeWorkers(1, s.route(t, workerHint))
+}
+
+// route places one ready task — crit heap when criticality-first is on
+// and the task carries positive priority, otherwise same-worker deque
+// while the locality window has room, same-domain sibling submit buffer,
+// domain injector — and returns the domain it landed in, the wake scan's
+// routing preference.
+func (s *stealScheduler) route(t *task, workerHint int) int {
+	d := s.hintDomain(workerHint)
+	if s.pol.critFirst.Load() != 0 && atomic.LoadInt64(&t.priority) > 0 {
+		s.pushCrit(t)
+		return d
+	}
+	win := s.pol.window.Load()
+	if s.localRoom(workerHint, win) > 0 {
+		s.deques[workerHint].pushBottom(t)
+		return d
+	}
+	if d < 0 {
+		return s.injectPlaced(t)
+	}
+	if !s.spillSibling(t, workerHint, d, win) {
+		s.inject(t, d)
+	}
+	return d
+}
+
+// pushCrit inserts a positive-priority task into the crit heap. The
+// caller accounts it in pending like any other ready task.
+func (s *stealScheduler) pushCrit(t *task) {
+	e := snapshotEntry(t, 0)
+	s.critMu.Lock()
+	s.crit.push(e)
+	s.critMu.Unlock()
+	s.critN.Add(1)
+}
+
+// popCrit takes the most critical queued entry, nil when the heap is
+// empty (one lock-free load in the steady state — critN is 0 whenever
+// criticality-first has been off long enough for the heap to drain).
+func (s *stealScheduler) popCrit() *task {
+	if s.critN.Load() == 0 {
+		return nil
+	}
+	s.critMu.Lock()
+	if len(s.crit) == 0 {
+		s.critMu.Unlock()
+		return nil
+	}
+	e := s.crit.pop()
+	s.critMu.Unlock()
+	s.critN.Add(-1)
+	return e.t
+}
+
+// spillSibling extends the locality window across the releasing worker's
+// memory domain: when the worker's own deque is past the window, the task
+// goes to a same-domain sibling's submit buffer (each bounded by the same
+// window) before falling through to the domain injector — the successor
+// stays inside the domain's shared cache even when its producer is
+// saturated. Single-domain pools skip this tier entirely (same-domain
+// means nothing there), preserving the flat window→injector behaviour.
+func (s *stealScheduler) spillSibling(t *task, workerHint, d int, win int64) bool {
+	if s.nd <= 1 || win <= 0 {
+		return false
+	}
+	for _, v := range s.members[d] {
+		if int(v) == workerHint {
+			continue
+		}
+		if b := &s.side[v]; b.n.Load() < win && b.offer(t, win) {
+			return true
+		}
+	}
+	return false
+}
+
+// inject pushes one task into domain d's injector.
+func (s *stealScheduler) inject(t *task, d int) {
+	inj := &s.injs[d]
+	inj.mu.Lock()
+	inj.q.push(t)
+	inj.mu.Unlock()
+	inj.n.Add(1)
+	s.traffic[d].injPush.Add(1)
+}
+
+// injectPlaced routes a hint-less task to an injector and returns the
+// domain: the domain whose caches plausibly hold the task's input data
+// when the task carries an affinity (the worker that executed its
+// predecessor), round-robin across domains otherwise.
+func (s *stealScheduler) injectPlaced(t *task) int {
+	d := 0
+	if s.nd > 1 {
+		if a := atomic.LoadInt32(&t.affinity); a >= 0 && int(a) < len(s.domOf) {
+			d = int(s.domOf[a])
+		} else {
+			d = int(s.rrDom.Add(1)-1) % s.nd
+		}
+	}
+	s.inject(t, d)
+	return d
+}
+
+// pushOwned: the completing worker keeps its single ready successor to
+// itself, no wakeup. Only taken when the worker's deque is empty AND
+// locality is enabled — then the pushed task is exactly what this worker
+// pops next, so no other work is hidden from parked thieves by the skipped
+// signal. With anything else already queued the caller falls back to the
+// waking push, which lets a parked worker come steal the older entries
+// (FIFO top) while the owner continues its chain.
+func (s *stealScheduler) pushOwned(t *task, workerID int) bool {
+	if s.pol.window.Load() <= 0 {
+		return false
+	}
+	// Criticality-first: a positive-priority successor belongs on the crit
+	// heap where a fast worker will find it, not hidden on this worker's
+	// deque — decline, and let the waking push route it.
+	if s.pol.critFirst.Load() != 0 && atomic.LoadInt64(&t.priority) > 0 {
+		return false
+	}
+	d := s.deques[workerID]
+	if d.size() != 0 {
+		return false
+	}
+	s.pending.Add(1)
+	d.pushBottom(t)
+	return true
+}
+
+// submitLocal: a hinted submission lands in the target worker's submit
+// buffer (bounded by the locality window), safe from any goroutine.
+// Returns false — caller routes centrally — when the hint is invalid,
+// locality is disabled, or the buffer is full.
+func (s *stealScheduler) submitLocal(t *task, workerID int) bool {
+	d, win := s.hintDomain(workerID), s.pol.window.Load()
+	if d < 0 || win <= 0 || !s.side[workerID].offer(t, win) {
+		return false
+	}
+	s.pending.Add(1)
+	s.wakeWorkers(1, d)
+	return true
+}
+
+// submitLocalBatch takes a window-bounded prefix of ts into the worker's
+// submit buffer and returns how many.
+func (s *stealScheduler) submitLocalBatch(ts []*task, workerID int) int {
+	d, win := s.hintDomain(workerID), s.pol.window.Load()
+	if d < 0 || win <= 0 {
+		return 0
+	}
+	b := &s.side[workerID]
+	b.mu.Lock()
+	take := int(min(int64(len(ts)), max(win-int64(b.q.len()), 0)))
+	for _, t := range ts[:take] {
+		b.q.push(t)
+	}
+	b.mu.Unlock()
+	if take > 0 {
+		b.n.Add(int64(take))
+		s.pending.Add(int64(take))
+		s.wakeWorkers(take, d)
+	}
+	return take
+}
+
+// drainSide moves the owner's submit buffer into its own deque (owner
+// goroutine only — pushBottom is owner-only).
+func (s *stealScheduler) drainSide(w int) {
+	b := &s.side[w]
+	b.mu.Lock()
+	for b.q.len() > 0 {
+		s.deques[w].pushBottom(b.q.pop())
+		b.n.Add(-1)
+	}
+	b.mu.Unlock()
+}
+
+// stealSide takes one task from another worker's submit buffer — the
+// fallback that keeps buffered submissions reachable when their target
+// worker is blocked inside a long-running body. Buffers are visited in
+// the thief's victim-plan order, so same-domain buffers (holding
+// domain-spilled successors) are relieved before cross-domain ones.
+func (s *stealScheduler) stealSide(w int) *task {
+	t, _ := s.sweep(w, tierSameLo, tierCrossHi, func(v int) (*task, bool) {
+		b := &s.side[v]
+		if b.n.Load() == 0 {
+			return nil, false
+		}
+		b.mu.Lock()
+		t := b.q.pop()
+		b.mu.Unlock()
+		if t != nil {
+			b.n.Add(-1)
+		}
+		return t, false
+	})
+	return t
+}
+
+func (s *stealScheduler) pushBatch(ts []*task, workerHint int) {
+	if len(ts) == 0 {
+		return
+	}
+	n := len(ts)
+	s.pending.Add(int64(n))
+	// Criticality-first: peel the positive-priority tasks off to the crit
+	// heap (compacting the rest in place — ts is the caller's reusable
+	// scratch, already scrubbed after this call returns).
+	if s.pol.critFirst.Load() != 0 {
+		kept := 0
+		for _, t := range ts {
+			if atomic.LoadInt64(&t.priority) > 0 {
+				s.pushCrit(t)
+			} else {
+				ts[kept] = t
+				kept++
+			}
+		}
+		ts = ts[:kept]
+	}
+	// Fill the hinted worker's deque up to the locality window, then walk
+	// outward: same-domain sibling buffers, then the injector — so a wide
+	// fan still spreads across the pool without every other worker
+	// stealing it back one task at a time, but spreads domain-first.
+	win := s.pol.window.Load()
+	local := 0
+	dom := s.hintDomain(workerHint)
+	if room := s.localRoom(workerHint, win); room > 0 {
+		local = int(min(int64(len(ts)), room))
+		d := s.deques[workerHint]
+		for _, t := range ts[:local] {
+			d.pushBottom(t)
+		}
+	}
+	rest := ts[local:]
+	for dom >= 0 && len(rest) > 0 && s.spillSibling(rest[0], workerHint, dom, win) {
+		rest = rest[1:]
+	}
+	if len(rest) > 0 {
+		if dom < 0 {
+			dom = s.injectPlaced(rest[0])
+			rest = rest[1:]
+		}
+		if len(rest) > 0 {
+			inj := &s.injs[dom]
+			inj.mu.Lock()
+			for _, t := range rest {
+				inj.q.push(t)
+			}
+			inj.mu.Unlock()
+			inj.n.Add(int64(len(rest)))
+			s.traffic[dom].injPush.Add(uint64(len(rest)))
+		}
+	}
+	s.wakeWorkers(n, dom)
+}
+
+// wakeWorkers unparks up to n workers if any are parked, scanning the
+// per-domain parking lots preferred-domain first (pref < 0 starts at
+// domain 0) so the sleeper closest to the freshly-placed work wakes. The
+// global parked check is a lock-free fast path: with no one parked (the
+// busy steady state) a push touches no lock at all. The scan cannot miss
+// a committed sleeper: a parker's domain count is registered (seqcst)
+// before its pending re-check, so a pusher whose enqueue the parker did
+// not see always sees the parker's registration.
+func (s *stealScheduler) wakeWorkers(n, pref int) {
+	if s.parked.Load() == 0 {
+		return
+	}
+	pref = max(pref, 0)
+	rem := n
+	for i := 0; i < s.nd && rem > 0; i++ {
+		d := pref + i
+		if d >= s.nd {
+			d -= s.nd
+		}
+		dp := &s.parks[d]
+		pk := int(dp.n.Load())
+		if pk == 0 {
+			continue
+		}
+		dp.mu.Lock()
+		if rem == 1 {
+			dp.cond.Signal()
+		} else {
+			dp.cond.Broadcast()
+		}
+		dp.mu.Unlock()
+		if rem == 1 {
+			return
+		}
+		rem -= pk
+	}
+}
+
+// injectorGrab is the default own-domain refill chunk (the initial value
+// of the policy layer's refillChunk word, which the adaptive controller
+// may retune); crossGrab is the smaller fixed cap used when raiding
+// ANOTHER domain's injector — cross-domain overflow relieves an
+// overloaded domain without bulk-migrating its backlog away from the
+// caches it was aimed at.
+const (
+	injectorGrab = 32
+	crossGrab    = 8
+)
+
+// refill pulls from domain d's injector on behalf of worker w: it returns
+// one task and moves a fair share of the backlog (n/workers, capped) onto
+// w's own deque, amortising the injector lock over the whole chunk. cross
+// marks a raid on another domain's injector (smaller cap, counted as
+// cross-domain traffic for w's home domain).
+func (s *stealScheduler) refill(w, d int, cross bool) *task {
+	inj := &s.injs[d]
+	if inj.n.Load() == 0 {
+		return nil // lock-free fast path for the common empty case
+	}
+	inj.mu.Lock()
+	n := inj.q.len()
+	if n == 0 {
+		inj.mu.Unlock()
+		return nil
+	}
+	chunk := int(s.pol.refillChunk.Load())
+	if cross {
+		chunk = crossGrab
+	}
+	// Never more than n: on a single-worker pool n/1+1 would overshoot the
+	// ring.
+	grab := min(n/len(s.deques)+1, chunk, n)
+	t := inj.q.pop()
+	dq := s.deques[w]
+	for i := 1; i < grab; i++ {
+		dq.pushBottom(inj.q.pop())
+	}
+	inj.n.Add(int64(-grab))
+	inj.mu.Unlock()
+	if cross {
+		s.traffic[s.domOf[w]].crossRefill.Add(uint64(grab))
+	}
+	return t
+}
+
+// crossInjectors raids the other domains' injectors (cross-domain
+// overflow), starting at a random domain so raids spread.
+func (s *stealScheduler) crossInjectors(w int) *task {
+	if s.nd <= 1 {
+		return nil
+	}
+	own := int(s.domOf[w])
+	off := int(s.nextRand(w) % uint64(s.nd))
+	for i := 0; i < s.nd; i++ {
+		d := off + i
+		if d >= s.nd {
+			d -= s.nd
+		}
+		if d == own {
+			continue
+		}
+		if t := s.refill(w, d, true); t != nil {
+			return t
+		}
+	}
+	return nil
+}
+
+// sweepTiers tries every victim deque in the tier range once — same-domain
+// tiers keep a steal inside the shared cache, cross-domain tiers are the
+// last resort; fast-class deques lead each tier because the released
+// successors of critical tasks live there and stealing their oldest (least
+// critical) entries keeps the fast LIFO end free for the path itself. The
+// second result reports whether any CAS lost a race (so the caller must
+// not park on this evidence alone).
+func (s *stealScheduler) sweepTiers(w, loTier, hiTier int) (*task, bool) {
+	return s.sweep(w, loTier, hiTier, func(v int) (*task, bool) { return s.deques[v].stealTop() })
+}
+
+// sweep walks w's victims in the tier range, asking take for a task from
+// each until one yields, and accounts a steal that crossed a domain
+// boundary. take's second result (a lost race) is OR-ed into the sweep's.
+func (s *stealScheduler) sweep(w, loTier, hiTier int, take func(v int) (*task, bool)) (*task, bool) {
+	var out *task
+	contended := false
+	s.forEachVictim(w, loTier, hiTier, func(v int) bool {
+		t, retry := take(v)
+		contended = contended || retry
+		if t == nil {
+			return false
+		}
+		if s.domOf[v] != s.domOf[w] {
+			s.traffic[s.domOf[w]].crossSteal.Add(1)
+		}
+		out = t
+		return true
+	})
+	return out, contended
+}
+
+// nextRand advances worker w's xorshift64 state.
+func (s *stealScheduler) nextRand(w int) uint64 {
+	x := s.rng[w].state
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	s.rng[w].state = x
+	return x
+}
+
+// find is one pass over every source worker w may take work from, nearest
+// first. It does not touch pending (pop accounts the task it returns);
+// contended reports that some steal CAS lost a race, so an empty-handed
+// caller must not park on this evidence alone.
+func (s *stealScheduler) find(w, ownDom int, fast bool) (t *task, stolen, contended bool) {
+	// Criticality-first: fast-class workers serve the crit heap before
+	// anything local — the CATS rule that the most critical ready task
+	// belongs on the fastest core, switched by the policy layer (one
+	// lock-free load when the mode is off and the heap long drained).
+	if fast {
+		if t := s.popCrit(); t != nil {
+			return t, false, false
+		}
+	}
+	// Claim the hinted submissions aimed at this worker first — they
+	// were routed here for this worker's cache (one lock-free check in
+	// the common empty case).
+	if s.side[w].n.Load() > 0 {
+		s.drainSide(w)
+	}
+	if t := s.deques[w].popBottom(); t != nil {
+		return t, false, false
+	}
+	// The hierarchy walk outward: own domain's injector, same-domain
+	// deques, other domains' injectors (overflow), cross-domain deques,
+	// and finally anybody's submit buffer.
+	if t := s.refill(w, ownDom, false); t != nil {
+		return t, false, false
+	}
+	t, contended = s.sweepTiers(w, tierSameLo, tierSameHi)
+	if t != nil {
+		return t, true, contended
+	}
+	if t := s.crossInjectors(w); t != nil {
+		return t, false, contended
+	}
+	t, c2 := s.sweepTiers(w, tierSameHi, tierCrossHi)
+	if t != nil {
+		return t, true, contended
+	}
+	contended = contended || c2
+	if t := s.stealSide(w); t != nil {
+		return t, true, contended
+	}
+	// Slow-class last resort under criticality-first: with every other
+	// source dry, running a critical task on a slow worker beats
+	// leaving it queued while this worker parks.
+	if !fast {
+		t = s.popCrit()
+	}
+	return t, false, contended
+}
+
+func (s *stealScheduler) pop(workerID int) (*task, bool) {
+	ownDom := int(s.domOf[workerID])
+	fast := workerID < s.fastN
+	class := s.classOf(workerID)
+	for {
+		// The policy class gate: a worker whose class is inactive parks
+		// outside the pool until the mask widens. Anything it still holds
+		// locally must be handed off first — pending counts it, but parked
+		// peers are only woken by new pushes (pushOwned in particular wakes
+		// nobody, betting the owner pops next), so a task left in the gating
+		// worker's deque or submit buffer would strand with every
+		// active-class worker already asleep. Spill it to the injector and
+		// wake for it; a hinted submission landing in the side buffer after
+		// the spill is covered by submitLocal's own wake plus stealSide.
+		if !s.pol.classActive(class) {
+			n := s.evacuate(workerID)
+			if n == 0 && s.pending.Load() > 0 {
+				// This worker may be here because a pusher's wake signal
+				// landed on it while work sits elsewhere (injector, another
+				// deque). Pass the wake along rather than absorbing it: the
+				// next lot waiter either takes the work or, gated too,
+				// relays again until an active-class worker gets it.
+				n = 1
+			}
+			if n > 0 {
+				s.wakeWorkers(n, ownDom)
+			}
+			if s.gatePark(workerID, class) {
+				return nil, false // shutdown wake
+			}
+			continue
+		}
+		t, stolen, contended := s.find(workerID, ownDom, fast)
+		if t != nil {
+			s.pending.Add(-1)
+			return t, stolen
+		}
+		if contended {
+			// Someone holds work we raced for; try again without parking —
+			// but yield first so the holder can make progress when cores
+			// are oversubscribed.
+			stdruntime.Gosched()
+			continue
+		}
+		// Nothing anywhere. Park on the home domain's lot — unless a task
+		// was published since the sweep (the pending re-check under the
+		// lock closes the race with a concurrent push, whose pending
+		// increment precedes its parked check in seqcst order).
+		dp := &s.parks[ownDom]
+		dp.mu.Lock()
+		woken := false
+		slept := false
+		for {
+			if s.woken.Load() {
+				woken = true
+				break
+			}
+			// Register as parked BEFORE re-checking pending: a pusher does
+			// pending.Add then parked.Load, so with this order one side
+			// always sees the other (seqcst). Checking pending first would
+			// let a push slip between the check and the registration with
+			// parked still 0 — a lost wakeup. The domain count follows the
+			// global one for the same reason: by the time the pusher's wake
+			// scan reads dp.n this sleeper is registered in it.
+			s.parked.Add(1)
+			dp.n.Add(1)
+			idle := s.pending.Load() <= 0
+			if idle {
+				s.wait(dp.cond, workerID)
+				slept = true
+			}
+			dp.n.Add(-1)
+			s.parked.Add(-1)
+			if !idle {
+				break
+			}
+		}
+		dp.mu.Unlock()
+		if woken {
+			return nil, false
+		}
+		if !slept {
+			// pending raced ahead of the enqueue we are about to rescan
+			// for; give the publisher a beat instead of spinning the sweep.
+			stdruntime.Gosched()
+		}
+	}
+}
+
+// evacuate spills everything a gating worker still owns — its submit
+// buffer and then its deque — to the home domain's injector and returns
+// how many tasks moved, so an active-class worker can be woken to refill
+// from there.
+func (s *stealScheduler) evacuate(workerID int) int {
+	if s.side[workerID].n.Load() > 0 {
+		s.drainSide(workerID)
+	}
+	d := int(s.domOf[workerID])
+	n := 0
+	for {
+		t := s.deques[workerID].popBottom()
+		if t == nil {
+			break
+		}
+		s.inject(t, d)
+		n++
+	}
+	return n
+}
+
+// gatePark blocks workerID at the class gate until its class is active
+// again (false) or the pool is waking for shutdown (true).
+func (s *stealScheduler) gatePark(workerID, class int) (shutdown bool) {
+	s.gateMu.Lock()
+	defer s.gateMu.Unlock()
+	for {
+		if s.woken.Load() {
+			return true
+		}
+		if s.pol.classActive(class) {
+			return false
+		}
+		s.wait(s.gateCond, workerID)
+	}
+}
+
+// policyChanged makes gated workers re-examine the class mask. The
+// broadcast is made under the gate mutex so it cannot slip between a
+// parking worker's mask check and its Wait.
+func (s *stealScheduler) policyChanged() {
+	s.gateMu.Lock()
+	defer s.gateMu.Unlock()
+	s.gateCond.Broadcast()
+}
+
+func (s *stealScheduler) wake() {
+	s.woken.Store(true)
+	for d := range s.parks {
+		dp := &s.parks[d]
+		dp.mu.Lock()
+		dp.cond.Broadcast()
+		dp.mu.Unlock()
+	}
+	s.gateMu.Lock()
+	s.gateCond.Broadcast()
+	s.gateMu.Unlock()
+}
+
+// reportDepths: every deque, injector, submit buffer, and the crit heap.
+func (s *stealScheduler) reportDepths(smp *signalSample) {
+	for _, d := range s.deques {
+		smp.noteDepth(d.size())
+	}
+	for i := range s.injs {
+		smp.noteDepth(s.injs[i].n.Load())
+	}
+	for i := range s.side {
+		smp.noteDepth(s.side[i].n.Load())
+	}
+	if n := s.critN.Load(); n > 0 {
+		smp.noteDepth(n)
+	}
+}
+
+// domainStatsInto: the scheduler's share of Stats.PerDomain — injector
+// and cross-domain traffic.
+func (s *stealScheduler) domainStatsInto(ds []DomainStats) {
+	for d := 0; d < s.nd && d < len(ds); d++ {
+		ds[d].InjectorPushes = s.traffic[d].injPush.Load()
+		ds[d].CrossRefills = s.traffic[d].crossRefill.Load()
+		ds[d].CrossSteals = s.traffic[d].crossSteal.Load()
+	}
+}

@@ -1,16 +1,28 @@
 package runtime
 
 import (
-	stdruntime "runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/flightrec"
 )
 
-// scheduler is the pluggable ready-queue policy. pop blocks until a task is
-// available or wake is called with nothing queued (then it returns nil,
-// which workers interpret as a shutdown check).
+// scheduler is the ready-queue policy contract — every call the runtime,
+// the sampler and the adaptive controller make into a scheduler, with no
+// capability discovered by type assertion. The first six methods are
+// implemented by all three schedulers; the rest are scheduler-specific
+// hooks whose no-op defaults come from the embedded schedHooks:
+//
+//	method            fifo      worksteal   cats
+//	push/pushBatch    queue     route       heap insert
+//	pop               queue     find+park   take+claim
+//	wake              lot       lots+gate   lot
+//	policyChanged     lot       gate        lot
+//	reportDepths      1 queue   all queues  2 heaps
+//	bump              —         —           reinsert
+//	pushOwned         —         own deque   —
+//	submitLocal*      —         side buffer —
+//	taskDone          —         —           saturation
+//	domainStatsInto   —         traffic     —
 type scheduler interface {
 	// push enqueues a ready task. workerHint is the worker that released
 	// it, or -1 when released from a submitting goroutine. A non-negative
@@ -23,55 +35,67 @@ type scheduler interface {
 	// workerHint contract matches push.
 	pushBatch(ts []*task, workerHint int)
 	// pop dequeues a task for workerID, reporting whether it was stolen
-	// from another worker's queue.
+	// from another worker's queue. It blocks until a task is available or
+	// wake is called with nothing queued (then it returns nil, which
+	// workers interpret as a shutdown check).
 	pop(workerID int) (t *task, stolen bool)
 	// wake unblocks all waiting workers (used at shutdown).
 	wake()
-}
+	// policyChanged is called by the adaptive controller after rewriting
+	// any policy word, so workers parked on policy state (the class gate)
+	// re-examine the mask.
+	policyChanged()
+	// reportDepths calls smp.noteDepth once per queue with its current
+	// length. The sample pointer is passed rather than a yield closure so
+	// the sampler stays allocation-free — a closure literal capturing the
+	// sample escapes and costs one allocation per snapshot.
+	reportDepths(smp *signalSample)
 
-// priorityBumper is implemented by schedulers that want to hear about
-// dynamic priority raises of tasks they may already hold (the CATS
-// bottom-level bump). Optional: the runtime type-asserts.
-type priorityBumper interface {
+	// bump hears about a dynamic priority raise of a task the scheduler may
+	// already hold (the CATS bottom-level bump). Called under the task's
+	// mutex.
 	bump(t *task)
-}
-
-// ownedPusher is the locality fast path for the single-successor hand-off:
-// pushOwned enqueues t on workerID's own queue with NO wakeup, returning
-// false (nothing enqueued) if the locality path cannot take it. It is only
-// sound when the caller is workerID's own goroutine AND is guaranteed to
-// return to pop immediately — i.e. a worker releasing a successor in
-// complete, never a submitting goroutine (whose body could block and
-// strand the task with every other worker parked). Skipping the wakeup
-// saves the futex and, more importantly, stops a parked thief from being
-// invited to steal the chain's next link away from its warm cache.
-// Optional: the runtime type-asserts once per worker.
-type ownedPusher interface {
+	// pushOwned is the locality fast path for the single-successor
+	// hand-off: it enqueues t on workerID's own queue with NO wakeup,
+	// returning false (nothing enqueued) if the locality path cannot take
+	// it. It is only sound when the caller is workerID's own goroutine AND
+	// is guaranteed to return to pop immediately — i.e. a worker releasing
+	// a successor in complete, never a submitting goroutine (whose body
+	// could block and strand the task with every other worker parked).
+	// Skipping the wakeup saves the futex and, more importantly, stops a
+	// parked thief from being invited to steal the chain's next link away
+	// from its warm cache.
 	pushOwned(t *task, workerID int) bool
-}
-
-// localSubmitter is the locality path for hinted submissions — tasks
-// submitted with a body's context, targeting the worker that ran the
-// body. Unlike the deque (whose bottom end is owner-only), the submit
-// buffer behind these methods is mutex-guarded and safe from ANY
-// goroutine, so a body may hand its context to helper goroutines that
-// submit concurrently. submitLocal reports whether it took the task;
-// submitLocalBatch takes a prefix of ts and returns how many, the caller
-// routes the rest centrally. Optional: the runtime type-asserts.
-type localSubmitter interface {
+	// submitLocal and submitLocalBatch are the locality path for hinted
+	// submissions — tasks submitted with a body's context, targeting the
+	// worker that ran the body. Unlike the deque (whose bottom end is
+	// owner-only), the submit buffer behind them is mutex-guarded and safe
+	// from ANY goroutine, so a body may hand its context to helper
+	// goroutines that submit concurrently. submitLocal reports whether it
+	// took the task; submitLocalBatch takes a prefix of ts and returns how
+	// many, the caller routes the rest centrally.
 	submitLocal(t *task, workerID int) bool
 	submitLocalBatch(ts []*task, workerID int) int
+	// taskDone hears that workerID finished the task it popped. The worker
+	// notifies before the task's successors are released, so a class-aware
+	// scheduler's saturation count is exact when a newly-ready critical
+	// successor is placed.
+	taskDone(workerID int)
+	// domainStatsInto adds the scheduler's own per-domain traffic counters
+	// (injector pushes, cross-domain refills and steals) to ds.
+	domainStatsInto(ds []DomainStats)
 }
 
-// dispatchObserver is implemented by schedulers that want to hear when a
-// worker finishes the task it popped — the class-aware CATS uses it to
-// keep its fast-class saturation count exact: the worker notifies before
-// the task's successors are released, so a newly-ready critical successor
-// can never observe the stale "still saturated" state and leak onto a
-// slow worker. Optional: the runtime type-asserts once per worker.
-type dispatchObserver interface {
-	taskDone(workerID int)
-}
+// schedHooks is embedded by every scheduler: the no-op defaults of the
+// scheduler-specific half of the contract.
+type schedHooks struct{}
+
+func (schedHooks) bump(*task)                        {}
+func (schedHooks) pushOwned(*task, int) bool         { return false }
+func (schedHooks) submitLocal(*task, int) bool       { return false }
+func (schedHooks) submitLocalBatch([]*task, int) int { return 0 }
+func (schedHooks) taskDone(int)                      {}
+func (schedHooks) domainStatsInto([]DomainStats)     {}
 
 // classLayout is the worker-topology view class- and domain-aware
 // schedulers receive. Worker IDs are assigned fastest class first
@@ -125,1526 +149,101 @@ func (l classLayout) domain(w int) int {
 	return int(l.domainOf[w])
 }
 
-// fifoScheduler is a single central FIFO queue — a mutex-guarded ring
-// buffer. Popped slots are nilled and oversized buffers shrink, so the
-// queue never pins dead task pointers (the old queue[1:] slide kept every
-// popped *task alive in the backing array).
-//
-// The policy layer's class gate applies at pop: a worker whose class bit
-// is clear in the policy mask waits without consuming queued work. While
-// any class is gated, push wakeups broadcast instead of signalling (see
-// kick) so a signal can never be swallowed by a gated worker and die
-// there with active workers still parked.
-type fifoScheduler struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   taskRing
-	woken   bool
-	pol     *policyWords
-	sig     *signals
-	classOf func(int) int
-	rec     *flightrec.Recorder
-}
-
-func newFIFOScheduler(layout classLayout, pol *policyWords, sig *signals, rec *flightrec.Recorder) *fifoScheduler {
-	s := &fifoScheduler{pol: pol, sig: sig, classOf: layout.class, rec: rec}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// kick delivers a push wakeup: one signal in the ungated steady state, a
-// broadcast while any class is parked at the gate (gated workers that
-// wake just go back to waiting; the broadcast guarantees an active worker
-// hears about the work too).
-func (s *fifoScheduler) kick() {
-	if s.pol.gated() {
-		s.cond.Broadcast()
-	} else {
-		s.cond.Signal()
-	}
-}
-
-func (s *fifoScheduler) push(t *task, _ int) {
-	s.mu.Lock()
-	s.queue.push(t)
-	s.mu.Unlock()
-	s.kick()
-}
-
-func (s *fifoScheduler) pushBatch(ts []*task, _ int) {
-	if len(ts) == 0 {
-		return
-	}
-	s.mu.Lock()
-	for _, t := range ts {
-		s.queue.push(t)
-	}
-	s.mu.Unlock()
-	if len(ts) == 1 {
-		s.kick()
-	} else {
-		s.cond.Broadcast()
-	}
-}
-
-func (s *fifoScheduler) pop(workerID int) (*task, bool) {
-	class := s.classOf(workerID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.pol.classActive(class) && s.queue.len() > 0 {
-			return s.queue.pop(), false
-		}
-		if s.woken {
-			return nil, false
-		}
-		s.sig.parks.Add(1)
-		if s.rec != nil {
-			s.rec.RecordWorker(workerID, flightrec.KindPark, 0, 0, 0)
-		}
-		s.cond.Wait()
-		s.sig.wakes.Add(1)
-		if s.rec != nil {
-			s.rec.RecordWorker(workerID, flightrec.KindWake, 0, 0, 0)
-		}
-	}
-}
-
-func (s *fifoScheduler) wake() {
-	s.mu.Lock()
-	s.woken = true
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// policyChanged implements policyNotifier: gated workers re-examine the
-// class mask. The broadcast is made under the queue mutex so it cannot
-// slip between a worker's mask check and its Wait.
-func (s *fifoScheduler) policyChanged() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// reportDepths implements depthReporter: the central queue is the only
-// queue.
-func (s *fifoScheduler) reportDepths(smp *signalSample) {
-	s.mu.Lock()
-	n := int64(s.queue.len())
-	s.mu.Unlock()
-	smp.noteDepth(n)
-}
-
-// stealScheduler is the multi-core dispatch path: one Chase–Lev deque per
-// worker plus one injector ring per memory domain for tasks released
-// off-pool.
-//
-//   - A worker that releases a task (successor wakeup in complete) pushes it
-//     onto its own deque bottom — no lock, no contention, LIFO locality.
-//     Past the locality window the release spills to same-domain siblings'
-//     submit buffers, then to the domain injector — same-worker →
-//     same-domain → anywhere, walking outward through the memory hierarchy.
-//   - Submitting goroutines (no worker identity) push into an injector —
-//     the domain of the task's data affinity when it has one, round-robin
-//     otherwise; an idle worker refills from its own domain's injector in
-//     chunks, and drains other domains' injectors (cross-domain overflow,
-//     small chunks) only when its own is dry.
-//   - A worker with nothing local steals from the top of a victim's deque
-//     (FIFO: the oldest task, which heads the largest remaining subtree) —
-//     a single CAS, no lock. Victims are visited in tiers: same-domain
-//     before cross-domain, fast-class before slow within each tier (see
-//     buildVictimPlans), each tier swept from a random offset.
-//   - Only when everything is empty does a worker park, on its DOMAIN's
-//     condition variable — wakeups carry the domain where the work landed,
-//     so the worker whose cache is closest to the data is woken first. The
-//     parking protocol is sequentially consistent: pushers bump the global
-//     pending count before enqueuing and check the global parked count
-//     after; parkers register (global count, then domain count) under
-//     their domain lock and re-check pending before sleeping — so a task
-//     published concurrently with a park attempt is always seen by one
-//     side, and a registered sleeper's domain count is always visible to
-//     the pusher's wake scan.
-type stealScheduler struct {
-	deques []*wsDeque
-
-	// injs is one injector per memory domain (single-element for the
-	// degenerate topology); rrDom round-robins affinity-less injections.
-	injs  []domainInjector
-	rrDom atomic.Uint32
-
-	// pending counts queued tasks (deques + injectors + side buffers).
-	// Maintained with seqcst atomics purely for the parking protocol; the
-	// queues themselves are the source of truth.
-	pending atomic.Int64
-	// parked counts workers asleep across all domains, read lock-free by
-	// pushers deciding whether to wake anyone at all; parks holds the
-	// per-domain parking lots wakeups are routed through.
-	parked atomic.Int32
-	parks  []domainPark
-	woken  atomic.Bool
-
-	// fastN splits the deques into the fast-class range [0, fastN) and the
-	// slow range [fastN, len): within each domain tier, victim sweeps
-	// visit fast-class deques first (see buildVictimPlans). fastN ==
-	// len(deques) for homogeneous pools.
-	fastN int
-
-	// nd is the domain count (≥ 1); domOf maps workerID → domain;
-	// members lists each domain's workers in ID order.
-	nd      int
-	domOf   []int32
-	members [][]int32
-
-	// victims holds each worker's precomputed tier-ordered victim plan.
-	victims []victimPlan
-
-	// traffic is the per-domain injector/steal accounting surfaced through
-	// Stats.PerDomain.
-	traffic []domainTraffic
-
-	// pol is the policy layer this scheduler consults on every hot path:
-	// pol.window is the locality window — a push carrying a worker hint
-	// goes to that worker's own deque only while the deque holds fewer
-	// than window tasks, and spills past it — first to same-domain
-	// siblings' submit buffers (multi-domain pools only), then to the
-	// domain injector — so a completing worker keeps its successors hot in
-	// cache without hoarding a wide fan that the rest of the pool would
-	// have to steal back one CAS at a time (window <= 0 disables the
-	// locality path entirely: every release goes through the injector, the
-	// central-queue baseline). pol.refillChunk caps the own-domain
-	// injector refill, pol.critFirst switches the crit heap on, and
-	// pol.classMask gates worker classes (see pop).
-	pol *policyWords
-	// sig is the runtime's signals layer; the scheduler bumps its
-	// injector-pressure and park/wake counters at the slow-path sites that
-	// already exist for the flight recorder.
+// parkLog is the park/wake bookkeeping every blocking site of every
+// scheduler shares: the churn counters of the signals layer and the
+// flight recorder's park/wake events.
+type parkLog struct {
 	sig *signals
-	// classOf maps workerID → class index for the policy gate.
-	classOf func(int) int
-
-	// gateMu/gateCond form the class gate: a worker whose class bit is
-	// clear in pol.classMask parks here (outside the domain parking lots
-	// and the pending/parked protocol — a gated worker is withdrawn from
-	// the pool, not idle). Its deque and submit buffer stay stealable by
-	// active workers, and its queued tasks stay counted in pending, so no
-	// active worker can park while a gated worker's work remains.
-	gateMu   sync.Mutex
-	gateCond *sync.Cond
-
-	// crit is the criticality-first heap, live while pol.critFirst is set:
-	// ready tasks with positive priority are routed here instead of the
-	// deques, fast-class workers drain it before their own deque and slow
-	// workers only when every other source is dry — the CATS placement
-	// rule as a switchable mode. Entries are unique (no bump reinsertion
-	// on this scheduler), so no claim machinery is needed; critN mirrors
-	// the heap size for the lock-free empty check every pop makes, and the
-	// heap keeps draining after the mode switches off.
-	critMu sync.Mutex
-	crit   catsHeap
-	critN  atomic.Int64
-
-	// side holds one submit buffer per worker: the landing zone for
-	// hinted submissions (tasks submitted with a worker's body context,
-	// possibly from arbitrary goroutines — the deque bottom is owner-only,
-	// this is not) and for same-domain spill. The owner drains its buffer
-	// into its deque at the top of pop; thieves with nothing else to do
-	// steal from other workers' buffers, so a task parked here by a body
-	// that then blocks is still reachable by the rest of the pool.
-	side []sideBuf
-
-	rng []paddedRand
-
 	rec *flightrec.Recorder
 }
 
-// domainInjector is one memory domain's injector ring. n mirrors q.len()
-// so workers can skip the lock when the injector is empty (the steady
-// state once work is distributed).
-type domainInjector struct {
-	mu sync.Mutex
-	q  taskRing
-	n  atomic.Int64
-	_  [4]int64 // keep neighbouring domains' injectors off one cache line
-}
-
-// domainPark is one memory domain's parking lot. n counts this domain's
-// sleepers (the wake scan's routing signal; the global parked count is the
-// "anyone at all?" fast path).
-type domainPark struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    atomic.Int32
-	_    [4]int64
-}
-
-// domainTraffic is one domain's steal/injector accounting (atomic access).
-type domainTraffic struct {
-	injPush     atomic.Uint64
-	crossRefill atomic.Uint64
-	crossSteal  atomic.Uint64
-	_           [5]uint64
-}
-
-// victimPlan is one worker's precomputed steal order: every other worker
-// exactly once, tier-major. seg marks the tier boundaries — order[seg[i]:
-// seg[i+1]] is tier i — with four tiers: same-domain fast-class,
-// same-domain slow-class, cross-domain fast, cross-domain slow. Tiers
-// tierSameLo..tierSameHi are the same-domain half of the hierarchy walk.
-type victimPlan struct {
-	order []int32
-	seg   [5]int32
-}
-
-// The victim-plan tier ranges: [tierSameLo, tierSameHi) are the
-// same-domain tiers, [tierSameHi, tierCrossHi) the cross-domain tiers.
-const (
-	tierSameLo  = 0
-	tierSameHi  = 2
-	tierCrossHi = 4
-)
-
-// buildVictimPlans precomputes every worker's tier-ordered victim list
-// from the layout. Keeping the plan static (only the per-tier starting
-// offset is randomised per sweep) makes the tier ordering a checkable
-// invariant rather than an emergent property of per-sweep filtering.
-func buildVictimPlans(l classLayout) []victimPlan {
-	plans := make([]victimPlan, l.workers)
-	for w := 0; w < l.workers; w++ {
-		p := &plans[w]
-		p.order = make([]int32, 0, l.workers-1)
-		tier := func(sameDomain bool, fast bool) {
-			for v := 0; v < l.workers; v++ {
-				if v == w {
-					continue
-				}
-				if (l.domain(v) == l.domain(w)) != sameDomain {
-					continue
-				}
-				if (v < l.fastN) != fast {
-					continue
-				}
-				p.order = append(p.order, int32(v))
-			}
-		}
-		tier(true, true)
-		p.seg[1] = int32(len(p.order))
-		tier(true, false)
-		p.seg[2] = int32(len(p.order))
-		tier(false, true)
-		p.seg[3] = int32(len(p.order))
-		tier(false, false)
-		p.seg[4] = int32(len(p.order))
+// wait blocks workerID on cond (whose lock the caller holds), accounting
+// the park before and the wake after.
+func (p *parkLog) wait(cond *sync.Cond, workerID int) {
+	p.sig.parks.Add(1)
+	if p.rec != nil {
+		p.rec.RecordWorker(workerID, flightrec.KindPark, 0, 0, 0)
 	}
-	return plans
-}
-
-// sideBuf is one worker's mutex-guarded submit buffer. n mirrors q.len()
-// so the owner's pop fast path and thieves' sweeps can skip the lock when
-// the buffer is empty (the steady state).
-type sideBuf struct {
-	mu sync.Mutex
-	q  taskRing
-	n  atomic.Int64
-	_  [4]int64 // keep neighbouring buffers off one cache line
-}
-
-// paddedRand is a per-worker xorshift state, padded to a cache line so
-// victim-selection draws by different workers don't false-share.
-type paddedRand struct {
-	state uint64
-	_     [7]uint64
-}
-
-func newStealScheduler(layout classLayout, pol *policyWords, sig *signals, rec *flightrec.Recorder) *stealScheduler {
-	nd := layout.domainCount()
-	s := &stealScheduler{
-		deques:  make([]*wsDeque, layout.workers),
-		rng:     make([]paddedRand, layout.workers),
-		fastN:   layout.fastN,
-		nd:      nd,
-		domOf:   make([]int32, layout.workers),
-		members: make([][]int32, nd),
-		injs:    make([]domainInjector, nd),
-		parks:   make([]domainPark, nd),
-		traffic: make([]domainTraffic, nd),
-		victims: buildVictimPlans(layout),
-		pol:     pol,
-		sig:     sig,
-		classOf: layout.class,
-		side:    make([]sideBuf, layout.workers),
-		rec:     rec,
-	}
-	for i := range s.deques {
-		s.deques[i] = newWSDeque()
-		s.rng[i].state = mix64(uint64(i) + 0x9e3779b97f4a7c15)
-		d := layout.domain(i)
-		s.domOf[i] = int32(d)
-		s.members[d] = append(s.members[d], int32(i))
-	}
-	for d := range s.parks {
-		s.parks[d].cond = sync.NewCond(&s.parks[d].mu)
-	}
-	s.gateCond = sync.NewCond(&s.gateMu)
-	return s
-}
-
-// localRoom reports how many more tasks worker w's deque may take through
-// the locality path (0 when the hint is invalid or locality is disabled)
-// under the given effective window.
-func (s *stealScheduler) localRoom(workerHint int, win int64) int64 {
-	if workerHint < 0 || workerHint >= len(s.deques) || win <= 0 {
-		return 0
-	}
-	room := win - s.deques[workerHint].size()
-	if room < 0 {
-		return 0
-	}
-	return room
-}
-
-func (s *stealScheduler) push(t *task, workerHint int) {
-	s.pending.Add(1)
-	s.wakeWorkers(1, s.route(t, workerHint))
-}
-
-// route places one ready task — crit heap when criticality-first is on
-// and the task carries positive priority, otherwise same-worker deque
-// while the locality window has room, same-domain sibling submit buffer,
-// domain injector — and returns the domain it landed in, the wake scan's
-// routing preference.
-func (s *stealScheduler) route(t *task, workerHint int) int {
-	if s.pol.critFirst.Load() != 0 && atomic.LoadInt64(&t.priority) > 0 {
-		s.pushCrit(t)
-		if workerHint >= 0 && workerHint < len(s.deques) {
-			return int(s.domOf[workerHint])
-		}
-		return -1
-	}
-	win := s.pol.window.Load()
-	if s.localRoom(workerHint, win) > 0 {
-		s.deques[workerHint].pushBottom(t)
-		return int(s.domOf[workerHint])
-	}
-	if workerHint >= 0 && workerHint < len(s.deques) {
-		d := int(s.domOf[workerHint])
-		if s.spillSibling(t, workerHint, d, win) {
-			return d
-		}
-		s.inject(t, d)
-		return d
-	}
-	return s.injectPlaced(t)
-}
-
-// pushCrit inserts a positive-priority task into the crit heap. The
-// caller accounts it in pending like any other ready task.
-func (s *stealScheduler) pushCrit(t *task) {
-	e := catsEntry{
-		t:    t,
-		prio: atomic.LoadInt64(&t.priority),
-		seq:  atomic.LoadInt64(&t.seq),
-		aff:  atomic.LoadInt32(&t.affinity),
-	}
-	s.critMu.Lock()
-	s.crit.push(e)
-	s.critMu.Unlock()
-	s.critN.Add(1)
-}
-
-// popCrit takes the most critical queued entry, nil when the heap is
-// empty (one lock-free load in the steady state — critN is 0 whenever
-// criticality-first has been off long enough for the heap to drain).
-func (s *stealScheduler) popCrit() *task {
-	if s.critN.Load() == 0 {
-		return nil
-	}
-	s.critMu.Lock()
-	if len(s.crit) == 0 {
-		s.critMu.Unlock()
-		return nil
-	}
-	e := s.crit.pop()
-	s.critMu.Unlock()
-	s.critN.Add(-1)
-	return e.t
-}
-
-// spillSibling extends the locality window across the releasing worker's
-// memory domain: when the worker's own deque is past the window, the task
-// goes to a same-domain sibling's submit buffer (each bounded by the same
-// window) before falling through to the domain injector — the successor
-// stays inside the domain's shared cache even when its producer is
-// saturated. Single-domain pools skip this tier entirely (same-domain
-// means nothing there), preserving the flat window→injector behaviour.
-func (s *stealScheduler) spillSibling(t *task, workerHint, d int, win int64) bool {
-	if s.nd <= 1 || win <= 0 {
-		return false
-	}
-	for _, v := range s.members[d] {
-		if int(v) == workerHint {
-			continue
-		}
-		b := &s.side[v]
-		if b.n.Load() >= win {
-			continue
-		}
-		b.mu.Lock()
-		if int64(b.q.len()) >= win {
-			b.mu.Unlock()
-			continue
-		}
-		b.q.push(t)
-		b.mu.Unlock()
-		b.n.Add(1)
-		return true
-	}
-	return false
-}
-
-// inject pushes one task into domain d's injector.
-func (s *stealScheduler) inject(t *task, d int) {
-	inj := &s.injs[d]
-	inj.mu.Lock()
-	inj.q.push(t)
-	inj.mu.Unlock()
-	inj.n.Add(1)
-	s.traffic[d].injPush.Add(1)
-	s.sig.injPush.Add(1)
-}
-
-// injectPlaced routes a hint-less task to an injector and returns the
-// domain: the domain whose caches plausibly hold the task's input data
-// when the task carries an affinity (the worker that executed its
-// predecessor), round-robin across domains otherwise.
-func (s *stealScheduler) injectPlaced(t *task) int {
-	d := 0
-	if s.nd > 1 {
-		if a := atomic.LoadInt32(&t.affinity); a >= 0 && int(a) < len(s.domOf) {
-			d = int(s.domOf[a])
-		} else {
-			d = int(s.rrDom.Add(1)-1) % s.nd
-		}
-	}
-	s.inject(t, d)
-	return d
-}
-
-// pushOwned implements ownedPusher: the completing worker keeps its single
-// ready successor to itself, no wakeup. Only taken when the worker's deque
-// is empty AND locality is enabled — then the pushed task is exactly what
-// this worker pops next, so no other work is hidden from parked thieves by
-// the skipped signal. With anything else already queued the caller falls
-// back to the waking push, which lets a parked worker come steal the
-// older entries (FIFO top) while the owner continues its chain.
-func (s *stealScheduler) pushOwned(t *task, workerID int) bool {
-	if s.pol.window.Load() <= 0 {
-		return false
-	}
-	// Criticality-first: a positive-priority successor belongs on the crit
-	// heap where a fast worker will find it, not hidden on this worker's
-	// deque — decline, and let the waking push route it.
-	if s.pol.critFirst.Load() != 0 && atomic.LoadInt64(&t.priority) > 0 {
-		return false
-	}
-	d := s.deques[workerID]
-	if d.size() != 0 {
-		return false
-	}
-	s.pending.Add(1)
-	d.pushBottom(t)
-	return true
-}
-
-// submitLocal implements localSubmitter: a hinted submission lands in the
-// target worker's submit buffer (bounded by the locality window), safe
-// from any goroutine. Returns false — caller routes centrally — when the
-// hint is invalid, locality is disabled, or the buffer is full.
-func (s *stealScheduler) submitLocal(t *task, workerID int) bool {
-	win := s.pol.window.Load()
-	if workerID < 0 || workerID >= len(s.side) || win <= 0 {
-		return false
-	}
-	b := &s.side[workerID]
-	b.mu.Lock()
-	if int64(b.q.len()) >= win {
-		b.mu.Unlock()
-		return false
-	}
-	b.q.push(t)
-	b.mu.Unlock()
-	b.n.Add(1)
-	s.pending.Add(1)
-	s.wakeWorkers(1, int(s.domOf[workerID]))
-	return true
-}
-
-// submitLocalBatch implements localSubmitter: takes a window-bounded
-// prefix of ts into the worker's submit buffer and returns how many.
-func (s *stealScheduler) submitLocalBatch(ts []*task, workerID int) int {
-	win := s.pol.window.Load()
-	if workerID < 0 || workerID >= len(s.side) || win <= 0 || len(ts) == 0 {
-		return 0
-	}
-	b := &s.side[workerID]
-	b.mu.Lock()
-	room := win - int64(b.q.len())
-	take := len(ts)
-	if int64(take) > room {
-		take = int(room)
-	}
-	if take < 0 {
-		take = 0
-	}
-	for _, t := range ts[:take] {
-		b.q.push(t)
-	}
-	b.mu.Unlock()
-	if take > 0 {
-		b.n.Add(int64(take))
-		s.pending.Add(int64(take))
-		s.wakeWorkers(take, int(s.domOf[workerID]))
-	}
-	return take
-}
-
-// drainSide moves the owner's submit buffer into its own deque (owner
-// goroutine only — pushBottom is owner-only).
-func (s *stealScheduler) drainSide(w int) {
-	b := &s.side[w]
-	b.mu.Lock()
-	for b.q.len() > 0 {
-		s.deques[w].pushBottom(b.q.pop())
-		b.n.Add(-1)
-	}
-	b.mu.Unlock()
-}
-
-// stealSide takes one task from another worker's submit buffer — the
-// fallback that keeps buffered submissions reachable when their target
-// worker is blocked inside a long-running body. Buffers are visited in
-// the thief's victim-plan order, so same-domain buffers (holding
-// domain-spilled successors) are relieved before cross-domain ones.
-func (s *stealScheduler) stealSide(w int) *task {
-	var out *task
-	s.forEachVictim(w, tierSameLo, tierCrossHi, func(v int) bool {
-		b := &s.side[v]
-		if b.n.Load() == 0 {
-			return false
-		}
-		b.mu.Lock()
-		t := b.q.pop()
-		b.mu.Unlock()
-		if t == nil {
-			return false
-		}
-		b.n.Add(-1)
-		if s.domOf[v] != s.domOf[w] {
-			s.traffic[s.domOf[w]].crossSteal.Add(1)
-		}
-		out = t
-		return true
-	})
-	return out
-}
-
-func (s *stealScheduler) pushBatch(ts []*task, workerHint int) {
-	if len(ts) == 0 {
-		return
-	}
-	n := len(ts)
-	s.pending.Add(int64(n))
-	// Criticality-first: peel the positive-priority tasks off to the crit
-	// heap (compacting the rest in place — ts is the caller's reusable
-	// scratch, already scrubbed after this call returns).
-	if s.pol.critFirst.Load() != 0 {
-		kept := 0
-		for _, t := range ts {
-			if atomic.LoadInt64(&t.priority) > 0 {
-				s.pushCrit(t)
-			} else {
-				ts[kept] = t
-				kept++
-			}
-		}
-		ts = ts[:kept]
-		if len(ts) == 0 {
-			s.wakeWorkers(n, -1)
-			return
-		}
-	}
-	// Fill the hinted worker's deque up to the locality window, then walk
-	// outward: same-domain sibling buffers, then the injector — so a wide
-	// fan still spreads across the pool without every other worker
-	// stealing it back one task at a time, but spreads domain-first.
-	win := s.pol.window.Load()
-	local := 0
-	dom := -1
-	if room := s.localRoom(workerHint, win); room > 0 {
-		local = len(ts)
-		if int64(local) > room {
-			local = int(room)
-		}
-		d := s.deques[workerHint]
-		for _, t := range ts[:local] {
-			d.pushBottom(t)
-		}
-		dom = int(s.domOf[workerHint])
-	}
-	rest := ts[local:]
-	if len(rest) > 0 && workerHint >= 0 && workerHint < len(s.deques) {
-		dom = int(s.domOf[workerHint])
-		for len(rest) > 0 && s.spillSibling(rest[0], workerHint, dom, win) {
-			rest = rest[1:]
-		}
-	}
-	if len(rest) > 0 {
-		if dom < 0 {
-			dom = s.injectPlaced(rest[0])
-			rest = rest[1:]
-		}
-		if len(rest) > 0 {
-			inj := &s.injs[dom]
-			inj.mu.Lock()
-			for _, t := range rest {
-				inj.q.push(t)
-			}
-			inj.mu.Unlock()
-			inj.n.Add(int64(len(rest)))
-			s.traffic[dom].injPush.Add(uint64(len(rest)))
-			s.sig.injPush.Add(uint64(len(rest)))
-		}
-	}
-	s.wakeWorkers(n, dom)
-}
-
-// wakeWorkers unparks up to n workers if any are parked, scanning the
-// per-domain parking lots preferred-domain first (pref < 0 starts at
-// domain 0) so the sleeper closest to the freshly-placed work wakes. The
-// global parked check is a lock-free fast path: with no one parked (the
-// busy steady state) a push touches no lock at all. The scan cannot miss
-// a committed sleeper: a parker's domain count is registered (seqcst)
-// before its pending re-check, so a pusher whose enqueue the parker did
-// not see always sees the parker's registration.
-func (s *stealScheduler) wakeWorkers(n, pref int) {
-	if s.parked.Load() == 0 {
-		return
-	}
-	if pref < 0 {
-		pref = 0
-	}
-	rem := n
-	for i := 0; i < s.nd && rem > 0; i++ {
-		d := pref + i
-		if d >= s.nd {
-			d -= s.nd
-		}
-		dp := &s.parks[d]
-		pk := int(dp.n.Load())
-		if pk == 0 {
-			continue
-		}
-		dp.mu.Lock()
-		if rem == 1 {
-			dp.cond.Signal()
-		} else {
-			dp.cond.Broadcast()
-		}
-		dp.mu.Unlock()
-		if rem == 1 {
-			return
-		}
-		rem -= pk
+	cond.Wait()
+	p.sig.wakes.Add(1)
+	if p.rec != nil {
+		p.rec.RecordWorker(workerID, flightrec.KindWake, 0, 0, 0)
 	}
 }
 
-// injectorGrab is the default own-domain refill chunk (the initial value
-// of the policy layer's refillChunk word, which the adaptive controller
-// may retune); crossGrab is the smaller fixed cap used when raiding
-// ANOTHER domain's injector — cross-domain overflow relieves an
-// overloaded domain without bulk-migrating its backlog away from the
-// caches it was aimed at.
-const (
-	injectorGrab = 32
-	crossGrab    = 8
-)
-
-// refill pulls from domain d's injector on behalf of worker w: it returns
-// one task and moves a fair share of the backlog (n/workers, capped) onto
-// w's own deque, amortising the injector lock over the whole chunk. cross
-// marks a raid on another domain's injector (smaller cap, counted as
-// cross-domain traffic for w's home domain).
-func (s *stealScheduler) refill(w, d int, cross bool) *task {
-	inj := &s.injs[d]
-	if inj.n.Load() == 0 {
-		return nil // lock-free fast path for the common empty case
-	}
-	inj.mu.Lock()
-	n := inj.q.len()
-	if n == 0 {
-		inj.mu.Unlock()
-		return nil
-	}
-	grab := n/len(s.deques) + 1
-	cap := int(s.pol.refillChunk.Load())
-	if cross {
-		cap = crossGrab
-	}
-	if grab > cap {
-		grab = cap
-	}
-	if grab > n {
-		grab = n // single-worker pools: n/1+1 would overshoot the ring
-	}
-	t := inj.q.pop()
-	dq := s.deques[w]
-	for i := 1; i < grab; i++ {
-		dq.pushBottom(inj.q.pop())
-	}
-	inj.n.Add(int64(-grab))
-	inj.mu.Unlock()
-	if cross {
-		s.traffic[s.domOf[w]].crossRefill.Add(uint64(grab))
-	}
-	return t
-}
-
-// crossInjectors raids the other domains' injectors (cross-domain
-// overflow), starting at a random domain so raids spread.
-func (s *stealScheduler) crossInjectors(w int) *task {
-	if s.nd <= 1 {
-		return nil
-	}
-	own := int(s.domOf[w])
-	off := int(s.nextRand(w) % uint64(s.nd))
-	for i := 0; i < s.nd; i++ {
-		d := off + i
-		if d >= s.nd {
-			d -= s.nd
-		}
-		if d == own {
-			continue
-		}
-		if t := s.refill(w, d, true); t != nil {
-			return t
-		}
-	}
-	return nil
-}
-
-// forEachVictim visits worker w's victims in plan order for the tier range
-// [loTier, hiTier): tier-major, each tier rotated by a fresh random offset
-// so concurrent thieves don't convoy on one victim. visit returns true to
-// stop the walk. Within the range every victim is visited exactly once and
-// w itself never is — the property the sweep test checks.
-func (s *stealScheduler) forEachVictim(w, loTier, hiTier int, visit func(v int) bool) {
-	p := &s.victims[w]
-	for tier := loTier; tier < hiTier; tier++ {
-		lo, hi := int(p.seg[tier]), int(p.seg[tier+1])
-		n := hi - lo
-		if n == 0 {
-			continue
-		}
-		off := int(s.nextRand(w) % uint64(n))
-		for i := 0; i < n; i++ {
-			j := lo + off + i
-			if j >= hi {
-				j -= n
-			}
-			if visit(int(p.order[j])) {
-				return
-			}
-		}
-	}
-}
-
-// sweepTiers tries every victim deque in the tier range once — same-domain
-// tiers keep a steal inside the shared cache, cross-domain tiers are the
-// last resort; fast-class deques lead each tier because the released
-// successors of critical tasks live there and stealing their oldest (least
-// critical) entries keeps the fast LIFO end free for the path itself. The
-// second result reports whether any CAS lost a race (so the caller must
-// not park on this evidence alone).
-func (s *stealScheduler) sweepTiers(w, loTier, hiTier int) (*task, bool) {
-	var out *task
-	contended := false
-	s.forEachVictim(w, loTier, hiTier, func(v int) bool {
-		t, retry := s.deques[v].stealTop()
-		contended = contended || retry
-		if t == nil {
-			return false
-		}
-		if s.domOf[v] != s.domOf[w] {
-			s.traffic[s.domOf[w]].crossSteal.Add(1)
-		}
-		out = t
-		return true
-	})
-	return out, contended
-}
-
-// nextRand advances worker w's xorshift64 state.
-func (s *stealScheduler) nextRand(w int) uint64 {
-	x := s.rng[w].state
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	s.rng[w].state = x
-	return x
-}
-
-func (s *stealScheduler) pop(workerID int) (*task, bool) {
-	ownDom := int(s.domOf[workerID])
-	fast := workerID < s.fastN
-	class := s.classOf(workerID)
-	for {
-		// The policy class gate: a worker whose class is inactive parks
-		// outside the pool until the mask widens. Anything it still holds
-		// locally must be handed off first — pending counts it, but parked
-		// peers are only woken by new pushes (pushOwned in particular wakes
-		// nobody, betting the owner pops next), so a task left in the gating
-		// worker's deque or submit buffer would strand with every
-		// active-class worker already asleep. Spill it to the injector and
-		// wake for it; a hinted submission landing in the side buffer after
-		// the spill is covered by submitLocal's own wake plus stealSide.
-		if !s.pol.classActive(class) {
-			n := s.evacuate(workerID)
-			if n == 0 && s.pending.Load() > 0 {
-				// This worker may be here because a pusher's wake signal
-				// landed on it while work sits elsewhere (injector, another
-				// deque). Pass the wake along rather than absorbing it: the
-				// next lot waiter either takes the work or, gated too,
-				// relays again until an active-class worker gets it.
-				n = 1
-			}
-			if n > 0 {
-				s.wakeWorkers(n, ownDom)
-			}
-			if s.gatePark(workerID, class) {
-				return nil, false // shutdown wake
-			}
-			continue
-		}
-		// Criticality-first: fast-class workers serve the crit heap before
-		// anything local — the CATS rule that the most critical ready task
-		// belongs on the fastest core, switched by the policy layer (one
-		// lock-free load when the mode is off and the heap long drained).
-		if fast {
-			if t := s.popCrit(); t != nil {
-				s.pending.Add(-1)
-				return t, false
-			}
-		}
-		// Claim the hinted submissions aimed at this worker first — they
-		// were routed here for this worker's cache (one lock-free check in
-		// the common empty case).
-		if s.side[workerID].n.Load() > 0 {
-			s.drainSide(workerID)
-		}
-		if t := s.deques[workerID].popBottom(); t != nil {
-			s.pending.Add(-1)
-			return t, false
-		}
-		// The hierarchy walk outward: own domain's injector, same-domain
-		// deques, other domains' injectors (overflow), cross-domain deques,
-		// and finally anybody's submit buffer.
-		if t := s.refill(workerID, ownDom, false); t != nil {
-			s.pending.Add(-1)
-			return t, false
-		}
-		t, contended := s.sweepTiers(workerID, tierSameLo, tierSameHi)
-		if t != nil {
-			s.pending.Add(-1)
-			return t, true
-		}
-		if t := s.crossInjectors(workerID); t != nil {
-			s.pending.Add(-1)
-			return t, false
-		}
-		t, c2 := s.sweepTiers(workerID, tierSameHi, tierCrossHi)
-		if t != nil {
-			s.pending.Add(-1)
-			return t, true
-		}
-		contended = contended || c2
-		if t := s.stealSide(workerID); t != nil {
-			s.pending.Add(-1)
-			return t, true
-		}
-		// Slow-class last resort under criticality-first: with every other
-		// source dry, running a critical task on a slow worker beats
-		// leaving it queued while this worker parks.
-		if !fast {
-			if t := s.popCrit(); t != nil {
-				s.pending.Add(-1)
-				return t, false
-			}
-		}
-		if contended {
-			// Someone holds work we raced for; try again without parking —
-			// but yield first so the holder can make progress when cores
-			// are oversubscribed.
-			stdruntime.Gosched()
-			continue
-		}
-		// Nothing anywhere. Park on the home domain's lot — unless a task
-		// was published since the sweep (the pending re-check under the
-		// lock closes the race with a concurrent push, whose pending
-		// increment precedes its parked check in seqcst order).
-		dp := &s.parks[ownDom]
-		dp.mu.Lock()
-		woken := false
-		slept := false
-		for {
-			if s.woken.Load() {
-				woken = true
-				break
-			}
-			// Register as parked BEFORE re-checking pending: a pusher does
-			// pending.Add then parked.Load, so with this order one side
-			// always sees the other (seqcst). Checking pending first would
-			// let a push slip between the check and the registration with
-			// parked still 0 — a lost wakeup. The domain count follows the
-			// global one for the same reason: by the time the pusher's wake
-			// scan reads dp.n this sleeper is registered in it.
-			s.parked.Add(1)
-			dp.n.Add(1)
-			if s.pending.Load() > 0 {
-				dp.n.Add(-1)
-				s.parked.Add(-1)
-				break
-			}
-			s.sig.parks.Add(1)
-			if s.rec != nil {
-				s.rec.RecordWorker(workerID, flightrec.KindPark, 0, 0, 0)
-			}
-			dp.cond.Wait()
-			dp.n.Add(-1)
-			s.parked.Add(-1)
-			slept = true
-			s.sig.wakes.Add(1)
-			if s.rec != nil {
-				s.rec.RecordWorker(workerID, flightrec.KindWake, 0, 0, 0)
-			}
-		}
-		dp.mu.Unlock()
-		if woken {
-			return nil, false
-		}
-		if !slept {
-			// pending raced ahead of the enqueue we are about to rescan
-			// for; give the publisher a beat instead of spinning the sweep.
-			stdruntime.Gosched()
-		}
-	}
-}
-
-// evacuate spills everything a gating worker still owns — its submit
-// buffer and then its deque — to the home domain's injector and returns
-// how many tasks moved, so an active-class worker can be woken to refill
-// from there.
-func (s *stealScheduler) evacuate(workerID int) int {
-	if s.side[workerID].n.Load() > 0 {
-		s.drainSide(workerID)
-	}
-	d := int(s.domOf[workerID])
-	n := 0
-	for {
-		t := s.deques[workerID].popBottom()
-		if t == nil {
-			break
-		}
-		s.inject(t, d)
-		n++
-	}
-	return n
-}
-
-// gatePark blocks workerID at the class gate until its class is active
-// again (false) or the pool is waking for shutdown (true).
-func (s *stealScheduler) gatePark(workerID, class int) (shutdown bool) {
-	s.gateMu.Lock()
-	defer s.gateMu.Unlock()
-	for {
-		if s.woken.Load() {
-			return true
-		}
-		if s.pol.classActive(class) {
-			return false
-		}
-		s.sig.parks.Add(1)
-		if s.rec != nil {
-			s.rec.RecordWorker(workerID, flightrec.KindPark, 0, 0, 0)
-		}
-		s.gateCond.Wait()
-		s.sig.wakes.Add(1)
-		if s.rec != nil {
-			s.rec.RecordWorker(workerID, flightrec.KindWake, 0, 0, 0)
-		}
-	}
-}
-
-// policyChanged implements policyNotifier: gated workers re-examine the
-// class mask. The broadcast is made under the gate mutex so it cannot
-// slip between a parking worker's mask check and its Wait.
-func (s *stealScheduler) policyChanged() {
-	s.gateMu.Lock()
-	defer s.gateMu.Unlock()
-	s.gateCond.Broadcast()
-}
-
-func (s *stealScheduler) wake() {
-	s.woken.Store(true)
-	for d := range s.parks {
-		dp := &s.parks[d]
-		dp.mu.Lock()
-		dp.cond.Broadcast()
-		dp.mu.Unlock()
-	}
-	s.gateMu.Lock()
-	s.gateCond.Broadcast()
-	s.gateMu.Unlock()
-}
-
-// reportDepths implements depthReporter: every deque, injector, submit
-// buffer, and the crit heap.
-func (s *stealScheduler) reportDepths(smp *signalSample) {
-	for _, d := range s.deques {
-		smp.noteDepth(d.size())
-	}
-	for i := range s.injs {
-		smp.noteDepth(s.injs[i].n.Load())
-	}
-	for i := range s.side {
-		smp.noteDepth(s.side[i].n.Load())
-	}
-	if n := s.critN.Load(); n > 0 {
-		smp.noteDepth(n)
-	}
-}
-
-// domainStatsInto implements domainStatsSource: the scheduler's share of
-// Stats.PerDomain — injector and cross-domain traffic.
-func (s *stealScheduler) domainStatsInto(ds []DomainStats) {
-	for d := 0; d < s.nd && d < len(ds); d++ {
-		ds[d].InjectorPushes = s.traffic[d].injPush.Load()
-		ds[d].CrossRefills = s.traffic[d].crossRefill.Load()
-		ds[d].CrossSteals = s.traffic[d].crossSteal.Load()
-	}
-}
-
-// catsScheduler is a central priority queue ordered by the tasks' dynamic
-// bottom-level estimates (higher first), submission order breaking ties —
-// critical-path tasks start as early as possible (Section 3.1).
-//
-// The old implementation selected by an O(n) linear scan under the lock on
-// every pop, because a concurrent priority bump would silently break a
-// heap's invariant. This one is a real binary heap that tolerates bumps by
-// lazy stale-entry reinsertion: each heap entry snapshots the task's
-// priority at insertion; when a queued task's estimate is raised, the
-// runtime calls bump and the task is reinserted at its new priority. The
-// superseded (stale) entry is not searched for — it is discarded lazily
-// when it reaches the root, recognised by the task's claim flag (every
-// task is claimed by exactly one winning pop; a task that fails the claim
-// CAS was already dispatched through a fresher entry). Pop is O(log n),
-// push is O(log n), and a bump costs one extra entry instead of a scan.
-//
-// On a heterogeneous pool CATS is additionally placement-aware — the
-// paper's critical tasks → fast cores rule. Ready tasks split into two
-// heaps: crit holds entries whose snapshot priority is positive (the task
-// is on somebody's critical path, or carries a programmer priority hint),
-// plain holds the rest. Fast-class workers drain crit first and fall back
-// to plain; slow workers drain plain first and take critical work only
-// when the fast class is saturated. Saturation means every fast worker is
-// currently executing critical work (fastCritRunning == fastN) — not
-// merely "no fast worker is idle": a fast worker busy with a plain task
-// is still the critical task's best ride, since its very next pop will
-// take it, whereas handing the task to a slow worker bakes the slowdown
-// in. Workers report the end of a dispatch through taskDone — before the
-// task's successors are released, so a newly-ready critical successor
-// never sees a stale saturation count. Liveness: a slow worker
-// that declines critical work passes its wakeup to a parked fast worker
-// when one exists (the wait list is FIFO, so the baton reaches it), and
-// otherwise some fast worker is mid-task and guaranteed to pop again; a
-// fast worker whose dispatch saturates the class re-signals if critical
-// work remains, releasing parked slow workers to help. With a homogeneous
-// layout every worker is fast-class and the two heaps behave exactly like
-// the single global order (crit priorities are all > plain's zero).
-type catsScheduler struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	// crit holds ready tasks with positive snapshot priority, plain the
-	// priority-zero (and hint-negative) rest.
-	crit  catsHeap
-	plain catsHeap
-	// fastN classifies workers (id < fastN → fast class); fastIdle counts
-	// fast-class workers blocked in pop.
-	fastN    int
-	fastIdle int
-	// lastCrit[w] records that fast worker w's previous dispatch came from
-	// the crit heap; fastCritRunning counts them. fastCritRunning == fastN
-	// is the saturation signal that lets slow workers take critical work.
-	lastCrit        []bool
-	fastCritRunning int
-	// nd / domOf mirror the memory-domain topology (see classLayout): with
-	// nd > 1 a pop may prefer a near-priority entry whose data affinity
-	// (the domain that executed its predecessor) matches the popping
-	// worker's domain — criticality weighed against "the data is hot two
-	// domains away", bounded by catsAffinitySlack.
-	nd    int
-	domOf []int32
-	woken bool
-	// pol/sig/classOf wire the policy class gate and signal counters: an
-	// inactive class's workers wait without taking work (CATS's native
-	// criticality gating is unaffected — the class gate composes on top).
+// centralLot is what the two central-queue schedulers (FIFO, CATS) share:
+// one mutex guarding the queue, one condition variable every idle or
+// gated worker waits on, the policy class gate — a worker whose class bit
+// is clear in the policy mask waits without consuming queued work — and
+// the push side, which differs only in the queue insert (enqueue, called
+// under mu).
+type centralLot struct {
+	schedHooks
+	parkLog
+	mu      sync.Mutex
+	cond    *sync.Cond
+	woken   bool
 	pol     *policyWords
-	sig     *signals
 	classOf func(int) int
-	rec     *flightrec.Recorder
+	enqueue func(*task)
 }
 
-// catsAffinitySlack bounds how much snapshot priority CATS will trade for
-// domain affinity: the heap's runner-up is dispatched ahead of the top
-// entry only when its data is hot in the popping worker's domain, the
-// top's is not, and the priority gap is at most this much. Critical-path
-// order is never inverted by more than the slack, so the paper's
-// criticality rule stays authoritative.
-const catsAffinitySlack = 1
-
-// catsEntry is one heap element: a task plus snapshots of its priority,
-// sequence number, and claim word at insertion. task.priority may have
-// been raised since; the entry then either gets superseded by a bump
-// reinsertion or dispatches the task slightly later than a fresh entry
-// would — never earlier, so order violations are one-sided and bounded by
-// the bump window. The seq snapshot (rather than reading t.seq at compare
-// time) and the generation-tagged claim matter because task records are
-// pooled: a stale entry may outlive its task, and by comparison time the
-// record can already belong to an unrelated task — the entry must neither
-// read the recycled record's fields nor claim it (the claim CAS fails on
-// any generation but the one the entry was created under).
-type catsEntry struct {
-	t     *task
-	prio  int64
-	seq   int64
-	claim uint64
-	// aff snapshots the task's data affinity at insertion: the worker that
-	// executed its latest-finishing predecessor (-1 = none). Snapshotted
-	// for the same pooling reason as seq — a stale entry must not read a
-	// recycled record.
-	aff int32
+func (c *centralLot) init(layout classLayout, pol *policyWords, sig *signals, rec *flightrec.Recorder, enqueue func(*task)) {
+	c.parkLog = parkLog{sig: sig, rec: rec}
+	c.pol = pol
+	c.classOf = layout.class
+	c.cond = sync.NewCond(&c.mu)
+	c.enqueue = enqueue
 }
 
-func newCATSScheduler(layout classLayout, pol *policyWords, sig *signals, rec *flightrec.Recorder) *catsScheduler {
-	s := &catsScheduler{
-		fastN:    layout.fastN,
-		lastCrit: make([]bool, layout.fastN),
-		nd:       layout.domainCount(),
-		domOf:    layout.domainOf,
-		pol:      pol,
-		sig:      sig,
-		classOf:  layout.class,
-		rec:      rec,
-	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+func (c *centralLot) push(t *task, _ int) {
+	c.mu.Lock()
+	c.enqueue(t)
+	c.mu.Unlock()
+	c.kick(1)
 }
 
-// kick delivers a push wakeup: one signal in the ungated steady state, a
-// broadcast while any class is parked at the gate (so the wakeup cannot
-// die on a gated worker).
-func (s *catsScheduler) kick() {
-	if s.pol.gated() {
-		s.cond.Broadcast()
-	} else {
-		s.cond.Signal()
-	}
-}
-
-// entryDomain maps an entry's affinity snapshot to a domain (-1 = none).
-func (s *catsScheduler) entryDomain(e catsEntry) int {
-	if e.aff < 0 || int(e.aff) >= len(s.domOf) {
-		return -1
-	}
-	return int(s.domOf[e.aff])
-}
-
-// popFor pops the entry heap h offers worker w, applying the bounded
-// domain-affinity preference: when the top entry's data is cold for w but
-// the runner-up's is hot in w's domain and the priority gap is within
-// catsAffinitySlack, the runner-up goes first and the top waits one pop.
-// Single-domain pools always take the top. Caller holds s.mu.
-func (s *catsScheduler) popFor(h *catsHeap, w int) catsEntry {
-	e := h.pop()
-	if s.nd <= 1 || len(*h) == 0 || len(s.domOf) == 0 {
-		return e
-	}
-	wd := int(s.domOf[w])
-	if s.entryDomain(e) == wd {
-		return e
-	}
-	if n := (*h)[0]; s.entryDomain(n) == wd && e.prio-n.prio <= catsAffinitySlack {
-		n = h.pop()
-		h.push(e)
-		return n
-	}
-	return e
-}
-
-// before reports heap order: higher snapshot priority first, then earlier
-// submission (by the entry's seq snapshot — see catsEntry).
-func (a catsEntry) before(b catsEntry) bool {
-	return a.prio > b.prio || (a.prio == b.prio && a.seq < b.seq)
-}
-
-// catsHeap is a binary max-heap of catsEntry in before order.
-type catsHeap []catsEntry
-
-func (h *catsHeap) push(e catsEntry) {
-	*h = append(*h, e)
-	heap := *h
-	i := len(heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !heap[i].before(heap[p]) {
-			break
-		}
-		heap[i], heap[p] = heap[p], heap[i]
-		i = p
-	}
-}
-
-func (h *catsHeap) pop() catsEntry {
-	heap := *h
-	e := heap[0]
-	last := len(heap) - 1
-	heap[0] = heap[last]
-	heap[last] = catsEntry{} // release the task pointer
-	*h = heap[:last]
-	heap = *h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < last && heap[l].before(heap[best]) {
-			best = l
-		}
-		if r < last && heap[r].before(heap[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		heap[i], heap[best] = heap[best], heap[i]
-		i = best
-	}
-	return e
-}
-
-// insert routes a ready task to the heap its snapshot priority selects.
-// Caller holds s.mu.
-func (s *catsScheduler) insert(t *task) {
-	// The claim snapshot is the READY-TIME word (readyClaim), not the live
-	// one: a push that arrives after the task was bump-inserted, dispatched,
-	// and recycled must produce an entry whose claim CAS fails on the old
-	// generation rather than an entry that could claim the recycled record.
-	e := catsEntry{
-		t:     t,
-		prio:  atomic.LoadInt64(&t.priority),
-		seq:   atomic.LoadInt64(&t.seq),
-		claim: atomic.LoadUint64(&t.readyClaim),
-		aff:   atomic.LoadInt32(&t.affinity),
-	}
-	if e.prio > 0 {
-		s.crit.push(e)
-	} else {
-		s.plain.push(e)
-	}
-}
-
-func (s *catsScheduler) push(t *task, _ int) {
-	s.mu.Lock()
-	s.insert(t)
-	s.mu.Unlock()
-	s.kick()
-}
-
-func (s *catsScheduler) pushBatch(ts []*task, _ int) {
+func (c *centralLot) pushBatch(ts []*task, _ int) {
 	if len(ts) == 0 {
 		return
 	}
-	s.mu.Lock()
+	c.mu.Lock()
 	for _, t := range ts {
-		s.insert(t)
+		c.enqueue(t)
 	}
-	s.mu.Unlock()
-	if len(ts) == 1 {
-		s.kick()
+	c.mu.Unlock()
+	c.kick(len(ts))
+}
+
+// kick delivers the wakeup for n pushed tasks: a broadcast for a batch;
+// for one task a signal in the ungated steady state, a broadcast while
+// any class is parked at the gate (gated workers that wake just go back
+// to waiting; the broadcast guarantees an active worker hears about the
+// work too, so a signal can never be swallowed by a gated worker and die
+// there with active workers still parked).
+func (c *centralLot) kick(n int) {
+	if n > 1 || c.pol.gated() {
+		c.cond.Broadcast()
 	} else {
-		s.cond.Broadcast()
+		c.cond.Signal()
 	}
 }
 
-// bump reinserts a queued task whose bottom-level estimate was raised —
-// possibly promoting it from the plain heap to crit. The entry already
-// queued goes stale and is dropped when popped (its claim CAS fails).
-// Called by the runtime under the task's mutex; the lock order task.mu →
-// cats.mu is safe because pop takes no task mutexes.
-func (s *catsScheduler) bump(t *task) {
-	s.mu.Lock()
-	s.insert(t)
-	s.mu.Unlock()
-	s.kick()
+// park waits on the lot. Caller holds c.mu.
+func (c *centralLot) park(workerID int) { c.wait(c.cond, workerID) }
+
+func (c *centralLot) wake() {
+	c.mu.Lock()
+	c.woken = true
+	c.mu.Unlock()
+	c.cond.Broadcast()
 }
 
-// take pops the best entry workerID's class may dispatch right now,
-// reporting which heap it came from. Caller holds s.mu.
-func (s *catsScheduler) take(workerID int) (e catsEntry, fromCrit, ok bool) {
-	if workerID < s.fastN {
-		// Fast class: most critical work first, help with plain when the
-		// critical heap is dry.
-		if len(s.crit) > 0 {
-			return s.popFor(&s.crit, workerID), true, true
-		}
-		if len(s.plain) > 0 {
-			return s.popFor(&s.plain, workerID), false, true
-		}
-		return catsEntry{}, false, false
-	}
-	// Slow class: plain work first; critical work only once every fast
-	// worker is running critical work — better a critical task on a slow
-	// worker than a saturated fast class, but never while a fast worker
-	// is idle or about to come back for it.
-	if len(s.plain) > 0 {
-		return s.popFor(&s.plain, workerID), false, true
-	}
-	if len(s.crit) > 0 && s.fastCritRunning == s.fastN {
-		return s.popFor(&s.crit, workerID), true, true
-	}
-	return catsEntry{}, false, false
-}
-
-// taskDone records that workerID finished its dispatched task. Called by
-// the worker between executing the body and releasing the successors, so
-// the saturation count is already correct when any newly-ready critical
-// task is pushed.
-func (s *catsScheduler) taskDone(workerID int) {
-	if workerID >= s.fastN {
-		return
-	}
-	s.mu.Lock()
-	if s.lastCrit[workerID] {
-		s.lastCrit[workerID] = false
-		s.fastCritRunning--
-	}
-	s.mu.Unlock()
-}
-
-func (s *catsScheduler) pop(workerID int) (*task, bool) {
-	fast := workerID < s.fastN
-	class := s.classOf(workerID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		// The policy class gate: an inactive class's worker waits without
-		// taking work and without joining the fastIdle baton accounting (a
-		// gated fast worker must not attract the critical-work signal).
-		if !s.pol.classActive(class) {
-			if s.woken {
-				return nil, false
-			}
-			s.sig.parks.Add(1)
-			if s.rec != nil {
-				s.rec.RecordWorker(workerID, flightrec.KindPark, 0, 0, 0)
-			}
-			s.cond.Wait()
-			s.sig.wakes.Add(1)
-			if s.rec != nil {
-				s.rec.RecordWorker(workerID, flightrec.KindWake, 0, 0, 0)
-			}
-			continue
-		}
-		if e, fromCrit, ok := s.take(workerID); ok {
-			// The claim CAS only succeeds against the exact claim word the
-			// entry snapshotted: a stale duplicate of an already-dispatched
-			// task fails on the set claimed bit, and a stale entry whose
-			// record was recycled fails on the bumped generation — so a
-			// pooled record can never be dispatched through an entry from a
-			// previous life.
-			if e.claim&1 == 0 && atomic.CompareAndSwapUint64(&e.t.claim, e.claim, e.claim|1) {
-				if fast && fromCrit {
-					s.lastCrit[workerID] = true
-					s.fastCritRunning++
-					if s.fastCritRunning == s.fastN && len(s.crit) > 0 {
-						// This dispatch saturates the fast class with
-						// critical work left over: release a parked slow
-						// worker to help (its earlier decline consumed the
-						// wakeup that announced the backlog).
-						s.cond.Signal()
-					}
-				}
-				if s.rec != nil {
-					// CATS self-records its dispatches (the runtime's
-					// worker loop skips them): only here, under s.mu at the
-					// moment of the placement decision, are the class-gating
-					// facts — crit origin and exact fast-class saturation —
-					// available to stamp into the event for the verifier.
-					s.rec.RecordWorker(workerID, flightrec.KindDispatch, uint64(e.t.id),
-						e.claim|1, flightrec.PackDispatch(false, fromCrit, s.fastCritRunning, s.fastN))
-				}
-				return e.t, false
-			}
-			continue // stale duplicate of an already-dispatched task
-		}
-		if s.woken {
-			return nil, false
-		}
-		if !fast && len(s.crit) > 0 && s.fastIdle > 0 {
-			// Declining critical work in favour of an idle fast worker
-			// consumes the wakeup that announced it; pass the signal on so
-			// it keeps bouncing (FIFO through the wait list) until the
-			// fast worker accepts. With no fast worker parked the signal
-			// can die here: whichever fast worker is mid-task will take
-			// the critical entry on its own next pop.
-			s.cond.Signal()
-		}
-		if fast {
-			s.fastIdle++
-		}
-		s.sig.parks.Add(1)
-		if s.rec != nil {
-			s.rec.RecordWorker(workerID, flightrec.KindPark, 0, 0, 0)
-		}
-		s.cond.Wait()
-		if fast {
-			s.fastIdle--
-		}
-		s.sig.wakes.Add(1)
-		if s.rec != nil {
-			s.rec.RecordWorker(workerID, flightrec.KindWake, 0, 0, 0)
-		}
-	}
-}
-
-func (s *catsScheduler) wake() {
-	s.mu.Lock()
-	s.woken = true
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// policyChanged implements policyNotifier: gated workers re-examine the
-// class mask. The broadcast is made under the queue mutex so it cannot
-// slip between a worker's mask check and its Wait.
-func (s *catsScheduler) policyChanged() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// reportDepths implements depthReporter: the two heaps.
-func (s *catsScheduler) reportDepths(smp *signalSample) {
-	s.mu.Lock()
-	c, p := int64(len(s.crit)), int64(len(s.plain))
-	s.mu.Unlock()
-	smp.noteDepth(c)
-	smp.noteDepth(p)
+// policyChanged makes gated workers re-examine the class mask. The
+// broadcast is made under the queue mutex so it cannot slip between a
+// worker's mask check and its Wait.
+func (c *centralLot) policyChanged() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cond.Broadcast()
 }

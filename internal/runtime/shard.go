@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	stdruntime "runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // maxShards bounds the dependence-tracker shard count so a shard set fits
@@ -178,25 +180,131 @@ func (r *Runtime) shardPlan(t *task) (mask uint64) {
 	return mask
 }
 
+// trackDeps runs the renamer for t: it resolves RAW/WAR/WAW hazards
+// against the per-key tracking state, updates that state, and appends t to
+// the shard task log. Predecessor references are collected into the log
+// shard's predScratch — returned for linkPreds to consume while the shard
+// is still locked. Every shard t's keys hash to (plus the log shard) must
+// be locked by the caller.
+func (r *Runtime) trackDeps(t *task) []taskRef {
+	if len(t.deps()) == 0 {
+		if r.opts.retainTrace {
+			r.shards[t.logShard].tasks = append(r.shards[t.logShard].tasks, t)
+		}
+		return nil
+	}
+	// The log shard is deps[0].Key's shard, so it is always in the caller's
+	// lock mask when deps exist — its scratch is exclusively ours here.
+	ls := r.shards[t.logShard]
+	preds := ls.predScratch[:0]
+	addPred := func(p taskRef) {
+		if p.t == nil || p.t == t {
+			return
+		}
+		for _, q := range preds {
+			if q.t == p.t {
+				return
+			}
+		}
+		preds = append(preds, p)
+	}
+	self := t.ref()
+	for _, d := range t.deps() {
+		s := r.shards[r.shardIndex(d.Key)]
+		switch d.Mode {
+		case ModeIn:
+			addPred(s.lastWriter[d.Key])
+			s.readersTail[d.Key] = append(s.readersTail[d.Key], self)
+		case ModeOut, ModeInOut:
+			if d.Mode == ModeInOut {
+				addPred(s.lastWriter[d.Key])
+			}
+			// WAR: wait for every reader since the previous writer.
+			tail := s.readersTail[d.Key]
+			for _, rd := range tail {
+				addPred(rd)
+			}
+			// WAW: wait for the previous writer even for plain Out, since
+			// we do not rename storage.
+			addPred(s.lastWriter[d.Key])
+			s.lastWriter[d.Key] = self
+			// Zero the slots before truncating: tail[:0] alone keeps every
+			// old reader task reachable through the backing array until the
+			// next writer happens to overwrite each slot.
+			clear(tail)
+			s.readersTail[d.Key] = tail[:0]
+		}
+	}
+	if r.opts.retainTrace {
+		ls.tasks = append(ls.tasks, t)
+	}
+	ls.predScratch = preds // write back so the grown capacity is kept
+	return preds
+}
+
+// linkPreds registers the dependence edges collected by trackDeps. npreds
+// starts at 1 (the submission's own reference) so a predecessor completing
+// concurrently with registration can never drive the counter to zero
+// before every edge is in place; the caller's final decrement releases the
+// reference and publishes the task.
+//
+// Each predecessor reference is generation-checked under the
+// predecessor's mutex: a mismatch means the record was retired (its task
+// completed) and possibly reused for an unrelated task, so the reference
+// is dead and no other field of the record may be read — the generation
+// bump happens inside complete's critical section, which makes this check
+// exact, not best-effort.
+func (r *Runtime) linkPreds(t *task, preds []taskRef) {
+	atomic.StoreInt32(&t.npreds, 1)
+	for _, ref := range preds {
+		p := ref.t
+		p.mu.Lock()
+		if claimGen(atomic.LoadUint64(&p.claim)) != claimGen(ref.claim) {
+			p.mu.Unlock() // recycled record: the predecessor completed long ago
+			continue
+		}
+		// Data affinity: the worker that executed a predecessor plausibly
+		// holds the task's input hot — remember the latest one seen (a
+		// still-pending predecessor has no executor yet; the one finishing
+		// last overwrites this in complete's release loop).
+		if af := atomic.LoadInt32(&p.exec); af >= 0 {
+			atomic.StoreInt32(&t.affinity, af)
+		}
+		if p.state != stateDone {
+			p.addSucc(t)
+			atomic.AddInt32(&t.npreds, 1)
+			// CATS: a new successor raises the predecessor's bottom-level
+			// estimate (single-step propagation, as the original heuristic).
+			if est := atomic.LoadInt64(&t.priority) + 1; est > atomic.LoadInt64(&p.priority) {
+				atomic.StoreInt64(&p.priority, est)
+				// If p is already queued, tell a priority-aware scheduler so
+				// it can reinsert p at the new estimate (the CATS heap's
+				// stale-entry protocol).
+				if p.state == stateReady {
+					r.sched.bump(p)
+				}
+			}
+		}
+		p.mu.Unlock()
+	}
+	// Clear the scratch so completed predecessors are not pinned by the
+	// shard (the capacity is kept for the next registration).
+	clear(preds)
+}
+
 // lockShards acquires every shard in mask in ascending index order. Any
 // two submissions with overlapping masks are thereby fully serialised
 // (their registration critical sections cannot interleave), which keeps
 // per-key dependence chains consistent and the resulting graph acyclic.
 func (r *Runtime) lockShards(mask uint64) {
-	for i := 0; mask != 0; i++ {
-		if mask&(1<<i) != 0 {
-			r.shards[i].mu.Lock()
-			mask &^= 1 << i
-		}
+	for ; mask != 0; mask &= mask - 1 {
+		r.shards[bits.TrailingZeros64(mask)].mu.Lock()
 	}
 }
 
 // unlockShards releases every shard in mask.
 func (r *Runtime) unlockShards(mask uint64) {
-	for i := 0; mask != 0; i++ {
-		if mask&(1<<i) != 0 {
-			r.shards[i].mu.Unlock()
-			mask &^= 1 << i
-		}
+	for ; mask != 0; mask &= mask - 1 {
+		r.shards[bits.TrailingZeros64(mask)].mu.Unlock()
 	}
 }

@@ -10,31 +10,37 @@ import (
 // [2^(i-1), 2^i), and the last bucket everything deeper.
 const depthBuckets = 8
 
-// workerSig is one worker's slice of the signals layer: plain counters
-// the worker bumps with uncontended atomic adds on its own cache line.
-// The padding keeps neighbouring workers' counters off one line.
+// workerSig is one worker's block of the signals layer — the only
+// per-dispatch counters in the runtime: plain counters the worker bumps
+// with uncontended atomic adds on its own cache line. Every per-worker,
+// per-class and per-domain figure Stats reports is a read-time grouping of
+// these blocks. The padding keeps neighbouring workers' counters off one
+// line.
 type workerSig struct {
 	executed uint64 // tasks whose body ran on this worker
 	steals   uint64 // dispatches stolen from another worker's queue
 	skipped  uint64 // tasks skipped on an already-cancelled context
-	homeHit  uint64 // dispatches executed on the worker they were released toward
-	homeMiss uint64 // dispatches that migrated away from their release target
-	_        [3]uint64
+	// A dispatch of a task released from inside the pool (t.home ≥ 0) lands
+	// in exactly one of: homeHit — ran on the worker it was released
+	// toward; homeNear — migrated, but stayed inside the release target's
+	// memory domain; homeFar — crossed a domain boundary.
+	homeHit  uint64
+	homeNear uint64
+	homeFar  uint64
+	_        [2]uint64
 }
 
 // signals is the runtime's self-observation layer: the one set of cheap
 // counters every hot path already touches, from which both the public
 // Stats snapshot and the adaptive controller's samples are derived. The
 // per-worker counters live in workers (padded, owner-bumped); the
-// cross-cutting ones — injector pressure, park/wake churn, critical
-// submissions — are single atomics bumped at the schedulers' slow-path
-// sites only, so the busy steady state never contends on them.
+// cross-cutting ones — park/wake churn, critical submissions — are single
+// atomics bumped at the schedulers' slow-path sites only, so the busy
+// steady state never contends on them. (Injector pressure is not here:
+// the steal scheduler's per-domain traffic block is its one counter, and
+// the sampler sums it.)
 type signals struct {
 	workers []workerSig
-	// injPush counts tasks routed through a central injector (steal
-	// scheduler only): the pressure signal that distinguishes a fan-out
-	// phase (releases overflow the locality path) from a chain phase.
-	injPush atomic.Uint64
 	// parks and wakes count worker park/wake transitions across all
 	// schedulers and the class gate — the churn signal of a pool that is
 	// under-loaded (or thrashing between phases).
@@ -69,13 +75,17 @@ func newSignals(workers int) *signals {
 // samples); PerWorker/PerClass reuse their capacity across samples, so a
 // warmed sample is refilled with zero allocations.
 type signalSample struct {
-	Epoch      uint64
-	Submitted  uint64
-	Executed   uint64
-	Steals     uint64
-	Skipped    uint64
-	HomeHit    uint64
-	HomeMiss   uint64
+	Epoch     uint64
+	Submitted uint64
+	Executed  uint64
+	Steals    uint64
+	Skipped   uint64
+	HomeHit   uint64
+	HomeMiss  uint64
+	// InjPush is the total of tasks routed through a central injector
+	// (steal scheduler only): the pressure signal that distinguishes a
+	// fan-out phase (releases overflow the locality path) from a chain
+	// phase. It is the sum of PerDomain's InjectorPushes.
 	InjPush    uint64
 	Parks      uint64
 	Wakes      uint64
@@ -84,24 +94,15 @@ type signalSample struct {
 	// sample time — the sum over Depth.
 	Pending int64
 	// PerWorker and PerClass are cumulative executed counts by worker and
-	// by class.
+	// by class; PerDomain groups the worker blocks (and the scheduler's
+	// traffic counters) by memory domain.
 	PerWorker []uint64
 	PerClass  []uint64
+	PerDomain []DomainStats
 	// Depth is the queue-depth histogram over the scheduler's queues at
 	// sample time (see depthBuckets): a deep tail means a fan-out phase, a
 	// near-empty histogram a chain or idle phase.
 	Depth [depthBuckets]uint32
-}
-
-// depthReporter is implemented by schedulers that expose their queue
-// depths to the sampler: reportDepths calls smp.noteDepth once per queue
-// with its current length. The sample pointer is passed rather than a
-// yield closure so the sampler stays allocation-free — a closure literal
-// capturing the sample escapes and costs one allocation per snapshot.
-// Optional: the sampler type-asserts; without it the depth histogram
-// stays zero.
-type depthReporter interface {
-	reportDepths(smp *signalSample)
 }
 
 // noteDepth folds one queue's depth into the snapshot's histogram and
@@ -123,44 +124,63 @@ func depthBucket(n int64) int {
 	return b
 }
 
+// resized returns s with length n, reusing its capacity when it suffices.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // sampleSignals fills s with an epoch-stamped snapshot of the signals
 // layer, reusing s's slice capacity — allocation-free once s has been
-// warmed to the pool's worker and class counts. Each call advances the
-// epoch.
+// warmed to the pool's worker, class and domain counts. Each call advances
+// the epoch. This is the one place the per-worker blocks are read: the
+// totals, the per-class and the per-domain views are all grouped here.
 func (r *Runtime) sampleSignals(s *signalSample) {
 	sig := r.sig
 	s.Epoch = sig.epoch.Add(1)
 	s.Submitted = uint64(atomic.LoadInt64(&r.seq))
-	s.InjPush = sig.injPush.Load()
 	s.Parks = sig.parks.Load()
 	s.Wakes = sig.wakes.Load()
 	s.CritSubmit = sig.critSubmit.Load()
-	if cap(s.PerWorker) < len(sig.workers) {
-		s.PerWorker = make([]uint64, len(sig.workers))
+	s.PerWorker = resized(s.PerWorker, len(sig.workers))
+	s.PerClass = resized(s.PerClass, len(r.classes))
+	clear(s.PerClass)
+	s.PerDomain = resized(s.PerDomain, len(r.domains))
+	for i := range s.PerDomain {
+		s.PerDomain[i] = DomainStats{Workers: r.domains[i].Count}
 	}
-	s.PerWorker = s.PerWorker[:len(sig.workers)]
-	if cap(s.PerClass) < len(r.classes) {
-		s.PerClass = make([]uint64, len(r.classes))
-	}
-	s.PerClass = s.PerClass[:len(r.classes)]
-	for i := range s.PerClass {
-		s.PerClass[i] = 0
-	}
-	s.Executed, s.Steals, s.Skipped, s.HomeHit, s.HomeMiss = 0, 0, 0, 0, 0
+	s.Executed, s.Steals, s.Skipped, s.HomeHit, s.HomeMiss, s.InjPush = 0, 0, 0, 0, 0, 0
 	for i := range sig.workers {
-		w := &sig.workers[i]
+		w, d := &sig.workers[i], &s.PerDomain[r.domainOf[i]]
 		e := atomic.LoadUint64(&w.executed)
 		s.PerWorker[i] = e
 		s.PerClass[r.classOf[i]] += e
 		s.Executed += e
-		s.Steals += atomic.LoadUint64(&w.steals)
+		d.Dispatched += e
+		st := atomic.LoadUint64(&w.steals)
+		s.Steals += st
+		d.Steals += st
 		s.Skipped += atomic.LoadUint64(&w.skipped)
-		s.HomeHit += atomic.LoadUint64(&w.homeHit)
-		s.HomeMiss += atomic.LoadUint64(&w.homeMiss)
+		hit := atomic.LoadUint64(&w.homeHit)
+		near := atomic.LoadUint64(&w.homeNear)
+		far := atomic.LoadUint64(&w.homeFar)
+		s.HomeHit += hit
+		s.HomeMiss += near + far
+		d.LocalDispatched += hit + near
+		d.CrossDispatched += far
+	}
+	if len(s.PerDomain) == 1 {
+		// Single domain: every dispatch is local by definition, externally
+		// submitted tasks (no release target) included.
+		s.PerDomain[0].LocalDispatched = s.PerDomain[0].Dispatched
+	}
+	r.sched.domainStatsInto(s.PerDomain)
+	for i := range s.PerDomain {
+		s.InjPush += s.PerDomain[i].InjectorPushes
 	}
 	s.Depth = [depthBuckets]uint32{}
 	s.Pending = 0
-	if dr, ok := r.sched.(depthReporter); ok {
-		dr.reportDepths(s)
-	}
+	r.sched.reportDepths(s)
 }

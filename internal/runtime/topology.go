@@ -123,13 +123,93 @@ func autoDomains(workers int) []Domain {
 	return domains
 }
 
+// victimPlan is one worker's precomputed steal order: every other worker
+// exactly once, tier-major. seg marks the tier boundaries — order[seg[i]:
+// seg[i+1]] is tier i — with four tiers: same-domain fast-class,
+// same-domain slow-class, cross-domain fast, cross-domain slow. Tiers
+// tierSameLo..tierSameHi are the same-domain half of the hierarchy walk.
+type victimPlan struct {
+	order []int32
+	seg   [5]int32
+}
+
+// The victim-plan tier ranges: [tierSameLo, tierSameHi) are the
+// same-domain tiers, [tierSameHi, tierCrossHi) the cross-domain tiers.
+const (
+	tierSameLo  = 0
+	tierSameHi  = 2
+	tierCrossHi = 4
+)
+
+// buildVictimPlans precomputes every worker's tier-ordered victim list
+// from the layout. Keeping the plan static (only the per-tier starting
+// offset is randomised per sweep) makes the tier ordering a checkable
+// invariant rather than an emergent property of per-sweep filtering.
+func buildVictimPlans(l classLayout) []victimPlan {
+	plans := make([]victimPlan, l.workers)
+	for w := 0; w < l.workers; w++ {
+		p := &plans[w]
+		p.order = make([]int32, 0, l.workers-1)
+		tier := func(sameDomain bool, fast bool) {
+			for v := 0; v < l.workers; v++ {
+				if v == w {
+					continue
+				}
+				if (l.domain(v) == l.domain(w)) != sameDomain {
+					continue
+				}
+				if (v < l.fastN) != fast {
+					continue
+				}
+				p.order = append(p.order, int32(v))
+			}
+		}
+		tier(true, true)
+		p.seg[1] = int32(len(p.order))
+		tier(true, false)
+		p.seg[2] = int32(len(p.order))
+		tier(false, true)
+		p.seg[3] = int32(len(p.order))
+		tier(false, false)
+		p.seg[4] = int32(len(p.order))
+	}
+	return plans
+}
+
+// forEachVictim visits worker w's victims in plan order for the tier range
+// [loTier, hiTier): tier-major, each tier rotated by a fresh random offset
+// so concurrent thieves don't convoy on one victim. visit returns true to
+// stop the walk. Within the range every victim is visited exactly once and
+// w itself never is — the property the sweep test checks.
+func (s *stealScheduler) forEachVictim(w, loTier, hiTier int, visit func(v int) bool) {
+	p := &s.victims[w]
+	for tier := loTier; tier < hiTier; tier++ {
+		lo, hi := int(p.seg[tier]), int(p.seg[tier+1])
+		n := hi - lo
+		if n == 0 {
+			continue
+		}
+		off := int(s.nextRand(w) % uint64(n))
+		for i := 0; i < n; i++ {
+			j := lo + off + i
+			if j >= hi {
+				j -= n
+			}
+			if visit(int(p.order[j])) {
+				return
+			}
+		}
+	}
+}
+
 // DomainStats aggregates one memory domain's scheduling traffic, reported
 // through Stats.PerDomain in Topology() order. Local vs cross dispatch
 // accounting needs the releasing worker's identity, so it only covers
 // tasks released from inside the pool (successor releases and hinted
-// submissions); externally submitted tasks count in Dispatched alone. On a
-// single-domain pool the runtime skips the per-dispatch accounting and
-// every dispatch is reported local by definition.
+// submissions); externally submitted tasks count in Dispatched alone.
+// Everything but the scheduler's injector and cross-domain traffic is a
+// read-time grouping of the per-worker signal blocks by domain; on a
+// single-domain pool every dispatch is reported local by definition.
 type DomainStats struct {
 	// Workers is the number of workers grouped into the domain.
 	Workers int
@@ -153,23 +233,6 @@ type DomainStats struct {
 	// domains' injectors — the cross-domain overflow path that keeps an
 	// overloaded domain's backlog from stalling while others idle.
 	CrossRefills uint64
-}
-
-// domainCounters is the runtime's per-domain hot-path accounting (atomic
-// access), allocated only for multi-domain pools.
-type domainCounters struct {
-	local  uint64
-	cross  uint64
-	steals uint64
-	_      [5]uint64 // keep neighbouring domains off one cache line
-}
-
-// domainStatsSource is implemented by schedulers that keep their own
-// per-domain traffic counters (injector pushes, cross-domain refills and
-// steals); StatsInto merges them into Stats.PerDomain. Optional: the
-// runtime type-asserts.
-type domainStatsSource interface {
-	domainStatsInto(ds []DomainStats)
 }
 
 // Topology returns the resolved memory-domain topology — WithTopology

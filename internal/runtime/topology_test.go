@@ -296,3 +296,90 @@ func TestFlightTopologyDomainGatingStress(t *testing.T) {
 		t.Fatal("verifier consumed no events")
 	}
 }
+
+// mixedChainFan drives serialized chains with periodic fans through r and
+// waits for the pool to go quiet, so every counter read afterwards is
+// stable.
+func mixedChainFan(t *testing.T, r *Runtime) {
+	t.Helper()
+	for i := 0; i < 300; i++ {
+		for c := 0; c < 4; c++ {
+			if _, err := r.Submit("link", 1, func() {}, InOut(c)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%10 == 0 {
+			fan := fmt.Sprintf("fan%d", i)
+			if _, err := r.Submit("root", 1, func() {}, Out(fan)); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 12; j++ {
+				if _, err := r.Submit("leaf", 1, func() {}, In(fan)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	r.Wait()
+}
+
+// Stats, Stats.PerDomain and the controller's sample are all read-time
+// groupings of the one per-worker counter block (plus the scheduler's
+// injector traffic), so they must agree with it and with each other
+// exactly — there is no second counter that could drift.
+func TestTopologyDerivedCountersAgree(t *testing.T) {
+	r := New(WithWorkers(4), WithTopology(Domain{Count: 2}, Domain{Count: 2}))
+	defer r.Shutdown()
+	mixedChainFan(t, r)
+	st := r.Stats()
+	var smp signalSample
+	r.sampleSignals(&smp)
+
+	// The expected per-domain figures, grouped by hand from the blocks.
+	want := make([]DomainStats, 2)
+	var homed uint64
+	for w := range r.sig.workers {
+		b, d := &r.sig.workers[w], &want[r.domainOf[w]]
+		d.Steals += b.steals
+		d.LocalDispatched += b.homeHit + b.homeNear
+		d.CrossDispatched += b.homeFar
+		homed += b.homeHit + b.homeNear + b.homeFar
+	}
+	var steals, routed, inj uint64
+	for i, d := range st.PerDomain {
+		if d.Steals != want[i].Steals || d.LocalDispatched != want[i].LocalDispatched || d.CrossDispatched != want[i].CrossDispatched {
+			t.Errorf("domain %d = %+v, want steals/local/cross %d/%d/%d from the worker blocks",
+				i, d, want[i].Steals, want[i].LocalDispatched, want[i].CrossDispatched)
+		}
+		steals += d.Steals
+		routed += d.LocalDispatched + d.CrossDispatched
+		inj += d.InjectorPushes
+	}
+	if steals != st.Steals {
+		t.Errorf("Σ PerDomain.Steals = %d, Stats.Steals = %d", steals, st.Steals)
+	}
+	if routed != homed || routed != smp.HomeHit+smp.HomeMiss {
+		t.Errorf("Σ PerDomain local+cross = %d, worker blocks' home hit+miss = %d, sample's = %d",
+			routed, homed, smp.HomeHit+smp.HomeMiss)
+	}
+	if routed == 0 || inj == 0 {
+		t.Errorf("workload exercised nothing: routed %d, injector pushes %d", routed, inj)
+	}
+	if inj != smp.InjPush {
+		t.Errorf("Σ PerDomain.InjectorPushes = %d, controller's injector-pressure signal = %d", inj, smp.InjPush)
+	}
+
+	// A single-domain pool reports every dispatch local — externally
+	// submitted tasks included — and the pool's steals as the domain's.
+	flat := New(WithWorkers(4), WithTopology(Domain{Count: 4}))
+	defer flat.Shutdown()
+	mixedChainFan(t, flat)
+	fs := flat.Stats()
+	if len(fs.PerDomain) != 1 {
+		t.Fatalf("flat pool has %d domains, want 1", len(fs.PerDomain))
+	}
+	d := fs.PerDomain[0]
+	if d.Dispatched != fs.Executed || d.LocalDispatched != d.Dispatched || d.CrossDispatched != 0 || d.Steals != fs.Steals {
+		t.Errorf("flat PerDomain[0] = %+v, want dispatched = local = %d, cross 0, steals %d", d, fs.Executed, fs.Steals)
+	}
+}
