@@ -83,10 +83,8 @@ func BenchmarkTaskSubmit(b *testing.B) {
 
 // BenchmarkSubmitSteadyState measures the pooled task lifecycle at a
 // bounded number of tasks in flight — the zero-alloc steady state. CI's
-// alloc-budget gate watches this benchmark; raa-bench's -bench-json
-// snapshots record the same body (internal/benchcases keeps them in
-// sync), and the strict assertion lives in internal/runtime's
-// TestSubmitPathAllocationFree.
+// alloc-budget gate watches this benchmark; the strict assertion lives in
+// internal/runtime's TestSubmitPathAllocationFree.
 func BenchmarkSubmitSteadyState(b *testing.B) {
 	benchcases.SubmitChainSteady(b)
 }

@@ -20,8 +20,6 @@
 //	    -spec '{"scenarios": ["hetero"], "schedulers": ["cats", "fifo"]}'  # big.LITTLE placement
 //	raa-bench -experiment throughput \
 //	    -spec '{"scenarios": ["locality"]}'       # worker-local vs injector successor placement
-//	raa-bench -bench-json BENCH.json              # machine-readable perf snapshot
-//	                                              # (ns/op, allocs/op, placement verdicts)
 //	raa-bench -flight-dump FLIGHT.json            # flight-recorder timeline + invariant
 //	                                              # verdict from a mixed workload
 //
@@ -48,20 +46,11 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit results as JSON documents, one per experiment")
 	spec := flag.String("spec", "", "JSON overrides applied on top of the experiment's default spec")
 	list := flag.Bool("list", false, "list experiments and exit")
-	benchJSON := flag.String("bench-json", "", "run the benchmark counterparts and write a JSON perf snapshot to this path")
 	flightDumpPath := flag.String("flight-dump", "", "run a mixed workload under the flight recorder + online checker and write the merged event timeline as JSON to this path")
 	flag.Parse()
 
 	if *flightDumpPath != "" {
 		if err := runFlightDump(*flightDumpPath); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *benchJSON != "" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		if err := runBenchJSON(ctx, *benchJSON); err != nil {
 			fatal(err)
 		}
 		return

@@ -1,8 +1,6 @@
-// Package benchcases holds the runtime hot-path benchmark bodies shared
-// by the repo's two measurement surfaces: the `go test -bench` suite at
-// the module root (which CI gates on) and raa-bench's -bench-json perf
-// snapshots. One definition means the gated number and the recorded
-// trajectory can never desynchronise.
+// Package benchcases holds the runtime hot-path benchmark bodies run by
+// the `go test -bench` suite at the module root — the benchmarks CI's
+// alloc-budget and multicore jobs gate on.
 package benchcases
 
 import (
@@ -24,10 +22,10 @@ func SubmitChainSteady(b *testing.B) {
 }
 
 // SubmitChainSteadyFlight is SubmitChainSteady with the flight recorder
-// enabled — its pairing with the recorder-off number is how CI and the
-// BENCH_N.json trajectory bound the recorder's submit-path overhead (one
-// external ring event per submission). It must stay allocation-free and
-// within a few percent of the recorder-off time.
+// enabled — its pairing with the recorder-off number bounds the recorder's
+// submit-path overhead (one external ring event per submission; the gated
+// ratio is benchmark/'s flightrec.overhead_ratio arm). It must stay
+// allocation-free and within a few percent of the recorder-off time.
 func SubmitChainSteadyFlight(b *testing.B) {
 	submitChain(b, runtime.WithWorkers(4), runtime.WithQueueBound(256),
 		runtime.WithFlightRecorder(flightrec.Options{}))
@@ -48,44 +46,6 @@ func submitChain(b *testing.B, opts ...runtime.Option) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rt.Submit("t", 1, noop, deps...)
-	}
-	rt.Wait()
-}
-
-// SubmitParallel measures dependence-free submission (tracker bypass plus
-// dispatch), bounded so the freelist recycles.
-func SubmitParallel(b *testing.B) {
-	rt := runtime.New(runtime.WithWorkers(4), runtime.WithQueueBound(1024))
-	defer rt.Shutdown()
-	noop := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt.Submit("t", 1, noop)
-	}
-	rt.Wait()
-}
-
-// SubmitBatch64 measures batched submission of dependence-free tasks in
-// chunks of 64, reported per task.
-func SubmitBatch64(b *testing.B) {
-	rt := runtime.New(runtime.WithWorkers(4))
-	defer rt.Shutdown()
-	specs := make([]runtime.TaskSpec, 64)
-	noop := func() {}
-	for i := range specs {
-		specs[i] = runtime.TaskSpec{Name: "t", Cost: 1, Fn: noop}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(specs) {
-		n := len(specs)
-		if b.N-i < n {
-			n = b.N - i
-		}
-		if _, err := rt.SubmitBatch(specs[:n]); err != nil {
-			b.Fatal(err)
-		}
 	}
 	rt.Wait()
 }

@@ -21,21 +21,19 @@ type AdaptiveOptions struct {
 	// the anti-flapping guard: a rule firing on one noisy sample changes
 	// nothing; the workload has to hold its phase for Hysteresis periods.
 	Hysteresis int
-	// MinWindow and MaxWindow bound the effective locality window the
-	// window rule may install (defaults 4 and 256). The controller never
-	// fully disables the locality path: even a pool built with
-	// WithLocalityWindow(0) is retuned within [MinWindow, MaxWindow] once
-	// adaptive control owns the knob.
-	MinWindow int
-	MaxWindow int
 }
 
 // The AdaptiveOptions defaults.
 const (
 	defaultAdaptivePeriod     = time.Millisecond
 	defaultAdaptiveHysteresis = 2
-	defaultAdaptiveMinWindow  = 4
-	defaultAdaptiveMaxWindow  = 256
+	// defaultAdaptiveMinWindow and defaultAdaptiveMaxWindow bound the
+	// effective locality window the window rule may install. The controller
+	// never fully disables the locality path: even a pool built with
+	// WithLocalityWindow(0) is retuned within these bounds once adaptive
+	// control owns the knob.
+	defaultAdaptiveMinWindow = 4
+	defaultAdaptiveMaxWindow = 256
 	// maxRefillChunk caps the refill-chunk rule: one injector refill never
 	// grabs more than this many tasks, however hard the fan-out pressure.
 	maxRefillChunk = 256
@@ -170,15 +168,10 @@ func (s policySnapshot) val(k adaptKnob) int64 {
 	}
 }
 
-// clampWindow bounds a window proposal to [MinWindow, MaxWindow].
-func clampWindow(v int64, opts AdaptiveOptions) int64 {
-	if v < int64(opts.MinWindow) {
-		return int64(opts.MinWindow)
-	}
-	if v > int64(opts.MaxWindow) {
-		return int64(opts.MaxWindow)
-	}
-	return v
+// clampWindow bounds a window proposal to
+// [defaultAdaptiveMinWindow, defaultAdaptiveMaxWindow].
+func clampWindow(v int64) int64 {
+	return min(max(v, defaultAdaptiveMinWindow), defaultAdaptiveMaxWindow)
 }
 
 // proposePolicy is the pure reason step: from one period's deltas and the
@@ -206,7 +199,7 @@ func clampWindow(v int64, opts AdaptiveOptions) int64 {
 //
 //   - Refill chunk: injector pressure well past the current chunk doubles
 //     it (amortising the injector lock), a quiet injector resets it.
-func proposePolicy(d adaptDeltas, cur policySnapshot, opts AdaptiveOptions, workers int) adaptProposal {
+func proposePolicy(d adaptDeltas, cur policySnapshot, workers int) adaptProposal {
 	var p adaptProposal
 	w := int64(workers)
 
@@ -224,9 +217,9 @@ func proposePolicy(d adaptDeltas, cur policySnapshot, opts AdaptiveOptions, work
 		d.homeHit > 3*(d.homeMiss+1)
 	switch {
 	case fanOut:
-		p.set(knobWindow, clampWindow(cur.window/2, opts))
+		p.set(knobWindow, clampWindow(cur.window/2))
 	case chain:
-		p.set(knobWindow, clampWindow(cur.window*2, opts))
+		p.set(knobWindow, clampWindow(cur.window*2))
 	}
 
 	if d.critSubmit > 0 {
@@ -287,15 +280,6 @@ func newAdaptiveController(r *Runtime, opts AdaptiveOptions) *adaptiveController
 	}
 	if opts.Hysteresis < 1 {
 		opts.Hysteresis = defaultAdaptiveHysteresis
-	}
-	if opts.MinWindow < 1 {
-		opts.MinWindow = defaultAdaptiveMinWindow
-	}
-	if opts.MaxWindow < opts.MinWindow {
-		opts.MaxWindow = defaultAdaptiveMaxWindow
-		if opts.MaxWindow < opts.MinWindow {
-			opts.MaxWindow = opts.MinWindow
-		}
 	}
 	return &adaptiveController{
 		opts:    opts,
@@ -360,7 +344,7 @@ func (c *adaptiveController) snapshot() policySnapshot {
 // has held for Hysteresis consecutive samples.
 func (c *adaptiveController) reviseFrom(d adaptDeltas, epoch uint64) {
 	cur := c.snapshot()
-	p := proposePolicy(d, cur, c.opts, c.workers)
+	p := proposePolicy(d, cur, c.workers)
 	for k := adaptKnob(0); k < knobCount; k++ {
 		if !p.has[k] || p.val[k] == cur.val(k) {
 			// No proposal (or already there): the phase did not hold, so the

@@ -22,19 +22,18 @@ func heteroAdaptiveClasses() Option {
 // The pure reason step: each rule must fire on its trigger shape and stay
 // quiet otherwise.
 func TestProposePolicyRules(t *testing.T) {
-	opts := AdaptiveOptions{Hysteresis: 1, MinWindow: 4, MaxWindow: 256}
 	hetero := policySnapshot{window: 32, chunk: injectorGrab, mask: 3, fullMask: 3}
 
 	// Backlog for the whole pool widens a narrowed mask back to full.
 	narrowed := hetero
 	narrowed.mask = 1
-	p := proposePolicy(adaptDeltas{pending: 8}, narrowed, opts, 4)
+	p := proposePolicy(adaptDeltas{pending: 8}, narrowed, 4)
 	if !p.has[knobClassMask] || p.val[knobClassMask] != 3 {
 		t.Errorf("pool-wide backlog: mask proposal (%v, %d), want full mask 3", p.has[knobClassMask], p.val[knobClassMask])
 	}
 
 	// A serial phase parks everything but the fast class.
-	p = proposePolicy(adaptDeltas{pending: 1}, hetero, opts, 4)
+	p = proposePolicy(adaptDeltas{pending: 1}, hetero, 4)
 	if !p.has[knobClassMask] || p.val[knobClassMask] != 1 {
 		t.Errorf("serial phase: mask proposal (%v, %d), want fast-only 1", p.has[knobClassMask], p.val[knobClassMask])
 	}
@@ -42,50 +41,50 @@ func TestProposePolicyRules(t *testing.T) {
 	// A homogeneous pool has nothing to gate.
 	homo := hetero
 	homo.mask, homo.fullMask = 1, 1
-	if p = proposePolicy(adaptDeltas{pending: 1}, homo, opts, 4); p.has[knobClassMask] {
+	if p = proposePolicy(adaptDeltas{pending: 1}, homo, 4); p.has[knobClassMask] {
 		t.Error("homogeneous pool: class-mask rule proposed a change")
 	}
 
 	// Fan-out pressure (injector traffic + large backlog) halves the
 	// window; a chain phase (home releases, no injector traffic) doubles
 	// it; both respect the clamp.
-	p = proposePolicy(adaptDeltas{injPush: 10, pending: 9}, hetero, opts, 4)
+	p = proposePolicy(adaptDeltas{injPush: 10, pending: 9}, hetero, 4)
 	if !p.has[knobWindow] || p.val[knobWindow] != 16 {
 		t.Errorf("fan-out: window proposal (%v, %d), want 16", p.has[knobWindow], p.val[knobWindow])
 	}
-	p = proposePolicy(adaptDeltas{executed: 50, homeHit: 50, pending: 1}, hetero, opts, 4)
+	p = proposePolicy(adaptDeltas{executed: 50, homeHit: 50, pending: 1}, hetero, 4)
 	if !p.has[knobWindow] || p.val[knobWindow] != 64 {
 		t.Errorf("chain: window proposal (%v, %d), want 64", p.has[knobWindow], p.val[knobWindow])
 	}
 	floor := hetero
 	floor.window = 4
-	p = proposePolicy(adaptDeltas{injPush: 10, deepTail: 1}, floor, opts, 4)
+	p = proposePolicy(adaptDeltas{injPush: 10, deepTail: 1}, floor, 4)
 	if !p.has[knobWindow] || p.val[knobWindow] != 4 {
-		t.Errorf("clamped fan-out: window proposal (%v, %d), want MinWindow 4", p.has[knobWindow], p.val[knobWindow])
+		t.Errorf("clamped fan-out: window proposal (%v, %d), want the minimum window 4", p.has[knobWindow], p.val[knobWindow])
 	}
 
 	// Priority-hinted submissions switch criticality-first on; a busy
 	// period without hints switches it back off.
-	p = proposePolicy(adaptDeltas{critSubmit: 3}, hetero, opts, 4)
+	p = proposePolicy(adaptDeltas{critSubmit: 3}, hetero, 4)
 	if !p.has[knobCritFirst] || p.val[knobCritFirst] != 1 {
 		t.Errorf("hinted submissions: crit proposal (%v, %d), want on", p.has[knobCritFirst], p.val[knobCritFirst])
 	}
 	critOn := hetero
 	critOn.crit = true
-	p = proposePolicy(adaptDeltas{executed: 10, pending: 2}, critOn, opts, 4)
+	p = proposePolicy(adaptDeltas{executed: 10, pending: 2}, critOn, 4)
 	if !p.has[knobCritFirst] || p.val[knobCritFirst] != 0 {
 		t.Errorf("hint-free period: crit proposal (%v, %d), want off", p.has[knobCritFirst], p.val[knobCritFirst])
 	}
 
 	// Injector pressure past 4× the chunk doubles it; a quiet injector
 	// resets a grown chunk to the default.
-	p = proposePolicy(adaptDeltas{injPush: uint64(4*injectorGrab + 1), pending: 2}, hetero, opts, 4)
+	p = proposePolicy(adaptDeltas{injPush: uint64(4*injectorGrab + 1), pending: 2}, hetero, 4)
 	if !p.has[knobRefill] || p.val[knobRefill] != 2*injectorGrab {
 		t.Errorf("injector pressure: refill proposal (%v, %d), want %d", p.has[knobRefill], p.val[knobRefill], 2*injectorGrab)
 	}
 	grown := hetero
 	grown.chunk = 128
-	p = proposePolicy(adaptDeltas{pending: 2}, grown, opts, 4)
+	p = proposePolicy(adaptDeltas{pending: 2}, grown, 4)
 	if !p.has[knobRefill] || p.val[knobRefill] != injectorGrab {
 		t.Errorf("quiet injector: refill proposal (%v, %d), want reset to %d", p.has[knobRefill], p.val[knobRefill], injectorGrab)
 	}
@@ -96,7 +95,7 @@ func TestProposePolicyRules(t *testing.T) {
 // consecutive samples is applied exactly once.
 func TestAdaptiveHysteresisPreventsFlapping(t *testing.T) {
 	c := &adaptiveController{
-		opts:    AdaptiveOptions{Period: time.Millisecond, Hysteresis: 2, MinWindow: 4, MaxWindow: 256},
+		opts:    AdaptiveOptions{Period: time.Millisecond, Hysteresis: 2},
 		workers: 4,
 		pol:     newPolicyWords(32, 2),
 		sched:   newTestFIFO(4),

@@ -8,51 +8,6 @@ import (
 	"repro/raa"
 )
 
-// Spec configures the throughput experiment through the raa registry.
-type Spec struct {
-	// Scenarios: parallel, fanout, chain, random, steal, longrun, hetero,
-	// locality, topology, adaptive, chaos; empty = all.
-	Scenarios []string `json:"scenarios,omitempty"`
-	// Schedulers: worksteal, fifo, cats; empty = all.
-	Schedulers []string `json:"schedulers,omitempty"`
-	// Shards are the tracker shard counts to sweep (0 = auto-size).
-	Shards []int `json:"shards"`
-	// Tasks is the task count per run.
-	Tasks int `json:"tasks"`
-	// Workers is the pool size.
-	Workers int `json:"workers"`
-	// Producers is the number of concurrent submitting goroutines.
-	Producers int `json:"producers"`
-	// Batch > 1 also measures SubmitBatch in chunks of this size.
-	Batch int `json:"batch"`
-	// Grain is spin-work per task body (iterations; 0 = empty body).
-	Grain int `json:"grain"`
-	// Keys is the random scenario's key-space size.
-	Keys int `json:"keys"`
-	// Rounds is the longrun scenario's submit→Wait round count (0 = 8).
-	Rounds int `json:"rounds,omitempty"`
-	// FastWorkers is the hetero scenario's fast-class size, clamped so
-	// fast + slow always equals Workers (0 = a quarter of the pool).
-	FastWorkers int `json:"fast_workers,omitempty"`
-	// SlowFactor is the hetero scenario's simulated slow-class delay
-	// multiplier (0 = 4): slow workers spin SlowFactor× the grain.
-	SlowFactor float64 `json:"slow_factor,omitempty"`
-	// Windows is the locality scenario's locality-window sweep (0 =
-	// runtime default, negative = locality off; empty = [-1, 0]).
-	Windows []int `json:"windows,omitempty"`
-	// PayloadKB is the locality and topology scenarios' per-chain payload
-	// size in KiB (0 = 32).
-	PayloadKB int `json:"payload_kb,omitempty"`
-	// Domains is the topology scenario's memory-domain count for the
-	// domain-aware variant (0 = 2).
-	Domains int `json:"domains,omitempty"`
-	// PairRounds is the locality and topology scenarios' paired-round
-	// count (0 = 3); speedups are medians of per-round paired ratios.
-	PairRounds int `json:"pair_rounds,omitempty"`
-	// Seed makes the random dependence streams reproducible.
-	Seed int64 `json:"seed"`
-}
-
 type experiment struct{}
 
 func init() { raa.Register(experiment{}) }
@@ -69,7 +24,7 @@ func (experiment) Aliases() []string { return []string{"tput"} }
 func (experiment) Volatile() bool { return true }
 
 func (experiment) DefaultSpec() raa.Spec {
-	return Spec{
+	return Config{
 		Shards:    []int{1, 4, 16, 64},
 		Tasks:     40000,
 		Workers:   8,
@@ -82,7 +37,7 @@ func (experiment) DefaultSpec() raa.Spec {
 }
 
 func (experiment) QuickSpec() raa.Spec {
-	return Spec{
+	return Config{
 		Schedulers: []string{"worksteal"},
 		Shards:     []int{1, 8},
 		Tasks:      3000,
@@ -96,35 +51,17 @@ func (experiment) QuickSpec() raa.Spec {
 }
 
 func (e experiment) Run(ctx context.Context, spec raa.Spec) (*raa.Result, error) {
-	s, ok := spec.(Spec)
+	cfg, ok := spec.(Config)
 	if !ok {
-		return nil, fmt.Errorf("throughput: spec type %T, want throughput.Spec", spec)
+		return nil, fmt.Errorf("throughput: spec type %T, want throughput.Config", spec)
 	}
-	pts, err := Run(ctx, Config{
-		Scenarios:   s.Scenarios,
-		Schedulers:  s.Schedulers,
-		Shards:      s.Shards,
-		Tasks:       s.Tasks,
-		Workers:     s.Workers,
-		Producers:   s.Producers,
-		Batch:       s.Batch,
-		Grain:       s.Grain,
-		Keys:        s.Keys,
-		Rounds:      s.Rounds,
-		FastWorkers: s.FastWorkers,
-		SlowFactor:  s.SlowFactor,
-		Windows:     s.Windows,
-		PayloadKB:   s.PayloadKB,
-		Domains:     s.Domains,
-		PairRounds:  s.PairRounds,
-		Seed:        s.Seed,
-	})
+	pts, err := Run(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
 	res := &raa.Result{
 		Experiment: e.Name(),
-		Spec:       s,
+		Spec:       cfg,
 		Metrics:    map[string]float64{},
 		Tables:     []*stats.Table{Table(pts)},
 	}
@@ -153,18 +90,21 @@ func (e experiment) Run(ctx context.Context, spec raa.Spec) (*raa.Result, error)
 		// Executed is deterministic: it must always equal the task count,
 		// whatever the sharding and batching did.
 		res.Metrics[key+"_executed"] = float64(p.Executed)
-		if p.Scenario == ScenarioHetero {
+		switch p.Scenario {
+		case ScenarioHetero:
 			// The placement verdict: what fraction of the critical chain
 			// ran on the fast worker class.
 			res.Metrics[key+"_crit_on_fast"] = p.CritOnFast
-		}
-		if p.Scenario == ScenarioLocality || p.Scenario == ScenarioTopology {
+		case ScenarioLocality, ScenarioTopology, ScenarioAdaptive, ScenarioChaos:
 			res.Metrics[key+"_ns_per_task"] = p.NsPerTask
-			if p.Speedup > 0 {
-				// The drift-cancelled verdict: median of per-round paired
-				// ratios over this cell's baseline arm.
-				res.Metrics[key+"_speedup"] = p.Speedup
-			}
+		}
+		if p.Speedup > 0 {
+			// The drift-cancelled verdict of a paired scenario's non-baseline
+			// arm: the median of per-round ratios against its baseline, and
+			// its spread. On the adaptive arm it is the minimum over the
+			// static arms — > 1 means the controller beat every one of them.
+			res.Metrics[key+"_speedup"] = p.Speedup
+			res.Metrics[key+"_speedup_iqr"] = p.Ratio.IQR()
 		}
 		if p.Scenario == ScenarioTopology {
 			// Cross-domain traffic is the topology scenario's first-class
@@ -172,33 +112,20 @@ func (e experiment) Run(ctx context.Context, spec raa.Spec) (*raa.Result, error)
 			// a memory-domain boundary.
 			res.Metrics[key+"_cross_domain_frac"] = p.CrossDomainFrac
 		}
-		if p.Scenario == ScenarioAdaptive {
-			res.Metrics[key+"_ns_per_task"] = p.NsPerTask
-			if p.Speedup > 0 {
-				// The adaptive verdict: the minimum over the static arms of
-				// the median per-round paired ratio — > 1 means the
-				// controller beat every static configuration.
-				res.Metrics[key+"_speedup"] = p.Speedup
-			}
-			if p.AdaptiveDecisions > 0 {
-				res.Metrics[key+"_decisions"] = float64(p.AdaptiveDecisions)
-			}
+		if p.AdaptiveDecisions > 0 {
+			res.Metrics[key+"_decisions"] = float64(p.AdaptiveDecisions)
 		}
-		if p.Scenario == ScenarioChaos {
-			res.Metrics[key+"_ns_per_task"] = p.NsPerTask
-			if p.Faulty {
-				// The robustness verdict pair: how much the fault schedule
-				// cost (median of per-round faulty/clean elapsed ratios) and
-				// whether every submitted task reached exactly one terminal
-				// state (1.0 is the only acceptable survival).
-				res.Metrics[key+"_chaos_overhead"] = p.ChaosOverhead
-				res.Metrics[key+"_chaos_survival"] = p.ChaosSurvival
-			}
+		if p.Faulty {
+			// The robustness verdict pair: how much the fault schedule cost
+			// (median of per-round faulty/clean elapsed ratios, and its
+			// spread) and whether every submitted task reached exactly one
+			// terminal state (1.0 is the only acceptable survival).
+			res.Metrics[key+"_chaos_overhead"] = p.ChaosOverhead
+			res.Metrics[key+"_chaos_overhead_iqr"] = p.Ratio.IQR()
+			res.Metrics[key+"_chaos_survival"] = p.ChaosSurvival
 		}
 	}
-	for _, n := range summarize(pts) {
-		res.Notes = append(res.Notes, n)
-	}
+	res.Notes = summarize(pts)
 	return res, nil
 }
 
@@ -350,8 +277,19 @@ func chaosNotes(pts []Point) []string {
 		return nil
 	}
 	return []string{fmt.Sprintf(
-		"chaos: survival %.3f across faulty cells; worst fault-load overhead %.2fx vs the clean arm (%s/%s, median of paired rounds)",
-		survival, worst.ChaosOverhead, worst.Scheduler, worst.Mode)}
+		"chaos: survival %.3f across faulty cells; worst fault-load overhead vs the clean arm: %v (%s/%s)",
+		survival, worst.Ratio, worst.Scheduler, worst.Mode)}
+}
+
+// bestSpeedup returns the scenario's non-baseline cell with the largest
+// paired speedup; ok is false when the sweep holds none.
+func bestSpeedup(pts []Point, scenario string) (best Point, ok bool) {
+	for _, p := range pts {
+		if p.Scenario == scenario && p.Speedup > best.Speedup {
+			best = p
+		}
+	}
+	return best, best.Speedup > 0
 }
 
 // adaptiveNotes summarises the adaptive scenario: the controller arm's
@@ -359,54 +297,39 @@ func chaosNotes(pts []Point) []string {
 // minimum over arms of the median per-round ratio) and how many policy
 // decisions produced it.
 func adaptiveNotes(pts []Point) []string {
-	var best Point
-	for _, p := range pts {
-		if p.Scenario == ScenarioAdaptive && p.Speedup > best.Speedup {
-			best = p
-		}
-	}
-	if best.Speedup <= 0 {
+	best, ok := bestSpeedup(pts, ScenarioAdaptive)
+	if !ok {
 		return nil
 	}
 	return []string{fmt.Sprintf(
-		"adaptive: the monitor→reason→adapt controller beat every static arm by ≥ %.2fx (median of paired rounds; %s mode, %d decisions applied)",
-		best.Speedup, best.Mode, best.AdaptiveDecisions)}
+		"adaptive: the monitor→reason→adapt controller vs the best static arm: %v (%s mode, %d decisions applied)",
+		best.Ratio, best.Mode, best.AdaptiveDecisions)}
 }
 
 // localityNotes summarises the locality scenario: the best locality-on
-// cell's drift-cancelled speedup (the median of per-round paired ratios —
-// Point.Speedup) over its locality-off baseline, with the ns/task view.
+// cell's drift-cancelled speedup over its locality-off baseline, with the
+// ns/task view.
 func localityNotes(pts []Point) []string {
-	var best Point
-	for _, p := range pts {
-		if p.Scenario == ScenarioLocality && p.Speedup > best.Speedup {
-			best = p
-		}
-	}
-	if best.Speedup <= 0 {
+	best, ok := bestSpeedup(pts, ScenarioLocality)
+	if !ok {
 		return nil
 	}
 	return []string{fmt.Sprintf(
-		"locality: worker-local successor placement %.2fx over the injector baseline (median of paired rounds; %s/%s, %.0f ns/task)",
-		best.Speedup, best.Scheduler, best.Mode, best.NsPerTask)}
+		"locality: worker-local successor placement vs the injector baseline: %v (%s/%s, %.0f ns/task)",
+		best.Ratio, best.Scheduler, best.Mode, best.NsPerTask)}
 }
 
 // topologyNotes summarises the topology scenario: the best domain-aware
 // cell's drift-cancelled speedup over the flat single-domain baseline,
 // plus how much of its traffic stayed inside a domain.
 func topologyNotes(pts []Point) []string {
-	var best Point
-	for _, p := range pts {
-		if p.Scenario == ScenarioTopology && p.Domains > 1 && p.Speedup > best.Speedup {
-			best = p
-		}
-	}
-	if best.Speedup <= 0 {
+	best, ok := bestSpeedup(pts, ScenarioTopology)
+	if !ok {
 		return nil
 	}
 	return []string{fmt.Sprintf(
-		"topology: %d-domain hierarchy-aware placement %.2fx over the flat baseline (median of paired rounds; %s/%s, %.1f%% of dispatches crossed a domain)",
-		best.Domains, best.Speedup, best.Scheduler, best.Mode, best.CrossDomainFrac*100)}
+		"topology: %d-domain hierarchy-aware placement vs the flat baseline: %v (%s/%s, %.1f%% of dispatches crossed a domain)",
+		best.Domains, best.Ratio, best.Scheduler, best.Mode, best.CrossDomainFrac*100)}
 }
 
 // heteroNotes summarises the hetero scenario's placement story: per

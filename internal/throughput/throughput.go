@@ -12,19 +12,41 @@
 // from class-blind scheduling — slow workers simulate their speed deficit
 // by spinning proportionally longer, and each cell reports which class ran
 // the chain (Point.CritOnFast).
+//
+// Every run, whatever the scenario, is one leg (leg.run): a fresh runtime,
+// the scenario's submissions, WaitCtx, a counter snapshot, Shutdown, and an
+// audit that every submitted task reached a terminal state.
+//
+// Every ratio the package reports — locality on/off, domain-aware/flat,
+// adaptive/static, faulty/clean — comes from one driver, pairedRounds. Its
+// contract: the task count is split exactly over the rounds (Config.PairRounds,
+// default 3, shrunk so no round holds fewer than two tasks) and each round's
+// share over two legs per arm; a round runs the arms forward then in reverse
+// (arm 0…k, then k…0 — a palindrome, so every arm's legs share one mean
+// timestamp and drift that is linear over the round cancels in the round's
+// ratio); each round yields one ratio per non-baseline arm against the
+// scenario's named baseline arm, baseline÷arm elapsed where the scenario
+// reports a speedup and arm÷baseline where it reports an overhead; the
+// verdict is the median of those per-round ratios, reported with its
+// quartiles and round count (PairedRatio). The baseline arms are: the first
+// locality-off window (locality), the flat single-domain pool (topology),
+// the adaptive arm itself (adaptive — each static arm's static÷adaptive
+// ratio is taken and the smallest median is the verdict) and the clean arm
+// (chaos).
+//
+// This package is the exploratory sweep; the numbers a change is gated on
+// come from the repo benchmark under benchmark/.
 package throughput
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/runtime"
 )
 
@@ -149,7 +171,7 @@ const (
 // resident.
 const defaultPayloadKB = 32
 
-// Paired-measurement defaults (ScenarioLocality and ScenarioTopology).
+// Paired-measurement defaults.
 const (
 	// defaultPairRounds is the paired-round count when Config.PairRounds is
 	// unset: each round runs every variant twice in palindrome order, and
@@ -161,81 +183,63 @@ const (
 	defaultTopologyDomains = 2
 )
 
-// ScenarioChaos's fault schedule and fault-tolerance knobs. The rates sum
-// to 4% of bodies faulted; the stall is longer than the deadline some
-// tasks carry, so all three failure classes (panic, error, deadline
-// overrun) fire in every faulty leg.
-const (
-	chaosPanicRate   = 0.01
-	chaosErrorRate   = 0.02
-	chaosDelayRate   = 0.01
-	chaosStickyRate  = 0.25
-	chaosDelayStall  = 200 * time.Microsecond
-	chaosDeadline    = 100 * time.Microsecond
-	chaosRetryMax    = 2
-	chaosBackoff     = 50 * time.Microsecond
-	chaosMaxBackoff  = 500 * time.Microsecond
-	chaosChainStride = 4 // every 4th task joins a dependence chain
-	chaosDeadlineMod = 4 // every 4th task (offset 1) carries a deadline
-)
-
 // Scenarios lists every scenario in presentation order.
 func Scenarios() []string {
 	return []string{ScenarioParallel, ScenarioFanOut, ScenarioChain, ScenarioRandom, ScenarioSteal, ScenarioLongRun, ScenarioHetero, ScenarioLocality, ScenarioTopology, ScenarioAdaptive, ScenarioChaos}
 }
 
-// Config parameterises a sweep.
+// Config parameterises a sweep. It is also the spec of the registered
+// "throughput" experiment: the JSON names are the -spec wire names.
 type Config struct {
-	// Scenarios, Schedulers and Shards are the sweep axes.
-	Scenarios  []string
-	Schedulers []string
-	Shards     []int
+	// Scenarios, Schedulers and Shards are the sweep axes (empty Scenarios
+	// or Schedulers = all; Shards 0 = auto-size).
+	Scenarios  []string `json:"scenarios,omitempty"`
+	Schedulers []string `json:"schedulers,omitempty"`
+	Shards     []int    `json:"shards"`
 	// Tasks is the task count per run.
-	Tasks int
+	Tasks int `json:"tasks"`
 	// Workers is the pool size.
-	Workers int
+	Workers int `json:"workers"`
 	// Producers is the number of concurrent submitting goroutines.
-	Producers int
+	Producers int `json:"producers"`
 	// Batch, when > 1, additionally measures SubmitBatch in chunks of
 	// this size alongside the per-task Submit mode.
-	Batch int
+	Batch int `json:"batch"`
 	// Grain is the spin-work iterations per task body (0 = empty body).
-	Grain int
+	Grain int `json:"grain"`
 	// Keys is the key-space size for ScenarioRandom.
-	Keys int
+	Keys int `json:"keys"`
 	// Rounds is the submit→Wait round count for ScenarioLongRun
 	// (default 8).
-	Rounds int
+	Rounds int `json:"rounds,omitempty"`
 	// FastWorkers is the fast-class pool size of ScenarioHetero; the
 	// remaining Workers form the slow class, and the total always equals
 	// Workers (so hetero cells compare against the other scenarios').
 	// 0 defaults to a quarter of the pool; the value is clamped to
 	// [1, Workers-1] so at least one worker of each class exists
 	// (a single-worker pool keeps just the fast class).
-	FastWorkers int
+	FastWorkers int `json:"fast_workers,omitempty"`
 	// SlowFactor is ScenarioHetero's simulated asymmetry: slow-class
 	// workers spin SlowFactor× the nominal grain per task (their class
 	// speed is 1/SlowFactor). 0 defaults to 4.
-	SlowFactor float64
+	SlowFactor float64 `json:"slow_factor,omitempty"`
 	// Windows is ScenarioLocality's sweep axis: the locality-window values
 	// to run the scenario under. 0 means the runtime default window,
 	// negative disables the worker-local path (the central-injector
 	// baseline). Empty defaults to [-1, 0] — locality off vs on. Other
 	// scenarios always run at the runtime default.
-	Windows []int
+	Windows []int `json:"windows,omitempty"`
 	// PayloadKB is ScenarioLocality's and ScenarioTopology's per-chain
 	// payload size in KiB (0 = 32, one L1d worth).
-	PayloadKB int
+	PayloadKB int `json:"payload_kb,omitempty"`
 	// Domains is ScenarioTopology's memory-domain count for the
 	// domain-aware variant (0 = 2); clamped to [1, Workers].
-	Domains int
-	// PairRounds is the paired-round count of the locality and topology
-	// scenarios' drift-cancelling measurement (0 = 3). Each round runs
-	// every variant twice, in palindrome order, and the reported speedup
-	// is the median of the per-round baseline/variant ratios.
-	PairRounds int
+	Domains int `json:"domains,omitempty"`
+	// PairRounds is the round count of the paired scenarios (locality,
+	// topology, adaptive, chaos; 0 = 3) — see pairedRounds.
+	PairRounds int `json:"pair_rounds,omitempty"`
 	// Seed makes the random-DAG dependence streams reproducible.
-	Seed int64
+	Seed int64 `json:"seed"`
 }
 
 // Point is one measured run of the sweep.
@@ -270,6 +274,10 @@ type Point struct {
 	// the median of per-round ratios. 0 on baseline cells and on scenarios
 	// that are not measured in paired rounds.
 	Speedup float64
+	// Ratio is the driver's full verdict behind Speedup or ChaosOverhead:
+	// the same median with its quartiles and round count. Zero wherever
+	// those are.
+	Ratio PairedRatio
 	// CrossDomainFrac is the fraction of this cell's pool-released
 	// dispatches that crossed a memory-domain boundary (ScenarioTopology
 	// only; 0 by definition on the single-domain baseline).
@@ -295,10 +303,26 @@ type Point struct {
 	ChaosSurvival float64
 }
 
+// newPoint builds a Point from a cell's identity and its measured totals.
+func newPoint(scenario, sched, mode string, shards, tasks int, elapsed time.Duration, executed uint64) Point {
+	return Point{
+		Scenario:    scenario,
+		Scheduler:   sched,
+		Shards:      shards,
+		Mode:        mode,
+		Tasks:       tasks,
+		Elapsed:     elapsed,
+		TasksPerSec: float64(tasks) / elapsed.Seconds(),
+		NsPerTask:   float64(elapsed.Nanoseconds()) / float64(tasks),
+		Executed:    executed,
+	}
+}
+
 // sink defeats dead-code elimination of the spin bodies.
 var sink uint64
 
-// Run executes the sweep. Cancellation is observed between runs.
+// Run executes the sweep. Every scenario and scheduler name is validated
+// before the first runtime is built; cancellation is observed between runs.
 func Run(ctx context.Context, cfg Config) ([]Point, error) {
 	if cfg.Tasks <= 0 {
 		return nil, fmt.Errorf("throughput: non-positive task count %d", cfg.Tasks)
@@ -312,6 +336,19 @@ func Run(ctx context.Context, cfg Config) ([]Point, error) {
 	if len(cfg.Schedulers) == 0 {
 		cfg.Schedulers = runtime.SchedulerNames()
 	}
+	for _, scenario := range cfg.Scenarios {
+		if !slices.Contains(Scenarios(), scenario) {
+			return nil, fmt.Errorf("throughput: unknown scenario %q (valid: %v)", scenario, Scenarios())
+		}
+	}
+	kinds := make([]runtime.SchedulerKind, len(cfg.Schedulers))
+	for i, name := range cfg.Schedulers {
+		kind, err := runtime.SchedulerByName(name)
+		if err != nil {
+			return nil, fmt.Errorf("throughput: %w", err)
+		}
+		kinds[i] = kind
+	}
 	if len(cfg.Shards) == 0 {
 		cfg.Shards = []int{1, 0}
 	}
@@ -319,11 +356,8 @@ func Run(ctx context.Context, cfg Config) ([]Point, error) {
 	// clamping) — dedupe on the resolved value so sweep cells and metric
 	// keys never silently overwrite each other.
 	shardCounts := make([]int, 0, len(cfg.Shards))
-	seenShards := map[int]bool{}
 	for _, s := range cfg.Shards {
-		rs := runtime.ResolveShards(s)
-		if !seenShards[rs] {
-			seenShards[rs] = true
+		if rs := runtime.ResolveShards(s); !slices.Contains(shardCounts, rs) {
 			shardCounts = append(shardCounts, rs)
 		}
 	}
@@ -336,67 +370,42 @@ func Run(ctx context.Context, cfg Config) ([]Point, error) {
 		modes = append(modes, "batch")
 	}
 	var out []Point
-	// One Stats buffer for the whole sweep: finishPoint samples counters
+	// One Stats buffer for the whole sweep: every leg samples counters
 	// through StatsInto, so per-cell reporting reuses these slices.
 	var st runtime.Stats
 	for _, scenario := range cfg.Scenarios {
-		if err := validScenario(scenario); err != nil {
-			return nil, err
-		}
 		// The adaptive scenario's arms are scheduler configurations, so it
-		// skips the scheduler axis and runs once per (shards, mode) cell.
+		// runs once per (shards, mode) cell, not once per swept scheduler.
+		cellKinds := kinds
 		if scenario == ScenarioAdaptive {
+			cellKinds = kinds[:1]
+		}
+		for _, kind := range cellKinds {
 			for _, shards := range cfg.Shards {
 				for _, mode := range modes {
 					if err := ctx.Err(); err != nil {
 						return nil, err
 					}
-					ps, err := runAdaptive(ctx, shards, mode, cfg, &st)
+					// The paired scenarios compare arms over drift-cancelling
+					// rounds and produce one Point per arm; every other
+					// scenario is a single run.
+					var ps []Point
+					var err error
+					switch scenario {
+					case ScenarioLocality, ScenarioTopology:
+						ps, err = runPaired(ctx, scenario, kind, shards, mode, cfg, &st)
+					case ScenarioAdaptive:
+						ps, err = runAdaptive(ctx, shards, mode, cfg, &st)
+					case ScenarioChaos:
+						ps, err = runChaos(ctx, kind, shards, mode, cfg, &st)
+					default:
+						ps = make([]Point, 1)
+						ps[0], err = runOne(ctx, scenario, kind, shards, mode, cfg, &st)
+					}
 					if err != nil {
 						return nil, err
 					}
 					out = append(out, ps...)
-				}
-			}
-			continue
-		}
-		for _, schedName := range cfg.Schedulers {
-			kind, err := runtime.SchedulerByName(schedName)
-			if err != nil {
-				return nil, fmt.Errorf("throughput: %w", err)
-			}
-			for _, shards := range cfg.Shards {
-				for _, mode := range modes {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					// The locality and topology scenarios compare variants
-					// (window off/on, flat/domain-aware) and are measured as
-					// drift-cancelling paired rounds producing one Point per
-					// variant; every other scenario is a single run.
-					if scenario == ScenarioLocality || scenario == ScenarioTopology {
-						ps, err := runPaired(ctx, scenario, kind, shards, mode, cfg, &st)
-						if err != nil {
-							return nil, err
-						}
-						out = append(out, ps...)
-						continue
-					}
-					// The chaos scenario compares a clean arm against a
-					// fault-injected arm, also as paired rounds.
-					if scenario == ScenarioChaos {
-						ps, err := runChaos(ctx, kind, shards, mode, cfg, &st)
-						if err != nil {
-							return nil, err
-						}
-						out = append(out, ps...)
-						continue
-					}
-					p, err := runOne(ctx, scenario, kind, shards, mode, cfg, &st)
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, p)
 				}
 			}
 		}
@@ -404,50 +413,100 @@ func Run(ctx context.Context, cfg Config) ([]Point, error) {
 	return out, nil
 }
 
-func validScenario(name string) error {
-	for _, s := range Scenarios() {
-		if s == name {
-			return nil
-		}
-	}
-	return fmt.Errorf("throughput: unknown scenario %q (valid: %v)", name, Scenarios())
+// leg is one measured run on a fresh runtime — the unit every scenario,
+// single-run or paired, is built from.
+type leg struct {
+	// label names the cell ("scenario/scheduler") in the audit error.
+	label string
+	mode  string
+	// tasks is the number of submissions the audit must account for.
+	tasks int
+	opts  []runtime.Option
+	// submit drives the leg's whole workload; it may wait between phases.
+	// The leg's final WaitCtx follows it.
+	submit func(rt *runtime.Runtime) error
+	// tolerate is set only on fault-load legs: task errors from the final
+	// WaitCtx that it accepts are the workload behaving as specified, and
+	// skipped tasks count as terminal in the audit.
+	tolerate func(error) bool
 }
 
-// runOne measures one (scenario, scheduler, shards, mode) cell.
-func runOne(ctx context.Context, scenario string, kind runtime.SchedulerKind, shards int, mode string, cfg Config, st *runtime.Stats) (Point, error) {
-	if scenario == ScenarioLongRun {
-		return runLongRun(ctx, kind, shards, mode, cfg, st)
+// run executes the leg: runtime.New → submit → WaitCtx → StatsInto →
+// Shutdown → lost-task audit. The elapsed time covers submission through
+// Wait. The counter snapshot is left in st (the sweep's shared buffer, so
+// reporting allocates nothing) for the caller to read scenario-specific
+// counters from; shards is the resolved shard count the runtime used.
+func (l leg) run(ctx context.Context, st *runtime.Stats) (elapsed time.Duration, shards int, err error) {
+	rt := runtime.New(l.opts...)
+	defer rt.Shutdown()
+	start := time.Now()
+	if err := l.submit(rt); err != nil {
+		return 0, 0, err
 	}
-	if scenario == ScenarioHetero {
-		return runHetero(ctx, kind, shards, mode, cfg, st)
+	// WaitCtx drains fully before surfacing task errors, so a tolerated
+	// error still leaves every task terminal.
+	if err := rt.WaitCtx(ctx); err != nil && (ctx.Err() != nil || l.tolerate == nil || !l.tolerate(err)) {
+		return 0, 0, err
 	}
-	rt := runtime.New(
+	elapsed = time.Since(start)
+	rt.StatsInto(st)
+	shards = rt.Shards()
+	// Exactly one terminal state per submission: executed (terminally
+	// failed included) or, under a fault load only, skipped.
+	terminal := st.Executed
+	if l.tolerate != nil {
+		terminal += st.Skipped
+	}
+	if terminal != uint64(l.tasks) {
+		return 0, 0, fmt.Errorf("throughput: %s shards=%d %s lost tasks: executed %d, skipped %d of %d",
+			l.label, shards, l.mode, st.Executed, st.Skipped, l.tasks)
+	}
+	return elapsed, shards, nil
+}
+
+// poolOpts is the plain pool every homogeneous scenario runs on.
+func poolOpts(cfg Config, kind runtime.SchedulerKind, shards int) []runtime.Option {
+	return []runtime.Option{
 		runtime.WithWorkers(cfg.Workers),
 		runtime.WithScheduler(kind),
 		runtime.WithShards(shards),
-	)
-	body := taskBody(cfg.Grain)
+	}
+}
 
-	start := time.Now()
-	// ScenarioFanOut's root must be tracked before any reader registers,
-	// so it is submitted ahead of the producers.
-	submitted := 0
-	if scenario == ScenarioFanOut {
-		if _, err := rt.SubmitCtx(ctx, "root", 1, body, runtime.Out("fan-root")); err != nil {
-			rt.Shutdown()
-			return Point{}, err
+// runOne measures one single-run (scenario, scheduler, shards, mode) cell.
+func runOne(ctx context.Context, scenario string, kind runtime.SchedulerKind, shards int, mode string, cfg Config, st *runtime.Stats) (Point, error) {
+	l := leg{label: scenario + "/" + kind.String(), mode: mode, tasks: cfg.Tasks, opts: poolOpts(cfg, kind, shards)}
+	body := taskBody(cfg.Grain)
+	var critOnFast func() float64
+	switch scenario {
+	case ScenarioLongRun:
+		l.submit = func(rt *runtime.Runtime) error { return submitLongRun(ctx, rt, mode, body, cfg) }
+	case ScenarioHetero:
+		l.opts = heteroOpts(cfg, shards, runtime.WithScheduler(kind))
+		l.submit, critOnFast = heteroWorkload(ctx, mode, cfg)
+	case ScenarioFanOut:
+		// The root must be tracked before any reader registers, so it is
+		// submitted ahead of the producers.
+		l.submit = func(rt *runtime.Runtime) error {
+			if _, err := rt.SubmitCtx(ctx, "root", 1, body, runtime.Out("fan-root")); err != nil {
+				return err
+			}
+			return submitWave(ctx, rt, scenario, mode, cfg.Tasks-1, body, cfg)
 		}
-		submitted++
+	default:
+		l.submit = func(rt *runtime.Runtime) error {
+			return submitWave(ctx, rt, scenario, mode, cfg.Tasks, body, cfg)
+		}
 	}
-	if err := submitWave(ctx, rt, scenario, mode, cfg.Tasks-submitted, body, cfg); err != nil {
-		rt.Shutdown()
+	elapsed, resolved, err := l.run(ctx, st)
+	if err != nil {
 		return Point{}, err
 	}
-	if err := rt.WaitCtx(ctx); err != nil {
-		rt.Shutdown()
-		return Point{}, err
+	p := newPoint(scenario, kind.String(), mode, resolved, cfg.Tasks, elapsed, st.Executed)
+	if critOnFast != nil {
+		p.CritOnFast = critOnFast()
 	}
-	return finishPoint(rt, scenario, kind, mode, cfg, start, st)
+	return p, nil
 }
 
 // submitWave fans n tasks of the scenario out over cfg.Producers concurrent
@@ -480,43 +539,11 @@ func submitWave(ctx context.Context, rt *runtime.Runtime, scenario, mode string,
 	return nil
 }
 
-// finishPoint stops the runtime, audits the executed count against the
-// configured task count, and builds the measured Point. The counter
-// snapshot goes through StatsInto into the sweep's shared buffer, so the
-// per-cell reporting loop allocates nothing.
-func finishPoint(rt *runtime.Runtime, scenario string, kind runtime.SchedulerKind, mode string, cfg Config, start time.Time, st *runtime.Stats) (Point, error) {
-	elapsed := time.Since(start)
-	rt.StatsInto(st)
-	resolved := rt.Shards()
-	rt.Shutdown()
-	if st.Executed != uint64(cfg.Tasks) {
-		return Point{}, fmt.Errorf("throughput: %s/%s shards=%d %s lost tasks: executed %d of %d",
-			scenario, kind, resolved, mode, st.Executed, cfg.Tasks)
-	}
-	return Point{
-		Scenario:    scenario,
-		Scheduler:   kind.String(),
-		Shards:      resolved,
-		Mode:        mode,
-		Tasks:       cfg.Tasks,
-		Elapsed:     elapsed,
-		TasksPerSec: float64(cfg.Tasks) / elapsed.Seconds(),
-		NsPerTask:   float64(elapsed.Nanoseconds()) / float64(cfg.Tasks),
-		Executed:    st.Executed,
-	}, nil
-}
-
-// runLongRun measures the ScenarioLongRun cell: one runtime serves Rounds
+// submitLongRun is ScenarioLongRun's workload: one runtime serves Rounds
 // consecutive submit→Wait rounds of dependence-free tasks, so the measured
 // rate includes repeated pool drain/park/wake cycles — the steady state of
 // a long-lived service, not a one-shot burst.
-func runLongRun(ctx context.Context, kind runtime.SchedulerKind, shards int, mode string, cfg Config, st *runtime.Stats) (Point, error) {
-	rt := runtime.New(
-		runtime.WithWorkers(cfg.Workers),
-		runtime.WithScheduler(kind),
-		runtime.WithShards(shards),
-	)
-	body := taskBody(cfg.Grain)
+func submitLongRun(ctx context.Context, rt *runtime.Runtime, mode string, body runtime.Body, cfg Config) error {
 	rounds := cfg.Rounds
 	if rounds <= 0 {
 		rounds = defaultRounds
@@ -524,26 +551,19 @@ func runLongRun(ctx context.Context, kind runtime.SchedulerKind, shards int, mod
 	if rounds > cfg.Tasks {
 		rounds = cfg.Tasks
 	}
-
-	start := time.Now()
-	submitted := 0
+	remaining := cfg.Tasks
 	for round := 0; round < rounds; round++ {
 		// Spread the remaining tasks evenly over the remaining rounds.
-		n := (cfg.Tasks - submitted) / (rounds - round)
-		if round == rounds-1 {
-			n = cfg.Tasks - submitted
-		}
+		n := remaining / (rounds - round)
+		remaining -= n
 		if err := submitWave(ctx, rt, ScenarioParallel, mode, n, body, cfg); err != nil {
-			rt.Shutdown()
-			return Point{}, err
+			return err
 		}
 		if err := rt.WaitCtx(ctx); err != nil {
-			rt.Shutdown()
-			return Point{}, err
+			return err
 		}
-		submitted += n
 	}
-	return finishPoint(rt, ScenarioLongRun, kind, mode, cfg, start, st)
+	return nil
 }
 
 // heteroPool resolves ScenarioHetero's class split from the Config. The
@@ -570,639 +590,108 @@ func heteroPool(cfg Config) (fast, slow int, factor float64) {
 	return fast, slow, factor
 }
 
-// runHetero measures the ScenarioHetero cell: a chain-plus-fanout DAG on a
-// heterogeneous pool. Chain links are InOut on one key with a bottom-level
-// priority hint (remaining chain length); each link also writes a group
-// key that heteroFan plain readers hang off, so slow workers always have
-// non-critical work while the chain drains. Task bodies read their
-// placement back from the runtime and spin grain/speed iterations — the
-// simulated slow-class delay — and chain bodies record which class ran
-// them (Point.CritOnFast).
-func runHetero(ctx context.Context, kind runtime.SchedulerKind, shards int, mode string, cfg Config, st *runtime.Stats) (Point, error) {
+// heteroOpts is the asymmetric fast+slow pool ScenarioHetero and
+// ScenarioAdaptive run on, plus the arm-specific extras.
+func heteroOpts(cfg Config, shards int, extra ...runtime.Option) []runtime.Option {
 	fast, slow, factor := heteroPool(cfg)
-	rt := runtime.New(
+	return append([]runtime.Option{
 		runtime.WithWorkerClasses(
 			runtime.WorkerClass{Name: "fast", Count: fast, Speed: 1},
 			runtime.WorkerClass{Name: "slow", Count: slow, Speed: 1 / factor},
 		),
-		runtime.WithScheduler(kind),
 		runtime.WithShards(shards),
-	)
+	}, extra...)
+}
+
+// scaledBody simulates the pool's asymmetry: the body reads its placement
+// back from the runtime and spins grain/speed iterations, so a slow-class
+// worker holds the task SlowFactor× longer.
+func scaledBody(grain int) runtime.Body {
+	return func(ctx context.Context) error {
+		speed := 1.0
+		if pl, ok := runtime.TaskPlacement(ctx); ok {
+			speed = pl.Speed
+		}
+		x := uint64(grain)
+		for i := 0; i < int(float64(grain)/speed); i++ {
+			x = x*1664525 + 1013904223
+		}
+		atomic.AddUint64(&sink, x)
+		return nil
+	}
+}
+
+// heteroWorkload builds ScenarioHetero's submissions: a chain-plus-fanout
+// DAG. Chain links are InOut on one key with a bottom-level priority hint
+// (remaining chain length); each link also writes a group key that
+// heteroFan plain readers hang off, so slow workers always have
+// non-critical work while the chain drains. Bodies are speed-scaled
+// (scaledBody), and chain bodies record which class ran them — critOnFast
+// reports that fraction once the leg has drained (Point.CritOnFast).
+func heteroWorkload(ctx context.Context, mode string, cfg Config) (submit func(*runtime.Runtime) error, critOnFast func() float64) {
 	grain := cfg.Grain
 	if grain <= 0 {
 		grain = defaultHeteroGrain
 	}
-	var critTotal, critOnFast int64
-	body := func(ctx context.Context) error {
-		speed := 1.0
-		if pl, ok := runtime.TaskPlacement(ctx); ok {
-			speed = pl.Speed
-		}
-		x := uint64(grain)
-		for i := 0; i < int(float64(grain)/speed); i++ {
-			x = x*1664525 + 1013904223
-		}
-		atomic.AddUint64(&sink, x)
-		return nil
-	}
+	var critTotal, critFast atomic.Int64
+	body := scaledBody(grain)
 	chainBody := func(ctx context.Context) error {
-		atomic.AddInt64(&critTotal, 1)
+		critTotal.Add(1)
 		if pl, ok := runtime.TaskPlacement(ctx); ok && pl.Class == 0 {
-			atomic.AddInt64(&critOnFast, 1)
+			critFast.Add(1)
 		}
 		return body(ctx)
 	}
-	groups := cfg.Tasks / (heteroFan + 1)
-	if groups < 1 {
-		groups = 1
-	}
-
-	start := time.Now()
-	submitted := 0
-	for g := 0; g < groups; g++ {
-		// The last group absorbs the remainder so exactly cfg.Tasks tasks
-		// are submitted whatever the rounding.
-		fan := heteroFan
-		if g == groups-1 {
-			fan = cfg.Tasks - submitted - (groups - g)
-		}
-		specs := make([]runtime.TaskSpec, 0, fan+1)
-		specs = append(specs, runtime.TaskSpec{
-			Name: "chain", Cost: 1, Priority: groups - g, Body: chainBody,
-			Deps: []runtime.Dep{runtime.InOut("chain"), runtime.Out(int64(g))},
-		})
-		for f := 0; f < fan; f++ {
+	groups := max(cfg.Tasks/(heteroFan+1), 1)
+	submit = func(rt *runtime.Runtime) error {
+		submitted := 0
+		for g := 0; g < groups; g++ {
+			// The last group absorbs the remainder so exactly cfg.Tasks tasks
+			// are submitted whatever the rounding.
+			fan := heteroFan
+			if g == groups-1 {
+				fan = cfg.Tasks - submitted - (groups - g)
+			}
+			specs := make([]runtime.TaskSpec, 0, fan+1)
 			specs = append(specs, runtime.TaskSpec{
-				Name: "fan", Cost: 1, Body: body,
-				Deps: []runtime.Dep{runtime.In(int64(g))},
+				Name: "chain", Cost: 1, Priority: groups - g, Body: chainBody,
+				Deps: []runtime.Dep{runtime.InOut("chain"), runtime.Out(int64(g))},
 			})
-		}
-		submitted += len(specs)
-		if mode == "batch" {
-			if _, err := rt.SubmitBatchCtx(ctx, specs); err != nil {
-				rt.Shutdown()
-				return Point{}, err
+			for f := 0; f < fan; f++ {
+				specs = append(specs, runtime.TaskSpec{
+					Name: "fan", Cost: 1, Body: body,
+					Deps: []runtime.Dep{runtime.In(int64(g))},
+				})
 			}
-			continue
-		}
-		for _, sp := range specs {
-			if _, err := rt.SubmitPriorityCtx(ctx, sp.Name, sp.Cost, sp.Priority, sp.Body, sp.Deps...); err != nil {
-				rt.Shutdown()
-				return Point{}, err
-			}
-		}
-	}
-	if err := rt.WaitCtx(ctx); err != nil {
-		rt.Shutdown()
-		return Point{}, err
-	}
-	p, err := finishPoint(rt, ScenarioHetero, kind, mode, cfg, start, st)
-	if err != nil {
-		return Point{}, err
-	}
-	if n := atomic.LoadInt64(&critTotal); n > 0 {
-		p.CritOnFast = float64(atomic.LoadInt64(&critOnFast)) / float64(n)
-	}
-	return p, nil
-}
-
-// pairedVariant is one arm of a drift-cancelling paired measurement: the
-// runtime options the arm runs under, plus the axis identity (locality
-// window or domain count) of the Point it produces. Exactly one variant of
-// a set is the baseline the others' speedups are taken against.
-type pairedVariant struct {
-	window   int
-	domains  int
-	baseline bool
-	opts     []runtime.Option
-}
-
-// localityVariants builds ScenarioLocality's measurement arms: one per
-// configured locality window (default off-vs-on). The baseline is the
-// first locality-off (negative) window, or the first window when none is
-// disabled.
-func localityVariants(kind runtime.SchedulerKind, shards int, cfg Config) []pairedVariant {
-	wins := cfg.Windows
-	if len(wins) == 0 {
-		wins = []int{-1, 0} // locality off vs on
-	}
-	vs := make([]pairedVariant, 0, len(wins))
-	for _, w := range wins {
-		opts := []runtime.Option{
-			runtime.WithWorkers(cfg.Workers),
-			runtime.WithScheduler(kind),
-			runtime.WithShards(shards),
-		}
-		if w != 0 {
-			opts = append(opts, runtime.WithLocalityWindow(w))
-		}
-		vs = append(vs, pairedVariant{window: w, opts: opts})
-	}
-	base := 0
-	for i := range vs {
-		if vs[i].window < 0 {
-			base = i
-			break
-		}
-	}
-	vs[base].baseline = true
-	return vs
-}
-
-// topologyVariants builds ScenarioTopology's measurement arms: the pool
-// flattened into a single memory domain (the domain-blind baseline, in
-// which every domain-aware path collapses to the flat behaviour) versus
-// the same pool split evenly into cfg.Domains domains.
-func topologyVariants(kind runtime.SchedulerKind, shards int, cfg Config) []pairedVariant {
-	nd := cfg.Domains
-	if nd <= 0 {
-		nd = defaultTopologyDomains
-	}
-	if nd > cfg.Workers {
-		nd = cfg.Workers
-	}
-	doms := make([]runtime.Domain, nd)
-	base, extra := cfg.Workers/nd, cfg.Workers%nd
-	for i := range doms {
-		doms[i].Count = base
-		if i < extra {
-			doms[i].Count++
-		}
-	}
-	common := func(topo ...runtime.Domain) []runtime.Option {
-		return []runtime.Option{
-			runtime.WithWorkers(cfg.Workers),
-			runtime.WithScheduler(kind),
-			runtime.WithShards(shards),
-			runtime.WithTopology(topo...),
-		}
-	}
-	return []pairedVariant{
-		{domains: 1, baseline: true, opts: common(runtime.Domain{Name: "flat", Count: cfg.Workers})},
-		{domains: nd, opts: common(doms...)},
-	}
-}
-
-// runPaired measures ScenarioLocality's or ScenarioTopology's variants as
-// drift-cancelling paired rounds over one (scheduler, shards, mode) cell.
-// Each round runs every variant twice — forward then reverse, a palindrome
-// — on a fresh runtime per leg, so slow machine drift hits all variants
-// symmetrically and cancels in the per-round ratio; the reported Speedup
-// is the median of the per-round baseline/variant elapsed ratios, robust
-// to the occasional disturbed round that made single-pair measurements
-// swing run to run. Points carry the per-variant totals (all legs summed).
-func runPaired(ctx context.Context, scenario string, kind runtime.SchedulerKind, shards int, mode string, cfg Config, st *runtime.Stats) ([]Point, error) {
-	var variants []pairedVariant
-	if scenario == ScenarioTopology {
-		variants = topologyVariants(kind, shards, cfg)
-	} else {
-		variants = localityVariants(kind, shards, cfg)
-	}
-	baseIdx := 0
-	for i := range variants {
-		if variants[i].baseline {
-			baseIdx = i
-		}
-	}
-	rounds := cfg.PairRounds
-	if rounds <= 0 {
-		rounds = defaultPairRounds
-	}
-	// Never spread the workload thinner than one task per leg: tiny task
-	// counts shrink the round count instead of producing empty legs.
-	if maxRounds := cfg.Tasks / 2; rounds > maxRounds {
-		rounds = maxRounds
-	}
-	if rounds < 1 {
-		rounds = 1
-	}
-	chains := cfg.Workers
-	if chains < 1 {
-		chains = 1
-	}
-	payloadKB := cfg.PayloadKB
-	if payloadKB <= 0 {
-		payloadKB = defaultPayloadKB
-	}
-	words := payloadKB * 1024 / 8
-	// One payload and one reusable body per chain, shared by every leg of
-	// every variant so all arms chase identical bytes; the body walks the
-	// whole payload, so a link scheduled away from its producer's cache
-	// pays the full transfer.
-	bodies := make([]runtime.Body, chains)
-	for c := 0; c < chains; c++ {
-		buf := make([]uint64, words)
-		bodies[c] = func(context.Context) error {
-			var acc uint64
-			for i := range buf {
-				buf[i] = buf[i]*1664525 + 1013904223
-				acc += buf[i]
-			}
-			atomic.AddUint64(&sink, acc)
-			return nil
-		}
-	}
-
-	type acc struct {
-		elapsed      time.Duration
-		roundElapsed time.Duration
-		executed     uint64
-		dispatched   uint64
-		cross        uint64
-		ratios       []float64
-	}
-	accs := make([]acc, len(variants))
-	resolved := 0
-	runLeg := func(vi, n int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rt := runtime.New(variants[vi].opts...)
-		start := time.Now()
-		if err := submitChains(ctx, rt, mode, n, chains, bodies); err != nil {
-			rt.Shutdown()
-			return err
-		}
-		if err := rt.WaitCtx(ctx); err != nil {
-			rt.Shutdown()
-			return err
-		}
-		el := time.Since(start)
-		rt.StatsInto(st)
-		resolved = rt.Shards()
-		rt.Shutdown()
-		if st.Executed != uint64(n) {
-			return fmt.Errorf("throughput: %s/%s shards=%d %s lost tasks: executed %d of %d",
-				scenario, kind, resolved, mode, st.Executed, n)
-		}
-		a := &accs[vi]
-		a.elapsed += el
-		a.roundElapsed += el
-		a.executed += st.Executed
-		for _, ds := range st.PerDomain {
-			a.dispatched += ds.LocalDispatched + ds.CrossDispatched
-			a.cross += ds.CrossDispatched
-		}
-		return nil
-	}
-	remaining := cfg.Tasks
-	for r := 0; r < rounds; r++ {
-		// Spread the configured task count exactly over the rounds (every
-		// variant executes cfg.Tasks in total) and split each round's share
-		// over the variant's two legs.
-		roundTasks := remaining / (rounds - r)
-		remaining -= roundTasks
-		legA := roundTasks / 2
-		legB := roundTasks - legA
-		for i := range accs {
-			accs[i].roundElapsed = 0
-		}
-		for vi := 0; vi < len(variants); vi++ {
-			if err := runLeg(vi, legA); err != nil {
-				return nil, err
-			}
-		}
-		for vi := len(variants) - 1; vi >= 0; vi-- {
-			if err := runLeg(vi, legB); err != nil {
-				return nil, err
-			}
-		}
-		base := accs[baseIdx].roundElapsed
-		for vi := range variants {
-			if vi == baseIdx || accs[vi].roundElapsed <= 0 {
-				continue
-			}
-			accs[vi].ratios = append(accs[vi].ratios, float64(base)/float64(accs[vi].roundElapsed))
-		}
-	}
-
-	total := cfg.Tasks
-	pts := make([]Point, 0, len(variants))
-	for vi, v := range variants {
-		a := accs[vi]
-		p := Point{
-			Scenario:    scenario,
-			Scheduler:   kind.String(),
-			Shards:      resolved,
-			Mode:        mode,
-			Tasks:       total,
-			Elapsed:     a.elapsed,
-			TasksPerSec: float64(total) / a.elapsed.Seconds(),
-			NsPerTask:   float64(a.elapsed.Nanoseconds()) / float64(total),
-			Executed:    a.executed,
-			Window:      v.window,
-			Domains:     v.domains,
-		}
-		if vi != baseIdx {
-			p.Speedup = medianOf(a.ratios)
-		}
-		if scenario == ScenarioTopology && a.dispatched > 0 {
-			p.CrossDomainFrac = float64(a.cross) / float64(a.dispatched)
-		}
-		pts = append(pts, p)
-	}
-	return pts, nil
-}
-
-// ScenarioAdaptive's phase shape: each segment pair is one serial chain of
-// adaptiveChainLinks speed-scaled links followed by a fan burst of
-// 2×Workers fixed-grain tasks, with an adaptiveIdleGap pause after each
-// pair (and one before the first) — the quiet beat in which the adaptive
-// arm's controller observes the phase and retunes before the next segment
-// starts.
-const (
-	adaptiveChainLinks = 64
-	adaptiveIdleGap    = 500 * time.Microsecond
-	// defaultAdaptiveGrain is the per-link spin grain when Config.Grain is
-	// unset: heavy enough that a chain segment's wall time dwarfs
-	// submission and hand-off overhead, so the measured ratio is placement,
-	// not bookkeeping.
-	defaultAdaptiveGrain = 8192
-	// The adaptive arm's controller settings: a tight sampling period and
-	// minimum hysteresis, so a phase is recognised within the idle gap
-	// separating two segments.
-	adaptivePeriod     = 100 * time.Microsecond
-	adaptiveHysteresis = 1
-)
-
-// adaptiveArm is one arm of ScenarioAdaptive: a full scheduler
-// configuration (the arms ARE the comparison axis) identified by the name
-// reported in Point.Scheduler.
-type adaptiveArm struct {
-	name     string
-	adaptive bool
-	opts     []runtime.Option
-}
-
-// adaptiveArms builds the scenario's arms on the hetero pool: the static
-// configurations a tuner could have frozen — worksteal as shipped,
-// worksteal with the locality window off, and cats — against worksteal
-// under adaptive control.
-func adaptiveArms(shards int, cfg Config) []adaptiveArm {
-	fast, slow, factor := heteroPool(cfg)
-	common := func(extra ...runtime.Option) []runtime.Option {
-		return append([]runtime.Option{
-			runtime.WithWorkerClasses(
-				runtime.WorkerClass{Name: "fast", Count: fast, Speed: 1},
-				runtime.WorkerClass{Name: "slow", Count: slow, Speed: 1 / factor},
-			),
-			runtime.WithShards(shards),
-		}, extra...)
-	}
-	return []adaptiveArm{
-		{name: "worksteal", opts: common(runtime.WithScheduler(runtime.WorkSteal))},
-		{name: "worksteal-nolocal", opts: common(runtime.WithScheduler(runtime.WorkSteal), runtime.WithLocalityWindow(-1))},
-		{name: "cats", opts: common(runtime.WithScheduler(runtime.CATS))},
-		{name: "adaptive", adaptive: true, opts: common(
-			runtime.WithScheduler(runtime.WorkSteal),
-			runtime.WithAdaptive(runtime.AdaptiveOptions{Period: adaptivePeriod, Hysteresis: adaptiveHysteresis}),
-		)},
-	}
-}
-
-// runAdaptive measures ScenarioAdaptive over one (shards, mode) cell as
-// drift-cancelling paired rounds (palindrome legs, like runPaired): every
-// arm executes the same phase-shifting workload, and each round
-// contributes one static/adaptive elapsed ratio per static arm. The
-// adaptive arm's Point carries Speedup = min over static arms of the
-// median per-round ratio, and the controller's total applied-decision
-// count; static arms report no speedup (they are the baselines).
-func runAdaptive(ctx context.Context, shards int, mode string, cfg Config, st *runtime.Stats) ([]Point, error) {
-	arms := adaptiveArms(shards, cfg)
-	adaptIdx := 0
-	for i := range arms {
-		if arms[i].adaptive {
-			adaptIdx = i
-		}
-	}
-	grain := cfg.Grain
-	if grain <= 0 {
-		grain = defaultAdaptiveGrain
-	}
-	// Chain links simulate the asymmetry the class-gating rule exists for:
-	// a link spins SlowFactor× longer on a slow worker. Fan tasks spin a
-	// fixed grain — any worker serves a burst equally well.
-	chainBody := func(ctx context.Context) error {
-		speed := 1.0
-		if pl, ok := runtime.TaskPlacement(ctx); ok {
-			speed = pl.Speed
-		}
-		x := uint64(grain)
-		for i := 0; i < int(float64(grain)/speed); i++ {
-			x = x*1664525 + 1013904223
-		}
-		atomic.AddUint64(&sink, x)
-		return nil
-	}
-	fanBody := taskBody(grain)
-
-	type acc struct {
-		elapsed      time.Duration
-		roundElapsed time.Duration
-		executed     uint64
-		decisions    uint64
-		ratios       []float64
-	}
-	accs := make([]acc, len(arms))
-	resolved := 0
-	runLeg := func(ai, n int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rt := runtime.New(arms[ai].opts...)
-		start := time.Now()
-		time.Sleep(adaptiveIdleGap)
-		remaining := n
-		for seg := 0; remaining > 0; seg++ {
-			links := adaptiveChainLinks
-			if links > remaining {
-				links = remaining
-			}
-			if err := submitAdaptiveSegment(ctx, rt, mode, "link", links, int64(seg), chainBody); err != nil {
-				rt.Shutdown()
+			submitted += len(specs)
+			if err := submitSpecs(ctx, rt, mode, specs); err != nil {
 				return err
 			}
-			if err := rt.WaitCtx(ctx); err != nil {
-				rt.Shutdown()
-				return err
-			}
-			remaining -= links
-			if remaining > 0 {
-				fan := 2 * cfg.Workers
-				if fan > remaining {
-					fan = remaining
-				}
-				if err := submitAdaptiveSegment(ctx, rt, mode, "fan", fan, -1, fanBody); err != nil {
-					rt.Shutdown()
-					return err
-				}
-				if err := rt.WaitCtx(ctx); err != nil {
-					rt.Shutdown()
-					return err
-				}
-				remaining -= fan
-			}
-			time.Sleep(adaptiveIdleGap)
 		}
-		el := time.Since(start)
-		rt.StatsInto(st)
-		resolved = rt.Shards()
-		rt.Shutdown()
-		if st.Executed != uint64(n) {
-			return fmt.Errorf("throughput: %s/%s shards=%d %s lost tasks: executed %d of %d",
-				ScenarioAdaptive, arms[ai].name, resolved, mode, st.Executed, n)
-		}
-		a := &accs[ai]
-		a.elapsed += el
-		a.roundElapsed += el
-		a.executed += st.Executed
-		a.decisions += st.Adaptive.Decisions
 		return nil
 	}
-
-	rounds := cfg.PairRounds
-	if rounds <= 0 {
-		rounds = defaultPairRounds
+	critOnFast = func() float64 {
+		if n := critTotal.Load(); n > 0 {
+			return float64(critFast.Load()) / float64(n)
+		}
+		return 0
 	}
-	if maxRounds := cfg.Tasks / 2; rounds > maxRounds {
-		rounds = maxRounds
-	}
-	if rounds < 1 {
-		rounds = 1
-	}
-	remaining := cfg.Tasks
-	for r := 0; r < rounds; r++ {
-		roundTasks := remaining / (rounds - r)
-		remaining -= roundTasks
-		legA := roundTasks / 2
-		legB := roundTasks - legA
-		for i := range accs {
-			accs[i].roundElapsed = 0
-		}
-		for ai := 0; ai < len(arms); ai++ {
-			if err := runLeg(ai, legA); err != nil {
-				return nil, err
-			}
-		}
-		for ai := len(arms) - 1; ai >= 0; ai-- {
-			if err := runLeg(ai, legB); err != nil {
-				return nil, err
-			}
-		}
-		ad := accs[adaptIdx].roundElapsed
-		if ad <= 0 {
-			continue
-		}
-		for ai := range arms {
-			if ai == adaptIdx || accs[ai].roundElapsed <= 0 {
-				continue
-			}
-			accs[ai].ratios = append(accs[ai].ratios, float64(accs[ai].roundElapsed)/float64(ad))
-		}
-	}
-
-	total := cfg.Tasks
-	pts := make([]Point, 0, len(arms))
-	speedup := 0.0
-	for ai := range arms {
-		if ai == adaptIdx {
-			continue
-		}
-		m := medianOf(accs[ai].ratios)
-		if speedup == 0 || m < speedup {
-			speedup = m
-		}
-	}
-	for ai, arm := range arms {
-		a := accs[ai]
-		p := Point{
-			Scenario:    ScenarioAdaptive,
-			Scheduler:   arm.name,
-			Shards:      resolved,
-			Mode:        mode,
-			Tasks:       total,
-			Elapsed:     a.elapsed,
-			TasksPerSec: float64(total) / a.elapsed.Seconds(),
-			NsPerTask:   float64(a.elapsed.Nanoseconds()) / float64(total),
-			Executed:    a.executed,
-		}
-		if arm.adaptive {
-			p.Speedup = speedup
-			p.AdaptiveDecisions = a.decisions
-		}
-		pts = append(pts, p)
-	}
-	return pts, nil
+	return submit, critOnFast
 }
 
-// submitAdaptiveSegment submits one phase segment and is mode-aware: a
-// chain segment (key ≥ 0) serialises its n tasks InOut on the segment key,
-// a fan segment (key < 0) submits n independent tasks.
-func submitAdaptiveSegment(ctx context.Context, rt *runtime.Runtime, mode, name string, n int, key int64, body runtime.Body) error {
-	var deps []runtime.Dep
-	if key >= 0 {
-		deps = []runtime.Dep{runtime.InOut(key)}
-	}
+// submitSpecs submits specs as one SubmitBatch or one task at a time,
+// according to mode.
+func submitSpecs(ctx context.Context, rt *runtime.Runtime, mode string, specs []runtime.TaskSpec) error {
 	if mode == "batch" {
-		specs := make([]runtime.TaskSpec, n)
-		for i := range specs {
-			specs[i] = runtime.TaskSpec{Name: name, Cost: 1, Body: body, Deps: deps}
-		}
 		_, err := rt.SubmitBatchCtx(ctx, specs)
 		return err
 	}
-	for i := 0; i < n; i++ {
-		if _, err := rt.SubmitCtx(ctx, name, 1, body, deps...); err != nil {
+	for _, sp := range specs {
+		if _, err := rt.SubmitPriorityCtx(ctx, sp.Name, sp.Cost, sp.Priority, sp.Body, sp.Deps...); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// submitChains submits n chain links in round-robin waves — one wave holds
-// the next link of every chain, InOut-serialised per chain, so the chains
-// progress together and every worker has its own chain hot — per-task or
-// batched according to mode.
-func submitChains(ctx context.Context, rt *runtime.Runtime, mode string, n, chains int, bodies []runtime.Body) error {
-	submitted := 0
-	specs := make([]runtime.TaskSpec, 0, chains)
-	for submitted < n {
-		specs = specs[:0]
-		for c := 0; c < chains && submitted+len(specs) < n; c++ {
-			specs = append(specs, runtime.TaskSpec{
-				Name: "link", Cost: 1, Body: bodies[c],
-				Deps: []runtime.Dep{runtime.InOut(int64(c))},
-			})
-		}
-		if mode == "batch" {
-			if _, err := rt.SubmitBatchCtx(ctx, specs); err != nil {
-				return err
-			}
-		} else {
-			for _, sp := range specs {
-				if _, err := rt.SubmitCtx(ctx, sp.Name, sp.Cost, sp.Body, sp.Deps...); err != nil {
-					return err
-				}
-			}
-		}
-		submitted += len(specs)
-	}
-	return nil
-}
-
-// medianOf returns the median of xs (0 when empty) — the drift-robust
-// aggregate of the per-round paired ratios.
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // produce submits n tasks of the scenario's dependence shape from one
@@ -1280,204 +769,4 @@ func taskBody(grain int) runtime.Body {
 		atomic.AddUint64(&sink, x)
 		return nil
 	}
-}
-
-// runChaos measures ScenarioChaos over one (scheduler, shards, mode) cell
-// as drift-cancelling paired rounds: a clean arm and a fault-injected arm
-// run the identical retry- and deadline-configured workload (the clean arm
-// simply has no injector), forward then reverse per round on fresh
-// runtimes, and the faulty arm's ChaosOverhead is the median of per-round
-// faulty/clean elapsed ratios. Each faulty leg gets a fresh injector with
-// the same seed, so every leg replays the same deterministic fault
-// schedule; the leg fails hard if any task is lost (terminal states must
-// account for every submission) or if no fault actually fired.
-func runChaos(ctx context.Context, kind runtime.SchedulerKind, shards int, mode string, cfg Config, st *runtime.Stats) ([]Point, error) {
-	type acc struct {
-		elapsed      time.Duration
-		roundElapsed time.Duration
-		executed     uint64
-		skipped      uint64
-		submitted    uint64
-		ratios       []float64
-	}
-	accs := make([]acc, 2) // 0 = clean baseline, 1 = faulty
-	resolved := 0
-	base := taskBody(cfg.Grain)
-	runLeg := func(vi, n int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var inj *chaos.Injector
-		if vi == 1 {
-			inj = chaos.New(chaos.Config{
-				Seed:       uint64(cfg.Seed),
-				PanicRate:  chaosPanicRate,
-				ErrorRate:  chaosErrorRate,
-				DelayRate:  chaosDelayRate,
-				StickyRate: chaosStickyRate,
-				Delay:      chaosDelayStall,
-			})
-		}
-		rt := runtime.New(
-			runtime.WithWorkers(cfg.Workers),
-			runtime.WithScheduler(kind),
-			runtime.WithShards(shards),
-		)
-		start := time.Now()
-		if err := submitChaos(ctx, rt, mode, n, inj, base, cfg); err != nil {
-			rt.Shutdown()
-			return err
-		}
-		// WaitCtx drains fully before surfacing task errors, so on the
-		// faulty arm a non-ctx error just means the fault schedule fired —
-		// which is the point. The clean arm must stay free of injected
-		// failure classes (panics, body errors) — but a deadline overrun is
-		// wall-clock, so on a loaded box (the race detector, a saturated CI
-		// runner) a deadline task can organically miss its bound with no
-		// injector at all; that is the workload behaving as specified, not
-		// fault leakage, and the accounting checks below still apply.
-		if err := rt.WaitCtx(ctx); err != nil {
-			var dl *runtime.DeadlineError
-			if ctx.Err() != nil || (vi == 0 && !errors.As(err, &dl)) {
-				rt.Shutdown()
-				return err
-			}
-		}
-		el := time.Since(start)
-		rt.StatsInto(st)
-		resolved = rt.Shards()
-		rt.Shutdown()
-		// Exactly one terminal state per submission: executed (including
-		// terminally failed) or skipped (poisoned / cancelled). On the
-		// clean arm skips would themselves be a bug.
-		if st.Executed+st.Skipped != uint64(n) {
-			return fmt.Errorf("throughput: chaos/%s shards=%d %s lost tasks: executed %d + skipped %d of %d",
-				kind, resolved, mode, st.Executed, st.Skipped, n)
-		}
-		if vi == 0 && st.Skipped != 0 {
-			return fmt.Errorf("throughput: chaos/%s clean arm skipped %d tasks", kind, st.Skipped)
-		}
-		if vi == 1 && n > 0 {
-			if cs := inj.Stats(); cs.Panics+cs.Errors+cs.Delays == 0 && n >= 256 {
-				return fmt.Errorf("throughput: chaos/%s faulty arm injected nothing over %d tasks", kind, n)
-			}
-		}
-		a := &accs[vi]
-		a.elapsed += el
-		a.roundElapsed += el
-		a.executed += st.Executed
-		a.skipped += st.Skipped
-		a.submitted += uint64(n)
-		return nil
-	}
-
-	rounds := cfg.PairRounds
-	if rounds <= 0 {
-		rounds = defaultPairRounds
-	}
-	if maxRounds := cfg.Tasks / 2; rounds > maxRounds {
-		rounds = maxRounds
-	}
-	if rounds < 1 {
-		rounds = 1
-	}
-	remaining := cfg.Tasks
-	for r := 0; r < rounds; r++ {
-		roundTasks := remaining / (rounds - r)
-		remaining -= roundTasks
-		legA := roundTasks / 2
-		legB := roundTasks - legA
-		for i := range accs {
-			accs[i].roundElapsed = 0
-		}
-		for vi := 0; vi < len(accs); vi++ {
-			if err := runLeg(vi, legA); err != nil {
-				return nil, err
-			}
-		}
-		for vi := len(accs) - 1; vi >= 0; vi-- {
-			if err := runLeg(vi, legB); err != nil {
-				return nil, err
-			}
-		}
-		if base := accs[0].roundElapsed; base > 0 && accs[1].roundElapsed > 0 {
-			accs[1].ratios = append(accs[1].ratios, float64(accs[1].roundElapsed)/float64(base))
-		}
-	}
-
-	total := cfg.Tasks
-	pts := make([]Point, 0, 2)
-	for vi := range accs {
-		a := accs[vi]
-		p := Point{
-			Scenario:    ScenarioChaos,
-			Scheduler:   kind.String(),
-			Shards:      resolved,
-			Mode:        mode,
-			Tasks:       total,
-			Elapsed:     a.elapsed,
-			TasksPerSec: float64(total) / a.elapsed.Seconds(),
-			NsPerTask:   float64(a.elapsed.Nanoseconds()) / float64(total),
-			Executed:    a.executed,
-			Faulty:      vi == 1,
-		}
-		if vi == 1 {
-			p.ChaosOverhead = medianOf(a.ratios)
-			if a.submitted > 0 {
-				p.ChaosSurvival = float64(a.executed+a.skipped) / float64(a.submitted)
-			}
-		}
-		pts = append(pts, p)
-	}
-	return pts, nil
-}
-
-// submitChaos submits ScenarioChaos's workload: n tasks with retry
-// policies, a dependence chain joined by every chaosChainStride-th task
-// (so a terminal panic must skip-propagate, not wedge the chain), and a
-// deadline shorter than the injected stall on every chaosDeadlineMod-th
-// task (so delay faults become deadline overruns). Bodies are wrapped by
-// inj keyed on the task index — a nil injector (the clean arm) runs them
-// bare. Retry and Deadline are TaskSpec-only knobs, so both modes go
-// through SubmitBatchCtx; "single" submits one-spec batches.
-func submitChaos(ctx context.Context, rt *runtime.Runtime, mode string, n int, inj *chaos.Injector, base runtime.Body, cfg Config) error {
-	chunk := 1
-	if mode == "batch" && cfg.Batch > 1 {
-		chunk = cfg.Batch
-	}
-	chains := cfg.Workers
-	if chains < 1 {
-		chains = 1
-	}
-	specs := make([]runtime.TaskSpec, 0, chunk)
-	flush := func() error {
-		if len(specs) == 0 {
-			return nil
-		}
-		_, err := rt.SubmitBatchCtx(ctx, specs)
-		specs = specs[:0]
-		return err
-	}
-	for i := 0; i < n; i++ {
-		sp := runtime.TaskSpec{
-			Name: "c", Cost: 1,
-			Body:  inj.Wrap(uint64(i), base),
-			Retry: runtime.RetryPolicy{Max: chaosRetryMax, Backoff: chaosBackoff, MaxBackoff: chaosMaxBackoff},
-		}
-		switch i % chaosChainStride {
-		case 0:
-			sp.Deps = []runtime.Dep{runtime.InOut(int64(i % chains))}
-		case 1:
-			if i%chaosDeadlineMod == 1 {
-				sp.Deadline = chaosDeadline
-			}
-		}
-		specs = append(specs, sp)
-		if len(specs) == chunk {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
 }

@@ -72,6 +72,15 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(ctx, cfg); err == nil || !strings.Contains(err.Error(), "lifo") {
 		t.Fatalf("unknown scheduler = %v, want naming error", err)
 	}
+	// Names are validated before anything runs: a typo after a valid name
+	// is reported even when the valid cell could never have started.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	cfg = smallConfig()
+	cfg.Scenarios = []string{ScenarioParallel, "topolgy"}
+	if _, err := Run(cancelled, cfg); err == nil || !strings.Contains(err.Error(), "topolgy") {
+		t.Fatalf("unknown scenario after a valid one = %v, want naming error", err)
+	}
 	// Scheduler parsing must accept any case (the fixed parse path).
 	cfg = smallConfig()
 	cfg.Schedulers = []string{"FIFO"}
