@@ -77,12 +77,12 @@
 //
 // # Memory lifecycle and trace retention
 //
-// By default the runtime's memory stays bounded by the work in flight plus
-// the set of distinct dependence keys used: completed tasks drop their
-// body, context, and dependence log, and queue slots release popped
-// pointers, so a runtime can serve submissions indefinitely (per-key
-// tracker state — lastWriter and the reader lists — persists per distinct
-// key; reuse keys rather than minting fresh ones forever). Building with
+// By default the runtime's memory stays bounded by the work in flight:
+// completed tasks drop their body, context, and dependence log, queue
+// slots release popped pointers, and the dependence tracker scavenges its
+// per-key state — lastWriter and the reader lists — once every task that
+// named a key is retired, so a runtime can serve submissions indefinitely
+// even when every submission mints fresh keys. Building with
 // WithTraceRetention keeps the full task trace instead, which Graph needs
 // for export; without it Graph fails with ErrNoTrace.
 //

@@ -185,3 +185,111 @@ func submitWithPayloads(t *testing.T, r *Runtime, n int, finalized *int32) {
 		}
 	}
 }
+
+// trackerEntries sums the tracker's per-key state over all shards.
+func trackerEntries(r *Runtime) int {
+	all := uint64(1)<<len(r.shards) - 1
+	r.lockShards(all)
+	defer r.unlockShards(all)
+	n := 0
+	for _, s := range r.shards {
+		n += len(s.lastWriter) + len(s.readersTail)
+	}
+	return n
+}
+
+// submitUniqueKeyJobs submits jobs four-task diamonds, each over four keys
+// no other job uses (addresses of the job's own cells, as the service
+// layer mints them), with a Wait every round jobs. It returns the largest
+// tracker size seen at a round boundary.
+func submitUniqueKeyJobs(t *testing.T, r *Runtime, jobs, round int) (peak int) {
+	t.Helper()
+	noop := func() {}
+	for j := 0; j < jobs; j++ {
+		k := new([4]struct{ _ byte })
+		specs := []TaskSpec{
+			{Fn: noop, Deps: []Dep{Out(&k[0])}},
+			{Fn: noop, Deps: []Dep{In(&k[0]), Out(&k[1])}},
+			{Fn: noop, Deps: []Dep{In(&k[0]), Out(&k[2])}},
+			{Fn: noop, Deps: []Dep{In(&k[1]), In(&k[2]), Out(&k[3])}},
+		}
+		if _, err := r.SubmitBatch(specs); err != nil {
+			t.Fatal(err)
+		}
+		if (j+1)%round == 0 {
+			r.Wait()
+			peak = max(peak, trackerEntries(r))
+		}
+	}
+	return peak
+}
+
+// A long-lived runtime fed keys that are unique per job — the service
+// layer's shape — must hold tracker state for the jobs in flight, not for
+// every job it ever ran: the shards scavenge entries whose tasks are all
+// retired. Without the sweep this grows by eight entries per job (400 k
+// here) and by everything those keys pin.
+func TestTrackerForgetsFinishedKeys(t *testing.T) {
+	const jobs, round, keysPerJob = 50_000, 1_000, 4
+	r := New(WithWorkers(2))
+	defer r.Shutdown()
+	peak := submitUniqueKeyJobs(t, r, jobs, round)
+	// Each key holds at most one entry in each of the two maps; a shard
+	// sweeps once it passes twice what the previous sweep left plus the
+	// floor, and a sweep leaves nothing but the jobs in flight.
+	inFlight := 2 * keysPerJob * round
+	if bound := 3*inFlight + len(r.shards)*sweepFloor; peak > bound {
+		t.Fatalf("tracker holds %d entries after %d jobs of unique keys, bound %d (%d keys in flight at most)",
+			peak, jobs, bound, keysPerJob*round)
+	}
+}
+
+// Under WithTraceRetention records are never retired, generations never
+// advance, and the sweep forgets nothing: retention keeps the whole
+// dependence history by contract.
+func TestTrackerKeepsEverythingUnderRetention(t *testing.T) {
+	const jobs, round = 2_000, 500
+	r := New(WithWorkers(2), WithTraceRetention())
+	defer r.Shutdown()
+	submitUniqueKeyJobs(t, r, jobs, round)
+	// Per job and key: one lastWriter entry and one reader list.
+	if got, want := trackerEntries(r), 8*jobs; got != want {
+		t.Fatalf("tracker holds %d entries under retention, want all %d", got, want)
+	}
+}
+
+// Equal keys must land on one shard whatever their type: pointer-kind keys
+// hash by address, anything without an inline case by its printed form —
+// neither through an allocation per lookup for the pointer case.
+func TestShardIndexPointerAndFallbackKeys(t *testing.T) {
+	type pair struct {
+		job  uint64
+		name string
+	}
+	r := New(WithWorkers(1), WithShards(16))
+	defer r.Shutdown()
+	cells := make([]struct{ _ byte }, 256)
+	seen := map[int]bool{}
+	for i := range cells {
+		var key any = &cells[i]
+		idx := r.shardIndex(key)
+		if again := r.shardIndex(&cells[i]); again != idx {
+			t.Fatalf("cell %d hashed to shards %d and %d", i, idx, again)
+		}
+		seen[idx] = true
+	}
+	if len(seen) < 8 {
+		t.Errorf("256 adjacent cells spread over %d of 16 shards only", len(seen))
+	}
+	if a, b := r.shardIndex(pair{7, "x"}), r.shardIndex(pair{7, "x"}); a != b {
+		t.Errorf("equal struct keys hashed to shards %d and %d", a, b)
+	}
+	ch := make(chan int)
+	if a, b := r.shardIndex(ch), r.shardIndex(ch); a != b {
+		t.Errorf("one channel hashed to shards %d and %d", a, b)
+	}
+	var key any = &cells[0]
+	if n := testing.AllocsPerRun(100, func() { r.shardIndex(key) }); n != 0 {
+		t.Errorf("hashing a pointer key allocates %.0f objects", n)
+	}
+}

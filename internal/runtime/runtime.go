@@ -226,6 +226,11 @@ type task struct {
 	ndeps   int32
 	depsInl [inlineArity]Dep
 	depsOvf []Dep
+	// The shard each dependence key hashes to, parallel to the deps:
+	// shardPlan fills it and trackDeps reads it back, so a key is hashed
+	// once per registration.
+	shardInl [inlineArity]uint8
+	shardOvf []uint8
 
 	// logShard is the shard whose task log records t (retention only).
 	logShard int32
@@ -270,6 +275,13 @@ func (t *task) ref() taskRef {
 	return taskRef{t: t, claim: atomic.LoadUint64(&t.claim)}
 }
 
+// dead reports whether the referenced record has been retired since the
+// reference was taken. Generations only grow, so true is final; false is
+// exact only under the referent's mutex (see linkPreds).
+func (ref taskRef) dead() bool {
+	return claimGen(atomic.LoadUint64(&ref.t.claim)) != claimGen(ref.claim)
+}
+
 // setDeps installs the declared dependences: inline up to inlineArity,
 // spilling to (and reusing) the overflow slice past it.
 func (t *task) setDeps(deps []Dep) {
@@ -287,6 +299,15 @@ func (t *task) deps() []Dep {
 		return t.depsInl[:t.ndeps]
 	}
 	return t.depsOvf
+}
+
+// depShards returns the shard index of each declared dependence, valid
+// between shardPlan and trackDeps of one registration.
+func (t *task) depShards() []uint8 {
+	if int(t.ndeps) <= inlineArity {
+		return t.shardInl[:t.ndeps]
+	}
+	return t.shardOvf
 }
 
 // clearDeps drops the dependence annotations (and the interface keys they

@@ -2,9 +2,9 @@ package runtime
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/bits"
+	"reflect"
 	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -35,6 +35,9 @@ type depShard struct {
 	// structure is needed: the renamer state already indexes by key.
 	lastWriter  map[any]taskRef
 	readersTail map[any][]taskRef
+	// sweepAt is the combined size of the two maps past which the next
+	// registration scavenges them (see sweep).
+	sweepAt int
 	// tasks is this shard's slab of the task log (tasks whose log shard is
 	// this one). The full log is the sorted-by-seq union over all shards.
 	// Populated only under WithTraceRetention — by default the log stays
@@ -57,6 +60,7 @@ func newShards(n int) []*depShard {
 		shards[i] = &depShard{
 			lastWriter:  make(map[any]taskRef),
 			readersTail: make(map[any][]taskRef),
+			sweepAt:     sweepFloor,
 		}
 	}
 	return shards
@@ -85,9 +89,11 @@ func resolveShards(n int) int {
 
 // shardIndex maps a dependence key to its shard. Equal keys always map to
 // the same shard (the only correctness requirement); distinct keys sharing
-// a shard merely share a lock. Common key types get an inline integer mix;
-// anything else falls back to hashing the printed form, which is stable
-// for any comparable value.
+// a shard merely share a lock. Common key types get an inline integer mix,
+// pointer-kind keys a mix of their address (the collector does not move
+// heap objects, and a key stays reachable through the tracker's own map
+// entry for as long as its address matters); anything else falls back to
+// hashing the printed form, which is stable for any comparable value.
 func (r *Runtime) shardIndex(key any) int {
 	n := uint64(len(r.shards))
 	if n == 1 {
@@ -124,9 +130,13 @@ func (r *Runtime) shardIndex(key any) int {
 	case float32:
 		h = mix64(uint64(math.Float32bits(k)))
 	default:
-		hh := fnv.New64a()
-		fmt.Fprintf(hh, "%T\x00%v", key, key)
-		h = hh.Sum64()
+		switch v := reflect.ValueOf(key); v.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Chan:
+			h = mix64(uint64(v.Pointer()))
+		default:
+			var buf [64]byte
+			h = hashString(fmt.Appendf(buf[:0], "%T\x00%v", key, key))
+		}
 	}
 	return int(h % n)
 }
@@ -143,8 +153,8 @@ func mix64(x uint64) uint64 {
 }
 
 // hashString is FNV-1a, inlined to avoid the hash.Hash allocation on the
-// common string-key path.
-func hashString(s string) uint64 {
+// common string-key path (and, over bytes, on the printed-form fallback).
+func hashString[T string | []byte](s T) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -171,12 +181,19 @@ func (r *Runtime) shardPlan(t *task) (mask uint64) {
 		t.logShard = int32(uint64(t.seq) % uint64(len(r.shards)))
 		return 1 << t.logShard
 	}
-	logIdx := r.shardIndex(deps[0].Key)
-	t.logShard = int32(logIdx)
-	mask = 1 << logIdx
-	for _, d := range deps[1:] {
-		mask |= 1 << r.shardIndex(d.Key)
+	idx := t.shardInl[:0]
+	if len(deps) > inlineArity {
+		idx = t.shardOvf[:0]
 	}
+	for _, d := range deps {
+		i := r.shardIndex(d.Key)
+		idx = append(idx, uint8(i)) // maxShards fits a byte
+		mask |= 1 << i
+	}
+	if len(deps) > inlineArity {
+		t.shardOvf = idx
+	}
+	t.logShard = int32(idx[0])
 	return mask
 }
 
@@ -209,8 +226,9 @@ func (r *Runtime) trackDeps(t *task) []taskRef {
 		preds = append(preds, p)
 	}
 	self := t.ref()
-	for _, d := range t.deps() {
-		s := r.shards[r.shardIndex(d.Key)]
+	shardOf := t.depShards()
+	for i, d := range t.deps() {
+		s := r.shards[shardOf[i]]
 		switch d.Mode {
 		case ModeIn:
 			addPred(s.lastWriter[d.Key])
@@ -234,12 +252,53 @@ func (r *Runtime) trackDeps(t *task) []taskRef {
 			clear(tail)
 			s.readersTail[d.Key] = tail[:0]
 		}
+		if len(s.lastWriter)+len(s.readersTail) > s.sweepAt {
+			s.sweep()
+		}
 	}
 	if r.opts.retainTrace {
 		ls.tasks = append(ls.tasks, t)
 	}
 	ls.predScratch = preds // write back so the grown capacity is kept
 	return preds
+}
+
+// sweepFloor is the tracker size below which a shard never scavenges: a
+// workload that reuses a few hundred keys never pays for a sweep.
+const sweepFloor = 1024
+
+// sweep forgets the keys whose tasks are all gone: it drops every
+// reference whose record has since been retired (the generation moved on —
+// generations only grow, so the unlocked read can at worst keep a
+// reference one sweep too long) and deletes the entries left empty.
+// linkPreds already skips a dead reference, so removing one is invisible
+// to ordering; what it buys is that a service minting fresh keys per job
+// holds tracker state for the jobs in flight, not for every job it ever
+// ran. The next sweep is due at twice what survived, which keeps the cost
+// amortised constant per insertion. Under WithTraceRetention generations
+// never advance and nothing is forgotten — that option retains by
+// contract. Caller holds s.mu.
+func (s *depShard) sweep() {
+	for key, w := range s.lastWriter {
+		if w.dead() {
+			delete(s.lastWriter, key)
+		}
+	}
+	for key, tail := range s.readersTail {
+		live := tail[:0]
+		for _, rd := range tail {
+			if !rd.dead() {
+				live = append(live, rd)
+			}
+		}
+		clear(tail[len(live):])
+		if _, written := s.lastWriter[key]; len(live) == 0 && !written {
+			delete(s.readersTail, key)
+		} else {
+			s.readersTail[key] = live
+		}
+	}
+	s.sweepAt = 2*(len(s.lastWriter)+len(s.readersTail)) + sweepFloor
 }
 
 // linkPreds registers the dependence edges collected by trackDeps. npreds
@@ -259,7 +318,7 @@ func (r *Runtime) linkPreds(t *task, preds []taskRef) {
 	for _, ref := range preds {
 		p := ref.t
 		p.mu.Lock()
-		if claimGen(atomic.LoadUint64(&p.claim)) != claimGen(ref.claim) {
+		if ref.dead() {
 			p.mu.Unlock() // recycled record: the predecessor completed long ago
 			continue
 		}

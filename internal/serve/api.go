@@ -71,9 +71,9 @@ func ParseLane(s string) (Lane, error) {
 }
 
 // DepRequest is one dependence annotation of a task in a submitted graph.
-// Keys are names local to the job: the server namespaces them per job
-// before they reach the runtime's dependence tracker, so tenants cannot
-// construct cross-job (let alone cross-tenant) hazards.
+// Keys are names local to the job: the server gives each job its own key
+// cells before they reach the runtime's dependence tracker, so tenants
+// cannot construct cross-job (let alone cross-tenant) hazards.
 type DepRequest struct {
 	// Key is the job-local dependence key.
 	Key string `json:"key"`
@@ -209,12 +209,13 @@ func builtinOps() map[string]Op {
 			return nil
 		},
 		"sleep": func(ctx context.Context, amount int64) error {
-			t := time.NewTimer(time.Duration(amount))
-			defer t.Stop()
+			t := getTimer(time.Duration(amount))
 			select {
 			case <-t.C:
+				putTimer(t, true)
 				return nil
 			case <-ctx.Done():
+				putTimer(t, false)
 				return ctx.Err()
 			}
 		},
@@ -240,74 +241,60 @@ func parseOnFailure(s string) (bool, error) {
 	}
 }
 
-// compileGraph validates a graph request and lowers it to runtime task
-// specs. Bodies are bound to ops here; the per-task OnDone completion
-// hooks are attached at launch time, when the job object exists.
-func (s *Server) compileGraph(req *GraphRequest, lane Lane) ([]runtime.TaskSpec, error) {
+// parseMode resolves a wire dependence mode.
+func parseMode(s string) (runtime.AccessMode, bool) {
+	switch s {
+	case "in":
+		return runtime.ModeIn, true
+	case "out":
+		return runtime.ModeOut, true
+	case "inout":
+		return runtime.ModeInOut, true
+	default:
+		return 0, false
+	}
+}
+
+// validateGraph checks a decoded graph against everything lower relies
+// on. It runs before admission — a malformed graph is a 400 that burns no
+// quota — and allocates nothing for a valid one, so a request that is then
+// refused has cost its decode and its reply only.
+func (s *Server) validateGraph(req *GraphRequest) error {
 	if len(req.Tasks) == 0 {
-		return nil, fmt.Errorf("graph has no tasks")
+		return fmt.Errorf("graph has no tasks")
 	}
 	if len(req.Tasks) > s.cfg.MaxGraphTasks {
-		return nil, fmt.Errorf("graph has %d tasks, limit is %d", len(req.Tasks), s.cfg.MaxGraphTasks)
+		return fmt.Errorf("graph has %d tasks, limit is %d", len(req.Tasks), s.cfg.MaxGraphTasks)
 	}
-	specs := make([]runtime.TaskSpec, len(req.Tasks))
-	for i, tr := range req.Tasks {
-		op, ok := s.ops[tr.Op]
-		if !ok {
-			return nil, fmt.Errorf("task %d: unknown op %q", i, tr.Op)
+	for i := range req.Tasks {
+		tr := &req.Tasks[i]
+		if _, ok := s.ops[tr.Op]; !ok {
+			return fmt.Errorf("task %d: unknown op %q", i, tr.Op)
 		}
 		if tr.Amount < 0 {
-			return nil, fmt.Errorf("task %d: negative amount", i)
+			return fmt.Errorf("task %d: negative amount", i)
 		}
-		deps := make([]runtime.Dep, len(tr.Deps))
 		for j, d := range tr.Deps {
 			if d.Key == "" {
-				return nil, fmt.Errorf("task %d: dep %d has empty key", i, j)
+				return fmt.Errorf("task %d: dep %d has empty key", i, j)
 			}
-			key := jobKey{name: d.Key} // job number stamped at launch
-			switch d.Mode {
-			case "in":
-				deps[j] = runtime.In(key)
-			case "out":
-				deps[j] = runtime.Out(key)
-			case "inout":
-				deps[j] = runtime.InOut(key)
-			default:
-				return nil, fmt.Errorf("task %d: dep %d has unknown mode %q (want in, out, or inout)", i, j, d.Mode)
+			if _, ok := parseMode(d.Mode); !ok {
+				return fmt.Errorf("task %d: dep %d has unknown mode %q (want in, out, or inout)", i, j, d.Mode)
 			}
 		}
-		var retry runtime.RetryPolicy
 		if r := tr.Retry; r != nil {
 			if r.Max < 0 || r.Max > MaxRetryBudget {
-				return nil, fmt.Errorf("task %d: retry max %d out of range [0, %d]", i, r.Max, MaxRetryBudget)
+				return fmt.Errorf("task %d: retry max %d out of range [0, %d]", i, r.Max, MaxRetryBudget)
 			}
 			if r.BackoffMS < 0 || r.MaxBackoffMS < 0 {
-				return nil, fmt.Errorf("task %d: negative retry backoff", i)
-			}
-			retry = runtime.RetryPolicy{
-				Max:        r.Max,
-				Backoff:    time.Duration(r.BackoffMS) * time.Millisecond,
-				MaxBackoff: time.Duration(r.MaxBackoffMS) * time.Millisecond,
+				return fmt.Errorf("task %d: negative retry backoff", i)
 			}
 		}
 		if tr.DeadlineMS < 0 {
-			return nil, fmt.Errorf("task %d: negative deadline", i)
-		}
-		amount := tr.Amount
-		body := op
-		specs[i] = runtime.TaskSpec{
-			Name:     tr.Name,
-			Cost:     tr.Cost,
-			Priority: lane.Priority(),
-			Body: func(ctx context.Context) error {
-				return body(ctx, amount)
-			},
-			Deps:     deps,
-			Retry:    retry,
-			Deadline: time.Duration(tr.DeadlineMS) * time.Millisecond,
+			return fmt.Errorf("task %d: negative deadline", i)
 		}
 	}
-	return specs, nil
+	return nil
 }
 
 // failureKind classifies a failed job's first error for JobStatus. A
@@ -328,26 +315,5 @@ func failureKind(err error) string {
 		return "deadline"
 	default:
 		return "error"
-	}
-}
-
-// jobKey namespaces a graph's dependence keys per job, isolating tenants
-// (and jobs of one tenant) from each other in the dependence tracker.
-type jobKey struct {
-	job  uint64
-	name string
-}
-
-// stampJobKeys rewrites the compiled specs' dependence keys with the
-// job's identity. Compilation happens before admission (a malformed graph
-// must 400 without burning quota), so the job number does not exist yet;
-// this runs at launch.
-func stampJobKeys(specs []runtime.TaskSpec, job uint64) {
-	for i := range specs {
-		for j := range specs[i].Deps {
-			k := specs[i].Deps[j].Key.(jobKey)
-			k.job = job
-			specs[i].Deps[j].Key = k
-		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"time"
 
 	"repro/internal/flightrec"
 	"repro/internal/runtime"
@@ -41,15 +42,19 @@ func (s *Server) dispatchLoop() {
 			// pendingJobs said otherwise; defensive (should not happen).
 			continue
 		}
+		// The queue entry is gone, and with it the job's claim on its
+		// request: launch lowers it, a job cancelled while queued (already
+		// finished; the entry is just reaped) never needed it.
+		req := j.req
+		j.req = nil
 		if j.state.terminal() {
-			// Cancelled while queued and already finished; the queue entry
-			// is just reaped.
+			s.putRequest(req)
 			continue
 		}
 		j.state = jobRunning
 		s.runningJobs++
 		s.mu.Unlock()
-		s.launch(j)
+		s.launch(j, req)
 		s.mu.Lock()
 	}
 }
@@ -75,8 +80,33 @@ func (s *Server) popLocked() *job {
 	return nil
 }
 
-// launch submits one job's graph into the pool. Called without s.mu.
-func (s *Server) launch(j *job) {
+// keyCell is one job-local dependence key. Its address is the key the
+// runtime's tracker sees: a pointer in an interface costs no allocation,
+// and no two live jobs can share one, so jobs are isolated from each other
+// in the tracker by construction. The tracker's map entry for a key keeps
+// the job's cell slab reachable, so the address cannot be reused while
+// anything still names it. A cell has a size so that cells have distinct
+// addresses.
+type keyCell struct{ _ byte }
+
+// internKeep bounds the intern table the dispatcher reuses across
+// launches; a job with more distinct keys leaves a fresh one behind.
+const internKeep = 256
+
+// lower turns a validated request into the runtime's task specs for j:
+// one slab each of specs, dependences (sub-sliced per task) and key cells
+// (job-local names interned to cell addresses), one body closure per task
+// and one completion hook for the graph. It runs on the dispatcher
+// goroutine only, for admitted jobs only.
+func (s *Server) lower(j *job, req *GraphRequest) []runtime.TaskSpec {
+	ndeps := 0
+	for i := range req.Tasks {
+		ndeps += len(req.Tasks[i].Deps)
+	}
+	specs := make([]runtime.TaskSpec, len(req.Tasks))
+	deps := make([]runtime.Dep, 0, ndeps)
+	cells := make([]keyCell, 0, ndeps) // never regrown: addresses are keys
+
 	// One hook closure for the whole graph: every task accounts itself
 	// exactly once (executed or skipped), and the last one finishes the
 	// job. The hook runs on pool workers and must stay non-blocking —
@@ -94,23 +124,71 @@ func (s *Server) launch(j *job) {
 			s.jobFinished(j)
 		}
 	}
-	for i := range j.specs {
-		// The attempts wrapper goes outermost (around any chaos injection),
-		// so JobStatus.Attempts counts every body execution, injected
-		// faults included. Wrapping happens once per task, here, because
-		// the chaos injector's transient/sticky schedule is per-wrapper.
-		body := j.specs[i].Body
-		if s.inj != nil {
-			body = s.inj.Wrap(j.num<<16|uint64(i), body)
+	for i := range req.Tasks {
+		tr := &req.Tasks[i]
+		first := len(deps)
+		for _, d := range tr.Deps {
+			cell := s.intern[d.Key]
+			if cell == nil {
+				cells = append(cells, keyCell{})
+				cell = &cells[len(cells)-1]
+				s.intern[d.Key] = cell
+			}
+			mode, _ := parseMode(d.Mode)
+			deps = append(deps, runtime.Dep{Key: cell, Mode: mode})
 		}
-		j.specs[i].Body = func(ctx context.Context) error {
-			j.attempts.Add(1)
-			return body(ctx)
+		spec := &specs[i]
+		spec.Name = tr.Name
+		spec.Cost = tr.Cost
+		spec.Priority = j.lane.Priority()
+		spec.Body = s.taskBody(j, i, s.ops[tr.Op], tr.Amount)
+		spec.Deps = deps[first:len(deps):len(deps)]
+		spec.OnDone = hook
+		if r := tr.Retry; r != nil {
+			spec.Retry = runtime.RetryPolicy{
+				Max:        r.Max,
+				Backoff:    time.Duration(r.BackoffMS) * time.Millisecond,
+				MaxBackoff: time.Duration(r.MaxBackoffMS) * time.Millisecond,
+			}
 		}
-		j.specs[i].OnDone = hook
+		spec.Deadline = time.Duration(tr.DeadlineMS) * time.Millisecond
 	}
+	if len(s.intern) > internKeep {
+		s.intern = make(map[string]*keyCell)
+	} else {
+		clear(s.intern)
+	}
+	return specs
+}
+
+// taskBody is task i's one body closure: it counts the attempt first,
+// outermost, so JobStatus.Attempts sees every execution, injected faults
+// included, then runs the op — through the chaos injector when one is
+// configured. The injector's wrapper is made once per task, here, because
+// its transient/sticky schedule is per wrapper.
+func (s *Server) taskBody(j *job, i int, op Op, amount int64) runtime.Body {
+	if s.inj == nil {
+		return func(ctx context.Context) error {
+			j.attempts.Add(1)
+			return op(ctx, amount)
+		}
+	}
+	faulty := s.inj.Wrap(j.num<<16|uint64(i), func(ctx context.Context) error {
+		return op(ctx, amount)
+	})
+	return func(ctx context.Context) error {
+		j.attempts.Add(1)
+		return faulty(ctx)
+	}
+}
+
+// launch lowers one job's graph and submits it into the pool. Called
+// without s.mu.
+func (s *Server) launch(j *job, req *GraphRequest) {
+	specs := s.lower(j, req)
+	s.putRequest(req)
 	s.marker(j, flightrec.MarkerLaunch)
-	if _, err := s.rt.SubmitBatchCtx(j.ctx, j.specs); err != nil {
+	if _, err := s.rt.SubmitBatchCtx(j.ctx, specs); err != nil {
 		// Nothing was submitted (cancelled before launch, or the pool is
 		// shutting down): finish here — no task will ever account itself.
 		s.mu.Lock()

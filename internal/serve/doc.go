@@ -35,9 +35,12 @@
 //
 // Per-job completion over the shared pool rides the runtime's
 // TaskSpec.OnDone hook: every task of a graph accounts itself exactly
-// once (executed or skipped), the last one closing the job. Graph
-// dependence keys are namespaced per job, so tenants cannot construct
-// cross-job hazards in the shared dependence tracker.
+// once (executed or skipped), the last one closing the job. A graph's
+// dependence keys are interned to cells of the job's own key slab and
+// reach the shared dependence tracker as addresses, so tenants cannot
+// construct cross-job hazards there. Graphs are validated before
+// admission and lowered to runtime specs only when the dispatcher
+// launches them; the decoded request is pooled and scrubbed between uses.
 //
 // # Lifecycle and observability
 //

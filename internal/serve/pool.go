@@ -1,0 +1,75 @@
+package serve
+
+import (
+	"sync"
+	"time"
+)
+
+// reqPool recycles decoded graph requests so the Tasks/Deps backing
+// arrays encoding/json would otherwise regrow element by element survive
+// between requests. A request leaves through getRequest, belongs to the
+// handler until admission and to the job until it is lowered, and comes
+// back through putRequest from whichever of the two held it last.
+var reqPool = sync.Pool{New: func() any { return new(GraphRequest) }}
+
+// maxPooledDeps bounds the per-task Deps array a pooled request keeps:
+// one fat task must not make every later request pay for scrubbing it.
+const maxPooledDeps = 64
+
+func getRequest() *GraphRequest { return reqPool.Get().(*GraphRequest) }
+
+// putRequest scrubs req and returns it to the pool. The Tasks array it may
+// keep is bounded by the server's graph-size limit: anything larger was
+// refused, and is not worth scrubbing forever.
+func (s *Server) putRequest(req *GraphRequest) {
+	req.scrub(s.cfg.MaxGraphTasks)
+	reqPool.Put(req)
+}
+
+// scrub zeroes the request for reuse, keeping the Tasks and per-task Deps
+// arrays. Both are zeroed over their full capacity, not their length:
+// encoding/json decodes into existing elements without zeroing them, so a
+// field the next body omits (retry, deadline_ms, deps…) would otherwise
+// keep the value some earlier request — possibly another tenant's — left
+// in that slot, and a duplicated "tasks" member can leave decoded elements
+// beyond the final length.
+func (g *GraphRequest) scrub(maxTasks int) {
+	tasks := g.Tasks[:cap(g.Tasks)]
+	if len(tasks) > maxTasks {
+		tasks = nil
+	}
+	for i := range tasks {
+		deps := tasks[i].Deps[:cap(tasks[i].Deps)]
+		if len(deps) > maxPooledDeps {
+			deps = nil
+		}
+		clear(deps)
+		tasks[i] = TaskRequest{Deps: deps[:0]}
+	}
+	*g = GraphRequest{Tasks: tasks[:0]}
+}
+
+// timerPool recycles the timers behind the sleep op and the job
+// long-poll. Timer channels are still asynchronous at this module's Go
+// version (go.mod says 1.22), hence putTimer's stop-then-drain.
+var timerPool sync.Pool
+
+// getTimer returns a timer that fires after d; hand it back with putTimer.
+func getTimer(d time.Duration) *time.Timer {
+	if t, _ := timerPool.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// putTimer returns t to the pool with its channel empty. fired says the
+// caller already received from t.C; otherwise a failed Stop means the
+// tick is in (or on its way into) the channel, and the blocking receive is
+// what keeps it from waking the timer's next user early.
+func putTimer(t *time.Timer, fired bool) {
+	if !fired && !t.Stop() {
+		<-t.C
+	}
+	timerPool.Put(t)
+}

@@ -51,7 +51,7 @@ func TestServeDependenceOrder(t *testing.T) {
 }
 
 // TestServeJobIsolation: two jobs using the same dependence key names
-// must not serialise against each other — keys are job-namespaced. Two
+// must not serialise against each other — keys are job-local cells. Two
 // gate tasks that would deadlock-order under a shared key run
 // concurrently instead.
 func TestServeJobIsolation(t *testing.T) {
@@ -81,6 +81,77 @@ func TestServeJobIsolation(t *testing.T) {
 		if st, err := c.Await(id, 15*time.Second); err != nil || st.State != "done" {
 			t.Fatalf("job %s: %v %+v", id, err, st)
 		}
+	}
+}
+
+// TestServeSameKeyNamesOrderWithinJobsOnly: two jobs in the pool at once
+// use the same key names. Each job's keys are its own cells, so neither
+// job waits for the other — both gates are entered with the other still
+// shut — while inside each job the reader still waits for its writer.
+func TestServeSameKeyNamesOrderWithinJobsOnly(t *testing.T) {
+	g := newGates()
+	var mu sync.Mutex
+	var ran []int64
+	h := servetest.Start(t, serve.Config{
+		Workers:        4,
+		MaxRunningJobs: 2,
+		Ops: map[string]serve.Op{
+			"gate": g.op,
+			"record": func(_ context.Context, amount int64) error {
+				mu.Lock()
+				ran = append(ran, amount)
+				mu.Unlock()
+				return nil
+			},
+		},
+	})
+	c := h.Client("t0")
+	gatedChain := func(n int64) serve.GraphRequest {
+		return serve.GraphRequest{Tasks: []serve.TaskRequest{
+			{Op: "gate", Amount: n, Deps: []serve.DepRequest{{Key: "x", Mode: "out"}, {Key: "y", Mode: "inout"}}},
+			{Op: "record", Amount: n, Deps: []serve.DepRequest{{Key: "x", Mode: "in"}, {Key: "y", Mode: "inout"}}},
+		}}
+	}
+	var subs [2]servetest.Submission
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			subs[i], errs[i] = c.Submit(gatedChain(int64(i + 1)))
+		}()
+	}
+	wg.Wait()
+	var ids [2]string
+	for i, sub := range subs {
+		if errs[i] != nil || !sub.Admitted() {
+			t.Fatalf("job %d: %v, status %d", i+1, errs[i], sub.Code)
+		}
+		ids[i] = sub.Response.Job
+	}
+	waitEntered(t, g, 1)
+	waitEntered(t, g, 2)
+	mu.Lock()
+	early := len(ran)
+	mu.Unlock()
+	if early != 0 {
+		t.Fatalf("%d readers ran before their job's writer finished", early)
+	}
+	// Finish job 2 while job 1's writer is still inside its gate.
+	g.Open(2)
+	if st, err := c.Await(ids[1], 15*time.Second); err != nil || st.State != "done" {
+		t.Fatalf("job 2: %v %+v", err, st)
+	}
+	mu.Lock()
+	got := append([]int64(nil), ran...)
+	mu.Unlock()
+	if len(got) != 1 || got[0] != 2 {
+		t.Fatalf("with job 1 gated, readers ran = %v, want [2]", got)
+	}
+	g.Open(1)
+	if st, err := c.Await(ids[0], 15*time.Second); err != nil || st.State != "done" {
+		t.Fatalf("job 1: %v %+v", err, st)
 	}
 }
 

@@ -160,6 +160,10 @@ type Server struct {
 	verdicts [4]uint64
 	// statsBuf backs /metrics' StatsInto snapshots.
 	statsBuf runtime.Stats
+
+	// intern is lower's key-name → cell table, emptied after every job.
+	// Dispatcher goroutine only; not guarded by mu.
+	intern map[string]*keyCell
 }
 
 // New builds a Server and its runtime pool and starts the dispatcher.
@@ -190,6 +194,7 @@ func New(cfg Config) (*Server, error) {
 		tenants: make(map[string]*tenant),
 		jobs:    make(map[string]*job),
 		idle:    make(chan struct{}),
+		intern:  make(map[string]*keyCell),
 	}
 	if cfg.Chaos != nil {
 		s.inj = chaos.New(*cfg.Chaos)
@@ -290,11 +295,11 @@ func (s *Server) marker(j *job, phase uint64) {
 	}
 }
 
-// admitJob runs the admission ladder for one compiled graph and, on
-// admit, creates + enqueues the job. Exactly one verdict counter is
-// bumped per call.
-func (s *Server) admitJob(tenantID string, lane Lane, specs []runtime.TaskSpec, failFast bool) (*job, decision) {
-	cost := int64(len(specs))
+// admitJob runs the admission ladder for one validated graph and, on
+// admit, creates + enqueues the job, which takes ownership of req.
+// Exactly one verdict counter is bumped per call.
+func (s *Server) admitJob(tenantID string, lane Lane, req *GraphRequest, failFast bool) (*job, decision) {
+	cost := int64(len(req.Tasks))
 	s.mu.Lock()
 	tn := s.tenantLocked(tenantID)
 	d := decide(admissionInputs{
@@ -322,15 +327,14 @@ func (s *Server) admitJob(tenantID string, lane Lane, specs []runtime.TaskSpec, 
 		num:        s.jobSeq,
 		tenant:     tn,
 		lane:       lane,
-		specs:      specs,
+		req:        req,
 		cost:       cost,
 		failFast:   failFast,
 		admittedAt: time.Now(),
 		done:       make(chan struct{}),
 	}
 	j.ctx, j.cancel = context.WithCancel(context.Background())
-	j.remaining.Store(int32(len(specs)))
-	stampJobKeys(specs, j.num)
+	j.remaining.Store(int32(cost))
 	tn.inFlight += cost
 	tn.q.push(j)
 	s.pendingJobs++
@@ -408,11 +412,18 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// handleSubmit is POST /v1/graphs: decode, compile, admit, enqueue.
+// handleSubmit is POST /v1/graphs: decode, validate, admit, enqueue. The
+// graph is lowered to runtime specs only once the dispatcher launches it.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req GraphRequest
+	req := getRequest()
+	admitted := false
+	defer func() {
+		if !admitted {
+			s.putRequest(req)
+		}
+	}()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -434,14 +445,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	specs, err := s.compileGraph(&req, lane)
-	if err != nil {
+	if err := s.validateGraph(req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	j, d := s.admitJob(tenantID, lane, specs, failFast)
+	j, d := s.admitJob(tenantID, lane, req, failFast)
 	switch d.verdict {
 	case VerdictAdmit:
+		admitted = true
 		writeJSON(w, http.StatusAccepted, SubmitResponse{Job: j.id, Status: "queued"})
 	case VerdictDefer:
 		retry := s.cfg.RetryAfter
@@ -506,13 +517,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad wait duration"})
 			return
 		}
-		t := time.NewTimer(d)
-		defer t.Stop()
+		t, fired := getTimer(d), false
 		select {
 		case <-j.done:
 		case <-t.C:
+			fired = true
 		case <-r.Context().Done():
 		}
+		putTimer(t, fired)
 	}
 	s.mu.Lock()
 	st := s.statusLocked(j)

@@ -5,8 +5,6 @@ import (
 	"hash/fnv"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/runtime"
 )
 
 // tenant is one tenant's session: its bounded job queue, its token
@@ -72,7 +70,7 @@ func (s jobState) String() string {
 // terminal reports whether the state is one of the three end states.
 func (s jobState) terminal() bool { return s >= jobDone }
 
-// job is one admitted graph: its compiled specs, its completion
+// job is one admitted graph: its validated request, its completion
 // accounting, and its lifecycle state. state is guarded by the server's
 // lock; remaining and firstErr are touched from worker goroutines
 // through the per-task OnDone hooks.
@@ -81,8 +79,11 @@ type job struct {
 	num    uint64 // numeric identity for flight-recorder markers
 	tenant *tenant
 	lane   Lane
-	specs  []runtime.TaskSpec
-	cost   int64
+	// req is the pooled wire request, owned by the job from admission
+	// until the dispatcher pops it: launch lowers it into the pool, a job
+	// cancelled while queued just hands it back. Nil from then on.
+	req  *GraphRequest
+	cost int64
 
 	state jobState
 	// cancelRequested marks a cancel that arrived while the job was
