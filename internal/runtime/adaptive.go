@@ -112,8 +112,6 @@ type adaptDeltas struct {
 	executed   uint64
 	steals     uint64
 	injPush    uint64
-	parks      uint64
-	wakes      uint64
 	critSubmit uint64
 	homeHit    uint64
 	homeMiss   uint64
@@ -129,8 +127,6 @@ func diffSamples(cur, prev *signalSample) adaptDeltas {
 		executed:   cur.Executed - prev.Executed,
 		steals:     cur.Steals - prev.Steals,
 		injPush:    cur.InjPush - prev.InjPush,
-		parks:      cur.Parks - prev.Parks,
-		wakes:      cur.Wakes - prev.Wakes,
 		critSubmit: cur.CritSubmit - prev.CritSubmit,
 		homeHit:    cur.HomeHit - prev.HomeHit,
 		homeMiss:   cur.HomeMiss - prev.HomeMiss,

@@ -1,6 +1,10 @@
 package runtime
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync"
+	"sync/atomic"
+)
 
 // taskFreelist is the first tier of the task-record freelist: a
 // fixed-capacity lock-free MPMC ring (Vyukov bounded queue) that — unlike
@@ -93,4 +97,41 @@ func (f *taskFreelist) get() *task {
 			pos = f.head.Load()
 		}
 	}
+}
+
+// scratchBuckets bounds the batch scratch the runtime recycles: capacities
+// 2, 4, … 2^scratchBuckets tasks (32 KiB of pointers at the top). A larger
+// batch allocates its scratch and leaves it to the collector — pooling it
+// would pin megabytes for the sake of one submission.
+const scratchBuckets = 12
+
+// scratchPool recycles submitSpecs' per-batch []*task scratch, bucketed by
+// power-of-two capacity so a small batch never takes (or waits behind) a
+// large batch's slice. Slices travel as pointers so Put does not allocate
+// a header; they are returned scrubbed, so a pooled scratch pins no task.
+type scratchPool [scratchBuckets]sync.Pool
+
+// get returns a scratch with capacity ≥ n (n ≥ 2).
+func (p *scratchPool) get(n int) *[]*task {
+	b := bits.Len(uint(n - 1)) // 2^b ≥ n
+	if b > scratchBuckets {
+		s := make([]*task, n)
+		return &s
+	}
+	if s, ok := p[b-1].Get().(*[]*task); ok {
+		return s
+	}
+	s := make([]*task, 1<<b)
+	return &s
+}
+
+// put scrubs the first n slots — all the borrower wrote — and recycles s
+// (an over-size scratch is left to the collector).
+func (p *scratchPool) put(s *[]*task, n int) {
+	b := bits.Len(uint(cap(*s) - 1))
+	if b > scratchBuckets {
+		return
+	}
+	clear((*s)[:n])
+	p[b-1].Put(s)
 }

@@ -376,6 +376,18 @@ type Stats struct {
 	// budget, if any, never produced a clean run) plus the skip-poisoned
 	// successors they took down with them.
 	Quarantined uint64
+	// Parks and Wakes count worker sleep/wake transitions across the
+	// scheduler's parking lots and the class gate. Parks per thousand
+	// executed tasks is the idle-protocol health figure: a pool that parks
+	// often under steady load is paying the OS wake path per task.
+	Parks uint64
+	Wakes uint64
+	// Searches counts the idle-search phases WorkSteal workers entered
+	// before parking (a worker fresh off a task polls briefly for new work
+	// first); SearchHits those that ended on queued work instead of a park.
+	// Both stay zero on the FIFO and CATS schedulers.
+	Searches   uint64
+	SearchHits uint64
 	// PerWorker counts tasks executed by each worker.
 	PerWorker []uint64
 	// PerClass aggregates PerWorker by worker class, in WorkerClasses()
@@ -549,6 +561,8 @@ type Runtime struct {
 	// steady-state submit→execute→complete path allocates nothing.
 	free *taskFreelist
 	pool sync.Pool
+	// scratch recycles submitSpecs' per-batch []*task scratch.
+	scratch scratchPool
 
 	closed   int32 // Submit guard, set at Shutdown entry
 	shutdown int32 // worker stop flag, set once the pool drains
@@ -763,6 +777,10 @@ func (r *Runtime) StatsInto(s *Stats) {
 	s.Retries = r.sig.retries.Load()
 	s.DeadlineMisses = r.sig.deadlineMiss.Load()
 	s.Quarantined = r.sig.quarantined.Load()
+	s.Parks = smp.Parks
+	s.Wakes = smp.Wakes
+	s.Searches = smp.Searches
+	s.SearchHits = smp.SearchHits
 	s.FlightEvents = 0
 	if r.rec != nil {
 		s.FlightEvents = r.rec.EventCount()

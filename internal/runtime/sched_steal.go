@@ -27,9 +27,11 @@ import (
 //     a single CAS, no lock. Victims are visited in tiers: same-domain
 //     before cross-domain, fast-class before slow within each tier (see
 //     buildVictimPlans), each tier swept from a random offset.
-//   - Only when everything is empty does a worker park, on its DOMAIN's
-//     condition variable — wakeups carry the domain where the work landed,
-//     so the worker whose cache is closest to the data is woken first. The
+//   - Only when everything is empty does a worker go idle: fresh off a
+//     task it first searches (a bounded number of yield-and-poll rounds,
+//     see search), then parks on its DOMAIN's condition variable —
+//     wakeups carry the domain where the work landed, so the worker whose
+//     cache is closest to the data is woken first. The
 //     parking protocol is sequentially consistent: pushers bump the global
 //     pending count before enqueuing and check the global parked count
 //     after; parkers register (global count, then domain count) under
@@ -127,7 +129,7 @@ type stealScheduler struct {
 	// that then blocks is still reachable by the rest of the pool.
 	side []lockedRing
 
-	rng []paddedRand
+	local []stealLocal
 }
 
 // domainPark is one memory domain's parking lot. n counts this domain's
@@ -172,11 +174,15 @@ func (b *lockedRing) offer(t *task, win int64) bool {
 	return true
 }
 
-// paddedRand is a per-worker xorshift state, padded to a cache line so
-// victim-selection draws by different workers don't false-share.
-type paddedRand struct {
-	state uint64
-	_     [7]uint64
+// stealLocal is one worker's owner-only scheduler state, padded to a cache
+// line so neighbouring workers don't false-share: the xorshift state behind
+// its victim-selection draws, and the idle-search rounds it has left —
+// refilled by every dispatch, spent by search (a worker never sleeps with
+// any left), forfeited by gating (see search).
+type stealLocal struct {
+	rand       uint64
+	searchLeft int
+	_          [6]uint64
 }
 
 func newStealScheduler(layout classLayout, pol *policyWords, sig *signals, rec *flightrec.Recorder) *stealScheduler {
@@ -184,7 +190,7 @@ func newStealScheduler(layout classLayout, pol *policyWords, sig *signals, rec *
 	s := &stealScheduler{
 		parkLog: parkLog{sig: sig, rec: rec},
 		deques:  make([]*wsDeque, layout.workers),
-		rng:     make([]paddedRand, layout.workers),
+		local:   make([]stealLocal, layout.workers),
 		fastN:   layout.fastN,
 		nd:      nd,
 		domOf:   make([]int32, layout.workers),
@@ -199,7 +205,7 @@ func newStealScheduler(layout classLayout, pol *policyWords, sig *signals, rec *
 	}
 	for i := range s.deques {
 		s.deques[i] = newWSDeque()
-		s.rng[i].state = mix64(uint64(i) + 0x9e3779b97f4a7c15)
+		s.local[i].rand = mix64(uint64(i) + 0x9e3779b97f4a7c15)
 		d := layout.domain(i)
 		s.domOf[i] = int32(d)
 		s.members[d] = append(s.members[d], int32(i))
@@ -633,11 +639,11 @@ func (s *stealScheduler) sweep(w, loTier, hiTier int, take func(v int) (*task, b
 
 // nextRand advances worker w's xorshift64 state.
 func (s *stealScheduler) nextRand(w int) uint64 {
-	x := s.rng[w].state
+	x := s.local[w].rand
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	s.rng[w].state = x
+	s.local[w].rand = x
 	return x
 }
 
@@ -698,6 +704,7 @@ func (s *stealScheduler) pop(workerID int) (*task, bool) {
 	ownDom := int(s.domOf[workerID])
 	fast := workerID < s.fastN
 	class := s.classOf(workerID)
+	loc := &s.local[workerID]
 	for {
 		// The policy class gate: a worker whose class is inactive parks
 		// outside the pool until the mask widens. Anything it still holds
@@ -721,6 +728,9 @@ func (s *stealScheduler) pop(workerID int) (*task, bool) {
 			if n > 0 {
 				s.wakeWorkers(n, ownDom)
 			}
+			// The gate is withdrawal, not idleness: a gated worker never
+			// searches, here or on its way back into the pool.
+			loc.searchLeft = 0
 			if s.gatePark(workerID, class) {
 				return nil, false // shutdown wake
 			}
@@ -729,6 +739,7 @@ func (s *stealScheduler) pop(workerID int) (*task, bool) {
 		t, stolen, contended := s.find(workerID, ownDom, fast)
 		if t != nil {
 			s.pending.Add(-1)
+			loc.searchLeft = searchRounds
 			return t, stolen
 		}
 		if contended {
@@ -738,10 +749,16 @@ func (s *stealScheduler) pop(workerID int) (*task, bool) {
 			stdruntime.Gosched()
 			continue
 		}
-		// Nothing anywhere. Park on the home domain's lot — unless a task
-		// was published since the sweep (the pending re-check under the
-		// lock closes the race with a concurrent push, whose pending
-		// increment precedes its parked check in seqcst order).
+		// Nothing anywhere. A worker with search budget left — fresh off a
+		// task — polls before it sleeps (see search); one that saw work
+		// published goes straight back to find.
+		if loc.searchLeft > 0 && s.search(workerID) {
+			continue
+		}
+		// Park on the home domain's lot — unless a task was published since
+		// the sweep (the pending re-check under the lock closes the race
+		// with a concurrent push, whose pending increment precedes its
+		// parked check in seqcst order).
 		dp := &s.parks[ownDom]
 		dp.mu.Lock()
 		woken := false
@@ -781,6 +798,58 @@ func (s *stealScheduler) pop(workerID int) (*task, bool) {
 			stdruntime.Gosched()
 		}
 	}
+}
+
+// searchRounds is the idle search's budget per busy→idle transition, chosen
+// from the sweep in DESIGN.md § WorkSteal › "Parking list": throughput is on
+// its plateau from 128 rounds, and 256 is the smallest setting that keeps
+// parks under one per thousand tasks with margin. At ~160 ns a round it is
+// ~41 µs of otherwise idle CPU — less than the ~67 µs of P that one
+// park/wake round trip through the Go scheduler costs. A constant, not a
+// knob: nothing in the repo needs a second value.
+const searchRounds = 256
+
+// search is the first phase of the idle protocol: a worker whose find came
+// back empty and uncontended polls for new work before it parks, because a
+// park that is undone microseconds later costs far more of the P
+// (cond.Wait → stopm/futex → wakep/futex) than the polling does. A round is
+// one runtime.Gosched followed by one load of pending. It yields rather than
+// spins so every runnable goroutine — the submitter a wakeup left in this
+// P's runnext, an HTTP handler, the recorder's collector — gets the P
+// first; at GOMAXPROCS=1 that is what lets the work being searched for be
+// published at all. It reports true as soon as pending is positive (the
+// caller re-runs find) and false when the budget is spent or the pool is
+// waking for shutdown — then the caller falls through to the park
+// handshake, which is untouched: the search only delays it, so the
+// lost-wakeup argument stands as written, and the handshake's own woken
+// check stays the single shutdown exit (a searcher that answered woken by
+// going back to find would find nothing, search again, and never reach it).
+//
+// The budget is loc.searchLeft: only a dispatch refills it to searchRounds,
+// and a worker reaches the handshake with none left, so only a worker that
+// has dispatched since it last slept may search — one woken by a broadcast
+// that finds nothing sleeps again at once, and a herd cannot multiply the
+// burn — and a hit that loses the race for its task resumes with what is
+// left instead of starting over, so one busy→idle transition never costs
+// more than one budget however often pending flickers (a neighbour's
+// pushOwned hand-offs raise it for a few hundred nanoseconds per chain
+// link). No flight-recorder event marks a search: a
+// searching worker is simply awake.
+func (s *stealScheduler) search(workerID int) bool {
+	loc, sig := &s.local[workerID], &s.sig.workers[workerID]
+	atomic.AddUint64(&sig.searches, 1)
+	for loc.searchLeft > 0 {
+		loc.searchLeft--
+		stdruntime.Gosched()
+		if s.woken.Load() {
+			return false
+		}
+		if s.pending.Load() > 0 {
+			atomic.AddUint64(&sig.searchHits, 1)
+			return true
+		}
+	}
+	return false
 }
 
 // evacuate spills everything a gating worker still owns — its submit

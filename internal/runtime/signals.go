@@ -14,8 +14,8 @@ const depthBuckets = 8
 // per-dispatch counters in the runtime: plain counters the worker bumps
 // with uncontended atomic adds on its own cache line. Every per-worker,
 // per-class and per-domain figure Stats reports is a read-time grouping of
-// these blocks. The padding keeps neighbouring workers' counters off one
-// line.
+// these blocks. A block is exactly one cache line, which keeps neighbouring
+// workers' counters off each other's.
 type workerSig struct {
 	executed uint64 // tasks whose body ran on this worker
 	steals   uint64 // dispatches stolen from another worker's queue
@@ -27,7 +27,11 @@ type workerSig struct {
 	homeHit  uint64
 	homeNear uint64
 	homeFar  uint64
-	_        [2]uint64
+	// searches counts idle-search phases this worker entered (steal
+	// scheduler only, see stealScheduler.search); searchHits those that
+	// ended on queued work instead of a park.
+	searches   uint64
+	searchHits uint64
 }
 
 // signals is the runtime's self-observation layer: the one set of cheap
@@ -89,6 +93,8 @@ type signalSample struct {
 	InjPush    uint64
 	Parks      uint64
 	Wakes      uint64
+	Searches   uint64
+	SearchHits uint64
 	CritSubmit uint64
 	// Pending is the number of queued (ready, undispatched) tasks at
 	// sample time — the sum over Depth.
@@ -152,6 +158,7 @@ func (r *Runtime) sampleSignals(s *signalSample) {
 		s.PerDomain[i] = DomainStats{Workers: r.domains[i].Count}
 	}
 	s.Executed, s.Steals, s.Skipped, s.HomeHit, s.HomeMiss, s.InjPush = 0, 0, 0, 0, 0, 0
+	s.Searches, s.SearchHits = 0, 0
 	for i := range sig.workers {
 		w, d := &sig.workers[i], &s.PerDomain[r.domainOf[i]]
 		e := atomic.LoadUint64(&w.executed)
@@ -163,6 +170,8 @@ func (r *Runtime) sampleSignals(s *signalSample) {
 		s.Steals += st
 		d.Steals += st
 		s.Skipped += atomic.LoadUint64(&w.skipped)
+		s.Searches += atomic.LoadUint64(&w.searches)
+		s.SearchHits += atomic.LoadUint64(&w.searchHits)
 		hit := atomic.LoadUint64(&w.homeHit)
 		near := atomic.LoadUint64(&w.homeNear)
 		far := atomic.LoadUint64(&w.homeFar)

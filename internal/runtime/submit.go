@@ -172,10 +172,13 @@ func (r *Runtime) submitSpecs(ctx context.Context, specs []TaskSpec, loneDeps []
 	// A lone task travels in t and needs no scratch, which keeps the
 	// one-task entry points allocation-free: a stack scratch could not do
 	// it, because anything that may reach the scheduler's pushBatch (an
-	// interface call) escapes.
+	// interface call) escapes. A batch borrows its scratch from the
+	// runtime's pool and returns it scrubbed.
+	var scratch *[]*task
 	var tasks []*task
 	if n > 1 {
-		tasks = make([]*task, n)
+		scratch = r.scratch.get(n)
+		tasks = (*scratch)[:n]
 	}
 	var t *task
 	var mask uint64
@@ -255,6 +258,10 @@ func (r *Runtime) submitSpecs(ctx context.Context, specs []TaskSpec, loneDeps []
 			r.sched.pushBatch(rest, -1)
 		}
 	}
+	if scratch != nil {
+		// The schedulers do not retain the slice (see pushBatch).
+		r.scratch.put(scratch, n)
+	}
 	return ids, nil
 }
 
@@ -285,6 +292,13 @@ func (r *Runtime) acquireSlots(ctx context.Context, n int) error {
 	}
 	var err error
 	for i := 0; i < n && err == nil; i++ {
+		// A free slot is taken with a plain non-blocking send; only a full
+		// pool pays for the two-way select (selectgo) against ctx.
+		select {
+		case r.slots <- struct{}{}:
+			continue
+		default:
+		}
 		select {
 		case r.slots <- struct{}{}:
 		case <-ctx.Done():
