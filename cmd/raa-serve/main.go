@@ -5,7 +5,7 @@
 // Usage:
 //
 //	raa-serve [-addr :8080] [-workers N] [-scheduler cats|worksteal|fifo]
-//	          [-adaptive] [-flight] [-quota N] [-queue-cap N] [-selftest]
+//	          [-flight] [-quota N] [-queue-cap N] [-selftest]
 //
 // POST /v1/graphs submits a JSON task graph (tenant in the X-RAA-Tenant
 // header), GET /v1/jobs/{id} reads (or long-polls, ?wait=1s) its state,
@@ -41,7 +41,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "pool workers (0 = GOMAXPROCS)")
 		scheduler = flag.String("scheduler", "cats", "runtime scheduler (cats, worksteal, fifo)")
-		adaptive  = flag.Bool("adaptive", false, "enable the adaptive runtime controller")
 		flight    = flag.Bool("flight", false, "enable the flight recorder + request markers")
 		quota     = flag.Int64("quota", 0, "per-tenant token quota (0 = default)")
 		queueCap  = flag.Int("queue-cap", 0, "per-tenant queue capacity (0 = default)")
@@ -53,7 +52,6 @@ func main() {
 	cfg := serve.Config{
 		Workers:        *workers,
 		Scheduler:      *scheduler,
-		Adaptive:       *adaptive,
 		FlightRecorder: *flight,
 		TenantQuota:    *quota,
 		QueueCap:       *queueCap,

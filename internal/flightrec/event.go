@@ -296,34 +296,19 @@ func RetryInfo(arg2 uint64) (attempt, max int) {
 		int((arg2 >> retryMaxShift) & faultAttemptMask)
 }
 
-// The adaptive-controller rule identifiers carried in KindAdapt events.
-const (
-	// AdaptWindow: the effective locality window was retuned.
-	AdaptWindow uint8 = 1 + iota
-	// AdaptClassMask: the active worker-class set changed (old/new are the
-	// masks).
-	AdaptClassMask
-	// AdaptCritFirst: criticality-first placement was switched (old/new
-	// are 0/1).
-	AdaptCritFirst
-	// AdaptRefill: the injector refill chunk was retuned.
-	AdaptRefill
-)
+// AdaptClassMask is the adaptive-controller rule identifier carried in
+// KindAdapt events: the active worker-class set changed (old/new are the
+// masks). It is the only rule the controller has; the code stays 2 — codes
+// 1, 3 and 4 belonged to the deleted window, crit-first and refill rules —
+// so dumps recorded before the deletion still decode.
+const AdaptClassMask uint8 = 2
 
 // AdaptRuleName renders a KindAdapt rule identifier for dumps.
 func AdaptRuleName(rule uint8) string {
-	switch rule {
-	case AdaptWindow:
-		return "window"
-	case AdaptClassMask:
+	if rule == AdaptClassMask {
 		return "classmask"
-	case AdaptCritFirst:
-		return "critfirst"
-	case AdaptRefill:
-		return "refill"
-	default:
-		return fmt.Sprintf("rule(%d)", rule)
 	}
+	return fmt.Sprintf("rule(%d)", rule)
 }
 
 // Adapt Arg2 layout: rule in the low byte, then two 28-bit settings.
@@ -336,8 +321,8 @@ const (
 )
 
 // PackAdapt encodes one applied decision into Event.Arg2: which rule
-// fired and the setting's old and new values (28 bits each — window,
-// chunk, and mask values all fit; larger values saturate).
+// fired and the setting's old and new values (28 bits each — a class mask
+// fits; larger values saturate).
 func PackAdapt(rule uint8, old, new uint64) uint64 {
 	if old > maxAdaptSetting {
 		old = maxAdaptSetting

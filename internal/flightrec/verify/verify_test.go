@@ -546,7 +546,7 @@ func TestDomainGatingGapClearsState(t *testing.T) {
 // a signals sample of the same epoch — the monitor→reason→adapt loop
 // records the sample first, then each decision it justified.
 func TestAdaptProvenance(t *testing.T) {
-	pack := flightrec.PackAdapt(flightrec.AdaptWindow, 32, 16)
+	pack := flightrec.PackAdapt(flightrec.AdaptClassMask, 3, 1)
 	var s evStream
 	s.add(flightrec.KindSignals, flightrec.ExternalWorker, 0, 7, 0)
 	s.add(flightrec.KindAdapt, flightrec.ExternalWorker, 0, 7, pack)

@@ -19,74 +19,27 @@ func heteroAdaptiveClasses() Option {
 	)
 }
 
-// The pure reason step: each rule must fire on its trigger shape and stay
-// quiet otherwise.
+// The pure reason step: the class rule must fire on its two trigger shapes
+// and stay quiet otherwise.
 func TestProposePolicyRules(t *testing.T) {
-	hetero := policySnapshot{window: 32, chunk: injectorGrab, mask: 3, fullMask: 3}
-
-	// Backlog for the whole pool widens a narrowed mask back to full.
-	narrowed := hetero
-	narrowed.mask = 1
-	p := proposePolicy(adaptDeltas{pending: 8}, narrowed, 4)
-	if !p.has[knobClassMask] || p.val[knobClassMask] != 3 {
-		t.Errorf("pool-wide backlog: mask proposal (%v, %d), want full mask 3", p.has[knobClassMask], p.val[knobClassMask])
-	}
-
-	// A serial phase parks everything but the fast class.
-	p = proposePolicy(adaptDeltas{pending: 1}, hetero, 4)
-	if !p.has[knobClassMask] || p.val[knobClassMask] != 1 {
-		t.Errorf("serial phase: mask proposal (%v, %d), want fast-only 1", p.has[knobClassMask], p.val[knobClassMask])
-	}
-
-	// A homogeneous pool has nothing to gate.
-	homo := hetero
-	homo.mask, homo.fullMask = 1, 1
-	if p = proposePolicy(adaptDeltas{pending: 1}, homo, 4); p.has[knobClassMask] {
-		t.Error("homogeneous pool: class-mask rule proposed a change")
-	}
-
-	// Fan-out pressure (injector traffic + large backlog) halves the
-	// window; a chain phase (home releases, no injector traffic) doubles
-	// it; both respect the clamp.
-	p = proposePolicy(adaptDeltas{injPush: 10, pending: 9}, hetero, 4)
-	if !p.has[knobWindow] || p.val[knobWindow] != 16 {
-		t.Errorf("fan-out: window proposal (%v, %d), want 16", p.has[knobWindow], p.val[knobWindow])
-	}
-	p = proposePolicy(adaptDeltas{executed: 50, homeHit: 50, pending: 1}, hetero, 4)
-	if !p.has[knobWindow] || p.val[knobWindow] != 64 {
-		t.Errorf("chain: window proposal (%v, %d), want 64", p.has[knobWindow], p.val[knobWindow])
-	}
-	floor := hetero
-	floor.window = 4
-	p = proposePolicy(adaptDeltas{injPush: 10, deepTail: 1}, floor, 4)
-	if !p.has[knobWindow] || p.val[knobWindow] != 4 {
-		t.Errorf("clamped fan-out: window proposal (%v, %d), want the minimum window 4", p.has[knobWindow], p.val[knobWindow])
-	}
-
-	// Priority-hinted submissions switch criticality-first on; a busy
-	// period without hints switches it back off.
-	p = proposePolicy(adaptDeltas{critSubmit: 3}, hetero, 4)
-	if !p.has[knobCritFirst] || p.val[knobCritFirst] != 1 {
-		t.Errorf("hinted submissions: crit proposal (%v, %d), want on", p.has[knobCritFirst], p.val[knobCritFirst])
-	}
-	critOn := hetero
-	critOn.crit = true
-	p = proposePolicy(adaptDeltas{executed: 10, pending: 2}, critOn, 4)
-	if !p.has[knobCritFirst] || p.val[knobCritFirst] != 0 {
-		t.Errorf("hint-free period: crit proposal (%v, %d), want off", p.has[knobCritFirst], p.val[knobCritFirst])
-	}
-
-	// Injector pressure past 4× the chunk doubles it; a quiet injector
-	// resets a grown chunk to the default.
-	p = proposePolicy(adaptDeltas{injPush: uint64(4*injectorGrab + 1), pending: 2}, hetero, 4)
-	if !p.has[knobRefill] || p.val[knobRefill] != 2*injectorGrab {
-		t.Errorf("injector pressure: refill proposal (%v, %d), want %d", p.has[knobRefill], p.val[knobRefill], 2*injectorGrab)
-	}
-	grown := hetero
-	grown.chunk = 128
-	p = proposePolicy(adaptDeltas{pending: 2}, grown, 4)
-	if !p.has[knobRefill] || p.val[knobRefill] != injectorGrab {
-		t.Errorf("quiet injector: refill proposal (%v, %d), want reset to %d", p.has[knobRefill], p.val[knobRefill], injectorGrab)
+	for _, c := range []struct {
+		name     string
+		pending  int64
+		fullMask uint64
+		want     uint64
+	}{
+		{"pool-wide backlog runs every class", 8, 3, 3},
+		{"backlog of exactly one task per worker", 4, 3, 3},
+		{"serial phase parks everything but the fast class", 1, 3, 1},
+		{"idle pool parks everything but the fast class", 0, 3, 1},
+		{"ambiguous backlog proposes nothing", 2, 3, 0},
+		{"three classes widen to all three", 9, 7, 7},
+		{"homogeneous pool has nothing to gate, serial", 1, 1, 0},
+		{"homogeneous pool has nothing to gate, backlog", 64, 1, 0},
+	} {
+		if got := proposePolicy(c.pending, c.fullMask, 4); got != c.want {
+			t.Errorf("%s: proposePolicy(pending %d, full %b) = %b, want %b", c.name, c.pending, c.fullMask, got, c.want)
+		}
 	}
 }
 
@@ -97,15 +50,14 @@ func TestAdaptiveHysteresisPreventsFlapping(t *testing.T) {
 	c := &adaptiveController{
 		opts:    AdaptiveOptions{Period: time.Millisecond, Hysteresis: 2},
 		workers: 4,
-		pol:     newPolicyWords(32, 2),
+		pol:     newPolicyWords(2),
 		sched:   newTestFIFO(4),
 	}
 	full := c.pol.fullMask
-	narrow := adaptDeltas{pending: 1}  // proposes the fast-only mask
-	neutral := adaptDeltas{pending: 2} // proposes nothing
+	const narrow, neutral = 1, 2 // pending counts proposing fast-only / nothing
 	for i := 0; i < 10; i++ {
-		c.reviseFrom(narrow, uint64(2*i))
-		c.reviseFrom(neutral, uint64(2*i+1))
+		c.revise(narrow, uint64(2*i))
+		c.revise(neutral, uint64(2*i+1))
 	}
 	if got := c.pol.classMask.Load(); got != full {
 		t.Fatalf("mask %b after flapping proposals, want untouched %b", got, full)
@@ -114,8 +66,8 @@ func TestAdaptiveHysteresisPreventsFlapping(t *testing.T) {
 		t.Fatalf("%d decisions applied under flapping", n)
 	}
 
-	c.reviseFrom(narrow, 100)
-	c.reviseFrom(narrow, 101)
+	c.revise(narrow, 100)
+	c.revise(narrow, 101)
 	if got := c.pol.classMask.Load(); got != 1 {
 		t.Fatalf("mask %b after a held serial phase, want fast-only 1", got)
 	}
@@ -125,7 +77,7 @@ func TestAdaptiveHysteresisPreventsFlapping(t *testing.T) {
 
 	// Holding the phase further proposes the current setting — no churn.
 	for i := 0; i < 5; i++ {
-		c.reviseFrom(narrow, uint64(200+i))
+		c.revise(narrow, uint64(200+i))
 	}
 	if n := c.decisions.Load(); n != 1 {
 		t.Fatalf("%d decisions while the phase holds, want still 1", n)
@@ -174,15 +126,91 @@ func TestAdaptiveComposesWithTopologyAndClasses(t *testing.T) {
 		t.Fatalf("active-class mask %b parks the fast class", st.Adaptive.ActiveClasses)
 	}
 	// The idle beats above are long against the 100µs period: the
-	// controller must have sampled by now, and the serial/idle phases must
-	// have produced at least one applied decision.
+	// controller must have sampled by now, the serial/idle phases must
+	// have produced at least one applied decision, and the idle pool it is
+	// looking at now must be narrowed to the fast class.
 	deadline := time.Now().Add(2 * time.Second)
-	for st.Adaptive.Samples == 0 || st.Adaptive.Decisions == 0 {
+	for st.Adaptive.Samples == 0 || st.Adaptive.Decisions == 0 || st.Adaptive.ActiveClasses != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("controller inert: %d samples, %d decisions", st.Adaptive.Samples, st.Adaptive.Decisions)
+			t.Fatalf("controller inert: %d samples, %d decisions, mask %b (want 1 on an idle pool)",
+				st.Adaptive.Samples, st.Adaptive.Decisions, st.Adaptive.ActiveClasses)
 		}
 		time.Sleep(time.Millisecond)
 		r.StatsInto(&st)
+	}
+}
+
+// A constant load must yield zero decisions: an adaptation that fires
+// while nothing about the workload changes is a pure stability cost. A
+// submitter holds the queue bound full of short blocking tasks (so queued
+// work never drops near the pool size, and the controller and submitter
+// always find a free P); only then is the controller attached, so the
+// start-up idle phase is not part of what it observes; after ≥ 2000
+// samples it must not have touched the policy — on a homogeneous pool,
+// where no rule has anything to propose, and on a two-class pool, where
+// the class rule sees "work for everyone" throughout.
+func TestAdaptiveStableUnderConstantLoad(t *testing.T) {
+	const bound, holdSamples = 1024, 2000
+	for _, tc := range []struct {
+		name string
+		pool Option
+	}{
+		{"homogeneous", WithWorkers(4)},
+		{"two-class", heteroAdaptiveClasses()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := New(tc.pool, WithQueueBound(bound))
+			defer r.Shutdown()
+			stop := make(chan struct{})
+			submitted := make(chan error, 1)
+			go func() {
+				body := func() { time.Sleep(20 * time.Microsecond) }
+				for {
+					select {
+					case <-stop:
+						submitted <- nil
+						return
+					default:
+					}
+					if _, err := r.Submit("t", 1, body); err != nil {
+						submitted <- err
+						return
+					}
+				}
+			}()
+			deadline := time.Now().Add(30 * time.Second)
+			for r.Backlog() < bound/2 {
+				if time.Now().After(deadline) {
+					t.Fatalf("load never saturated: backlog %d of %d", r.Backlog(), bound)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// Attached from the goroutine that also reads it (StatsInto,
+			// Shutdown), so the late assignment is not a race.
+			r.ctrl = newAdaptiveController(r, AdaptiveOptions{Period: 100 * time.Microsecond})
+			go r.ctrl.run()
+			var st Stats
+			for st.Adaptive.Samples < holdSamples {
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d controller samples in 30s", st.Adaptive.Samples)
+				}
+				time.Sleep(5 * time.Millisecond)
+				r.StatsInto(&st)
+			}
+			// Read while still saturated: the drain below is a real phase
+			// change the controller is free to react to.
+			close(stop)
+			if err := <-submitted; err != nil {
+				t.Fatal(err)
+			}
+			if st.Adaptive.Decisions != 0 {
+				t.Fatalf("%d decisions in %d samples at constant load, want 0 (mask %b)",
+					st.Adaptive.Decisions, st.Adaptive.Samples, st.Adaptive.ActiveClasses)
+			}
+			if st.Executed == 0 {
+				t.Fatal("no task executed")
+			}
+		})
 	}
 }
 

@@ -126,27 +126,28 @@
 //	signals.go     the per-worker counter block and sampleSignals, the one
 //	               reader Stats and the adaptive controller both go through
 //	adaptive.go, policy.go
-//	               the controller and the policy words it rewrites
+//	               the controller and the class mask it rewrites
 //	runtime.go     types, construction, Wait, Shutdown, Stats, Graph
 //
 // # Adaptive control
 //
-// WithAdaptive turns the static knobs above into a closed loop — the
-// paper's self-aware runtime. A signals layer of lock-free counters (one
-// padded block per worker — executed, steals, home hit/near/far — plus
-// injector and parking traffic and a queue-depth histogram) is sampled
+// WithAdaptive closes one loop over a heterogeneous pool — the paper's
+// runtime that observes its task graph and decides which cores run it. A
+// signals layer of lock-free counters (one padded block per worker, plus
+// parking traffic and the scheduler's queued-task count) is sampled
 // allocation-free every AdaptiveOptions.Period by a background
-// controller, which diffs consecutive snapshots and runs pure rules over
-// the deltas: a serial
-// phase narrows the active-class mask to the fast class (slow workers
-// gate-park until the mask widens), a fan-out phase shrinks the locality
-// window and grows the injector refill chunk, a chain phase grows the
-// window back, and priority-hinted phases toggle criticality-first
-// dispatch. Each knob changes only after its proposal has held for
-// Hysteresis consecutive samples, every applied decision is recorded in
-// the flight recorder (KindAdapt, preceded by the KindSignals snapshot
-// event the verifier's AdaptProvenance invariant demands), and
-// Stats.Adaptive reports the live policy plus sample/decision counts.
-// The throughput experiment's adaptive scenario pits this controller
-// against every static configuration on a phase-shifting workload.
+// controller, which runs one pure rule on the snapshot: a serial phase
+// (at most one task queued) narrows the active-class mask to the fast
+// class — slow workers gate-park until the mask widens — and work for
+// every worker widens it back. The mask changes only after the proposal
+// has held for Hysteresis consecutive samples, every applied decision is
+// recorded in the flight recorder (KindAdapt, preceded by the KindSignals
+// snapshot event the verifier's AdaptProvenance invariant demands), and
+// Stats.Adaptive reports the live mask plus sample/decision counts. The
+// locality window and the injector refill chunk are construction-time
+// constants, not policy (DESIGN.md § Adaptive control › "Mechanism table"
+// has the measurements). The throughput experiment's adaptive scenario
+// pits the controller against the static configurations on a
+// phase-shifting workload; internal/throughput's
+// TestAdaptiveClassRuleRent fails if the rule stops paying.
 package runtime

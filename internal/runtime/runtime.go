@@ -400,7 +400,7 @@ type Stats struct {
 	// FlightEvents is the total number of events the flight recorder has
 	// captured (0 without WithFlightRecorder).
 	FlightEvents uint64
-	// Adaptive is the policy-layer snapshot: the live policy words plus,
+	// Adaptive is the policy-layer snapshot: the live class mask plus,
 	// with WithAdaptive, the controller's sample and decision counters.
 	Adaptive AdaptiveStats
 }
@@ -541,8 +541,8 @@ type Runtime struct {
 	// sig is the signals layer — the single source of truth for execution
 	// counters (per-worker, padded, owner-bumped) that Stats, the sampler,
 	// and the adaptive controller all read. pol is the policy layer: the
-	// cached atomic words the schedulers consult for every placement
-	// decision. sample/sampleMu serve StatsInto: one reusable epoch
+	// cached class mask every scheduler's pop consults. sample/sampleMu
+	// serve StatsInto: one reusable epoch
 	// snapshot instead of per-call aggregation.
 	sig      *signals
 	pol      *policyWords
@@ -550,7 +550,7 @@ type Runtime struct {
 	sample   signalSample
 
 	// ctrl is the adaptive controller (nil without WithAdaptive). It is
-	// the single writer of the policy words once running.
+	// the single writer of the class mask once running.
 	ctrl *adaptiveController
 
 	// free and pool are the two tiers of the task-record freelist. Without
@@ -586,7 +586,7 @@ func New(opts ...Option) *Runtime {
 		domainOf: domainOf,
 		shards:   newShards(resolveShards(o.shards)),
 		sig:      newSignals(o.workers),
-		pol:      newPolicyWords(o.localWindow, len(classes)),
+		pol:      newPolicyWords(len(classes)),
 	}
 	// Freelist ring capacity covers twice the queue bound — every
 	// outstanding record plus the transient excess that recycle/slot races
@@ -616,7 +616,7 @@ func New(opts ...Option) *Runtime {
 		r.sched = newCATSScheduler(layout, r.pol, r.sig, r.rec)
 		r.schedSelfRecords = r.rec != nil
 	default:
-		r.sched = newStealScheduler(layout, r.pol, r.sig, r.rec)
+		r.sched = newStealScheduler(layout, o.localWindow, r.pol, r.sig, r.rec)
 		// Only the steal scheduler's placement honours the domain
 		// hierarchy; FIFO pops are domain-blind and CATS's criticality
 		// order overrides affinity, so stamping domains into their events
@@ -785,14 +785,11 @@ func (r *Runtime) StatsInto(s *Stats) {
 	if r.rec != nil {
 		s.FlightEvents = r.rec.EventCount()
 	}
-	s.Adaptive = AdaptiveStats{
-		Window:        r.pol.window.Load(),
-		RefillChunk:   r.pol.refillChunk.Load(),
-		CritFirst:     r.pol.critFirst.Load() != 0,
-		ActiveClasses: r.pol.classMask.Load(),
-	}
-	if r.ctrl != nil {
-		r.ctrl.statsInto(&s.Adaptive)
+	s.Adaptive = AdaptiveStats{ActiveClasses: r.pol.classMask.Load()}
+	if c := r.ctrl; c != nil {
+		s.Adaptive.Enabled = true
+		s.Adaptive.Samples = c.samples.Load()
+		s.Adaptive.Decisions = c.decisions.Load()
 	}
 	s.PerWorker = append(s.PerWorker[:0], smp.PerWorker...)
 	s.PerClass = append(s.PerClass[:0], smp.PerClass...)

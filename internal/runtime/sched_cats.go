@@ -337,11 +337,9 @@ func (s *catsScheduler) pop(workerID int) (*task, bool) {
 	}
 }
 
-// reportDepths: the two heaps.
-func (s *catsScheduler) reportDepths(smp *signalSample) {
+// queued: the two heaps (stale bump duplicates included — an upper bound).
+func (s *catsScheduler) queued() int64 {
 	s.mu.Lock()
-	c, p := int64(len(s.crit)), int64(len(s.plain))
-	s.mu.Unlock()
-	smp.noteDepth(c)
-	smp.noteDepth(p)
+	defer s.mu.Unlock()
+	return int64(len(s.crit) + len(s.plain))
 }

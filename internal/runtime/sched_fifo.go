@@ -33,10 +33,8 @@ func (s *fifoScheduler) pop(workerID int) (*task, bool) {
 	}
 }
 
-// reportDepths: the central queue is the only queue.
-func (s *fifoScheduler) reportDepths(smp *signalSample) {
+func (s *fifoScheduler) queued() int64 {
 	s.mu.Lock()
-	n := int64(s.queue.len())
-	s.mu.Unlock()
-	smp.noteDepth(n)
+	defer s.mu.Unlock()
+	return int64(s.queue.len())
 }

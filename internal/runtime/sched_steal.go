@@ -63,12 +63,6 @@ type stealScheduler struct {
 	parks  []domainPark
 	woken  atomic.Bool
 
-	// fastN splits the deques into the fast-class range [0, fastN) and the
-	// slow range [fastN, len): within each domain tier, victim sweeps
-	// visit fast-class deques first (see buildVictimPlans). fastN ==
-	// len(deques) for homogeneous pools.
-	fastN int
-
 	// nd is the domain count (≥ 1); domOf maps workerID → domain;
 	// members lists each domain's workers in ID order.
 	nd      int
@@ -79,22 +73,20 @@ type stealScheduler struct {
 	victims []victimPlan
 
 	// traffic is the per-domain injector/steal accounting surfaced through
-	// Stats.PerDomain; its injPush column, summed, is the injector-pressure
-	// signal the adaptive controller samples.
+	// Stats.PerDomain.
 	traffic []domainTraffic
 
-	// pol is the policy layer this scheduler consults on every hot path:
-	// pol.window is the locality window — a push carrying a worker hint
-	// goes to that worker's own deque only while the deque holds fewer
-	// than window tasks, and spills past it — first to same-domain
-	// siblings' submit buffers (multi-domain pools only), then to the
-	// domain injector — so a completing worker keeps its successors hot in
-	// cache without hoarding a wide fan that the rest of the pool would
-	// have to steal back one CAS at a time (window <= 0 disables the
+	// window is the locality window (WithLocalityWindow), immutable: a push
+	// carrying a worker hint goes to that worker's own deque only while the
+	// deque holds fewer than window tasks, and spills past it — first to
+	// same-domain siblings' submit buffers (multi-domain pools only), then
+	// to the domain injector — so a completing worker keeps its successors
+	// hot in cache without hoarding a wide fan that the rest of the pool
+	// would have to steal back one CAS at a time (window <= 0 disables the
 	// locality path entirely: every release goes through the injector, the
-	// central-queue baseline). pol.refillChunk caps the own-domain
-	// injector refill, pol.critFirst switches the crit heap on, and
-	// pol.classMask gates worker classes (see pop).
+	// central-queue baseline).
+	window int64
+	// pol is the policy layer: pol.classMask gates worker classes (see pop).
 	pol *policyWords
 	// classOf maps workerID → class index for the policy gate.
 	classOf func(int) int
@@ -107,18 +99,6 @@ type stealScheduler struct {
 	// active worker can park while a gated worker's work remains.
 	gateMu   sync.Mutex
 	gateCond *sync.Cond
-
-	// crit is the criticality-first heap, live while pol.critFirst is set:
-	// ready tasks with positive priority are routed here instead of the
-	// deques, fast-class workers drain it before their own deque and slow
-	// workers only when every other source is dry — the CATS placement
-	// rule as a switchable mode. Entries are unique (no bump reinsertion
-	// on this scheduler), so no claim machinery is needed; critN mirrors
-	// the heap size for the lock-free empty check every pop makes, and the
-	// heap keeps draining after the mode switches off.
-	critMu sync.Mutex
-	crit   catsHeap
-	critN  atomic.Int64
 
 	// side holds one submit buffer per worker: the landing zone for
 	// hinted submissions (tasks submitted with a worker's body context,
@@ -185,13 +165,12 @@ type stealLocal struct {
 	_          [6]uint64
 }
 
-func newStealScheduler(layout classLayout, pol *policyWords, sig *signals, rec *flightrec.Recorder) *stealScheduler {
+func newStealScheduler(layout classLayout, window int, pol *policyWords, sig *signals, rec *flightrec.Recorder) *stealScheduler {
 	nd := layout.domainCount()
 	s := &stealScheduler{
 		parkLog: parkLog{sig: sig, rec: rec},
 		deques:  make([]*wsDeque, layout.workers),
 		local:   make([]stealLocal, layout.workers),
-		fastN:   layout.fastN,
 		nd:      nd,
 		domOf:   make([]int32, layout.workers),
 		members: make([][]int32, nd),
@@ -199,6 +178,7 @@ func newStealScheduler(layout classLayout, pol *policyWords, sig *signals, rec *
 		parks:   make([]domainPark, nd),
 		traffic: make([]domainTraffic, nd),
 		victims: buildVictimPlans(layout),
+		window:  int64(window),
 		pol:     pol,
 		classOf: layout.class,
 		side:    make([]lockedRing, layout.workers),
@@ -218,13 +198,12 @@ func newStealScheduler(layout classLayout, pol *policyWords, sig *signals, rec *
 }
 
 // localRoom reports how many more tasks worker w's deque may take through
-// the locality path (0 when the hint is invalid or locality is disabled)
-// under the given effective window.
-func (s *stealScheduler) localRoom(workerHint int, win int64) int64 {
-	if s.hintDomain(workerHint) < 0 || win <= 0 {
+// the locality path (0 when the hint is invalid or locality is disabled).
+func (s *stealScheduler) localRoom(workerHint int) int64 {
+	if s.hintDomain(workerHint) < 0 || s.window <= 0 {
 		return 0
 	}
-	return max(win-s.deques[workerHint].size(), 0)
+	return max(s.window-s.deques[workerHint].size(), 0)
 }
 
 // hintDomain maps a push's worker hint to that worker's domain, -1 for no
@@ -241,57 +220,22 @@ func (s *stealScheduler) push(t *task, workerHint int) {
 	s.wakeWorkers(1, s.route(t, workerHint))
 }
 
-// route places one ready task — crit heap when criticality-first is on
-// and the task carries positive priority, otherwise same-worker deque
-// while the locality window has room, same-domain sibling submit buffer,
-// domain injector — and returns the domain it landed in, the wake scan's
-// routing preference.
+// route places one ready task — same-worker deque while the locality
+// window has room, same-domain sibling submit buffer, domain injector —
+// and returns the domain it landed in, the wake scan's routing preference.
 func (s *stealScheduler) route(t *task, workerHint int) int {
 	d := s.hintDomain(workerHint)
-	if s.pol.critFirst.Load() != 0 && atomic.LoadInt64(&t.priority) > 0 {
-		s.pushCrit(t)
-		return d
-	}
-	win := s.pol.window.Load()
-	if s.localRoom(workerHint, win) > 0 {
+	if s.localRoom(workerHint) > 0 {
 		s.deques[workerHint].pushBottom(t)
 		return d
 	}
 	if d < 0 {
 		return s.injectPlaced(t)
 	}
-	if !s.spillSibling(t, workerHint, d, win) {
+	if !s.spillSibling(t, workerHint, d) {
 		s.inject(t, d)
 	}
 	return d
-}
-
-// pushCrit inserts a positive-priority task into the crit heap. The
-// caller accounts it in pending like any other ready task.
-func (s *stealScheduler) pushCrit(t *task) {
-	e := snapshotEntry(t, 0)
-	s.critMu.Lock()
-	s.crit.push(e)
-	s.critMu.Unlock()
-	s.critN.Add(1)
-}
-
-// popCrit takes the most critical queued entry, nil when the heap is
-// empty (one lock-free load in the steady state — critN is 0 whenever
-// criticality-first has been off long enough for the heap to drain).
-func (s *stealScheduler) popCrit() *task {
-	if s.critN.Load() == 0 {
-		return nil
-	}
-	s.critMu.Lock()
-	if len(s.crit) == 0 {
-		s.critMu.Unlock()
-		return nil
-	}
-	e := s.crit.pop()
-	s.critMu.Unlock()
-	s.critN.Add(-1)
-	return e.t
 }
 
 // spillSibling extends the locality window across the releasing worker's
@@ -301,15 +245,15 @@ func (s *stealScheduler) popCrit() *task {
 // stays inside the domain's shared cache even when its producer is
 // saturated. Single-domain pools skip this tier entirely (same-domain
 // means nothing there), preserving the flat window→injector behaviour.
-func (s *stealScheduler) spillSibling(t *task, workerHint, d int, win int64) bool {
-	if s.nd <= 1 || win <= 0 {
+func (s *stealScheduler) spillSibling(t *task, workerHint, d int) bool {
+	if s.nd <= 1 || s.window <= 0 {
 		return false
 	}
 	for _, v := range s.members[d] {
 		if int(v) == workerHint {
 			continue
 		}
-		if b := &s.side[v]; b.n.Load() < win && b.offer(t, win) {
+		if b := &s.side[v]; b.n.Load() < s.window && b.offer(t, s.window) {
 			return true
 		}
 	}
@@ -351,13 +295,7 @@ func (s *stealScheduler) injectPlaced(t *task) int {
 // waking push, which lets a parked worker come steal the older entries
 // (FIFO top) while the owner continues its chain.
 func (s *stealScheduler) pushOwned(t *task, workerID int) bool {
-	if s.pol.window.Load() <= 0 {
-		return false
-	}
-	// Criticality-first: a positive-priority successor belongs on the crit
-	// heap where a fast worker will find it, not hidden on this worker's
-	// deque — decline, and let the waking push route it.
-	if s.pol.critFirst.Load() != 0 && atomic.LoadInt64(&t.priority) > 0 {
+	if s.window <= 0 {
 		return false
 	}
 	d := s.deques[workerID]
@@ -374,8 +312,8 @@ func (s *stealScheduler) pushOwned(t *task, workerID int) bool {
 // Returns false — caller routes centrally — when the hint is invalid,
 // locality is disabled, or the buffer is full.
 func (s *stealScheduler) submitLocal(t *task, workerID int) bool {
-	d, win := s.hintDomain(workerID), s.pol.window.Load()
-	if d < 0 || win <= 0 || !s.side[workerID].offer(t, win) {
+	d := s.hintDomain(workerID)
+	if d < 0 || s.window <= 0 || !s.side[workerID].offer(t, s.window) {
 		return false
 	}
 	s.pending.Add(1)
@@ -386,13 +324,13 @@ func (s *stealScheduler) submitLocal(t *task, workerID int) bool {
 // submitLocalBatch takes a window-bounded prefix of ts into the worker's
 // submit buffer and returns how many.
 func (s *stealScheduler) submitLocalBatch(ts []*task, workerID int) int {
-	d, win := s.hintDomain(workerID), s.pol.window.Load()
-	if d < 0 || win <= 0 {
+	d := s.hintDomain(workerID)
+	if d < 0 || s.window <= 0 {
 		return 0
 	}
 	b := &s.side[workerID]
 	b.mu.Lock()
-	take := int(min(int64(len(ts)), max(win-int64(b.q.len()), 0)))
+	take := int(min(int64(len(ts)), max(s.window-int64(b.q.len()), 0)))
 	for _, t := range ts[:take] {
 		b.q.push(t)
 	}
@@ -445,29 +383,13 @@ func (s *stealScheduler) pushBatch(ts []*task, workerHint int) {
 	}
 	n := len(ts)
 	s.pending.Add(int64(n))
-	// Criticality-first: peel the positive-priority tasks off to the crit
-	// heap (compacting the rest in place — ts is the caller's reusable
-	// scratch, already scrubbed after this call returns).
-	if s.pol.critFirst.Load() != 0 {
-		kept := 0
-		for _, t := range ts {
-			if atomic.LoadInt64(&t.priority) > 0 {
-				s.pushCrit(t)
-			} else {
-				ts[kept] = t
-				kept++
-			}
-		}
-		ts = ts[:kept]
-	}
 	// Fill the hinted worker's deque up to the locality window, then walk
 	// outward: same-domain sibling buffers, then the injector — so a wide
 	// fan still spreads across the pool without every other worker
 	// stealing it back one task at a time, but spreads domain-first.
-	win := s.pol.window.Load()
 	local := 0
 	dom := s.hintDomain(workerHint)
-	if room := s.localRoom(workerHint, win); room > 0 {
+	if room := s.localRoom(workerHint); room > 0 {
 		local = int(min(int64(len(ts)), room))
 		d := s.deques[workerHint]
 		for _, t := range ts[:local] {
@@ -475,7 +397,7 @@ func (s *stealScheduler) pushBatch(ts []*task, workerHint int) {
 		}
 	}
 	rest := ts[local:]
-	for dom >= 0 && len(rest) > 0 && s.spillSibling(rest[0], workerHint, dom, win) {
+	for dom >= 0 && len(rest) > 0 && s.spillSibling(rest[0], workerHint, dom) {
 		rest = rest[1:]
 	}
 	if len(rest) > 0 {
@@ -535,12 +457,10 @@ func (s *stealScheduler) wakeWorkers(n, pref int) {
 	}
 }
 
-// injectorGrab is the default own-domain refill chunk (the initial value
-// of the policy layer's refillChunk word, which the adaptive controller
-// may retune); crossGrab is the smaller fixed cap used when raiding
-// ANOTHER domain's injector — cross-domain overflow relieves an
-// overloaded domain without bulk-migrating its backlog away from the
-// caches it was aimed at.
+// injectorGrab caps an own-domain refill chunk; crossGrab is the smaller
+// cap used when raiding ANOTHER domain's injector — cross-domain overflow
+// relieves an overloaded domain without bulk-migrating its backlog away
+// from the caches it was aimed at.
 const (
 	injectorGrab = 32
 	crossGrab    = 8
@@ -562,7 +482,7 @@ func (s *stealScheduler) refill(w, d int, cross bool) *task {
 		inj.mu.Unlock()
 		return nil
 	}
-	chunk := int(s.pol.refillChunk.Load())
+	chunk := injectorGrab
 	if cross {
 		chunk = crossGrab
 	}
@@ -651,16 +571,7 @@ func (s *stealScheduler) nextRand(w int) uint64 {
 // first. It does not touch pending (pop accounts the task it returns);
 // contended reports that some steal CAS lost a race, so an empty-handed
 // caller must not park on this evidence alone.
-func (s *stealScheduler) find(w, ownDom int, fast bool) (t *task, stolen, contended bool) {
-	// Criticality-first: fast-class workers serve the crit heap before
-	// anything local — the CATS rule that the most critical ready task
-	// belongs on the fastest core, switched by the policy layer (one
-	// lock-free load when the mode is off and the heap long drained).
-	if fast {
-		if t := s.popCrit(); t != nil {
-			return t, false, false
-		}
-	}
+func (s *stealScheduler) find(w, ownDom int) (t *task, stolen, contended bool) {
 	// Claim the hinted submissions aimed at this worker first — they
 	// were routed here for this worker's cache (one lock-free check in
 	// the common empty case).
@@ -688,21 +599,12 @@ func (s *stealScheduler) find(w, ownDom int, fast bool) (t *task, stolen, conten
 		return t, true, contended
 	}
 	contended = contended || c2
-	if t := s.stealSide(w); t != nil {
-		return t, true, contended
-	}
-	// Slow-class last resort under criticality-first: with every other
-	// source dry, running a critical task on a slow worker beats
-	// leaving it queued while this worker parks.
-	if !fast {
-		t = s.popCrit()
-	}
-	return t, false, contended
+	t = s.stealSide(w)
+	return t, t != nil, contended
 }
 
 func (s *stealScheduler) pop(workerID int) (*task, bool) {
 	ownDom := int(s.domOf[workerID])
-	fast := workerID < s.fastN
 	class := s.classOf(workerID)
 	loc := &s.local[workerID]
 	for {
@@ -736,7 +638,7 @@ func (s *stealScheduler) pop(workerID int) (*task, bool) {
 			}
 			continue
 		}
-		t, stolen, contended := s.find(workerID, ownDom, fast)
+		t, stolen, contended := s.find(workerID, ownDom)
 		if t != nil {
 			s.pending.Add(-1)
 			loc.searchLeft = searchRounds
@@ -911,21 +813,9 @@ func (s *stealScheduler) wake() {
 	s.gateMu.Unlock()
 }
 
-// reportDepths: every deque, injector, submit buffer, and the crit heap.
-func (s *stealScheduler) reportDepths(smp *signalSample) {
-	for _, d := range s.deques {
-		smp.noteDepth(d.size())
-	}
-	for i := range s.injs {
-		smp.noteDepth(s.injs[i].n.Load())
-	}
-	for i := range s.side {
-		smp.noteDepth(s.side[i].n.Load())
-	}
-	if n := s.critN.Load(); n > 0 {
-		smp.noteDepth(n)
-	}
-}
+// queued: the parking protocol's pending count is already the total over
+// every deque, injector and submit buffer.
+func (s *stealScheduler) queued() int64 { return s.pending.Load() }
 
 // domainStatsInto: the scheduler's share of Stats.PerDomain — injector
 // and cross-domain traffic.

@@ -17,7 +17,7 @@ import (
 //	pop               queue     find+park   take+claim
 //	wake              lot       lots+gate   lot
 //	policyChanged     lot       gate        lot
-//	reportDepths      1 queue   all queues  2 heaps
+//	queued            1 queue   pending     2 heaps
 //	bump              —         —           reinsert
 //	pushOwned         —         own deque   —
 //	submitLocal*      —         side buffer —
@@ -42,14 +42,11 @@ type scheduler interface {
 	// wake unblocks all waiting workers (used at shutdown).
 	wake()
 	// policyChanged is called by the adaptive controller after rewriting
-	// any policy word, so workers parked on policy state (the class gate)
-	// re-examine the mask.
+	// the class mask, so workers parked at the class gate re-examine it.
 	policyChanged()
-	// reportDepths calls smp.noteDepth once per queue with its current
-	// length. The sample pointer is passed rather than a yield closure so
-	// the sampler stays allocation-free — a closure literal capturing the
-	// sample escapes and costs one allocation per snapshot.
-	reportDepths(smp *signalSample)
+	// queued is the number of ready, undispatched tasks the scheduler
+	// holds — the sampler's Pending.
+	queued() int64
 
 	// bump hears about a dynamic priority raise of a task the scheduler may
 	// already hold (the CATS bottom-level bump). Called under the task's

@@ -280,16 +280,16 @@ func layoutClassCount(l classLayout) int {
 // newTestSteal/newTestCATS/newTestFIFO build schedulers with a fresh
 // policy/signals pair, the way New wires them.
 func newTestSteal(l classLayout, window int) *stealScheduler {
-	return newStealScheduler(l, newPolicyWords(window, layoutClassCount(l)), newSignals(l.workers), nil)
+	return newStealScheduler(l, window, newPolicyWords(layoutClassCount(l)), newSignals(l.workers), nil)
 }
 
 func newTestCATS(l classLayout) *catsScheduler {
-	return newCATSScheduler(l, newPolicyWords(defaultLocalityWindow, layoutClassCount(l)), newSignals(l.workers), nil)
+	return newCATSScheduler(l, newPolicyWords(layoutClassCount(l)), newSignals(l.workers), nil)
 }
 
 func newTestFIFO(workers int) *fifoScheduler {
 	l := homogeneousLayout(workers)
-	return newFIFOScheduler(l, newPolicyWords(defaultLocalityWindow, 1), newSignals(workers), nil)
+	return newFIFOScheduler(l, newPolicyWords(1), newSignals(workers), nil)
 }
 
 // --- CATS heap ---------------------------------------------------------------

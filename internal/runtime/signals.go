@@ -1,14 +1,6 @@
 package runtime
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
-
-// depthBuckets is the fixed size of the queue-depth histogram: bucket 0
-// holds empty queues, bucket i (1 ≤ i < depthBuckets-1) queues of depth
-// [2^(i-1), 2^i), and the last bucket everything deeper.
-const depthBuckets = 8
+import "sync/atomic"
 
 // workerSig is one worker's block of the signals layer — the only
 // per-dispatch counters in the runtime: plain counters the worker bumps
@@ -38,11 +30,11 @@ type workerSig struct {
 // counters every hot path already touches, from which both the public
 // Stats snapshot and the adaptive controller's samples are derived. The
 // per-worker counters live in workers (padded, owner-bumped); the
-// cross-cutting ones — park/wake churn, critical submissions — are single
+// cross-cutting ones — park/wake churn, the fault counters — are single
 // atomics bumped at the schedulers' slow-path sites only, so the busy
-// steady state never contends on them. (Injector pressure is not here:
-// the steal scheduler's per-domain traffic block is its one counter, and
-// the sampler sums it.)
+// steady state never contends on them. (Injector traffic is not here: the
+// steal scheduler's per-domain traffic block is its one counter, and the
+// sampler copies it into PerDomain.)
 type signals struct {
 	workers []workerSig
 	// parks and wakes count worker park/wake transitions across all
@@ -50,9 +42,6 @@ type signals struct {
 	// under-loaded (or thrashing between phases).
 	parks atomic.Uint64
 	wakes atomic.Uint64
-	// critSubmit counts submissions carrying a positive priority hint —
-	// the phase signal for switching criticality-first placement on.
-	critSubmit atomic.Uint64
 	// The fault-tolerance counters are bumped on failure paths only, so
 	// the fault-free steady state never touches them: panics counts
 	// recovered body (and OnDone-hook) panics, retries re-armed attempts,
@@ -73,31 +62,22 @@ func newSignals(workers int) *signals {
 	return &signals{workers: make([]workerSig, workers)}
 }
 
-// signalSample is one epoch snapshot of the signals layer — everything
-// the adaptive controller reasons from, and the aggregation StatsInto
-// serves. Counters are cumulative (the controller diffs consecutive
-// samples); PerWorker/PerClass reuse their capacity across samples, so a
-// warmed sample is refilled with zero allocations.
+// signalSample is one epoch snapshot of the signals layer — what the
+// adaptive controller reasons from, and the aggregation StatsInto serves.
+// Counters are cumulative; PerWorker/PerClass reuse their capacity across
+// samples, so a warmed sample is refilled with zero allocations.
 type signalSample struct {
-	Epoch     uint64
-	Submitted uint64
-	Executed  uint64
-	Steals    uint64
-	Skipped   uint64
-	HomeHit   uint64
-	HomeMiss  uint64
-	// InjPush is the total of tasks routed through a central injector
-	// (steal scheduler only): the pressure signal that distinguishes a
-	// fan-out phase (releases overflow the locality path) from a chain
-	// phase. It is the sum of PerDomain's InjectorPushes.
-	InjPush    uint64
+	Epoch      uint64
+	Submitted  uint64
+	Executed   uint64
+	Steals     uint64
+	Skipped    uint64
 	Parks      uint64
 	Wakes      uint64
 	Searches   uint64
 	SearchHits uint64
-	CritSubmit uint64
 	// Pending is the number of queued (ready, undispatched) tasks at
-	// sample time — the sum over Depth.
+	// sample time — the one figure the controller's rule reads.
 	Pending int64
 	// PerWorker and PerClass are cumulative executed counts by worker and
 	// by class; PerDomain groups the worker blocks (and the scheduler's
@@ -105,29 +85,6 @@ type signalSample struct {
 	PerWorker []uint64
 	PerClass  []uint64
 	PerDomain []DomainStats
-	// Depth is the queue-depth histogram over the scheduler's queues at
-	// sample time (see depthBuckets): a deep tail means a fan-out phase, a
-	// near-empty histogram a chain or idle phase.
-	Depth [depthBuckets]uint32
-}
-
-// noteDepth folds one queue's depth into the snapshot's histogram and
-// pending total.
-func (s *signalSample) noteDepth(n int64) {
-	s.Depth[depthBucket(n)]++
-	s.Pending += n
-}
-
-// depthBucket maps a queue depth to its histogram bucket.
-func depthBucket(n int64) int {
-	if n <= 0 {
-		return 0
-	}
-	b := bits.Len64(uint64(n))
-	if b > depthBuckets-1 {
-		b = depthBuckets - 1
-	}
-	return b
 }
 
 // resized returns s with length n, reusing its capacity when it suffices.
@@ -149,7 +106,6 @@ func (r *Runtime) sampleSignals(s *signalSample) {
 	s.Submitted = uint64(atomic.LoadInt64(&r.seq))
 	s.Parks = sig.parks.Load()
 	s.Wakes = sig.wakes.Load()
-	s.CritSubmit = sig.critSubmit.Load()
 	s.PerWorker = resized(s.PerWorker, len(sig.workers))
 	s.PerClass = resized(s.PerClass, len(r.classes))
 	clear(s.PerClass)
@@ -157,8 +113,7 @@ func (r *Runtime) sampleSignals(s *signalSample) {
 	for i := range s.PerDomain {
 		s.PerDomain[i] = DomainStats{Workers: r.domains[i].Count}
 	}
-	s.Executed, s.Steals, s.Skipped, s.HomeHit, s.HomeMiss, s.InjPush = 0, 0, 0, 0, 0, 0
-	s.Searches, s.SearchHits = 0, 0
+	s.Executed, s.Steals, s.Skipped, s.Searches, s.SearchHits = 0, 0, 0, 0, 0
 	for i := range sig.workers {
 		w, d := &sig.workers[i], &s.PerDomain[r.domainOf[i]]
 		e := atomic.LoadUint64(&w.executed)
@@ -175,8 +130,6 @@ func (r *Runtime) sampleSignals(s *signalSample) {
 		hit := atomic.LoadUint64(&w.homeHit)
 		near := atomic.LoadUint64(&w.homeNear)
 		far := atomic.LoadUint64(&w.homeFar)
-		s.HomeHit += hit
-		s.HomeMiss += near + far
 		d.LocalDispatched += hit + near
 		d.CrossDispatched += far
 	}
@@ -186,10 +139,5 @@ func (r *Runtime) sampleSignals(s *signalSample) {
 		s.PerDomain[0].LocalDispatched = s.PerDomain[0].Dispatched
 	}
 	r.sched.domainStatsInto(s.PerDomain)
-	for i := range s.PerDomain {
-		s.InjPush += s.PerDomain[i].InjectorPushes
-	}
-	s.Depth = [depthBuckets]uint32{}
-	s.Pending = 0
-	r.sched.reportDepths(s)
+	s.Pending = r.sched.queued()
 }

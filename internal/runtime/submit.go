@@ -358,11 +358,6 @@ func (r *Runtime) newTask(ctx context.Context, sp *TaskSpec, deps []Dep) *task {
 	atomic.StoreInt32(&t.exec, -1)
 	atomic.StoreInt64(&t.seq, seq)
 	t.setDeps(deps)
-	if sp.Priority > 0 {
-		// Phase signal for the adaptive controller: the workload is using
-		// priority hints, so criticality-first placement has traction.
-		r.sig.critSubmit.Add(1)
-	}
 	atomic.AddInt64(&r.outstanding, 1)
 	return t
 }

@@ -50,8 +50,7 @@
 // to 503 at the start of a drain so load balancers stop routing first.
 //
 // GET /metrics exposes a Prometheus-text snapshot: the runtime's
-// StatsInto counters (including the adaptive controller's decisions),
-// admission verdicts, per-tenant queue depths, watermark latches, and
+// StatsInto counters, admission verdicts, per-tenant queue depths, watermark latches, and
 // token usage. With Config.FlightRecorder, the server stamps
 // request-scoped timeline markers (admit/launch/done, tagged with the
 // job number and a tenant hash) into the pool's flight recorder, so a

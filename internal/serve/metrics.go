@@ -34,29 +34,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "raa_worker_executed_total{worker=\"%d\"} %d\n", wkr, n)
 	}
 
-	// Adaptive-controller snapshot (policy words are meaningful even
-	// without WithAdaptive; the decision counters need the controller).
-	ad := &st.Adaptive
-	gauge(&b, "raa_adaptive_enabled", "1 when the adaptive controller runs.", b2f(ad.Enabled))
-	gauge(&b, "raa_adaptive_window", "Live locality-window policy word.", float64(ad.Window))
-	gauge(&b, "raa_adaptive_refill_chunk", "Live injector refill-chunk policy word.", float64(ad.RefillChunk))
-	gauge(&b, "raa_adaptive_crit_first", "1 when criticality-first placement is on.", b2f(ad.CritFirst))
-	gauge(&b, "raa_adaptive_active_classes", "Live worker-class mask.", float64(ad.ActiveClasses))
-	counter(&b, "raa_adaptive_samples_total", "Signal samples the controller took.", float64(ad.Samples))
-	counter(&b, "raa_adaptive_decisions_total", "Policy decisions the controller applied.", float64(ad.Decisions))
-	head(&b, "raa_adaptive_rule_decisions_total", "Applied decisions, by rule.", "counter")
-	for _, rc := range [...]struct {
-		rule string
-		n    uint64
-	}{
-		{"window", ad.WindowChanges},
-		{"classmask", ad.ClassChanges},
-		{"critfirst", ad.ModeChanges},
-		{"refill", ad.RefillChanges},
-	} {
-		fmt.Fprintf(&b, "raa_adaptive_rule_decisions_total{rule=%q} %d\n", rc.rule, rc.n)
-	}
-
 	// Serve-layer admission and queue state.
 	head(&b, "raa_serve_admission_total", "Admission verdicts, by outcome.", "counter")
 	for v := VerdictAdmit; v <= VerdictUnavailable; v++ {

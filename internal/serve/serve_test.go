@@ -413,8 +413,6 @@ func TestServeMetricsPage(t *testing.T) {
 		"raa_pool_backlog 0",
 		"raa_pool_flight_events_total",
 		`raa_worker_executed_total{worker="0"}`,
-		"raa_adaptive_window",
-		`raa_adaptive_rule_decisions_total{rule="window"}`,
 		`raa_serve_admission_total{verdict="admit"} 1`,
 		`raa_serve_admission_total{verdict="reject"} 0`,
 		`raa_serve_tenant_queue_depth{tenant="acme"} 0`,

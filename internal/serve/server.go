@@ -24,8 +24,6 @@ type Config struct {
 	// Scheduler names the runtime scheduler (default "cats" — the lanes'
 	// priority hints need a criticality-aware scheduler to mean anything).
 	Scheduler string
-	// Adaptive enables the runtime's online adaptive controller.
-	Adaptive bool
 	// FlightRecorder enables the runtime's flight recorder; the server
 	// then stamps request-scoped timeline markers (admit/launch/done) so
 	// a merged timeline can be cut along job boundaries.
@@ -176,9 +174,6 @@ func New(cfg Config) (*Server, error) {
 	opts := []runtime.Option{
 		runtime.WithWorkers(cfg.Workers),
 		runtime.WithScheduler(kind),
-	}
-	if cfg.Adaptive {
-		opts = append(opts, runtime.WithAdaptive(runtime.AdaptiveOptions{}))
 	}
 	if cfg.FlightRecorder {
 		opts = append(opts, runtime.WithFlightRecorder(flightrec.Options{}))

@@ -254,11 +254,13 @@ func runPaired(ctx context.Context, scenario string, kind runtime.SchedulerKind,
 const (
 	adaptiveChainLinks = 64
 	adaptiveIdleGap    = 500 * time.Microsecond
-	// defaultAdaptiveGrain is the per-link spin grain when Config.Grain is
-	// unset: heavy enough that a chain segment's wall time dwarfs
-	// submission and hand-off overhead, so the measured ratio is placement,
-	// not bookkeeping.
-	defaultAdaptiveGrain = 8192
+	// adaptiveGrain is the per-task spin grain — a shape constant like the
+	// others, not Config.Grain: heavy enough that a chain segment's wall
+	// time dwarfs submission and hand-off overhead, so the measured ratio
+	// is placement, not bookkeeping. (At the sweep's default grain of 32 a
+	// controller with no rules at all reads 1.13× against static
+	// worksteal: its ticker keeps a P awake.)
+	adaptiveGrain = 8192
 	// The adaptive arm's controller settings: a tight sampling period and
 	// minimum hysteresis, so a phase is recognised within the idle gap
 	// separating two segments.
@@ -301,25 +303,11 @@ func adaptiveArms(shards int, cfg Config) []adaptiveArm {
 func runAdaptive(ctx context.Context, shards int, mode string, cfg Config, st *runtime.Stats) ([]Point, error) {
 	arms := adaptiveArms(shards, cfg)
 	adaptIdx := len(arms) - 1
-	grain := cfg.Grain
-	if grain <= 0 {
-		grain = defaultAdaptiveGrain
-	}
-	// Chain links simulate the asymmetry the class-gating rule exists for:
-	// a link spins SlowFactor× longer on a slow worker. Fan tasks spin a
-	// fixed grain — any worker serves a burst equally well.
-	chainBody, fanBody := scaledBody(grain), taskBody(grain)
-
 	type totals struct{ executed, decisions uint64 }
 	tot := make([]totals, len(arms))
 	resolved := 0
 	res, err := pairedRounds(ctx, cfg.Tasks, cfg.PairRounds, len(arms), adaptIdx, true, func(ai, n int) (time.Duration, error) {
-		el, sh, err := leg{
-			label: ScenarioAdaptive + "/" + arms[ai].name, mode: mode, tasks: n, opts: arms[ai].opts,
-			submit: func(rt *runtime.Runtime) error {
-				return submitAdaptivePhases(ctx, rt, mode, n, 2*cfg.Workers, chainBody, fanBody)
-			},
-		}.run(ctx, st)
+		el, sh, err := adaptiveLeg(ctx, arms[ai], mode, n, cfg.Workers).run(ctx, st)
 		if err != nil {
 			return 0, err
 		}
@@ -347,6 +335,21 @@ func runAdaptive(ctx context.Context, shards int, mode string, cfg Config, st *r
 		pts[ai] = p
 	}
 	return pts, nil
+}
+
+// adaptiveLeg is one leg of ScenarioAdaptive: n tasks of the phase-shifting
+// workload on arm's pool. Chain links simulate the asymmetry the
+// class-gating rule exists for — a link spins SlowFactor× longer on a slow
+// worker; fan tasks spin a fixed grain — any worker serves a burst equally
+// well.
+func adaptiveLeg(ctx context.Context, arm adaptiveArm, mode string, n, workers int) leg {
+	chainBody, fanBody := scaledBody(adaptiveGrain), taskBody(adaptiveGrain)
+	return leg{
+		label: ScenarioAdaptive + "/" + arm.name, mode: mode, tasks: n, opts: arm.opts,
+		submit: func(rt *runtime.Runtime) error {
+			return submitAdaptivePhases(ctx, rt, mode, n, 2*workers, chainBody, fanBody)
+		},
+	}
 }
 
 // submitAdaptivePhases drives one leg of ScenarioAdaptive: n tasks as

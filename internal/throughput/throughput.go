@@ -206,6 +206,8 @@ type Config struct {
 	// this size alongside the per-task Submit mode.
 	Batch int `json:"batch"`
 	// Grain is the spin-work iterations per task body (0 = empty body).
+	// ScenarioAdaptive ignores it: its verdict is only meaningful at the
+	// scenario's own grain (adaptiveGrain).
 	Grain int `json:"grain"`
 	// Keys is the key-space size for ScenarioRandom.
 	Keys int `json:"keys"`
