@@ -137,16 +137,6 @@ func BenchmarkLocalityChain(b *testing.B) {
 	b.Run("locality-off", benchcases.LocalityChain(-1))
 }
 
-// BenchmarkTopologyChain measures domain-aware placement, stealing, and
-// injection on the producer→consumer chain workload (see
-// benchcases.TopologyChain) with the pool split into two memory domains vs
-// flattened into one. CI's alloc-budget gate holds both variants at zero
-// allocs/op — the domain tiers must not cost allocations.
-func BenchmarkTopologyChain(b *testing.B) {
-	b.Run("domains-2", benchcases.TopologyChain(2))
-	b.Run("flat", benchcases.TopologyChain(1))
-}
-
 // BenchmarkWorkStealingFanOut measures end-to-end execution of independent
 // tasks across the pool.
 func BenchmarkWorkStealingFanOut(b *testing.B) {

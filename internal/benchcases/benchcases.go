@@ -93,65 +93,6 @@ func DispatchStealFan(b *testing.B) {
 	rt.Wait()
 }
 
-// TopologyChain returns the memory-domain steady-state benchmark: the
-// producer→consumer chain workload on a 4-worker pool split into the given
-// number of domains (1 = the flat, domain-blind baseline), with a queue
-// bound so the pooled task records recycle. Domain-aware placement routes
-// each chain's successor same-worker → same-domain → anywhere and steals
-// domain-first; the figure-style sweep is the throughput experiment's
-// "topology" scenario, and CI's alloc-budget gate holds this steady state
-// at zero allocs/op — the domain tiers must not cost allocations.
-func TopologyChain(domains int) func(b *testing.B) {
-	return func(b *testing.B) {
-		const chains = 4
-		const words = 32 * 1024 / 8
-		if domains < 1 {
-			domains = 1
-		}
-		doms := make([]runtime.Domain, domains)
-		base, extra := chains/domains, chains%domains
-		for i := range doms {
-			doms[i].Count = base
-			if i < extra {
-				doms[i].Count++
-			}
-		}
-		rt := runtime.New(
-			runtime.WithWorkers(chains),
-			runtime.WithTopology(doms...),
-			runtime.WithQueueBound(256),
-		)
-		defer rt.Shutdown()
-		var sink uint64
-		bodies := make([]func(), chains)
-		for c := 0; c < chains; c++ {
-			buf := make([]uint64, words)
-			bodies[c] = func() {
-				var acc uint64
-				for i := range buf {
-					buf[i] = buf[i]*1664525 + 1013904223
-					acc += buf[i]
-				}
-				atomic.AddUint64(&sink, acc)
-			}
-		}
-		// Warm the freelist to the bound before measuring.
-		for i := 0; i < 512; i++ {
-			rt.Submit("warm", 1, bodies[i%chains], runtime.InOut(i%chains))
-		}
-		rt.Wait()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c := i % chains
-			if _, err := rt.Submit("link", 1, bodies[c], runtime.InOut(c)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		rt.Wait()
-	}
-}
-
 // LocalityChain returns the producer→consumer cache-affinity benchmark at
 // the given locality window (<= 0 disables the worker-local path): one
 // serialized chain per worker, each link walking its chain's 32 KiB

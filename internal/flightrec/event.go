@@ -207,35 +207,6 @@ func DispatchInfo(arg2 uint64) (stolen, fromCrit bool, sat, fastN int) {
 		int((arg2 >> dispatchFastNShift) & dispatchCountMask)
 }
 
-// Dispatch Arg2 domain layout: the top 16 bits carry the memory-domain
-// pair of the dispatch, each biased by one so 0 means "not stamped" —
-// events from runtimes without a multi-domain topology decode to (-1, -1).
-const (
-	dispatchHomeDomShift = 48
-	dispatchExecDomShift = 56
-	dispatchDomMask      = 0xff
-)
-
-// PackDispatchDomains stamps the memory-domain pair of a dispatch into a
-// PackDispatch word: home is the domain the task was released toward (-1
-// when the task came from outside the pool), exec the dispatching worker's
-// domain. The pair is what the verifier's domain-gating invariant reads —
-// a non-stolen dispatch with home ≠ exec is cross-domain injector traffic,
-// legitimate only when the home domain could not absorb the task.
-func PackDispatchDomains(v uint64, home, exec int) uint64 {
-	v |= (uint64(home+1) & dispatchDomMask) << dispatchHomeDomShift
-	v |= (uint64(exec+1) & dispatchDomMask) << dispatchExecDomShift
-	return v
-}
-
-// DispatchDomains decodes the domain pair of a dispatch Arg2; (-1, -1)
-// when the event was not stamped (single-domain pool, FIFO/CATS scheduler,
-// or an externally released task's unknown home).
-func DispatchDomains(arg2 uint64) (home, exec int) {
-	return int((arg2>>dispatchHomeDomShift)&dispatchDomMask) - 1,
-		int((arg2>>dispatchExecDomShift)&dispatchDomMask) - 1
-}
-
 // The fault classes carried in a KindFault event's PackFault word.
 const (
 	// FaultPanic: the body panicked and the worker recovered it.

@@ -36,13 +36,6 @@ const (
 	// Starvation: a ready task waited longer than Options.StarveBound
 	// without being dispatched while the runtime kept making progress.
 	Starvation
-	// DomainGating: a task released toward one memory domain was dispatched
-	// non-stolen in another while every worker of its home domain stayed
-	// parked — the home domain should have been woken for it (cross-domain
-	// injector overflow is legitimate only when the home domain cannot
-	// absorb the task). Steals are exempt: they are the sanctioned
-	// cross-domain load-balancing mechanism. Requires Options.DomainOf.
-	DomainGating
 	// AdaptProvenance: an adaptive-controller decision event arrived whose
 	// sample epoch does not match the latest signals event — the controller
 	// applied a policy change it cannot account for with a sample, or the
@@ -73,8 +66,6 @@ func (i Invariant) String() string {
 		return "class-gating"
 	case Starvation:
 		return "starvation"
-	case DomainGating:
-		return "domain-gating"
 	case AdaptProvenance:
 		return "adapt-provenance"
 	case FaultResolution:
@@ -115,10 +106,6 @@ type Options struct {
 	// (from whatever goroutine feeds the checker). Counters in Stats are
 	// maintained regardless.
 	OnViolation func(Violation)
-	// DomainOf maps worker ID → memory-domain index (Runtime.Topology
-	// order) and arms the DomainGating check. Empty (the default) disables
-	// it — required for streams whose dispatch events carry no domain pair.
-	DomainOf []int
 }
 
 // lifecycle states of a tracked task.
@@ -175,8 +162,6 @@ type Stats struct {
 	ClassGating uint64
 	// Starvations counts Starvation violations.
 	Starvations uint64
-	// DomainGating counts DomainGating violations.
-	DomainGating uint64
 	// AdaptProvenance counts AdaptProvenance violations.
 	AdaptProvenance uint64
 	// AdaptDecisions counts adaptive-controller decision events consumed —
@@ -238,16 +223,6 @@ type Checker struct {
 	// store).
 	held, merge []flightrec.Event
 
-	// Domain-gating state (armed by Options.DomainOf): domains lists each
-	// domain's workers; parkSeq maps a worker to the sequence number of its
-	// unmatched park event; domSusp holds at most one pending suspicion per
-	// domain, resolved by any wake of a home-domain worker and reported if
-	// it survives a full subsequent sweep (same two-epoch discipline as
-	// awaiting — the resolving wake may ride a later snapshot).
-	domains [][]int32
-	parkSeq map[int32]uint64
-	domSusp map[int]*domSuspicion
-
 	// Adapt-provenance state: the epoch of the latest signals event, valid
 	// only while haveSig holds (a ring gap may have swallowed the signals
 	// event a later decision refers to, so gaps reset it).
@@ -255,49 +230,13 @@ type Checker struct {
 	haveSig  bool
 }
 
-// domSuspicion is one pending domain-gating anomaly: a cross-domain
-// non-stolen dispatch observed while the home domain looked fully parked.
-type domSuspicion struct {
-	task       uint64
-	worker     int32
-	seq        uint64
-	home, exec int
-	epoch      uint64
-}
-
 // New creates a Checker.
 func New(opts Options) *Checker {
 	if opts.MaxTracked <= 0 {
 		opts.MaxTracked = 1 << 16
 	}
-	c := &Checker{opts: opts, tasks: make(map[uint64]*taskInfo),
+	return &Checker{opts: opts, tasks: make(map[uint64]*taskInfo),
 		awaiting: make(map[uint64]uint64), pendingFault: make(map[uint64]uint64)}
-	if len(opts.DomainOf) > 0 {
-		nd := 0
-		for _, d := range opts.DomainOf {
-			if d >= nd {
-				nd = d + 1
-			}
-		}
-		c.domains = make([][]int32, nd)
-		for w, d := range opts.DomainOf {
-			if d >= 0 {
-				c.domains[d] = append(c.domains[d], int32(w))
-			}
-		}
-		c.parkSeq = make(map[int32]uint64)
-		c.domSusp = make(map[int]*domSuspicion)
-	}
-	return c
-}
-
-// workerDomain maps a worker ID to its domain, -1 when unknown (external
-// events, IDs outside the configured map).
-func (c *Checker) workerDomain(w int32) int {
-	if w < 0 || int(w) >= len(c.opts.DomainOf) {
-		return -1
-	}
-	return c.opts.DomainOf[w]
 }
 
 // Stats returns a snapshot of the checker's counters.
@@ -307,7 +246,7 @@ func (c *Checker) Stats() Stats {
 	s := c.stats
 	s.Tracked = len(c.tasks)
 	s.Total = s.DispatchNotReady + s.ClaimRegressions + s.ClassGating + s.Starvations +
-		s.DomainGating + s.AdaptProvenance + s.FaultResolution + s.RetryBudget
+		s.AdaptProvenance + s.FaultResolution + s.RetryBudget
 	return s
 }
 
@@ -322,8 +261,6 @@ func (c *Checker) report(v Violation) {
 		c.stats.ClassGating++
 	case Starvation:
 		c.stats.Starvations++
-	case DomainGating:
-		c.stats.DomainGating++
 	case AdaptProvenance:
 		c.stats.AdaptProvenance++
 	case FaultResolution:
@@ -354,14 +291,9 @@ func (c *Checker) Feed(events []flightrec.Event, gap bool) {
 		c.stats.Gaps++
 		c.lax = true
 		// The evidence that would reconcile deferred dispatches may be in
-		// the lost window; resolve them silently. The parking timeline may
-		// have lost wake events too, so the domain-gating state restarts.
+		// the lost window; resolve them silently.
 		for id := range c.awaiting {
 			c.resolveAwait(id)
-		}
-		if c.domains != nil {
-			clear(c.parkSeq)
-			clear(c.domSusp)
 		}
 		// The retry or completion resolving a pending fault may be in the
 		// lost window too.
@@ -371,7 +303,6 @@ func (c *Checker) Feed(events []flightrec.Event, gap bool) {
 		c.haveSig = false
 	}
 	c.expireAwaits()
-	c.expireDomSusp()
 	c.expireFaults()
 	// Reorder stage (see the held field): release the previous sweep's
 	// batch plus this sweep's events at or below its watermark, merged in
@@ -438,21 +369,6 @@ func (c *Checker) expireAwaits() {
 	}
 }
 
-// expireDomSusp flags domain-gating suspicions that a full subsequent
-// sweep failed to resolve: the home domain's wake — had the runtime routed
-// one there — would have surfaced by then. Caller holds mu.
-func (c *Checker) expireDomSusp() {
-	for d, s := range c.domSusp {
-		if s.epoch+2 > c.epoch {
-			continue
-		}
-		c.report(Violation{Invariant: DomainGating, Task: s.task, Worker: s.worker, Seq: s.seq,
-			Detail: fmt.Sprintf("task %d released toward domain %d dispatched in domain %d while every domain-%d worker stayed parked (lost wakeup?)",
-				s.task, s.home, s.exec, s.home)})
-		delete(c.domSusp, d)
-	}
-}
-
 // expireFaults flags faults that a full subsequent sweep failed to resolve
 // with a retry or completion: the resolving event — written to the same
 // worker ring strictly after the fault, or causally ordered behind the
@@ -471,9 +387,8 @@ func (c *Checker) expireFaults() {
 
 // Flush settles every still-deferred dispatch as if the stream had ended:
 // a ready that has not arrived by now never will, so each outstanding
-// deferral is a dispatch-before-ready violation (and each unresolved
-// domain-gating suspicion a missing wake, each unresolved fault a lost
-// recovery). Call it after the final Feed of a drained recorder
+// deferral is a dispatch-before-ready violation (and each unresolved fault
+// a lost recovery). Call it after the final Feed of a drained recorder
 // (Online.Stop does).
 func (c *Checker) Flush() {
 	c.mu.Lock()
@@ -486,7 +401,6 @@ func (c *Checker) Flush() {
 	c.held = c.held[:0]
 	c.epoch += 2 // everything outstanding is expired by definition
 	c.expireAwaits()
-	c.expireDomSusp()
 	c.expireFaults()
 }
 
@@ -560,7 +474,6 @@ func (c *Checker) consume(e *flightrec.Event) {
 		switch ti.state {
 		case stReady:
 			c.checkGen(ti, e)
-			c.checkDomainGating(e, ti)
 			ti.state = stRunning
 		case stSubmitted:
 			// Real early dispatch or snapshot skew — defer to the ready
@@ -601,19 +514,6 @@ func (c *Checker) consume(e *flightrec.Event) {
 		}
 		c.checkGen(ti, e)
 		delete(c.tasks, e.Task)
-	case flightrec.KindPark:
-		if c.domains != nil {
-			c.parkSeq[e.Worker] = e.Seq
-		}
-	case flightrec.KindWake:
-		if c.domains != nil {
-			delete(c.parkSeq, e.Worker)
-			// Any wake inside a suspect domain is the routed wakeup the
-			// suspicion was waiting for.
-			if d := c.workerDomain(e.Worker); d >= 0 {
-				delete(c.domSusp, d)
-			}
-		}
 	case flightrec.KindFault:
 		c.stats.Faults++
 		c.pendingFault[e.Task] = c.epoch
@@ -665,43 +565,6 @@ func (c *Checker) consume(e *flightrec.Event) {
 					flightrec.AdaptRuleName(rule), old, new, e.Arg, c.sigEpoch)})
 		}
 	}
-}
-
-// checkDomainGating inspects a ready→running dispatch for the domain-gating
-// anomaly: the task's home domain (where it was released) differs from the
-// dispatching worker's, the dispatch was not a steal, and every home-domain
-// worker has been parked since before the task became ready — so the
-// runtime should have woken one of them instead of letting the task drift
-// across the hierarchy. The suspicion is held, resolved by any home-domain
-// wake, and reported only by expireDomSusp. Caller holds mu.
-func (c *Checker) checkDomainGating(e *flightrec.Event, ti *taskInfo) {
-	if c.domains == nil {
-		return
-	}
-	stolen, _, _, _ := flightrec.DispatchInfo(e.Arg2)
-	if stolen {
-		return // steals are the sanctioned cross-domain mechanism
-	}
-	home, exec := flightrec.DispatchDomains(e.Arg2)
-	if home < 0 || exec < 0 || home == exec || home >= len(c.domains) {
-		return
-	}
-	if _, open := c.domSusp[home]; open {
-		return // one suspicion per domain at a time; keep the earliest
-	}
-	ws := c.domains[home]
-	if len(ws) == 0 {
-		return
-	}
-	for _, w := range ws {
-		ps, parked := c.parkSeq[w]
-		if !parked || ps >= ti.readySeq {
-			// Some home worker was awake (or parked only after the ready
-			// was published — its own pre-park rescan covers the task).
-			return
-		}
-	}
-	c.domSusp[home] = &domSuspicion{task: e.Task, worker: e.Worker, seq: e.Seq, home: home, exec: exec, epoch: c.epoch}
 }
 
 // adopt starts tracking a task first seen through e.

@@ -386,162 +386,6 @@ func TestPublishWindowRegressionInjection(t *testing.T) {
 	}
 }
 
-// --- Domain gating ---------------------------------------------------------
-
-// domGateOpts arms the domain-gating check on a 2×2 topology: workers 0–1
-// in domain 0, workers 2–3 in domain 1.
-func domGateOpts() Options {
-	return Options{DomainOf: []int{0, 0, 1, 1}}
-}
-
-// domGateStream builds the suspicious shape on that topology: the listed
-// workers park, task 1 becomes ready with home domain 0, and worker 2
-// (domain 1) dispatches it cross-domain. stolen marks the dispatch as a
-// steal (the sanctioned cross-domain mechanism).
-func domGateStream(stolen bool, parked ...int32) []flightrec.Event {
-	var s evStream
-	for _, w := range parked {
-		s.add(flightrec.KindPark, w, 0, 0, 0)
-	}
-	s.add(flightrec.KindReady, flightrec.ExternalWorker, 1, 0, 0)
-	arg2 := flightrec.PackDispatchDomains(flightrec.PackDispatch(stolen, false, 0, 0), 0, 1)
-	if stolen {
-		s.add(flightrec.KindSteal, 2, 1, 0, 0)
-	}
-	s.add(flightrec.KindDispatch, 2, 1, 0, arg2)
-	s.add(flightrec.KindComplete, 2, 1, 0, 0)
-	return s.evs
-}
-
-// TestDomainGatingFlagged: every home-domain worker parked before the
-// ready, the dispatch lands cross-domain un-stolen, and no home-domain
-// wake ever arrives — after the grace window the checker must report a
-// DomainGating violation. The suspicion is held, not reported, while the
-// window is open.
-func TestDomainGatingFlagged(t *testing.T) {
-	c := New(domGateOpts())
-	c.Feed(domGateStream(false, 0, 1), false)
-	if st := c.Stats(); st.DomainGating != 0 {
-		t.Fatalf("suspicion reported before the grace window closed: %+v", st)
-	}
-	c.Feed(nil, false) // the held batch is consumed here: the suspicion opens
-	c.Feed(nil, false) // grace sweep 1: suspicion still held
-	if st := c.Stats(); st.DomainGating != 0 {
-		t.Fatalf("suspicion reported one sweep early: %+v", st)
-	}
-	c.Feed(nil, false) // grace sweep 2: the missing wake is now a violation
-	if st := c.Stats(); st.DomainGating != 1 || st.Total != 1 {
-		t.Fatalf("unresolved suspicion not reported: %+v", st)
-	}
-
-	// Flush settles the suspicion immediately (end of stream: the wake
-	// will never come).
-	c2 := New(domGateOpts())
-	c2.Feed(domGateStream(false, 0, 1), false)
-	c2.Flush()
-	if st := c2.Stats(); st.DomainGating != 1 {
-		t.Fatalf("Flush did not settle the suspicion: %+v", st)
-	}
-}
-
-// TestDomainGatingResolvedByWake: a wake inside the home domain before the
-// grace window closes is exactly the routed wakeup the suspicion was
-// waiting for — no violation.
-func TestDomainGatingResolvedByWake(t *testing.T) {
-	c := New(domGateOpts())
-	c.Feed(domGateStream(false, 0, 1), false)
-	var s evStream
-	s.seq = 100
-	s.add(flightrec.KindWake, 1, 0, 0, 0)
-	c.Feed(s.evs, false)
-	c.Feed(nil, false)
-	c.Flush()
-	if st := c.Stats(); st.Total != 0 {
-		t.Fatalf("wake-resolved suspicion still reported: %+v", st)
-	}
-}
-
-// TestDomainGatingExemptions: shapes that look cross-domain but are
-// legitimate must never even open a suspicion.
-func TestDomainGatingExemptions(t *testing.T) {
-	cases := []struct {
-		name string
-		evs  []flightrec.Event
-		opts Options
-	}{
-		// Steals are the sanctioned cross-domain mechanism.
-		{"stolen dispatch", domGateStream(true, 0, 1), domGateOpts()},
-		// Worker 1 stayed awake: the home domain could have run the task.
-		{"home worker awake", domGateStream(false, 0), domGateOpts()},
-		// No DomainOf: the check is disarmed entirely.
-		{"check disarmed", domGateStream(false, 0, 1), Options{}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := New(tc.opts)
-			c.Feed(tc.evs, false)
-			c.Flush()
-			if st := c.Stats(); st.Total != 0 {
-				t.Fatalf("legitimate shape flagged: %+v", st)
-			}
-		})
-	}
-}
-
-// TestDomainGatingParkAfterReady: a home worker that parked only after the
-// ready was published rescanned the queues on its way down and is
-// responsible for the task — not a lost wakeup, no suspicion.
-func TestDomainGatingParkAfterReady(t *testing.T) {
-	var s evStream
-	s.add(flightrec.KindPark, 0, 0, 0, 0)
-	s.add(flightrec.KindReady, flightrec.ExternalWorker, 1, 0, 0)
-	s.add(flightrec.KindPark, 1, 0, 0, 0) // parks after the ready
-	s.add(flightrec.KindDispatch, 2, 1, 0,
-		flightrec.PackDispatchDomains(flightrec.PackDispatch(false, false, 0, 0), 0, 1))
-	s.add(flightrec.KindComplete, 2, 1, 0, 0)
-	c := New(domGateOpts())
-	c.Feed(s.evs, false)
-	c.Flush()
-	if st := c.Stats(); st.Total != 0 {
-		t.Fatalf("post-ready park treated as a lost wakeup: %+v", st)
-	}
-}
-
-// TestDomainGatingUnstampedDispatch: dispatches without a domain stamp
-// (single-domain pool, FIFO/CATS, or an external release with unknown
-// home) carry (-1,-1) and must be ignored even with every worker parked.
-func TestDomainGatingUnstampedDispatch(t *testing.T) {
-	var s evStream
-	s.add(flightrec.KindPark, 0, 0, 0, 0)
-	s.add(flightrec.KindPark, 1, 0, 0, 0)
-	s.add(flightrec.KindReady, flightrec.ExternalWorker, 1, 0, 0)
-	s.add(flightrec.KindDispatch, 2, 1, 0, 0)
-	s.add(flightrec.KindComplete, 2, 1, 0, 0)
-	c := New(domGateOpts())
-	c.Feed(s.evs, false)
-	c.Flush()
-	if st := c.Stats(); st.Total != 0 {
-		t.Fatalf("unstamped dispatch flagged: %+v", st)
-	}
-}
-
-// TestDomainGatingGapClearsState: a recorder gap may have swallowed the
-// wake events, so pending suspicions and the parking timeline must reset
-// rather than mature into violations built on lost evidence.
-func TestDomainGatingGapClearsState(t *testing.T) {
-	c := New(domGateOpts())
-	c.Feed(domGateStream(false, 0, 1), false)
-	c.Feed(nil, true) // gap: parked/suspicion state is untrustworthy now
-	c.Feed(nil, false)
-	c.Flush()
-	if st := c.Stats(); st.DomainGating != 0 {
-		t.Fatalf("suspicion survived a gap: %+v", st)
-	}
-	if st := c.Stats(); st.Gaps != 1 {
-		t.Fatalf("gap not counted: %+v", st)
-	}
-}
-
 // TestAdaptProvenance: every adaptive decision event must be preceded by
 // a signals sample of the same epoch — the monitor→reason→adapt loop
 // records the sample first, then each decision it justified.

@@ -37,9 +37,8 @@ const (
 // is recorded as a flight-recorder adapt event (paired with the signals
 // sample it was reasoned from, which the flightrec/verify checker
 // cross-checks), and summarised in Stats.Adaptive. It composes with every
-// scheduler and WithTopology, and needs WithWorkerClasses to have
-// anything to decide: on a homogeneous pool the controller samples and
-// never acts.
+// scheduler, and needs WithWorkerClasses to have anything to decide: on a
+// homogeneous pool the controller samples and never acts.
 func WithAdaptive(opts AdaptiveOptions) Option {
 	return func(o *options) { o.adaptive = &opts }
 }

@@ -84,16 +84,15 @@ func TestAdaptiveHysteresisPreventsFlapping(t *testing.T) {
 	}
 }
 
-// The controller must compose with worker classes AND a memory-domain
-// topology: the phase-shifting workload executes fully, the controller
-// samples and decides, and the mask never parks the fast class.
-func TestAdaptiveComposesWithTopologyAndClasses(t *testing.T) {
+// The controller must compose with worker classes: the phase-shifting
+// workload executes fully, the controller samples and decides, and the mask
+// never parks the fast class.
+func TestAdaptiveComposesWithClasses(t *testing.T) {
 	r := New(
 		WithWorkerClasses(
 			WorkerClass{Name: "fast", Count: 2, Speed: 1},
 			WorkerClass{Name: "slow", Count: 2, Speed: 0.5},
 		),
-		WithTopology(Domain{Name: "a", Count: 2}, Domain{Name: "b", Count: 2}),
 		WithAdaptive(AdaptiveOptions{Period: 100 * time.Microsecond, Hysteresis: 1}),
 		WithFlightRecorder(flightrec.Options{}),
 	)

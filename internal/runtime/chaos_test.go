@@ -28,12 +28,11 @@ func TestChaosStressSurvival(t *testing.T) {
 		opts []Option
 	}{
 		{"flat", []Option{WithWorkers(4)}},
-		{"hetero-topo", []Option{
+		{"hetero", []Option{
 			WithWorkerClasses(
 				WorkerClass{Name: "big", Count: 2, Speed: 2},
 				WorkerClass{Name: "little", Count: 2, Speed: 1},
 			),
-			WithTopology(Domain{Count: 2}, Domain{Count: 2}),
 		}},
 		{"adaptive", []Option{WithWorkers(4), WithAdaptive(AdaptiveOptions{})}},
 	}

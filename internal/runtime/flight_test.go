@@ -318,6 +318,43 @@ func TestStatsIntoConcurrentCallers(t *testing.T) {
 	}
 }
 
+// Stats and the controller's sample are both read-time groupings of the one
+// per-worker counter block, so they must agree with it and with each other
+// exactly — there is no second counter that could drift.
+func TestDerivedCountersAgree(t *testing.T) {
+	r := New(WithWorkers(4))
+	defer r.Shutdown()
+	// Serialized chains with periodic fans, then quiet, so every counter
+	// read afterwards is stable.
+	for i := 0; i < 300; i++ {
+		for c := 0; c < 4; c++ {
+			mustSubmit(t, r, "link", []Dep{InOut(c)})
+		}
+		if i%10 == 0 {
+			fan := fmt.Sprintf("fan%d", i)
+			mustSubmit(t, r, "root", []Dep{Out(fan)})
+			for j := 0; j < 12; j++ {
+				mustSubmit(t, r, "leaf", []Dep{In(fan)})
+			}
+		}
+	}
+	r.Wait()
+	st := r.Stats()
+	var smp signalSample
+	r.sampleSignals(&smp)
+	var steals uint64
+	for w := range r.sig.workers {
+		steals += r.sig.workers[w].steals
+	}
+	if steals != st.Steals {
+		t.Errorf("Σ per-worker steals = %d, Stats.Steals = %d", steals, st.Steals)
+	}
+	if smp.Executed != st.Executed || smp.Pending != 0 {
+		t.Errorf("controller's sample of the drained pool: executed %d (Stats %d), pending %d (want 0)",
+			smp.Executed, st.Executed, smp.Pending)
+	}
+}
+
 // TestFlightRecorderSubmitAllocationFree: the recorder must not reintroduce
 // allocations on the steady-state submit path.
 func TestFlightRecorderSubmitAllocationFree(t *testing.T) {

@@ -9,6 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/flightrec"
+	"repro/internal/flightrec/verify"
 )
 
 // The WorkSteal pool's two-phase idle protocol — search, then the park
@@ -163,6 +166,82 @@ func TestSearchNoLostWakeup(t *testing.T) {
 				t.Fatalf("ran %d tasks, want %d", ran.Load(), want.Load())
 			}
 		})
+	}
+}
+
+// (b') The same handshake with real parallelism and a witness: eight
+// workers on eight Ps share the one parking lot, the flight recorder is on
+// and the online checker watches. Four producers feed chains and fans in
+// bursts with seeded idle beats between them, so pushes land on workers
+// that are running, searching, mid-handshake and asleep all at once. Every
+// task must run, WaitCtx must return, and the verdict must be spotless.
+func TestParkHandshakeEightWayRecorderStress(t *testing.T) {
+	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(8))
+	const (
+		workers   = 8
+		producers = 4
+		bursts    = 60
+	)
+	r := New(WithWorkers(workers), WithFlightRecorder(flightrec.Options{PerWorkerEvents: 1 << 14}))
+	online := verify.StartOnline(r.FlightRecorder(), verify.Options{
+		StarveBound: 30 * time.Second,
+		OnViolation: func(v verify.Violation) {
+			t.Errorf("invariant violation: %s task=%d worker=%d seq=%d: %s",
+				v.Invariant, v.Task, v.Worker, v.Seq, v.Detail)
+		},
+	}, time.Millisecond)
+	var ran, want atomic.Int64
+	body := func() { ran.Add(1) }
+	var prods sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		prods.Add(1)
+		go func(p int) {
+			defer prods.Done()
+			rng := rand.New(rand.NewSource(int64(p) + 1))
+			chain := fmt.Sprintf("chain%d", p)
+			for b := 0; b < bursts; b++ {
+				fan := fmt.Sprintf("fan%d-%d", p, b)
+				specs := []TaskSpec{{Name: "root", Fn: body, Deps: []Dep{Out(fan)}}}
+				for i := 0; i < 6; i++ {
+					specs = append(specs,
+						TaskSpec{Name: "leaf", Fn: body, Deps: []Dep{In(fan)}},
+						TaskSpec{Name: "link", Fn: body, Priority: i % 3, Deps: []Dep{InOut(chain)}})
+				}
+				want.Add(int64(len(specs)))
+				// Alternate the two publish shapes: one batch (a broadcast
+				// wake-up) and one task at a time (signals).
+				if b%2 == 0 {
+					if _, err := r.SubmitBatch(specs); err != nil {
+						t.Errorf("batch: %v", err)
+						return
+					}
+				} else {
+					for i := range specs {
+						if _, err := r.SubmitBatch(specs[i : i+1]); err != nil {
+							t.Errorf("submit: %v", err)
+							return
+						}
+					}
+				}
+				spinFor(time.Duration(rng.Int63n(int64(4 * searchWall))))
+			}
+		}(p)
+	}
+	prods.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := r.WaitCtx(ctx); err != nil {
+		t.Fatalf("Wait hung with %d of %d tasks run: %v", ran.Load(), want.Load(), err)
+	}
+	idle := readIdle(r)
+	t.Logf("%d tasks: %d parks, %d searches (%d hits)", idle.executed, idle.parks, idle.searches, idle.hits)
+	shutdownWithin(t, r, 30*time.Second, "after the run")
+	st := online.Stop()
+	if ran.Load() != want.Load() {
+		t.Fatalf("ran %d tasks, want %d", ran.Load(), want.Load())
+	}
+	if st.Total != 0 || st.Events == 0 {
+		t.Fatalf("verifier verdict on a clean run: %+v", st)
 	}
 }
 

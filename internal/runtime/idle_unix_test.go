@@ -62,7 +62,7 @@ func TestSearchIdlePoolIsAsleep(t *testing.T) {
 	// sleeper has left the lot, which is what losing the race for a
 	// broadcast batch looks like from the loser's side.
 	s.pending.Add(1)
-	s.wakeWorkers(workers, 0)
+	s.wakeWorkers(workers)
 	waitFor(t, 5*time.Second, func() bool { return readIdle(r).since(before).wakes == workers }, "every sleeper to wake")
 	s.pending.Add(-1)
 	waitFor(t, 5*time.Second, func() bool { return s.parked.Load() == workers }, "the woken workers to park again")

@@ -25,7 +25,7 @@ func TestLocalityWindowSpillsToInjector(t *testing.T) {
 	if got := s.deques[0].size(); got != window {
 		t.Fatalf("owner deque holds %d tasks, want the window %d", got, window)
 	}
-	if got := s.injs[0].n.Load(); got != int64(len(ts)-window) {
+	if got := s.inj.n.Load(); got != int64(len(ts)-window) {
 		t.Fatalf("injector holds %d tasks, want the %d-task spill", got, len(ts)-window)
 	}
 	extra := &task{seq: 99}
@@ -33,7 +33,7 @@ func TestLocalityWindowSpillsToInjector(t *testing.T) {
 	if got := s.deques[0].size(); got != window {
 		t.Fatalf("single push grew the full deque to %d, want spill at %d", got, window)
 	}
-	if got := s.injs[0].n.Load(); got != int64(len(ts)-window+1) {
+	if got := s.inj.n.Load(); got != int64(len(ts)-window+1) {
 		t.Fatalf("injector holds %d after single-push spill, want %d", got, len(ts)-window+1)
 	}
 	// The locally-kept tasks are the owner's, LIFO: the newest of the
@@ -53,7 +53,7 @@ func TestLocalityDisabledRoutesCentrally(t *testing.T) {
 	if got := s.deques[0].size(); got != 0 {
 		t.Fatalf("disabled locality still placed %d tasks on the owner deque", got)
 	}
-	if got := s.injs[0].n.Load(); got != 3 {
+	if got := s.inj.n.Load(); got != 3 {
 		t.Fatalf("injector holds %d tasks, want all 3", got)
 	}
 }
@@ -69,7 +69,7 @@ func TestLocalityIgnoresInvalidHint(t *testing.T) {
 			t.Fatalf("worker %d deque got tasks from an invalid hint", w)
 		}
 	}
-	if got := s.injs[0].n.Load(); got != 3 {
+	if got := s.inj.n.Load(); got != 3 {
 		t.Fatalf("injector holds %d tasks, want all 3", got)
 	}
 }

@@ -14,7 +14,6 @@ import (
 type options struct {
 	workers     int
 	classes     []WorkerClass
-	domains     []Domain
 	scheduler   SchedulerKind
 	queueBound  int
 	shards      int

@@ -234,24 +234,6 @@ type task struct {
 
 	// logShard is the shard whose task log records t (retention only).
 	logShard int32
-
-	// home is the worker the task was released toward: the completing
-	// worker for successor releases, the hinted worker for body-context
-	// submissions, -1 for external submissions. Stamped inside the ready
-	// transition's t.mu critical section (and read after the pop that
-	// synchronises with the ready push), so plain access suffices. It feeds
-	// the per-domain local/cross dispatch accounting and the domain pair
-	// packed into dispatch events for the verifier.
-	home int32
-	// affinity is the worker that executed the task's latest-finishing
-	// predecessor (-1 = none): where the task's input data is plausibly
-	// hot. Atomic — a stale CATS entry snapshot may read a recycled
-	// record's field concurrently with newTask's reset.
-	affinity int32
-	// exec is the worker that dispatched the task (-1 until then). Atomic
-	// for the same pooling reason; reset only in newTask so a completed
-	// predecessor still reports its executor to linkPreds.
-	exec int32
 }
 
 // taskRef is a generation-tagged task reference: a *task plus the claim
@@ -393,10 +375,6 @@ type Stats struct {
 	// PerClass aggregates PerWorker by worker class, in WorkerClasses()
 	// order (index 0 is the fast class).
 	PerClass []uint64
-	// PerDomain aggregates scheduling traffic by memory domain, in
-	// Topology() order: local vs cross-domain dispatches, steals, and
-	// injector traffic (see DomainStats).
-	PerDomain []DomainStats
 	// FlightEvents is the total number of events the flight recorder has
 	// captured (0 without WithFlightRecorder).
 	FlightEvents uint64
@@ -418,10 +396,6 @@ type Placement struct {
 	ClassName string
 	// Speed is the worker's class speed multiplier.
 	Speed float64
-	// Domain is the index of the worker's memory domain in Topology()
-	// order — workloads that model domain-sized data use it to count
-	// cross-domain handoffs.
-	Domain int
 	// Attempt is the number of failed attempts this task consumed before
 	// the current run: 0 on the first attempt, n on the n-th retry (see
 	// TaskSpec.Retry).
@@ -505,15 +479,6 @@ type Runtime struct {
 	classes []WorkerClass
 	classOf []int
 
-	// domains is the resolved memory-domain topology; domainOf maps
-	// workerID → domain index. topoEvents marks that dispatch events carry
-	// the packed home/exec domain pair — only the steal scheduler on a
-	// multi-domain pool, whose placement the verifier's domain-gating
-	// invariant can reason about.
-	domains    []Domain
-	domainOf   []int32
-	topoEvents bool
-
 	// gate serialises submission against Shutdown: submitters hold the
 	// (shared, scalable) read side for the registration window, Shutdown
 	// takes the write side to set closed. The dependence tracker itself is
@@ -577,16 +542,13 @@ func New(opts ...Option) *Runtime {
 	}
 	classes, classOf, fastN := o.resolveClasses()
 	o.workers = len(classOf)
-	domains, domainOf := o.resolveTopology(o.workers)
 	r := &Runtime{
-		opts:     o,
-		classes:  classes,
-		classOf:  classOf,
-		domains:  domains,
-		domainOf: domainOf,
-		shards:   newShards(resolveShards(o.shards)),
-		sig:      newSignals(o.workers),
-		pol:      newPolicyWords(len(classes)),
+		opts:    o,
+		classes: classes,
+		classOf: classOf,
+		shards:  newShards(resolveShards(o.shards)),
+		sig:     newSignals(o.workers),
+		pol:     newPolicyWords(len(classes)),
 	}
 	// Freelist ring capacity covers twice the queue bound — every
 	// outstanding record plus the transient excess that recycle/slot races
@@ -607,8 +569,7 @@ func New(opts ...Option) *Runtime {
 		// so the lane needs no locking of its own.
 		r.rec = flightrec.NewWithLanes(o.workers, len(r.shards), *o.flight)
 	}
-	layout := classLayout{workers: o.workers, fastN: fastN, classOf: classOf,
-		domains: len(domains), domainOf: domainOf}
+	layout := classLayout{workers: o.workers, fastN: fastN, classOf: classOf}
 	switch o.scheduler {
 	case FIFO:
 		r.sched = newFIFOScheduler(layout, r.pol, r.sig, r.rec)
@@ -617,11 +578,6 @@ func New(opts ...Option) *Runtime {
 		r.schedSelfRecords = r.rec != nil
 	default:
 		r.sched = newStealScheduler(layout, o.localWindow, r.pol, r.sig, r.rec)
-		// Only the steal scheduler's placement honours the domain
-		// hierarchy; FIFO pops are domain-blind and CATS's criticality
-		// order overrides affinity, so stamping domains into their events
-		// would make the verifier's domain-gating check fire on sound runs.
-		r.topoEvents = len(domains) > 1
 	}
 	for w := 0; w < o.workers; w++ {
 		r.wg.Add(1)
@@ -758,12 +714,11 @@ func (r *Runtime) Stats() Stats {
 }
 
 // StatsInto fills s with a snapshot of the execution counters, reusing the
-// capacity of s.PerWorker, s.PerClass and s.PerDomain when they are large
-// enough — the allocation-free variant of Stats for hot reporting loops
-// (periodic metrics exporters, per-round experiment sampling). The
-// snapshot is one signals-layer epoch sample: the per-worker, per-class
-// and per-domain grouping is done once into the runtime's reusable sample
-// and copied out.
+// capacity of s.PerWorker and s.PerClass when they are large enough — the
+// allocation-free variant of Stats for hot reporting loops (periodic
+// metrics exporters, per-round experiment sampling). The snapshot is one
+// signals-layer epoch sample: the per-worker and per-class grouping is
+// done once into the runtime's reusable sample and copied out.
 func (r *Runtime) StatsInto(s *Stats) {
 	r.sampleMu.Lock()
 	defer r.sampleMu.Unlock()
@@ -793,7 +748,6 @@ func (r *Runtime) StatsInto(s *Stats) {
 	}
 	s.PerWorker = append(s.PerWorker[:0], smp.PerWorker...)
 	s.PerClass = append(s.PerClass[:0], smp.PerClass...)
-	s.PerDomain = append(s.PerDomain[:0], smp.PerDomain...)
 }
 
 // Graph exports the dependence graph of everything submitted so far as a

@@ -58,22 +58,7 @@ type catsScheduler struct {
 	// is the saturation signal that lets slow workers take critical work.
 	lastCrit        []bool
 	fastCritRunning int
-	// nd / domOf mirror the memory-domain topology (see classLayout): with
-	// nd > 1 a pop may prefer a near-priority entry whose data affinity
-	// (the domain that executed its predecessor) matches the popping
-	// worker's domain — criticality weighed against "the data is hot two
-	// domains away", bounded by catsAffinitySlack.
-	nd    int
-	domOf []int32
 }
-
-// catsAffinitySlack bounds how much snapshot priority CATS will trade for
-// domain affinity: the heap's runner-up is dispatched ahead of the top
-// entry only when its data is hot in the popping worker's domain, the
-// top's is not, and the priority gap is at most this much. Critical-path
-// order is never inverted by more than the slack, so the paper's
-// criticality rule stays authoritative.
-const catsAffinitySlack = 1
 
 // catsEntry is one heap element: a task plus snapshots of its priority,
 // sequence number, and claim word at insertion. task.priority may have
@@ -91,11 +76,6 @@ type catsEntry struct {
 	prio  int64
 	seq   int64
 	claim uint64
-	// aff snapshots the task's data affinity at insertion: the worker that
-	// executed its latest-finishing predecessor (-1 = none). Snapshotted
-	// for the same pooling reason as seq — a stale entry must not read a
-	// recycled record.
-	aff int32
 }
 
 // snapshotEntry builds t's heap entry under the given claim snapshot.
@@ -105,7 +85,6 @@ func snapshotEntry(t *task, claim uint64) catsEntry {
 		prio:  atomic.LoadInt64(&t.priority),
 		seq:   atomic.LoadInt64(&t.seq),
 		claim: claim,
-		aff:   atomic.LoadInt32(&t.affinity),
 	}
 }
 
@@ -113,41 +92,9 @@ func newCATSScheduler(layout classLayout, pol *policyWords, sig *signals, rec *f
 	s := &catsScheduler{
 		fastN:    layout.fastN,
 		lastCrit: make([]bool, layout.fastN),
-		nd:       layout.domainCount(),
-		domOf:    layout.domainOf,
 	}
 	s.init(layout, pol, sig, rec, s.insert)
 	return s
-}
-
-// entryDomain maps an entry's affinity snapshot to a domain (-1 = none).
-func (s *catsScheduler) entryDomain(e catsEntry) int {
-	if e.aff < 0 || int(e.aff) >= len(s.domOf) {
-		return -1
-	}
-	return int(s.domOf[e.aff])
-}
-
-// popFor pops the entry heap h offers worker w, applying the bounded
-// domain-affinity preference: when the top entry's data is cold for w but
-// the runner-up's is hot in w's domain and the priority gap is within
-// catsAffinitySlack, the runner-up goes first and the top waits one pop.
-// Single-domain pools always take the top. Caller holds s.mu.
-func (s *catsScheduler) popFor(h *catsHeap, w int) catsEntry {
-	e := h.pop()
-	if s.nd <= 1 || len(*h) == 0 || len(s.domOf) == 0 {
-		return e
-	}
-	wd := int(s.domOf[w])
-	if s.entryDomain(e) == wd {
-		return e
-	}
-	if n := (*h)[0]; s.entryDomain(n) == wd && e.prio-n.prio <= catsAffinitySlack {
-		n = h.pop()
-		h.push(e)
-		return n
-	}
-	return e
 }
 
 // before reports heap order: higher snapshot priority first, then earlier
@@ -229,10 +176,10 @@ func (s *catsScheduler) take(workerID int) (e catsEntry, fromCrit, ok bool) {
 		// Fast class: most critical work first, help with plain when the
 		// critical heap is dry.
 		if len(s.crit) > 0 {
-			return s.popFor(&s.crit, workerID), true, true
+			return s.crit.pop(), true, true
 		}
 		if len(s.plain) > 0 {
-			return s.popFor(&s.plain, workerID), false, true
+			return s.plain.pop(), false, true
 		}
 		return catsEntry{}, false, false
 	}
@@ -241,10 +188,10 @@ func (s *catsScheduler) take(workerID int) (e catsEntry, fromCrit, ok bool) {
 	// worker than a saturated fast class, but never while a fast worker
 	// is idle or about to come back for it.
 	if len(s.plain) > 0 {
-		return s.popFor(&s.plain, workerID), false, true
+		return s.plain.pop(), false, true
 	}
 	if len(s.crit) > 0 && s.fastCritRunning == s.fastN {
-		return s.popFor(&s.crit, workerID), true, true
+		return s.crit.pop(), true, true
 	}
 	return catsEntry{}, false, false
 }

@@ -9,82 +9,58 @@ import (
 )
 
 // stealScheduler is the multi-core dispatch path: one Chase–Lev deque per
-// worker plus one injector ring per memory domain for tasks released
-// off-pool.
+// worker plus one injector ring for tasks released off-pool.
 //
 //   - A worker that releases a task (successor wakeup in complete) pushes it
 //     onto its own deque bottom — no lock, no contention, LIFO locality.
-//     Past the locality window the release spills to same-domain siblings'
-//     submit buffers, then to the domain injector — same-worker →
-//     same-domain → anywhere, walking outward through the memory hierarchy.
-//   - Submitting goroutines (no worker identity) push into an injector —
-//     the domain of the task's data affinity when it has one, round-robin
-//     otherwise; an idle worker refills from its own domain's injector in
-//     chunks, and drains other domains' injectors (cross-domain overflow,
-//     small chunks) only when its own is dry.
+//     Past the locality window the release spills to the injector.
+//   - Submitting goroutines (no worker identity) push into the injector; an
+//     idle worker refills from it in chunks.
 //   - A worker with nothing local steals from the top of a victim's deque
 //     (FIFO: the oldest task, which heads the largest remaining subtree) —
-//     a single CAS, no lock. Victims are visited in tiers: same-domain
-//     before cross-domain, fast-class before slow within each tier (see
-//     buildVictimPlans), each tier swept from a random offset.
+//     a single CAS, no lock. Victims are visited fast-class before slow
+//     (see buildVictimPlans), each tier swept from a random offset.
 //   - Only when everything is empty does a worker go idle: fresh off a
 //     task it first searches (a bounded number of yield-and-poll rounds,
-//     see search), then parks on its DOMAIN's condition variable —
-//     wakeups carry the domain where the work landed, so the worker whose
-//     cache is closest to the data is woken first. The
-//     parking protocol is sequentially consistent: pushers bump the global
-//     pending count before enqueuing and check the global parked count
-//     after; parkers register (global count, then domain count) under
-//     their domain lock and re-check pending before sleeping — so a task
-//     published concurrently with a park attempt is always seen by one
-//     side, and a registered sleeper's domain count is always visible to
-//     the pusher's wake scan.
+//     see search), then parks on the pool's one parking lot. The parking
+//     protocol is sequentially consistent: pushers bump the pending count
+//     before enqueuing and check the parked count after; parkers register
+//     in parked under the lot lock and re-check pending before sleeping —
+//     so a task published concurrently with a park attempt is always seen
+//     by one side.
 type stealScheduler struct {
 	schedHooks
 	// parkLog carries the runtime's signals layer and flight recorder for
-	// the park/wake accounting of the domain lots and the class gate.
+	// the park/wake accounting of the parking lot and the class gate.
 	parkLog
 
 	deques []*wsDeque
 
-	// injs is one injector per memory domain (single-element for the
-	// degenerate topology); rrDom round-robins affinity-less injections.
-	injs  []lockedRing
-	rrDom atomic.Uint32
+	// inj is the injector: the landing zone of everything released without
+	// a worker hint or past the locality window.
+	inj lockedRing
 
-	// pending counts queued tasks (deques + injectors + side buffers).
+	// pending counts queued tasks (deques + injector + side buffers).
 	// Maintained with seqcst atomics purely for the parking protocol; the
 	// queues themselves are the source of truth.
 	pending atomic.Int64
-	// parked counts workers asleep across all domains, read lock-free by
-	// pushers deciding whether to wake anyone at all; parks holds the
-	// per-domain parking lots wakeups are routed through.
-	parked atomic.Int32
-	parks  []domainPark
-	woken  atomic.Bool
-
-	// nd is the domain count (≥ 1); domOf maps workerID → domain;
-	// members lists each domain's workers in ID order.
-	nd      int
-	domOf   []int32
-	members [][]int32
+	// parked counts workers asleep on the parking lot (parkMu/parkCond),
+	// read lock-free by pushers deciding whether to wake anyone at all.
+	parked   atomic.Int32
+	parkMu   sync.Mutex
+	parkCond *sync.Cond
+	woken    atomic.Bool
 
 	// victims holds each worker's precomputed tier-ordered victim plan.
 	victims []victimPlan
 
-	// traffic is the per-domain injector/steal accounting surfaced through
-	// Stats.PerDomain.
-	traffic []domainTraffic
-
 	// window is the locality window (WithLocalityWindow), immutable: a push
 	// carrying a worker hint goes to that worker's own deque only while the
-	// deque holds fewer than window tasks, and spills past it — first to
-	// same-domain siblings' submit buffers (multi-domain pools only), then
-	// to the domain injector — so a completing worker keeps its successors
-	// hot in cache without hoarding a wide fan that the rest of the pool
-	// would have to steal back one CAS at a time (window <= 0 disables the
-	// locality path entirely: every release goes through the injector, the
-	// central-queue baseline).
+	// deque holds fewer than window tasks, and spills to the injector past
+	// it — so a completing worker keeps its successors hot in cache without
+	// hoarding a wide fan that the rest of the pool would have to steal back
+	// one CAS at a time (window <= 0 disables the locality path entirely:
+	// every release goes through the injector, the central-queue baseline).
 	window int64
 	// pol is the policy layer: pol.classMask gates worker classes (see pop).
 	pol *policyWords
@@ -92,48 +68,30 @@ type stealScheduler struct {
 	classOf func(int) int
 
 	// gateMu/gateCond form the class gate: a worker whose class bit is
-	// clear in pol.classMask parks here (outside the domain parking lots
-	// and the pending/parked protocol — a gated worker is withdrawn from
-	// the pool, not idle). Its deque and submit buffer stay stealable by
-	// active workers, and its queued tasks stay counted in pending, so no
-	// active worker can park while a gated worker's work remains.
+	// clear in pol.classMask parks here (outside the parking lot and the
+	// pending/parked protocol — a gated worker is withdrawn from the pool,
+	// not idle). Its deque and submit buffer stay stealable by active
+	// workers, and its queued tasks stay counted in pending, so no active
+	// worker can park while a gated worker's work remains.
 	gateMu   sync.Mutex
 	gateCond *sync.Cond
 
 	// side holds one submit buffer per worker: the landing zone for
 	// hinted submissions (tasks submitted with a worker's body context,
 	// possibly from arbitrary goroutines — the deque bottom is owner-only,
-	// this is not) and for same-domain spill. The owner drains its buffer
-	// into its deque at the top of pop; thieves with nothing else to do
-	// steal from other workers' buffers, so a task parked here by a body
-	// that then blocks is still reachable by the rest of the pool.
+	// this is not). The owner drains its buffer into its deque at the top
+	// of pop; thieves with nothing else to do steal from other workers'
+	// buffers, so a task parked here by a body that then blocks is still
+	// reachable by the rest of the pool.
 	side []lockedRing
 
 	local []stealLocal
 }
 
-// domainPark is one memory domain's parking lot. n counts this domain's
-// sleepers (the wake scan's routing signal; the global parked count is the
-// "anyone at all?" fast path).
-type domainPark struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    atomic.Int32
-	_    [4]int64
-}
-
-// domainTraffic is one domain's steal/injector accounting (atomic access).
-type domainTraffic struct {
-	injPush     atomic.Uint64
-	crossRefill atomic.Uint64
-	crossSteal  atomic.Uint64
-	_           [5]uint64
-}
-
-// lockedRing is a mutex-guarded task ring — one memory domain's injector,
-// or one worker's submit buffer. n mirrors q.len() so the refill and pop
-// fast paths and thieves' sweeps can skip the lock when the ring is empty
-// (the steady state once work is distributed).
+// lockedRing is a mutex-guarded task ring — the injector, or one worker's
+// submit buffer. n mirrors q.len() so the refill and pop fast paths and
+// thieves' sweeps can skip the lock when the ring is empty (the steady
+// state once work is distributed).
 type lockedRing struct {
 	mu sync.Mutex
 	q  taskRing
@@ -166,17 +124,10 @@ type stealLocal struct {
 }
 
 func newStealScheduler(layout classLayout, window int, pol *policyWords, sig *signals, rec *flightrec.Recorder) *stealScheduler {
-	nd := layout.domainCount()
 	s := &stealScheduler{
 		parkLog: parkLog{sig: sig, rec: rec},
 		deques:  make([]*wsDeque, layout.workers),
 		local:   make([]stealLocal, layout.workers),
-		nd:      nd,
-		domOf:   make([]int32, layout.workers),
-		members: make([][]int32, nd),
-		injs:    make([]lockedRing, nd),
-		parks:   make([]domainPark, nd),
-		traffic: make([]domainTraffic, nd),
 		victims: buildVictimPlans(layout),
 		window:  int64(window),
 		pol:     pol,
@@ -186,105 +137,74 @@ func newStealScheduler(layout classLayout, window int, pol *policyWords, sig *si
 	for i := range s.deques {
 		s.deques[i] = newWSDeque()
 		s.local[i].rand = mix64(uint64(i) + 0x9e3779b97f4a7c15)
-		d := layout.domain(i)
-		s.domOf[i] = int32(d)
-		s.members[d] = append(s.members[d], int32(i))
 	}
-	for d := range s.parks {
-		s.parks[d].cond = sync.NewCond(&s.parks[d].mu)
-	}
+	s.parkCond = sync.NewCond(&s.parkMu)
 	s.gateCond = sync.NewCond(&s.gateMu)
 	return s
+}
+
+// victimPlan is one worker's precomputed steal order: every other worker
+// exactly once, fast class first. order[:fast] is the fast-class tier,
+// order[fast:] the slow-class one.
+type victimPlan struct {
+	order []int32
+	fast  int
+}
+
+// buildVictimPlans precomputes every worker's victim list from the layout.
+// Worker IDs are assigned fastest class first, so ascending ID order is
+// already tier order. Keeping the plan static (only the per-tier starting
+// offset is randomised per sweep) makes the tier ordering a checkable
+// invariant rather than an emergent property of per-sweep filtering.
+func buildVictimPlans(l classLayout) []victimPlan {
+	plans := make([]victimPlan, l.workers)
+	for w := range plans {
+		p := &plans[w]
+		p.order = make([]int32, 0, l.workers-1)
+		for v := 0; v < l.workers; v++ {
+			if v == w {
+				continue
+			}
+			if v < l.fastN {
+				p.fast++
+			}
+			p.order = append(p.order, int32(v))
+		}
+	}
+	return plans
+}
+
+// hinted reports whether workerHint names a worker of this pool whose
+// locality path is open (false for no hint, or with locality disabled).
+func (s *stealScheduler) hinted(workerHint int) bool {
+	return workerHint >= 0 && workerHint < len(s.deques) && s.window > 0
 }
 
 // localRoom reports how many more tasks worker w's deque may take through
 // the locality path (0 when the hint is invalid or locality is disabled).
 func (s *stealScheduler) localRoom(workerHint int) int64 {
-	if s.hintDomain(workerHint) < 0 || s.window <= 0 {
+	if !s.hinted(workerHint) {
 		return 0
 	}
 	return max(s.window-s.deques[workerHint].size(), 0)
 }
 
-// hintDomain maps a push's worker hint to that worker's domain, -1 for no
-// (or an invalid) hint.
-func (s *stealScheduler) hintDomain(workerHint int) int {
-	if workerHint < 0 || workerHint >= len(s.deques) {
-		return -1
-	}
-	return int(s.domOf[workerHint])
-}
-
 func (s *stealScheduler) push(t *task, workerHint int) {
 	s.pending.Add(1)
-	s.wakeWorkers(1, s.route(t, workerHint))
-}
-
-// route places one ready task — same-worker deque while the locality
-// window has room, same-domain sibling submit buffer, domain injector —
-// and returns the domain it landed in, the wake scan's routing preference.
-func (s *stealScheduler) route(t *task, workerHint int) int {
-	d := s.hintDomain(workerHint)
 	if s.localRoom(workerHint) > 0 {
 		s.deques[workerHint].pushBottom(t)
-		return d
+	} else {
+		s.inject(t)
 	}
-	if d < 0 {
-		return s.injectPlaced(t)
-	}
-	if !s.spillSibling(t, workerHint, d) {
-		s.inject(t, d)
-	}
-	return d
+	s.wakeWorkers(1)
 }
 
-// spillSibling extends the locality window across the releasing worker's
-// memory domain: when the worker's own deque is past the window, the task
-// goes to a same-domain sibling's submit buffer (each bounded by the same
-// window) before falling through to the domain injector — the successor
-// stays inside the domain's shared cache even when its producer is
-// saturated. Single-domain pools skip this tier entirely (same-domain
-// means nothing there), preserving the flat window→injector behaviour.
-func (s *stealScheduler) spillSibling(t *task, workerHint, d int) bool {
-	if s.nd <= 1 || s.window <= 0 {
-		return false
-	}
-	for _, v := range s.members[d] {
-		if int(v) == workerHint {
-			continue
-		}
-		if b := &s.side[v]; b.n.Load() < s.window && b.offer(t, s.window) {
-			return true
-		}
-	}
-	return false
-}
-
-// inject pushes one task into domain d's injector.
-func (s *stealScheduler) inject(t *task, d int) {
-	inj := &s.injs[d]
-	inj.mu.Lock()
-	inj.q.push(t)
-	inj.mu.Unlock()
-	inj.n.Add(1)
-	s.traffic[d].injPush.Add(1)
-}
-
-// injectPlaced routes a hint-less task to an injector and returns the
-// domain: the domain whose caches plausibly hold the task's input data
-// when the task carries an affinity (the worker that executed its
-// predecessor), round-robin across domains otherwise.
-func (s *stealScheduler) injectPlaced(t *task) int {
-	d := 0
-	if s.nd > 1 {
-		if a := atomic.LoadInt32(&t.affinity); a >= 0 && int(a) < len(s.domOf) {
-			d = int(s.domOf[a])
-		} else {
-			d = int(s.rrDom.Add(1)-1) % s.nd
-		}
-	}
-	s.inject(t, d)
-	return d
+// inject pushes one task into the injector.
+func (s *stealScheduler) inject(t *task) {
+	s.inj.mu.Lock()
+	s.inj.q.push(t)
+	s.inj.mu.Unlock()
+	s.inj.n.Add(1)
 }
 
 // pushOwned: the completing worker keeps its single ready successor to
@@ -312,20 +232,18 @@ func (s *stealScheduler) pushOwned(t *task, workerID int) bool {
 // Returns false — caller routes centrally — when the hint is invalid,
 // locality is disabled, or the buffer is full.
 func (s *stealScheduler) submitLocal(t *task, workerID int) bool {
-	d := s.hintDomain(workerID)
-	if d < 0 || s.window <= 0 || !s.side[workerID].offer(t, s.window) {
+	if !s.hinted(workerID) || !s.side[workerID].offer(t, s.window) {
 		return false
 	}
 	s.pending.Add(1)
-	s.wakeWorkers(1, d)
+	s.wakeWorkers(1)
 	return true
 }
 
 // submitLocalBatch takes a window-bounded prefix of ts into the worker's
 // submit buffer and returns how many.
 func (s *stealScheduler) submitLocalBatch(ts []*task, workerID int) int {
-	d := s.hintDomain(workerID)
-	if d < 0 || s.window <= 0 {
+	if !s.hinted(workerID) {
 		return 0
 	}
 	b := &s.side[workerID]
@@ -338,7 +256,7 @@ func (s *stealScheduler) submitLocalBatch(ts []*task, workerID int) int {
 	if take > 0 {
 		b.n.Add(int64(take))
 		s.pending.Add(int64(take))
-		s.wakeWorkers(take, d)
+		s.wakeWorkers(take)
 	}
 	return take
 }
@@ -358,10 +276,9 @@ func (s *stealScheduler) drainSide(w int) {
 // stealSide takes one task from another worker's submit buffer — the
 // fallback that keeps buffered submissions reachable when their target
 // worker is blocked inside a long-running body. Buffers are visited in
-// the thief's victim-plan order, so same-domain buffers (holding
-// domain-spilled successors) are relieved before cross-domain ones.
+// the thief's victim-plan order.
 func (s *stealScheduler) stealSide(w int) *task {
-	t, _ := s.sweep(w, tierSameLo, tierCrossHi, func(v int) (*task, bool) {
+	t, _ := s.sweep(w, func(v int) (*task, bool) {
 		b := &s.side[v]
 		if b.n.Load() == 0 {
 			return nil, false
@@ -381,14 +298,11 @@ func (s *stealScheduler) pushBatch(ts []*task, workerHint int) {
 	if len(ts) == 0 {
 		return
 	}
-	n := len(ts)
-	s.pending.Add(int64(n))
-	// Fill the hinted worker's deque up to the locality window, then walk
-	// outward: same-domain sibling buffers, then the injector — so a wide
-	// fan still spreads across the pool without every other worker
-	// stealing it back one task at a time, but spreads domain-first.
+	s.pending.Add(int64(len(ts)))
+	// Fill the hinted worker's deque up to the locality window, the rest
+	// goes to the injector — so a wide fan still spreads across the pool
+	// without every other worker stealing it back one task at a time.
 	local := 0
-	dom := s.hintDomain(workerHint)
 	if room := s.localRoom(workerHint); room > 0 {
 		local = int(min(int64(len(ts)), room))
 		d := s.deques[workerHint]
@@ -396,83 +310,44 @@ func (s *stealScheduler) pushBatch(ts []*task, workerHint int) {
 			d.pushBottom(t)
 		}
 	}
-	rest := ts[local:]
-	for dom >= 0 && len(rest) > 0 && s.spillSibling(rest[0], workerHint, dom) {
-		rest = rest[1:]
-	}
-	if len(rest) > 0 {
-		if dom < 0 {
-			dom = s.injectPlaced(rest[0])
-			rest = rest[1:]
+	if rest := ts[local:]; len(rest) > 0 {
+		s.inj.mu.Lock()
+		for _, t := range rest {
+			s.inj.q.push(t)
 		}
-		if len(rest) > 0 {
-			inj := &s.injs[dom]
-			inj.mu.Lock()
-			for _, t := range rest {
-				inj.q.push(t)
-			}
-			inj.mu.Unlock()
-			inj.n.Add(int64(len(rest)))
-			s.traffic[dom].injPush.Add(uint64(len(rest)))
-		}
+		s.inj.mu.Unlock()
+		s.inj.n.Add(int64(len(rest)))
 	}
-	s.wakeWorkers(n, dom)
+	s.wakeWorkers(len(ts))
 }
 
-// wakeWorkers unparks up to n workers if any are parked, scanning the
-// per-domain parking lots preferred-domain first (pref < 0 starts at
-// domain 0) so the sleeper closest to the freshly-placed work wakes. The
-// global parked check is a lock-free fast path: with no one parked (the
-// busy steady state) a push touches no lock at all. The scan cannot miss
-// a committed sleeper: a parker's domain count is registered (seqcst)
-// before its pending re-check, so a pusher whose enqueue the parker did
-// not see always sees the parker's registration.
-func (s *stealScheduler) wakeWorkers(n, pref int) {
+// wakeWorkers unparks one worker (n == 1) or all of them if any are parked.
+// The parked check is a lock-free fast path: with no one parked (the busy
+// steady state) a push touches no lock at all. It cannot miss a committed
+// sleeper: a parker registers in parked (seqcst) before its pending
+// re-check, so a pusher whose enqueue the parker did not see always sees
+// the parker's registration.
+func (s *stealScheduler) wakeWorkers(n int) {
 	if s.parked.Load() == 0 {
 		return
 	}
-	pref = max(pref, 0)
-	rem := n
-	for i := 0; i < s.nd && rem > 0; i++ {
-		d := pref + i
-		if d >= s.nd {
-			d -= s.nd
-		}
-		dp := &s.parks[d]
-		pk := int(dp.n.Load())
-		if pk == 0 {
-			continue
-		}
-		dp.mu.Lock()
-		if rem == 1 {
-			dp.cond.Signal()
-		} else {
-			dp.cond.Broadcast()
-		}
-		dp.mu.Unlock()
-		if rem == 1 {
-			return
-		}
-		rem -= pk
+	s.parkMu.Lock()
+	if n == 1 {
+		s.parkCond.Signal()
+	} else {
+		s.parkCond.Broadcast()
 	}
+	s.parkMu.Unlock()
 }
 
-// injectorGrab caps an own-domain refill chunk; crossGrab is the smaller
-// cap used when raiding ANOTHER domain's injector — cross-domain overflow
-// relieves an overloaded domain without bulk-migrating its backlog away
-// from the caches it was aimed at.
-const (
-	injectorGrab = 32
-	crossGrab    = 8
-)
+// injectorGrab caps a refill chunk.
+const injectorGrab = 32
 
-// refill pulls from domain d's injector on behalf of worker w: it returns
-// one task and moves a fair share of the backlog (n/workers, capped) onto
-// w's own deque, amortising the injector lock over the whole chunk. cross
-// marks a raid on another domain's injector (smaller cap, counted as
-// cross-domain traffic for w's home domain).
-func (s *stealScheduler) refill(w, d int, cross bool) *task {
-	inj := &s.injs[d]
+// refill pulls from the injector on behalf of worker w: it returns one task
+// and moves a fair share of the backlog (n/workers, capped) onto w's own
+// deque, amortising the injector lock over the whole chunk.
+func (s *stealScheduler) refill(w int) *task {
+	inj := &s.inj
 	if inj.n.Load() == 0 {
 		return nil // lock-free fast path for the common empty case
 	}
@@ -482,13 +357,9 @@ func (s *stealScheduler) refill(w, d int, cross bool) *task {
 		inj.mu.Unlock()
 		return nil
 	}
-	chunk := injectorGrab
-	if cross {
-		chunk = crossGrab
-	}
 	// Never more than n: on a single-worker pool n/1+1 would overshoot the
 	// ring.
-	grab := min(n/len(s.deques)+1, chunk, n)
+	grab := min(n/len(s.deques)+1, injectorGrab, n)
 	t := inj.q.pop()
 	dq := s.deques[w]
 	for i := 1; i < grab; i++ {
@@ -496,65 +367,40 @@ func (s *stealScheduler) refill(w, d int, cross bool) *task {
 	}
 	inj.n.Add(int64(-grab))
 	inj.mu.Unlock()
-	if cross {
-		s.traffic[s.domOf[w]].crossRefill.Add(uint64(grab))
-	}
 	return t
 }
 
-// crossInjectors raids the other domains' injectors (cross-domain
-// overflow), starting at a random domain so raids spread.
-func (s *stealScheduler) crossInjectors(w int) *task {
-	if s.nd <= 1 {
-		return nil
-	}
-	own := int(s.domOf[w])
-	off := int(s.nextRand(w) % uint64(s.nd))
-	for i := 0; i < s.nd; i++ {
-		d := off + i
-		if d >= s.nd {
-			d -= s.nd
-		}
-		if d == own {
+// sweep walks w's victims in plan order — fast-class tier, then slow, each
+// rotated by a fresh random offset so concurrent thieves don't convoy on
+// one victim — asking take for a task from each until one yields. Fast-class
+// victims lead because the released successors of critical tasks live there
+// and stealing their oldest (least critical) entries keeps the fast LIFO end
+// free for the path itself. Every victim is visited at most once and w
+// itself never is — the property the sweep test checks. take's second
+// result (a lost race) is OR-ed into the sweep's: a caller that came back
+// empty-handed but contended must not park on this evidence alone.
+func (s *stealScheduler) sweep(w int, take func(v int) (*task, bool)) (*task, bool) {
+	p := &s.victims[w]
+	contended := false
+	for _, tier := range [2][]int32{p.order[:p.fast], p.order[p.fast:]} {
+		n := len(tier)
+		if n == 0 {
 			continue
 		}
-		if t := s.refill(w, d, true); t != nil {
-			return t
+		off := int(s.nextRand(w) % uint64(n))
+		for i := 0; i < n; i++ {
+			j := off + i
+			if j >= n {
+				j -= n
+			}
+			t, retry := take(int(tier[j]))
+			contended = contended || retry
+			if t != nil {
+				return t, contended
+			}
 		}
 	}
-	return nil
-}
-
-// sweepTiers tries every victim deque in the tier range once — same-domain
-// tiers keep a steal inside the shared cache, cross-domain tiers are the
-// last resort; fast-class deques lead each tier because the released
-// successors of critical tasks live there and stealing their oldest (least
-// critical) entries keeps the fast LIFO end free for the path itself. The
-// second result reports whether any CAS lost a race (so the caller must
-// not park on this evidence alone).
-func (s *stealScheduler) sweepTiers(w, loTier, hiTier int) (*task, bool) {
-	return s.sweep(w, loTier, hiTier, func(v int) (*task, bool) { return s.deques[v].stealTop() })
-}
-
-// sweep walks w's victims in the tier range, asking take for a task from
-// each until one yields, and accounts a steal that crossed a domain
-// boundary. take's second result (a lost race) is OR-ed into the sweep's.
-func (s *stealScheduler) sweep(w, loTier, hiTier int, take func(v int) (*task, bool)) (*task, bool) {
-	var out *task
-	contended := false
-	s.forEachVictim(w, loTier, hiTier, func(v int) bool {
-		t, retry := take(v)
-		contended = contended || retry
-		if t == nil {
-			return false
-		}
-		if s.domOf[v] != s.domOf[w] {
-			s.traffic[s.domOf[w]].crossSteal.Add(1)
-		}
-		out = t
-		return true
-	})
-	return out, contended
+	return nil, contended
 }
 
 // nextRand advances worker w's xorshift64 state.
@@ -568,10 +414,11 @@ func (s *stealScheduler) nextRand(w int) uint64 {
 }
 
 // find is one pass over every source worker w may take work from, nearest
-// first. It does not touch pending (pop accounts the task it returns);
-// contended reports that some steal CAS lost a race, so an empty-handed
-// caller must not park on this evidence alone.
-func (s *stealScheduler) find(w, ownDom int) (t *task, stolen, contended bool) {
+// first: its submit buffer, its deque, the injector, the other workers'
+// deques and finally their submit buffers. It does not touch pending (pop
+// accounts the task it returns); contended reports that some steal CAS lost
+// a race, so an empty-handed caller must not park on this evidence alone.
+func (s *stealScheduler) find(w int) (t *task, stolen, contended bool) {
 	// Claim the hinted submissions aimed at this worker first — they
 	// were routed here for this worker's cache (one lock-free check in
 	// the common empty case).
@@ -581,30 +428,17 @@ func (s *stealScheduler) find(w, ownDom int) (t *task, stolen, contended bool) {
 	if t := s.deques[w].popBottom(); t != nil {
 		return t, false, false
 	}
-	// The hierarchy walk outward: own domain's injector, same-domain
-	// deques, other domains' injectors (overflow), cross-domain deques,
-	// and finally anybody's submit buffer.
-	if t := s.refill(w, ownDom, false); t != nil {
+	if t := s.refill(w); t != nil {
 		return t, false, false
 	}
-	t, contended = s.sweepTiers(w, tierSameLo, tierSameHi)
-	if t != nil {
-		return t, true, contended
+	t, contended = s.sweep(w, func(v int) (*task, bool) { return s.deques[v].stealTop() })
+	if t == nil {
+		t = s.stealSide(w)
 	}
-	if t := s.crossInjectors(w); t != nil {
-		return t, false, contended
-	}
-	t, c2 := s.sweepTiers(w, tierSameHi, tierCrossHi)
-	if t != nil {
-		return t, true, contended
-	}
-	contended = contended || c2
-	t = s.stealSide(w)
 	return t, t != nil, contended
 }
 
 func (s *stealScheduler) pop(workerID int) (*task, bool) {
-	ownDom := int(s.domOf[workerID])
 	class := s.classOf(workerID)
 	loc := &s.local[workerID]
 	for {
@@ -628,7 +462,7 @@ func (s *stealScheduler) pop(workerID int) (*task, bool) {
 				n = 1
 			}
 			if n > 0 {
-				s.wakeWorkers(n, ownDom)
+				s.wakeWorkers(n)
 			}
 			// The gate is withdrawal, not idleness: a gated worker never
 			// searches, here or on its way back into the pool.
@@ -638,7 +472,7 @@ func (s *stealScheduler) pop(workerID int) (*task, bool) {
 			}
 			continue
 		}
-		t, stolen, contended := s.find(workerID, ownDom)
+		t, stolen, contended := s.find(workerID)
 		if t != nil {
 			s.pending.Add(-1)
 			loc.searchLeft = searchRounds
@@ -657,12 +491,11 @@ func (s *stealScheduler) pop(workerID int) (*task, bool) {
 		if loc.searchLeft > 0 && s.search(workerID) {
 			continue
 		}
-		// Park on the home domain's lot — unless a task was published since
-		// the sweep (the pending re-check under the lock closes the race
-		// with a concurrent push, whose pending increment precedes its
-		// parked check in seqcst order).
-		dp := &s.parks[ownDom]
-		dp.mu.Lock()
+		// Park — unless a task was published since the sweep (the pending
+		// re-check under the lock closes the race with a concurrent push,
+		// whose pending increment precedes its parked check in seqcst
+		// order).
+		s.parkMu.Lock()
 		woken := false
 		slept := false
 		for {
@@ -674,23 +507,19 @@ func (s *stealScheduler) pop(workerID int) (*task, bool) {
 			// pending.Add then parked.Load, so with this order one side
 			// always sees the other (seqcst). Checking pending first would
 			// let a push slip between the check and the registration with
-			// parked still 0 — a lost wakeup. The domain count follows the
-			// global one for the same reason: by the time the pusher's wake
-			// scan reads dp.n this sleeper is registered in it.
+			// parked still 0 — a lost wakeup.
 			s.parked.Add(1)
-			dp.n.Add(1)
 			idle := s.pending.Load() <= 0
 			if idle {
-				s.wait(dp.cond, workerID)
+				s.wait(s.parkCond, workerID)
 				slept = true
 			}
-			dp.n.Add(-1)
 			s.parked.Add(-1)
 			if !idle {
 				break
 			}
 		}
-		dp.mu.Unlock()
+		s.parkMu.Unlock()
 		if woken {
 			return nil, false
 		}
@@ -755,21 +584,19 @@ func (s *stealScheduler) search(workerID int) bool {
 }
 
 // evacuate spills everything a gating worker still owns — its submit
-// buffer and then its deque — to the home domain's injector and returns
-// how many tasks moved, so an active-class worker can be woken to refill
-// from there.
+// buffer and then its deque — to the injector and returns how many tasks
+// moved, so an active-class worker can be woken to refill from there.
 func (s *stealScheduler) evacuate(workerID int) int {
 	if s.side[workerID].n.Load() > 0 {
 		s.drainSide(workerID)
 	}
-	d := int(s.domOf[workerID])
 	n := 0
 	for {
 		t := s.deques[workerID].popBottom()
 		if t == nil {
 			break
 		}
-		s.inject(t, d)
+		s.inject(t)
 		n++
 	}
 	return n
@@ -802,27 +629,14 @@ func (s *stealScheduler) policyChanged() {
 
 func (s *stealScheduler) wake() {
 	s.woken.Store(true)
-	for d := range s.parks {
-		dp := &s.parks[d]
-		dp.mu.Lock()
-		dp.cond.Broadcast()
-		dp.mu.Unlock()
-	}
+	s.parkMu.Lock()
+	s.parkCond.Broadcast()
+	s.parkMu.Unlock()
 	s.gateMu.Lock()
 	s.gateCond.Broadcast()
 	s.gateMu.Unlock()
 }
 
 // queued: the parking protocol's pending count is already the total over
-// every deque, injector and submit buffer.
+// every deque, the injector and the submit buffers.
 func (s *stealScheduler) queued() int64 { return s.pending.Load() }
-
-// domainStatsInto: the scheduler's share of Stats.PerDomain — injector
-// and cross-domain traffic.
-func (s *stealScheduler) domainStatsInto(ds []DomainStats) {
-	for d := 0; d < s.nd && d < len(ds); d++ {
-		ds[d].InjectorPushes = s.traffic[d].injPush.Load()
-		ds[d].CrossRefills = s.traffic[d].crossRefill.Load()
-		ds[d].CrossSteals = s.traffic[d].crossSteal.Load()
-	}
-}

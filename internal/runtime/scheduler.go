@@ -15,14 +15,13 @@ import (
 //	method            fifo      worksteal   cats
 //	push/pushBatch    queue     route       heap insert
 //	pop               queue     find+park   take+claim
-//	wake              lot       lots+gate   lot
+//	wake              lot       lot+gate    lot
 //	policyChanged     lot       gate        lot
 //	queued            1 queue   pending     2 heaps
 //	bump              —         —           reinsert
 //	pushOwned         —         own deque   —
 //	submitLocal*      —         side buffer —
 //	taskDone          —         —           saturation
-//	domainStatsInto   —         traffic     —
 type scheduler interface {
 	// push enqueues a ready task. workerHint is the worker that released
 	// it, or -1 when released from a submitting goroutine. A non-negative
@@ -78,9 +77,6 @@ type scheduler interface {
 	// scheduler's saturation count is exact when a newly-ready critical
 	// successor is placed.
 	taskDone(workerID int)
-	// domainStatsInto adds the scheduler's own per-domain traffic counters
-	// (injector pushes, cross-domain refills and steals) to ds.
-	domainStatsInto(ds []DomainStats)
 }
 
 // schedHooks is embedded by every scheduler: the no-op defaults of the
@@ -92,17 +88,12 @@ func (schedHooks) pushOwned(*task, int) bool         { return false }
 func (schedHooks) submitLocal(*task, int) bool       { return false }
 func (schedHooks) submitLocalBatch([]*task, int) int { return 0 }
 func (schedHooks) taskDone(int)                      {}
-func (schedHooks) domainStatsInto([]DomainStats)     {}
 
-// classLayout is the worker-topology view class- and domain-aware
-// schedulers receive. Worker IDs are assigned fastest class first
-// (options.resolveClasses), so a single comparison — id < fastN —
-// classifies a worker, and fastN == workers means the pool is homogeneous
-// (every placement rule degenerates to the class-blind behaviour).
-// Memory domains partition the same ID ordering (options.resolveTopology):
-// domainOf maps workerID → domain index, nil meaning the degenerate
-// single-domain topology in which every domain-aware path collapses to
-// the flat behaviour.
+// classLayout is the view of the pool class-aware schedulers receive.
+// Worker IDs are assigned fastest class first (options.resolveClasses), so
+// a single comparison — id < fastN — classifies a worker, and fastN ==
+// workers means the pool is homogeneous (every placement rule degenerates
+// to the class-blind behaviour).
 type classLayout struct {
 	workers int
 	// fastN is the number of fast-class workers: those whose class ties
@@ -111,13 +102,9 @@ type classLayout struct {
 	// classOf maps workerID → class index (nil = every worker class 0);
 	// the policy layer's class gate is keyed by it.
 	classOf []int
-	// domains is the memory-domain count (0 or 1 = single domain);
-	// domainOf maps workerID → domain index (nil = all domain 0).
-	domains  int
-	domainOf []int32
 }
 
-// homogeneousLayout is the layout of a single-class, single-domain pool.
+// homogeneousLayout is the layout of a single-class pool.
 func homogeneousLayout(workers int) classLayout {
 	return classLayout{workers: workers, fastN: workers}
 }
@@ -128,22 +115,6 @@ func (l classLayout) class(w int) int {
 		return 0
 	}
 	return l.classOf[w]
-}
-
-// domainCount is the number of memory domains, always ≥ 1.
-func (l classLayout) domainCount() int {
-	if l.domains < 1 {
-		return 1
-	}
-	return l.domains
-}
-
-// domain maps a worker ID to its memory-domain index.
-func (l classLayout) domain(w int) int {
-	if l.domainOf == nil {
-		return 0
-	}
-	return int(l.domainOf[w])
 }
 
 // parkLog is the park/wake bookkeeping every blocking site of every

@@ -214,6 +214,50 @@ func TestSingleWorkerInjectorRefill(t *testing.T) {
 	}
 }
 
+// TestVictimSweepClassTierProperty is the randomized property test for the
+// tiered steal sweep: across random pools (1–12 workers, with and without a
+// fast worker class) every worker's full sweep visits each fast-class victim
+// before any slow-class one, never visits itself, and covers every other
+// deque exactly once. The per-tier random rotation only reorders victims
+// within a tier, so the property must hold for every worker on every trial.
+func TestVictimSweepClassTierProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xA17))
+	for trial := 0; trial < 300; trial++ {
+		workers := 1 + rng.Intn(12)
+		fastN := workers
+		if workers > 1 && rng.Intn(2) == 0 {
+			fastN = 1 + rng.Intn(workers-1)
+		}
+		s := newTestSteal(classLayout{workers: workers, fastN: fastN}, 0)
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("trial %d (workers=%d fastN=%d): "+format, append([]any{trial, workers, fastN}, args...)...)
+		}
+		for w := 0; w < workers; w++ {
+			seen := make(map[int]bool, workers)
+			slow := false
+			s.sweep(w, func(v int) (*task, bool) {
+				switch {
+				case v == w:
+					fail("worker %d sweeps its own deque", w)
+				case v < 0 || v >= workers:
+					fail("worker %d visits out-of-range victim %d", w, v)
+				case seen[v]:
+					fail("worker %d visits victim %d twice", w, v)
+				case v < fastN && slow:
+					fail("worker %d visits fast victim %d after a slow one", w, v)
+				}
+				seen[v] = true
+				slow = slow || v >= fastN
+				return nil, false
+			})
+			if len(seen) != workers-1 {
+				fail("worker %d swept %d of %d victims", w, len(seen), workers-1)
+			}
+		}
+	}
+}
+
 // --- taskRing ----------------------------------------------------------------
 
 func TestTaskRingFIFOWraparoundAndRelease(t *testing.T) {

@@ -26,13 +26,6 @@ type depShard struct {
 	// task records pooled, a referenced record may have been recycled for
 	// an unrelated task by the time a later registration consults it, and
 	// the generation check (linkPreds) filters those dead entries out.
-	// These references are also the per-shard key→domain affinity map:
-	// each referenced record carries the worker (and hence domain) that
-	// executed it (task.exec), so a registration consulting a key's last
-	// writer learns where that key's data is hot — linkPreds turns that
-	// into the task's affinity, which CATS weighs against criticality and
-	// the steal scheduler's injector placement routes by. No second
-	// structure is needed: the renamer state already indexes by key.
 	lastWriter  map[any]taskRef
 	readersTail map[any][]taskRef
 	// sweepAt is the combined size of the two maps past which the next
@@ -321,13 +314,6 @@ func (r *Runtime) linkPreds(t *task, preds []taskRef) {
 		if ref.dead() {
 			p.mu.Unlock() // recycled record: the predecessor completed long ago
 			continue
-		}
-		// Data affinity: the worker that executed a predecessor plausibly
-		// holds the task's input hot — remember the latest one seen (a
-		// still-pending predecessor has no executor yet; the one finishing
-		// last overwrites this in complete's release loop).
-		if af := atomic.LoadInt32(&p.exec); af >= 0 {
-			atomic.StoreInt32(&t.affinity, af)
 		}
 		if p.state != stateDone {
 			p.addSucc(t)

@@ -1,30 +1,30 @@
 package runtime
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // workerSig is one worker's block of the signals layer — the only
 // per-dispatch counters in the runtime: plain counters the worker bumps
-// with uncontended atomic adds on its own cache line. Every per-worker,
-// per-class and per-domain figure Stats reports is a read-time grouping of
-// these blocks. A block is exactly one cache line, which keeps neighbouring
-// workers' counters off each other's.
+// with uncontended atomic adds on its own cache line. Every per-worker and
+// per-class figure Stats reports is a read-time grouping of these blocks. A
+// block is exactly one cache line, which keeps neighbouring workers'
+// counters off each other's.
 type workerSig struct {
 	executed uint64 // tasks whose body ran on this worker
 	steals   uint64 // dispatches stolen from another worker's queue
 	skipped  uint64 // tasks skipped on an already-cancelled context
-	// A dispatch of a task released from inside the pool (t.home ≥ 0) lands
-	// in exactly one of: homeHit — ran on the worker it was released
-	// toward; homeNear — migrated, but stayed inside the release target's
-	// memory domain; homeFar — crossed a domain boundary.
-	homeHit  uint64
-	homeNear uint64
-	homeFar  uint64
 	// searches counts idle-search phases this worker entered (steal
 	// scheduler only, see stealScheduler.search); searchHits those that
 	// ended on queued work instead of a park.
 	searches   uint64
 	searchHits uint64
+	_          [3]uint64 // pad to the cache line; shrink when adding a field
 }
+
+// A workerSig that is not exactly one cache line fails to compile here.
+var _ [0]struct{} = [unsafe.Sizeof(workerSig{}) - 64]struct{}{}
 
 // signals is the runtime's self-observation layer: the one set of cheap
 // counters every hot path already touches, from which both the public
@@ -32,9 +32,7 @@ type workerSig struct {
 // per-worker counters live in workers (padded, owner-bumped); the
 // cross-cutting ones — park/wake churn, the fault counters — are single
 // atomics bumped at the schedulers' slow-path sites only, so the busy
-// steady state never contends on them. (Injector traffic is not here: the
-// steal scheduler's per-domain traffic block is its one counter, and the
-// sampler copies it into PerDomain.)
+// steady state never contends on them.
 type signals struct {
 	workers []workerSig
 	// parks and wakes count worker park/wake transitions across all
@@ -80,11 +78,9 @@ type signalSample struct {
 	// sample time — the one figure the controller's rule reads.
 	Pending int64
 	// PerWorker and PerClass are cumulative executed counts by worker and
-	// by class; PerDomain groups the worker blocks (and the scheduler's
-	// traffic counters) by memory domain.
+	// by class.
 	PerWorker []uint64
 	PerClass  []uint64
-	PerDomain []DomainStats
 }
 
 // resized returns s with length n, reusing its capacity when it suffices.
@@ -97,9 +93,9 @@ func resized[T any](s []T, n int) []T {
 
 // sampleSignals fills s with an epoch-stamped snapshot of the signals
 // layer, reusing s's slice capacity — allocation-free once s has been
-// warmed to the pool's worker, class and domain counts. Each call advances
-// the epoch. This is the one place the per-worker blocks are read: the
-// totals, the per-class and the per-domain views are all grouped here.
+// warmed to the pool's worker and class counts. Each call advances the
+// epoch. This is the one place the per-worker blocks are read: the totals
+// and the per-class view are both grouped here.
 func (r *Runtime) sampleSignals(s *signalSample) {
 	sig := r.sig
 	s.Epoch = sig.epoch.Add(1)
@@ -109,35 +105,17 @@ func (r *Runtime) sampleSignals(s *signalSample) {
 	s.PerWorker = resized(s.PerWorker, len(sig.workers))
 	s.PerClass = resized(s.PerClass, len(r.classes))
 	clear(s.PerClass)
-	s.PerDomain = resized(s.PerDomain, len(r.domains))
-	for i := range s.PerDomain {
-		s.PerDomain[i] = DomainStats{Workers: r.domains[i].Count}
-	}
 	s.Executed, s.Steals, s.Skipped, s.Searches, s.SearchHits = 0, 0, 0, 0, 0
 	for i := range sig.workers {
-		w, d := &sig.workers[i], &s.PerDomain[r.domainOf[i]]
+		w := &sig.workers[i]
 		e := atomic.LoadUint64(&w.executed)
 		s.PerWorker[i] = e
 		s.PerClass[r.classOf[i]] += e
 		s.Executed += e
-		d.Dispatched += e
-		st := atomic.LoadUint64(&w.steals)
-		s.Steals += st
-		d.Steals += st
+		s.Steals += atomic.LoadUint64(&w.steals)
 		s.Skipped += atomic.LoadUint64(&w.skipped)
 		s.Searches += atomic.LoadUint64(&w.searches)
 		s.SearchHits += atomic.LoadUint64(&w.searchHits)
-		hit := atomic.LoadUint64(&w.homeHit)
-		near := atomic.LoadUint64(&w.homeNear)
-		far := atomic.LoadUint64(&w.homeFar)
-		d.LocalDispatched += hit + near
-		d.CrossDispatched += far
 	}
-	if len(s.PerDomain) == 1 {
-		// Single domain: every dispatch is local by definition, externally
-		// submitted tasks (no release target) included.
-		s.PerDomain[0].LocalDispatched = s.PerDomain[0].Dispatched
-	}
-	r.sched.domainStatsInto(s.PerDomain)
 	s.Pending = r.sched.queued()
 }

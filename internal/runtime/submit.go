@@ -235,7 +235,7 @@ func (r *Runtime) submitSpecs(ctx context.Context, specs []TaskSpec, loneDeps []
 		if atomic.AddInt32(&t.npreds, -1) != 0 {
 			continue
 		}
-		r.markReady(t, hint, -1, false, nil)
+		r.markReady(t, -1, false, nil)
 		if tasks == nil {
 			// A hinted (body-context) submission lands in the target
 			// worker's submit buffer — safe from any goroutine, unlike the
@@ -348,14 +348,10 @@ func (r *Runtime) newTask(ctx context.Context, sp *TaskSpec, deps []Dep) *task {
 	t.attempt = 0
 	t.skipCause = nil
 	t.state = statePending
-	t.home = -1
 	// Atomic: a late scheduler push for the task that previously occupied
 	// this pooled record can still read seq (see catsScheduler.insert); the
 	// claim generation makes such an entry harmless, but the read itself
-	// must not race with the reinitialising store — affinity and exec are
-	// atomic for the same reason.
-	atomic.StoreInt32(&t.affinity, -1)
-	atomic.StoreInt32(&t.exec, -1)
+	// must not race with the reinitialising store.
 	atomic.StoreInt64(&t.seq, seq)
 	t.setDeps(deps)
 	atomic.AddInt64(&r.outstanding, 1)
@@ -372,10 +368,9 @@ type completeEvent struct {
 
 // markReady is the one ready transition: every path that makes a task
 // dispatchable — submission, successor release, retry re-arm — goes
-// through it. home is the worker the task is released toward (-1 for none);
-// ring names the recorder ring the ready event goes to: a worker's own
-// (the caller must be that worker's goroutine) or, when negative, the
-// shared external one.
+// through it. ring names the recorder ring the ready event goes to: a
+// worker's own (the caller must be that worker's goroutine) or, when
+// negative, the shared external one.
 //
 // The ordering rule: the ready event is recorded BEFORE the readyClaim
 // store. That store is what arms any concurrent dispatch (a stale CATS
@@ -393,10 +388,9 @@ type completeEvent struct {
 //
 // ce, when non-nil and not yet recorded, is the caller's completion event:
 // it shares one two-slot ring write with this ready event.
-func (r *Runtime) markReady(t *task, home, ring int, rearm bool, ce *completeEvent) {
+func (r *Runtime) markReady(t *task, ring int, rearm bool, ce *completeEvent) {
 	t.mu.Lock()
 	t.state = stateReady
-	t.home = int32(home)
 	rc := atomic.LoadUint64(&t.claim)
 	if rearm {
 		rc = claimGen(rc) << 1

@@ -65,7 +65,6 @@ func newWorkerState(r *Runtime, id int) *workerState {
 		Class:     r.classOf[id],
 		ClassName: r.classes[r.classOf[id]].Name,
 		Speed:     r.classes[r.classOf[id]].Speed,
-		Domain:    int(r.domainOf[id]),
 	}
 	w.bgWrap = &placementCtx{Context: context.Background(), rt: r, where: w.where}
 	return w
@@ -99,7 +98,6 @@ func (r *Runtime) worker(id int) {
 			continue
 		}
 		w.accountDispatch(t, stole)
-		atomic.StoreInt32(&t.exec, int32(id))
 		t.mu.Lock()
 		t.state = stateRunning
 		poison := t.skipCause
@@ -119,18 +117,6 @@ func (w *workerState) accountDispatch(t *task, stole bool) {
 	r, id := w.r, w.id
 	if stole {
 		atomic.AddUint64(&w.sig.steals, 1)
-	}
-	// Locality signal: did the task run where its release aimed it — and
-	// if not, did it at least stay inside the target's memory domain?
-	if home := t.home; home >= 0 {
-		switch {
-		case int(home) == id:
-			atomic.AddUint64(&w.sig.homeHit, 1)
-		case r.domainOf[home] == r.domainOf[id]:
-			atomic.AddUint64(&w.sig.homeNear, 1)
-		default:
-			atomic.AddUint64(&w.sig.homeFar, 1)
-		}
 	}
 	if r.rec == nil {
 		return
@@ -156,18 +142,8 @@ func (w *workerState) accountDispatch(t *task, stole bool) {
 	if r.schedSelfRecords || w.selfDispatch {
 		return
 	}
-	arg2 := flightrec.PackDispatch(stole, false, 0, 0)
-	if r.topoEvents {
-		// Stamp the domain pair — where the task was released toward vs
-		// where it runs — so the verifier can check the domain-gating
-		// invariant against the parking timeline.
-		homeDom := -1
-		if t.home >= 0 {
-			homeDom = int(r.domainOf[t.home])
-		}
-		arg2 = flightrec.PackDispatchDomains(arg2, homeDom, int(r.domainOf[id]))
-	}
-	r.rec.RecordWorker(id, flightrec.KindDispatch, uint64(t.id), atomic.LoadUint64(&t.claim), arg2)
+	r.rec.RecordWorker(id, flightrec.KindDispatch, uint64(t.id), atomic.LoadUint64(&t.claim),
+		flightrec.PackDispatch(stole, false, 0, 0))
 }
 
 // runAttempt runs one attempt of a dispatched task. terminal is false when
@@ -414,7 +390,7 @@ func (r *Runtime) maybeRetry(t *task, workerID, fault int) bool {
 // unchanged and no reference was invalidated; a retried task can therefore
 // never alias a recycled record.
 func (r *Runtime) rearm(t *task) {
-	r.markReady(t, -1, -1, true, nil)
+	r.markReady(t, -1, true, nil)
 	r.sched.push(t, -1)
 }
 
@@ -519,12 +495,8 @@ func (w *workerState) complete(t *task, poison error, faultPack uint64) {
 			s.mu.Unlock()
 		}
 		if atomic.AddInt32(&s.npreds, -1) == 0 {
-			// The completing worker is both the release target (home) and
-			// the executor of the successor's latest-finishing predecessor
-			// (affinity — the data is hot here).
-			atomic.StoreInt32(&s.affinity, int32(w.id))
 			lastID = uint64(s.id)
-			r.markReady(s, w.id, w.id, false, &ce)
+			r.markReady(s, w.id, false, &ce)
 			ready = append(ready, s)
 		}
 	}

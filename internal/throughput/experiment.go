@@ -72,11 +72,6 @@ func (e experiment) Run(ctx context.Context, spec raa.Spec) (*raa.Result, error)
 			// into the key so on/off cells don't collide.
 			key += fmt.Sprintf("_win%d", p.Window)
 		}
-		if p.Scenario == ScenarioTopology {
-			// The domain count is the topology scenario's axis: dom1 is the
-			// flat baseline, dom<N> the domain-aware variant.
-			key += fmt.Sprintf("_dom%d", p.Domains)
-		}
 		if p.Scenario == ScenarioChaos {
 			// The chaos scenario's axis is the fault schedule: clean is the
 			// injector-free baseline, faulty the injected arm.
@@ -95,7 +90,7 @@ func (e experiment) Run(ctx context.Context, spec raa.Spec) (*raa.Result, error)
 			// The placement verdict: what fraction of the critical chain
 			// ran on the fast worker class.
 			res.Metrics[key+"_crit_on_fast"] = p.CritOnFast
-		case ScenarioLocality, ScenarioTopology, ScenarioAdaptive, ScenarioChaos:
+		case ScenarioLocality, ScenarioAdaptive, ScenarioChaos:
 			res.Metrics[key+"_ns_per_task"] = p.NsPerTask
 		}
 		if p.Speedup > 0 {
@@ -105,12 +100,6 @@ func (e experiment) Run(ctx context.Context, spec raa.Spec) (*raa.Result, error)
 			// static arms — > 1 means the controller beat every one of them.
 			res.Metrics[key+"_speedup"] = p.Speedup
 			res.Metrics[key+"_speedup_iqr"] = p.Ratio.IQR()
-		}
-		if p.Scenario == ScenarioTopology {
-			// Cross-domain traffic is the topology scenario's first-class
-			// metric: the fraction of pool-released dispatches that crossed
-			// a memory-domain boundary.
-			res.Metrics[key+"_cross_domain_frac"] = p.CrossDomainFrac
 		}
 		if p.AdaptiveDecisions > 0 {
 			res.Metrics[key+"_decisions"] = float64(p.AdaptiveDecisions)
@@ -147,13 +136,13 @@ func Table(pts []Point) *stats.Table {
 	t := stats.NewTable("Submit throughput (Ktasks/s)", headers...)
 	type rowKey struct {
 		scenario, sched, mode string
-		window, domains       int
+		window                int
 		faulty                bool
 	}
 	cells := map[rowKey]map[int]float64{}
 	var order []rowKey
 	for _, p := range pts {
-		k := rowKey{p.Scenario, p.Scheduler, p.Mode, p.Window, p.Domains, p.Faulty}
+		k := rowKey{p.Scenario, p.Scheduler, p.Mode, p.Window, p.Faulty}
 		if cells[k] == nil {
 			cells[k] = map[int]float64{}
 			order = append(order, k)
@@ -161,7 +150,7 @@ func Table(pts []Point) *stats.Table {
 		cells[k][p.Shards] = p.TasksPerSec
 	}
 	for _, k := range order {
-		row := []string{k.scenario, k.sched, k.mode, variantLabel(k.scenario, k.window, k.domains, k.faulty)}
+		row := []string{k.scenario, k.sched, k.mode, variantLabel(k.scenario, k.window, k.faulty)}
 		for _, s := range shardCols {
 			if v, ok := cells[k][s]; ok {
 				row = append(row, fmt.Sprintf("%.0f", v/1e3))
@@ -176,11 +165,10 @@ func Table(pts []Point) *stats.Table {
 
 // variantLabel renders a table row's paired-measurement axis: the locality
 // scenario sweeps the window ("def" is the runtime default, "off" the
-// disabled central-injector baseline), the topology scenario the domain
-// count ("flat" is the single-domain baseline), the chaos scenario the
-// fault schedule ("clean" is the injector-free baseline); other scenarios
+// disabled central-injector baseline), the chaos scenario the fault
+// schedule ("clean" is the injector-free baseline); other scenarios
 // have no variant axis.
-func variantLabel(scenario string, window, domains int, faulty bool) string {
+func variantLabel(scenario string, window int, faulty bool) string {
 	switch scenario {
 	case ScenarioChaos:
 		if faulty {
@@ -196,11 +184,6 @@ func variantLabel(scenario string, window, domains int, faulty bool) string {
 		default:
 			return fmt.Sprintf("win%d", window)
 		}
-	case ScenarioTopology:
-		if domains <= 1 {
-			return "flat"
-		}
-		return fmt.Sprintf("%ddom", domains)
 	default:
 		return "-"
 	}
@@ -211,26 +194,26 @@ func variantLabel(scenario string, window, domains int, faulty bool) string {
 // per-task submission, at matched configurations.
 func summarize(pts []Point) []string {
 	type cfg struct {
-		scenario, sched, mode   string
-		shards, window, domains int
-		faulty                  bool
+		scenario, sched, mode string
+		shards, window        int
+		faulty                bool
 	}
 	rate := map[cfg]float64{}
 	for _, p := range pts {
-		rate[cfg{p.Scenario, p.Scheduler, p.Mode, p.Shards, p.Window, p.Domains, p.Faulty}] = p.TasksPerSec
+		rate[cfg{p.Scenario, p.Scheduler, p.Mode, p.Shards, p.Window, p.Faulty}] = p.TasksPerSec
 	}
 	shardGain := map[string]float64{}
 	batchGain := map[string]float64{}
 	for c, v := range rate {
 		if c.shards > 1 {
-			if base := rate[cfg{c.scenario, c.sched, c.mode, 1, c.window, c.domains, c.faulty}]; base > 0 {
+			if base := rate[cfg{c.scenario, c.sched, c.mode, 1, c.window, c.faulty}]; base > 0 {
 				if g := v / base; g > shardGain[c.scenario] {
 					shardGain[c.scenario] = g
 				}
 			}
 		}
 		if c.mode == "batch" {
-			if base := rate[cfg{c.scenario, c.sched, "single", c.shards, c.window, c.domains, c.faulty}]; base > 0 {
+			if base := rate[cfg{c.scenario, c.sched, "single", c.shards, c.window, c.faulty}]; base > 0 {
 				if g := v / base; g > batchGain[c.scenario] {
 					batchGain[c.scenario] = g
 				}
@@ -247,7 +230,6 @@ func summarize(pts []Point) []string {
 		}
 	}
 	notes = append(notes, localityNotes(pts)...)
-	notes = append(notes, topologyNotes(pts)...)
 	notes = append(notes, heteroNotes(pts)...)
 	notes = append(notes, adaptiveNotes(pts)...)
 	notes = append(notes, chaosNotes(pts)...)
@@ -317,19 +299,6 @@ func localityNotes(pts []Point) []string {
 	return []string{fmt.Sprintf(
 		"locality: worker-local successor placement vs the injector baseline: %v (%s/%s, %.0f ns/task)",
 		best.Ratio, best.Scheduler, best.Mode, best.NsPerTask)}
-}
-
-// topologyNotes summarises the topology scenario: the best domain-aware
-// cell's drift-cancelled speedup over the flat single-domain baseline,
-// plus how much of its traffic stayed inside a domain.
-func topologyNotes(pts []Point) []string {
-	best, ok := bestSpeedup(pts, ScenarioTopology)
-	if !ok {
-		return nil
-	}
-	return []string{fmt.Sprintf(
-		"topology: %d-domain hierarchy-aware placement vs the flat baseline: %v (%s/%s, %.1f%% of dispatches crossed a domain)",
-		best.Domains, best.Ratio, best.Scheduler, best.Mode, best.CrossDomainFrac*100)}
 }
 
 // heteroNotes summarises the hetero scenario's placement story: per

@@ -98,78 +98,10 @@ func pairedRounds(ctx context.Context, tasks, rounds, arms, baseline int, overhe
 	return res, nil
 }
 
-// pairedVariant is one arm of a drift-cancelling paired measurement: the
-// runtime options the arm runs under, plus the axis identity (locality
-// window or domain count) of the Point it produces. Exactly one variant of
-// a set is the baseline the others' speedups are taken against.
-type pairedVariant struct {
-	window   int
-	domains  int
-	baseline bool
-	opts     []runtime.Option
-}
-
-// localityVariants builds ScenarioLocality's measurement arms: one per
-// configured locality window (default off-vs-on). The baseline is the
-// first locality-off (negative) window, or the first window when none is
-// disabled.
-func localityVariants(kind runtime.SchedulerKind, shards int, cfg Config) []pairedVariant {
-	wins := cfg.Windows
-	if len(wins) == 0 {
-		wins = []int{-1, 0} // locality off vs on
-	}
-	vs := make([]pairedVariant, 0, len(wins))
-	for _, w := range wins {
-		opts := poolOpts(cfg, kind, shards)
-		if w != 0 {
-			opts = append(opts, runtime.WithLocalityWindow(w))
-		}
-		vs = append(vs, pairedVariant{window: w, opts: opts})
-	}
-	base := 0
-	for i := range vs {
-		if vs[i].window < 0 {
-			base = i
-			break
-		}
-	}
-	vs[base].baseline = true
-	return vs
-}
-
-// topologyVariants builds ScenarioTopology's measurement arms: the pool
-// flattened into a single memory domain (the domain-blind baseline, in
-// which every domain-aware path collapses to the flat behaviour) versus
-// the same pool split evenly into cfg.Domains domains.
-func topologyVariants(kind runtime.SchedulerKind, shards int, cfg Config) []pairedVariant {
-	nd := cfg.Domains
-	if nd <= 0 {
-		nd = defaultTopologyDomains
-	}
-	if nd > cfg.Workers {
-		nd = cfg.Workers
-	}
-	doms := make([]runtime.Domain, nd)
-	base, extra := cfg.Workers/nd, cfg.Workers%nd
-	for i := range doms {
-		doms[i].Count = base
-		if i < extra {
-			doms[i].Count++
-		}
-	}
-	common := func(topo ...runtime.Domain) []runtime.Option {
-		return append(poolOpts(cfg, kind, shards), runtime.WithTopology(topo...))
-	}
-	return []pairedVariant{
-		{domains: 1, baseline: true, opts: common(runtime.Domain{Name: "flat", Count: cfg.Workers})},
-		{domains: nd, opts: common(doms...)},
-	}
-}
-
-// chainWorkload builds the producer→consumer chain workload shared by
-// ScenarioLocality and ScenarioTopology: one chain per worker, each with
-// its own cache-sized payload and one reusable body, shared by every leg of
-// every arm so all arms chase identical bytes. The body walks the whole
+// chainWorkload builds ScenarioLocality's producer→consumer chain workload:
+// one chain per worker, each with its own cache-sized payload and one
+// reusable body, shared by every leg of every arm so all arms chase
+// identical bytes. The body walks the whole
 // payload, so a link scheduled away from its producer's cache pays the full
 // transfer.
 func chainWorkload(cfg Config) []runtime.Body {
@@ -193,53 +125,51 @@ func chainWorkload(cfg Config) []runtime.Body {
 	return bodies
 }
 
-// runPaired measures ScenarioLocality's or ScenarioTopology's variants over
-// one (scheduler, shards, mode) cell through pairedRounds, a fresh runtime
-// per leg. Points carry the per-variant totals (all legs summed); the
-// non-baseline ones carry Speedup, the median baseline÷variant ratio.
-func runPaired(ctx context.Context, scenario string, kind runtime.SchedulerKind, shards int, mode string, cfg Config, st *runtime.Stats) ([]Point, error) {
-	variants := localityVariants(kind, shards, cfg)
-	if scenario == ScenarioTopology {
-		variants = topologyVariants(kind, shards, cfg)
+// runLocality measures ScenarioLocality over one (scheduler, shards, mode)
+// cell through pairedRounds, a fresh runtime per leg: one arm per
+// configured locality window (default off-vs-on). The baseline is the first
+// locality-off (negative) window, or the first window when none is
+// disabled. Points carry the per-arm totals (all legs summed); the
+// non-baseline ones carry Speedup, the median baseline÷arm ratio.
+func runLocality(ctx context.Context, kind runtime.SchedulerKind, shards int, mode string, cfg Config, st *runtime.Stats) ([]Point, error) {
+	wins := cfg.Windows
+	if len(wins) == 0 {
+		wins = []int{-1, 0} // locality off vs on
 	}
 	baseIdx := 0
-	for i := range variants {
-		if variants[i].baseline {
+	for i, w := range wins {
+		if w < 0 {
 			baseIdx = i
+			break
 		}
 	}
 	bodies := chainWorkload(cfg)
-	type totals struct{ executed, dispatched, cross uint64 }
-	tot := make([]totals, len(variants))
+	executed := make([]uint64, len(wins))
 	resolved := 0
-	res, err := pairedRounds(ctx, cfg.Tasks, cfg.PairRounds, len(variants), baseIdx, false, func(vi, n int) (time.Duration, error) {
+	res, err := pairedRounds(ctx, cfg.Tasks, cfg.PairRounds, len(wins), baseIdx, false, func(vi, n int) (time.Duration, error) {
+		opts := poolOpts(cfg, kind, shards)
+		if w := wins[vi]; w != 0 {
+			opts = append(opts, runtime.WithLocalityWindow(w))
+		}
 		el, sh, err := leg{
-			label: scenario + "/" + kind.String(), mode: mode, tasks: n, opts: variants[vi].opts,
+			label: ScenarioLocality + "/" + kind.String(), mode: mode, tasks: n, opts: opts,
 			submit: func(rt *runtime.Runtime) error { return submitChains(ctx, rt, mode, n, bodies) },
 		}.run(ctx, st)
 		if err != nil {
 			return 0, err
 		}
 		resolved = sh
-		t := &tot[vi]
-		t.executed += st.Executed
-		for _, ds := range st.PerDomain {
-			t.dispatched += ds.LocalDispatched + ds.CrossDispatched
-			t.cross += ds.CrossDispatched
-		}
+		executed[vi] += st.Executed
 		return el, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	pts := make([]Point, len(variants))
-	for vi, v := range variants {
-		p := newPoint(scenario, kind.String(), mode, resolved, cfg.Tasks, res[vi].elapsed, tot[vi].executed)
-		p.Window, p.Domains = v.window, v.domains
+	pts := make([]Point, len(wins))
+	for vi, w := range wins {
+		p := newPoint(ScenarioLocality, kind.String(), mode, resolved, cfg.Tasks, res[vi].elapsed, executed[vi])
+		p.Window = w
 		p.Speedup, p.Ratio = res[vi].ratio.Median, res[vi].ratio
-		if scenario == ScenarioTopology && tot[vi].dispatched > 0 {
-			p.CrossDomainFrac = float64(tot[vi].cross) / float64(tot[vi].dispatched)
-		}
 		pts[vi] = p
 	}
 	return pts, nil

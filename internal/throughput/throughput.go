@@ -17,8 +17,8 @@
 // the scenario's submissions, WaitCtx, a counter snapshot, Shutdown, and an
 // audit that every submitted task reached a terminal state.
 //
-// Every ratio the package reports — locality on/off, domain-aware/flat,
-// adaptive/static, faulty/clean — comes from one driver, pairedRounds. Its
+// Every ratio the package reports — locality on/off, adaptive/static,
+// faulty/clean — comes from one driver, pairedRounds. Its
 // contract: the task count is split exactly over the rounds (Config.PairRounds,
 // default 3, shrunk so no round holds fewer than two tasks) and each round's
 // share over two legs per arm; a round runs the arms forward then in reverse
@@ -29,10 +29,9 @@
 // reports a speedup and arm÷baseline where it reports an overhead; the
 // verdict is the median of those per-round ratios, reported with its
 // quartiles and round count (PairedRatio). The baseline arms are: the first
-// locality-off window (locality), the flat single-domain pool (topology),
-// the adaptive arm itself (adaptive — each static arm's static÷adaptive
-// ratio is taken and the smallest median is the verdict) and the clean arm
-// (chaos).
+// locality-off window (locality), the adaptive arm itself (adaptive — each
+// static arm's static÷adaptive ratio is taken and the smallest median is
+// the verdict) and the clean arm (chaos).
 //
 // This package is the exploratory sweep; the numbers a change is gated on
 // come from the repo benchmark under benchmark/.
@@ -100,16 +99,6 @@ const (
 	// (Point.Speedup is the median of per-round ratios) rather than two
 	// back-to-back runs, so machine drift between cells cancels out.
 	ScenarioLocality = "locality"
-	// ScenarioTopology is the memory-hierarchy placement workload: the
-	// locality chain shape run on a pool split into Config.Domains memory
-	// domains (WithTopology) versus the same pool flattened into a single
-	// domain (the domain-blind baseline). The domain-aware variant routes
-	// successor spill, steals, and injection domain-first; the paired
-	// measurement reports its speedup over the flat baseline and the
-	// fraction of its dispatches that crossed a domain boundary
-	// (Point.CrossDomainFrac) — cross-domain traffic is the first-class
-	// metric, not just the rate.
-	ScenarioTopology = "topology"
 	// ScenarioAdaptive is the phase-shifting workload the adaptive
 	// controller is built for, run on an asymmetric (fast+slow-class) pool:
 	// legs alternate serial chain segments (InOut links with speed-scaled
@@ -165,27 +154,20 @@ const (
 	defaultHeteroGrain = 256
 )
 
-// defaultPayloadKB is ScenarioLocality's and ScenarioTopology's per-chain
-// payload size when Config.PayloadKB is unset: 32 KiB, the canonical L1d
-// size, so a link that runs on its producer's core finds the whole payload
-// resident.
+// defaultPayloadKB is ScenarioLocality's per-chain payload size when
+// Config.PayloadKB is unset: 32 KiB, the canonical L1d size, so a link that
+// runs on its producer's core finds the whole payload resident.
 const defaultPayloadKB = 32
 
-// Paired-measurement defaults.
-const (
-	// defaultPairRounds is the paired-round count when Config.PairRounds is
-	// unset: each round runs every variant twice in palindrome order, and
-	// the reported speedup is the median of the per-round ratios — three
-	// rounds is the smallest count with a non-trivial median.
-	defaultPairRounds = 3
-	// defaultTopologyDomains is ScenarioTopology's domain count when
-	// Config.Domains is unset.
-	defaultTopologyDomains = 2
-)
+// defaultPairRounds is the paired-round count when Config.PairRounds is
+// unset: each round runs every variant twice in palindrome order, and the
+// reported speedup is the median of the per-round ratios — three rounds is
+// the smallest count with a non-trivial median.
+const defaultPairRounds = 3
 
 // Scenarios lists every scenario in presentation order.
 func Scenarios() []string {
-	return []string{ScenarioParallel, ScenarioFanOut, ScenarioChain, ScenarioRandom, ScenarioSteal, ScenarioLongRun, ScenarioHetero, ScenarioLocality, ScenarioTopology, ScenarioAdaptive, ScenarioChaos}
+	return []string{ScenarioParallel, ScenarioFanOut, ScenarioChain, ScenarioRandom, ScenarioSteal, ScenarioLongRun, ScenarioHetero, ScenarioLocality, ScenarioAdaptive, ScenarioChaos}
 }
 
 // Config parameterises a sweep. It is also the spec of the registered
@@ -231,14 +213,11 @@ type Config struct {
 	// baseline). Empty defaults to [-1, 0] — locality off vs on. Other
 	// scenarios always run at the runtime default.
 	Windows []int `json:"windows,omitempty"`
-	// PayloadKB is ScenarioLocality's and ScenarioTopology's per-chain
-	// payload size in KiB (0 = 32, one L1d worth).
+	// PayloadKB is ScenarioLocality's per-chain payload size in KiB (0 =
+	// 32, one L1d worth).
 	PayloadKB int `json:"payload_kb,omitempty"`
-	// Domains is ScenarioTopology's memory-domain count for the
-	// domain-aware variant (0 = 2); clamped to [1, Workers].
-	Domains int `json:"domains,omitempty"`
 	// PairRounds is the round count of the paired scenarios (locality,
-	// topology, adaptive, chaos; 0 = 3) — see pairedRounds.
+	// adaptive, chaos; 0 = 3) — see pairedRounds.
 	PairRounds int `json:"pair_rounds,omitempty"`
 	// Seed makes the random-DAG dependence streams reproducible.
 	Seed int64 `json:"seed"`
@@ -268,22 +247,14 @@ type Point struct {
 	// Window is the locality window this cell ran under (ScenarioLocality
 	// only): 0 is the runtime default, negative is locality disabled.
 	Window int
-	// Domains is the memory-domain count this cell ran under
-	// (ScenarioTopology only): 1 is the flat domain-blind baseline.
-	Domains int
 	// Speedup is the drift-cancelled speedup of this cell over its paired
-	// baseline (locality-off, or the single-domain topology), reported as
-	// the median of per-round ratios. 0 on baseline cells and on scenarios
+	// baseline (locality-off), reported as the median of per-round ratios. 0 on baseline cells and on scenarios
 	// that are not measured in paired rounds.
 	Speedup float64
 	// Ratio is the driver's full verdict behind Speedup or ChaosOverhead:
 	// the same median with its quartiles and round count. Zero wherever
 	// those are.
 	Ratio PairedRatio
-	// CrossDomainFrac is the fraction of this cell's pool-released
-	// dispatches that crossed a memory-domain boundary (ScenarioTopology
-	// only; 0 by definition on the single-domain baseline).
-	CrossDomainFrac float64
 	// AdaptiveDecisions is the number of policy changes the adaptive
 	// controller applied over this cell's legs (ScenarioAdaptive's adaptive
 	// arm only) — the evidence that a reported speedup came from online
@@ -394,8 +365,8 @@ func Run(ctx context.Context, cfg Config) ([]Point, error) {
 					var ps []Point
 					var err error
 					switch scenario {
-					case ScenarioLocality, ScenarioTopology:
-						ps, err = runPaired(ctx, scenario, kind, shards, mode, cfg, &st)
+					case ScenarioLocality:
+						ps, err = runLocality(ctx, kind, shards, mode, cfg, &st)
 					case ScenarioAdaptive:
 						ps, err = runAdaptive(ctx, shards, mode, cfg, &st)
 					case ScenarioChaos:

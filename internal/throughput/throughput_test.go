@@ -28,11 +28,10 @@ func TestRunAllScenarios(t *testing.T) {
 	}
 	// scenarios × schedulers × shards × modes(single, batch); the locality
 	// scenario additionally sweeps its two default window cells (off, on),
-	// the topology scenario its two variant cells (flat, domain-aware), the
-	// chaos scenario its two arms (clean, faulty), and the adaptive
+	// the chaos scenario its two arms (clean, faulty), and the adaptive
 	// scenario runs four arms per (shards, mode) cell instead of the
 	// scheduler axis (three extra rows at one configured scheduler).
-	want := (len(Scenarios()) + 2 + 1 + 3) * 1 * 2 * 2
+	want := (len(Scenarios()) + 1 + 1 + 3) * 1 * 2 * 2
 	if len(pts) != want {
 		t.Fatalf("got %d points, want %d", len(pts), want)
 	}
@@ -186,12 +185,11 @@ func TestSummarizeNotes(t *testing.T) {
 	}
 	notes := summarize(pts)
 	// Shard + batch gain per scenario, one locality on-vs-off note, one
-	// topology aware-vs-flat note, one hetero placement note per scheduler
-	// in the sweep (a single scheduler here, and no cats-vs-fifo speedup
-	// note without both in the sweep), the adaptive controller note, and
-	// the chaos survival/overhead note.
-	if want := 2*len(Scenarios()) + 5; len(notes) != want {
-		t.Fatalf("got %d notes, want %d (shard + batch gain per scenario + locality + topology + hetero placement + adaptive + chaos):\n%v",
+	// hetero placement note per scheduler in the sweep (a single scheduler
+	// here, and no cats-vs-fifo speedup note without both in the sweep),
+	// the adaptive controller note, and the chaos survival/overhead note.
+	if want := 2*len(Scenarios()) + 4; len(notes) != want {
+		t.Fatalf("got %d notes, want %d (shard + batch gain per scenario + locality + hetero placement + adaptive + chaos):\n%v",
 			len(notes), want, notes)
 	}
 	foundHetero, foundLocality := false, false
@@ -252,54 +250,6 @@ func TestLocalityScenarioCells(t *testing.T) {
 		if p.Window != 4 {
 			t.Errorf("explicit window sweep ran window %d, want 4", p.Window)
 		}
-	}
-}
-
-// The topology scenario must produce one cell per variant (the flat
-// single-domain baseline and the domain-aware split), execute every task
-// in each, and report the paired speedup and the cross-domain-traffic
-// fraction on the aware cell only.
-func TestTopologyScenarioCells(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Scenarios = []string{ScenarioTopology}
-	cfg.Shards = []int{1}
-	cfg.Tasks = 300
-	cfg.Workers = 4
-	cfg.Domains = 2
-	pts, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 2 * 2; len(pts) != want { // 2 modes × {flat, 2-domain}
-		t.Fatalf("got %d points, want %d", len(pts), want)
-	}
-	doms := map[int]bool{}
-	for _, p := range pts {
-		doms[p.Domains] = true
-		if p.Executed != uint64(cfg.Tasks) {
-			t.Errorf("topology domains=%d %s: executed %d, want %d", p.Domains, p.Mode, p.Executed, cfg.Tasks)
-		}
-		if p.NsPerTask <= 0 {
-			t.Errorf("topology domains=%d %s: non-positive ns/task", p.Domains, p.Mode)
-		}
-		if p.Domains == 1 {
-			if p.Speedup != 0 {
-				t.Errorf("flat baseline cell carries a speedup (%v)", p.Speedup)
-			}
-			if p.CrossDomainFrac != 0 {
-				t.Errorf("flat baseline cell reports cross-domain traffic (%v)", p.CrossDomainFrac)
-			}
-		} else {
-			if p.Speedup <= 0 {
-				t.Errorf("domain-aware cell missing its paired speedup")
-			}
-			if p.CrossDomainFrac < 0 || p.CrossDomainFrac > 1 {
-				t.Errorf("cross-domain fraction %v out of range", p.CrossDomainFrac)
-			}
-		}
-	}
-	if !doms[1] || !doms[2] {
-		t.Fatalf("sweep missing the flat/aware cells: %v", doms)
 	}
 }
 

@@ -21,9 +21,10 @@
 //
 // Run resolves the name (canonical or alias), overlays the JSON overrides
 // onto the experiment's DefaultSpec (SpecFor/mergeSpec — partial documents
-// like {"grid": 64} work), and executes under ctx; RunQuick starts from
-// the reduced-scale QuickSpec instead. Cancelling the context stops the
-// run at the next unit boundary and returns ctx.Err().
+// like {"grid": 64} work, a key the spec does not have is an error), and
+// executes under ctx; RunQuick starts from the reduced-scale QuickSpec
+// instead. Cancelling the context stops the run at the next unit boundary
+// and returns ctx.Err().
 //
 // # The Experiment contract
 //

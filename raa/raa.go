@@ -1,6 +1,7 @@
 package raa
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -114,8 +115,15 @@ func mergeSpec(base Spec, overrides []byte) (Spec, error) {
 	}
 	p := reflect.New(bv.Type())
 	p.Elem().Set(bv)
-	if err := json.Unmarshal(overrides, p.Interface()); err != nil {
+	// A key the spec does not have is an error, not a no-op: a typo or a
+	// retired knob must not run as if nothing had been passed.
+	dec := json.NewDecoder(bytes.NewReader(overrides))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(p.Interface()); err != nil {
 		return nil, fmt.Errorf("raa: bad spec overrides: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("raa: bad spec overrides: trailing data after the JSON document")
 	}
 	if reflect.ValueOf(base).Kind() == reflect.Pointer {
 		return p.Interface(), nil

@@ -139,6 +139,50 @@ func TestSpecOverrides(t *testing.T) {
 	}
 }
 
+// TestSpecUnknownKeyRejected: an override key the spec does not have — a
+// typo, or a knob a later PR retired ("domains" was the throughput topology
+// scenario's) — fails with an error naming the key instead of running as if
+// nothing had been passed, while every spec the README, CI and the examples
+// pass still parses.
+func TestSpecUnknownKeyRejected(t *testing.T) {
+	for _, tc := range []struct{ experiment, spec, key string }{
+		{"vsort", `{"bogus_key": 3}`, "bogus_key"},
+		{"throughput", `{"domains": 2}`, "domains"},
+		{"throughput", `{"tasks": 100, "scenarios": ["steal"], "Bogus": 1}`, "Bogus"},
+	} {
+		if _, err := raa.SpecFor(mustGet(t, tc.experiment), false, []byte(tc.spec)); err == nil || !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+			t.Errorf("%s -spec %s: err = %v, want one naming %q", tc.experiment, tc.spec, err, tc.key)
+		}
+	}
+	if _, err := raa.SpecFor(mustGet(t, "vsort"), false, []byte(`{"n": 64} {"n": 65}`)); err == nil {
+		t.Error("a second JSON document after the spec must error")
+	}
+	for _, tc := range []struct{ experiment, spec string }{
+		{"vsort", `{"n": 65536}`},
+		{"throughput", `{"shards": [1, 16, 64], "tasks": 100000}`},
+		{"throughput", `{"scenarios": ["steal", "longrun"], "shards": [0]}`},
+		{"throughput", `{"scenarios": ["hetero"], "schedulers": ["cats", "fifo"]}`},
+		{"throughput", `{"scenarios": ["adaptive"], "shards": [1], "batch": 0}`},
+		{"throughput", `{"scenarios": ["chaos"], "schedulers": ["worksteal"], "shards": [1]}`},
+		{"parsec-scalability", `{"threads": [1, 2, 4, 8, 16]}`},
+		{"resilient-cg", `{"grid": 96, "trace_stride": 8}`},
+		{"criticality-dvfs", `{"blocks": 12, "sweep": false}`},
+	} {
+		if _, err := raa.SpecFor(mustGet(t, tc.experiment), false, []byte(tc.spec)); err != nil {
+			t.Errorf("%s -spec %s: %v", tc.experiment, tc.spec, err)
+		}
+	}
+}
+
+func mustGet(t *testing.T, name string) raa.Experiment {
+	t.Helper()
+	e, err := raa.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestRunCancelled proves the uniform contract of the redesigned API:
 // cancellation makes every experiment's Run return ctx.Err().
 func TestRunCancelled(t *testing.T) {
