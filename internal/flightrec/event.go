@@ -78,20 +78,6 @@ const (
 	MarkerDone
 )
 
-// MarkerPhaseName renders a marker phase code for dumps.
-func MarkerPhaseName(phase uint64) string {
-	switch phase {
-	case MarkerAdmit:
-		return "admit"
-	case MarkerLaunch:
-		return "launch"
-	case MarkerDone:
-		return "done"
-	default:
-		return fmt.Sprintf("phase(%d)", phase)
-	}
-}
-
 // String implements fmt.Stringer.
 func (k Kind) String() string {
 	switch k {
@@ -217,20 +203,6 @@ const (
 	FaultDeadline
 )
 
-// FaultClassName renders a fault class for dumps.
-func FaultClassName(class int) string {
-	switch class {
-	case FaultPanic:
-		return "panic"
-	case FaultError:
-		return "error"
-	case FaultDeadline:
-		return "deadline"
-	default:
-		return fmt.Sprintf("fault(%d)", class)
-	}
-}
-
 // Fault/retry Arg2 layout: class (or max) in the low byte range, attempt
 // above it.
 const (
@@ -246,11 +218,6 @@ const (
 func PackFault(class, attempt int) uint64 {
 	return uint64(class)&faultClassMask |
 		(uint64(attempt)&faultAttemptMask)<<faultAttemptShift
-}
-
-// FaultInfo decodes a PackFault word.
-func FaultInfo(arg2 uint64) (class, attempt int) {
-	return int(arg2 & faultClassMask), int((arg2 >> faultAttemptShift) & faultAttemptMask)
 }
 
 // PackRetry encodes a re-arm into Event.Arg2: the new attempt count

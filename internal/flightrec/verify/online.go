@@ -69,9 +69,9 @@ func (o *Online) feed(cur *flightrec.Cursor, buf *[]flightrec.Event) {
 }
 
 // Stop ends the sampling loop after a final drain and returns the final
-// checker stats. The drain is terminal, so dispatches still awaiting their
-// (possibly skew-delayed) ready event are settled as violations — call
-// Stop only once the recorded runtime has quiesced.
+// checker stats. The drain is terminal: the last batch is judged with no
+// later sweep to supply a predecessor still in flight — call Stop only
+// once the recorded runtime has quiesced.
 func (o *Online) Stop() Stats {
 	select {
 	case <-o.stop:

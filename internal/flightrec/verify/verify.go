@@ -42,11 +42,10 @@ const (
 	// signals event was lost without a ring gap.
 	AdaptProvenance
 	// FaultResolution: a task recorded a fault (panic, body error, or
-	// deadline overrun) that was never resolved by a retry or a completion
-	// within a full subsequent sweep — the recovery path lost the task, or
-	// the worker died mid-recovery. This doubles as the worker liveness
-	// check: a worker that vanishes between a fault and its resolution
-	// leaves exactly this signature.
+	// deadline overrun) that its retry or completion did not follow within
+	// the same consume pass — the runtime writes a fault and its resolution
+	// as one paired ring write, so a fault that surfaces alone means the
+	// recovery path recorded one without the other.
 	FaultResolution
 	// RetryBudget: a retry event's attempt count exceeded its policy's
 	// Max — the runtime re-armed a task more times than the spec allowed
@@ -113,30 +112,15 @@ const (
 	stSubmitted uint8 = iota
 	stReady
 	stRunning
-	// stDoneAwait: completed while its ready event is still outstanding
-	// (see taskInfo.await) — the entry is held until the ready arrives and
-	// the order question can be settled.
-	stDoneAwait
 )
 
 // taskInfo is the checker's view of one in-flight task.
 type taskInfo struct {
-	state   uint8
-	starved bool // starvation already reported
-	// await marks a dispatch consumed while the task was only submitted.
-	// That is either the real dispatch-before-ready violation or snapshot
-	// skew: Collect sweeps the rings one by one, so a ready event written
-	// to an early-swept ring can surface one batch AFTER a causally-later
-	// dispatch from a late-swept ring. The global sequence numbers settle
-	// it — the skewed ready carries a smaller seq than the dispatch, a
-	// genuine early dispatch a larger one — so judgement is deferred to
-	// the ready's arrival (or its failure to arrive within one full
-	// subsequent sweep, which the causal write order rules out for skew).
-	await       bool
-	dispatchSeq uint64
-	gen         uint64
-	readyTime   int64
-	readySeq    uint64
+	state     uint8
+	starved   bool // starvation already reported
+	gen       uint64
+	readyTime int64
+	readySeq  uint64
 }
 
 // Stats is the checker's counter snapshot. Violations surface here (and
@@ -146,8 +130,8 @@ type Stats struct {
 	// Events is the number of events consumed.
 	Events uint64
 	// Gaps counts feeds whose snapshot had lost events (ring overwritten
-	// past the cursor); after a gap, unknown tasks are tracked
-	// conservatively instead of flagged.
+	// past the cursor); from the first gap on, judgements that rest on an
+	// event's absence are off (see Checker.lax).
 	Gaps uint64
 	// Resets counts task-table overflows (MaxTracked exceeded).
 	Resets uint64
@@ -187,40 +171,36 @@ type Checker struct {
 	mu    sync.Mutex
 	tasks map[uint64]*taskInfo
 	stats Stats
-	// lax is set after any gap or reset: events for unknown tasks are then
-	// adopted silently (their early history may have been overwritten)
-	// instead of reported. Tasks first seen via submit/ready are tracked
-	// strictly either way.
+	// lax is set by any gap or reset and never cleared: the judgements that
+	// rest on an event's absence — a dispatch with no ready before it, a
+	// complete with no dispatch, a decision with no sample — are then off,
+	// because the missing event may be in the lost window. Judgements on
+	// events that are present (double dispatch, generations, class gating,
+	// budgets, faults) stay on.
 	lax bool
 	// lastTime is the latest event timestamp seen, the "now" the
 	// starvation sweep measures ready tasks against.
 	lastTime int64
-	// epoch counts Feed calls; awaiting maps task ID → the epoch its
-	// deferred dispatch was consumed in. A deferred dispatch unreconciled
-	// after one full later sweep is a real violation (the skewed ready
-	// would have surfaced by then), flagged by expireAwaits.
-	epoch    uint64
-	awaiting map[uint64]uint64
-	// pendingFault maps task ID → the epoch of its unresolved fault event.
-	// A fault is resolved by the task's retry or completion; one that
-	// survives a full subsequent sweep is a FaultResolution violation
-	// (same two-epoch discipline as awaiting — the resolving event may
-	// ride a later snapshot).
-	pendingFault map[uint64]uint64
-	// held defers judgement on the newest snapshot by one sweep. Collect's
-	// cut is torn — rings are swept one by one, so a causally-later event
-	// (a re-arm's ready on the external ring, say) can surface one batch
-	// BEFORE its predecessors (the fault/retry pair on a not-yet-swept
-	// worker ring). Any predecessor of a held event is guaranteed to be
-	// collected by the next sweep (its ring write completed strictly before
-	// the held event was recorded), so processing the held batch merged in
-	// global sequence order with the next batch's at-or-below-watermark
-	// prefix restores causal order. The retry path made multi-event chains
-	// inside one sweep window the norm, which is what forced this from the
-	// narrow per-case deferrals (taskInfo.await) to a general reorder
-	// stage; await remains as the backstop for the residual late-publish
-	// window (a worker preempted between sequence acquisition and its ring
-	// store).
+	// pendingFault is the set of tasks whose fault event the current
+	// consume pass has seen and whose retry or completion it has not. The
+	// runtime writes the two as one paired ring write — one head store,
+	// adjacent sequences — so they reach the same pass, which flags what is
+	// left when it ends.
+	pendingFault map[uint64]struct{}
+	// held is the one mechanism for cross-ring order: judgement on the
+	// newest snapshot is deferred by one sweep. Collect's cut is torn —
+	// rings are swept one by one, so a causally-later event (a dispatch on
+	// a late-swept worker ring) can surface one batch BEFORE its
+	// predecessor (the ready on an early-swept ring). Every predecessor's
+	// ring write completes before its successor acquires a sequence number
+	// (markReady records the ready before the readyClaim store that arms a
+	// dispatch), so it is collected by the successor's sweep or the next;
+	// and a successor whose predecessor missed its sweep was sequenced after
+	// that sweep began, above the previous sweep's watermark, so it is
+	// still held when the predecessor arrives. Releasing the held batch
+	// merged in global sequence order with the next batch's
+	// at-or-below-watermark prefix therefore puts every cause in front of
+	// its effect, and consume judges the stream on the spot.
 	held, merge []flightrec.Event
 
 	// Adapt-provenance state: the epoch of the latest signals event, valid
@@ -235,8 +215,7 @@ func New(opts Options) *Checker {
 	if opts.MaxTracked <= 0 {
 		opts.MaxTracked = 1 << 16
 	}
-	return &Checker{opts: opts, tasks: make(map[uint64]*taskInfo),
-		awaiting: make(map[uint64]uint64), pendingFault: make(map[uint64]uint64)}
+	return &Checker{opts: opts, tasks: make(map[uint64]*taskInfo), pendingFault: make(map[uint64]struct{})}
 }
 
 // Stats returns a snapshot of the checker's counters.
@@ -275,35 +254,24 @@ func (c *Checker) report(v Violation) {
 
 // Feed consumes one merged, sequence-ordered snapshot delta (as produced by
 // Recorder.Collect). gap tells the checker that events were lost since the
-// previous feed; it then stops flagging tasks whose early history it may
-// have missed.
+// previous feed; it then stops making the judgements that rest on an
+// event's absence (see Checker.lax).
 func (c *Checker) Feed(events []flightrec.Event, gap bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.epoch++
 	if gap {
-		// The held batch predates the loss window: judge it under the
-		// pre-gap state before the gap handling resets that state.
-		for i := range c.held {
-			c.consume(&c.held[i])
-		}
-		c.held = c.held[:0]
 		c.stats.Gaps++
+		// A predecessor the held batch is still waiting for was written just
+		// after its ring was last read — the first thing a lapped ring
+		// loses — so the batch is already judged lax. What it does hold
+		// predates the loss: consume it before resetting the provenance
+		// state (the signals event a post-gap decision refers to may be in
+		// the lost window).
 		c.lax = true
-		// The evidence that would reconcile deferred dispatches may be in
-		// the lost window; resolve them silently.
-		for id := range c.awaiting {
-			c.resolveAwait(id)
-		}
-		// The retry or completion resolving a pending fault may be in the
-		// lost window too.
-		clear(c.pendingFault)
-		// The signals event a post-gap decision refers to may be in the lost
-		// window.
+		c.pass(c.held)
+		c.held = c.held[:0]
 		c.haveSig = false
 	}
-	c.expireAwaits()
-	c.expireFaults()
 	// Reorder stage (see the held field): release the previous sweep's
 	// batch plus this sweep's events at or below its watermark, merged in
 	// global sequence order; the remainder becomes the new held batch.
@@ -313,9 +281,7 @@ func (c *Checker) Feed(events []flightrec.Event, gap bool) {
 	}
 	cut := sort.Search(len(events), func(i int) bool { return events[i].Seq > wm })
 	c.merge = mergeBySeq(c.merge[:0], c.held, events[:cut])
-	for i := range c.merge {
-		c.consume(&c.merge[i])
-	}
+	c.pass(c.merge)
 	c.held = append(c.held[:0], events[cut:]...)
 	if b := c.opts.StarveBound; b > 0 {
 		c.sweepStarved(b)
@@ -338,70 +304,31 @@ func mergeBySeq(dst, a, b []flightrec.Event) []flightrec.Event {
 	return append(dst, b[j:]...)
 }
 
-// resolveAwait clears task id's deferred-dispatch marker without judgement,
-// dropping the held entry if the task already completed. Caller holds mu.
-func (c *Checker) resolveAwait(id uint64) {
-	delete(c.awaiting, id)
-	if ti := c.tasks[id]; ti != nil {
-		ti.await = false
-		if ti.state == stDoneAwait {
-			delete(c.tasks, id)
-		}
+// pass consumes one sequence-ordered run of events and settles the faults
+// it leaves unresolved: a fault's retry or completion is the other half of
+// the same paired ring write, so the two always reach the same pass — a
+// watermark is the sequence of an event from an earlier sweep and cannot
+// fall between adjacent sequences, and a ring that lost events lost the
+// older half first. Caller holds mu.
+func (c *Checker) pass(events []flightrec.Event) {
+	for i := range events {
+		c.consume(&events[i])
 	}
-}
-
-// expireAwaits flags deferred dispatches that a full subsequent sweep
-// failed to reconcile: every ring has been read again since the dispatch
-// was consumed, and a ready event that was merely skew-delayed would have
-// surfaced (its ring write completes strictly before the dispatch's).
-// Caller holds mu.
-func (c *Checker) expireAwaits() {
-	for id, ep := range c.awaiting {
-		if ep+2 > c.epoch {
-			continue
-		}
-		ti := c.tasks[id]
-		if ti != nil {
-			c.report(Violation{Invariant: DispatchNotReady, Task: id, Worker: flightrec.ExternalWorker, Seq: ti.dispatchSeq,
-				Detail: fmt.Sprintf("task %d dispatched with no ready event ever recorded", id)})
-		}
-		c.resolveAwait(id)
-	}
-}
-
-// expireFaults flags faults that a full subsequent sweep failed to resolve
-// with a retry or completion: the resolving event — written to the same
-// worker ring strictly after the fault, or causally ordered behind the
-// re-arm — would have surfaced by then, so the task (or its worker) was
-// lost mid-recovery. Caller holds mu.
-func (c *Checker) expireFaults() {
-	for id, ep := range c.pendingFault {
-		if ep+2 > c.epoch {
-			continue
-		}
+	for id := range c.pendingFault {
 		c.report(Violation{Invariant: FaultResolution, Task: id, Worker: flightrec.ExternalWorker,
-			Detail: fmt.Sprintf("task %d faulted with no retry or completion ever recorded (worker died mid-recovery?)", id)})
-		delete(c.pendingFault, id)
+			Detail: fmt.Sprintf("task %d faulted with no retry or completion recorded beside it (worker died mid-recovery?)", id)})
 	}
+	clear(c.pendingFault)
 }
 
-// Flush settles every still-deferred dispatch as if the stream had ended:
-// a ready that has not arrived by now never will, so each outstanding
-// deferral is a dispatch-before-ready violation (and each unresolved fault
-// a lost recovery). Call it after the final Feed of a drained recorder
-// (Online.Stop does).
+// Flush judges the held batch as if the stream had ended: no next sweep is
+// coming, so its predecessors either arrived or never will. Call it after
+// the final Feed of a drained recorder (Online.Stop does).
 func (c *Checker) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// The stream has ended: the held batch has no next sweep coming, so
-	// release it now — its predecessors either arrived or never will.
-	for i := range c.held {
-		c.consume(&c.held[i])
-	}
+	c.pass(c.held)
 	c.held = c.held[:0]
-	c.epoch += 2 // everything outstanding is expired by definition
-	c.expireAwaits()
-	c.expireFaults()
 }
 
 // AdvanceTime tells the checker wall time has reached now even if no new
@@ -434,24 +361,17 @@ func (c *Checker) consume(e *flightrec.Event) {
 			c.adopt(e, stReady)
 			return
 		}
-		if ti.await {
-			// The deferred ready arrived. A smaller sequence number than
-			// the dispatch means plain snapshot skew — reconciled; a larger
-			// one means the task really was dispatched before it was ready.
-			if e.Seq > ti.dispatchSeq {
-				c.report(Violation{Invariant: DispatchNotReady, Task: e.Task, Worker: e.Worker, Seq: ti.dispatchSeq,
-					Detail: fmt.Sprintf("task %d dispatched (seq %d) before its ready (seq %d)", e.Task, ti.dispatchSeq, e.Seq)})
-			}
-			c.checkGen(ti, e)
-			c.resolveAwait(e.Task)
-			return
-		}
-		// A ready for a task we saw submitted: the one legal transition.
-		if ti.state != stSubmitted {
-			c.report(Violation{Invariant: DispatchNotReady, Task: e.Task, Worker: e.Worker, Seq: e.Seq,
-				Detail: fmt.Sprintf("task %d marked ready twice (state %d)", e.Task, ti.state)})
-		}
 		c.checkGen(ti, e)
+		switch ti.state {
+		case stRunning:
+			// The task was dispatched before this ready. That dispatch was
+			// reported when it was consumed, and one cause gets one report;
+			// the task stays running so its complete is judged as usual.
+			return
+		case stReady:
+			c.report(Violation{Invariant: DispatchNotReady, Task: e.Task, Worker: e.Worker, Seq: e.Seq,
+				Detail: fmt.Sprintf("task %d marked ready twice", e.Task)})
+		}
 		ti.state = stReady
 		ti.readyTime = e.Time
 		ti.readySeq = e.Seq
@@ -471,24 +391,18 @@ func (c *Checker) consume(e *flightrec.Event) {
 			c.adopt(e, stRunning)
 			return
 		}
-		switch ti.state {
-		case stReady:
-			c.checkGen(ti, e)
-			ti.state = stRunning
-		case stSubmitted:
-			// Real early dispatch or snapshot skew — defer to the ready
-			// event (see taskInfo.await).
-			c.checkGen(ti, e)
-			ti.state = stRunning
-			ti.await = true
-			ti.dispatchSeq = e.Seq
-			c.awaiting[e.Task] = c.epoch
-		default:
+		switch {
+		case ti.state == stRunning:
 			c.report(Violation{Invariant: DispatchNotReady, Task: e.Task, Worker: e.Worker, Seq: e.Seq,
-				Detail: fmt.Sprintf("task %d dispatched in state %d (double dispatch through a stale entry?)", e.Task, ti.state)})
-			c.checkGen(ti, e)
-			ti.state = stRunning
+				Detail: fmt.Sprintf("task %d dispatched while running (double dispatch through a stale entry?)", e.Task)})
+		case ti.state == stSubmitted && !c.lax:
+			// The reorder stage put every ready in front of its dispatch, so
+			// the ready does not exist — unless a gap swallowed it.
+			c.report(Violation{Invariant: DispatchNotReady, Task: e.Task, Worker: e.Worker, Seq: e.Seq,
+				Detail: fmt.Sprintf("task %d dispatched before any ready event", e.Task)})
 		}
+		c.checkGen(ti, e)
+		ti.state = stRunning
 	case flightrec.KindComplete:
 		// A completion resolves any pending fault: a terminal failure's
 		// lifecycle ends in a complete like any other task's.
@@ -496,12 +410,6 @@ func (c *Checker) consume(e *flightrec.Event) {
 		ti := c.tasks[e.Task]
 		if ti == nil {
 			return // pre-window task; nothing to verify
-		}
-		if ti.await {
-			// Hold the entry: the ready-ordering question is still open.
-			c.checkGen(ti, e)
-			ti.state = stDoneAwait
-			return
 		}
 		// A self-dispatch flag legalises ready→complete: the worker that
 		// readied the task ran it itself and elided the (by-construction
@@ -516,7 +424,7 @@ func (c *Checker) consume(e *flightrec.Event) {
 		delete(c.tasks, e.Task)
 	case flightrec.KindFault:
 		c.stats.Faults++
-		c.pendingFault[e.Task] = c.epoch
+		c.pendingFault[e.Task] = struct{}{}
 		if ti := c.tasks[e.Task]; ti != nil {
 			c.checkGen(ti, e)
 		} else {
@@ -572,8 +480,6 @@ func (c *Checker) adopt(e *flightrec.Event, state uint8) {
 	if len(c.tasks) >= c.opts.MaxTracked {
 		// Bound the table: drop everything and restart conservatively.
 		c.tasks = make(map[uint64]*taskInfo)
-		c.awaiting = make(map[uint64]uint64)
-		c.pendingFault = make(map[uint64]uint64)
 		c.stats.Resets++
 		c.lax = true
 	}

@@ -87,47 +87,78 @@ func TestDispatchWithoutReadyFlagged(t *testing.T) {
 	s.add(flightrec.KindDispatch, 0, 1, 0, 0) // still pending: never readied
 	c := New(Options{})
 	c.Feed(s.evs, false)
-	// Judgement is deferred one full sweep: the ready could be snapshot
-	// skew still in flight. Not flagged yet…
-	if st := c.Stats(); st.DispatchNotReady != 0 {
-		t.Fatalf("deferred dispatch flagged immediately: %+v", st)
+	// The batch is held one sweep — a ready with a smaller sequence could
+	// still be in flight on a ring this sweep read early. Not flagged yet…
+	if st := c.Stats(); st.DispatchNotReady != 0 || st.Events != 0 {
+		t.Fatalf("held batch judged early: %+v", st)
 	}
-	// …but no ready arrives, so later sweeps settle it (one sweep to
-	// release the held batch, two more of deferral grace).
-	c.Feed(nil, false)
-	c.Feed(nil, false)
+	// …but the next sweep brings no such ready, and releasing the batch
+	// settles it there and then.
 	c.Feed(nil, false)
 	if st := c.Stats(); st.DispatchNotReady != 1 {
-		t.Fatalf("pending dispatch not flagged: %+v", st)
+		t.Fatalf("pending dispatch not flagged on release: %+v", st)
 	}
-	// Flush settles immediately on a fresh checker.
+	// Flush releases the held batch the same way.
 	c2 := New(Options{})
 	c2.Feed(s.evs, false)
 	c2.Flush()
 	if st := c2.Stats(); st.DispatchNotReady != 1 {
-		t.Fatalf("flush did not settle deferred dispatch: %+v", st)
+		t.Fatalf("flush did not judge the held dispatch: %+v", st)
 	}
-	// An unknown task's dispatch is also flagged — but only while no gap
-	// has hidden history.
-	var s2 evStream
-	s2.add(flightrec.KindDispatch, 0, 9, 0, 0)
-	c4 := New(Options{})
-	c4.Feed(s2.evs, false)
-	c4.Feed(nil, false)
-	if st := c4.Stats(); st.DispatchNotReady != 1 {
-		t.Fatalf("unknown dispatch not flagged: %+v", st)
+}
+
+// TestGapSilencesAbsenceJudgements: the three judgements that rest on an
+// event NOT being in the stream — a dispatch of a task never seen, a
+// dispatch of a task seen only submitted, a complete of a task never
+// dispatched — are made while the stream is whole and are off once a gap
+// may have swallowed the missing event. The submitted-task case is the
+// regression: its ready lost to a ring gap used to be reported two sweeps
+// later as "no ready event ever recorded".
+func TestGapSilencesAbsenceJudgements(t *testing.T) {
+	cases := []struct {
+		name  string
+		kinds []flightrec.Kind
+		split int // events before it are fed (and released) ahead of the rest
+	}{
+		{"unknown-task dispatch", []flightrec.Kind{flightrec.KindDispatch, flightrec.KindComplete}, 0},
+		{"submitted-task dispatch", []flightrec.Kind{flightrec.KindSubmit, flightrec.KindDispatch, flightrec.KindComplete}, 1},
+		{"never-dispatched complete", []flightrec.Kind{flightrec.KindReady, flightrec.KindComplete}, 1},
 	}
-	c3 := New(Options{})
-	c3.Feed(s2.evs, true) // same stream after a gap: conservatively adopted
-	c3.Feed(nil, false)
-	if st := c3.Stats(); st.Total != 0 || st.Gaps != 1 {
-		t.Fatalf("gapped unknown dispatch should not flag: %+v", st)
+	// The gap is reported either by the sweep that carries the events or by
+	// the next one, while they are still held: the ready a held dispatch
+	// waits for is the first thing a lapped ring loses.
+	for _, tc := range cases {
+		var s evStream
+		for _, k := range tc.kinds {
+			s.add(k, 0, 1, 0, 0)
+		}
+		for _, gapAt := range []int{-1, 0, 1} {
+			c := New(Options{})
+			c.Feed(s.evs[:tc.split], false)
+			c.Feed(nil, false)
+			c.Feed(s.evs[tc.split:], gapAt == 0)
+			for i := 1; i <= 3; i++ {
+				c.Feed(nil, gapAt == i)
+			}
+			c.Flush()
+			st := c.Stats()
+			if gapAt >= 0 && (st.Total != 0 || st.Gaps != 1) {
+				t.Errorf("%s, gap at sweep %d: want silence and Gaps 1, got %+v", tc.name, gapAt, st)
+			}
+			if gapAt < 0 && (st.DispatchNotReady != 1 || st.Total != 1) {
+				t.Errorf("%s with the stream whole: want exactly 1 dispatch-not-ready, got %+v", tc.name, st)
+			}
+			if st.Tracked != 0 {
+				t.Errorf("%s (gap at %d): task still tracked: %+v", tc.name, gapAt, st)
+			}
+		}
 	}
 }
 
 // TestSnapshotSkewTolerated: a ready event surfacing one batch after a
 // causally-later dispatch (cross-ring collection skew) must not flag — the
-// sequence numbers prove the true order.
+// dispatch is above the earlier sweep's watermark, so it is still held when
+// the ready arrives and the merge by sequence puts the ready in front.
 func TestSnapshotSkewTolerated(t *testing.T) {
 	c := New(Options{})
 	c.Feed([]flightrec.Event{
@@ -140,20 +171,101 @@ func TestSnapshotSkewTolerated(t *testing.T) {
 		{Seq: 2, Kind: flightrec.KindReady, Worker: 0, Task: 1},
 	}, false)
 	c.Flush()
-	if st := c.Stats(); st.Total != 0 || st.Tracked != 0 {
+	if st := c.Stats(); st.Total != 0 || st.Tracked != 0 || st.Events != 4 {
 		t.Fatalf("skewed-but-ordered stream flagged: %+v", st)
 	}
 	// The mirror image — ready seq AFTER the dispatch seq — is the real
-	// early-dispatch violation, however late it surfaces.
+	// early-dispatch violation: reported once, at the dispatch, and not
+	// again when the late ready or the complete arrives.
 	c2 := New(Options{})
 	c2.Feed([]flightrec.Event{
 		{Seq: 1, Kind: flightrec.KindSubmit, Worker: flightrec.ExternalWorker, Task: 1},
 		{Seq: 2, Kind: flightrec.KindDispatch, Worker: 1, Task: 1},
 		{Seq: 4, Kind: flightrec.KindReady, Worker: 0, Task: 1},
+		{Seq: 5, Kind: flightrec.KindComplete, Worker: 1, Task: 1},
 	}, false)
 	c2.Feed(nil, false)
-	if st := c2.Stats(); st.DispatchNotReady != 1 {
-		t.Fatalf("true early dispatch not flagged: %+v", st)
+	if st := c2.Stats(); st.DispatchNotReady != 1 || st.Total != 1 || st.Tracked != 0 {
+		t.Fatalf("true early dispatch: want exactly one report, got %+v", st)
+	}
+	// A second ready with no dispatch between is its own cause.
+	c3 := New(Options{})
+	c3.Feed([]flightrec.Event{
+		{Seq: 1, Kind: flightrec.KindReady, Worker: 0, Task: 1},
+		{Seq: 2, Kind: flightrec.KindReady, Worker: 0, Task: 1},
+	}, false)
+	c3.Feed(nil, false)
+	if st := c3.Stats(); st.DispatchNotReady != 1 {
+		t.Fatalf("double ready not flagged: %+v", st)
+	}
+}
+
+// TestFaultResolution: the runtime writes a fault and what resolves it —
+// the retry that re-arms the task, or the completion of a terminal failure
+// — as one paired ring write, so the two are adjacent in every stream the
+// recorder can produce. Paired streams are clean however the sweeps cut
+// them; a fault with nothing beside it is flagged when its pass ends.
+func TestFaultResolution(t *testing.T) {
+	var s evStream
+	s.add(flightrec.KindReady, flightrec.ExternalWorker, 1, 0, 0)
+	s.add(flightrec.KindDispatch, 0, 1, 0, 0)
+	s.add(flightrec.KindFault, 0, 1, 0, flightrec.PackFault(flightrec.FaultError, 0))
+	s.add(flightrec.KindRetry, 0, 1, 0, flightrec.PackRetry(1, 2))
+	s.add(flightrec.KindReady, flightrec.ExternalWorker, 1, 0, 0) // the re-arm
+	s.add(flightrec.KindDispatch, 1, 1, 0, 0)
+	s.add(flightrec.KindFault, 1, 1, 0, flightrec.PackFault(flightrec.FaultPanic, 1))
+	s.add(flightrec.KindComplete, 1, 1, 0, 0) // terminal failure
+	for cut := 0; cut <= len(s.evs); cut++ {
+		if cut > 0 && s.evs[cut-1].Kind == flightrec.KindFault {
+			continue // no sweep boundary falls inside a paired write
+		}
+		c := New(Options{})
+		c.Feed(s.evs[:cut], false)
+		c.Feed(s.evs[cut:], false)
+		c.Flush()
+		if st := c.Stats(); st.Total != 0 || st.Faults != 2 || st.Retries != 1 || st.Tracked != 0 {
+			t.Fatalf("paired fault stream cut at %d: %+v", cut, st)
+		}
+	}
+
+	// An unpaired fault — the worker recorded the failure and nothing after
+	// it — is flagged at the end of the pass that consumed it, not later.
+	var got []Violation
+	c := New(Options{OnViolation: func(v Violation) { got = append(got, v) }})
+	c.Feed(s.evs[:3], false)
+	if st := c.Stats(); st.Total != 0 {
+		t.Fatalf("held fault judged early: %+v", st)
+	}
+	c.Feed(nil, false)
+	if st := c.Stats(); st.FaultResolution != 1 || st.Total != 1 {
+		t.Fatalf("unpaired fault not flagged when its pass ended: %+v", st)
+	}
+	c.Feed(nil, false)
+	c.Flush()
+	if st := c.Stats(); st.FaultResolution != 1 || len(got) != 1 || got[0].Task != 1 {
+		t.Fatalf("unpaired fault reported %d times: %+v / %+v", len(got), st, got)
+	}
+
+	// A gap's loss is a prefix of a ring, so it can take the fault and leave
+	// its resolution — never the reverse. The orphaned retry is not an error.
+	c2 := New(Options{})
+	c2.Feed(s.evs[3:], true)
+	c2.Flush()
+	if st := c2.Stats(); st.Total != 0 || st.Gaps != 1 {
+		t.Fatalf("resolution whose fault fell in a gap flagged: %+v", st)
+	}
+
+	// A re-arm past the policy's budget is flagged on the retry event.
+	var s2 evStream
+	s2.add(flightrec.KindReady, flightrec.ExternalWorker, 2, 0, 0)
+	s2.add(flightrec.KindDispatch, 0, 2, 0, 0)
+	s2.add(flightrec.KindFault, 0, 2, 0, flightrec.PackFault(flightrec.FaultError, 2))
+	s2.add(flightrec.KindRetry, 0, 2, 0, flightrec.PackRetry(3, 2))
+	c3 := New(Options{})
+	c3.Feed(s2.evs, false)
+	c3.Flush()
+	if st := c3.Stats(); st.RetryBudget != 1 || st.Total != 1 {
+		t.Fatalf("over-budget retry: %+v", st)
 	}
 }
 

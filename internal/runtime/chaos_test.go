@@ -137,6 +137,7 @@ func chaosStressOnce(t *testing.T, kind SchedulerKind, layout []Option) {
 	}
 
 	vs := online.Stop()
+	logWeakened(t, vs)
 	if vs.Total != 0 {
 		t.Fatalf("verifier flagged the chaos run: %+v", vs)
 	}

@@ -122,6 +122,19 @@ func TestFlightPendingTaskGetsSubmitEvent(t *testing.T) {
 	}
 }
 
+// logWeakened makes a run whose checker went lax visible. From the first
+// ring gap or table reset on, the checker stops judging by an event's
+// absence (a dispatch with no ready, a complete with no dispatch), so the
+// green tick proves less than it says. Not a failure: a collector
+// descheduled past a ring's length on a small host is not a runtime bug.
+func logWeakened(t *testing.T, st verify.Stats) {
+	t.Helper()
+	if st.Gaps != 0 || st.Resets != 0 {
+		t.Logf("note: checker went lax (%d gaps, %d resets over %d events): absence-based judgements were off for the rest of the run",
+			st.Gaps, st.Resets, st.Events)
+	}
+}
+
 // TestFlightOnlineVerifierCleanStress runs a dependence-heavy workload on
 // every scheduler × class layout with the online invariant checker sampling
 // the live recorder, and requires a spotless verdict: any violation is a
@@ -187,11 +200,9 @@ func TestFlightOnlineVerifierCleanStress(t *testing.T) {
 				r.Wait()
 				r.Shutdown()
 				st := online.Stop()
+				logWeakened(t, st)
 				if st.Total != 0 {
 					t.Fatalf("verifier flagged a clean run: %+v", st)
-				}
-				if st.Gaps != 0 {
-					t.Logf("note: %d gaps (checker ran lax part of the run)", st.Gaps)
 				}
 				if st.Events == 0 {
 					t.Fatal("verifier consumed no events")
@@ -232,7 +243,9 @@ func TestFlightCATSPublishWindowStress(t *testing.T) {
 	wg.Wait()
 	r.Wait()
 	r.Shutdown()
-	if st := online.Stop(); st.Total != 0 {
+	st := online.Stop()
+	logWeakened(t, st)
+	if st.Total != 0 {
 		t.Fatalf("publish-window stress flagged: %+v", st)
 	}
 }

@@ -237,6 +237,7 @@ func TestParkHandshakeEightWayRecorderStress(t *testing.T) {
 	t.Logf("%d tasks: %d parks, %d searches (%d hits)", idle.executed, idle.parks, idle.searches, idle.hits)
 	shutdownWithin(t, r, 30*time.Second, "after the run")
 	st := online.Stop()
+	logWeakened(t, st)
 	if ran.Load() != want.Load() {
 		t.Fatalf("ran %d tasks, want %d", ran.Load(), want.Load())
 	}

@@ -260,8 +260,8 @@ func (w *workerState) settle(t *task, bodyErr error) (taskEnd, bool) {
 		r.sig.quarantined.Add(1)
 	}
 	// The fault event itself is recorded by complete, in one paired ring
-	// write with the completion: the verifier's FaultResolution window is
-	// measured in collector sweeps, and any daylight between the two
+	// write with the completion: the verifier judges a fault when the
+	// consume pass holding it ends, and any daylight between the two
 	// records (the OnDone hook would otherwise run in it) reads as a lost
 	// recovery.
 	end.faultPack = flightrec.PackFault(fault, int(t.attempt))
@@ -469,9 +469,9 @@ func (w *workerState) complete(t *task, poison error, faultPack uint64) {
 	if !ce.recorded && faultPack != 0 {
 		// A terminal fault rides one paired ring write with its completion
 		// so no goroutine pause can open a gap between them: the verifier
-		// expires an unresolved fault after one full collector sweep, and
-		// the resolving event must be adjacent by construction (exactly as
-		// maybeRetry pairs fault with retry).
+		// flags a fault its resolution does not follow within the same
+		// consume pass, so the resolving event must be adjacent by
+		// construction (exactly as maybeRetry pairs fault with retry).
 		ce.recorded = true
 		r.rec.RecordWorker2(w.id,
 			flightrec.KindFault, ce.id, ce.claim, faultPack,

@@ -73,6 +73,17 @@ func gateGraph(gate int64, lane string) serve.GraphRequest {
 	}
 }
 
+// allGateGraph builds an n-task graph whose every task blocks on gate 1,
+// which the rung test never opens: an admitted job holds its tokens, its
+// running slot and its share of the pool backlog until the server closes.
+func allGateGraph(n int, lane string) serve.GraphRequest {
+	g := serve.GraphRequest{Lane: lane}
+	for i := 0; i < n; i++ {
+		g.Tasks = append(g.Tasks, serve.TaskRequest{Op: "gate", Amount: 1})
+	}
+	return g
+}
+
 // noopGraph builds an n-task independent noop graph.
 func noopGraph(n int, lane string) serve.GraphRequest {
 	g := serve.GraphRequest{Lane: lane}
