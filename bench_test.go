@@ -305,12 +305,6 @@ func BenchmarkLongLivedSubmitWait(b *testing.B) {
 	}
 }
 
-// BenchmarkThroughputExperiment runs the registry throughput experiment at
-// quick scale (the figure-style harness over the same machinery).
-func BenchmarkThroughputExperiment(b *testing.B) {
-	benchRun(b, "throughput", `{"tasks": 2000, "shards": [1, 8]}`)
-}
-
 // BenchmarkCacheAccess measures the L1 model's hit path.
 func BenchmarkCacheAccess(b *testing.B) {
 	c := cache.New(cache.L1Default())

@@ -13,13 +13,13 @@
 //	raa-bench -experiment hybridmem -json       # machine-readable result
 //	raa-bench -experiment vsort -spec '{"n": 65536}'
 //	raa-bench -experiment throughput \
-//	    -spec '{"shards": [1, 16, 64], "tasks": 100000}'  # submit-path scaling
-//	raa-bench -experiment throughput \
-//	    -spec '{"scenarios": ["steal", "longrun"], "shards": [0]}'  # dispatch scaling
-//	raa-bench -experiment throughput \
 //	    -spec '{"scenarios": ["hetero"], "schedulers": ["cats", "fifo"]}'  # big.LITTLE placement
 //	raa-bench -experiment throughput \
 //	    -spec '{"scenarios": ["locality"]}'       # worker-local vs injector successor placement
+//	raa-bench -experiment throughput \
+//	    -spec '{"scenarios": ["adaptive"], "batch": 0}'  # the controller vs each static arm
+//	raa-bench -experiment throughput \
+//	    -spec '{"scenarios": ["chaos"], "schedulers": ["worksteal"]}'  # fault load vs clean run
 //	raa-bench -flight-dump FLIGHT.json            # flight-recorder timeline + invariant
 //	                                              # verdict from a mixed workload
 //

@@ -35,14 +35,15 @@ const (
 	// context) and its successors are about to be released. Arg is the
 	// claim word before any recycle-time generation bump.
 	KindComplete
-	// KindSignals: the adaptive controller sampled the runtime's signals
-	// layer. Arg is the sample epoch; every KindAdapt decision carries the
-	// epoch of the sample it was reasoned from, which the verifier matches
-	// against the latest KindSignals.
-	KindSignals
-	// KindAdapt: the adaptive controller applied one policy decision. Arg
-	// is the epoch of the triggering sample, Arg2 a PackAdapt word (rule
-	// identifier plus old and new setting).
+	// Code 8 is retired: it was KindSignals, one event per adaptive-
+	// controller tick, which lapped the external ring and evicted the
+	// submit-path history (deleted in PR 21). The kinds after it keep their
+	// numbers so dumps recorded before still decode.
+	_
+	// KindAdapt: the adaptive controller applied one policy decision — a
+	// timeline marker, no invariant rests on it. Arg is the queued-task
+	// count the rule saw, Arg2 a PackAdapt word (rule identifier plus old
+	// and new setting).
 	KindAdapt
 	// KindMarker: a request-scoped timeline marker recorded by a layer
 	// above the runtime (the serve front end stamps one per job phase
@@ -95,8 +96,6 @@ func (k Kind) String() string {
 		return "wake"
 	case KindComplete:
 		return "complete"
-	case KindSignals:
-		return "signals"
 	case KindAdapt:
 		return "adapt"
 	case KindMarker:
@@ -241,21 +240,11 @@ func RetryInfo(arg2 uint64) (attempt, max int) {
 // so dumps recorded before the deletion still decode.
 const AdaptClassMask uint8 = 2
 
-// AdaptRuleName renders a KindAdapt rule identifier for dumps.
-func AdaptRuleName(rule uint8) string {
-	if rule == AdaptClassMask {
-		return "classmask"
-	}
-	return fmt.Sprintf("rule(%d)", rule)
-}
-
 // Adapt Arg2 layout: rule in the low byte, then two 28-bit settings.
 const (
 	adaptOldShift   = 8
 	adaptNewShift   = 36
-	adaptValueMask  = 0xfffffff
-	adaptRuleMaskV  = 0xff
-	maxAdaptSetting = adaptValueMask
+	maxAdaptSetting = 0xfffffff
 )
 
 // PackAdapt encodes one applied decision into Event.Arg2: which rule
@@ -269,11 +258,4 @@ func PackAdapt(rule uint8, old, new uint64) uint64 {
 		new = maxAdaptSetting
 	}
 	return uint64(rule) | old<<adaptOldShift | new<<adaptNewShift
-}
-
-// AdaptInfo decodes a PackAdapt word.
-func AdaptInfo(arg2 uint64) (rule uint8, old, new uint64) {
-	return uint8(arg2 & adaptRuleMaskV),
-		(arg2 >> adaptOldShift) & adaptValueMask,
-		(arg2 >> adaptNewShift) & adaptValueMask
 }

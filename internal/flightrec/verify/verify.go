@@ -36,11 +36,6 @@ const (
 	// Starvation: a ready task waited longer than Options.StarveBound
 	// without being dispatched while the runtime kept making progress.
 	Starvation
-	// AdaptProvenance: an adaptive-controller decision event arrived whose
-	// sample epoch does not match the latest signals event — the controller
-	// applied a policy change it cannot account for with a sample, or the
-	// signals event was lost without a ring gap.
-	AdaptProvenance
 	// FaultResolution: a task recorded a fault (panic, body error, or
 	// deadline overrun) that its retry or completion did not follow within
 	// the same consume pass — the runtime writes a fault and its resolution
@@ -65,8 +60,6 @@ func (i Invariant) String() string {
 		return "class-gating"
 	case Starvation:
 		return "starvation"
-	case AdaptProvenance:
-		return "adapt-provenance"
 	case FaultResolution:
 		return "fault-resolution"
 	case RetryBudget:
@@ -146,11 +139,6 @@ type Stats struct {
 	ClassGating uint64
 	// Starvations counts Starvation violations.
 	Starvations uint64
-	// AdaptProvenance counts AdaptProvenance violations.
-	AdaptProvenance uint64
-	// AdaptDecisions counts adaptive-controller decision events consumed —
-	// context for the provenance counter, not a violation.
-	AdaptDecisions uint64
 	// FaultResolution counts FaultResolution violations.
 	FaultResolution uint64
 	// RetryBudget counts RetryBudget violations.
@@ -173,7 +161,7 @@ type Checker struct {
 	stats Stats
 	// lax is set by any gap or reset and never cleared: the judgements that
 	// rest on an event's absence — a dispatch with no ready before it, a
-	// complete with no dispatch, a decision with no sample — are then off,
+	// complete with no dispatch — are then off,
 	// because the missing event may be in the lost window. Judgements on
 	// events that are present (double dispatch, generations, class gating,
 	// budgets, faults) stay on.
@@ -202,12 +190,6 @@ type Checker struct {
 	// at-or-below-watermark prefix therefore puts every cause in front of
 	// its effect, and consume judges the stream on the spot.
 	held, merge []flightrec.Event
-
-	// Adapt-provenance state: the epoch of the latest signals event, valid
-	// only while haveSig holds (a ring gap may have swallowed the signals
-	// event a later decision refers to, so gaps reset it).
-	sigEpoch uint64
-	haveSig  bool
 }
 
 // New creates a Checker.
@@ -225,7 +207,7 @@ func (c *Checker) Stats() Stats {
 	s := c.stats
 	s.Tracked = len(c.tasks)
 	s.Total = s.DispatchNotReady + s.ClaimRegressions + s.ClassGating + s.Starvations +
-		s.AdaptProvenance + s.FaultResolution + s.RetryBudget
+		s.FaultResolution + s.RetryBudget
 	return s
 }
 
@@ -240,8 +222,6 @@ func (c *Checker) report(v Violation) {
 		c.stats.ClassGating++
 	case Starvation:
 		c.stats.Starvations++
-	case AdaptProvenance:
-		c.stats.AdaptProvenance++
 	case FaultResolution:
 		c.stats.FaultResolution++
 	case RetryBudget:
@@ -264,13 +244,10 @@ func (c *Checker) Feed(events []flightrec.Event, gap bool) {
 		// A predecessor the held batch is still waiting for was written just
 		// after its ring was last read — the first thing a lapped ring
 		// loses — so the batch is already judged lax. What it does hold
-		// predates the loss: consume it before resetting the provenance
-		// state (the signals event a post-gap decision refers to may be in
-		// the lost window).
+		// predates the loss: consume it before the post-gap events.
 		c.lax = true
 		c.pass(c.held)
 		c.held = c.held[:0]
-		c.haveSig = false
 	}
 	// Reorder stage (see the held field): release the previous sweep's
 	// batch plus this sweep's events at or below its watermark, merged in
@@ -450,28 +427,6 @@ func (c *Checker) consume(e *flightrec.Event) {
 		}
 	case flightrec.KindSteal:
 		// Timeline marker: no per-task invariant.
-	case flightrec.KindSignals:
-		c.sigEpoch = e.Arg
-		c.haveSig = true
-	case flightrec.KindAdapt:
-		c.stats.AdaptDecisions++
-		// The controller records a decision strictly after the signals event
-		// of the sample it was reasoned from, on the same lane, so in the
-		// merged order every adapt must match the latest signals epoch. A
-		// mismatch means a decision without a sample to justify it.
-		if !c.haveSig {
-			if !c.lax {
-				c.report(Violation{Invariant: AdaptProvenance, Task: 0, Worker: e.Worker, Seq: e.Seq,
-					Detail: fmt.Sprintf("adapt decision (epoch %d) with no signals sample recorded", e.Arg)})
-			}
-			return
-		}
-		if e.Arg != c.sigEpoch {
-			rule, old, new := flightrec.AdaptInfo(e.Arg2)
-			c.report(Violation{Invariant: AdaptProvenance, Task: 0, Worker: e.Worker, Seq: e.Seq,
-				Detail: fmt.Sprintf("adapt decision %s %d→%d reasoned from epoch %d but latest sample is epoch %d",
-					flightrec.AdaptRuleName(rule), old, new, e.Arg, c.sigEpoch)})
-		}
 	}
 }
 

@@ -497,51 +497,3 @@ func TestPublishWindowRegressionInjection(t *testing.T) {
 		t.Fatalf("reverted readyClaim fix not flagged: %+v", st)
 	}
 }
-
-// TestAdaptProvenance: every adaptive decision event must be preceded by
-// a signals sample of the same epoch — the monitor→reason→adapt loop
-// records the sample first, then each decision it justified.
-func TestAdaptProvenance(t *testing.T) {
-	pack := flightrec.PackAdapt(flightrec.AdaptClassMask, 3, 1)
-	var s evStream
-	s.add(flightrec.KindSignals, flightrec.ExternalWorker, 0, 7, 0)
-	s.add(flightrec.KindAdapt, flightrec.ExternalWorker, 0, 7, pack)
-	s.add(flightrec.KindAdapt, flightrec.ExternalWorker, 0, 7, pack) // two decisions per sample: fine
-	s.add(flightrec.KindSignals, flightrec.ExternalWorker, 0, 8, 0)
-	s.add(flightrec.KindAdapt, flightrec.ExternalWorker, 0, 8, pack)
-	c := New(Options{})
-	c.Feed(s.evs, false)
-	c.Feed(nil, false)
-	if st := c.Stats(); st.Total != 0 || st.AdaptDecisions != 3 {
-		t.Fatalf("clean adapt stream flagged: %+v", st)
-	}
-
-	// A decision referencing a stale epoch is a provenance violation.
-	var s2 evStream
-	s2.add(flightrec.KindSignals, flightrec.ExternalWorker, 0, 7, 0)
-	s2.add(flightrec.KindSignals, flightrec.ExternalWorker, 0, 8, 0)
-	s2.add(flightrec.KindAdapt, flightrec.ExternalWorker, 0, 7, pack)
-	c2 := New(Options{})
-	c2.Feed(s2.evs, false)
-	c2.Feed(nil, false)
-	if st := c2.Stats(); st.AdaptProvenance != 1 {
-		t.Fatalf("stale-epoch decision not flagged: %+v", st)
-	}
-
-	// A decision with no sample at all is flagged — unless a ring gap may
-	// have swallowed the sample, which resets the provenance state.
-	var s3 evStream
-	s3.add(flightrec.KindAdapt, flightrec.ExternalWorker, 0, 7, pack)
-	c3 := New(Options{})
-	c3.Feed(s3.evs, false)
-	c3.Feed(nil, false)
-	if st := c3.Stats(); st.AdaptProvenance != 1 {
-		t.Fatalf("sample-less decision not flagged: %+v", st)
-	}
-	c4 := New(Options{})
-	c4.Feed(s3.evs, true)
-	c4.Feed(nil, false)
-	if st := c4.Stats(); st.Total != 0 {
-		t.Fatalf("post-gap decision should not flag: %+v", st)
-	}
-}

@@ -8,13 +8,13 @@ import (
 )
 
 // AdaptiveOptions configures the adaptive controller (WithAdaptive): the
-// monitor→reason→adapt loop that samples the signals layer on Period and
+// monitor→reason→adapt loop that samples the queued-task count on Period and
 // rewrites the active worker-class set when the workload's phase shifts.
 // The zero value selects the defaults.
 type AdaptiveOptions struct {
 	// Period is the sampling period of the controller's monitor loop
-	// (default 1ms). Each tick takes one signals-layer snapshot and runs
-	// the decision rule on it.
+	// (default 1ms). Each tick reads the scheduler's queued-task count and
+	// runs the decision rule on it.
 	Period time.Duration
 	// Hysteresis is the number of consecutive samples that must propose
 	// the same setting before it is applied (default 2, minimum 1). It is
@@ -30,13 +30,14 @@ const (
 )
 
 // WithAdaptive attaches the adaptive controller to the runtime: a
-// background goroutine that samples the signals layer every opts.Period
+// background goroutine that samples the queued-task count every opts.Period
 // and — with hysteresis — narrows the active worker-class set to the fast
 // class while the pool is effectively serial and widens it back when
 // there is work for everyone (see proposePolicy). Every applied decision
-// is recorded as a flight-recorder adapt event (paired with the signals
-// sample it was reasoned from, which the flightrec/verify checker
-// cross-checks), and summarised in Stats.Adaptive. It composes with every
+// is recorded as a flight-recorder adapt event (a timeline marker carrying
+// the queued-task count the rule saw) and summarised in Stats.Adaptive;
+// samples that change nothing record nothing, so an idle controller never
+// laps the recorder's submit-path history. It composes with every
 // scheduler, and needs WithWorkerClasses to have anything to decide: on a
 // homogeneous pool the controller samples and never acts.
 func WithAdaptive(opts AdaptiveOptions) Option {
@@ -48,7 +49,7 @@ func WithAdaptive(opts AdaptiveOptions) Option {
 type AdaptiveStats struct {
 	// Enabled reports whether the runtime runs an adaptive controller.
 	Enabled bool
-	// Samples is the number of signals-layer snapshots the controller has
+	// Samples is the number of queued-task readings the controller has
 	// taken; Decisions the number of class-mask changes it applied.
 	Samples   uint64
 	Decisions uint64
@@ -90,13 +91,10 @@ type adaptiveController struct {
 	pol     *policyWords
 	sched   scheduler
 	rec     *flightrec.Recorder
-	sample  func(*signalSample)
 
 	stop chan struct{}
 	done chan struct{}
 
-	// cur is the reused snapshot buffer of the monitor step.
-	cur signalSample
 	// streak is the hysteresis state: how many consecutive samples have
 	// proposed a mask other than the live one. One scalar suffices because
 	// the rule has two targets (every class, fast class only) and the live
@@ -109,7 +107,7 @@ type adaptiveController struct {
 }
 
 // newAdaptiveController resolves the options and wires the controller to
-// the runtime's signals, policy, scheduler, and recorder. The caller
+// the runtime's policy, scheduler, and recorder. The caller
 // starts run().
 func newAdaptiveController(r *Runtime, opts AdaptiveOptions) *adaptiveController {
 	if opts.Period <= 0 {
@@ -124,7 +122,6 @@ func newAdaptiveController(r *Runtime, opts AdaptiveOptions) *adaptiveController
 		pol:     r.pol,
 		sched:   r.sched,
 		rec:     r.rec,
-		sample:  r.sampleSignals,
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -146,24 +143,19 @@ func (c *adaptiveController) run() {
 	}
 }
 
-// step is one monitor→reason→adapt cycle: snapshot the signals (recording
-// the signals event other consumers and the verifier key on) and run the
-// rule on the snapshot.
+// step is one monitor→reason→adapt cycle: read the scheduler's queued-task
+// count — the one figure the rule reasons from — and run the rule on it.
 func (c *adaptiveController) step() {
-	c.sample(&c.cur)
 	c.samples.Add(1)
-	if c.rec != nil {
-		c.rec.RecordExternal(flightrec.KindSignals, 0, c.cur.Epoch, 0)
-	}
-	c.revise(c.cur.Pending, c.cur.Epoch)
+	c.revise(c.sched.queued())
 }
 
 // revise is the reason→adapt half of one cycle, split from step so tests
 // can drive it with synthetic samples: compute the proposal, update the
 // hysteresis streak, and once the proposal has held for Hysteresis
 // consecutive samples install it, notify gate-parked workers, and record
-// the adapt event carrying the epoch of the sample it was reasoned from.
-func (c *adaptiveController) revise(pending int64, epoch uint64) {
+// the adapt event carrying the pending count the rule saw.
+func (c *adaptiveController) revise(pending int64) {
 	cur := c.pol.classMask.Load()
 	next := proposePolicy(pending, c.pol.fullMask, c.workers)
 	if next == 0 || next == cur {
@@ -181,7 +173,7 @@ func (c *adaptiveController) revise(pending int64, epoch uint64) {
 	c.decisions.Add(1)
 	c.sched.policyChanged()
 	if c.rec != nil {
-		c.rec.RecordExternal(flightrec.KindAdapt, 0, epoch,
+		c.rec.RecordExternal(flightrec.KindAdapt, 0, uint64(pending),
 			flightrec.PackAdapt(flightrec.AdaptClassMask, cur, next))
 	}
 }

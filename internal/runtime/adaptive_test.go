@@ -56,8 +56,8 @@ func TestAdaptiveHysteresisPreventsFlapping(t *testing.T) {
 	full := c.pol.fullMask
 	const narrow, neutral = 1, 2 // pending counts proposing fast-only / nothing
 	for i := 0; i < 10; i++ {
-		c.revise(narrow, uint64(2*i))
-		c.revise(neutral, uint64(2*i+1))
+		c.revise(narrow)
+		c.revise(neutral)
 	}
 	if got := c.pol.classMask.Load(); got != full {
 		t.Fatalf("mask %b after flapping proposals, want untouched %b", got, full)
@@ -66,8 +66,8 @@ func TestAdaptiveHysteresisPreventsFlapping(t *testing.T) {
 		t.Fatalf("%d decisions applied under flapping", n)
 	}
 
-	c.revise(narrow, 100)
-	c.revise(narrow, 101)
+	c.revise(narrow)
+	c.revise(narrow)
 	if got := c.pol.classMask.Load(); got != 1 {
 		t.Fatalf("mask %b after a held serial phase, want fast-only 1", got)
 	}
@@ -77,7 +77,7 @@ func TestAdaptiveHysteresisPreventsFlapping(t *testing.T) {
 
 	// Holding the phase further proposes the current setting — no churn.
 	for i := 0; i < 5; i++ {
-		c.revise(narrow, uint64(200+i))
+		c.revise(narrow)
 	}
 	if n := c.decisions.Load(); n != 1 {
 		t.Fatalf("%d decisions while the phase holds, want still 1", n)
@@ -210,6 +210,56 @@ func TestAdaptiveStableUnderConstantLoad(t *testing.T) {
 				t.Fatal("no task executed")
 			}
 		})
+	}
+}
+
+// The controller's ticks must not evict the recorder's submit-path history:
+// they share the external ring (2048 slots) with every submit-path ready,
+// retry re-arm and marker, so a controller that filed one event per tick
+// lapped it in 2048 periods of idling — ~2 s at the default period, ~0.2 s
+// here. Only applied decisions are recorded, as timeline markers.
+func TestSamplerLeavesSubmitHistory(t *testing.T) {
+	const ring = 2048 // flightrec's default, passed so the idle below is a lap of this ring
+	r := New(
+		heteroAdaptiveClasses(),
+		WithAdaptive(AdaptiveOptions{Period: 100 * time.Microsecond}),
+		WithFlightRecorder(flightrec.Options{PerWorkerEvents: ring}),
+	)
+	defer r.Shutdown()
+	first := mustSubmit(t, r, "first", nil)
+	for i := 0; i < 7; i++ {
+		mustSubmit(t, r, "t", nil)
+	}
+	r.Wait()
+	var st Stats
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if r.StatsInto(&st); st.Adaptive.Samples > ring+64 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d controller samples in 60s", st.Adaptive.Samples)
+		}
+	}
+	var adapts []flightrec.Event
+	found := false
+	for _, e := range r.FlightRecorder().Snapshot() {
+		if e.Kind == flightrec.KindReady && e.Worker == flightrec.ExternalWorker && e.Task == uint64(first) {
+			found = true
+		}
+		if e.Kind == flightrec.KindAdapt {
+			adapts = append(adapts, e)
+		}
+	}
+	if !found {
+		t.Errorf("after %d idle controller samples the first submit-path ready is gone from Snapshot()", st.Adaptive.Samples)
+	}
+	// The idle pool narrows to the fast class once and stays there: that
+	// decision is on the timeline with the queued count the rule saw.
+	if uint64(len(adapts)) != st.Adaptive.Decisions || len(adapts) == 0 {
+		t.Fatalf("%d adapt events for %d decisions, want equal and non-zero", len(adapts), st.Adaptive.Decisions)
+	}
+	if e := adapts[0]; e.Arg > 1 || e.Arg2 != flightrec.PackAdapt(flightrec.AdaptClassMask, 3, 1) {
+		t.Errorf("first adapt event: pending %d, word %#x; want pending ≤ 1 and the 3→1 class-mask word", e.Arg, e.Arg2)
 	}
 }
 

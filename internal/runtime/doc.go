@@ -123,8 +123,8 @@
 //	               the three schedulers
 //	worker.go      the worker loop: accountDispatch, runAttempt, finish,
 //	               complete, and the fault paths (retry, deadline, poison)
-//	signals.go     the per-worker counter block and sampleSignals, the one
-//	               reader Stats and the adaptive controller both go through
+//	signals.go     the per-worker counter block and the cross-cutting
+//	               counters StatsInto groups at read time
 //	adaptive.go, policy.go
 //	               the controller and the class mask it rewrites
 //	runtime.go     types, construction, Wait, Shutdown, Stats, Graph
@@ -133,21 +133,21 @@
 //
 // WithAdaptive closes one loop over a heterogeneous pool — the paper's
 // runtime that observes its task graph and decides which cores run it. A
-// signals layer of lock-free counters (one padded block per worker, plus
-// parking traffic and the scheduler's queued-task count) is sampled
-// allocation-free every AdaptiveOptions.Period by a background
-// controller, which runs one pure rule on the snapshot: a serial phase
+// background controller reads the scheduler's queued-task count every
+// AdaptiveOptions.Period and runs one pure rule on it: a serial phase
 // (at most one task queued) narrows the active-class mask to the fast
 // class — slow workers gate-park until the mask widens — and work for
 // every worker widens it back. The mask changes only after the proposal
 // has held for Hysteresis consecutive samples, every applied decision is
-// recorded in the flight recorder (KindAdapt, preceded by the KindSignals
-// snapshot event the verifier's AdaptProvenance invariant demands), and
+// recorded in the flight recorder as a timeline marker (KindAdapt, carrying
+// the queued count the rule saw; a tick that changes nothing records
+// nothing, so the controller never laps the submit-path history), and
 // Stats.Adaptive reports the live mask plus sample/decision counts. The
 // locality window and the injector refill chunk are construction-time
 // constants, not policy (DESIGN.md § Adaptive control › "Mechanism table"
 // has the measurements). The throughput experiment's adaptive scenario
 // pits the controller against the static configurations on a
-// phase-shifting workload; internal/throughput's
+// phase-shifting workload, one paired ratio per static arm;
+// internal/throughput's
 // TestAdaptiveClassRuleRent fails if the rule stops paying.
 package runtime

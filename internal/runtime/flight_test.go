@@ -331,9 +331,10 @@ func TestStatsIntoConcurrentCallers(t *testing.T) {
 	}
 }
 
-// Stats and the controller's sample are both read-time groupings of the one
-// per-worker counter block, so they must agree with it and with each other
-// exactly — there is no second counter that could drift.
+// Stats is a read-time grouping of the one per-worker counter block, so it
+// must agree with it exactly — there is no second counter that could drift
+// — and the one figure the controller reads beside it, the scheduler's
+// queued-task count, must read zero on a drained pool.
 func TestDerivedCountersAgree(t *testing.T) {
 	r := New(WithWorkers(4))
 	defer r.Shutdown()
@@ -353,18 +354,16 @@ func TestDerivedCountersAgree(t *testing.T) {
 	}
 	r.Wait()
 	st := r.Stats()
-	var smp signalSample
-	r.sampleSignals(&smp)
-	var steals uint64
+	var steals, executed uint64
 	for w := range r.sig.workers {
 		steals += r.sig.workers[w].steals
+		executed += r.sig.workers[w].executed
 	}
-	if steals != st.Steals {
-		t.Errorf("Σ per-worker steals = %d, Stats.Steals = %d", steals, st.Steals)
+	if steals != st.Steals || executed != st.Executed {
+		t.Errorf("Σ per-worker steals, executed = %d, %d; Stats has %d, %d", steals, executed, st.Steals, st.Executed)
 	}
-	if smp.Executed != st.Executed || smp.Pending != 0 {
-		t.Errorf("controller's sample of the drained pool: executed %d (Stats %d), pending %d (want 0)",
-			smp.Executed, st.Executed, smp.Pending)
+	if q := r.sched.queued(); q != 0 {
+		t.Errorf("controller's reading of the drained pool: %d queued (want 0)", q)
 	}
 }
 

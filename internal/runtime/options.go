@@ -205,10 +205,10 @@ func WithFlightRecorder(fo flightrec.Options) Option {
 
 // WithShards sets the dependence-tracker shard count. Submissions touching
 // keys on different shards register concurrently; 1 reproduces the old
-// single-lock renamer (useful as a benchmarking baseline). Values are
-// clamped to at most 64; 0 or negative (the default) auto-sizes to the
-// next power of two ≥ GOMAXPROCS. The resolved count is reported by
-// Runtime.Shards.
+// single-lock renamer (the baseline the repo benchmark prices as
+// runtime.tracker.shards1_ratio). Values are clamped to at most 64; 0 or
+// negative (the default) auto-sizes to the next power of two ≥ GOMAXPROCS.
+// The resolved count is reported by Runtime.Shards.
 func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
 }

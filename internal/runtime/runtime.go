@@ -504,15 +504,11 @@ type Runtime struct {
 	firstErr error
 
 	// sig is the signals layer — the single source of truth for execution
-	// counters (per-worker, padded, owner-bumped) that Stats, the sampler,
-	// and the adaptive controller all read. pol is the policy layer: the
-	// cached class mask every scheduler's pop consults. sample/sampleMu
-	// serve StatsInto: one reusable epoch
-	// snapshot instead of per-call aggregation.
-	sig      *signals
-	pol      *policyWords
-	sampleMu sync.Mutex
-	sample   signalSample
+	// counters (per-worker, padded, owner-bumped), grouped at read time by
+	// StatsInto. pol is the policy layer: the cached class mask every
+	// scheduler's pop consults.
+	sig *signals
+	pol *policyWords
 
 	// ctrl is the adaptive controller (nil without WithAdaptive). It is
 	// the single writer of the class mask once running.
@@ -716,26 +712,34 @@ func (r *Runtime) Stats() Stats {
 // StatsInto fills s with a snapshot of the execution counters, reusing the
 // capacity of s.PerWorker and s.PerClass when they are large enough — the
 // allocation-free variant of Stats for hot reporting loops (periodic
-// metrics exporters, per-round experiment sampling). The snapshot is one
-// signals-layer epoch sample: the per-worker and per-class grouping is
-// done once into the runtime's reusable sample and copied out.
+// metrics exporters, per-round experiment sampling). This is the one place
+// the per-worker counter blocks are read: the totals and the per-class view
+// are both grouped here, straight into s, so concurrent callers (each with
+// its own s) share nothing.
 func (r *Runtime) StatsInto(s *Stats) {
-	r.sampleMu.Lock()
-	defer r.sampleMu.Unlock()
-	smp := &r.sample
-	r.sampleSignals(smp)
-	s.Submitted = smp.Submitted
-	s.Executed = smp.Executed
-	s.Steals = smp.Steals
-	s.Skipped = smp.Skipped
-	s.Panics = r.sig.panics.Load()
-	s.Retries = r.sig.retries.Load()
-	s.DeadlineMisses = r.sig.deadlineMiss.Load()
-	s.Quarantined = r.sig.quarantined.Load()
-	s.Parks = smp.Parks
-	s.Wakes = smp.Wakes
-	s.Searches = smp.Searches
-	s.SearchHits = smp.SearchHits
+	sig := r.sig
+	s.Submitted = uint64(atomic.LoadInt64(&r.seq))
+	s.PerWorker = resized(s.PerWorker, len(sig.workers))
+	s.PerClass = resized(s.PerClass, len(r.classes))
+	clear(s.PerClass)
+	s.Executed, s.Steals, s.Skipped, s.Searches, s.SearchHits = 0, 0, 0, 0, 0
+	for i := range sig.workers {
+		w := &sig.workers[i]
+		e := atomic.LoadUint64(&w.executed)
+		s.PerWorker[i] = e
+		s.PerClass[r.classOf[i]] += e
+		s.Executed += e
+		s.Steals += atomic.LoadUint64(&w.steals)
+		s.Skipped += atomic.LoadUint64(&w.skipped)
+		s.Searches += atomic.LoadUint64(&w.searches)
+		s.SearchHits += atomic.LoadUint64(&w.searchHits)
+	}
+	s.Panics = sig.panics.Load()
+	s.Retries = sig.retries.Load()
+	s.DeadlineMisses = sig.deadlineMiss.Load()
+	s.Quarantined = sig.quarantined.Load()
+	s.Parks = sig.parks.Load()
+	s.Wakes = sig.wakes.Load()
 	s.FlightEvents = 0
 	if r.rec != nil {
 		s.FlightEvents = r.rec.EventCount()
@@ -746,8 +750,6 @@ func (r *Runtime) StatsInto(s *Stats) {
 		s.Adaptive.Samples = c.samples.Load()
 		s.Adaptive.Decisions = c.decisions.Load()
 	}
-	s.PerWorker = append(s.PerWorker[:0], smp.PerWorker...)
-	s.PerClass = append(s.PerClass[:0], smp.PerClass...)
 }
 
 // Graph exports the dependence graph of everything submitted so far as a

@@ -59,11 +59,6 @@ func newShards(n int) []*depShard {
 	return shards
 }
 
-// ResolveShards reports the shard count a runtime built with WithShards(n)
-// will use — for tooling that sweeps shard counts and needs to recognise
-// requests that resolve to the same configuration.
-func ResolveShards(n int) int { return resolveShards(n) }
-
 // resolveShards turns the WithShards option into the actual shard count:
 // 0 (auto) becomes the next power of two ≥ GOMAXPROCS, everything is
 // clamped to [1, maxShards].

@@ -27,8 +27,9 @@ type workerSig struct {
 var _ [0]struct{} = [unsafe.Sizeof(workerSig{}) - 64]struct{}{}
 
 // signals is the runtime's self-observation layer: the one set of cheap
-// counters every hot path already touches, from which both the public
-// Stats snapshot and the adaptive controller's samples are derived. The
+// counters every hot path already touches, from which the public Stats
+// snapshot is derived (the adaptive controller reads one figure beside it,
+// the scheduler's queued-task count). The
 // per-worker counters live in workers (padded, owner-bumped); the
 // cross-cutting ones — park/wake churn, the fault counters — are single
 // atomics bumped at the schedulers' slow-path sites only, so the busy
@@ -50,37 +51,10 @@ type signals struct {
 	retries      atomic.Uint64
 	deadlineMiss atomic.Uint64
 	quarantined  atomic.Uint64
-	// epoch numbers sampleSignals snapshots; the flight-recorder signals
-	// event carries it, and the verifier matches decision events to the
-	// sample epoch they were reasoned from.
-	epoch atomic.Uint64
 }
 
 func newSignals(workers int) *signals {
 	return &signals{workers: make([]workerSig, workers)}
-}
-
-// signalSample is one epoch snapshot of the signals layer — what the
-// adaptive controller reasons from, and the aggregation StatsInto serves.
-// Counters are cumulative; PerWorker/PerClass reuse their capacity across
-// samples, so a warmed sample is refilled with zero allocations.
-type signalSample struct {
-	Epoch      uint64
-	Submitted  uint64
-	Executed   uint64
-	Steals     uint64
-	Skipped    uint64
-	Parks      uint64
-	Wakes      uint64
-	Searches   uint64
-	SearchHits uint64
-	// Pending is the number of queued (ready, undispatched) tasks at
-	// sample time — the one figure the controller's rule reads.
-	Pending int64
-	// PerWorker and PerClass are cumulative executed counts by worker and
-	// by class.
-	PerWorker []uint64
-	PerClass  []uint64
 }
 
 // resized returns s with length n, reusing its capacity when it suffices.
@@ -89,33 +63,4 @@ func resized[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// sampleSignals fills s with an epoch-stamped snapshot of the signals
-// layer, reusing s's slice capacity — allocation-free once s has been
-// warmed to the pool's worker and class counts. Each call advances the
-// epoch. This is the one place the per-worker blocks are read: the totals
-// and the per-class view are both grouped here.
-func (r *Runtime) sampleSignals(s *signalSample) {
-	sig := r.sig
-	s.Epoch = sig.epoch.Add(1)
-	s.Submitted = uint64(atomic.LoadInt64(&r.seq))
-	s.Parks = sig.parks.Load()
-	s.Wakes = sig.wakes.Load()
-	s.PerWorker = resized(s.PerWorker, len(sig.workers))
-	s.PerClass = resized(s.PerClass, len(r.classes))
-	clear(s.PerClass)
-	s.Executed, s.Steals, s.Skipped, s.Searches, s.SearchHits = 0, 0, 0, 0, 0
-	for i := range sig.workers {
-		w := &sig.workers[i]
-		e := atomic.LoadUint64(&w.executed)
-		s.PerWorker[i] = e
-		s.PerClass[r.classOf[i]] += e
-		s.Executed += e
-		s.Steals += atomic.LoadUint64(&w.steals)
-		s.Skipped += atomic.LoadUint64(&w.skipped)
-		s.Searches += atomic.LoadUint64(&w.searches)
-		s.SearchHits += atomic.LoadUint64(&w.searchHits)
-	}
-	s.Pending = r.sched.queued()
 }

@@ -4,6 +4,7 @@ package throughput
 
 import (
 	"context"
+	"math/rand"
 	stdruntime "runtime"
 	"syscall"
 	"testing"
@@ -78,29 +79,57 @@ func TestFlightRecorderBudget(t *testing.T) {
 	)
 	pinTwoCPUs(t)
 	ctx := context.Background()
-	cfg := Config{Workers: 2, Producers: 1, Batch: 16, Keys: 256, Seed: 1}
+	cfg := Config{Workers: 2}
 	body := taskBody(spinGrain(8 * time.Microsecond))
 	arms := [][]runtime.Option{
-		append(poolOpts(cfg, runtime.WorkSteal, 0), runtime.WithQueueBound(128)),
-		append(poolOpts(cfg, runtime.WorkSteal, 0), runtime.WithQueueBound(128),
+		append(poolOpts(cfg, runtime.WorkSteal), runtime.WithQueueBound(128)),
+		append(poolOpts(cfg, runtime.WorkSteal), runtime.WithQueueBound(128),
 			runtime.WithFlightRecorder(flightrec.Options{})),
 	}
 	var st runtime.Stats
 	judgeRatio(t, "recorder on÷off", 1.5, func(m float64) bool { return m <= budget }, func() (PairedRatio, error) {
 		res, err := pairedRounds(ctx, 2*rounds*legTasks, rounds, len(arms), 0, true, func(arm, n int) (time.Duration, error) {
-			el, _, err := leg{
+			return leg{
 				label: "recorder-budget", mode: "batch", tasks: n, opts: arms[arm],
-				submit: func(rt *runtime.Runtime) error {
-					return submitWave(ctx, rt, ScenarioRandom, "batch", n, body, cfg)
-				},
+				submit: func(rt *runtime.Runtime) error { return submitRandomDAG(ctx, rt, n, body) },
 			}.run(ctx, &st)
-			return el, err
 		})
 		if err != nil {
 			return PairedRatio{}, err
 		}
 		return res[1].ratio, nil
 	})
+}
+
+// submitRandomDAG is TestFlightRecorderBudget's workload, from one
+// submitter: n tasks in batches of 16, each with 1–3 dependences of a random
+// mode over a 256-key space (seed 1) — the general random-DAG case,
+// exercising multi-shard lock ordering.
+func submitRandomDAG(ctx context.Context, rt *runtime.Runtime, n int, body runtime.Body) error {
+	const batch, keys, seed = 16, 256, 1
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i += batch {
+		specs := make([]runtime.TaskSpec, 0, min(batch, n-i))
+		for len(specs) < cap(specs) {
+			deps := make([]runtime.Dep, 1+rng.Intn(3))
+			for j := range deps {
+				key := rng.Intn(keys)
+				switch rng.Intn(3) {
+				case 0:
+					deps[j] = runtime.In(key)
+				case 1:
+					deps[j] = runtime.Out(key)
+				default:
+					deps[j] = runtime.InOut(key)
+				}
+			}
+			specs = append(specs, runtime.TaskSpec{Name: "t", Cost: 1, Body: body, Deps: deps})
+		}
+		if _, err := rt.SubmitBatchCtx(ctx, specs); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // The rent check of the one rule the adaptive controller keeps: on the
@@ -122,13 +151,12 @@ func TestAdaptiveClassRuleRent(t *testing.T) {
 	)
 	pinTwoCPUs(t)
 	ctx := context.Background()
-	all := adaptiveArms(1, Config{Workers: workers})
+	all := adaptiveArms(Config{Workers: workers})
 	arms := []adaptiveArm{all[0], all[len(all)-1]} // static worksteal, adaptive (the baseline)
 	var st runtime.Stats
 	judgeRatio(t, "static worksteal÷adaptive", 0.4, func(m float64) bool { return m >= rent }, func() (PairedRatio, error) {
 		res, err := pairedRounds(ctx, 2*rounds*legTasks, rounds, len(arms), 1, true, func(arm, n int) (time.Duration, error) {
-			el, _, err := adaptiveLeg(ctx, arms[arm], "single", n, workers).run(ctx, &st)
-			return el, err
+			return adaptiveLeg(ctx, arms[arm], "single", n, workers).run(ctx, &st)
 		})
 		if err != nil {
 			return PairedRatio{}, err

@@ -3,6 +3,7 @@ package throughput
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/stats"
 	"repro/raa"
@@ -15,7 +16,7 @@ func init() { raa.Register(experiment{}) }
 func (experiment) Name() string { return "throughput" }
 
 func (experiment) Describe() string {
-	return "Submit- and dispatch-path throughput plus criticality-aware placement on a heterogeneous pool: tasks/sec per scenario, scheduler, tracker shard count, and submission mode"
+	return "Task-runtime verdict scenarios: criticality-aware placement on a heterogeneous pool, locality on/off, the adaptive controller vs static arms, and a fault load vs a clean run — tasks/sec per scenario, scheduler and submission mode, every ratio paired and reported with its spread"
 }
 
 func (experiment) Aliases() []string { return []string{"tput"} }
@@ -24,30 +25,17 @@ func (experiment) Aliases() []string { return []string{"tput"} }
 func (experiment) Volatile() bool { return true }
 
 func (experiment) DefaultSpec() raa.Spec {
-	return Config{
-		Shards:    []int{1, 4, 16, 64},
-		Tasks:     40000,
-		Workers:   8,
-		Producers: 8,
-		Batch:     64,
-		Grain:     32,
-		Keys:      256,
-		Seed:      42,
-	}
+	return Config{Tasks: 40000, Workers: 8, Batch: 64, Grain: 32, Seed: 42}
 }
 
 func (experiment) QuickSpec() raa.Spec {
-	return Config{
-		Schedulers: []string{"worksteal"},
-		Shards:     []int{1, 8},
-		Tasks:      3000,
-		Workers:    4,
-		Producers:  4,
-		Batch:      64,
-		Grain:      8,
-		Keys:       64,
-		Seed:       42,
-	}
+	return Config{Schedulers: []string{"worksteal"}, Tasks: 3000, Workers: 4, Batch: 64, Grain: 8, Seed: 42}
+}
+
+// verdictSuffix names the metric a paired scenario's Point.Ratio is reported
+// under.
+var verdictSuffix = map[string]string{
+	ScenarioLocality: "_speedup", ScenarioAdaptive: "_ratio", ScenarioChaos: "_chaos_overhead",
 }
 
 func (e experiment) Run(ctx context.Context, spec raa.Spec) (*raa.Result, error) {
@@ -66,7 +54,7 @@ func (e experiment) Run(ctx context.Context, spec raa.Spec) (*raa.Result, error)
 		Tables:     []*stats.Table{Table(pts)},
 	}
 	for _, p := range pts {
-		key := fmt.Sprintf("%s_%s_%s_shards%d", raa.MetricKey(p.Scenario), raa.MetricKey(p.Scheduler), p.Mode, p.Shards)
+		key := fmt.Sprintf("%s_%s_%s", raa.MetricKey(p.Scenario), raa.MetricKey(p.Scheduler), p.Mode)
 		if p.Scenario == ScenarioLocality {
 			// The window is the locality scenario's sweep axis; bake it
 			// into the key so on/off cells don't collide.
@@ -83,7 +71,7 @@ func (e experiment) Run(ctx context.Context, spec raa.Spec) (*raa.Result, error)
 		}
 		res.Metrics[key+"_tasks_per_sec"] = p.TasksPerSec
 		// Executed is deterministic: it must always equal the task count,
-		// whatever the sharding and batching did.
+		// whatever the scheduler and batching did.
 		res.Metrics[key+"_executed"] = float64(p.Executed)
 		switch p.Scenario {
 		case ScenarioHetero:
@@ -93,24 +81,22 @@ func (e experiment) Run(ctx context.Context, spec raa.Spec) (*raa.Result, error)
 		case ScenarioLocality, ScenarioAdaptive, ScenarioChaos:
 			res.Metrics[key+"_ns_per_task"] = p.NsPerTask
 		}
-		if p.Speedup > 0 {
+		if p.Ratio.Rounds > 0 {
 			// The drift-cancelled verdict of a paired scenario's non-baseline
-			// arm: the median of per-round ratios against its baseline, and
-			// its spread. On the adaptive arm it is the minimum over the
-			// static arms — > 1 means the controller beat every one of them.
-			res.Metrics[key+"_speedup"] = p.Speedup
-			res.Metrics[key+"_speedup_iqr"] = p.Ratio.IQR()
+			// arm, median and spread: a locality-on cell's speedup over
+			// locality-off, a static arm's static÷adaptive elapsed ratio
+			// (> 1: the controller beat this static setting), the faulty
+			// arm's overhead over the clean one.
+			res.Metrics[key+verdictSuffix[p.Scenario]] = p.Ratio.Median
+			res.Metrics[key+verdictSuffix[p.Scenario]+"_iqr"] = p.Ratio.IQR()
 		}
 		if p.AdaptiveDecisions > 0 {
 			res.Metrics[key+"_decisions"] = float64(p.AdaptiveDecisions)
 		}
 		if p.Faulty {
-			// The robustness verdict pair: how much the fault schedule cost
-			// (median of per-round faulty/clean elapsed ratios, and its
-			// spread) and whether every submitted task reached exactly one
-			// terminal state (1.0 is the only acceptable survival).
-			res.Metrics[key+"_chaos_overhead"] = p.ChaosOverhead
-			res.Metrics[key+"_chaos_overhead_iqr"] = p.Ratio.IQR()
+			// The other half of the robustness verdict: whether every
+			// submitted task reached exactly one terminal state (1.0 is the
+			// only acceptable survival).
 			res.Metrics[key+"_chaos_survival"] = p.ChaosSurvival
 		}
 	}
@@ -118,47 +104,13 @@ func (e experiment) Run(ctx context.Context, spec raa.Spec) (*raa.Result, error)
 	return res, nil
 }
 
-// Table renders the sweep: one row per (scenario, scheduler, mode), one
-// column per shard count, cells in Ktasks/s.
+// Table renders the run: one row per cell — (scenario, scheduler, mode) and
+// the scenario's paired-arm variant — with its rate in Ktasks/s.
 func Table(pts []Point) *stats.Table {
-	var shardCols []int
-	seen := map[int]bool{}
+	t := stats.NewTable("Scenario throughput", "scenario", "scheduler", "mode", "variant", "Ktasks/s")
 	for _, p := range pts {
-		if !seen[p.Shards] {
-			seen[p.Shards] = true
-			shardCols = append(shardCols, p.Shards)
-		}
-	}
-	headers := []string{"scenario", "scheduler", "mode", "variant"}
-	for _, s := range shardCols {
-		headers = append(headers, fmt.Sprintf("%d-shard", s))
-	}
-	t := stats.NewTable("Submit throughput (Ktasks/s)", headers...)
-	type rowKey struct {
-		scenario, sched, mode string
-		window                int
-		faulty                bool
-	}
-	cells := map[rowKey]map[int]float64{}
-	var order []rowKey
-	for _, p := range pts {
-		k := rowKey{p.Scenario, p.Scheduler, p.Mode, p.Window, p.Faulty}
-		if cells[k] == nil {
-			cells[k] = map[int]float64{}
-			order = append(order, k)
-		}
-		cells[k][p.Shards] = p.TasksPerSec
-	}
-	for _, k := range order {
-		row := []string{k.scenario, k.sched, k.mode, variantLabel(k.scenario, k.window, k.faulty)}
-		for _, s := range shardCols {
-			if v, ok := cells[k][s]; ok {
-				row = append(row, fmt.Sprintf("%.0f", v/1e3))
-			} else {
-				row = append(row, "-")
-			}
-		}
-		t.AddRow(row...)
+		t.AddRow(p.Scenario, p.Scheduler, p.Mode, variantLabel(p.Scenario, p.Window, p.Faulty),
+			fmt.Sprintf("%.0f", p.TasksPerSec/1e3))
 	}
 	return t
 }
@@ -189,51 +141,13 @@ func variantLabel(scenario string, window int, faulty bool) string {
 	}
 }
 
-// summarize produces the headline notes: per scenario, the best sharded
-// speedup over the 1-shard baseline and the best batched speedup over
-// per-task submission, at matched configurations.
+// summarize produces the headline notes: one block per scenario, each
+// ratio as the paired driver's median with its quartiles.
 func summarize(pts []Point) []string {
-	type cfg struct {
-		scenario, sched, mode string
-		shards, window        int
-		faulty                bool
-	}
-	rate := map[cfg]float64{}
-	for _, p := range pts {
-		rate[cfg{p.Scenario, p.Scheduler, p.Mode, p.Shards, p.Window, p.Faulty}] = p.TasksPerSec
-	}
-	shardGain := map[string]float64{}
-	batchGain := map[string]float64{}
-	for c, v := range rate {
-		if c.shards > 1 {
-			if base := rate[cfg{c.scenario, c.sched, c.mode, 1, c.window, c.faulty}]; base > 0 {
-				if g := v / base; g > shardGain[c.scenario] {
-					shardGain[c.scenario] = g
-				}
-			}
-		}
-		if c.mode == "batch" {
-			if base := rate[cfg{c.scenario, c.sched, "single", c.shards, c.window, c.faulty}]; base > 0 {
-				if g := v / base; g > batchGain[c.scenario] {
-					batchGain[c.scenario] = g
-				}
-			}
-		}
-	}
-	var notes []string
-	for _, s := range Scenarios() {
-		if g, ok := shardGain[s]; ok {
-			notes = append(notes, fmt.Sprintf("%s: best sharded speedup over 1-shard baseline %.2fx", s, g))
-		}
-		if g, ok := batchGain[s]; ok {
-			notes = append(notes, fmt.Sprintf("%s: best SubmitBatch speedup over per-task Submit %.2fx", s, g))
-		}
-	}
-	notes = append(notes, localityNotes(pts)...)
+	notes := localityNotes(pts)
 	notes = append(notes, heteroNotes(pts)...)
 	notes = append(notes, adaptiveNotes(pts)...)
-	notes = append(notes, chaosNotes(pts)...)
-	return notes
+	return append(notes, chaosNotes(pts)...)
 }
 
 // chaosNotes summarises the chaos scenario: the worst (largest) per-cell
@@ -248,7 +162,7 @@ func chaosNotes(pts []Point) []string {
 			continue
 		}
 		seen = true
-		if p.ChaosOverhead > worst.ChaosOverhead {
+		if p.Ratio.Median > worst.Ratio.Median {
 			worst = p
 		}
 		if p.ChaosSurvival < survival {
@@ -263,37 +177,35 @@ func chaosNotes(pts []Point) []string {
 		survival, worst.Ratio, worst.Scheduler, worst.Mode)}
 }
 
-// bestSpeedup returns the scenario's non-baseline cell with the largest
-// paired speedup; ok is false when the sweep holds none.
-func bestSpeedup(pts []Point, scenario string) (best Point, ok bool) {
+// adaptiveNotes summarises the adaptive scenario, one line per static arm
+// and mode: that arm's elapsed time over the controller arm's (> 1 means
+// the monitor→reason→adapt controller beat that static setting), then how
+// many policy decisions the controller applied to get there.
+func adaptiveNotes(pts []Point) []string {
+	var notes []string
 	for _, p := range pts {
-		if p.Scenario == scenario && p.Speedup > best.Speedup {
-			best = p
+		switch {
+		case p.Scenario != ScenarioAdaptive:
+		case p.Ratio.Rounds > 0:
+			notes = append(notes, fmt.Sprintf("adaptive: static %s ÷ the adaptive controller: %v (%s mode)", p.Scheduler, p.Ratio, p.Mode))
+		case p.AdaptiveDecisions > 0:
+			notes = append(notes, fmt.Sprintf("adaptive: %d policy decisions applied (%s mode)", p.AdaptiveDecisions, p.Mode))
 		}
 	}
-	return best, best.Speedup > 0
-}
-
-// adaptiveNotes summarises the adaptive scenario: the controller arm's
-// worst-case advantage over the static arms (Point.Speedup is already the
-// minimum over arms of the median per-round ratio) and how many policy
-// decisions produced it.
-func adaptiveNotes(pts []Point) []string {
-	best, ok := bestSpeedup(pts, ScenarioAdaptive)
-	if !ok {
-		return nil
-	}
-	return []string{fmt.Sprintf(
-		"adaptive: the monitor→reason→adapt controller vs the best static arm: %v (%s mode, %d decisions applied)",
-		best.Ratio, best.Mode, best.AdaptiveDecisions)}
+	return notes
 }
 
 // localityNotes summarises the locality scenario: the best locality-on
 // cell's drift-cancelled speedup over its locality-off baseline, with the
 // ns/task view.
 func localityNotes(pts []Point) []string {
-	best, ok := bestSpeedup(pts, ScenarioLocality)
-	if !ok {
+	var best Point
+	for _, p := range pts {
+		if p.Scenario == ScenarioLocality && p.Ratio.Median > best.Ratio.Median {
+			best = p
+		}
+	}
+	if best.Ratio.Rounds == 0 {
 		return nil
 	}
 	return []string{fmt.Sprintf(
@@ -302,28 +214,14 @@ func localityNotes(pts []Point) []string {
 }
 
 // heteroNotes summarises the hetero scenario's placement story: per
-// scheduler, the chain-on-fast fraction over every sweep cell (min–max
-// when cells disagree), and cats's best speedup over fifo at a matched
-// (shards, mode) configuration.
+// scheduler, the chain-on-fast fraction over its cells (min–max when the
+// submission modes disagree).
 func heteroNotes(pts []Point) []string {
 	frac := map[string][]float64{}
-	type cell struct {
-		mode   string
-		shards int
-	}
-	rate := map[string]map[cell]float64{}
 	for _, p := range pts {
-		if p.Scenario != ScenarioHetero {
-			continue
+		if p.Scenario == ScenarioHetero {
+			frac[p.Scheduler] = append(frac[p.Scheduler], p.CritOnFast)
 		}
-		frac[p.Scheduler] = append(frac[p.Scheduler], p.CritOnFast)
-		if rate[p.Scheduler] == nil {
-			rate[p.Scheduler] = map[cell]float64{}
-		}
-		rate[p.Scheduler][cell{p.Mode, p.Shards}] = p.TasksPerSec
-	}
-	if len(frac) == 0 {
-		return nil
 	}
 	var notes []string
 	for _, sched := range []string{"cats", "worksteal", "fifo"} {
@@ -331,31 +229,12 @@ func heteroNotes(pts []Point) []string {
 		if !ok {
 			continue
 		}
-		lo, hi := fs[0], fs[0]
-		for _, f := range fs[1:] {
-			if f < lo {
-				lo = f
-			}
-			if f > hi {
-				hi = f
-			}
-		}
+		lo, hi := slices.Min(fs), slices.Max(fs)
 		if lo == hi {
 			notes = append(notes, fmt.Sprintf("hetero: %s ran %.0f%% of the critical chain on the fast class", sched, hi*100))
 		} else {
 			notes = append(notes, fmt.Sprintf("hetero: %s ran %.0f%%–%.0f%% of the critical chain on the fast class across cells", sched, lo*100, hi*100))
 		}
-	}
-	best := 0.0
-	for c, v := range rate["cats"] {
-		if base := rate["fifo"][c]; base > 0 {
-			if g := v / base; g > best {
-				best = g
-			}
-		}
-	}
-	if best > 0 {
-		notes = append(notes, fmt.Sprintf("hetero: best cats speedup over fifo at matched config %.2fx", best))
 	}
 	return notes
 }

@@ -125,13 +125,12 @@ func chainWorkload(cfg Config) []runtime.Body {
 	return bodies
 }
 
-// runLocality measures ScenarioLocality over one (scheduler, shards, mode)
-// cell through pairedRounds, a fresh runtime per leg: one arm per
+// runLocality measures ScenarioLocality over one (scheduler, mode) cell through pairedRounds, a fresh runtime per leg: one arm per
 // configured locality window (default off-vs-on). The baseline is the first
 // locality-off (negative) window, or the first window when none is
 // disabled. Points carry the per-arm totals (all legs summed); the
-// non-baseline ones carry Speedup, the median baseline÷arm ratio.
-func runLocality(ctx context.Context, kind runtime.SchedulerKind, shards int, mode string, cfg Config, st *runtime.Stats) ([]Point, error) {
+// non-baseline ones carry Ratio, the median baseline÷arm speedup.
+func runLocality(ctx context.Context, kind runtime.SchedulerKind, mode string, cfg Config, st *runtime.Stats) ([]Point, error) {
 	wins := cfg.Windows
 	if len(wins) == 0 {
 		wins = []int{-1, 0} // locality off vs on
@@ -145,31 +144,26 @@ func runLocality(ctx context.Context, kind runtime.SchedulerKind, shards int, mo
 	}
 	bodies := chainWorkload(cfg)
 	executed := make([]uint64, len(wins))
-	resolved := 0
 	res, err := pairedRounds(ctx, cfg.Tasks, cfg.PairRounds, len(wins), baseIdx, false, func(vi, n int) (time.Duration, error) {
-		opts := poolOpts(cfg, kind, shards)
+		opts := poolOpts(cfg, kind)
 		if w := wins[vi]; w != 0 {
 			opts = append(opts, runtime.WithLocalityWindow(w))
 		}
-		el, sh, err := leg{
+		el, err := leg{
 			label: ScenarioLocality + "/" + kind.String(), mode: mode, tasks: n, opts: opts,
 			submit: func(rt *runtime.Runtime) error { return submitChains(ctx, rt, mode, n, bodies) },
 		}.run(ctx, st)
-		if err != nil {
-			return 0, err
-		}
-		resolved = sh
 		executed[vi] += st.Executed
-		return el, nil
+		return el, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	pts := make([]Point, len(wins))
 	for vi, w := range wins {
-		p := newPoint(ScenarioLocality, kind.String(), mode, resolved, cfg.Tasks, res[vi].elapsed, executed[vi])
+		p := newPoint(ScenarioLocality, kind.String(), mode, cfg.Tasks, res[vi].elapsed, executed[vi])
 		p.Window = w
-		p.Speedup, p.Ratio = res[vi].ratio.Median, res[vi].ratio
+		p.Ratio = res[vi].ratio
 		pts[vi] = p
 	}
 	return pts, nil
@@ -210,60 +204,45 @@ type adaptiveArm struct {
 // configurations a tuner could have frozen — worksteal as shipped,
 // worksteal with the locality window off, and cats — against worksteal
 // under adaptive control, listed last.
-func adaptiveArms(shards int, cfg Config) []adaptiveArm {
+func adaptiveArms(cfg Config) []adaptiveArm {
 	return []adaptiveArm{
-		{name: "worksteal", opts: heteroOpts(cfg, shards, runtime.WithScheduler(runtime.WorkSteal))},
-		{name: "worksteal-nolocal", opts: heteroOpts(cfg, shards, runtime.WithScheduler(runtime.WorkSteal), runtime.WithLocalityWindow(-1))},
-		{name: "cats", opts: heteroOpts(cfg, shards, runtime.WithScheduler(runtime.CATS))},
-		{name: "adaptive", opts: heteroOpts(cfg, shards,
+		{name: "worksteal", opts: heteroOpts(cfg, runtime.WithScheduler(runtime.WorkSteal))},
+		{name: "worksteal-nolocal", opts: heteroOpts(cfg, runtime.WithScheduler(runtime.WorkSteal), runtime.WithLocalityWindow(-1))},
+		{name: "cats", opts: heteroOpts(cfg, runtime.WithScheduler(runtime.CATS))},
+		{name: "adaptive", opts: heteroOpts(cfg,
 			runtime.WithScheduler(runtime.WorkSteal),
 			runtime.WithAdaptive(runtime.AdaptiveOptions{Period: adaptivePeriod, Hysteresis: adaptiveHysteresis}),
 		)},
 	}
 }
 
-// runAdaptive measures ScenarioAdaptive over one (shards, mode) cell
-// through pairedRounds: every arm executes the same phase-shifting
-// workload, with the adaptive arm as the baseline, so each round
-// contributes one static÷adaptive elapsed ratio per static arm. The
-// adaptive arm's Point carries Speedup = min over static arms of the median
-// per-round ratio (with that arm's spread in Ratio) and the controller's
-// total applied-decision count; static arms report no speedup (they are
-// what it is measured against).
-func runAdaptive(ctx context.Context, shards int, mode string, cfg Config, st *runtime.Stats) ([]Point, error) {
-	arms := adaptiveArms(shards, cfg)
+// runAdaptive measures ScenarioAdaptive over one mode through
+// pairedRounds: every arm executes the same phase-shifting workload, with
+// the adaptive arm as the baseline, so each round contributes one
+// static÷adaptive elapsed ratio per static arm. Every static arm's Point
+// carries its own verdict in Ratio; the adaptive arm's carries the
+// controller's total applied-decision count and no ratio (it is what the
+// others are measured against).
+func runAdaptive(ctx context.Context, mode string, cfg Config, st *runtime.Stats) ([]Point, error) {
+	arms := adaptiveArms(cfg)
 	adaptIdx := len(arms) - 1
-	type totals struct{ executed, decisions uint64 }
-	tot := make([]totals, len(arms))
-	resolved := 0
+	executed := make([]uint64, len(arms))
+	var decisions uint64
 	res, err := pairedRounds(ctx, cfg.Tasks, cfg.PairRounds, len(arms), adaptIdx, true, func(ai, n int) (time.Duration, error) {
-		el, sh, err := adaptiveLeg(ctx, arms[ai], mode, n, cfg.Workers).run(ctx, st)
-		if err != nil {
-			return 0, err
-		}
-		resolved = sh
-		tot[ai].executed += st.Executed
-		tot[ai].decisions += st.Adaptive.Decisions
-		return el, nil
+		el, err := adaptiveLeg(ctx, arms[ai], mode, n, cfg.Workers).run(ctx, st)
+		executed[ai] += st.Executed
+		decisions += st.Adaptive.Decisions // 0 on the static arms' legs
+		return el, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	var verdict PairedRatio
-	for _, static := range res[:adaptIdx] {
-		if verdict.Median == 0 || static.ratio.Median < verdict.Median {
-			verdict = static.ratio
-		}
-	}
 	pts := make([]Point, len(arms))
 	for ai, arm := range arms {
-		p := newPoint(ScenarioAdaptive, arm.name, mode, resolved, cfg.Tasks, res[ai].elapsed, tot[ai].executed)
-		if ai == adaptIdx {
-			p.Speedup, p.Ratio = verdict.Median, verdict
-			p.AdaptiveDecisions = tot[ai].decisions
-		}
-		pts[ai] = p
+		pts[ai] = newPoint(ScenarioAdaptive, arm.name, mode, cfg.Tasks, res[ai].elapsed, executed[ai])
+		pts[ai].Ratio = res[ai].ratio
 	}
+	pts[adaptIdx].AdaptiveDecisions = decisions
 	return pts, nil
 }
 
@@ -365,20 +344,19 @@ const (
 	chaosDeadlineMod = 4 // every 4th task (offset 1) carries a deadline
 )
 
-// runChaos measures ScenarioChaos over one (scheduler, shards, mode) cell
+// runChaos measures ScenarioChaos over one (scheduler, mode) cell
 // through pairedRounds: a clean arm (the baseline) and a fault-injected arm
 // run the identical retry- and deadline-configured workload (the clean arm
 // simply has no injector) on fresh runtimes, and the faulty arm's
-// ChaosOverhead is the median of per-round faulty÷clean elapsed ratios.
+// Ratio is the median of per-round faulty÷clean elapsed ratios.
 // Each faulty leg gets a fresh injector with the same seed, so every leg
 // replays the same deterministic fault schedule; the leg fails hard if any
 // task is lost (terminal states must account for every submission) or if no
 // fault actually fired.
-func runChaos(ctx context.Context, kind runtime.SchedulerKind, shards int, mode string, cfg Config, st *runtime.Stats) ([]Point, error) {
+func runChaos(ctx context.Context, kind runtime.SchedulerKind, mode string, cfg Config, st *runtime.Stats) ([]Point, error) {
 	const clean, faulty = 0, 1
 	type totals struct{ executed, skipped uint64 }
 	var tot [2]totals
-	resolved := 0
 	base := taskBody(cfg.Grain)
 	res, err := pairedRounds(ctx, cfg.Tasks, cfg.PairRounds, 2, clean, true, func(vi, n int) (time.Duration, error) {
 		// On the faulty arm a task error just means the fault schedule
@@ -405,8 +383,8 @@ func runChaos(ctx context.Context, kind runtime.SchedulerKind, shards int, mode 
 			})
 			tolerate = func(error) bool { return true }
 		}
-		el, sh, err := leg{
-			label: ScenarioChaos + "/" + kind.String(), mode: mode, tasks: n, opts: poolOpts(cfg, kind, shards),
+		el, err := leg{
+			label: ScenarioChaos + "/" + kind.String(), mode: mode, tasks: n, opts: poolOpts(cfg, kind),
 			submit:   func(rt *runtime.Runtime) error { return submitChaos(ctx, rt, mode, n, inj, base, cfg) },
 			tolerate: tolerate,
 		}.run(ctx, st)
@@ -422,7 +400,6 @@ func runChaos(ctx context.Context, kind runtime.SchedulerKind, shards int, mode 
 				return 0, fmt.Errorf("throughput: chaos/%s faulty arm injected nothing over %d tasks", kind, n)
 			}
 		}
-		resolved = sh
 		tot[vi].executed += st.Executed
 		tot[vi].skipped += st.Skipped
 		return el, nil
@@ -432,10 +409,10 @@ func runChaos(ctx context.Context, kind runtime.SchedulerKind, shards int, mode 
 	}
 	pts := make([]Point, 2)
 	for vi := range pts {
-		p := newPoint(ScenarioChaos, kind.String(), mode, resolved, cfg.Tasks, res[vi].elapsed, tot[vi].executed)
+		p := newPoint(ScenarioChaos, kind.String(), mode, cfg.Tasks, res[vi].elapsed, tot[vi].executed)
 		if vi == faulty {
 			p.Faulty = true
-			p.ChaosOverhead, p.Ratio = res[vi].ratio.Median, res[vi].ratio
+			p.Ratio = res[vi].ratio
 			// Every leg passed the audit, so the arm's terminal states
 			// account for every one of its cfg.Tasks submissions.
 			p.ChaosSurvival = float64(tot[vi].executed+tot[vi].skipped) / float64(cfg.Tasks)

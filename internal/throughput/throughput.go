@@ -1,23 +1,22 @@
-// Package throughput measures the runtime's scalability on both halves of
-// the task path: the rate at which the sharded dependence tracker can
-// rename tasks (submit side) and the rate at which the scheduler layer can
-// dispatch them (worker side), swept over dependence scenario × scheduler ×
-// shard count × submission mode (per-task Submit vs SubmitBatch). shards=1
-// reproduces the old single-lock renamer as a built-in baseline; the fifo
-// scheduler plays the same role for the lock-free work-stealing dispatch
-// (the steal scenario is built to separate the two), the longrun scenario
-// exercises the steady state of a long-lived service, and the hetero
-// scenario runs a critical chain with fanout on an asymmetric
-// (fast+slow-class) pool to separate criticality-aware placement (cats)
-// from class-blind scheduling — slow workers simulate their speed deficit
-// by spinning proportionally longer, and each cell reports which class ran
-// the chain (Point.CritOnFast).
+// Package throughput holds the runtime's four verdict scenarios — the
+// comparisons that decide something and have no other home: hetero runs a
+// critical chain with fanout on an asymmetric (fast+slow-class) pool to
+// separate criticality-aware placement (cats) from class-blind scheduling —
+// slow workers simulate their speed deficit by spinning proportionally
+// longer, and each cell reports which class ran the chain
+// (Point.CritOnFast); locality, adaptive and chaos are paired comparisons
+// (locality on/off, static arms against the adaptive controller, a fault
+// load against a clean run). Each is swept over scheduler × submission mode
+// (per-task Submit vs SubmitBatch) at the runtime's default shard count.
+// Dependence shapes, producer counts and the shard axis are not swept here:
+// the repo benchmark's per-layer arms and the root benchmarks price them
+// (DESIGN.md § Testing has the number → where-measured table).
 //
 // Every run, whatever the scenario, is one leg (leg.run): a fresh runtime,
 // the scenario's submissions, WaitCtx, a counter snapshot, Shutdown, and an
 // audit that every submitted task reached a terminal state.
 //
-// Every ratio the package reports — locality on/off, adaptive/static,
+// Every ratio the package reports — locality on/off, static/adaptive,
 // faulty/clean — comes from one driver, pairedRounds. Its
 // contract: the task count is split exactly over the rounds (Config.PairRounds,
 // default 3, shrunk so no round holds fewer than two tasks) and each round's
@@ -29,20 +28,19 @@
 // reports a speedup and arm÷baseline where it reports an overhead; the
 // verdict is the median of those per-round ratios, reported with its
 // quartiles and round count (PairedRatio). The baseline arms are: the first
-// locality-off window (locality), the adaptive arm itself (adaptive — each
-// static arm's static÷adaptive ratio is taken and the smallest median is
-// the verdict) and the clean arm (chaos).
+// locality-off window (locality), the adaptive arm itself (adaptive — every
+// static arm carries its own static÷adaptive ratio) and the clean arm
+// (chaos).
 //
-// This package is the exploratory sweep; the numbers a change is gated on
-// come from the repo benchmark under benchmark/.
+// The numbers a change is gated on come from the repo benchmark under
+// benchmark/; the two ratios that are failing checks here are
+// TestFlightRecorderBudget and TestAdaptiveClassRuleRent.
 package throughput
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,32 +49,6 @@ import (
 
 // Scenario names understood by Run.
 const (
-	// ScenarioParallel submits dependence-free tasks: pure tracker and
-	// scheduler overhead, the embarrassingly-parallel best case.
-	ScenarioParallel = "parallel"
-	// ScenarioFanOut submits one writer and N-1 readers of a single key:
-	// every registration contends on one shard.
-	ScenarioFanOut = "fanout"
-	// ScenarioChain submits an inout chain on one key: worst case, the
-	// tracker serialises and so does execution.
-	ScenarioChain = "chain"
-	// ScenarioRandom submits tasks with 1–3 random-mode dependences over
-	// a configurable key space: the general random-DAG case, exercising
-	// multi-shard lock ordering.
-	ScenarioRandom = "random"
-	// ScenarioSteal is dispatch-side pressure: tasks come in small groups
-	// of one root plus stealFan children reading it, so each root's
-	// completion releases a whole fan onto the completing worker's local
-	// queue at once — the other workers must steal to share the load. This
-	// is the scenario the lock-free deque path is built for; a central
-	// single-lock scheduler serialises every one of those pops.
-	ScenarioSteal = "steal"
-	// ScenarioLongRun is the long-lived-service shape: the same runtime
-	// serves many submit→Wait rounds in sequence. It measures sustained
-	// dispatch rate after the pool has drained and re-parked repeatedly
-	// (and, with the default no-trace-retention lifecycle, runs at bounded
-	// memory however many rounds pass).
-	ScenarioLongRun = "longrun"
 	// ScenarioHetero is criticality-aware placement on an asymmetric
 	// pool: a priority-hinted critical chain with a fan of plain tasks
 	// hanging off every link, run on a fast class plus a slow class whose
@@ -96,7 +68,7 @@ const (
 	// payload bounces between workers. The scenario is swept over the
 	// locality-window axis (Config.Windows, default off-vs-default), and
 	// the on/off cells are measured as drift-cancelling paired rounds
-	// (Point.Speedup is the median of per-round ratios) rather than two
+	// (Point.Ratio is the median of per-round ratios) rather than two
 	// back-to-back runs, so machine drift between cells cancels out.
 	ScenarioLocality = "locality"
 	// ScenarioAdaptive is the phase-shifting workload the adaptive
@@ -108,41 +80,25 @@ const (
 	// links stop landing on workers that hold them SlowFactor× longer, fans
 	// want the whole pool — so the scenario compares static arms (worksteal
 	// with and without locality, cats) against worksteal+WithAdaptive as
-	// drift-cancelling paired rounds. The adaptive arm's Point.Speedup is
-	// the minimum over the static arms of the median per-round ratio: > 1
-	// means adaptation beat every static setting, not just the weakest.
-	// Unlike the other scenarios this one does not sweep the scheduler
-	// axis — the scheduler configurations are its arms.
+	// drift-cancelling paired rounds. Every static arm's Point.Ratio is its
+	// own median per-round static÷adaptive elapsed ratio: > 1 means the
+	// controller beat that static setting. Unlike the other scenarios this
+	// one does not sweep the scheduler axis — the scheduler configurations
+	// are its arms.
 	ScenarioAdaptive = "adaptive"
 	// ScenarioChaos is throughput under faults: the same retry- and
 	// deadline-configured workload runs twice per paired round — a clean
 	// arm (no injector) against a faulty arm whose bodies are wrapped by a
 	// seeded chaos injector making a deterministic ~4% of them panic, fail,
-	// or stall. The faulty arm's Point carries ChaosOverhead (median of
-	// per-round faulty/clean elapsed ratios — the price of recovery under
-	// an active fault load) and ChaosSurvival (the fraction of submitted
+	// or stall. The faulty arm's Point carries Ratio (median of per-round
+	// faulty/clean elapsed ratios — the price of recovery under an active
+	// fault load) and ChaosSurvival (the fraction of submitted
 	// tasks that reached exactly one terminal state — 1.0 is the only
 	// acceptable verdict, and the leg errors out on any lost task). The
 	// clean arm doubles as the recovery-machinery-idle baseline: its
 	// tasks carry the same retry policies and deadlines, unexercised.
 	ScenarioChaos = "chaos"
 )
-
-// stealFan is the children-per-root fan-out of ScenarioSteal.
-const stealFan = 15
-
-// stealKey identifies one ScenarioSteal group's root datum. An int64 key
-// (producer in the high bits, group in the low) takes the tracker's inline
-// integer-hash path, keeping the scenario a dispatch-side measurement
-// instead of a key-hashing one — int64 so the shift is sound on 32-bit
-// platforms too.
-func stealKey(producer, group int) int64 {
-	return int64(producer)<<32 | int64(group)
-}
-
-// defaultRounds is the round count of ScenarioLongRun when Config.Rounds
-// is unset.
-const defaultRounds = 8
 
 // heteroFan is the plain tasks hanging off each chain link of
 // ScenarioHetero.
@@ -167,23 +123,19 @@ const defaultPairRounds = 3
 
 // Scenarios lists every scenario in presentation order.
 func Scenarios() []string {
-	return []string{ScenarioParallel, ScenarioFanOut, ScenarioChain, ScenarioRandom, ScenarioSteal, ScenarioLongRun, ScenarioHetero, ScenarioLocality, ScenarioAdaptive, ScenarioChaos}
+	return []string{ScenarioHetero, ScenarioLocality, ScenarioAdaptive, ScenarioChaos}
 }
 
-// Config parameterises a sweep. It is also the spec of the registered
+// Config parameterises a run. It is also the spec of the registered
 // "throughput" experiment: the JSON names are the -spec wire names.
 type Config struct {
-	// Scenarios, Schedulers and Shards are the sweep axes (empty Scenarios
-	// or Schedulers = all; Shards 0 = auto-size).
+	// Scenarios and Schedulers are the sweep axes (empty = all).
 	Scenarios  []string `json:"scenarios,omitempty"`
 	Schedulers []string `json:"schedulers,omitempty"`
-	Shards     []int    `json:"shards"`
 	// Tasks is the task count per run.
 	Tasks int `json:"tasks"`
 	// Workers is the pool size.
 	Workers int `json:"workers"`
-	// Producers is the number of concurrent submitting goroutines.
-	Producers int `json:"producers"`
 	// Batch, when > 1, additionally measures SubmitBatch in chunks of
 	// this size alongside the per-task Submit mode.
 	Batch int `json:"batch"`
@@ -191,21 +143,15 @@ type Config struct {
 	// ScenarioAdaptive ignores it: its verdict is only meaningful at the
 	// scenario's own grain (adaptiveGrain).
 	Grain int `json:"grain"`
-	// Keys is the key-space size for ScenarioRandom.
-	Keys int `json:"keys"`
-	// Rounds is the submit→Wait round count for ScenarioLongRun
-	// (default 8).
-	Rounds int `json:"rounds,omitempty"`
-	// FastWorkers is the fast-class pool size of ScenarioHetero; the
-	// remaining Workers form the slow class, and the total always equals
-	// Workers (so hetero cells compare against the other scenarios').
-	// 0 defaults to a quarter of the pool; the value is clamped to
-	// [1, Workers-1] so at least one worker of each class exists
-	// (a single-worker pool keeps just the fast class).
+	// FastWorkers is the fast-class pool size of ScenarioHetero and
+	// ScenarioAdaptive; the remaining Workers form the slow class, and the
+	// total always equals Workers. 0 defaults to a quarter of the pool; the
+	// value is clamped to [1, Workers-1] so at least one worker of each
+	// class exists (a single-worker pool keeps just the fast class).
 	FastWorkers int `json:"fast_workers,omitempty"`
-	// SlowFactor is ScenarioHetero's simulated asymmetry: slow-class
-	// workers spin SlowFactor× the nominal grain per task (their class
-	// speed is 1/SlowFactor). 0 defaults to 4.
+	// SlowFactor is the simulated asymmetry of those two scenarios:
+	// slow-class workers spin SlowFactor× the nominal grain per task (their
+	// class speed is 1/SlowFactor). 0 defaults to 4.
 	SlowFactor float64 `json:"slow_factor,omitempty"`
 	// Windows is ScenarioLocality's sweep axis: the locality-window values
 	// to run the scenario under. 0 means the runtime default window,
@@ -219,16 +165,15 @@ type Config struct {
 	// PairRounds is the round count of the paired scenarios (locality,
 	// adaptive, chaos; 0 = 3) — see pairedRounds.
 	PairRounds int `json:"pair_rounds,omitempty"`
-	// Seed makes the random-DAG dependence streams reproducible.
+	// Seed makes ScenarioChaos's fault schedule reproducible.
 	Seed int64 `json:"seed"`
 }
 
-// Point is one measured run of the sweep.
+// Point is one measured cell: one arm of one scenario under one scheduler
+// and submission mode.
 type Point struct {
 	Scenario  string
 	Scheduler string
-	// Shards is the resolved shard count the runtime used.
-	Shards int
 	// Mode is "single" (per-task Submit) or "batch" (SubmitBatch).
 	Mode  string
 	Tasks int
@@ -247,18 +192,19 @@ type Point struct {
 	// Window is the locality window this cell ran under (ScenarioLocality
 	// only): 0 is the runtime default, negative is locality disabled.
 	Window int
-	// Speedup is the drift-cancelled speedup of this cell over its paired
-	// baseline (locality-off), reported as the median of per-round ratios. 0 on baseline cells and on scenarios
-	// that are not measured in paired rounds.
-	Speedup float64
-	// Ratio is the driver's full verdict behind Speedup or ChaosOverhead:
-	// the same median with its quartiles and round count. Zero wherever
-	// those are.
+	// Ratio is the driver's verdict on a paired scenario's non-baseline
+	// arm — the median of per-round elapsed ratios with its quartiles and
+	// round count: on a ScenarioLocality cell its drift-cancelled speedup
+	// over the locality-off baseline (off÷on), on each of ScenarioAdaptive's
+	// static arms static÷adaptive, on ScenarioChaos's faulty arm the
+	// fault-load overhead faulty÷clean — how much slower the same workload
+	// ran with the fault schedule active, recovery included. Zero on
+	// baseline arms and on ScenarioHetero.
 	Ratio PairedRatio
 	// AdaptiveDecisions is the number of policy changes the adaptive
 	// controller applied over this cell's legs (ScenarioAdaptive's adaptive
-	// arm only) — the evidence that a reported speedup came from online
-	// adaptation rather than a lucky static setting.
+	// arm only) — the evidence that the static arms' ratios came from
+	// online adaptation rather than a lucky static setting.
 	AdaptiveDecisions uint64
 	// NsPerTask is the headline latency view of the rate: Elapsed/Tasks in
 	// nanoseconds.
@@ -266,10 +212,6 @@ type Point struct {
 	// Faulty marks ScenarioChaos's injected arm; false on its clean
 	// baseline arm (and on every other scenario).
 	Faulty bool
-	// ChaosOverhead is ScenarioChaos's faulty-arm verdict: the median of
-	// per-round faulty/clean elapsed ratios — how much slower the same
-	// workload ran with the fault schedule active, recovery included.
-	ChaosOverhead float64
 	// ChaosSurvival is the fraction of the faulty arm's submitted tasks
 	// that reached exactly one terminal state (executed or skipped); the
 	// run is only reported at all if the pool stayed alive to the end.
@@ -277,11 +219,10 @@ type Point struct {
 }
 
 // newPoint builds a Point from a cell's identity and its measured totals.
-func newPoint(scenario, sched, mode string, shards, tasks int, elapsed time.Duration, executed uint64) Point {
+func newPoint(scenario, sched, mode string, tasks int, elapsed time.Duration, executed uint64) Point {
 	return Point{
 		Scenario:    scenario,
 		Scheduler:   sched,
-		Shards:      shards,
 		Mode:        mode,
 		Tasks:       tasks,
 		Elapsed:     elapsed,
@@ -294,14 +235,15 @@ func newPoint(scenario, sched, mode string, shards, tasks int, elapsed time.Dura
 // sink defeats dead-code elimination of the spin bodies.
 var sink uint64
 
-// Run executes the sweep. Every scenario and scheduler name is validated
-// before the first runtime is built; cancellation is observed between runs.
+// Run executes the configured scenarios. Every scenario and scheduler name
+// is validated before the first runtime is built; cancellation is observed
+// between runs.
 func Run(ctx context.Context, cfg Config) ([]Point, error) {
 	if cfg.Tasks <= 0 {
 		return nil, fmt.Errorf("throughput: non-positive task count %d", cfg.Tasks)
 	}
-	if cfg.Workers <= 0 || cfg.Producers <= 0 {
-		return nil, fmt.Errorf("throughput: workers (%d) and producers (%d) must be positive", cfg.Workers, cfg.Producers)
+	if cfg.Workers <= 0 {
+		return nil, fmt.Errorf("throughput: non-positive worker count %d", cfg.Workers)
 	}
 	if len(cfg.Scenarios) == 0 {
 		cfg.Scenarios = Scenarios()
@@ -322,64 +264,45 @@ func Run(ctx context.Context, cfg Config) ([]Point, error) {
 		}
 		kinds[i] = kind
 	}
-	if len(cfg.Shards) == 0 {
-		cfg.Shards = []int{1, 0}
-	}
-	// Distinct requests can resolve to the same shard count (0 = auto, or
-	// clamping) — dedupe on the resolved value so sweep cells and metric
-	// keys never silently overwrite each other.
-	shardCounts := make([]int, 0, len(cfg.Shards))
-	for _, s := range cfg.Shards {
-		if rs := runtime.ResolveShards(s); !slices.Contains(shardCounts, rs) {
-			shardCounts = append(shardCounts, rs)
-		}
-	}
-	cfg.Shards = shardCounts
-	if cfg.Keys <= 0 {
-		cfg.Keys = 256
-	}
 	modes := []string{"single"}
 	if cfg.Batch > 1 {
 		modes = append(modes, "batch")
 	}
 	var out []Point
-	// One Stats buffer for the whole sweep: every leg samples counters
+	// One Stats buffer for the whole run: every leg samples counters
 	// through StatsInto, so per-cell reporting reuses these slices.
 	var st runtime.Stats
 	for _, scenario := range cfg.Scenarios {
 		// The adaptive scenario's arms are scheduler configurations, so it
-		// runs once per (shards, mode) cell, not once per swept scheduler.
+		// runs once per mode, not once per swept scheduler.
 		cellKinds := kinds
 		if scenario == ScenarioAdaptive {
 			cellKinds = kinds[:1]
 		}
 		for _, kind := range cellKinds {
-			for _, shards := range cfg.Shards {
-				for _, mode := range modes {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					// The paired scenarios compare arms over drift-cancelling
-					// rounds and produce one Point per arm; every other
-					// scenario is a single run.
-					var ps []Point
-					var err error
-					switch scenario {
-					case ScenarioLocality:
-						ps, err = runLocality(ctx, kind, shards, mode, cfg, &st)
-					case ScenarioAdaptive:
-						ps, err = runAdaptive(ctx, shards, mode, cfg, &st)
-					case ScenarioChaos:
-						ps, err = runChaos(ctx, kind, shards, mode, cfg, &st)
-					default:
-						ps = make([]Point, 1)
-						ps[0], err = runOne(ctx, scenario, kind, shards, mode, cfg, &st)
-					}
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, ps...)
+			for _, mode := range modes {
+				if err := ctx.Err(); err != nil {
+					return nil, err
 				}
+				// The paired scenarios compare arms over drift-cancelling
+				// rounds and produce one Point per arm; hetero is a single
+				// run.
+				var ps []Point
+				var err error
+				switch scenario {
+				case ScenarioLocality:
+					ps, err = runLocality(ctx, kind, mode, cfg, &st)
+				case ScenarioAdaptive:
+					ps, err = runAdaptive(ctx, mode, cfg, &st)
+				case ScenarioChaos:
+					ps, err = runChaos(ctx, kind, mode, cfg, &st)
+				default:
+					ps, err = runHetero(ctx, kind, mode, cfg, &st)
+				}
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, ps...)
 			}
 		}
 	}
@@ -406,24 +329,23 @@ type leg struct {
 
 // run executes the leg: runtime.New → submit → WaitCtx → StatsInto →
 // Shutdown → lost-task audit. The elapsed time covers submission through
-// Wait. The counter snapshot is left in st (the sweep's shared buffer, so
+// Wait. The counter snapshot is left in st (the run's shared buffer, so
 // reporting allocates nothing) for the caller to read scenario-specific
-// counters from; shards is the resolved shard count the runtime used.
-func (l leg) run(ctx context.Context, st *runtime.Stats) (elapsed time.Duration, shards int, err error) {
+// counters from.
+func (l leg) run(ctx context.Context, st *runtime.Stats) (time.Duration, error) {
 	rt := runtime.New(l.opts...)
 	defer rt.Shutdown()
 	start := time.Now()
 	if err := l.submit(rt); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	// WaitCtx drains fully before surfacing task errors, so a tolerated
 	// error still leaves every task terminal.
 	if err := rt.WaitCtx(ctx); err != nil && (ctx.Err() != nil || l.tolerate == nil || !l.tolerate(err)) {
-		return 0, 0, err
+		return 0, err
 	}
-	elapsed = time.Since(start)
+	elapsed := time.Since(start)
 	rt.StatsInto(st)
-	shards = rt.Shards()
 	// Exactly one terminal state per submission: executed (terminally
 	// failed included) or, under a fault load only, skipped.
 	terminal := st.Executed
@@ -431,119 +353,38 @@ func (l leg) run(ctx context.Context, st *runtime.Stats) (elapsed time.Duration,
 		terminal += st.Skipped
 	}
 	if terminal != uint64(l.tasks) {
-		return 0, 0, fmt.Errorf("throughput: %s shards=%d %s lost tasks: executed %d, skipped %d of %d",
-			l.label, shards, l.mode, st.Executed, st.Skipped, l.tasks)
+		return 0, fmt.Errorf("throughput: %s %s lost tasks: executed %d, skipped %d of %d",
+			l.label, l.mode, st.Executed, st.Skipped, l.tasks)
 	}
-	return elapsed, shards, nil
+	return elapsed, nil
 }
 
-// poolOpts is the plain pool every homogeneous scenario runs on.
-func poolOpts(cfg Config, kind runtime.SchedulerKind, shards int) []runtime.Option {
-	return []runtime.Option{
-		runtime.WithWorkers(cfg.Workers),
-		runtime.WithScheduler(kind),
-		runtime.WithShards(shards),
-	}
+// poolOpts is the plain pool the homogeneous scenarios run on.
+func poolOpts(cfg Config, kind runtime.SchedulerKind) []runtime.Option {
+	return []runtime.Option{runtime.WithWorkers(cfg.Workers), runtime.WithScheduler(kind)}
 }
 
-// runOne measures one single-run (scenario, scheduler, shards, mode) cell.
-func runOne(ctx context.Context, scenario string, kind runtime.SchedulerKind, shards int, mode string, cfg Config, st *runtime.Stats) (Point, error) {
-	l := leg{label: scenario + "/" + kind.String(), mode: mode, tasks: cfg.Tasks, opts: poolOpts(cfg, kind, shards)}
-	body := taskBody(cfg.Grain)
-	var critOnFast func() float64
-	switch scenario {
-	case ScenarioLongRun:
-		l.submit = func(rt *runtime.Runtime) error { return submitLongRun(ctx, rt, mode, body, cfg) }
-	case ScenarioHetero:
-		l.opts = heteroOpts(cfg, shards, runtime.WithScheduler(kind))
-		l.submit, critOnFast = heteroWorkload(ctx, mode, cfg)
-	case ScenarioFanOut:
-		// The root must be tracked before any reader registers, so it is
-		// submitted ahead of the producers.
-		l.submit = func(rt *runtime.Runtime) error {
-			if _, err := rt.SubmitCtx(ctx, "root", 1, body, runtime.Out("fan-root")); err != nil {
-				return err
-			}
-			return submitWave(ctx, rt, scenario, mode, cfg.Tasks-1, body, cfg)
-		}
-	default:
-		l.submit = func(rt *runtime.Runtime) error {
-			return submitWave(ctx, rt, scenario, mode, cfg.Tasks, body, cfg)
-		}
-	}
-	elapsed, resolved, err := l.run(ctx, st)
+// runHetero measures one (scheduler, mode) cell of ScenarioHetero: a single
+// run whose verdict is the placement fraction, not a ratio.
+func runHetero(ctx context.Context, kind runtime.SchedulerKind, mode string, cfg Config, st *runtime.Stats) ([]Point, error) {
+	submit, critOnFast := heteroWorkload(ctx, mode, cfg)
+	elapsed, err := leg{
+		label: ScenarioHetero + "/" + kind.String(), mode: mode, tasks: cfg.Tasks,
+		opts: heteroOpts(cfg, runtime.WithScheduler(kind)), submit: submit,
+	}.run(ctx, st)
 	if err != nil {
-		return Point{}, err
+		return nil, err
 	}
-	p := newPoint(scenario, kind.String(), mode, resolved, cfg.Tasks, elapsed, st.Executed)
-	if critOnFast != nil {
-		p.CritOnFast = critOnFast()
-	}
-	return p, nil
+	p := newPoint(ScenarioHetero, kind.String(), mode, cfg.Tasks, elapsed, st.Executed)
+	p.CritOnFast = critOnFast()
+	return []Point{p}, nil
 }
 
-// submitWave fans n tasks of the scenario out over cfg.Producers concurrent
-// goroutines and waits for all submissions to land.
-func submitWave(ctx context.Context, rt *runtime.Runtime, scenario, mode string, n int, body runtime.Body, cfg Config) error {
-	var wg sync.WaitGroup
-	errs := make(chan error, cfg.Producers)
-	per := (n + cfg.Producers - 1) / cfg.Producers
-	for p := 0; p < cfg.Producers; p++ {
-		share := per
-		if rem := n - p*per; rem < share {
-			share = rem
-		}
-		if share <= 0 {
-			break
-		}
-		wg.Add(1)
-		go func(producer, share int) {
-			defer wg.Done()
-			errs <- produce(ctx, rt, scenario, mode, producer, share, body, cfg)
-		}(p, share)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// submitLongRun is ScenarioLongRun's workload: one runtime serves Rounds
-// consecutive submit→Wait rounds of dependence-free tasks, so the measured
-// rate includes repeated pool drain/park/wake cycles — the steady state of
-// a long-lived service, not a one-shot burst.
-func submitLongRun(ctx context.Context, rt *runtime.Runtime, mode string, body runtime.Body, cfg Config) error {
-	rounds := cfg.Rounds
-	if rounds <= 0 {
-		rounds = defaultRounds
-	}
-	if rounds > cfg.Tasks {
-		rounds = cfg.Tasks
-	}
-	remaining := cfg.Tasks
-	for round := 0; round < rounds; round++ {
-		// Spread the remaining tasks evenly over the remaining rounds.
-		n := remaining / (rounds - round)
-		remaining -= n
-		if err := submitWave(ctx, rt, ScenarioParallel, mode, n, body, cfg); err != nil {
-			return err
-		}
-		if err := rt.WaitCtx(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// heteroPool resolves ScenarioHetero's class split from the Config. The
-// pool always totals cfg.Workers so hetero cells stay comparable with the
-// other scenarios' cells: FastWorkers is clamped to leave at least one
-// slow worker (a single-worker pool degenerates to one fast worker and no
-// slow class at all).
+// heteroPool resolves the class split of ScenarioHetero's and
+// ScenarioAdaptive's pool from the Config. The pool always totals
+// cfg.Workers: FastWorkers is clamped to leave at least one slow worker (a
+// single-worker pool degenerates to one fast worker and no slow class at
+// all).
 func heteroPool(cfg Config) (fast, slow int, factor float64) {
 	fast = cfg.FastWorkers
 	if fast <= 0 {
@@ -565,15 +406,12 @@ func heteroPool(cfg Config) (fast, slow int, factor float64) {
 
 // heteroOpts is the asymmetric fast+slow pool ScenarioHetero and
 // ScenarioAdaptive run on, plus the arm-specific extras.
-func heteroOpts(cfg Config, shards int, extra ...runtime.Option) []runtime.Option {
+func heteroOpts(cfg Config, extra ...runtime.Option) []runtime.Option {
 	fast, slow, factor := heteroPool(cfg)
-	return append([]runtime.Option{
-		runtime.WithWorkerClasses(
-			runtime.WorkerClass{Name: "fast", Count: fast, Speed: 1},
-			runtime.WorkerClass{Name: "slow", Count: slow, Speed: 1 / factor},
-		),
-		runtime.WithShards(shards),
-	}, extra...)
+	return append([]runtime.Option{runtime.WithWorkerClasses(
+		runtime.WorkerClass{Name: "fast", Count: fast, Speed: 1},
+		runtime.WorkerClass{Name: "slow", Count: slow, Speed: 1 / factor},
+	)}, extra...)
 }
 
 // scaledBody simulates the pool's asymmetry: the body reads its placement
@@ -661,67 +499,6 @@ func submitSpecs(ctx context.Context, rt *runtime.Runtime, mode string, specs []
 	}
 	for _, sp := range specs {
 		if _, err := rt.SubmitPriorityCtx(ctx, sp.Name, sp.Cost, sp.Priority, sp.Body, sp.Deps...); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// produce submits n tasks of the scenario's dependence shape from one
-// producer goroutine, per-task or batched according to mode.
-func produce(ctx context.Context, rt *runtime.Runtime, scenario, mode string, producer, n int, body runtime.Body, cfg Config) error {
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(producer)*7919))
-	deps := func(i int) []runtime.Dep {
-		switch scenario {
-		case ScenarioParallel:
-			return nil
-		case ScenarioFanOut:
-			return []runtime.Dep{runtime.In("fan-root")}
-		case ScenarioChain:
-			return []runtime.Dep{runtime.InOut("chain")}
-		case ScenarioSteal:
-			// Groups of one root writer plus stealFan readers: the root's
-			// completion releases the whole fan at once onto one worker.
-			key := stealKey(producer, i/(stealFan+1))
-			if i%(stealFan+1) == 0 {
-				return []runtime.Dep{runtime.Out(key)}
-			}
-			return []runtime.Dep{runtime.In(key)}
-		default: // ScenarioRandom
-			nd := 1 + rng.Intn(3)
-			ds := make([]runtime.Dep, nd)
-			for j := range ds {
-				key := rng.Intn(cfg.Keys)
-				switch rng.Intn(3) {
-				case 0:
-					ds[j] = runtime.In(key)
-				case 1:
-					ds[j] = runtime.Out(key)
-				default:
-					ds[j] = runtime.InOut(key)
-				}
-			}
-			return ds
-		}
-	}
-	if mode == "batch" {
-		for i := 0; i < n; i += cfg.Batch {
-			sz := cfg.Batch
-			if n-i < sz {
-				sz = n - i
-			}
-			specs := make([]runtime.TaskSpec, sz)
-			for j := range specs {
-				specs[j] = runtime.TaskSpec{Name: "t", Cost: 1, Body: body, Deps: deps(i + j)}
-			}
-			if _, err := rt.SubmitBatchCtx(ctx, specs); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		if _, err := rt.SubmitCtx(ctx, "t", 1, body, deps(i)...); err != nil {
 			return err
 		}
 	}

@@ -2,7 +2,7 @@ package throughput
 
 import (
 	"context"
-	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -10,12 +10,9 @@ import (
 func smallConfig() Config {
 	return Config{
 		Schedulers: []string{"worksteal"},
-		Shards:     []int{1, 4},
 		Tasks:      500,
 		Workers:    2,
-		Producers:  2,
 		Batch:      16,
-		Keys:       16,
 		Seed:       1,
 	}
 }
@@ -26,12 +23,12 @@ func TestRunAllScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// scenarios × schedulers × shards × modes(single, batch); the locality
-	// scenario additionally sweeps its two default window cells (off, on),
-	// the chaos scenario its two arms (clean, faulty), and the adaptive
-	// scenario runs four arms per (shards, mode) cell instead of the
-	// scheduler axis (three extra rows at one configured scheduler).
-	want := (len(Scenarios()) + 1 + 1 + 3) * 1 * 2 * 2
+	// scenarios × schedulers × modes(single, batch); the locality scenario
+	// additionally sweeps its two default window cells (off, on), the chaos
+	// scenario its two arms (clean, faulty), and the adaptive scenario runs
+	// four arms per mode instead of the scheduler axis (three extra rows at
+	// one configured scheduler).
+	want := (len(Scenarios()) + 1 + 1 + 3) * 1 * 2
 	if len(pts) != want {
 		t.Fatalf("got %d points, want %d", len(pts), want)
 	}
@@ -40,12 +37,11 @@ func TestRunAllScenarios(t *testing.T) {
 			// The faulty chaos arm terminally fails some tasks by design:
 			// its accounting check is full survival, not Executed == Tasks.
 			if p.ChaosSurvival != 1 {
-				t.Errorf("chaos faulty arm shards=%d %s: survival %v, want 1",
-					p.Shards, p.Mode, p.ChaosSurvival)
+				t.Errorf("chaos faulty arm %s: survival %v, want 1", p.Mode, p.ChaosSurvival)
 			}
 		} else if p.Executed != uint64(cfg.Tasks) {
-			t.Errorf("%s/%s shards=%d %s: executed %d, want %d",
-				p.Scenario, p.Scheduler, p.Shards, p.Mode, p.Executed, cfg.Tasks)
+			t.Errorf("%s/%s %s: executed %d, want %d",
+				p.Scenario, p.Scheduler, p.Mode, p.Executed, cfg.Tasks)
 		}
 		if p.TasksPerSec <= 0 {
 			t.Errorf("%s: non-positive rate %v", p.Scenario, p.TasksPerSec)
@@ -55,16 +51,20 @@ func TestRunAllScenarios(t *testing.T) {
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	ctx := context.Background()
-	if _, err := Run(ctx, Config{Tasks: 0, Workers: 1, Producers: 1}); err == nil {
+	if _, err := Run(ctx, Config{Tasks: 0, Workers: 1}); err == nil {
 		t.Fatal("zero tasks must be rejected")
 	}
-	if _, err := Run(ctx, Config{Tasks: 10, Workers: 0, Producers: 1}); err == nil {
+	if _, err := Run(ctx, Config{Tasks: 10, Workers: 0}); err == nil {
 		t.Fatal("zero workers must be rejected")
 	}
 	cfg := smallConfig()
-	cfg.Scenarios = []string{"bogus"}
-	if _, err := Run(ctx, cfg); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("unknown scenario = %v, want naming error", err)
+	// "steal" was a scenario of the unpaired sweep (deleted in PR 21): a
+	// retired name is an unknown name.
+	for _, name := range []string{"bogus", "steal"} {
+		cfg.Scenarios = []string{name}
+		if _, err := Run(ctx, cfg); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("unknown scenario %q = %v, want naming error", name, err)
+		}
 	}
 	cfg = smallConfig()
 	cfg.Schedulers = []string{"lifo"}
@@ -76,78 +76,16 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	cfg = smallConfig()
-	cfg.Scenarios = []string{ScenarioParallel, "topolgy"}
+	cfg.Scenarios = []string{ScenarioHetero, "topolgy"}
 	if _, err := Run(cancelled, cfg); err == nil || !strings.Contains(err.Error(), "topolgy") {
 		t.Fatalf("unknown scenario after a valid one = %v, want naming error", err)
 	}
 	// Scheduler parsing must accept any case (the fixed parse path).
 	cfg = smallConfig()
 	cfg.Schedulers = []string{"FIFO"}
-	cfg.Scenarios = []string{ScenarioParallel}
+	cfg.Scenarios = []string{ScenarioHetero}
 	if _, err := Run(ctx, cfg); err != nil {
 		t.Fatalf("upper-case scheduler name rejected: %v", err)
-	}
-}
-
-// Shard requests that resolve to the same count (clamping, 0 = auto) must
-// be deduplicated, not silently overwrite each other's sweep cells.
-func TestRunDedupesResolvedShardCounts(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Scenarios = []string{ScenarioParallel}
-	cfg.Shards = []int{1, 1000, 64} // 1000 clamps to 64: duplicate cell
-	pts, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, p := range pts {
-		k := fmt.Sprintf("%s/%s/%s/%d", p.Scenario, p.Scheduler, p.Mode, p.Shards)
-		if seen[k] {
-			t.Fatalf("duplicate sweep cell for shards=%d", p.Shards)
-		}
-		seen[k] = true
-	}
-	if want := 1 * 1 * 2 * 2; len(pts) != want { // 1 scenario × 1 sched × {1,64} × 2 modes
-		t.Fatalf("got %d points, want %d", len(pts), want)
-	}
-}
-
-// The steal scenario's root+fan grouping must account for task counts that
-// do not divide evenly into groups — the last group simply has fewer
-// children, and every accepted task still executes.
-func TestStealScenarioHandlesRaggedGroups(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Scenarios = []string{ScenarioSteal}
-	cfg.Tasks = 501 // not a multiple of (1 + stealFan) or of Producers
-	pts, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts {
-		if p.Executed != uint64(cfg.Tasks) {
-			t.Errorf("steal shards=%d %s: executed %d, want %d", p.Shards, p.Mode, p.Executed, cfg.Tasks)
-		}
-	}
-}
-
-// The longrun scenario must execute exactly Tasks over its rounds on one
-// runtime, for any rounds/tasks combination.
-func TestLongRunRoundsAccounting(t *testing.T) {
-	for _, rounds := range []int{1, 3, 7} {
-		cfg := smallConfig()
-		cfg.Scenarios = []string{ScenarioLongRun}
-		cfg.Tasks = 500
-		cfg.Rounds = rounds
-		pts, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range pts {
-			if p.Executed != uint64(cfg.Tasks) {
-				t.Errorf("longrun rounds=%d shards=%d %s: executed %d, want %d",
-					rounds, p.Shards, p.Mode, p.Executed, cfg.Tasks)
-			}
-		}
 	}
 }
 
@@ -171,7 +109,14 @@ func TestTableShape(t *testing.T) {
 			t.Errorf("table missing scenario %q:\n%s", scenario, s)
 		}
 	}
-	for _, col := range []string{"1-shard", "4-shard", "single", "batch"} {
+	// One row per point under the header lines, and no per-shard columns.
+	if got, want := strings.Count(strings.TrimSpace(s), "\n")+1, len(pts); got < want {
+		t.Errorf("table has %d lines for %d points:\n%s", got, want, s)
+	}
+	if strings.Contains(s, "-shard") {
+		t.Errorf("table still has a shard column:\n%s", s)
+	}
+	for _, col := range []string{"Ktasks/s", "single", "batch", "off", "def", "clean", "faulty", "worksteal-nolocal"} {
 		if !strings.Contains(s, col) {
 			t.Errorf("table missing %q:\n%s", col, s)
 		}
@@ -184,28 +129,34 @@ func TestSummarizeNotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	notes := summarize(pts)
-	// Shard + batch gain per scenario, one locality on-vs-off note, one
-	// hetero placement note per scheduler in the sweep (a single scheduler
-	// here, and no cats-vs-fifo speedup note without both in the sweep),
-	// the adaptive controller note, and the chaos survival/overhead note.
-	if want := 2*len(Scenarios()) + 4; len(notes) != want {
-		t.Fatalf("got %d notes, want %d (shard + batch gain per scenario + locality + hetero placement + adaptive + chaos):\n%v",
+	// One locality on-vs-off note, one hetero placement note per scheduler
+	// in the run (a single one here), per mode one adaptive note per static
+	// arm plus the decision count, and the chaos survival/overhead note.
+	// Nothing else: every ratio in a note is a pairedRounds verdict.
+	if want := 1 + 1 + 2*(3+1) + 1; len(notes) != want {
+		t.Fatalf("got %d notes, want %d (locality + hetero placement + 2 modes × (3 static arms + decisions) + chaos):\n%v",
 			len(notes), want, notes)
 	}
-	foundHetero, foundLocality := false, false
+	for _, want := range []string{
+		"critical chain on the fast class",
+		"worker-local successor placement",
+		"static worksteal ÷ the adaptive controller",
+		"static worksteal-nolocal ÷ the adaptive controller",
+		"static cats ÷ the adaptive controller",
+		"policy decisions applied",
+		"chaos: survival 1.000",
+	} {
+		if !slices.ContainsFunc(notes, func(n string) bool { return strings.Contains(n, want) }) {
+			t.Errorf("no note containing %q in %v", want, notes)
+		}
+	}
 	for _, n := range notes {
-		if strings.Contains(n, "critical chain on the fast class") {
-			foundHetero = true
+		if strings.Contains(n, "best sharded") || strings.Contains(n, "best SubmitBatch") {
+			t.Errorf("unpaired sweep note survived: %q", n)
 		}
-		if strings.Contains(n, "worker-local successor placement") {
-			foundLocality = true
+		if strings.HasPrefix(n, "adaptive: static") && !strings.Contains(n, "rounds") {
+			t.Errorf("adaptive arm note carries no spread: %q", n)
 		}
-	}
-	if !foundHetero {
-		t.Fatalf("no hetero placement note in %v", notes)
-	}
-	if !foundLocality {
-		t.Fatalf("no locality note in %v", notes)
 	}
 }
 
@@ -215,7 +166,6 @@ func TestSummarizeNotes(t *testing.T) {
 func TestLocalityScenarioCells(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Scenarios = []string{ScenarioLocality}
-	cfg.Shards = []int{1}
 	cfg.Tasks = 300
 	pts, err := Run(context.Background(), cfg)
 	if err != nil {
@@ -254,12 +204,12 @@ func TestLocalityScenarioCells(t *testing.T) {
 }
 
 // The adaptive scenario must produce one cell per arm (three static, one
-// adaptive), execute every task in each, and report the paired speedup and
-// the controller's decision count on the adaptive arm only.
+// adaptive), execute every task in each, report on every static arm its own
+// paired static÷adaptive ratio with a spread, and on the adaptive arm the
+// controller's decision count and no ratio.
 func TestAdaptiveScenarioCells(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Scenarios = []string{ScenarioAdaptive}
-	cfg.Shards = []int{1}
 	cfg.Tasks = 400
 	cfg.Workers = 4
 	pts, err := Run(context.Background(), cfg)
@@ -276,22 +226,36 @@ func TestAdaptiveScenarioCells(t *testing.T) {
 			t.Errorf("adaptive/%s %s: executed %d, want %d", p.Scheduler, p.Mode, p.Executed, cfg.Tasks)
 		}
 		if p.Scheduler == "adaptive" {
-			if p.Speedup <= 0 {
-				t.Errorf("adaptive arm (%s mode) missing its paired speedup", p.Mode)
+			if p.Ratio != (PairedRatio{}) {
+				t.Errorf("adaptive arm (%s mode) carries a ratio against itself: %+v", p.Mode, p.Ratio)
 			}
 			if p.AdaptiveDecisions == 0 {
 				t.Errorf("adaptive arm (%s mode) applied no policy decisions", p.Mode)
 			}
 		} else {
-			if p.Speedup != 0 || p.AdaptiveDecisions != 0 {
-				t.Errorf("static arm %s (%s mode) carries adaptive verdicts (%v, %d)",
-					p.Scheduler, p.Mode, p.Speedup, p.AdaptiveDecisions)
+			if p.Ratio.Median <= 0 || p.Ratio.Rounds == 0 {
+				t.Errorf("static arm %s (%s mode) missing its own paired ratio: %+v", p.Scheduler, p.Mode, p.Ratio)
+			}
+			if p.AdaptiveDecisions != 0 {
+				t.Errorf("static arm %s (%s mode) counts %d controller decisions", p.Scheduler, p.Mode, p.AdaptiveDecisions)
 			}
 		}
 	}
 	for _, a := range []string{"worksteal", "worksteal-nolocal", "cats", "adaptive"} {
 		if !arms[a] {
-			t.Fatalf("sweep missing arm %q: %v", a, arms)
+			t.Fatalf("run missing arm %q: %v", a, arms)
+		}
+	}
+	// Each static arm's verdict reaches the report under its own key.
+	res, err := experiment{}.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []string{"worksteal", "worksteal_nolocal", "cats"} {
+		for _, k := range []string{"adaptive_" + a + "_single_ratio", "adaptive_" + a + "_batch_ratio_iqr"} {
+			if _, ok := res.Metrics[k]; !ok {
+				t.Errorf("metric %q missing from %v", k, res.Metrics)
+			}
 		}
 	}
 }
@@ -304,7 +268,6 @@ func TestHeteroScenarioPlacement(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Scenarios = []string{ScenarioHetero}
 	cfg.Schedulers = []string{"cats", "fifo"}
-	cfg.Shards = []int{1}
 	cfg.Tasks = 400
 	cfg.Workers = 3
 	cfg.FastWorkers = 1
@@ -313,7 +276,7 @@ func TestHeteroScenarioPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 1 * 2 * 1 * 2; len(pts) != want {
+	if want := 1 * 2 * 2; len(pts) != want { // 2 schedulers × 2 modes
 		t.Fatalf("got %d points, want %d", len(pts), want)
 	}
 	for _, p := range pts {
@@ -364,7 +327,6 @@ func TestHeteroScenarioRaggedCounts(t *testing.T) {
 	for _, tasks := range []int{1, 3, 8, 9, 501} {
 		cfg := smallConfig()
 		cfg.Scenarios = []string{ScenarioHetero}
-		cfg.Shards = []int{1}
 		cfg.Tasks = tasks
 		pts, err := Run(context.Background(), cfg)
 		if err != nil {
@@ -384,7 +346,6 @@ func TestHeteroScenarioRaggedCounts(t *testing.T) {
 func TestChaosScenarioCells(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Scenarios = []string{ScenarioChaos}
-	cfg.Shards = []int{1}
 	cfg.Tasks = 600
 	pts, err := Run(context.Background(), cfg)
 	if err != nil {
@@ -398,7 +359,7 @@ func TestChaosScenarioCells(t *testing.T) {
 			if p.Executed != uint64(cfg.Tasks) {
 				t.Errorf("clean arm %s: executed %d, want %d", p.Mode, p.Executed, cfg.Tasks)
 			}
-			if p.ChaosOverhead != 0 || p.ChaosSurvival != 0 {
+			if p.Ratio != (PairedRatio{}) || p.ChaosSurvival != 0 {
 				t.Errorf("clean arm %s carries faulty-arm verdicts: %+v", p.Mode, p)
 			}
 			continue
@@ -406,7 +367,7 @@ func TestChaosScenarioCells(t *testing.T) {
 		if p.ChaosSurvival != 1 {
 			t.Errorf("faulty arm %s: survival %v, want 1 (all tasks terminal)", p.Mode, p.ChaosSurvival)
 		}
-		if p.ChaosOverhead <= 0 {
+		if p.Ratio.Median <= 0 {
 			t.Errorf("faulty arm %s: no overhead ratio measured", p.Mode)
 		}
 		if p.Executed > uint64(cfg.Tasks) {
