@@ -14,11 +14,10 @@ const (
 	// KindReady (submission implied), keeping the external hot path at one
 	// event per submit.
 	KindSubmit Kind = 1 + iota
-	// KindReady: the task's last predecessor resolved and it was marked
-	// stateReady. Recorded inside the mark-ready critical section, so any
-	// event caused by observing the ready state (a CATS bump insert, a
-	// dispatch) is globally sequenced after it. Arg is the ready-time claim
-	// word, Arg2 the priority at ready.
+	// KindReady: the task's last predecessor resolved (or a failed attempt
+	// was re-armed) and the task is about to be pushed to the scheduler.
+	// Recorded before that push, so the dispatch it enables is globally
+	// sequenced after it. Arg is the claim word (see ClaimGen).
 	KindReady
 	// KindDispatch: a worker popped the task and is about to run it. Arg is
 	// the claim word at dispatch; Arg2 is PackDispatch info (stolen flag
@@ -146,7 +145,10 @@ type Event struct {
 }
 
 // ClaimGen extracts the record generation from a claim word carried in
-// Event.Arg (claim = gen<<1 | claimedBit, mirroring the runtime's layout).
+// Event.Arg (claim = gen<<1, mirroring the runtime's layout). Bit 0 is
+// retired: it was the CATS heap's dispatch-claim bit, set in the dispatch,
+// complete, fault and retry events of a CATS run recorded before PR 22 and
+// always zero since; ClaimGen drops it, so old dumps decode unchanged.
 func ClaimGen(claim uint64) uint64 { return claim >> 1 }
 
 // CompleteSelfDispatch in a complete event's Arg2 marks a chain hand-off:

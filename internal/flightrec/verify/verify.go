@@ -181,7 +181,7 @@ type Checker struct {
 	// a late-swept worker ring) can surface one batch BEFORE its
 	// predecessor (the ready on an early-swept ring). Every predecessor's
 	// ring write completes before its successor acquires a sequence number
-	// (markReady records the ready before the readyClaim store that arms a
+	// (markReady records the ready before the scheduler push that arms a
 	// dispatch), so it is collected by the successor's sweep or the next;
 	// and a successor whose predecessor missed its sweep was sequenced after
 	// that sweep began, above the previous sweep's watermark, so it is

@@ -386,18 +386,25 @@ func TestTaskTableBounded(t *testing.T) {
 
 // --- The PR-5 publish-window regression, injected mechanically -------------
 
-// pwRecord models the runtime's pooled task record: the live claim word
-// (gen<<1 | claimedBit) and the readyClaim snapshot taken at mark-ready.
+// The protocol modelled below is retired — readyClaim, the claim bit and
+// duplicate CATS heap entries went in PR 22: a ready task holds one heap
+// entry, so no entry outlives the task life it names. The model stays as a
+// bug generator for the verifier, not a mirror of the runtime: it produces
+// the event stream of a dispatch through an entry from a record's previous
+// life, the shape DispatchNotReady must flag whatever queue lets it happen.
+
+// pwRecord models a pooled task record under that protocol: the live claim
+// word (gen<<1 | claimedBit) and the snapshot of it taken at mark-ready.
 type pwRecord struct {
-	id         uint64
-	claim      uint64
-	readyClaim uint64
+	id        uint64
+	claim     uint64
+	readyWord uint64
 }
 
 // pwEntry models one CATS heap entry: the record plus the claim word the
 // insert snapshotted. snapshotReady selects which word insert reads — the
-// ready-time snapshot (the PR-5 readyClaim fix) or the live claim word
-// (the pre-fix protocol).
+// ready-time snapshot (the PR-5 fix) or the live claim word (the pre-fix
+// protocol).
 type pwEntry struct {
 	rec   *pwRecord
 	claim uint64
@@ -405,7 +412,7 @@ type pwEntry struct {
 
 func pwInsert(rec *pwRecord, snapshotReady bool) pwEntry {
 	if snapshotReady {
-		return pwEntry{rec: rec, claim: atomic.LoadUint64(&rec.readyClaim)}
+		return pwEntry{rec: rec, claim: atomic.LoadUint64(&rec.readyWord)}
 	}
 	return pwEntry{rec: rec, claim: atomic.LoadUint64(&rec.claim)}
 }
@@ -433,10 +440,10 @@ func replayPublishWindow(snapshotReady bool) []flightrec.Event {
 	var s evStream
 	rec := &pwRecord{id: 101}
 
-	// T1 marked ready (readyClaim snapshotted inside the critical section,
+	// T1 marked ready (claim word snapshotted inside the critical section,
 	// and the Ready event recorded there too).
-	atomic.StoreUint64(&rec.readyClaim, rec.claim)
-	s.add(flightrec.KindReady, flightrec.ExternalWorker, rec.id, rec.readyClaim, 0)
+	atomic.StoreUint64(&rec.readyWord, rec.claim)
+	s.add(flightrec.KindReady, flightrec.ExternalWorker, rec.id, rec.readyWord, 0)
 
 	// Concurrent registration bumps T1: early heap insert, then a worker
 	// pops that entry and runs T1 to completion before the original push.
@@ -465,8 +472,8 @@ func replayPublishWindow(snapshotReady bool) []flightrec.Event {
 	// T2's predecessors resolve; it is marked ready and dispatched through
 	// its own entry (which fails its CAS if the stale entry already
 	// claimed the record).
-	atomic.StoreUint64(&rec.readyClaim, atomic.LoadUint64(&rec.claim))
-	s.add(flightrec.KindReady, flightrec.ExternalWorker, rec.id, rec.readyClaim, 0)
+	atomic.StoreUint64(&rec.readyWord, atomic.LoadUint64(&rec.claim))
+	s.add(flightrec.KindReady, flightrec.ExternalWorker, rec.id, rec.readyWord, 0)
 	own := pwInsert(rec, snapshotReady)
 	if pwPop(own) {
 		s.add(flightrec.KindDispatch, 0, rec.id, atomic.LoadUint64(&rec.claim), 0)
@@ -477,7 +484,7 @@ func replayPublishWindow(snapshotReady bool) []flightrec.Event {
 
 // TestPublishWindowRegressionInjection is the mechanical regression for the
 // PR-5 publish-window race: the same interleaving is replayed with the
-// readyClaim fix in place (CATS entries snapshot the ready-time claim word)
+// PR-5 fix in place (CATS entries snapshot the ready-time claim word)
 // and reverted (entries snapshot the live word), and the invariant checker
 // must stay silent on the former and flag the latter. This is the check
 // that would have caught the race without a hand-built stress loop.
@@ -494,6 +501,6 @@ func TestPublishWindowRegressionInjection(t *testing.T) {
 	broken.Feed(nil, false)
 	st := broken.Stats()
 	if st.DispatchNotReady == 0 {
-		t.Fatalf("reverted readyClaim fix not flagged: %+v", st)
+		t.Fatalf("reverted ready-time snapshot not flagged: %+v", st)
 	}
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,16 +141,21 @@ func TestAdaptiveComposesWithClasses(t *testing.T) {
 }
 
 // A constant load must yield zero decisions: an adaptation that fires
-// while nothing about the workload changes is a pure stability cost. A
-// submitter holds the queue bound full of short blocking tasks (so queued
-// work never drops near the pool size, and the controller and submitter
-// always find a free P); only then is the controller attached, so the
-// start-up idle phase is not part of what it observes; after ≥ 2000
-// samples it must not have touched the policy — on a homogeneous pool,
-// where no rule has anything to propose, and on a two-class pool, where
-// the class rule sees "work for everyone" throughout.
+// while nothing about the workload changes is a pure stability cost. The
+// load is one the test controls: a fixed population of short blocking
+// tasks, each of which submits its replacement before it returns, so at
+// every instant at least population − workers tasks are queued however the
+// host schedules the goroutines involved (a submitter goroutine keeping a
+// queue bound full could be descheduled for two controller periods, and the
+// rule then legitimately narrowed). The controller is attached once the
+// population is in, so the start-up idle phase is not part of what it
+// observes; after ≥ 2000 samples it must not have touched the policy — on a
+// homogeneous pool, where no rule has anything to propose, and on a
+// two-class pool, where the class rule sees "work for everyone" throughout.
+// The test reads the same figure beside the controller and fails on a
+// reading below the pool size: that is a queue miscounting, not a flap.
 func TestAdaptiveStableUnderConstantLoad(t *testing.T) {
-	const bound, holdSamples = 1024, 2000
+	const population, holdSamples = 64, 2000
 	for _, tc := range []struct {
 		name string
 		pool Option
@@ -158,50 +164,43 @@ func TestAdaptiveStableUnderConstantLoad(t *testing.T) {
 		{"two-class", heteroAdaptiveClasses()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := New(tc.pool, WithQueueBound(bound))
+			r := New(tc.pool)
 			defer r.Shutdown()
-			stop := make(chan struct{})
-			submitted := make(chan error, 1)
-			go func() {
-				body := func() { time.Sleep(20 * time.Microsecond) }
-				for {
-					select {
-					case <-stop:
-						submitted <- nil
-						return
-					default:
-					}
+			var stop atomic.Bool
+			var body func()
+			body = func() {
+				time.Sleep(20 * time.Microsecond)
+				if !stop.Load() {
 					if _, err := r.Submit("t", 1, body); err != nil {
-						submitted <- err
-						return
+						t.Error(err)
 					}
 				}
-			}()
-			deadline := time.Now().Add(30 * time.Second)
-			for r.Backlog() < bound/2 {
-				if time.Now().After(deadline) {
-					t.Fatalf("load never saturated: backlog %d of %d", r.Backlog(), bound)
+			}
+			// Stop the population before the deferred Shutdown drains it.
+			defer stop.Store(true)
+			for i := 0; i < population; i++ {
+				if _, err := r.Submit("t", 1, body); err != nil {
+					t.Fatal(err)
 				}
-				time.Sleep(time.Millisecond)
 			}
 			// Attached from the goroutine that also reads it (StatsInto,
 			// Shutdown), so the late assignment is not a race.
 			r.ctrl = newAdaptiveController(r, AdaptiveOptions{Period: 100 * time.Microsecond})
 			go r.ctrl.run()
 			var st Stats
+			deadline := time.Now().Add(30 * time.Second)
 			for st.Adaptive.Samples < holdSamples {
 				if time.Now().After(deadline) {
 					t.Fatalf("only %d controller samples in 30s", st.Adaptive.Samples)
 				}
-				time.Sleep(5 * time.Millisecond)
+				if q := r.sched.queued(); q < int64(r.Workers()) {
+					t.Fatalf("%d queued with a population of %d on %d workers", q, population, r.Workers())
+				}
+				time.Sleep(time.Millisecond)
 				r.StatsInto(&st)
 			}
-			// Read while still saturated: the drain below is a real phase
-			// change the controller is free to react to.
-			close(stop)
-			if err := <-submitted; err != nil {
-				t.Fatal(err)
-			}
+			// Read while the population is still in: the drain that follows
+			// is a real phase change the controller is free to react to.
 			if st.Adaptive.Decisions != 0 {
 				t.Fatalf("%d decisions in %d samples at constant load, want 0 (mask %b)",
 					st.Adaptive.Decisions, st.Adaptive.Samples, st.Adaptive.ActiveClasses)

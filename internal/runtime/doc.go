@@ -61,7 +61,9 @@
 //	          heterogeneous pool it is also placement-aware: critical
 //	          tasks go to fast-class workers, and slow workers take
 //	          critical work only when every fast worker is already
-//	          running critical work (saturation).
+//	          running critical work (saturation). A ready task holds one
+//	          heap entry; one that turns critical while queued is
+//	          refiled as critical work when it surfaces.
 //
 // # Worker classes
 //
@@ -114,7 +116,8 @@
 //
 //	submit.go      the six Submit entry points (thin wrappers), submitSpecs
 //	               (the one submission path) and markReady (the one ready
-//	               transition, owner of the record-before-arm ordering rule)
+//	               transition: the recorder's ready event, written before
+//	               the scheduler push that makes the task dispatchable)
 //	shard.go       the sharded dependence tracker (trackDeps, linkPreds)
 //	scheduler.go   the scheduler contract — one interface, no-op defaults
 //	               for the scheduler-specific hooks — and the pieces the

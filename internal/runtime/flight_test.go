@@ -213,10 +213,12 @@ func TestFlightOnlineVerifierCleanStress(t *testing.T) {
 }
 
 // TestFlightCATSPublishWindowStress leans on the exact interleaving behind
-// the PR-5 publish-window race — mark-ready versus a concurrent
-// registration's priority bump on a shared predecessor, under heavy record
-// recycling — with the checker watching. The readyClaim snapshot protocol
-// must keep the timeline violation-free.
+// the PR-5 publish-window race — the ready transition versus a concurrent
+// registration raising the priority of the shared predecessor, under heavy
+// record recycling — with the checker watching. The raise no longer reaches
+// the scheduler (one heap entry per ready task, filed by the push that
+// follows the ready event), so the window is closed by construction; the
+// test keeps it closed: exactly-once dispatch, violation-free timeline.
 func TestFlightCATSPublishWindowStress(t *testing.T) {
 	r := New(WithWorkers(4), WithScheduler(CATS), WithQueueBound(512),
 		WithFlightRecorder(flightrec.Options{PerWorkerEvents: 1 << 14}))
@@ -231,7 +233,7 @@ func TestFlightCATSPublishWindowStress(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			shared := fmt.Sprintf("s%d", g%2) // cross-goroutine bump traffic
+			shared := fmt.Sprintf("s%d", g%2) // cross-goroutine raise traffic
 			for i := 0; i < 2000; i++ {
 				if _, err := r.SubmitPriority("p", 1, i%2, func() {}, InOut(shared)); err != nil {
 					t.Error(err)
@@ -336,35 +338,42 @@ func TestStatsIntoConcurrentCallers(t *testing.T) {
 // — and the one figure the controller reads beside it, the scheduler's
 // queued-task count, must read zero on a drained pool.
 func TestDerivedCountersAgree(t *testing.T) {
-	r := New(WithWorkers(4))
-	defer r.Shutdown()
-	// Serialized chains with periodic fans, then quiet, so every counter
-	// read afterwards is stable.
-	for i := 0; i < 300; i++ {
-		for c := 0; c < 4; c++ {
-			mustSubmit(t, r, "link", []Dep{InOut(c)})
-		}
-		if i%10 == 0 {
-			fan := fmt.Sprintf("fan%d", i)
-			mustSubmit(t, r, "root", []Dep{Out(fan)})
-			for j := 0; j < 12; j++ {
-				mustSubmit(t, r, "leaf", []Dep{In(fan)})
+	eachScheduler(t, func(t *testing.T, kind SchedulerKind) {
+		r := New(WithWorkers(4), WithScheduler(kind))
+		defer r.Shutdown()
+		// Serialized chains with periodic fans, then quiet, so every counter
+		// read afterwards is stable. Submitted task by task, a chain link
+		// gains its successor while queued — under CATS, a raise of an entry
+		// already in the heap.
+		for i := 0; i < 300; i++ {
+			for c := 0; c < 4; c++ {
+				mustSubmit(t, r, "link", []Dep{InOut(c)})
+			}
+			if i%10 == 0 {
+				fan := fmt.Sprintf("fan%d", i)
+				mustSubmit(t, r, "root", []Dep{Out(fan)})
+				for j := 0; j < 12; j++ {
+					mustSubmit(t, r, "leaf", []Dep{In(fan)})
+				}
 			}
 		}
-	}
-	r.Wait()
-	st := r.Stats()
-	var steals, executed uint64
-	for w := range r.sig.workers {
-		steals += r.sig.workers[w].steals
-		executed += r.sig.workers[w].executed
-	}
-	if steals != st.Steals || executed != st.Executed {
-		t.Errorf("Σ per-worker steals, executed = %d, %d; Stats has %d, %d", steals, executed, st.Steals, st.Executed)
-	}
-	if q := r.sched.queued(); q != 0 {
-		t.Errorf("controller's reading of the drained pool: %d queued (want 0)", q)
-	}
+		r.Wait()
+		st := r.Stats()
+		var steals, executed uint64
+		for w := range r.sig.workers {
+			steals += r.sig.workers[w].steals
+			executed += r.sig.workers[w].executed
+		}
+		if steals != st.Steals || executed != st.Executed {
+			t.Errorf("Σ per-worker steals, executed = %d, %d; Stats has %d, %d", steals, executed, st.Steals, st.Executed)
+		}
+		if st.Executed != st.Submitted {
+			t.Errorf("%d executed of %d submitted on the drained pool", st.Executed, st.Submitted)
+		}
+		if q := r.sched.queued(); q != 0 {
+			t.Errorf("controller's reading of the drained pool: %d queued (want 0)", q)
+		}
+	})
 }
 
 // TestFlightRecorderSubmitAllocationFree: the recorder must not reintroduce

@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/flightrec"
+	"repro/internal/flightrec/verify"
 )
 
 // --- worker-class option validation -----------------------------------------
@@ -154,9 +157,9 @@ func TestFastClassCoversTopSpeedTies(t *testing.T) {
 // tasks.
 func TestCATSSlowWorkerPrefersPlainThenFallsBack(t *testing.T) {
 	s := newTestCATS(classLayout{workers: 3, fastN: 1})
-	crit1 := &task{priority: 5, seq: 0}
-	crit2 := &task{priority: 4, seq: 1}
-	plain := &task{priority: 0, seq: 2}
+	crit1 := &task{priority: 5, id: 0}
+	crit2 := &task{priority: 4, id: 1}
+	plain := &task{priority: 0, id: 2}
 	s.push(crit1, -1)
 	s.push(crit2, -1)
 	s.push(plain, -1)
@@ -164,16 +167,16 @@ func TestCATSSlowWorkerPrefersPlainThenFallsBack(t *testing.T) {
 	// The fast worker dispatches the most critical entry: the class is now
 	// saturated (its only fast worker runs critical work).
 	if tk, _ := s.pop(0); tk != crit1 {
-		t.Fatalf("fast pop = seq %d, want the top critical task", tk.seq)
+		t.Fatalf("fast pop = id %d, want the top critical task", tk.id)
 	}
 	// The slow worker prefers plain work even under saturation.
 	if tk, _ := s.pop(2); tk != plain {
-		t.Fatalf("slow pop = seq %d, want the plain task", tk.seq)
+		t.Fatalf("slow pop = id %d, want the plain task", tk.id)
 	}
 	// Only critical work remains and the fast class is saturated: the slow
 	// worker takes it rather than idling the machine.
 	if tk, _ := s.pop(2); tk != crit2 {
-		t.Fatalf("saturated slow pop = seq %d, want the critical task", tk.seq)
+		t.Fatalf("saturated slow pop = id %d, want the critical task", tk.id)
 	}
 	// Completion (taskDone, called by the worker before successors are
 	// released) ends the critical dispatch and with it the saturation;
@@ -187,9 +190,9 @@ func TestCATSSlowWorkerPrefersPlainThenFallsBack(t *testing.T) {
 		t.Fatalf("fastCritRunning = %d after fast taskDone, want 0", s.fastCritRunning)
 	}
 	// Plain dispatches leave the saturation count alone.
-	s.push(&task{priority: 0, seq: 3}, -1)
-	if tk, _ := s.pop(0); tk == nil || tk.seq != 3 {
-		t.Fatalf("fast pop after saturation = %v, want seq 3", tk)
+	s.push(&task{priority: 0, id: 3}, -1)
+	if tk, _ := s.pop(0); tk == nil || tk.id != 3 {
+		t.Fatalf("fast pop after saturation = %v, want id 3", tk)
 	}
 	s.taskDone(0)
 	if s.fastCritRunning != 0 {
@@ -208,7 +211,7 @@ func TestCATSCriticalTaskGoesToIdleFastWorker(t *testing.T) {
 	go func() { tk, _ := s.pop(2); slowGot <- tk }()
 	time.Sleep(20 * time.Millisecond)
 
-	crit := &task{priority: 7, seq: 0}
+	crit := &task{priority: 7, id: 0}
 	s.push(crit, -1)
 	select {
 	case tk := <-fastGot:
@@ -222,15 +225,56 @@ func TestCATSCriticalTaskGoesToIdleFastWorker(t *testing.T) {
 	}
 
 	// The slow worker is still parked; plain work releases it.
-	plain := &task{priority: 0, seq: 1}
+	plain := &task{priority: 0, id: 1}
 	s.push(plain, -1)
 	select {
 	case tk := <-slowGot:
 		if tk != plain {
-			t.Fatalf("slow worker popped seq %d, want the plain task", tk.seq)
+			t.Fatalf("slow worker popped id %d, want the plain task", tk.id)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("slow worker never released")
+	}
+}
+
+// A plain entry raised while queued is critical work from then on: a slow
+// worker is not handed it while the fast class is unsaturated, the fast
+// worker gets it from the crit heap — and once that saturates the class, a
+// second raised entry may leak to the slow worker, a dispatch the
+// verifier's ClassGating judges from the recorded saturation facts.
+func TestCATSRaisedPlainEntryPlacedAsCritical(t *testing.T) {
+	l := classLayout{workers: 2, fastN: 1}
+	rec := flightrec.New(l.workers, flightrec.Options{})
+	defer rec.Close()
+	s := newCATSScheduler(l, newPolicyWords(layoutClassCount(l)), newSignals(l.workers), rec)
+	pushRaised := func(id TaskID) *task {
+		tk := &task{id: id}
+		rec.RecordExternal(flightrec.KindReady, uint64(id), 0, 0)
+		s.push(tk, -1)
+		atomic.StoreInt64(&tk.priority, 3) // what linkPreds does for a new successor
+		return tk
+	}
+	a := pushRaised(1)
+	s.mu.Lock()
+	got, _ := s.take(1)
+	crit, plain := len(s.crit), len(s.plain)
+	s.mu.Unlock()
+	if got != nil || crit != 1 || plain != 0 {
+		t.Fatalf("slow take = %v with crit %d, plain %d; want nothing, the entry refiled (1, 0)", got, crit, plain)
+	}
+	if tk, _ := s.pop(0); tk != a || !s.lastCrit[0] {
+		t.Fatalf("fast pop = %v (from crit: %v), want the raised task from crit", tk, s.lastCrit[0])
+	}
+	// The fast class is saturated now: the slow worker may take the next one.
+	b := pushRaised(2)
+	if tk, _ := s.pop(1); tk != b {
+		t.Fatalf("saturated slow pop = %v, want the second raised task", tk)
+	}
+	chk := verify.New(verify.Options{})
+	chk.Feed(rec.Snapshot(), false)
+	chk.Flush()
+	if st := chk.Stats(); st.Total != 0 || st.Events != 4 {
+		t.Fatalf("verifier on the recorded placement: %+v, want 4 events and no violation", st)
 	}
 }
 

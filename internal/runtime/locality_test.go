@@ -18,7 +18,7 @@ func TestLocalityWindowSpillsToInjector(t *testing.T) {
 	tasks := make([]task, 10)
 	ts := make([]*task, len(tasks))
 	for i := range tasks {
-		tasks[i].seq = int64(i)
+		tasks[i].id = TaskID(i)
 		ts[i] = &tasks[i]
 	}
 	s.pushBatch(ts, 0)
@@ -28,7 +28,7 @@ func TestLocalityWindowSpillsToInjector(t *testing.T) {
 	if got := s.inj.n.Load(); got != int64(len(ts)-window) {
 		t.Fatalf("injector holds %d tasks, want the %d-task spill", got, len(ts)-window)
 	}
-	extra := &task{seq: 99}
+	extra := &task{id: 99}
 	s.push(extra, 0)
 	if got := s.deques[0].size(); got != window {
 		t.Fatalf("single push grew the full deque to %d, want spill at %d", got, window)
@@ -38,8 +38,8 @@ func TestLocalityWindowSpillsToInjector(t *testing.T) {
 	}
 	// The locally-kept tasks are the owner's, LIFO: the newest of the
 	// local prefix pops first.
-	if tk := s.deques[0].popBottom(); tk == nil || tk.seq != int64(window-1) {
-		t.Fatalf("owner pop = %v, want seq %d (LIFO over the local prefix)", tk, window-1)
+	if tk := s.deques[0].popBottom(); tk == nil || tk.id != TaskID(window-1) {
+		t.Fatalf("owner pop = %v, want id %d (LIFO over the local prefix)", tk, window-1)
 	}
 }
 

@@ -82,7 +82,7 @@ func TestWithShardsResolution(t *testing.T) {
 	}
 	for _, c := range cases {
 		r := New(WithWorkers(1), WithShards(c.in))
-		if got := r.Shards(); got != c.want {
+		if got := len(r.shards); got != c.want {
 			t.Errorf("WithShards(%d) resolved to %d, want %d", c.in, got, c.want)
 		}
 		r.Shutdown()
@@ -90,7 +90,7 @@ func TestWithShardsResolution(t *testing.T) {
 	// Auto-sizing: next power of two >= GOMAXPROCS, within [1, maxShards].
 	r := New(WithWorkers(1))
 	defer r.Shutdown()
-	got := r.Shards()
+	got := len(r.shards)
 	if got < 1 || got > maxShards || got&(got-1) != 0 {
 		t.Fatalf("auto shards = %d, want a power of two in [1, %d]", got, maxShards)
 	}

@@ -132,15 +132,6 @@ type TaskID int
 // placement of the body it was handed to.
 type Body func(ctx context.Context) error
 
-type taskState int32
-
-const (
-	statePending taskState = iota // waiting on dependences
-	stateReady                    // in a queue
-	stateRunning
-	stateDone
-)
-
 // inlineArity is the dependence/successor count a task record holds inline.
 // Tasks with at most this many deps (and successors) allocate nothing for
 // them; larger fans spill to a slice that the record keeps (and reuses)
@@ -151,39 +142,26 @@ const inlineArity = 4
 // without WithTraceRetention, complete() retires the record back into the
 // runtime's freelist and a later submission reuses it, so the steady-state
 // task lifecycle performs no heap allocation. Reuse is made safe by the
-// claim word (see below): every reference that can outlive the task — the
-// tracker's lastWriter/readersTail entries and the CATS heap's lazy stale
-// entries — carries the generation it was created under and is ignored
-// once the generations diverge.
+// claim word (see below): the references that can outlive the task — the
+// tracker's lastWriter/readersTail entries — carry the generation they
+// were created under and are ignored once the generations diverge. A
+// scheduler's queue entry never outlives the task: every scheduler holds
+// one entry per ready task, gone at the pop that dispatches it.
 type task struct {
-	id       TaskID
+	id       TaskID // also the submission order, for deterministic tie-breaks
 	name     string
 	cost     float64
 	priority int64 // CATS bottom-level estimate (accessed atomically)
-	// claim packs the record's reuse generation with the dispatch-claim
-	// bit: claim == gen<<1 | claimedBit. A scheduler that may hold more
-	// than one queue entry for the task (the CATS heap's lazy stale-entry
-	// scheme) claims a dispatch by CASing gen<<1 → gen<<1|1, so an entry
-	// from an earlier generation can neither double-dispatch the task nor
-	// hijack a recycled record. complete() retires the record by bumping
-	// the generation (inside its t.mu critical section), which atomically
-	// invalidates every outstanding stale reference.
-	claim uint64
-	// readyClaim is the claim word snapshotted (atomically, under t.mu)
-	// when the task is marked stateReady, just before it is handed to the
-	// scheduler. CATS entries snapshot THIS word rather than the live one:
-	// between the ready transition and the scheduler insert, a concurrent
-	// registration that finds this task as a predecessor may bump it —
-	// inserting it into the heap early — and that early entry can dispatch
-	// the task to completion (and recycling) before the original push
-	// runs. The original push then inserts a late entry for a record that
-	// has moved on; snapshotting the ready-time word makes that late
-	// entry's claim CAS fail on the bumped generation instead of
-	// dispatching a dead or foreign record.
-	readyClaim uint64
-	fn         Body
-	plainFn    func() // plain-function body (Submit); fn wins when both are set
-	ctx        context.Context
+	// claim is the record's reuse generation, kept as gen<<1 — the layout
+	// the flight recorder's events and dumps carry (flightrec.ClaimGen).
+	// Bit 0 is retired: it was the dispatch-claim bit of the CATS heap's
+	// stale-entry protocol and is always zero now. complete() retires the
+	// record by bumping the generation (inside its t.mu critical section),
+	// which atomically invalidates every outstanding reference.
+	claim   uint64
+	fn      Body
+	plainFn func() // plain-function body (Submit); fn wins when both are set
+	ctx     context.Context
 	// onDone is the batch path's per-task completion hook (TaskSpec.OnDone):
 	// called exactly once on the executing worker after the body returns (or
 	// after the skip decision on a cancelled context), strictly before the
@@ -204,17 +182,19 @@ type task struct {
 	// t.mu.
 	skipCause error
 
-	mu    sync.Mutex
-	state taskState
+	mu sync.Mutex
+	// done is set (under mu) by complete: no successor edge may be added
+	// any more. Only linkPreds reads it, under mu with the generation
+	// validated.
+	done bool
 	// npreds is the number of incomplete predecessors.
 	npreds int32
-	seq    int64 // submission order, for deterministic tie-breaks
 
 	// Successors: the common small fan lives in succsInl; wider fans spill
 	// to succsOvf (whose capacity the record keeps across recycles).
 	// Entries are direct pointers, not generation-tagged references: an
 	// edge is added only under the predecessor's mutex with its generation
-	// validated and its state not yet done, so the predecessor's complete
+	// validated and done not yet set, so the predecessor's complete
 	// — the only consumer — always captures each entry exactly once while
 	// the successor is still pending.
 	nsuccs   int32
@@ -247,9 +227,6 @@ type taskRef struct {
 	claim uint64
 }
 
-// gen extracts the generation from a claim word.
-func claimGen(claim uint64) uint64 { return claim >> 1 }
-
 // ref builds a generation-tagged reference to t. Callers must own t or
 // hold a lock that keeps it live (registration does: the task cannot
 // complete before its own submission finishes).
@@ -261,7 +238,7 @@ func (t *task) ref() taskRef {
 // reference was taken. Generations only grow, so true is final; false is
 // exact only under the referent's mutex (see linkPreds).
 func (ref taskRef) dead() bool {
-	return claimGen(atomic.LoadUint64(&ref.t.claim)) != claimGen(ref.claim)
+	return atomic.LoadUint64(&ref.t.claim) != ref.claim
 }
 
 // setDeps installs the declared dependences: inline up to inlineArity,
@@ -598,10 +575,6 @@ func (r *Runtime) WorkerClasses() []WorkerClass {
 	return append([]WorkerClass(nil), r.classes...)
 }
 
-// Shards returns the dependence-tracker shard count the runtime resolved
-// (WithShards input after auto-sizing and clamping).
-func (r *Runtime) Shards() int { return len(r.shards) }
-
 // FlightRecorder returns the runtime's flight recorder, or nil when the
 // runtime was built without WithFlightRecorder. The recorder stays
 // readable (Snapshot, Tail, Collect) after Shutdown — that is the point of
@@ -752,6 +725,14 @@ func (r *Runtime) StatsInto(s *Stats) {
 	}
 }
 
+// resized returns s with length n, reusing its capacity when it suffices.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // Graph exports the dependence graph of everything submitted so far as a
 // tdg.Graph (task costs carried over), for criticality analysis or for
 // replay on the simulated machine. Call after Wait for a complete graph.
@@ -778,7 +759,7 @@ func (r *Runtime) Graph() (*tdg.Graph, error) {
 		tasks = append(tasks, s.tasks...)
 	}
 	r.unlockShards(all)
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].seq < tasks[j].seq })
+	sort.Slice(tasks, func(i, j int) bool { return tasks[i].id < tasks[j].id })
 
 	// succs lists are consumed on completion, so rebuild edges from the
 	// dependence log with a shadow tracking pass through a tdg.Builder.

@@ -199,8 +199,11 @@ func TestPriorityOrderUnderCATS(t *testing.T) {
 }
 
 func TestCATSBumpsCriticalPredecessors(t *testing.T) {
-	// Submitting a high-priority successor must raise the (still pending)
-	// predecessor above unrelated tasks.
+	// Submitting a high-priority successor raises the queued predecessor's
+	// estimate: pred, the oldest plain entry, is refiled as critical work
+	// when the worker comes back and runs before the filler queued beside
+	// it. (A raised entry deeper in the plain heap waits for the entries
+	// filed before it: there is no re-sort at the raise.)
 	r := New(WithWorkers(1), WithScheduler(CATS))
 	defer r.Shutdown()
 	var order []string
@@ -219,7 +222,7 @@ func TestCATSBumpsCriticalPredecessors(t *testing.T) {
 	// queue position; filler competes with it.
 	r.Submit("pred", 1, func() { <-blocker; rec("pred")() }, Out("d"))
 	r.Submit("filler", 1, rec("filler"))
-	// The critical successor bumps pred's bottom-level estimate.
+	// The critical successor raises pred's bottom-level estimate.
 	r.SubmitPriority("succ", 1, 50, rec("succ"), In("d"))
 	close(gate)
 	close(blocker)
@@ -229,7 +232,7 @@ func TestCATSBumpsCriticalPredecessors(t *testing.T) {
 		pos[s] = i
 	}
 	if pos["pred"] > pos["filler"] {
-		t.Fatalf("CATS should run bumped pred before filler: %v", order)
+		t.Fatalf("CATS should run raised pred before filler: %v", order)
 	}
 }
 

@@ -14,11 +14,10 @@ import (
 //
 //	method            fifo      worksteal   cats
 //	push/pushBatch    queue     route       heap insert
-//	pop               queue     find+park   take+claim
+//	pop               queue     find+park   refile+take
 //	wake              lot       lot+gate    lot
 //	policyChanged     lot       gate        lot
 //	queued            1 queue   pending     2 heaps
-//	bump              —         —           reinsert
 //	pushOwned         —         own deque   —
 //	submitLocal*      —         side buffer —
 //	taskDone          —         —           saturation
@@ -47,10 +46,6 @@ type scheduler interface {
 	// holds — the sampler's Pending.
 	queued() int64
 
-	// bump hears about a dynamic priority raise of a task the scheduler may
-	// already hold (the CATS bottom-level bump). Called under the task's
-	// mutex.
-	bump(t *task)
 	// pushOwned is the locality fast path for the single-successor
 	// hand-off: it enqueues t on workerID's own queue with NO wakeup,
 	// returning false (nothing enqueued) if the locality path cannot take
@@ -83,7 +78,6 @@ type scheduler interface {
 // scheduler-specific half of the contract.
 type schedHooks struct{}
 
-func (schedHooks) bump(*task)                        {}
 func (schedHooks) pushOwned(*task, int) bool         { return false }
 func (schedHooks) submitLocal(*task, int) bool       { return false }
 func (schedHooks) submitLocalBatch([]*task, int) int { return 0 }

@@ -26,20 +26,20 @@ func TestWSDequeOwnerLIFOThiefFIFO(t *testing.T) {
 	d := newWSDeque()
 	tasks := make([]task, 10)
 	for i := range tasks {
-		tasks[i].seq = int64(i)
+		tasks[i].id = TaskID(i)
 		d.pushBottom(&tasks[i])
 	}
 	// Owner pops LIFO.
 	for i := 9; i >= 5; i-- {
-		if tk := d.popBottom(); tk == nil || tk.seq != int64(i) {
-			t.Fatalf("popBottom = %v, want seq %d", tk, i)
+		if tk := d.popBottom(); tk == nil || tk.id != TaskID(i) {
+			t.Fatalf("popBottom = %v, want id %d", tk, i)
 		}
 	}
 	// Thieves steal FIFO from the same deque.
 	for i := 0; i < 5; i++ {
 		tk, retry := d.stealTop()
-		if tk == nil || tk.seq != int64(i) {
-			t.Fatalf("stealTop = %v (retry=%v), want seq %d", tk, retry, i)
+		if tk == nil || tk.id != TaskID(i) {
+			t.Fatalf("stealTop = %v (retry=%v), want id %d", tk, retry, i)
 		}
 	}
 	if tk := d.popBottom(); tk != nil {
@@ -55,14 +55,14 @@ func TestWSDequeGrowsAndReleasesArray(t *testing.T) {
 	const n = wsResetThreshold * 2 // forces several grow steps
 	tasks := make([]task, n)
 	for i := range tasks {
-		tasks[i].seq = int64(i)
+		tasks[i].id = TaskID(i)
 		d.pushBottom(&tasks[i])
 	}
 	if got := d.arr.Load().size(); got < n {
 		t.Fatalf("array size %d after %d pushes", got, n)
 	}
 	for i := n - 1; i >= 0; i-- {
-		if tk := d.popBottom(); tk == nil || tk.seq != int64(i) {
+		if tk := d.popBottom(); tk == nil || tk.id != TaskID(i) {
 			t.Fatalf("popBottom after grow lost order at %d", i)
 		}
 	}
@@ -106,8 +106,8 @@ func TestStressDequeOwnerVsThieves(t *testing.T) {
 	popped := make([]int32, nTasks)
 	var taken int64
 	take := func(tk *task) {
-		if c := atomic.AddInt32(&popped[tk.seq], 1); c != 1 {
-			t.Errorf("task %d taken %d times", tk.seq, c)
+		if c := atomic.AddInt32(&popped[tk.id], 1); c != 1 {
+			t.Errorf("task %d taken %d times", tk.id, c)
 		}
 		atomic.AddInt64(&taken, 1)
 	}
@@ -138,7 +138,7 @@ func TestStressDequeOwnerVsThieves(t *testing.T) {
 	for pushed < nTasks {
 		burst := 1 + rng.Intn(8)
 		for i := 0; i < burst && pushed < nTasks; i++ {
-			tasks[pushed].seq = int64(pushed)
+			tasks[pushed].id = TaskID(pushed)
 			d.pushBottom(&tasks[pushed])
 			pushed++
 		}
@@ -267,14 +267,14 @@ func TestTaskRingFIFOWraparoundAndRelease(t *testing.T) {
 	// Interleaved pushes and pops force head to wrap several times.
 	for expect < len(tasks) {
 		for i := 0; i < 7 && next < len(tasks); i++ {
-			tasks[next].seq = int64(next)
+			tasks[next].id = TaskID(next)
 			r.push(&tasks[next])
 			next++
 		}
 		for i := 0; i < 5 && expect < next; i++ {
 			tk := r.pop()
-			if tk == nil || tk.seq != int64(expect) {
-				t.Fatalf("pop = %v, want seq %d", tk, expect)
+			if tk == nil || tk.id != TaskID(expect) {
+				t.Fatalf("pop = %v, want id %d", tk, expect)
 			}
 			expect++
 		}
@@ -340,44 +340,59 @@ func newTestFIFO(workers int) *fifoScheduler {
 
 func TestCATSHeapPopsByPriorityThenSeq(t *testing.T) {
 	s := newTestCATS(homogeneousLayout(4))
-	mk := func(prio int64, seq int64) *task { return &task{priority: prio, seq: seq} }
+	mk := func(prio int64, id TaskID) *task { return &task{priority: prio, id: id} }
 	ts := []*task{mk(1, 0), mk(9, 1), mk(5, 2), mk(9, 3), mk(0, 4)}
 	for _, tk := range ts {
 		s.push(tk, -1)
 	}
-	wantSeq := []int64{1, 3, 2, 0, 4} // prio 9 (seq 1 before 3), 5, 1, 0
-	for i, want := range wantSeq {
+	wantID := []TaskID{1, 3, 2, 0, 4} // prio 9 (id 1 before 3), 5, 1, 0
+	for i, want := range wantID {
 		tk, _ := s.pop(0)
-		if tk.seq != want {
-			t.Fatalf("pop %d = seq %d, want %d", i, tk.seq, want)
+		if tk.id != want {
+			t.Fatalf("pop %d = id %d, want %d", i, tk.id, want)
 		}
 	}
 }
 
-// A bump while queued must reinsert the task at its new priority and the
-// superseded entry must be discarded lazily, never dispatching the task a
-// second time.
-func TestCATSHeapBumpReinsertsAndDiscardsStale(t *testing.T) {
+// One heap entry per ready task. A plain entry whose task is raised while
+// queued (linkPreds raises task.priority when a successor registers and
+// tells the scheduler nothing) is not re-sorted on the spot: it is refiled
+// into the crit heap once, when it surfaces at the plain root, and never
+// duplicated — queued() is exactly the tasks not yet popped at every step,
+// and a woken pop after the last one reports empty instead of dispatching
+// anything a second time.
+func TestCATSHeapRaisedEntryRefiledOnce(t *testing.T) {
 	s := newTestCATS(homogeneousLayout(4))
-	t1 := &task{priority: 0, seq: 1}
-	t2 := &task{priority: 0, seq: 2}
-	s.push(t1, -1)
-	s.push(t2, -1)
-	// Raise t2 past t1 after both are queued (what linkPreds does).
+	t1, t2, t3 := &task{id: 1}, &task{id: 2}, &task{id: 3}
+	for _, tk := range []*task{t1, t2, t3} {
+		s.push(tk, -1)
+	}
 	atomic.StoreInt64(&t2.priority, 10)
-	s.bump(t2)
-
-	if tk, _ := s.pop(0); tk != t2 {
-		t.Fatalf("first pop = seq %d, want bumped task %d", tk.seq, t2.seq)
+	if len(s.crit) != 0 || len(s.plain) != 3 {
+		t.Fatalf("a raise moved entries: crit %d, plain %d, want 0, 3", len(s.crit), len(s.plain))
 	}
-	if tk, _ := s.pop(0); tk != t1 {
-		t.Fatalf("second pop = seq %d, want %d", tk.seq, t1.seq)
+	// t1 is the plain root and is taken as plain work; that surfaces t2,
+	// which the next pop refiles and takes from crit; t3 was never raised.
+	for i, want := range []struct {
+		t        *task
+		fromCrit bool
+	}{{t1, false}, {t2, true}, {t3, false}} {
+		if q := s.queued(); q != int64(3-i) {
+			t.Fatalf("queued() = %d before pop %d, want %d", q, i, 3-i)
+		}
+		tk, _ := s.pop(0)
+		if tk != want.t || s.lastCrit[0] != want.fromCrit {
+			t.Fatalf("pop %d = id %d (from crit: %v), want id %d (from crit: %v)",
+				i, tk.id, s.lastCrit[0], want.t.id, want.fromCrit)
+		}
+		s.taskDone(0)
 	}
-	// Only t2's stale duplicate remains; a woken pop must discard it and
-	// report empty rather than dispatch t2 twice.
+	if q := s.queued(); q != 0 {
+		t.Fatalf("queued() = %d after the last pop, want 0", q)
+	}
 	s.wake()
 	if tk, _ := s.pop(0); tk != nil {
-		t.Fatalf("stale duplicate dispatched task %d again", tk.seq)
+		t.Fatalf("task %d dispatched a second time", tk.id)
 	}
 }
 

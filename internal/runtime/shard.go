@@ -155,7 +155,7 @@ func hashString[T string | []byte](s T) uint64 {
 // task's dependence keys hash to, plus the log shard the task record is
 // appended to (recorded in t.logShard — a field rather than a second
 // return so the batch path needs no per-batch side array). Dependence-free
-// tasks log to seq-round-robin shards so an embarrassingly-parallel stream
+// tasks log to ID-round-robin shards so an embarrassingly-parallel stream
 // spreads instead of serialising — and when no trace is retained they lock
 // nothing at all, since their registration touches no tracker state
 // (lockShards(0) is a no-op).
@@ -166,7 +166,7 @@ func (r *Runtime) shardPlan(t *task) (mask uint64) {
 			t.logShard = 0
 			return 0
 		}
-		t.logShard = int32(uint64(t.seq) % uint64(len(r.shards)))
+		t.logShard = int32(uint64(t.id) % uint64(len(r.shards)))
 		return 1 << t.logShard
 	}
 	idx := t.shardInl[:0]
@@ -310,19 +310,16 @@ func (r *Runtime) linkPreds(t *task, preds []taskRef) {
 			p.mu.Unlock() // recycled record: the predecessor completed long ago
 			continue
 		}
-		if p.state != stateDone {
+		if !p.done {
 			p.addSucc(t)
 			atomic.AddInt32(&t.npreds, 1)
 			// CATS: a new successor raises the predecessor's bottom-level
 			// estimate (single-step propagation, as the original heuristic).
+			// A predecessor already queued keeps its heap entry; the
+			// scheduler reads the raised estimate when it places it (see
+			// catsScheduler.take).
 			if est := atomic.LoadInt64(&t.priority) + 1; est > atomic.LoadInt64(&p.priority) {
 				atomic.StoreInt64(&p.priority, est)
-				// If p is already queued, tell a priority-aware scheduler so
-				// it can reinsert p at the new estimate (the CATS heap's
-				// stale-entry protocol).
-				if p.state == stateReady {
-					r.sched.bump(p)
-				}
 			}
 		}
 		p.mu.Unlock()

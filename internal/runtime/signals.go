@@ -56,11 +56,3 @@ type signals struct {
 func newSignals(workers int) *signals {
 	return &signals{workers: make([]workerSig, workers)}
 }
-
-// resized returns s with length n, reusing its capacity when it suffices.
-func resized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}

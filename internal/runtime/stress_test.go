@@ -298,16 +298,18 @@ func TestStressStealHeavyFanOutShutdown(t *testing.T) {
 	})
 }
 
-// Regression stress for the CATS publish-window race: between a pusher
-// marking a task stateReady and its actual scheduler insert, a concurrent
-// registration that finds the task as a predecessor bumps it — inserting
-// it into the heap EARLY. That early entry may dispatch the task to
-// completion and recycling before the original push runs; the late insert
-// must then produce an unclaimable entry (its snapshot is the ready-time
-// claim word), never dispatch the recycled record. The shape maximises
-// bump pressure: many producers hammering short chains over a tiny key
-// space, so nearly every registration raises a just-released
-// predecessor's bottom level while its push is in flight.
+// Regression stress for the CATS publish-window race. Between a pusher
+// recording a task ready and its scheduler insert, a concurrent
+// registration that finds the task as a predecessor raises its priority.
+// That raise used to insert a second heap entry on the spot — EARLY, able
+// to dispatch the task to completion and recycling before the original
+// push ran, whose late entry then had to be unclaimable. Now the raise only
+// writes task.priority and the push's entry is the task's only one, so
+// there is no early entry to race; the test pins the outcome: every task
+// executes exactly once. The shape maximises raise pressure: many
+// producers hammering short chains over a tiny key space, so nearly every
+// registration raises a just-released predecessor's bottom level while its
+// push is in flight.
 func TestStressCATSBumpDuringPublishWindow(t *testing.T) {
 	const (
 		producers = 8

@@ -235,7 +235,7 @@ func (r *Runtime) submitSpecs(ctx context.Context, specs []TaskSpec, loneDeps []
 		if atomic.AddInt32(&t.npreds, -1) != 0 {
 			continue
 		}
-		r.markReady(t, -1, false, nil)
+		r.markReady(t, -1, nil)
 		if tasks == nil {
 			// A hinted (body-context) submission lands in the target
 			// worker's submit buffer — safe from any goroutine, unlike the
@@ -323,18 +323,17 @@ func (r *Runtime) releaseSlots(n int) {
 }
 
 // newTask readies a task record for sp — reusing one from the freelist
-// when available — and allocates its ID/sequence number, counting it
-// outstanding. Every spec field is installed here, before registration
-// can make the task reachable from a completing predecessor. Must be
-// called with the gate's read side held so the increment is ordered
-// before any concurrent Shutdown drain.
+// when available — and allocates its ID, counting it outstanding. Every
+// spec field is installed here, before registration can make the task
+// reachable from a completing predecessor. Must be called with the gate's
+// read side held so the increment is ordered before any concurrent
+// Shutdown drain.
 func (r *Runtime) newTask(ctx context.Context, sp *TaskSpec, deps []Dep) *task {
 	t := r.free.get()
 	if t == nil {
 		t = r.pool.Get().(*task)
 	}
-	seq := atomic.AddInt64(&r.seq, 1) - 1
-	t.id = TaskID(seq)
+	t.id = TaskID(atomic.AddInt64(&r.seq, 1) - 1)
 	t.name = sp.Name
 	t.cost = sp.Cost
 	atomic.StoreInt64(&t.priority, int64(sp.Priority))
@@ -347,12 +346,7 @@ func (r *Runtime) newTask(ctx context.Context, sp *TaskSpec, deps []Dep) *task {
 	t.deadline = sp.Deadline
 	t.attempt = 0
 	t.skipCause = nil
-	t.state = statePending
-	// Atomic: a late scheduler push for the task that previously occupied
-	// this pooled record can still read seq (see catsScheduler.insert); the
-	// claim generation makes such an entry harmless, but the read itself
-	// must not race with the reinitialising store.
-	atomic.StoreInt64(&t.seq, seq)
+	t.done = false
 	t.setDeps(deps)
 	atomic.AddInt64(&r.outstanding, 1)
 	return t
@@ -368,49 +362,29 @@ type completeEvent struct {
 
 // markReady is the one ready transition: every path that makes a task
 // dispatchable — submission, successor release, retry re-arm — goes
-// through it. ring names the recorder ring the ready event goes to: a
-// worker's own (the caller must be that worker's goroutine) or, when
+// through it, and its caller's scheduler push follows it. It is the flight
+// recorder's ready event and nothing else; a task is dispatchable only
+// once pushed, so the ready event is on its ring before any dispatch of
+// the task can be recorded. ring names the recorder ring the event goes
+// to: a worker's own (the caller must be that worker's goroutine) or, when
 // negative, the shared external one.
-//
-// The ordering rule: the ready event is recorded BEFORE the readyClaim
-// store. That store is what arms any concurrent dispatch (a stale CATS
-// insert that loads the fresh word can claim the task immediately), so the
-// ready event's ring write must be complete first — then every snapshot
-// that holds the dispatch also holds the ready, in sequence order. The bump
-// path needs no extra care: it observes stateReady only under this same
-// mutex.
-//
-// rearm is the retry path's variant: it also clears the dispatch-claim bit
-// a claiming scheduler (CATS) set at the failed dispatch. Clearing it is
-// what re-arms dispatch through stale heap entries — the stale entry and
-// the fresh push then race on the same claim CAS, so at most one
-// dispatches — hence it too follows the record.
 //
 // ce, when non-nil and not yet recorded, is the caller's completion event:
 // it shares one two-slot ring write with this ready event.
-func (r *Runtime) markReady(t *task, ring int, rearm bool, ce *completeEvent) {
-	t.mu.Lock()
-	t.state = stateReady
-	rc := atomic.LoadUint64(&t.claim)
-	if rearm {
-		rc = claimGen(rc) << 1
+func (r *Runtime) markReady(t *task, ring int, ce *completeEvent) {
+	if r.rec == nil {
+		return
 	}
-	if r.rec != nil {
-		switch {
-		case ring < 0:
-			r.rec.RecordExternal(flightrec.KindReady, uint64(t.id), rc, 0)
-		case ce != nil && !ce.recorded:
-			ce.recorded = true
-			r.rec.RecordWorker2(ring,
-				flightrec.KindComplete, ce.id, ce.claim, ce.flags,
-				flightrec.KindReady, uint64(t.id), rc, 0)
-		default:
-			r.rec.RecordWorker(ring, flightrec.KindReady, uint64(t.id), rc, 0)
-		}
+	claim := atomic.LoadUint64(&t.claim)
+	switch {
+	case ring < 0:
+		r.rec.RecordExternal(flightrec.KindReady, uint64(t.id), claim, 0)
+	case ce != nil && !ce.recorded:
+		ce.recorded = true
+		r.rec.RecordWorker2(ring,
+			flightrec.KindComplete, ce.id, ce.claim, ce.flags,
+			flightrec.KindReady, uint64(t.id), claim, 0)
+	default:
+		r.rec.RecordWorker(ring, flightrec.KindReady, uint64(t.id), claim, 0)
 	}
-	if rearm {
-		atomic.StoreUint64(&t.claim, rc)
-	}
-	atomic.StoreUint64(&t.readyClaim, rc)
-	t.mu.Unlock()
 }

@@ -99,7 +99,6 @@ func (r *Runtime) worker(id int) {
 		}
 		w.accountDispatch(t, stole)
 		t.mu.Lock()
-		t.state = stateRunning
 		poison := t.skipCause
 		t.mu.Unlock()
 		// A re-armed task stays outstanding and re-enters the scheduler
@@ -390,7 +389,7 @@ func (r *Runtime) maybeRetry(t *task, workerID, fault int) bool {
 // unchanged and no reference was invalidated; a retried task can therefore
 // never alias a recycled record.
 func (r *Runtime) rearm(t *task) {
-	r.markReady(t, -1, true, nil)
+	r.markReady(t, -1, nil)
 	r.sched.push(t, -1)
 }
 
@@ -413,9 +412,9 @@ func (r *Runtime) callOnDone(hook func(error), taskErr error, name string) {
 // retention it goes further and retires the whole record into the
 // runtime's freelist: the generation bump in the claim word (performed
 // inside this critical section) atomically invalidates every reference
-// that may still point here — tracker lastWriter/readersTail entries and
-// stale CATS heap entries — so the record can be reused by the next
-// submission without those holders ever observing the new task's state.
+// that may still point here — tracker lastWriter/readersTail entries — so
+// the record can be reused by the next submission without those holders
+// ever observing the new task's state.
 //
 // Newly-ready successors are released with the completing worker's
 // identity: the scheduler's locality path pushes them onto this worker's
@@ -447,7 +446,7 @@ func (w *workerState) complete(t *task, poison error, faultPack uint64) {
 		ce.flags = flightrec.CompleteSelfDispatch
 	}
 	t.mu.Lock()
-	t.state = stateDone
+	t.done = true
 	succs := t.takeSuccs(w.succs[:0])
 	t.fn = nil
 	t.plainFn = nil
@@ -461,9 +460,9 @@ func (w *workerState) complete(t *task, poison error, faultPack uint64) {
 		// reference to it is dead. This store must stay inside the t.mu
 		// critical section — linkPreds validates generations under the
 		// same mutex, so a reference holder either runs before this bump
-		// (and sees state == stateDone) or after it (and sees the
-		// mismatch without touching any other field).
-		atomic.StoreUint64(&t.claim, (claimGen(atomic.LoadUint64(&t.claim))+1)<<1)
+		// (and sees done) or after it (and sees the mismatch without
+		// touching any other field). The word is gen<<1, so +2 is gen+1.
+		atomic.AddUint64(&t.claim, 2)
 	}
 	t.mu.Unlock()
 	if !ce.recorded && faultPack != 0 {
@@ -478,9 +477,6 @@ func (w *workerState) complete(t *task, poison error, faultPack uint64) {
 			flightrec.KindComplete, ce.id, ce.claim, ce.flags)
 	}
 	ready := w.ready[:0]
-	// lastID is the ID of the successor readied last — read before its
-	// ready transition, after which a CATS bump can dispatch and recycle it.
-	var lastID uint64
 	for _, s := range succs {
 		if poison != nil {
 			// Poison before the decrement: the final releaser (us or a
@@ -495,8 +491,7 @@ func (w *workerState) complete(t *task, poison error, faultPack uint64) {
 			s.mu.Unlock()
 		}
 		if atomic.AddInt32(&s.npreds, -1) == 0 {
-			lastID = uint64(s.id)
-			r.markReady(s, w.id, false, &ce)
+			r.markReady(s, w.id, &ce)
 			ready = append(ready, s)
 		}
 	}
@@ -513,14 +508,16 @@ func (w *workerState) complete(t *task, poison error, faultPack uint64) {
 		// without a wakeup when the scheduler's locality path allows it —
 		// this goroutine pops it next, and signalling a parked thief here
 		// would only invite it to steal the link off the warm cache.
-		s := ready[0]
+		// Its ID is read before the push: once queued it can be stolen,
+		// completed and recycled.
+		s, id := ready[0], uint64(ready[0].id)
 		if !r.sched.pushOwned(s, w.id) {
 			r.sched.push(s, w.id)
 		} else if r.rec != nil && !r.schedSelfRecords {
 			// Arm the dispatch-event elision: if our next pop returns this
 			// very task life, its dispatch record is redundant.
 			w.lastOwned = s
-			w.lastOwnedID = lastID
+			w.lastOwnedID = id
 		}
 	default:
 		r.sched.pushBatch(ready, w.id)
