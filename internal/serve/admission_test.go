@@ -132,3 +132,30 @@ func TestParseLane(t *testing.T) {
 			LaneControl.Priority(), LaneData.Priority(), LaneTelemetry.Priority())
 	}
 }
+
+// TestPoolHintOrder: the pool hint is lexicographic in (lane, launch order)
+// and leaves the runtime its +1 — for every pair of jobs in the table a
+// higher lane outranks a lower one whatever their launch numbers, an older
+// job outranks a younger one of its lane, and the younger one's boosted
+// tasks (hint+1) still rank below the older one's plain ones. The launch
+// numbers reach 2^38+1: no pair in the table is 2^39 apart, the distance at
+// which a lane's band would meet the next one's.
+func TestPoolHintOrder(t *testing.T) {
+	launches := []uint64{0, 1, 1 << 38, 1<<38 + 1}
+	for hi := LaneControl; hi < laneCount; hi++ {
+		for _, a := range launches {
+			for _, b := range launches {
+				for lo := hi + 1; lo < laneCount; lo++ {
+					if poolHint(hi, a) <= poolHint(lo, b)+1 {
+						t.Errorf("%s job %d (hint %d) does not outrank %s job %d (hint %d, boosted +1)",
+							hi, a, poolHint(hi, a), lo, b, poolHint(lo, b))
+					}
+				}
+				if a < b && poolHint(hi, a) <= poolHint(hi, b)+1 {
+					t.Errorf("%s: job %d (hint %d) does not outrank younger job %d (hint %d, boosted +1)",
+						hi, a, poolHint(hi, a), b, poolHint(hi, b))
+				}
+			}
+		}
+	}
+}

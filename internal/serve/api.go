@@ -13,8 +13,9 @@ import (
 // Lane is a request's priority lane. Lanes order both admission severity
 // and dispatch: control traffic (session/coordination graphs) outranks
 // data (the actual work), which outranks telemetry (best-effort
-// background reporting). The lane maps onto the runtime's submit
-// priority hint, so a criticality-aware scheduler sees the same ranking.
+// background reporting). The lane is also the leading digit of the
+// runtime submit-priority hint (poolHint), so a criticality-aware
+// scheduler sees the same ranking.
 type Lane uint8
 
 // The three lanes, most to least privileged.
@@ -44,16 +45,27 @@ func (l Lane) String() string {
 	}
 }
 
-// Priority is the runtime submit-priority hint the lane maps to.
-func (l Lane) Priority() int {
-	switch l {
-	case LaneControl:
-		return 100
-	case LaneData:
-		return 10
-	default:
-		return 0
-	}
+// Priority is the lane's rank, the leading digit of the pool hint (see
+// poolHint): control 3, data 2, telemetry 1.
+func (l Lane) Priority() int { return int(laneCount - l) }
+
+// hintShift places the lane rank above the launch order in a pool hint.
+// The constant below does not compile where int is too narrow for it.
+const (
+	hintShift = 40
+	_         = int(laneCount<<hintShift + 1)
+)
+
+// poolHint is the submit-priority hint of every task of the launch-th job
+// the dispatcher launched, of the given lane: lane rank first, launch order
+// second, and the low bit left to the runtime, which adds 1 to a task that
+// has a successor. Whatever the runtime adds, every task of a job outranks
+// every task of a lower-lane job and of a younger job of its own lane — a
+// job waits in the pool for nothing ranked below it. Exact for any two jobs
+// whose launch numbers are less than 2^(hintShift-1) apart, so for any two
+// that are in the pool together.
+func poolHint(l Lane, launch uint64) int {
+	return l.Priority()<<hintShift - 2*int(launch)
 }
 
 // ParseLane resolves a wire lane name; the empty string is LaneData.

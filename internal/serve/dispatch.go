@@ -13,34 +13,39 @@ import (
 // tenant queues into the shared pool. Flow control and fairness both
 // live here:
 //
-//   - At most Config.MaxRunningJobs jobs are in the pool at once; the
-//     rest wait in their tenant queues, so the queues (and with them the
-//     watermark backpressure and the fairness rotation) see real depth
-//     instead of draining instantly into an unbounded pool.
 //   - Lanes strictly outrank each other: every control-lane job anywhere
 //     dispatches before any data-lane job, and data before telemetry.
+//   - A job is launched only while fewer than Config.MaxRunningJobs jobs
+//     of its own and the more privileged lanes are in the pool; the rest
+//     wait in their tenant queues, so the queues (and with them the
+//     watermark backpressure and the fairness rotation) see real depth
+//     instead of draining instantly into an unbounded pool. The cap counts
+//     upwards only: telemetry jobs, which the pool serves last, never hold
+//     a data or control job back, and the pool holds at most
+//     laneCount × MaxRunningJobs jobs.
 //   - Within a lane, tenants are served round-robin by a rotation cursor
 //     that advances past each tenant served, so a tenant with a thousand
 //     queued jobs gets exactly one dispatch per rotation — a greedy
 //     tenant saturates its own queue, not its neighbours' latency.
+//   - The pool keeps that order: a job's tasks carry poolHint(lane, n),
+//     n counting launches, so the pool works on the oldest launched job
+//     of the highest lane first and the runtime's own bottom-level +1
+//     only orders tasks inside a job.
 //
 // The loop exits after a drain: admission is closed, every queue is
 // empty, and the last running job has finished.
 func (s *Server) dispatchLoop() {
+	var launched uint64
 	s.mu.Lock()
 	for {
-		for s.pendingJobs == 0 || s.runningJobs >= s.cfg.MaxRunningJobs {
-			if s.draining && s.pendingJobs == 0 && s.runningJobs == 0 {
+		var j *job
+		for j = s.popLocked(); j == nil; j = s.popLocked() {
+			if s.draining && s.pendingJobs == 0 && s.runningJobs() == 0 {
 				close(s.idle)
 				s.mu.Unlock()
 				return
 			}
 			s.cond.Wait()
-		}
-		j := s.popLocked()
-		if j == nil {
-			// pendingJobs said otherwise; defensive (should not happen).
-			continue
 		}
 		// The queue entry is gone, and with it the job's claim on its
 		// request: launch lowers it, a job cancelled while queued (already
@@ -52,21 +57,39 @@ func (s *Server) dispatchLoop() {
 			continue
 		}
 		j.state = jobRunning
-		s.runningJobs++
+		s.running[j.lane]++
 		s.mu.Unlock()
-		s.launch(j, req)
+		s.launch(j, req, poolHint(j.lane, launched))
+		launched++
 		s.mu.Lock()
 	}
 }
 
-// popLocked removes the next job per the lane/rotation policy. Caller
-// holds s.mu and has checked pendingJobs > 0.
+// runningJobs is the number of launched, non-terminal jobs. Caller holds
+// s.mu.
+func (s *Server) runningJobs() int {
+	n := 0
+	for _, r := range s.running {
+		n += r
+	}
+	return n
+}
+
+// popLocked removes the next launchable job per the lane/rotation policy,
+// or returns nil: nothing is queued, or the most privileged lane with a
+// queued job is capped. A lane is capped when the jobs running in it and
+// in the lanes above number MaxRunningJobs; that count only grows down the
+// lanes, so every lane below a capped one is capped too. Caller holds s.mu.
 func (s *Server) popLocked() *job {
-	n := len(s.order)
-	if n == 0 {
+	if s.pendingJobs == 0 {
 		return nil
 	}
+	n, running := len(s.order), 0
 	for lane := Lane(0); lane < laneCount; lane++ {
+		running += s.running[lane]
+		if running >= s.cfg.MaxRunningJobs {
+			return nil
+		}
 		start := s.rr
 		for k := 0; k < n; k++ {
 			tn := s.order[(start+k)%n]
@@ -98,7 +121,7 @@ const internKeep = 256
 // (job-local names interned to cell addresses), one body closure per task
 // and one completion hook for the graph. It runs on the dispatcher
 // goroutine only, for admitted jobs only.
-func (s *Server) lower(j *job, req *GraphRequest) []runtime.TaskSpec {
+func (s *Server) lower(j *job, req *GraphRequest, hint int) []runtime.TaskSpec {
 	ndeps := 0
 	for i := range req.Tasks {
 		ndeps += len(req.Tasks[i].Deps)
@@ -140,7 +163,7 @@ func (s *Server) lower(j *job, req *GraphRequest) []runtime.TaskSpec {
 		spec := &specs[i]
 		spec.Name = tr.Name
 		spec.Cost = tr.Cost
-		spec.Priority = j.lane.Priority()
+		spec.Priority = hint
 		spec.Body = s.taskBody(j, i, s.ops[tr.Op], tr.Amount)
 		spec.Deps = deps[first:len(deps):len(deps)]
 		spec.OnDone = hook
@@ -182,10 +205,10 @@ func (s *Server) taskBody(j *job, i int, op Op, amount int64) runtime.Body {
 	}
 }
 
-// launch lowers one job's graph and submits it into the pool. Called
-// without s.mu.
-func (s *Server) launch(j *job, req *GraphRequest) {
-	specs := s.lower(j, req)
+// launch lowers one job's graph and submits it into the pool, every task
+// under the given priority hint. Called without s.mu.
+func (s *Server) launch(j *job, req *GraphRequest, hint int) {
+	specs := s.lower(j, req, hint)
 	s.putRequest(req)
 	s.marker(j, flightrec.MarkerLaunch)
 	if _, err := s.rt.SubmitBatchCtx(j.ctx, specs); err != nil {

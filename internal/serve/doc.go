@@ -25,13 +25,17 @@
 // shared-pool shedding — a tenant can always coordinate with the
 // service while its bulk work is being shed.
 //
-// The dispatcher is one goroutine that moves jobs into the pool: at
-// most Config.MaxRunningJobs concurrently (which is what gives the
-// queues real depth), lanes in strict priority order, and round-robin
-// across tenants within a lane — a greedy tenant saturates its own
-// queue, not its neighbours' latency. Lanes map to runtime submit
-// priorities, so a criticality-aware scheduler sees the same ranking
-// inside the pool.
+// The dispatcher is one goroutine that moves jobs into the pool: lanes
+// in strict priority order, round-robin across tenants within a lane —
+// a greedy tenant saturates its own queue, not its neighbours' latency
+// — and a job only while fewer than Config.MaxRunningJobs jobs of its
+// own and the more privileged lanes are running (which is what gives
+// the queues real depth, without letting a lower lane's jobs hold a
+// higher lane's back). The pool keeps the same order: every task of a
+// job carries one submit-priority hint, lane rank first and launch
+// order second (poolHint), so a criticality-aware scheduler works on
+// the oldest launched job of the highest lane first. A job waits for
+// nothing ranked below it, at any of the three stages.
 //
 // Per-job completion over the shared pool rides the runtime's
 // TaskSpec.OnDone hook: every task of a graph accounts itself exactly
@@ -50,8 +54,9 @@
 // to 503 at the start of a drain so load balancers stop routing first.
 //
 // GET /metrics exposes a Prometheus-text snapshot: the runtime's
-// StatsInto counters, admission verdicts, per-tenant queue depths, watermark latches, and
-// token usage. With Config.FlightRecorder, the server stamps
+// StatsInto counters, admission verdicts, per-tenant queue depths,
+// watermark latches and token usage, and jobs running and pending by
+// lane. With Config.FlightRecorder, the server stamps
 // request-scoped timeline markers (admit/launch/done, tagged with the
 // job number and a tenant hash) into the pool's flight recorder, so a
 // merged timeline can be cut along request boundaries.

@@ -40,8 +40,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "raa_serve_admission_total{verdict=%q} %d\n", v.String(), s.verdicts[v])
 	}
 	gauge(&b, "raa_serve_draining", "1 while the server drains.", b2f(s.draining))
-	gauge(&b, "raa_serve_jobs_running", "Jobs launched into the pool and not yet terminal.", float64(s.runningJobs))
+	gauge(&b, "raa_serve_jobs_running", "Jobs launched into the pool and not yet terminal.", float64(s.runningJobs()))
 	gauge(&b, "raa_serve_jobs_pending", "Admitted jobs still waiting in tenant queues.", float64(s.pendingJobs))
+	head(&b, "raa_serve_lane_jobs_running", "Jobs launched into the pool and not yet terminal, by lane.", "gauge")
+	for lane := Lane(0); lane < laneCount; lane++ {
+		fmt.Fprintf(&b, "raa_serve_lane_jobs_running{lane=%q} %d\n", lane.String(), s.running[lane])
+	}
+	head(&b, "raa_serve_lane_jobs_pending", "Admitted jobs still waiting in tenant queues, by lane.", "gauge")
+	for lane := Lane(0); lane < laneCount; lane++ {
+		pending := 0
+		for _, tn := range s.order {
+			pending += len(tn.q.lanes[lane])
+		}
+		fmt.Fprintf(&b, "raa_serve_lane_jobs_pending{lane=%q} %d\n", lane.String(), pending)
+	}
 
 	head(&b, "raa_serve_tenant_queue_depth", "Queued jobs, by tenant.", "gauge")
 	for _, tn := range s.order {

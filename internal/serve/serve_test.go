@@ -269,7 +269,8 @@ func TestServeBadRequests(t *testing.T) {
 // TestServeBackpressureAndQueueFull drives the watermark ladder end to
 // end: queue past high → deferred with Retry-After; queue at cap →
 // rejected; drained below low → admitted again. Dispatch is plugged so
-// queue depth is exact at every step.
+// queue depth is exact at every step — by a control-lane job, the only
+// kind that holds every lane back (see TestLaneCapHoldsNothingAbove).
 func TestServeBackpressureAndQueueFull(t *testing.T) {
 	g := newGates()
 	h := servetest.Start(t, serve.Config{
@@ -283,7 +284,7 @@ func TestServeBackpressureAndQueueFull(t *testing.T) {
 	c := h.Client("t0")
 
 	// Plug the single dispatch slot.
-	plug := c.MustSubmit(t, gateGraph(1, "data"))
+	plug := c.MustSubmit(t, gateGraph(1, "control"))
 	waitEntered(t, g, 1)
 
 	// Fill the queue to high (3): all admitted.
@@ -420,6 +421,10 @@ func TestServeMetricsPage(t *testing.T) {
 		`raa_serve_tenant_admission_total{tenant="acme",verdict="admit"} 1`,
 		`raa_serve_tenant_jobs_total{tenant="acme",state="done"} 1`,
 		"raa_serve_jobs_running 0",
+		"# TYPE raa_serve_lane_jobs_running gauge",
+		`raa_serve_lane_jobs_running{lane="data"} 0`,
+		"# TYPE raa_serve_lane_jobs_pending gauge",
+		`raa_serve_lane_jobs_pending{lane="telemetry"} 0`,
 		"raa_serve_draining 0",
 	} {
 		if !strings.Contains(page, want) {

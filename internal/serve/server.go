@@ -42,10 +42,13 @@ type Config struct {
 	// tasks) for load shedding: at soft, telemetry defers; at hard,
 	// telemetry rejects and data defers (defaults 64× and 256× Workers).
 	SoftBacklog, HardBacklog int64
-	// MaxRunningJobs caps jobs submitted into the pool concurrently;
-	// admitted jobs beyond it wait in their tenant queues, which is what
-	// makes cross-tenant dispatch fairness meaningful (default 4×Workers,
-	// minimum 2).
+	// MaxRunningJobs caps the jobs in the pool as each lane sees them: a
+	// job is launched only while fewer than this many jobs of its own and
+	// the more privileged lanes are running, so the pool holds at most
+	// three times as many and a lower lane's jobs never hold a higher
+	// lane's back. Admitted jobs beyond the cap wait in their tenant
+	// queues, which is what makes cross-tenant dispatch fairness
+	// meaningful (default 4×Workers, minimum 2).
 	MaxRunningJobs int
 	// MaxGraphTasks bounds one graph's task count (default 1024).
 	MaxGraphTasks int
@@ -148,12 +151,13 @@ type Server struct {
 	history []*job // terminal jobs in completion order, for eviction
 	jobSeq  uint64
 	doneSeq uint64
-	// runningJobs counts launched, non-terminal jobs; pendingJobs counts
-	// queue entries not yet popped (including cancel-reaped ones).
-	runningJobs, pendingJobs int
-	draining                 bool
-	closed                   bool          // Close already ran the teardown
-	idle                     chan struct{} // closed when the dispatcher exits drained
+	// running counts launched, non-terminal jobs by lane; pendingJobs
+	// counts queue entries not yet popped (including cancel-reaped ones).
+	running     [laneCount]int
+	pendingJobs int
+	draining    bool
+	closed      bool          // Close already ran the teardown
+	idle        chan struct{} // closed when the dispatcher exits drained
 	// verdicts counts admission outcomes by Verdict, across tenants.
 	verdicts [4]uint64
 	// statsBuf backs /metrics' StatsInto snapshots.
@@ -362,7 +366,7 @@ func (s *Server) finishLocked(j *job, state jobState) {
 		j.tenant.jobsCancelled++
 	}
 	if wasRunning {
-		s.runningJobs--
+		s.running[j.lane]--
 	}
 	j.cancel() // release the context's resources
 	close(j.done)
