@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -171,7 +172,10 @@ func TestAdaptiveStableUnderConstantLoad(t *testing.T) {
 			body = func() {
 				time.Sleep(20 * time.Microsecond)
 				if !stop.Load() {
-					if _, err := r.Submit("t", 1, body); err != nil {
+					// A body that read stop just before the deferred store
+					// below may resubmit after Shutdown has begun: that
+					// refusal is the test ending, not a failure.
+					if _, err := r.Submit("t", 1, body); err != nil && !(stop.Load() && errors.Is(err, ErrShutdown)) {
 						t.Error(err)
 					}
 				}

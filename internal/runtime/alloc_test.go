@@ -171,3 +171,75 @@ func TestGraphCorrectWithRetentionAcrossRounds(t *testing.T) {
 		t.Fatalf("chain graph has %d edges, want %d", edges, n-1)
 	}
 }
+
+// diamond8Job is the service layer's job shape: a diamond-8 (a source, six
+// middles reading it, a sink joining the six) over seven keys, the
+// addresses of the cells it is handed. submit rewrites the keys in place,
+// so a job over fresh cells costs the cells, what SubmitBatch costs over
+// any keys, and whatever the tracker allocates for seven keys it has never
+// seen.
+type diamond8Job struct {
+	specs []TaskSpec
+}
+
+type diamond8Cells [7]struct{ _ byte }
+
+func newDiamond8Job(body func()) *diamond8Job {
+	j := &diamond8Job{specs: make([]TaskSpec, 8)}
+	for i := range j.specs {
+		j.specs[i] = TaskSpec{Fn: body}
+	}
+	j.specs[0].Deps = make([]Dep, 1)
+	for m := 1; m <= 6; m++ {
+		j.specs[m].Deps = make([]Dep, 2)
+	}
+	j.specs[7].Deps = make([]Dep, 6)
+	return j
+}
+
+func (j *diamond8Job) submit(tb testing.TB, r *Runtime, k *diamond8Cells) {
+	j.specs[0].Deps[0] = Out(&k[0])
+	for m := 1; m <= 6; m++ {
+		j.specs[m].Deps[0], j.specs[m].Deps[1] = In(&k[0]), Out(&k[m])
+		j.specs[7].Deps[m-1] = In(&k[m])
+	}
+	if _, err := r.SubmitBatch(j.specs); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// Fresh keys must not cost the tracker an allocation each: once the sweep
+// has deleted the keys of finished jobs, the reader lists they grew are
+// what the next jobs' keys read into. With a list grown per key (and
+// regrown as the source's six readers arrive) a job over fresh keys read
+// 10 objects more than the same job over keys the tracker knows, besides
+// its cells; the budget leaves it one, for a spare list still shorter than
+// the fan it is handed to.
+func TestTrackerFreshKeysAllocFree(t *testing.T) {
+	skipUnderRace(t)
+	withGCOff(func() {
+		r := New(WithWorkers(2), WithShards(1))
+		defer r.Shutdown()
+		job := newDiamond8Job(func() {})
+		known := new(diamond8Cells)
+		reused := func() {
+			job.submit(t, r, known)
+			r.Wait()
+		}
+		fresh := func() {
+			job.submit(t, r, new(diamond8Cells))
+			r.Wait()
+		}
+		// Seven records per job against a floor of 512: a sweep every ~73
+		// jobs, each shelving the lists the one before it handed out.
+		for i := 0; i < 20*sweepFloor/7; i++ {
+			reused()
+			fresh()
+		}
+		const cells = 1
+		base := testing.AllocsPerRun(500, reused)
+		if got := testing.AllocsPerRun(500, fresh) - base - cells; got > 1 {
+			t.Fatalf("seven fresh keys cost the tracker %.2f objects per job (%.2f for the job over known keys), budget 1", got, base)
+		}
+	})
+}

@@ -82,9 +82,10 @@
 // By default the runtime's memory stays bounded by the work in flight:
 // completed tasks drop their body, context, and dependence log, queue
 // slots release popped pointers, and the dependence tracker scavenges its
-// per-key state — lastWriter and the reader lists — once every task that
-// named a key is retired, so a runtime can serve submissions indefinitely
-// even when every submission mints fresh keys. Building with
+// per-key records — a key's last writer and its reader list — once every
+// task that named the key is retired (and hands the list to the next key
+// that needs one), so a runtime can serve submissions indefinitely even
+// when every submission mints fresh keys. Building with
 // WithTraceRetention keeps the full task trace instead, which Graph needs
 // for export; without it Graph fails with ErrNoTrace.
 //

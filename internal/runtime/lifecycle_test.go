@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	stdruntime "runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -122,8 +123,8 @@ func TestCompleteReleasesTaskReferences(t *testing.T) {
 	}
 }
 
-// A writer truncating readersTail must nil the slots: tail[:0] alone keeps
-// the old reader tasks reachable through the backing array.
+// A writer truncating a key's reader list must nil the slots: readers[:0]
+// alone keeps the old reader tasks reachable through the backing array.
 func TestReadersTailSlotsClearedOnWriterTruncate(t *testing.T) {
 	r := New(WithWorkers(2), WithShards(1))
 	defer r.Shutdown()
@@ -136,14 +137,14 @@ func TestReadersTailSlotsClearedOnWriterTruncate(t *testing.T) {
 	s := r.shards[0]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tail := s.readersTail["k"]
+	tail := s.keys["k"].readers
 	if len(tail) != 0 {
-		t.Fatalf("readersTail length %d after writer, want 0", len(tail))
+		t.Fatalf("reader list length %d after writer, want 0", len(tail))
 	}
 	full := tail[:cap(tail)]
 	for i, tk := range full {
 		if tk.t != nil {
-			t.Fatalf("readersTail backing slot %d still pins reader task %d", i, tk.t.id)
+			t.Fatalf("reader list backing slot %d still pins reader task %d", i, tk.t.id)
 		}
 	}
 	if cap(tail) < readers {
@@ -186,14 +187,16 @@ func submitWithPayloads(t *testing.T, r *Runtime, n int, finalized *int32) {
 	}
 }
 
-// trackerEntries sums the tracker's per-key state over all shards.
+// trackerEntries counts the tracker's key records over all shards — what
+// sweepFloor and sweepAt count: one record per key, holding the key's last
+// writer and its reader list (two map entries before the maps were merged).
 func trackerEntries(r *Runtime) int {
 	all := uint64(1)<<len(r.shards) - 1
 	r.lockShards(all)
 	defer r.unlockShards(all)
 	n := 0
 	for _, s := range r.shards {
-		n += len(s.lastWriter) + len(s.readersTail)
+		n += len(s.keys)
 	}
 	return n
 }
@@ -226,21 +229,39 @@ func submitUniqueKeyJobs(t *testing.T, r *Runtime, jobs, round int) (peak int) {
 
 // A long-lived runtime fed keys that are unique per job — the service
 // layer's shape — must hold tracker state for the jobs in flight, not for
-// every job it ever ran: the shards scavenge entries whose tasks are all
-// retired. Without the sweep this grows by eight entries per job (400 k
+// every job it ever ran: the shards scavenge records whose tasks are all
+// retired. Without the sweep this grows by four records per job (200 k
 // here) and by everything those keys pin.
 func TestTrackerForgetsFinishedKeys(t *testing.T) {
 	const jobs, round, keysPerJob = 50_000, 1_000, 4
 	r := New(WithWorkers(2))
 	defer r.Shutdown()
 	peak := submitUniqueKeyJobs(t, r, jobs, round)
-	// Each key holds at most one entry in each of the two maps; a shard
-	// sweeps once it passes twice what the previous sweep left plus the
-	// floor, and a sweep leaves nothing but the jobs in flight.
-	inFlight := 2 * keysPerJob * round
+	// Each key holds one record; a shard sweeps once it passes twice what
+	// the previous sweep left plus the floor, and a sweep leaves nothing
+	// but the jobs in flight. The same expression over half the count the
+	// two-map tracker gave it (a written key held an entry in each map, 32
+	// + 40 bytes of slot against a record's 56, and the floor was 1024
+	// entries): 13 024 records, 729 kB of slots where 26 048 entries made
+	// 937 kB. The spare lists below are what the difference may be spent
+	// on, 155 kB at their bound.
+	inFlight := keysPerJob * round
 	if bound := 3*inFlight + len(r.shards)*sweepFloor; peak > bound {
-		t.Fatalf("tracker holds %d entries after %d jobs of unique keys, bound %d (%d keys in flight at most)",
+		t.Fatalf("tracker holds %d records after %d jobs of unique keys, bound %d (%d keys in flight at most)",
 			peak, jobs, bound, keysPerJob*round)
+	}
+	for i, s := range r.shards {
+		s.mu.Lock()
+		if len(s.spare) > maxSpare {
+			t.Errorf("shard %d shelves %d reader lists, bound %d", i, len(s.spare), maxSpare)
+		}
+		for _, l := range s.spare {
+			if len(l) != 0 || cap(l) == 0 || cap(l) > maxSpareCap {
+				t.Errorf("shard %d shelves a list of len %d cap %d, want empty and 1..%d slots", i, len(l), cap(l), maxSpareCap)
+				break
+			}
+		}
+		s.mu.Unlock()
 	}
 }
 
@@ -252,9 +273,162 @@ func TestTrackerKeepsEverythingUnderRetention(t *testing.T) {
 	r := New(WithWorkers(2), WithTraceRetention())
 	defer r.Shutdown()
 	submitUniqueKeyJobs(t, r, jobs, round)
-	// Per job and key: one lastWriter entry and one reader list.
-	if got, want := trackerEntries(r), 8*jobs; got != want {
-		t.Fatalf("tracker holds %d entries under retention, want all %d", got, want)
+	// One record per job and key, holding its writer and its reader list.
+	if got, want := trackerEntries(r), 4*jobs; got != want {
+		t.Fatalf("tracker holds %d records under retention, want all %d", got, want)
+	}
+}
+
+// versionOp is one dependence of a task as the version oracle sees it (the
+// benchmark's, benchmark/rt.go): the key is the address of a counter that
+// must hold expect — computed from program order at submission — and that
+// a writer then increments, without atomics. The tracker's ordering is
+// what makes that safe: a dependence it drops is a wrong version, and a
+// data race under -race.
+type versionOp struct {
+	c      *uint64
+	expect uint64
+	write  bool
+}
+
+func versionBody(bad *atomic.Int64, ops ...versionOp) func() {
+	return func() {
+		for _, op := range ops {
+			v := *op.c
+			if v != op.expect {
+				bad.Add(1)
+			}
+			if op.write {
+				*op.c = v + 1
+			}
+		}
+	}
+}
+
+// A reader list the sweep shelves belonged to a key whose tasks are all
+// retired; the key that takes it must start from an empty list — none of
+// the old key's readers among its own, in the length or in the slots
+// behind it — while the keys that stay live across the sweep keep every
+// reader they had. Diamonds over fresh keys force the sweeps; a held key
+// collects one live reader per job behind a gated writer (its list is
+// compacted by every sweep and must lose nobody), and four long-lived
+// keys are read by every job and rewritten by every eighth.
+func TestRecycledReaderListCarriesNoStaleReader(t *testing.T) {
+	const jobs, longKeys = 600, 4
+	r := New(WithWorkers(4), WithShards(1))
+	defer r.Shutdown()
+	s := r.shards[0]
+	var bad atomic.Int64
+	var hold uint64
+	var long, longWrites [longKeys]uint64
+	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate() // before Shutdown, which waits for the gated writer
+	if _, err := r.Submit("gate", 1, func() { <-gate; hold++ }, Out(&hold)); err != nil {
+		t.Fatal(err)
+	}
+	sweeps, recycled, records := 0, 0, 0
+	// audit checks the tracker after job j, whose keys are k, under the
+	// shard lock; spareBefore is the shelf's size before the job.
+	audit := func(j int, k *[7]uint64, spareBefore int) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if len(s.keys) < records {
+			sweeps++
+		}
+		records = len(s.keys)
+		recycled += max(0, spareBefore-len(s.spare))
+		// A sweep mid-job may already have dropped readers that finished,
+		// so the job's own reader counts are upper bounds.
+		for m, want := range [7]int{6, 1, 1, 1, 1, 1, 1} {
+			if rs := s.keys[&k[m]].readers; len(rs) > want {
+				return fmt.Errorf("fresh key %d holds %d readers, the job gave it %d", m, len(rs), want)
+			}
+		}
+		if got := len(s.keys[&hold].readers); got != j+1 {
+			return fmt.Errorf("the held key keeps %d of its %d live readers", got, j+1)
+		}
+		for key, rec := range s.keys {
+			for _, rd := range rec.readers[len(rec.readers):cap(rec.readers)] {
+				if rd.t != nil {
+					return fmt.Errorf("key %p keeps a reference past its %d readers", key, len(rec.readers))
+				}
+			}
+		}
+		for _, list := range s.spare {
+			for _, rd := range list[:cap(list)] {
+				if len(list) != 0 || rd.t != nil {
+					return fmt.Errorf("a shelved reader list still holds a reader (len %d)", len(list))
+				}
+			}
+		}
+		for _, list := range s.spare[len(s.spare):cap(s.spare)] {
+			if list != nil {
+				return errors.New("the shelf still points at a list it handed out")
+			}
+		}
+		return nil
+	}
+	for j := 0; j < jobs; j++ {
+		k := new([7]uint64)
+		l := j % longKeys
+		rewrite := j%8 == 7
+		specs := []TaskSpec{{
+			Fn:   versionBody(&bad, versionOp{&k[0], 0, true}, versionOp{&long[l], longWrites[l], false}),
+			Deps: []Dep{Out(&k[0]), In(&long[l])},
+		}}
+		var sinkOps []versionOp
+		var sinkDeps []Dep
+		for m := 1; m <= 6; m++ {
+			specs = append(specs, TaskSpec{
+				Fn:   versionBody(&bad, versionOp{&k[0], 1, false}, versionOp{&k[m], 0, true}),
+				Deps: []Dep{In(&k[0]), Out(&k[m])},
+			})
+			sinkOps = append(sinkOps, versionOp{&k[m], 1, false})
+			sinkDeps = append(sinkDeps, In(&k[m]))
+		}
+		if rewrite {
+			sinkOps = append(sinkOps, versionOp{&long[l], longWrites[l], true})
+			sinkDeps = append(sinkDeps, InOut(&long[l]))
+			longWrites[l]++
+		}
+		specs = append(specs,
+			TaskSpec{Fn: versionBody(&bad, sinkOps...), Deps: sinkDeps},
+			TaskSpec{Fn: versionBody(&bad, versionOp{&hold, 1, false}), Deps: []Dep{In(&hold)}})
+		s.mu.Lock()
+		spareBefore := len(s.spare)
+		s.mu.Unlock()
+		if _, err := r.SubmitBatch(specs); err != nil {
+			t.Fatal(err)
+		}
+		if err := audit(j, k, spareBefore); err != nil {
+			t.Fatalf("job %d: %v", j, err)
+		}
+		if j%16 == 15 {
+			// Let the diamonds retire, so that the next sweep deletes them.
+			for r.Stats().Executed < uint64(8*(j+1)) {
+				stdruntime.Gosched()
+			}
+		}
+	}
+	openGate()
+	if _, err := r.Submit("after", 1, versionBody(&bad, versionOp{&hold, 1, true}), InOut(&hold)); err != nil {
+		t.Fatal(err)
+	}
+	r.Wait()
+	if n := bad.Load(); n != 0 {
+		t.Errorf("%d dependences found the wrong version", n)
+	}
+	if hold != 2 {
+		t.Errorf("held key ends at version %d, want 2", hold)
+	}
+	for l, want := range longWrites {
+		if long[l] != want {
+			t.Errorf("long-lived key %d ends at version %d, want %d", l, long[l], want)
+		}
+	}
+	if sweeps < 3 || recycled == 0 {
+		t.Fatalf("%d sweeps, %d shelved lists handed out: the test did not exercise recycling", sweeps, recycled)
 	}
 }
 

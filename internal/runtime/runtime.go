@@ -143,10 +143,11 @@ const inlineArity = 4
 // runtime's freelist and a later submission reuses it, so the steady-state
 // task lifecycle performs no heap allocation. Reuse is made safe by the
 // claim word (see below): the references that can outlive the task — the
-// tracker's lastWriter/readersTail entries — carry the generation they
-// were created under and are ignored once the generations diverge. A
-// scheduler's queue entry never outlives the task: every scheduler holds
-// one entry per ready task, gone at the pop that dispatches it.
+// tracker's per-key writer and reader references (keyState) — carry the
+// generation they were created under and are ignored once the generations
+// diverge. A scheduler's queue entry never outlives the task: every
+// scheduler holds one entry per ready task, gone at the pop that
+// dispatches it.
 type task struct {
 	id       TaskID // also the submission order, for deterministic tie-breaks
 	name     string

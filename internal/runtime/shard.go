@@ -15,21 +15,34 @@ import (
 // path).
 const maxShards = 64
 
+// keyState is everything the tracker holds for one data key: the last
+// task that wrote it and the tasks that read it since. Both are
+// generation-tagged references: with task records pooled, a referenced
+// record may have been recycled for an unrelated task by the time a later
+// registration consults it, and the generation check (linkPreds) filters
+// those dead entries out. One record per key means a dependence costs one
+// map lookup and one store whatever its mode.
+type keyState struct {
+	writer  taskRef
+	readers []taskRef
+}
+
 // depShard is one slice of the dependence tracker: the renamer state for
 // every data key that hashes here, plus a slab of the global task log.
 // Shards are locked in ascending index order — the total order that makes
 // multi-shard submissions deadlock-free and serialises any two
 // registrations that share a key.
 type depShard struct {
-	mu sync.Mutex
-	// lastWriter and readersTail hold generation-tagged references: with
-	// task records pooled, a referenced record may have been recycled for
-	// an unrelated task by the time a later registration consults it, and
-	// the generation check (linkPreds) filters those dead entries out.
-	lastWriter  map[any]taskRef
-	readersTail map[any][]taskRef
-	// sweepAt is the combined size of the two maps past which the next
-	// registration scavenges them (see sweep).
+	mu   sync.Mutex
+	keys map[any]keyState
+	// spare holds the reader lists of keys the sweep deleted (empty, every
+	// slot zeroed), for the next keys that need one: a service minting
+	// fresh keys per job reuses the lists of the jobs that finished
+	// instead of growing a new one per key. At most maxSpare lists of at
+	// most maxSpareCap slots each.
+	spare [][]taskRef
+	// sweepAt is the record count past which the next registration
+	// scavenges keys (see sweep).
 	sweepAt int
 	// tasks is this shard's slab of the task log (tasks whose log shard is
 	// this one). The full log is the sorted-by-seq union over all shards.
@@ -50,11 +63,7 @@ type depShard struct {
 func newShards(n int) []*depShard {
 	shards := make([]*depShard, n)
 	for i := range shards {
-		shards[i] = &depShard{
-			lastWriter:  make(map[any]taskRef),
-			readersTail: make(map[any][]taskRef),
-			sweepAt:     sweepFloor,
-		}
+		shards[i] = &depShard{keys: make(map[any]keyState), sweepAt: sweepFloor}
 	}
 	return shards
 }
@@ -217,30 +226,28 @@ func (r *Runtime) trackDeps(t *task) []taskRef {
 	shardOf := t.depShards()
 	for i, d := range t.deps() {
 		s := r.shards[shardOf[i]]
-		switch d.Mode {
-		case ModeIn:
-			addPred(s.lastWriter[d.Key])
-			s.readersTail[d.Key] = append(s.readersTail[d.Key], self)
-		case ModeOut, ModeInOut:
-			if d.Mode == ModeInOut {
-				addPred(s.lastWriter[d.Key])
+		k := s.keys[d.Key]
+		// RAW for a reader; for a writer WAW, which even a plain Out waits
+		// for, since we do not rename storage.
+		addPred(k.writer)
+		if d.Mode == ModeIn {
+			if n := len(s.spare); n > 0 && cap(k.readers) == 0 {
+				k.readers, s.spare[n-1], s.spare = s.spare[n-1], nil, s.spare[:n-1]
 			}
+			k.readers = append(k.readers, self)
+		} else {
 			// WAR: wait for every reader since the previous writer.
-			tail := s.readersTail[d.Key]
-			for _, rd := range tail {
+			for _, rd := range k.readers {
 				addPred(rd)
 			}
-			// WAW: wait for the previous writer even for plain Out, since
-			// we do not rename storage.
-			addPred(s.lastWriter[d.Key])
-			s.lastWriter[d.Key] = self
-			// Zero the slots before truncating: tail[:0] alone keeps every
-			// old reader task reachable through the backing array until the
-			// next writer happens to overwrite each slot.
-			clear(tail)
-			s.readersTail[d.Key] = tail[:0]
+			// Zero the slots before truncating: readers[:0] alone keeps
+			// every old reader task reachable through the backing array
+			// until later readers happen to overwrite each slot.
+			clear(k.readers)
+			k.writer, k.readers = self, k.readers[:0]
 		}
-		if len(s.lastWriter)+len(s.readersTail) > s.sweepAt {
+		s.keys[d.Key] = k
+		if len(s.keys) > s.sweepAt {
 			s.sweep()
 		}
 	}
@@ -251,42 +258,52 @@ func (r *Runtime) trackDeps(t *task) []taskRef {
 	return preds
 }
 
-// sweepFloor is the tracker size below which a shard never scavenges: a
-// workload that reuses a few hundred keys never pays for a sweep.
-const sweepFloor = 1024
+// sweepFloor is the number of key records below which a shard never
+// scavenges: a workload that reuses a few hundred keys never pays for a
+// sweep.
+const sweepFloor = 512
+
+// maxSpare and maxSpareCap bound what a shard keeps for reuse: as many
+// lists as the floor lets accumulate between two sweeps, and no list so
+// long that a few-reader key would pin a fan's worth of slots.
+const maxSpare, maxSpareCap = sweepFloor, 8
 
 // sweep forgets the keys whose tasks are all gone: it drops every
 // reference whose record has since been retired (the generation moved on —
 // generations only grow, so the unlocked read can at worst keep a
-// reference one sweep too long) and deletes the entries left empty.
-// linkPreds already skips a dead reference, so removing one is invisible
-// to ordering; what it buys is that a service minting fresh keys per job
-// holds tracker state for the jobs in flight, not for every job it ever
-// ran. The next sweep is due at twice what survived, which keeps the cost
-// amortised constant per insertion. Under WithTraceRetention generations
-// never advance and nothing is forgotten — that option retains by
-// contract. Caller holds s.mu.
+// reference one sweep too long) and deletes the records left empty, whose
+// reader lists go to spare. A list is zeroed over the slots it used before
+// it is shelved, so it pins no retired record while it waits and hands
+// its next key an empty list, not another key's readers. linkPreds already
+// skips a dead reference, so removing one is invisible to ordering; what
+// it buys is that a service minting fresh keys per job holds tracker state
+// for the jobs in flight, not for every job it ever ran. The next sweep is
+// due at twice what survived, which keeps the cost amortised constant per
+// insertion. Under WithTraceRetention generations never advance and
+// nothing is forgotten — that option retains by contract. Caller holds
+// s.mu.
 func (s *depShard) sweep() {
-	for key, w := range s.lastWriter {
-		if w.dead() {
-			delete(s.lastWriter, key)
-		}
-	}
-	for key, tail := range s.readersTail {
-		live := tail[:0]
-		for _, rd := range tail {
+	for key, k := range s.keys {
+		live := k.readers[:0]
+		for _, rd := range k.readers {
 			if !rd.dead() {
 				live = append(live, rd)
 			}
 		}
-		clear(tail[len(live):])
-		if _, written := s.lastWriter[key]; len(live) == 0 && !written {
-			delete(s.readersTail, key)
-		} else {
-			s.readersTail[key] = live
+		clear(k.readers[len(live):])
+		if k.writer.t != nil && k.writer.dead() {
+			k.writer = taskRef{}
+		}
+		if k.readers = live; k.writer.t != nil || len(live) > 0 {
+			s.keys[key] = k
+			continue
+		}
+		delete(s.keys, key)
+		if c := cap(live); c > 0 && c <= maxSpareCap && len(s.spare) < maxSpare {
+			s.spare = append(s.spare, live)
 		}
 	}
-	s.sweepAt = 2*(len(s.lastWriter)+len(s.readersTail)) + sweepFloor
+	s.sweepAt = 2*len(s.keys) + sweepFloor
 }
 
 // linkPreds registers the dependence edges collected by trackDeps. npreds

@@ -412,9 +412,9 @@ func (r *Runtime) callOnDone(hook func(error), taskErr error, name string) {
 // retention it goes further and retires the whole record into the
 // runtime's freelist: the generation bump in the claim word (performed
 // inside this critical section) atomically invalidates every reference
-// that may still point here — tracker lastWriter/readersTail entries — so
-// the record can be reused by the next submission without those holders
-// ever observing the new task's state.
+// that may still point here — the tracker's per-key writer and reader
+// references (keyState) — so the record can be reused by the next
+// submission without those holders ever observing the new task's state.
 //
 // Newly-ready successors are released with the completing worker's
 // identity: the scheduler's locality path pushes them onto this worker's

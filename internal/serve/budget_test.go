@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -12,18 +13,21 @@ import (
 )
 
 // What one job may allocate from POST /v1/graphs to its terminal state,
-// driven through the handler with no socket: the measured count plus 10 %,
-// the harness's own request and recorder (about 25 objects) included.
+// driven through the handler with no socket: the measured count plus 8
+// objects admitted, 7 refused (under a tenth), the harness's own request
+// and recorder (about 25 objects) included.
 // Before graphs were lowered into slabs at launch the same harness read
 // 225 for the admitted job and 139 for the refused one, which used to
-// lower its graph too and now pays for its decode and its reply only.
-// DESIGN.md § Service layer has the stage-by-stage table; CI's -benchmem
-// step holds BenchmarkServeJobDiamond8 to the same two numbers. Counted
-// with go1.24: about two thirds of either figure is net/http's and
-// encoding/json's, which may move a few objects on another release.
+// lower its graph too and now pays for its decode and its reply only;
+// before the tracker recycled reader lists and the handler read the body
+// into a pooled buffer, 112 and 81. DESIGN.md § Service layer has the
+// stage-by-stage table; CI's -benchmem step holds
+// BenchmarkServeJobDiamond8 to the same two numbers. Counted with go1.24:
+// about two thirds of either figure is net/http's and encoding/json's,
+// which may move a few objects on another release.
 const (
-	admittedJobAllocBudget = 124 // measured 113
-	refusedJobAllocBudget  = 89  // measured 81
+	admittedJobAllocBudget = 105 // measured 97
+	refusedJobAllocBudget  = 82  // measured 75
 )
 
 // diamond8Body is the benchmark's diamond-8 on the wire: a source, six
@@ -59,6 +63,19 @@ func jobRecord(s *Server, n uint64) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs["j-"+strconv.FormatUint(n, 10)]
+}
+
+// trackerWarmJobs is how many diamond-8s (seven fresh keys each) take
+// every shard of the pool's dependence tracker — one per P, rounded up to a
+// power of two, sweeping at 512 keys — through its first three sweeps. From
+// then on a job's keys read into the lists finished jobs left behind, which
+// is the steady state the budget is about.
+func trackerWarmJobs() int {
+	shards := 1
+	for shards < runtime.GOMAXPROCS(0) {
+		shards <<= 1
+	}
+	return 3 * shards * 512 / 7
 }
 
 // runAdmittedJob posts one diamond-8 of noops and follows it to its
@@ -131,7 +148,7 @@ func TestServeJobAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for i := 0; i < 64; i++ {
+	for i := 0; i < trackerWarmJobs(); i++ {
 		runAdmittedJob(t, s, body) // warm the pools, the freelist, the tracker
 	}
 	if got := testing.AllocsPerRun(200, func() { runAdmittedJob(t, s, body) }); got > admittedJobAllocBudget {
@@ -165,7 +182,7 @@ func BenchmarkServeJobDiamond8(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer s.Close()
-		for i := 0; i < 64; i++ {
+		for i := 0; i < trackerWarmJobs(); i++ {
 			runAdmittedJob(b, s, body)
 		}
 		b.ReportAllocs()

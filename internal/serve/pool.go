@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"sync"
 	"time"
 )
@@ -47,6 +48,26 @@ func (g *GraphRequest) scrub(maxTasks int) {
 		tasks[i] = TaskRequest{Deps: deps[:0]}
 	}
 	*g = GraphRequest{Tasks: tasks[:0]}
+}
+
+// bodyPool recycles the buffers handleSubmit reads request bodies into:
+// the whole body is read, then decoded in one json.Unmarshal, which costs
+// no per-request Decoder, read buffer or second scanner (and, unlike
+// Decoder.Decode, refuses anything after the top-level value).
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody bounds the buffer a pooled body keeps, the maxPooledDeps
+// rule: one body near MaxBodyBytes must not be held for every later one.
+const maxPooledBody = 64 << 10
+
+func getBody() *bytes.Buffer { return bodyPool.Get().(*bytes.Buffer) }
+
+// putBody empties b and returns it to the pool, unless it grew too large.
+func putBody(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBody {
+		b.Reset()
+		bodyPool.Put(b)
+	}
 }
 
 // timerPool recycles the timers behind the sleep op and the job

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"reflect"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func checkRecycledDecode(t *testing.T, a, b []byte) {
 	t.Helper()
 	var scratch, fresh GraphRequest
 	decode := func(body []byte, into *GraphRequest) error {
-		return json.NewDecoder(bytes.NewReader(body)).Decode(into) // as handleSubmit does
+		return json.Unmarshal(body, into) // as handleSubmit does
 	}
 	_ = decode(a, &scratch) // a failed decode leaves residue too
 	scratch.scrub(1 << 20)
@@ -204,5 +205,52 @@ func TestPooledTimer(t *testing.T) {
 			t.Fatalf("pooled timer fired after %v, armed for 50ms: a stale tick survived the pool", d)
 		}
 		putTimer(tm, true)
+	}
+}
+
+// TestSubmitRejectsTrailingData pins what reading the whole body and
+// decoding it once changed and what it kept. Changed: anything after the
+// top-level value is a 400 (Decoder.Decode stopped at the closing brace
+// and never looked). Kept: a body over MaxBodyBytes is a 400 "bad request
+// body", not a truncated graph; and a well-formed body still runs after
+// either. A body buffer that had to grow past maxPooledBody is dropped
+// rather than pooled — the maxPooledDeps rule.
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	s, err := New(Config{Workers: 1, MaxBodyBytes: 256 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const good = `{"tasks":[{"op":"noop"}]}`
+	pad := func(n int) string { return `{"tenant":"` + strings.Repeat("x", n) + `","tasks":[{"op":"noop"}]}` }
+	for _, tc := range []struct{ name, body, want string }{
+		{"trailing token", good + ` x`, "bad request body: invalid character 'x' after top-level value"},
+		{"second value", good + good, "bad request body: invalid character '{' after top-level value"},
+		{"over MaxBodyBytes", pad(256 << 10), "bad request body: http: request body too large"},
+	} {
+		w := post(s, "t0", tc.body)
+		var reply ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
+			t.Errorf("%s: reply %q: %v", tc.name, w.Body, err)
+		}
+		if w.Code != http.StatusBadRequest || reply.Error != tc.want {
+			t.Errorf("%s:\n got %d %q\nwant 400 %q", tc.name, w.Code, reply.Error, tc.want)
+		}
+		runAdmittedJob(t, s, good+"\n ") // trailing white space is not data
+	}
+
+	// A large but legal body grows its buffer past the pooling bound; the
+	// pool must not hand that buffer to anyone afterwards. (sync.Pool may
+	// drop what it is given, so finding no large buffer proves less than
+	// finding one would; putBody's own answer is checked first.)
+	big := bytes.NewBufferString(pad(2 * maxPooledBody))
+	if putBody(big); big.Len() == 0 {
+		t.Errorf("putBody reset a %d-byte buffer: it was pooled, bound %d", big.Cap(), maxPooledBody)
+	}
+	runAdmittedJob(t, s, pad(2*maxPooledBody))
+	for i := 0; i < 8; i++ {
+		if b := getBody(); b.Cap() > maxPooledBody || b.Len() != 0 {
+			t.Fatalf("the pool handed out a buffer of len %d cap %d, bound %d", b.Len(), b.Cap(), maxPooledBody)
+		}
 	}
 }

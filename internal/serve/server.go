@@ -421,8 +421,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.putRequest(req)
 		}
 	}()
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(req); err != nil {
+	body := getBody()
+	defer putBody(body)
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(body.Bytes(), req) // copies what it keeps: req holds nothing of body
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
