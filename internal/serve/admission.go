@@ -5,15 +5,16 @@ type Verdict uint8
 
 // The admission verdicts. Admit queues the job; Defer asks the client to
 // retry after a delay (503 + Retry-After — the condition clears when work
-// drains); Reject refuses outright (429 — retrying without changing the
-// request or waiting for quota is pointless); Unavailable is the draining
-// server's terminal 503.
+// drains: quota tokens return, the pool backlog or the tenant queue
+// shrinks); Reject refuses outright (429) only what waiting cannot fix —
+// a graph larger than the whole quota, or a tenant queue with no slot
+// left; Unavailable is the draining server's terminal 503.
 const (
 	// VerdictAdmit: the job is accepted and queued.
 	VerdictAdmit Verdict = iota
 	// VerdictDefer: transient pressure — retry after the advertised delay.
 	VerdictDefer
-	// VerdictReject: the request exceeds a hard limit right now.
+	// VerdictReject: the graph exceeds the quota or the queue is full.
 	VerdictReject
 	// VerdictUnavailable: the server is draining and admits nothing.
 	VerdictUnavailable
@@ -35,6 +36,17 @@ func (v Verdict) String() string {
 	}
 }
 
+// backlogPerWorker is each lane's overload bound in pool-backlog tasks per
+// worker: a data submission defers while the pool holds 256·Workers
+// outstanding tasks, a telemetry one already at 64·Workers, and control
+// (0) never defers on backlog.
+var backlogPerWorker = [laneCount]int64{LaneData: 256, LaneTelemetry: 64}
+
+// inReserve reports whether a tenant queue's depth has reached the
+// control-lane reserve: the last quarter of its capacity, which data and
+// telemetry submissions may not take.
+func inReserve(depth, capacity int) bool { return depth >= capacity-capacity/4 }
+
 // admissionInputs is everything the admission ladder looks at, gathered
 // under the server's lock so one decision sees one consistent snapshot.
 type admissionInputs struct {
@@ -50,12 +62,9 @@ type admissionInputs struct {
 	inFlight int64
 	// queueDepth and queueCap describe the tenant's job queue.
 	queueDepth, queueCap int
-	// backpressured: the tenant queue's high watermark has latched and
-	// the low watermark has not yet cleared it.
-	backpressured bool
 	// poolBacklog is the shared runtime's outstanding-task count, and
-	// softBacklog/hardBacklog the config thresholds it is judged against.
-	poolBacklog, softBacklog, hardBacklog int64
+	// workers the pool size its per-lane bound scales with.
+	poolBacklog, workers int64
 }
 
 // decision is a verdict plus the reason that produced it.
@@ -76,17 +85,15 @@ type decision struct {
 //	draining                                   → unavailable
 //	cost > quota (can never fit)               → reject  "graph-exceeds-quota"
 //	tenant queue full                          → reject  "queue-full"
-//	pool backlog ≥ hard, telemetry lane        → reject  "overload"
-//	pool backlog ≥ hard, data lane             → defer   "overload"
+//	pool backlog ≥ the lane's bound            → defer   "overload"
 //	in-flight + cost > quota (fits later)      → defer   "quota"
-//	tenant backpressured, non-control lane     → defer   "backpressure"
-//	pool backlog ≥ soft, telemetry lane        → defer   "overload"
+//	queue in the control reserve, non-control  → defer   "backpressure"
 //	otherwise                                  → admit
 //
 // Control-lane traffic is only ever stopped by the hard per-tenant limits
-// (drain, queue capacity, quota) — never by shared-pool pressure, so a
-// tenant can always coordinate with the service while its data work is
-// being shed.
+// (drain, queue capacity, quota) — never by shared-pool pressure or the
+// reserve, so a tenant can always coordinate with the service while its
+// data work is being shed.
 func decide(in admissionInputs) decision {
 	if in.draining {
 		return decision{VerdictUnavailable, "draining"}
@@ -97,22 +104,14 @@ func decide(in admissionInputs) decision {
 	if in.queueDepth >= in.queueCap {
 		return decision{VerdictReject, "queue-full"}
 	}
-	if in.hardBacklog > 0 && in.poolBacklog >= in.hardBacklog {
-		switch in.lane {
-		case LaneTelemetry:
-			return decision{VerdictReject, "overload"}
-		case LaneData:
-			return decision{VerdictDefer, "overload"}
-		}
+	if per := backlogPerWorker[in.lane]; per > 0 && in.poolBacklog >= per*in.workers {
+		return decision{VerdictDefer, "overload"}
 	}
 	if in.inFlight+in.cost > in.quota {
 		return decision{VerdictDefer, "quota"}
 	}
-	if in.backpressured && in.lane != LaneControl {
+	if in.lane != LaneControl && inReserve(in.queueDepth, in.queueCap) {
 		return decision{VerdictDefer, "backpressure"}
-	}
-	if in.softBacklog > 0 && in.poolBacklog >= in.softBacklog && in.lane == LaneTelemetry {
-		return decision{VerdictDefer, "overload"}
 	}
 	return decision{VerdictAdmit, "admit"}
 }

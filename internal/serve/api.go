@@ -20,12 +20,12 @@ type Lane uint8
 
 // The three lanes, most to least privileged.
 const (
-	// LaneControl is for small coordination graphs; it bypasses
-	// backpressure deferral and is the last lane shed under overload.
+	// LaneControl is for small coordination graphs; it may take the
+	// queue's reserve and never defers on pool backlog.
 	LaneControl Lane = iota
 	// LaneData is the default lane for work graphs.
 	LaneData
-	// LaneTelemetry is best-effort: first deferred, first rejected.
+	// LaneTelemetry is best-effort: the first lane deferred on backlog.
 	LaneTelemetry
 
 	laneCount = 3

@@ -18,7 +18,7 @@ import (
 //   - A job is launched only while fewer than Config.MaxRunningJobs jobs
 //     of its own and the more privileged lanes are in the pool; the rest
 //     wait in their tenant queues, so the queues (and with them the
-//     watermark backpressure and the fairness rotation) see real depth
+//     control-lane reserve and the fairness rotation) see real depth
 //     instead of draining instantly into an unbounded pool. The cap counts
 //     upwards only: telemetry jobs, which the pool serves last, never hold
 //     a data or control job back, and the pool holds at most

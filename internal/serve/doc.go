@@ -11,19 +11,22 @@
 //
 // Admission is a pure verdict ladder (see decide) over one locked
 // snapshot: the tenant's token quota (a job holds one token per task
-// until terminal), the tenant queue's depth and watermark latch, and
-// the pool's backlog (Runtime.Backlog). The verdict is admit (202),
-// defer (503 + Retry-After — transient, retry later), or reject (429 —
-// over a hard limit). A draining server answers 503 for everything new.
+// until terminal), the tenant queue's depth, and the pool's backlog
+// (Runtime.Backlog). The verdict is admit (202), defer (503 +
+// Retry-After — transient, retry later), or reject (429 — only a graph
+// larger than the whole quota, or a full queue). A draining server
+// answers 503 for everything new. The ladder has no state of its own and
+// two sizes (quota, queue capacity): the backlog bounds scale with the
+// pool's workers, and the reserve with the queue.
 //
 // Admitted jobs wait in their tenant's bounded queue, partitioned into
-// three priority lanes (control > data > telemetry). Backpressure is a
-// low/high watermark hysteresis over the queue depth: crossing high
-// latches deferral for data and telemetry submissions until the depth
-// falls back to low, so the tenant sees a stable backoff signal rather
-// than per-request flapping. The control lane bypasses backpressure and
-// shared-pool shedding — a tenant can always coordinate with the
-// service while its bulk work is being shed.
+// three priority lanes (control > data > telemetry). The last quarter of
+// the queue is the control lane's reserve: data and telemetry submissions
+// defer with "backpressure" while the queue is that full, and are
+// admitted again as soon as it is not. The control lane also never
+// defers on pool backlog, where telemetry defers at a quarter of data's
+// bound — a tenant can always coordinate with the service while its
+// bulk work is being shed.
 //
 // The dispatcher is one goroutine that moves jobs into the pool: lanes
 // in strict priority order, round-robin across tenants within a lane —
@@ -61,7 +64,7 @@
 //
 // GET /metrics exposes a Prometheus-text snapshot: the runtime's
 // StatsInto counters, admission verdicts, per-tenant queue depths,
-// watermark latches and token usage, and jobs running and pending by
+// reserve state and token usage, and jobs running and pending by
 // lane. With Config.FlightRecorder, the server stamps
 // request-scoped timeline markers (admit/launch/done, tagged with the
 // job number and a tenant hash) into the pool's flight recorder, so a

@@ -47,10 +47,8 @@ func TestFairnessGreedyCannotStarveLight(t *testing.T) {
 		Workers:        2,
 		MaxRunningJobs: 2,
 		TenantQuota:    greedyJobs + 4, // the flood must be admitted, not deferred
-		QueueCap:       greedyJobs + 4,
-		QueueHighWater: greedyJobs + 3, // keep watermark backpressure out of this test
-		QueueLowWater:  1,
-		FlightRecorder: true, // the launch markers
+		QueueCap:       2 * greedyJobs, // …and stay below the control reserve (¾ of the cap)
+		FlightRecorder: true,           // the launch markers
 		Ops:            map[string]serve.Op{"gate": g.op},
 	})
 	greedy := h.Client("greedy")

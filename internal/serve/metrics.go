@@ -57,21 +57,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	head(&b, "raa_serve_tenant_queue_depth", "Queued jobs, by tenant.", "gauge")
 	for _, tn := range s.order {
-		fmt.Fprintf(&b, "raa_serve_tenant_queue_depth{tenant=%q} %d\n", labelEscape(tn.id), tn.q.depth)
+		fmt.Fprintf(&b, "raa_serve_tenant_queue_depth{tenant=%s} %d\n", label(tn.id), tn.q.depth)
 	}
-	head(&b, "raa_serve_tenant_backpressured", "1 while the tenant's high watermark is latched.", "gauge")
+	head(&b, "raa_serve_tenant_backpressured", "1 while non-control submissions defer for queue depth.", "gauge")
 	for _, tn := range s.order {
-		fmt.Fprintf(&b, "raa_serve_tenant_backpressured{tenant=%q} %g\n", labelEscape(tn.id), b2f(tn.q.backpressured()))
+		fmt.Fprintf(&b, "raa_serve_tenant_backpressured{tenant=%s} %g\n", label(tn.id), b2f(inReserve(tn.q.depth, s.cfg.QueueCap)))
 	}
 	head(&b, "raa_serve_tenant_inflight_tokens", "Quota tokens held by admitted jobs, by tenant.", "gauge")
 	for _, tn := range s.order {
-		fmt.Fprintf(&b, "raa_serve_tenant_inflight_tokens{tenant=%q} %d\n", labelEscape(tn.id), tn.inFlight)
+		fmt.Fprintf(&b, "raa_serve_tenant_inflight_tokens{tenant=%s} %d\n", label(tn.id), tn.inFlight)
 	}
 	head(&b, "raa_serve_tenant_admission_total", "Admission verdicts, by tenant and outcome.", "counter")
 	for _, tn := range s.order {
 		for v := VerdictAdmit; v <= VerdictUnavailable; v++ {
-			fmt.Fprintf(&b, "raa_serve_tenant_admission_total{tenant=%q,verdict=%q} %d\n",
-				labelEscape(tn.id), v.String(), tn.verdicts[v])
+			fmt.Fprintf(&b, "raa_serve_tenant_admission_total{tenant=%s,verdict=%q} %d\n",
+				label(tn.id), v.String(), tn.verdicts[v])
 		}
 	}
 	head(&b, "raa_serve_tenant_jobs_total", "Terminal jobs, by tenant and state.", "counter")
@@ -84,8 +84,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			{"failed", tn.jobsFailed},
 			{"cancelled", tn.jobsCancelled},
 		} {
-			fmt.Fprintf(&b, "raa_serve_tenant_jobs_total{tenant=%q,state=%q} %d\n",
-				labelEscape(tn.id), sc.state, sc.n)
+			fmt.Fprintf(&b, "raa_serve_tenant_jobs_total{tenant=%s,state=%q} %d\n",
+				label(tn.id), sc.state, sc.n)
 		}
 	}
 	s.mu.Unlock()
@@ -119,9 +119,10 @@ func b2f(v bool) float64 {
 	return 0
 }
 
-// labelEscape escapes a label value per the exposition format; %q in the
-// callers adds the quotes and escapes quotes and backslashes, so only
-// newlines need flattening first.
-func labelEscape(v string) string {
-	return strings.ReplaceAll(v, "\n", "\\n")
-}
+// labelEscaper applies the exposition format's three label-value escapes
+// (backslash, double quote, newline) and no others: every other byte,
+// tabs and control bytes included, stands for itself.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// label renders a label value, quoted and escaped.
+func label(v string) string { return `"` + labelEscaper.Replace(v) + `"` }

@@ -1,51 +1,18 @@
 package serve
 
-// watermark is the two-threshold hysteresis latch that turns a queue
-// depth into a backpressure state: crossing the high watermark latches
-// backpressure on, and it stays on until the depth falls back to the low
-// watermark — so a queue hovering around one threshold does not flap the
-// tenant between admit and defer on every push/pop.
-type watermark struct {
-	low, high int
-	latched   bool
-}
-
-// observe feeds the current depth and returns the (possibly updated)
-// latched state.
-func (w *watermark) observe(depth int) bool {
-	if !w.latched && depth >= w.high {
-		w.latched = true
-	} else if w.latched && depth <= w.low {
-		w.latched = false
-	}
-	return w.latched
-}
-
-// tenantQueue is one tenant's bounded job queue: a FIFO per lane, a
-// shared depth bound, and a watermark latch over the total depth. All
-// methods are called under the server's lock.
+// tenantQueue is one tenant's job queue: a FIFO per lane and the total
+// depth. Admission bounds the depth (the queue-full rung) and reserves its
+// last quarter for the control lane (the backpressure rung) before a push.
+// All methods are called under the server's lock.
 type tenantQueue struct {
 	lanes [laneCount][]*job
 	depth int
-	cap   int
-	wm    watermark
 }
 
-// newTenantQueue sizes a queue with the given bound and watermarks.
-func newTenantQueue(capacity, low, high int) *tenantQueue {
-	return &tenantQueue{cap: capacity, wm: watermark{low: low, high: high}}
-}
-
-// push appends a job to its lane. The caller has already checked the
-// bound through admission; push enforces it again defensively.
-func (q *tenantQueue) push(j *job) bool {
-	if q.depth >= q.cap {
-		return false
-	}
+// push appends an admitted job to its lane.
+func (q *tenantQueue) push(j *job) {
 	q.lanes[j.lane] = append(q.lanes[j.lane], j)
 	q.depth++
-	q.wm.observe(q.depth)
-	return true
 }
 
 // popLane removes and returns the oldest job of one lane, or nil.
@@ -61,9 +28,5 @@ func (q *tenantQueue) popLane(l Lane) *job {
 		q.lanes[l] = nil // let a drained lane's backing array go
 	}
 	q.depth--
-	q.wm.observe(q.depth)
 	return j
 }
-
-// backpressured reports the watermark latch without feeding it.
-func (q *tenantQueue) backpressured() bool { return q.wm.latched }

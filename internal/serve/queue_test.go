@@ -2,59 +2,22 @@ package serve
 
 import "testing"
 
-// TestWatermarkHysteresis walks the low→high→low transition: the latch
-// arms exactly at high, survives the whole descent to low+1, and clears
-// exactly at low — so a depth oscillating between the thresholds never
-// flaps the state.
-func TestWatermarkHysteresis(t *testing.T) {
-	w := watermark{low: 4, high: 12}
-	steps := []struct {
-		depth int
-		want  bool
-	}{
-		{0, false},
-		{4, false},
-		{11, false}, // below high: still clear on the way up
-		{12, true},  // latches exactly at high
-		{11, true},  // descending: stays latched past high
-		{5, true},   // …all the way down to low+1
-		{4, false},  // clears exactly at low
-		{5, false},  // re-ascending below high: stays clear
-		{11, false},
-		{12, true}, // second cycle latches again
-		{0, false}, // straight to the bottom clears
-	}
-	for i, s := range steps {
-		if got := w.observe(s.depth); got != s.want {
-			t.Fatalf("step %d: observe(%d) = %v, want %v", i, s.depth, got, s.want)
-		}
-	}
-}
-
 // TestTenantQueueLanesAndBound pins the queue's dispatch-side contract:
-// FIFO within a lane, lanes independent, the shared depth bound, and
-// the watermark fed by both push and pop.
+// FIFO within a lane, lanes independent, and the depth that admission's
+// queue-full and reserve rungs read, kept by both push and pop.
 func TestTenantQueueLanesAndBound(t *testing.T) {
-	q := newTenantQueue(4, 1, 4)
+	var q tenantQueue
 	mk := func(id string, l Lane) *job { return &job{id: id, lane: l} }
 
 	if j := q.popLane(LaneData); j != nil {
 		t.Fatalf("pop from empty queue returned %v", j)
 	}
-	if !q.push(mk("c1", LaneControl)) || !q.push(mk("d1", LaneData)) || !q.push(mk("d2", LaneData)) {
-		t.Fatal("pushes under the bound refused")
-	}
-	if q.backpressured() {
-		t.Fatal("backpressured below high watermark")
-	}
-	if !q.push(mk("t1", LaneTelemetry)) {
-		t.Fatal("push at depth 3 refused (cap 4)")
-	}
-	if !q.backpressured() {
-		t.Fatal("not backpressured at depth 4 = high 4")
-	}
-	if q.push(mk("d3", LaneData)) {
-		t.Fatal("push above the bound accepted")
+	q.push(mk("c1", LaneControl))
+	q.push(mk("d1", LaneData))
+	q.push(mk("d2", LaneData))
+	q.push(mk("t1", LaneTelemetry))
+	if q.depth != 4 {
+		t.Fatalf("depth = %d after 4 pushes, want 4", q.depth)
 	}
 
 	// Lanes are independent FIFOs.
@@ -67,16 +30,8 @@ func TestTenantQueueLanesAndBound(t *testing.T) {
 	if j := q.popLane(LaneData); j != nil {
 		t.Fatalf("drained data lane returned %v", j)
 	}
-	// Depth 2 > low 1: the latch holds through the descent…
-	if !q.backpressured() {
-		t.Fatal("latch cleared above the low watermark")
-	}
 	if j := q.popLane(LaneControl); j == nil || j.id != "c1" {
 		t.Fatalf("control pop = %v, want c1", j)
-	}
-	// …and clears at low.
-	if q.backpressured() {
-		t.Fatal("latch held at the low watermark")
 	}
 	if j := q.popLane(LaneTelemetry); j == nil || j.id != "t1" {
 		t.Fatalf("telemetry pop = %v, want t1", j)
@@ -84,8 +39,9 @@ func TestTenantQueueLanesAndBound(t *testing.T) {
 	if q.depth != 0 {
 		t.Fatalf("depth = %d after draining, want 0", q.depth)
 	}
-	// The freed capacity is reusable.
-	if !q.push(mk("d4", LaneData)) {
-		t.Fatal("push after drain refused")
+	for l := Lane(0); l < laneCount; l++ {
+		if q.lanes[l] != nil {
+			t.Errorf("drained %s lane keeps its backing array", l)
+		}
 	}
 }

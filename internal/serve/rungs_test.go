@@ -13,8 +13,9 @@ import (
 // TestAdmissionRungsReachableAtDefaults decides whether every rung of the
 // admission ladder can fire on a server nobody tuned: Config{Workers: 1}
 // and nothing else set (the gate op is test plumbing, not sizing), so the
-// defaults are quota 256 tokens, queue 64 with watermarks 16/48, at most 4
-// running jobs, pool backlog soft 64 / hard 256. Each rung gets one
+// defaults are quota 256 tokens, queue 64 with the control reserve from
+// depth 48, at most 4 running jobs, and pool-backlog bounds of 64
+// (telemetry) and 256 (data) tasks. Each rung gets one
 // scripted tenant mix of all-gate graphs — nothing completes, so every
 // count is exact — and the probes assert the HTTP code and reason. The job
 // sizes are the largest that reach the rung: one task more and an earlier
@@ -51,29 +52,29 @@ func TestAdmissionRungsReachableAtDefaults(t *testing.T) {
 		{name: "graph-exceeds-quota",
 			probes: []probe{{"t", "data", 257, rejected, "graph-exceeds-quota"}, {"t", "data", 256, admitted, ""}}},
 		// 4 running + 64 queued jobs of 3 tasks hold 204 of 256 tokens.
-		// Control-lane traffic is what rides past the latch at depth 48.
+		// Control-lane traffic is what fills the reserve from depth 48.
 		{name: "queue-full",
 			loads:  []load{{"t", "control", 4, 3, 12}, {"t", "control", 64, 3, 0}},
 			probes: []probe{{"t", "control", 3, rejected, "queue-full"}, {"t", "data", 3, rejected, "queue-full"}}},
-		// A full running cap of 64-task jobs is the hard backlog exactly.
-		// Tested before quota, so it shields even a tenant with nothing in
-		// flight; control rides through.
+		// A full running cap of 64-task jobs is data's backlog bound
+		// exactly. Tested before quota, so it shields even a tenant with
+		// nothing in flight; control rides through.
 		{name: "overload-hard",
 			loads: []load{{"h0", "data", 1, 64, 0}, {"h1", "data", 1, 64, 0}, {"h2", "data", 1, 64, 0}, {"h3", "data", 1, 64, 256}},
-			probes: []probe{{"x", "telemetry", 1, rejected, "overload"}, {"x", "data", 1, deferred, "overload"},
+			probes: []probe{{"x", "telemetry", 1, deferred, "overload"}, {"x", "data", 1, deferred, "overload"},
 				{"x", "control", 1, admitted, ""}}},
 		// serve-overload's shape: 32 eight-task jobs are the whole quota,
-		// with 28 queued — 20 short of the high watermark.
+		// with 28 queued — 20 short of the reserve.
 		{name: "quota",
 			loads:  []load{{"t", "data", 32, 8, 0}},
 			probes: []probe{{"t", "data", 8, deferred, "quota"}, {"t", "control", 1, deferred, "quota"}, {"u", "data", 8, admitted, ""}}},
-		// 4 running + 48 queued jobs of 4 tasks hold 208 tokens: the latch
-		// closes with room for one more job under the quota.
+		// 4 running + 48 queued jobs of 4 tasks hold 208 tokens: the
+		// reserve closes with room for one more job under the quota.
 		{name: "backpressure",
 			loads: []load{{"t", "data", 4, 4, 16}, {"t", "data", 48, 4, 0}},
 			probes: []probe{{"t", "data", 4, deferred, "backpressure"}, {"t", "telemetry", 4, deferred, "backpressure"},
 				{"t", "control", 4, admitted, ""}}},
-		// Four running 16-task jobs are the soft backlog exactly.
+		// Four running 16-task jobs are telemetry's backlog bound exactly.
 		{name: "overload-soft",
 			loads:  []load{{"h0", "data", 1, 16, 0}, {"h1", "data", 1, 16, 0}, {"h2", "data", 1, 16, 0}, {"h3", "data", 1, 16, 64}},
 			probes: []probe{{"x", "telemetry", 1, deferred, "overload"}, {"x", "data", 1, admitted, ""}}},

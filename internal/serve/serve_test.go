@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -266,42 +267,56 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
-// TestServeBackpressureAndQueueFull drives the watermark ladder end to
-// end: queue past high → deferred with Retry-After; queue at cap →
-// rejected; drained below low → admitted again. Dispatch is plugged so
-// queue depth is exact at every step — by a control-lane job, the only
-// kind that holds every lane back (see TestLaneCapHoldsNothingAbove).
+// TestServeBackpressureAndQueueFull drives the queue's two rungs end to
+// end: queue in the control reserve (its last quarter) → data deferred
+// with Retry-After, control still admitted; queue at cap → rejected;
+// queue drained below the reserve → data admitted again, with no low mark
+// to wait for. /metrics' backpressured gauge reads 1 exactly inside the
+// reserve. Dispatch is plugged so queue depth is exact at every step — by
+// a control-lane job, the only kind that holds every lane back (see
+// TestLaneCapHoldsNothingAbove).
 func TestServeBackpressureAndQueueFull(t *testing.T) {
 	g := newGates()
 	h := servetest.Start(t, serve.Config{
 		Workers:        1,
 		MaxRunningJobs: 1,
-		QueueCap:       4,
-		QueueLowWater:  1,
-		QueueHighWater: 3,
+		QueueCap:       4, // reserve: depth 3 and up
 		Ops:            map[string]serve.Op{"gate": g.op},
 	})
 	c := h.Client("t0")
+	gauge := func(want int) {
+		t.Helper()
+		page, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := fmt.Sprintf(`raa_serve_tenant_backpressured{tenant="t0"} %d`, want)
+		if !strings.Contains(page, line+"\n") {
+			t.Fatalf("metrics page lacks %q", line)
+		}
+	}
 
 	// Plug the single dispatch slot.
 	plug := c.MustSubmit(t, gateGraph(1, "control"))
 	waitEntered(t, g, 1)
 
-	// Fill the queue to high (3): all admitted.
+	// Fill the queue up to the reserve (3): all admitted.
 	var queued []string
 	for i := 0; i < 3; i++ {
+		gauge(0)
 		queued = append(queued, c.MustSubmit(t, noopGraph(1, "data")))
 	}
-	// Depth 3 = high watermark: latched — data defers with Retry-After.
+	// Depth 3 is the reserve: data defers with Retry-After.
+	gauge(1)
 	sub, err := c.Submit(noopGraph(1, "data"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sub.Code != http.StatusServiceUnavailable || sub.Response.Reason != "backpressure" || sub.RetryAfter < 1 {
-		t.Fatalf("submit at high water = %d %s/%s retry=%d, want 503 deferred/backpressure with Retry-After",
+		t.Fatalf("submit in the reserve = %d %s/%s retry=%d, want 503 deferred/backpressure with Retry-After",
 			sub.Code, sub.Response.Status, sub.Response.Reason, sub.RetryAfter)
 	}
-	// Control lane bypasses the latch and fills the queue to cap (4).
+	// Control takes the reserve and fills the queue to cap (4).
 	queued = append(queued, c.MustSubmit(t, noopGraph(1, "control")))
 	// At cap even control is rejected outright.
 	sub, err = c.Submit(noopGraph(1, "control"))
@@ -313,8 +328,8 @@ func TestServeBackpressureAndQueueFull(t *testing.T) {
 			sub.Code, sub.Response.Status, sub.Response.Reason)
 	}
 
-	// Open the plug: the queue drains; once depth ≤ low (1) the latch
-	// clears and data is admitted again.
+	// Open the plug: the queue drains, and data is admitted again as soon
+	// as the depth is below the reserve.
 	g.Open(1)
 	deadline := time.Now().Add(20 * time.Second)
 	for {
@@ -325,17 +340,22 @@ func TestServeBackpressureAndQueueFull(t *testing.T) {
 		if sub.Admitted() {
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("backpressure never cleared: last verdict %d %s/%s",
+		if r := sub.Response.Reason; r != "queue-full" && r != "backpressure" {
+			t.Fatalf("draining queue: verdict %d %s/%s, want queue-full or backpressure until admitted",
 				sub.Code, sub.Response.Status, sub.Response.Reason)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("data never admitted below the reserve")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	queued = append(queued, sub.Response.Job)
 	for _, id := range append(queued, plug) {
 		if st, err := c.Await(id, 15*time.Second); err != nil || st.State != "done" {
 			t.Fatalf("job %s: %v %+v", id, err, st)
 		}
 	}
+	gauge(0)
 }
 
 // TestServeQuotaDefer: a tenant whose tokens are all in flight defers
@@ -434,4 +454,83 @@ func TestServeMetricsPage(t *testing.T) {
 	if t.Failed() {
 		t.Logf("page:\n%s", page)
 	}
+}
+
+// TestMetricsTenantLabelsRoundTrip: tenant ids arrive unvalidated (here
+// through the JSON tenant field, which can carry any string), and each must
+// come back out of /metrics as a label that unescapes to the id itself
+// under the exposition format's three escapes — so no two ids share a
+// label, and the page has no escape a strict parser does not know.
+func TestMetricsTenantLabelsRoundTrip(t *testing.T) {
+	h := servetest.Start(t, serve.Config{Workers: 1})
+	ids := []string{"plain", "a\nb", `a\nb`, "a\tb", "a\x00b", "a\u200bb", `a"b`, `a\"b`, `a\\b`, "a\\\nb"}
+	anon := h.Client("") // no header: the tenant comes from the body
+	for _, id := range ids {
+		g := noopGraph(1, "data")
+		g.Tenant = id
+		if sub, err := anon.Submit(g); err != nil || !sub.Admitted() {
+			t.Fatalf("tenant %q: %v, status %d", id, err, sub.Code)
+		}
+	}
+	page, err := anon.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = `raa_serve_tenant_queue_depth{tenant="`
+	seen := map[string]bool{}
+	for _, line := range strings.Split(page, "\n") {
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok {
+			continue
+		}
+		id, tail := unescapeLabel(t, rest)
+		if !strings.HasPrefix(tail, "} ") {
+			t.Fatalf("label of %q is followed by %q, want the sample value", id, tail)
+		}
+		if seen[id] {
+			t.Errorf("two queue-depth samples unescape to tenant %q", id)
+		}
+		seen[id] = true
+	}
+	for _, id := range ids {
+		if !seen[id] {
+			t.Errorf("no queue-depth sample unescapes to tenant %q", id)
+		}
+	}
+	if len(seen) != len(ids) {
+		t.Errorf("%d distinct tenant labels for %d tenants", len(seen), len(ids))
+	}
+	if t.Failed() {
+		t.Logf("page:\n%s", page)
+	}
+}
+
+// unescapeLabel reads one label value up to its closing quote, undoing the
+// three escapes the exposition format defines (\\, \", \n) and failing on
+// any other. It returns the value and what follows the quote.
+func unescapeLabel(t *testing.T, s string) (string, string) {
+	t.Helper()
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '"':
+			return b.String(), s[i+1:]
+		case '\\':
+			if i++; i == len(s) {
+				break
+			}
+			switch s[i] {
+			case '\\', '"':
+				b.WriteByte(s[i])
+			case 'n':
+				b.WriteByte('\n')
+			default:
+				t.Fatalf("escape \\%c is not in the exposition format: %q", s[i], s)
+			}
+		default:
+			b.WriteByte(s[i])
+		}
+	}
+	t.Fatalf("unterminated label value: %q", s)
+	return "", ""
 }

@@ -31,17 +31,10 @@ type Config struct {
 	// TenantQuota is each tenant's token quota; an admitted job holds
 	// one token per task until it reaches a terminal state (default 256).
 	TenantQuota int64
-	// QueueCap bounds each tenant's queued-job count (default 64).
+	// QueueCap bounds each tenant's queued-job count (default 64). Its
+	// last quarter is the control lane's reserve: data and telemetry
+	// submissions defer while the queue is that full.
 	QueueCap int
-	// QueueLowWater / QueueHighWater are the backpressure hysteresis
-	// thresholds over the tenant queue depth (defaults cap/4 and
-	// 3*cap/4). Crossing high latches deferral for data and telemetry
-	// submissions until the depth falls back to low.
-	QueueLowWater, QueueHighWater int
-	// SoftBacklog / HardBacklog are pool-backlog thresholds (outstanding
-	// tasks) for load shedding: at soft, telemetry defers; at hard,
-	// telemetry rejects and data defers (defaults 64× and 256× Workers).
-	SoftBacklog, HardBacklog int64
 	// MaxRunningJobs caps the jobs in the pool as each lane sees them: a
 	// job is launched only while fewer than this many jobs of its own and
 	// the more privileged lanes are running, so the pool holds at most
@@ -57,9 +50,6 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxBodyBytes bounds a request body (default 1 MiB).
 	MaxBodyBytes int64
-	// JobHistory bounds how many terminal jobs stay queryable through
-	// GET /v1/jobs/{id} (default 4096; oldest evicted first).
-	JobHistory int
 	// Ops registers extra operations (or overrides built-ins) by name;
 	// tests inject gate-style ops here.
 	Ops map[string]Op
@@ -85,27 +75,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
-	if c.QueueHighWater <= 0 {
-		c.QueueHighWater = 3 * c.QueueCap / 4
-	}
-	if c.QueueHighWater < 1 {
-		c.QueueHighWater = 1
-	}
-	if c.QueueLowWater <= 0 {
-		c.QueueLowWater = c.QueueCap / 4
-	}
-	if c.QueueLowWater >= c.QueueHighWater {
-		c.QueueLowWater = c.QueueHighWater - 1
-	}
-	if c.SoftBacklog <= 0 {
-		c.SoftBacklog = int64(64 * c.Workers)
-	}
-	if c.HardBacklog <= 0 {
-		c.HardBacklog = int64(256 * c.Workers)
-	}
-	if c.HardBacklog <= c.SoftBacklog {
-		c.HardBacklog = c.SoftBacklog * 4
-	}
 	if c.MaxRunningJobs <= 0 {
 		// Derived default only: an explicit 1 (serialise jobs) is honoured.
 		c.MaxRunningJobs = 4 * c.Workers
@@ -122,11 +91,12 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.JobHistory <= 0 {
-		c.JobHistory = 4096
-	}
 	return c
 }
+
+// jobHistory bounds how many terminal jobs stay queryable through
+// GET /v1/jobs/{id}; the oldest is evicted first.
+const jobHistory = 4096
 
 // Server is the multi-tenant task service: per-tenant sessions with
 // token quotas and bounded queues in front of one shared runtime pool,
@@ -274,11 +244,7 @@ func (s *Server) Close() {
 func (s *Server) tenantLocked(id string) *tenant {
 	tn := s.tenants[id]
 	if tn == nil {
-		tn = &tenant{
-			id:   id,
-			hash: tenantHash(id),
-			q:    newTenantQueue(s.cfg.QueueCap, s.cfg.QueueLowWater, s.cfg.QueueHighWater),
-		}
+		tn = &tenant{id: id, hash: tenantHash(id)}
 		s.tenants[id] = tn
 		s.order = append(s.order, tn)
 	}
@@ -302,17 +268,15 @@ func (s *Server) admitJob(tenantID string, lane Lane, req *GraphRequest, failFas
 	s.mu.Lock()
 	tn := s.tenantLocked(tenantID)
 	d := decide(admissionInputs{
-		draining:      s.draining,
-		lane:          lane,
-		cost:          cost,
-		quota:         s.cfg.TenantQuota,
-		inFlight:      tn.inFlight,
-		queueDepth:    tn.q.depth,
-		queueCap:      tn.q.cap,
-		backpressured: tn.q.backpressured(),
-		poolBacklog:   s.rt.Backlog(),
-		softBacklog:   s.cfg.SoftBacklog,
-		hardBacklog:   s.cfg.HardBacklog,
+		draining:    s.draining,
+		lane:        lane,
+		cost:        cost,
+		quota:       s.cfg.TenantQuota,
+		inFlight:    tn.inFlight,
+		queueDepth:  tn.q.depth,
+		queueCap:    s.cfg.QueueCap,
+		poolBacklog: s.rt.Backlog(),
+		workers:     int64(s.cfg.Workers),
 	})
 	tn.verdicts[d.verdict]++
 	s.verdicts[d.verdict]++
@@ -371,7 +335,7 @@ func (s *Server) finishLocked(j *job, state jobState) {
 	j.cancel() // release the context's resources
 	close(j.done)
 	s.history = append(s.history, j)
-	for len(s.history) > s.cfg.JobHistory {
+	for len(s.history) > jobHistory {
 		old := s.history[0]
 		s.history[0] = nil
 		s.history = s.history[1:]

@@ -33,8 +33,6 @@ func TestStressEightTenantsSubmitCancelDrain(t *testing.T) {
 		MaxRunningJobs: 8,
 		TenantQuota:    32,
 		QueueCap:       16,
-		SoftBacklog:    64,
-		HardBacklog:    256,
 		RetryAfter:     time.Millisecond,
 	})
 

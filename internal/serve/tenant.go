@@ -16,8 +16,8 @@ type tenant struct {
 	// hash is a stable FNV-1a hash of the id, packed into flight-recorder
 	// markers as the correlation word.
 	hash uint64
-	// q is the tenant's bounded, lane-partitioned job queue.
-	q *tenantQueue
+	// q is the tenant's lane-partitioned job queue, Config.QueueCap deep.
+	q tenantQueue
 	// inFlight is the tenant's tokens held by admitted (queued or
 	// running) jobs. A job's cost is its task count; tokens return when
 	// the job reaches a terminal state.
