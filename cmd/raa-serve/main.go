@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	raa-serve [-addr :8080] [-workers N] [-scheduler cats|worksteal|fifo]
-//	          [-flight] [-quota N] [-queue-cap N] [-selftest]
+//	raa-serve [-addr :8080] [-workers N] [-flight] [-quota N]
+//	          [-queue-cap N] [-selftest]
 //
 // POST /v1/graphs submits a JSON task graph (tenant in the X-RAA-Tenant
 // header), GET /v1/jobs/{id} reads (or long-polls, ?wait=1s) its state,
@@ -40,7 +40,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "pool workers (0 = GOMAXPROCS)")
-		scheduler = flag.String("scheduler", "cats", "runtime scheduler (cats, worksteal, fifo)")
 		flight    = flag.Bool("flight", false, "enable the flight recorder + request markers")
 		quota     = flag.Int64("quota", 0, "per-tenant token quota (0 = default)")
 		queueCap  = flag.Int("queue-cap", 0, "per-tenant queue capacity (0 = default)")
@@ -51,7 +50,6 @@ func main() {
 
 	cfg := serve.Config{
 		Workers:        *workers,
-		Scheduler:      *scheduler,
 		FlightRecorder: *flight,
 		TenantQuota:    *quota,
 		QueueCap:       *queueCap,
@@ -89,7 +87,7 @@ func main() {
 		s.Close()
 	}()
 
-	log.Printf("raa-serve: listening on %s (scheduler=%s workers=%d)", *addr, *scheduler, s.Runtime().Workers())
+	log.Printf("raa-serve: listening on %s (workers=%d)", *addr, s.Runtime().Workers())
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatalf("raa-serve: %v", err)
 	}

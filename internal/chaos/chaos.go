@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/alarm"
 )
 
 // ErrInjected is the sentinel error injected bodies fail with; injected
@@ -176,12 +178,8 @@ func (in *Injector) Wrap(key uint64, body func(ctx context.Context) error) func(
 			return fmt.Errorf("%w (key %d, attempt %d)", ErrInjected, key, attempt)
 		default: // faultDelay
 			in.delays.Add(1)
-			t := time.NewTimer(in.cfg.Delay)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				return ctx.Err()
+			if err := alarm.Sleep(ctx, in.cfg.Delay, nil); err != nil {
+				return err
 			}
 			return body(ctx)
 		}

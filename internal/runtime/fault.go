@@ -65,13 +65,18 @@ func (e *SkipError) Unwrap() error { return e.Cause }
 
 // RetryPolicy configures per-task retry of failed (error-returning,
 // panicking, or deadline-overrunning) body attempts. The zero value means
-// no retries: the first failure is terminal.
+// no retries: the first failure is terminal. A failure after the task's
+// context is cancelled is terminal too, and a cancellation that comes
+// during a backoff ends the backoff: the task re-enters the scheduler at
+// once and is skipped as cancelled, so nothing — Wait, Shutdown, a
+// service's quota — waits out the backoff of work nobody wants.
 type RetryPolicy struct {
 	// Max is the maximum number of RE-tries: a task runs at most Max+1
 	// attempts. 0 disables retry.
 	Max int
 	// Backoff is the delay before the first retry; each further retry
 	// doubles it (capped exponential backoff). 0 re-enqueues immediately.
+	// A sub-second backoff keeps time on an idle pool (see internal/alarm).
 	Backoff time.Duration
 	// MaxBackoff caps the exponential growth (0 = uncapped).
 	MaxBackoff time.Duration
@@ -79,15 +84,9 @@ type RetryPolicy struct {
 
 // delay computes the backoff before retry attempt n (1-based).
 func (p RetryPolicy) delay(n int) time.Duration {
-	d := p.Backoff
-	if d <= 0 {
-		return 0
-	}
-	for i := 1; i < n; i++ {
+	d := max(p.Backoff, 0)
+	for i := 1; i < n && d > 0 && (p.MaxBackoff <= 0 || d < p.MaxBackoff); i++ {
 		d *= 2
-		if p.MaxBackoff > 0 && d >= p.MaxBackoff {
-			return p.MaxBackoff
-		}
 	}
 	if p.MaxBackoff > 0 && d > p.MaxBackoff {
 		return p.MaxBackoff

@@ -332,3 +332,47 @@ func TestRetryCancelledContextIsTerminal(t *testing.T) {
 		t.Fatalf("body ran %d times after its context died, want 1", attempts.Load())
 	}
 }
+
+// TestRetryBackoffEndsWithContext: a context cancelled while its tasks wait
+// out a backoff ends the wait. 1 000 failed tasks park on 10 s backoffs;
+// once their context is cancelled each re-arms at once and skips as
+// cancelled, so Wait and Shutdown return promptly, the retry never runs,
+// and every OnDone hears context.Canceled.
+func TestRetryBackoffEndsWithContext(t *testing.T) {
+	const n = 1000
+	r := New(WithWorkers(2))
+	defer r.Shutdown()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var attempts, cancelled atomic.Int64
+	specs := make([]TaskSpec, n)
+	for i := range specs {
+		specs[i] = TaskSpec{
+			Name: "parked", Retry: RetryPolicy{Max: 1, Backoff: 10 * time.Second},
+			Body: func(context.Context) error {
+				attempts.Add(1)
+				return errors.New("fail")
+			},
+			OnDone: func(err error) {
+				if errors.Is(err, context.Canceled) {
+					cancelled.Add(1)
+				}
+			},
+		}
+	}
+	if _, err := r.SubmitBatchCtx(ctx, specs); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, func() bool { return r.Stats().Retries == n }, "every task to start its backoff")
+	cancel()
+	waited := make(chan struct{})
+	go func() { r.Wait(); close(waited) }()
+	select {
+	case <-waited:
+	case <-time.After(2 * time.Second):
+		t.Fatalf("Wait still blocked 2 s after the context of %d 10 s backoffs ended", n)
+	}
+	if attempts.Load() != n || cancelled.Load() != n {
+		t.Fatalf("%d attempts, %d tasks ended cancelled; want %d and %d", attempts.Load(), cancelled.Load(), n, n)
+	}
+}

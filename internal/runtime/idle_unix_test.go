@@ -84,6 +84,10 @@ func TestSearchIdlePoolIsAsleep(t *testing.T) {
 // needs over the attempt's wall time (a pool that parks on every empty sweep
 // still uses ~1.9, a host shared with another test binary leaves ~1.0); a
 // run that never gets a quiet attempt skips instead of blaming the pool.
+// Even a quiet attempt reads anywhere from ~0.6 to ~1.2 (a hypervisor tick
+// that deschedules a searching worker shows as parks), so the test fails
+// only when every quiet attempt reads ≥ 1; without the search phase every
+// attempt reads ~12.
 func TestParkBoundUnderSteadyLoad(t *testing.T) {
 	if raceEnabled {
 		t.Skip("park rate under the race detector's slowdown says nothing about the idle protocol")
@@ -96,6 +100,8 @@ func TestParkBoundUnderSteadyLoad(t *testing.T) {
 	defer r.Shutdown()
 	const graphs = 3000
 	braidLoop(t, r, 200, 8, 8*time.Microsecond) // warm-up
+	// quiet holds the park rates of the attempts that had the CPUs.
+	var quiet []float64
 	for attempt := 1; attempt <= 5; attempt++ {
 		before, cpu0, t0 := readIdle(r), processCPU(t), time.Now()
 		braidLoop(t, r, graphs, 8, 8*time.Microsecond)
@@ -107,12 +113,15 @@ func TestParkBoundUnderSteadyLoad(t *testing.T) {
 		if d.executed != graphs*16 {
 			t.Fatalf("executed %d tasks, want %d", d.executed, graphs*16)
 		}
-		switch {
-		case perK < 1:
+		if perK < 1 {
 			return
-		case share >= 1.5:
-			t.Fatalf("%.2f parks per 1000 tasks under steady load with the CPUs to itself, want < 1", perK)
+		}
+		if share >= 1.5 {
+			quiet = append(quiet, perK)
 		}
 	}
-	t.Skip("no attempt had two CPUs to itself; the park bound cannot be judged on a contended host")
+	if len(quiet) == 0 {
+		t.Skip("no attempt had two CPUs to itself; the park bound cannot be judged on a contended host")
+	}
+	t.Fatalf("parks per 1000 tasks under steady load with the CPUs to itself: %.2f, want < 1 in at least one attempt", quiet)
 }

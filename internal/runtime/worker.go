@@ -7,8 +7,8 @@ import (
 	"reflect"
 	"runtime/debug"
 	"sync/atomic"
-	"time"
 
+	"repro/internal/alarm"
 	"repro/internal/flightrec"
 )
 
@@ -320,6 +320,10 @@ func (r *Runtime) runWithDeadline(t *task, pc context.Context) error {
 		base = t.ctx
 	}
 	dctx, cancel := context.WithTimeout(base, t.deadline)
+	// The alarm, armed now and released on return, wakes an idle process
+	// for the context's timer. It is the attempt's, so it goes back when
+	// the attempt settles, not when an abandoned body returns.
+	defer alarm.Arm(t.deadline).Release()
 	done := make(chan error, 1)
 	name, fn, plain := t.name, t.fn, t.plainFn
 	go func() {
@@ -377,7 +381,9 @@ func (r *Runtime) maybeRetry(t *task, workerID, fault int) bool {
 			flightrec.KindRetry, uint64(t.id), claim, flightrec.PackRetry(n, t.retry.Max))
 	}
 	if d := t.retry.delay(n); d > 0 {
-		time.AfterFunc(d, func() { r.rearm(t) })
+		// A context cancelled mid-backoff re-arms the task at once, and the
+		// attempt skips as cancelled: nothing waits out a dead job's backoff.
+		alarm.AfterFunc(t.ctx, d, func() { r.rearm(t) })
 	} else {
 		r.rearm(t)
 	}

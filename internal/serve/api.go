@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/alarm"
 	"repro/internal/runtime"
 )
 
@@ -221,20 +222,7 @@ func builtinOps() map[string]Op {
 			return nil
 		},
 		"sleep": func(ctx context.Context, amount int64) error {
-			// The alarm is armed second, so it never goes off before the
-			// timer is due: it only wakes an idle process on time.
-			t := getTimer(time.Duration(amount))
-			a := armAlarm(time.Duration(amount))
-			select {
-			case <-t.C:
-				putTimer(t, true)
-				putAlarm(a, false)
-				return nil
-			case <-ctx.Done():
-				putTimer(t, false)
-				putAlarm(a, true)
-				return ctx.Err()
-			}
+			return alarm.Sleep(ctx, time.Duration(amount), nil)
 		},
 		"fail": func(context.Context, int64) error {
 			return fmt.Errorf("task failed by request")

@@ -50,10 +50,11 @@
 // launches them; the decoded request is pooled and scrubbed between uses.
 //
 // The built-in sleep op, the stand-in for a body that waits on I/O, keeps
-// the time it is given: on Linux it arms a pooled timerfd the netpoller
-// watches beside its Go timer, because an idle Go process otherwise waits
-// for its next timer in a millisecond-rounded epoll_wait, and a 500 µs
-// sleep held its worker for ~1.07 ms.
+// the time it is given, and so does a sub-second long-poll: both wait
+// through internal/alarm, because an idle Go process otherwise waits for
+// its next timer in a millisecond-rounded epoll_wait, and a 500 µs sleep
+// held its worker for ~1.07 ms. Cancelling a job also ends any retry
+// backoff its tasks are waiting out.
 //
 // # Lifecycle and observability
 //

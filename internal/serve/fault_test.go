@@ -301,3 +301,40 @@ func TestServeChaosStorm(t *testing.T) {
 		t.Fatalf("healthz after storm: %d %v", code, err)
 	}
 }
+
+// TestServeCancelEndsRetryBackoff: a job cancelled while its task waits
+// out an hour-long retry backoff is cancelled at once, and Close does not
+// wait out the hour either — a pending backoff would otherwise pin the
+// tenant's quota, a running-cap slot and shutdown for as long as the
+// tenant asked.
+func TestServeCancelEndsRetryBackoff(t *testing.T) {
+	h, err := servetest.New(serve.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := h.Client("t0")
+	id := c.MustSubmit(t, serve.GraphRequest{Tasks: []serve.TaskRequest{{
+		Op: "fail", Retry: &serve.RetrySpec{Max: 1, BackoffMS: 3_600_000},
+	}}})
+	for start := time.Now(); h.Server.Runtime().Stats().Retries == 0; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the first attempt never failed into its backoff")
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	if _, err := c.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Job(id, 100*time.Millisecond)
+	if err != nil || st.State != "cancelled" || st.Attempts != 1 {
+		t.Errorf("100 ms after cancel: %+v %v, want cancelled after 1 attempt", st, err)
+	}
+	// Not a cleanup: one blocked behind the backoff would hang the binary.
+	closed := make(chan struct{})
+	go func() { h.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Error("Close still blocked 5 s in, behind the cancelled job's backoff")
+	}
+}

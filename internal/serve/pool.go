@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"sync"
-	"time"
 )
 
 // reqPool recycles decoded graph requests so the Tasks/Deps backing
@@ -68,29 +67,4 @@ func putBody(b *bytes.Buffer) {
 		b.Reset()
 		bodyPool.Put(b)
 	}
-}
-
-// timerPool recycles the timers behind the sleep op and the job
-// long-poll. Timer channels are still asynchronous at this module's Go
-// version (go.mod says 1.22), hence putTimer's stop-then-drain.
-var timerPool sync.Pool
-
-// getTimer returns a timer that fires after d; hand it back with putTimer.
-func getTimer(d time.Duration) *time.Timer {
-	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-// putTimer returns t to the pool with its channel empty. fired says the
-// caller already received from t.C; otherwise a failed Stop means the
-// tick is in (or on its way into) the channel, and the blocking receive is
-// what keeps it from waking the timer's next user early.
-func putTimer(t *time.Timer, fired bool) {
-	if !fired && !t.Stop() {
-		<-t.C
-	}
-	timerPool.Put(t)
 }

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // normalised returns g with empty Tasks/Deps slices turned nil — the one
@@ -182,29 +181,6 @@ func TestScrubBoundsWhatItKeeps(t *testing.T) {
 	g.scrub(8)
 	if cap(g.Tasks) != 0 {
 		t.Errorf("a 9-task array was kept past a limit of 8 (cap %d)", cap(g.Tasks))
-	}
-}
-
-// TestPooledTimer: a pooled timer must come back empty whichever way its
-// last user left it, or it wakes its next user early.
-func TestPooledTimer(t *testing.T) {
-	// Fired and received; fired and abandoned; stopped early.
-	tm := getTimer(time.Microsecond)
-	<-tm.C
-	putTimer(tm, true)
-	tm = getTimer(time.Microsecond)
-	time.Sleep(2 * time.Millisecond)
-	putTimer(tm, false)
-	tm = getTimer(time.Hour)
-	putTimer(tm, false)
-	for i := 0; i < 3; i++ {
-		tm := getTimer(50 * time.Millisecond)
-		start := time.Now()
-		<-tm.C
-		if d := time.Since(start); d < 40*time.Millisecond {
-			t.Fatalf("pooled timer fired after %v, armed for 50ms: a stale tick survived the pool", d)
-		}
-		putTimer(tm, true)
 	}
 }
 

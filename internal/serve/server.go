@@ -4,13 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	stdruntime "runtime"
 	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/alarm"
 	"repro/internal/chaos"
 	"repro/internal/flightrec"
 	"repro/internal/runtime"
@@ -19,11 +19,10 @@ import (
 // Config sizes a Server and its shared runtime pool. The zero value is
 // usable: every field has a production-shaped default.
 type Config struct {
-	// Workers sizes the shared runtime pool (default GOMAXPROCS).
+	// Workers sizes the shared runtime pool (default GOMAXPROCS). The
+	// pool always runs CATS: the lanes' priority hints need a
+	// criticality-aware scheduler to order anything.
 	Workers int
-	// Scheduler names the runtime scheduler (default "cats" — the lanes'
-	// priority hints need a criticality-aware scheduler to mean anything).
-	Scheduler string
 	// FlightRecorder enables the runtime's flight recorder; the server
 	// then stamps request-scoped timeline markers (admit/launch/done) so
 	// a merged timeline can be cut along job boundaries.
@@ -65,9 +64,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = defaultWorkers()
-	}
-	if c.Scheduler == "" {
-		c.Scheduler = "cats"
 	}
 	if c.TenantQuota <= 0 {
 		c.TenantQuota = 256
@@ -141,13 +137,9 @@ type Server struct {
 // New builds a Server and its runtime pool and starts the dispatcher.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	kind, err := runtime.SchedulerByName(cfg.Scheduler)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
 	opts := []runtime.Option{
 		runtime.WithWorkers(cfg.Workers),
-		runtime.WithScheduler(kind),
+		runtime.WithScheduler(runtime.CATS),
 	}
 	if cfg.FlightRecorder {
 		opts = append(opts, runtime.WithFlightRecorder(flightrec.Options{}))
@@ -485,17 +477,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad wait duration"})
 			return
 		}
-		// No alarm here (see armAlarm): a wait of seconds does not care
-		// about a millisecond, and an fd per waiting client would be a
-		// resource the client controls.
-		t, fired := getTimer(d), false
-		select {
-		case <-j.done:
-		case <-t.C:
-			fired = true
-		case <-r.Context().Done():
-		}
-		putTimer(t, fired)
+		_ = alarm.Sleep(r.Context(), d, j.done) // the reply is the job's state either way
 	}
 	s.mu.Lock()
 	st := s.statusLocked(j)
