@@ -6,15 +6,15 @@
 // expiry is an epoll event, not a timeout, so it ends that wait within
 // tens of microseconds and the scheduler then finds the timer due.
 //
-// Three entry points, one per shape of wait:
-//   - Sleep: a context-aware wait (the serve sleep op, the chaos stall, a
-//     job long-poll, which also ends when the job does);
-//   - AfterFunc: time.AfterFunc that also fires when a context ends (the
-//     runtime's retry backoff, which a cancelled job must not wait out);
+// Two entry points, one per shape of wait:
+//   - Sleep: a context-aware wait (the runtime's waiters, which wait out a
+//     parked task or a retry backoff off the workers; the serve sleep op
+//     where the pool cannot take its wait; the chaos stall; a job
+//     long-poll, which also ends when the job does);
 //   - Arm and Release: an alarm beside a timer someone else owns (the
 //     runtime's per-task deadline, whose timer is context.WithTimeout's).
 //
-// The rules hold for all three. A wait of a second or more takes no alarm:
+// The rules hold for both. A wait of a second or more takes no alarm:
 // the rounding is at most 0.11 % of it. At most maxAlarms alarms exist at
 // once, free or in use; past that a wait takes its Go timer alone, late but
 // never failed, and so does one whose timerfd cannot be had (off Linux
@@ -65,17 +65,6 @@ func Sleep(ctx context.Context, d time.Duration, done <-chan struct{}) error {
 	}
 	putTimer(t)
 	return ctx.Err()
-}
-
-// AfterFunc calls f in its own goroutine once d has passed or ctx has
-// ended, whichever is first. A pending call is that goroutine, parked in
-// Sleep where time.AfterFunc would hold a runtime timer, so nothing keeps
-// f once it has run.
-func AfterFunc(ctx context.Context, d time.Duration, f func()) {
-	go func() {
-		_ = Sleep(ctx, d, nil)
-		f()
-	}()
 }
 
 // timerPool recycles Sleep's timers. Timer channels are still asynchronous

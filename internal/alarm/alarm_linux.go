@@ -19,9 +19,9 @@ type Alarm struct {
 }
 
 // maxAlarms bounds the alarms that exist at once, free plus in use, so a
-// tenant's pending retries cannot hold a descriptor each. The waits that
-// must keep time run on workers (sleep op, chaos stall, deadline), and a
-// pool is far smaller than this.
+// tenant's parked waits and pending retries cannot hold a descriptor each.
+// Past it a wait keeps only its Go timer and may end up to a millisecond
+// late.
 const maxAlarms = 64
 
 var (

@@ -29,11 +29,12 @@ func (a *Alarm) armed(t *testing.T) bool {
 }
 
 // TestSleepAlarmsBounded: more concurrent waiters than the cap allows
-// alarms — sleeps, sub-second AfterFuncs, and sleeps cancelled mid-wait —
-// beside 1 000 pending 10 s AfterFuncs (a tenant's parked retries). The
-// descriptors open never exceed the ones before plus the cap; once their
-// context is cancelled the pending calls all fire at once and their
-// goroutines end; and afterwards
+// alarms — sleeps, sleeps on goroutines of their own, and sleeps cancelled
+// mid-wait — beside 1 000 pending 10 s sleeps (a tenant's retry backoffs,
+// each a runtime waiter parked in Sleep; the runtime's own check of them is
+// TestWaitersBounded). The descriptors open never exceed the ones
+// before plus the cap; once their context is cancelled the pending sleeps
+// all end at once and their goroutines with them; and afterwards
 // every alarm is on the free list, disarmed, and the descriptors open are
 // at most the ones before plus the free list, through two collections (a
 // free list the collector could empty would leave its alarms to
@@ -51,7 +52,10 @@ func TestSleepAlarmsBounded(t *testing.T) {
 	var fired sync.WaitGroup
 	fired.Add(pending)
 	for i := 0; i < pending; i++ {
-		AfterFunc(ctx, 10*time.Second, fired.Done)
+		go func() {
+			defer fired.Done()
+			_ = Sleep(ctx, 10*time.Second, nil)
+		}()
 	}
 
 	stop, sampled := make(chan struct{}), make(chan int)
@@ -80,14 +84,20 @@ func TestSleepAlarmsBounded(t *testing.T) {
 					// A half-second sleep, cancelled 100 µs in: its alarm
 					// is still armed when it goes back.
 					ctx, cancel := context.WithCancel(context.Background())
-					AfterFunc(context.Background(), 100*time.Microsecond, cancel)
+					go func() {
+						_ = Sleep(context.Background(), 100*time.Microsecond, nil)
+						cancel()
+					}()
 					if err := Sleep(ctx, 500*time.Millisecond, nil); !errors.Is(err, context.Canceled) {
 						errs <- fmt.Errorf("cancelled sleep returned %v, want context.Canceled", err)
 						return
 					}
 				case 1:
 					ran := make(chan struct{})
-					AfterFunc(context.Background(), 200*time.Microsecond, func() { close(ran) })
+					go func() {
+						_ = Sleep(context.Background(), 200*time.Microsecond, nil)
+						close(ran)
+					}()
 					<-ran
 				default:
 					if err := Sleep(context.Background(), 200*time.Microsecond, nil); err != nil {
@@ -112,11 +122,11 @@ func TestSleepAlarmsBounded(t *testing.T) {
 	select {
 	case <-drained:
 	case <-time.After(time.Second):
-		t.Fatalf("%d pending 10 s AfterFuncs not all fired 1 s after their context ended", pending)
+		t.Fatalf("%d pending 10 s sleeps not all ended 1 s after their context did", pending)
 	}
 	for start := time.Now(); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
 		if time.Since(start) > time.Second {
-			t.Fatalf("%d goroutines 1 s after every call fired, %d before", runtime.NumGoroutine(), goroutines)
+			t.Fatalf("%d goroutines 1 s after every sleep ended, %d before", runtime.NumGoroutine(), goroutines)
 		}
 	}
 	runtime.GC()

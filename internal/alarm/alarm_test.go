@@ -29,22 +29,6 @@ func TestPooledTimer(t *testing.T) {
 	}
 }
 
-// TestAfterFunc: f runs once d has passed, or once ctx ends when that is
-// first — also when ctx ended before the call.
-func TestAfterFunc(t *testing.T) {
-	calls := make(chan string, 3)
-	ctx, cancel := context.WithCancel(context.Background())
-	gone, cancelGone := context.WithCancel(context.Background())
-	cancelGone()
-	AfterFunc(ctx, time.Millisecond, func() { calls <- "delay" })
-	AfterFunc(gone, time.Hour, func() { calls <- "context ended before the call" })
-	<-calls
-	<-calls
-	AfterFunc(ctx, time.Hour, func() { calls <- "context" })
-	cancel()
-	<-calls
-}
-
 // TestSleepAllocFree: a wait takes its timer and its alarm from their free
 // lists and allocates nothing — fired, cancelled, ended by done (the job
 // long-poll), or too long to take an alarm.

@@ -150,16 +150,30 @@ func (r *Recorder) Workers() int { return r.workers }
 
 // RecordWorker records an event on the given worker's ring. It must only
 // be called from that worker's own goroutine (the rings are single-writer);
-// it is lock-free and allocation-free.
+// it is lock-free and allocation-free. A negative worker — a goroutine
+// outside the pool finishing a task, such as a runtime waiter — records on
+// the external ring instead, as RecordExternal does.
 func (r *Recorder) RecordWorker(worker int, kind Kind, task, arg, arg2 uint64) {
+	if worker < 0 {
+		r.RecordExternal(kind, task, arg, arg2)
+		return
+	}
 	r.rings[worker].write(r.gseq.Add(1), r.now.Load(), kind, int32(worker), task, arg, arg2)
 }
 
 // RecordWorker2 records two adjacent events on the given worker's ring with
 // one sequence allocation and one publish — half the atomic traffic of two
 // RecordWorker calls. The completion path uses it to pair a task's complete
-// with its first successor's ready. Same single-writer rule as RecordWorker.
+// with its first successor's ready. Same single-writer rule, and the same
+// external ring for a negative worker, as RecordWorker.
 func (r *Recorder) RecordWorker2(worker int, k1 Kind, t1, a1, a21 uint64, k2 Kind, t2, a2, a22 uint64) {
+	if worker < 0 {
+		r.lockExternal()
+		s := r.gseq.Add(2)
+		r.rings[r.workers+r.lanes].write2(s-1, r.now.Load(), ExternalWorker, k1, t1, a1, a21, k2, t2, a2, a22)
+		r.extLock.Store(0)
+		return
+	}
 	s := r.gseq.Add(2)
 	r.rings[worker].write2(s-1, r.now.Load(), int32(worker), k1, t1, a1, a21, k2, t2, a2, a22)
 }
@@ -195,13 +209,18 @@ func (r *Recorder) RecordLane(lane int, kind Kind, task, arg, arg2 uint64) {
 // safe from any goroutine. Allocation-free; one short spin-locked section.
 // Sequences here are always fresh — see the extLock field comment.
 func (r *Recorder) RecordExternal(kind Kind, task, arg, arg2 uint64) {
+	r.lockExternal()
+	r.rings[r.workers+r.lanes].write(r.gseq.Add(1), r.now.Load(), kind, ExternalWorker, task, arg, arg2)
+	r.extLock.Store(0)
+}
+
+// lockExternal takes extLock; the caller stores 0 to release it.
+func (r *Recorder) lockExternal() {
 	for i := 0; !r.extLock.CompareAndSwap(0, 1); i++ {
 		if i&63 == 63 {
 			stdruntime.Gosched() // don't burn a timeslice on a preempted holder
 		}
 	}
-	r.rings[r.workers+r.lanes].write(r.gseq.Add(1), r.now.Load(), kind, ExternalWorker, task, arg, arg2)
-	r.extLock.Store(0)
 }
 
 // EventCount reports how many events have been recorded in total (including

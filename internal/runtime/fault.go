@@ -69,7 +69,9 @@ func (e *SkipError) Unwrap() error { return e.Cause }
 // context is cancelled is terminal too, and a cancellation that comes
 // during a backoff ends the backoff: the task re-enters the scheduler at
 // once and is skipped as cancelled, so nothing — Wait, Shutdown, a
-// service's quota — waits out the backoff of work nobody wants.
+// service's quota — waits out the backoff of work nobody wants. A live
+// backoff is waited out by a waiter goroutine, as a CompleteAfter wait is,
+// never by a worker; the task stays outstanding throughout.
 type RetryPolicy struct {
 	// Max is the maximum number of RE-tries: a task runs at most Max+1
 	// attempts. 0 disables retry.

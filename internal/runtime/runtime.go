@@ -348,6 +348,10 @@ type Stats struct {
 	// Both stay zero on the FIFO and CATS schedulers.
 	Searches   uint64
 	SearchHits uint64
+	// ParkedTasks is a gauge: tasks a waiter holds off the workers — a
+	// body that returned after CompleteAfter, or a failed attempt waiting
+	// out its retry backoff.
+	ParkedTasks int64
 	// PerWorker counts tasks executed by each worker.
 	PerWorker []uint64
 	// PerClass aggregates PerWorker by worker class, in WorkerClasses()
@@ -393,9 +397,10 @@ type placementKey struct{}
 // a derived context — keeps a chain that stays valid forever.
 type placementCtx struct {
 	context.Context
-	// rt identifies the owning runtime, so a worker hint derived from
-	// this context is only trusted by the pool it belongs to.
-	rt    *Runtime
+	// w is the worker that made the wrapper: it names the owning runtime,
+	// so a worker hint derived from this context is only trusted by the
+	// pool it belongs to, and it is where CompleteAfter leaves its request.
+	w     *workerState
 	where Placement
 }
 
@@ -432,7 +437,7 @@ func TaskPlacement(ctx context.Context) (Placement, bool) {
 // go through the target worker's mutex-guarded side buffer (see
 // scheduler.submitLocal), never directly onto its owner-only deque.
 func (r *Runtime) submitHint(ctx context.Context) int {
-	if pc, ok := ctx.(*placementCtx); ok && pc.rt == r {
+	if pc, ok := ctx.(*placementCtx); ok && pc.w.r == r {
 		return pc.where.Worker
 	}
 	return -1
@@ -503,6 +508,11 @@ type Runtime struct {
 	// scratch recycles submitSpecs' per-batch []*task scratch.
 	scratch scratchPool
 
+	// waits hands parked tasks and retry backoffs to idle waiter
+	// goroutines (Runtime.waiter); idleWaiters counts those receiving on it.
+	waits       chan parked
+	idleWaiters atomic.Int32
+
 	closed   int32 // Submit guard, set at Shutdown entry
 	shutdown int32 // worker stop flag, set once the pool drains
 	wg       sync.WaitGroup
@@ -537,6 +547,7 @@ func New(opts ...Option) *Runtime {
 	r.free = newTaskFreelist(freeCap)
 	r.pool.New = func() any { return new(task) }
 	r.waitCond = sync.NewCond(&r.waitMu)
+	r.waits = make(chan parked)
 	if o.flight != nil {
 		// One submit lane per tracker shard: the submit path records a
 		// pending task's submit event while still holding a shard mutex,
@@ -658,7 +669,9 @@ func (r *Runtime) Shutdown() {
 	atomic.StoreInt32(&r.closed, 1)
 	r.gate.Unlock()
 	r.Wait()
-	atomic.StoreInt32(&r.shutdown, 1)
+	if atomic.CompareAndSwapInt32(&r.shutdown, 0, 1) {
+		close(r.waits) // nothing is parked once Wait returns
+	}
 	r.sched.wake()
 	r.wg.Wait()
 	if r.ctrl != nil {
@@ -714,6 +727,7 @@ func (r *Runtime) StatsInto(s *Stats) {
 	s.Quarantined = sig.quarantined.Load()
 	s.Parks = sig.parks.Load()
 	s.Wakes = sig.wakes.Load()
+	s.ParkedTasks = sig.parkedTasks.Load()
 	s.FlightEvents = 0
 	if r.rec != nil {
 		s.FlightEvents = r.rec.EventCount()

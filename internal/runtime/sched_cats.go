@@ -175,7 +175,7 @@ func (s *catsScheduler) take(workerID int) (t *task, fromCrit bool) {
 // the saturation count is already correct when any newly-ready critical
 // task is pushed.
 func (s *catsScheduler) taskDone(workerID int) {
-	if workerID >= s.fastN {
+	if workerID < 0 || workerID >= s.fastN { // a waiter (−1) dispatched nothing
 		return
 	}
 	s.mu.Lock()

@@ -51,6 +51,9 @@ type signals struct {
 	retries      atomic.Uint64
 	deadlineMiss atomic.Uint64
 	quarantined  atomic.Uint64
+	// parkedTasks is the gauge behind Stats.ParkedTasks, moved when a task
+	// is handed to a waiter and when its wait ends.
+	parkedTasks atomic.Int64
 }
 
 func newSignals(workers int) *signals {

@@ -376,15 +376,11 @@ func (r *Runtime) markReady(t *task, ring int, ce *completeEvent) {
 		return
 	}
 	claim := atomic.LoadUint64(&t.claim)
-	switch {
-	case ring < 0:
-		r.rec.RecordExternal(flightrec.KindReady, uint64(t.id), claim, 0)
-	case ce != nil && !ce.recorded:
+	if ce != nil && !ce.recorded {
 		ce.recorded = true
-		r.rec.RecordWorker2(ring,
-			flightrec.KindComplete, ce.id, ce.claim, ce.flags,
+		r.rec.RecordWorker2(ring, flightrec.KindComplete, ce.id, ce.claim, ce.flags,
 			flightrec.KindReady, uint64(t.id), claim, 0)
-	default:
+	} else {
 		r.rec.RecordWorker(ring, flightrec.KindReady, uint64(t.id), claim, 0)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime/debug"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/alarm"
 	"repro/internal/flightrec"
@@ -56,6 +57,10 @@ type workerState struct {
 	// selfDispatch carries the elision fact from this worker's pop to its
 	// complete(), which stamps it into the complete event.
 	selfDispatch bool
+	// parkFor is 0 outside a body, negative while a body runs on this
+	// goroutine, and the wait the body asked for through CompleteAfter once
+	// it has.
+	parkFor time.Duration
 }
 
 func newWorkerState(r *Runtime, id int) *workerState {
@@ -66,7 +71,7 @@ func newWorkerState(r *Runtime, id int) *workerState {
 		ClassName: r.classes[r.classOf[id]].Name,
 		Speed:     r.classes[r.classOf[id]].Speed,
 	}
-	w.bgWrap = &placementCtx{Context: context.Background(), rt: r, where: w.where}
+	w.bgWrap = &placementCtx{Context: context.Background(), w: w, where: w.where}
 	return w
 }
 
@@ -156,7 +161,7 @@ func (w *workerState) runAttempt(t *task, poison error) (end taskEnd, terminal b
 	if err := t.ctx.Err(); err != nil {
 		return w.skipCancelled(err), true
 	}
-	return w.settle(t, execBody(t.name, t.fn, t.plainFn, w.bodyCtx(t)))
+	return w.exec(t, w.bodyCtx(t))
 }
 
 // runFaultyAttempt is runAttempt for a task with fault state.
@@ -182,12 +187,33 @@ func (w *workerState) runFaultyAttempt(t *task, poison error) (taskEnd, bool) {
 		// guarantee) attempt-free.
 		where := w.where
 		where.Attempt = int(t.attempt)
-		pc = &placementCtx{Context: t.ctx, rt: w.r, where: where}
+		pc = &placementCtx{Context: t.ctx, w: w, where: where}
 	}
 	if t.deadline > 0 {
 		return w.settle(t, w.r.runWithDeadline(t, pc))
 	}
-	return w.settle(t, execBody(t.name, t.fn, t.plainFn, pc))
+	return w.exec(t, pc)
+}
+
+// exec runs a body on the worker and settles it — unless the body asked
+// CompleteAfter for a wait and returned nil. Then the worker is done with
+// the task: the wait goes to a waiter, which settles and completes it, and
+// terminal is false as for a re-armed retry. An elided dispatch event is
+// recorded now, so the task is not ready to the verifier while it waits.
+func (w *workerState) exec(t *task, pc context.Context) (taskEnd, bool) {
+	w.parkFor = -1
+	err := execBody(t.name, t.fn, t.plainFn, pc)
+	d := w.parkFor
+	w.parkFor = 0
+	if d < 0 || err != nil {
+		return w.settle(t, err)
+	}
+	w.r.sched.taskDone(w.id)
+	if w.selfDispatch {
+		w.r.rec.RecordWorker(w.id, flightrec.KindDispatch, uint64(t.id), atomic.LoadUint64(&t.claim), 0)
+	}
+	w.r.park(parked{t: t, d: d, sig: w.sig})
+	return taskEnd{}, false
 }
 
 // skipCancelled accounts a task whose context was cancelled before it
@@ -212,7 +238,7 @@ func (w *workerState) bodyCtx(t *task) context.Context {
 	case w.curWrap != nil && t.ctx == w.curCtx:
 		return w.curWrap // same submission scope as the last task
 	}
-	pc := &placementCtx{Context: t.ctx, rt: w.r, where: w.where}
+	pc := &placementCtx{Context: t.ctx, w: w, where: w.where}
 	if reflect.TypeOf(t.ctx).Comparable() {
 		w.curCtx, w.curWrap = t.ctx, pc
 	} else {
@@ -381,9 +407,10 @@ func (r *Runtime) maybeRetry(t *task, workerID, fault int) bool {
 			flightrec.KindRetry, uint64(t.id), claim, flightrec.PackRetry(n, t.retry.Max))
 	}
 	if d := t.retry.delay(n); d > 0 {
-		// A context cancelled mid-backoff re-arms the task at once, and the
-		// attempt skips as cancelled: nothing waits out a dead job's backoff.
-		alarm.AfterFunc(t.ctx, d, func() { r.rearm(t) })
+		// A waiter re-arms it, at once if the context ends mid-backoff, and
+		// the attempt skips as cancelled: nothing waits out a dead job's
+		// backoff, and no worker waits out a live one.
+		r.park(parked{t: t, d: d})
 	} else {
 		r.rearm(t)
 	}
@@ -517,7 +544,7 @@ func (w *workerState) complete(t *task, poison error, faultPack uint64) {
 		// Its ID is read before the push: once queued it can be stolen,
 		// completed and recycled.
 		s, id := ready[0], uint64(ready[0].id)
-		if !r.sched.pushOwned(s, w.id) {
+		if w.id < 0 || !r.sched.pushOwned(s, w.id) {
 			r.sched.push(s, w.id)
 		} else if r.rec != nil && !r.schedSelfRecords {
 			// Arm the dispatch-event elision: if our next pop returns this
@@ -547,5 +574,82 @@ func (w *workerState) complete(t *task, poison error, faultPack uint64) {
 		r.waitMu.Lock()
 		r.waitCond.Broadcast()
 		r.waitMu.Unlock()
+	}
+}
+
+// CompleteAfter asks the runtime to complete the calling body's task d
+// after the body returns, instead of the body waiting d on its worker — the
+// shape of an external event the task waits on. A body calls it on the
+// context it was given, from its own goroutine, and then returns nil: the
+// worker goes straight back to its queue while a waiter goroutine waits out
+// d (or until the task's context ends) and then settles the task exactly as
+// an in-place wait would have — executed, or failed with the context's
+// error — runs its OnDone hook and releases its successors. Until then the
+// task is outstanding: Backlog, Wait and Shutdown count it.
+//
+// It returns false, and the body must wait in place, when the pool cannot
+// take the wait: d ≤ 0, a context that is not a pool body's own (a derived
+// one, or a deadline-bounded attempt's: its deadline bounds the wait only
+// where the attempt settles), or a call after the body returned. A body
+// that asked and then returns an error fails with that error at once; the
+// wait is dropped.
+func CompleteAfter(ctx context.Context, d time.Duration) bool {
+	pc, ok := ctx.(*placementCtx)
+	if !ok || d <= 0 || pc.w.parkFor == 0 {
+		return false
+	}
+	pc.w.parkFor = d
+	return true
+}
+
+// maxIdleWaiters caps the waiter goroutines kept for the next wait. Busy
+// ones are bounded by Backlog: one per parked task or pending backoff.
+const maxIdleWaiters = 32
+
+// parked is one wait handed to a waiter: d on t's context, then t is
+// re-armed for its next attempt when sig is nil (a retry backoff), or
+// settled and completed on the counters sig of the worker that ran its
+// body (a CompleteAfter wait).
+type parked struct {
+	t   *task
+	d   time.Duration
+	sig *workerSig
+}
+
+// park hands p to an idle waiter, or to a new one when none is idle.
+func (r *Runtime) park(p parked) {
+	r.sig.parkedTasks.Add(1)
+	select {
+	case r.waits <- p:
+	default:
+		r.wg.Add(1)
+		go r.waiter(p)
+	}
+}
+
+// waiter waits out parked tasks one at a time, idling between them unless
+// maxIdleWaiters already idle; Shutdown ends the idle ones by closing
+// r.waits. Its workerState has id −1: it records on the external ring and
+// its succs/ready completion scratch is its own.
+func (r *Runtime) waiter(p parked) {
+	defer r.wg.Done()
+	w := &workerState{r: r, id: -1}
+	for ok := true; ok; {
+		err := alarm.Sleep(p.t.ctx, p.d, nil)
+		r.sig.parkedTasks.Add(-1)
+		if p.sig == nil {
+			r.rearm(p.t)
+		} else {
+			w.sig = p.sig
+			if end, terminal := w.settle(p.t, err); terminal {
+				w.finish(p.t, end)
+			}
+		}
+		if r.idleWaiters.Add(1) > maxIdleWaiters {
+			ok = false
+		} else {
+			p, ok = <-r.waits
+		}
+		r.idleWaiters.Add(-1)
 	}
 }

@@ -222,7 +222,13 @@ func builtinOps() map[string]Op {
 			return nil
 		},
 		"sleep": func(ctx context.Context, amount int64) error {
-			return alarm.Sleep(ctx, time.Duration(amount), nil)
+			// The stand-in for an I/O wait gives its worker back: the task
+			// completes when the wait ends. Where the pool cannot take the
+			// wait (a deadline-bounded attempt) it is waited in place.
+			if d := time.Duration(amount); !runtime.CompleteAfter(ctx, d) {
+				return alarm.Sleep(ctx, d, nil)
+			}
+			return nil
 		},
 		"fail": func(context.Context, int64) error {
 			return fmt.Errorf("task failed by request")

@@ -53,8 +53,12 @@
 // the time it is given, and so does a sub-second long-poll: both wait
 // through internal/alarm, because an idle Go process otherwise waits for
 // its next timer in a millisecond-rounded epoll_wait, and a 500 µs sleep
-// held its worker for ~1.07 ms. Cancelling a job also ends any retry
-// backoff its tasks are waiting out.
+// held its worker for ~1.07 ms. Nor does the sleep hold a worker at all:
+// it asks runtime.CompleteAfter for its wait and returns, and its task
+// completes when the wait ends, so a pool of two runs a job's six
+// independent sleeps at once. A deadline-bound sleep waits in place, where
+// its deadline can end it. Cancelling a job also ends any wait or retry
+// backoff its tasks are parked in.
 //
 // # Lifecycle and observability
 //

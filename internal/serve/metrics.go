@@ -28,6 +28,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter(&b, "raa_pool_quarantined_total", "Tasks terminally failed by panic (or poisoned by one).", float64(st.Quarantined))
 	counter(&b, "raa_pool_flight_events_total", "Flight-recorder events captured.", float64(st.FlightEvents))
 	gauge(&b, "raa_pool_backlog", "Submitted tasks not yet finished.", float64(s.rt.Backlog()))
+	gauge(&b, "raa_pool_parked_tasks", "Tasks whose body has returned and whose completion is waiting.", float64(st.ParkedTasks))
 	gauge(&b, "raa_pool_workers", "Workers in the shared pool.", float64(s.rt.Workers()))
 	head(&b, "raa_worker_executed_total", "Tasks executed, by worker.", "counter")
 	for wkr, n := range st.PerWorker {
