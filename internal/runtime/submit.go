@@ -96,6 +96,10 @@ func (r *Runtime) SubmitBatch(specs []TaskSpec) ([]TaskID, error) {
 // Under WithQueueBound the batch blocks until len(specs) slots are free,
 // aborting with ctx.Err() if the context is cancelled while waiting; a
 // batch larger than the bound can never proceed and is rejected outright.
+//
+// Nothing of specs, Deps included, is kept after SubmitBatchCtx returns:
+// each task record copies its spec's fields and its dependences, so the
+// caller may reuse the slice and the arrays its Deps share at once.
 func (r *Runtime) SubmitBatchCtx(ctx context.Context, specs []TaskSpec) ([]TaskID, error) {
 	return r.submitSpecs(ctx, specs, nil, nil)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,6 +89,94 @@ func TestSubmitBatchHazardOrdering(t *testing.T) {
 	if !(pos["w1"] < pos["r1"] && pos["w1"] < pos["r2"] && pos["r1"] < pos["w2"] && pos["r2"] < pos["w2"]) {
 		t.Fatalf("batch hazard ordering violated: %v", log)
 	}
+}
+
+// SubmitBatchCtx keeps nothing of its specs: a caller that reuses them —
+// and the dependence slab their Deps share, as a service layer lowering one
+// graph after another does — the moment the call returns still has the
+// tasks it submitted run their own bodies, in their own dependence order,
+// with their own hooks, and the retained trace records their own
+// dependences. The sink declares more dependences than a task holds
+// inline, so both of setDeps' copies are covered.
+func TestSubmitBatchRetainsNoSpec(t *testing.T) {
+	eachScheduler(t, func(t *testing.T, kind SchedulerKind) {
+		r := New(WithWorkers(4), WithScheduler(kind), WithTraceRetention())
+		defer r.Shutdown()
+		var mu sync.Mutex
+		var ran, hooked []string
+		gate := make(chan struct{})
+		body := func(name string) Body {
+			return func(context.Context) error {
+				if name == "src" {
+					<-gate
+				}
+				mu.Lock()
+				ran = append(ran, name)
+				mu.Unlock()
+				return nil
+			}
+		}
+		hook := func(name string) func(error) {
+			return func(error) {
+				mu.Lock()
+				hooked = append(hooked, name)
+				mu.Unlock()
+			}
+		}
+		const mids = inlineArity + 2
+		keys := make([]string, mids)
+		slab := []Dep{Out("a")}
+		for i := range keys {
+			keys[i] = fmt.Sprintf("b%d", i)
+			slab = append(slab, In("a"), Out(keys[i]))
+		}
+		for _, k := range keys {
+			slab = append(slab, In(k))
+		}
+		specs := []TaskSpec{{Name: "src", Body: body("src"), OnDone: hook("src"), Deps: slab[:1:1]}}
+		for i := range keys {
+			name := "mid-" + keys[i]
+			specs = append(specs, TaskSpec{Name: name, Body: body(name), OnDone: hook(name), Deps: slab[1+2*i : 3+2*i : 3+2*i]})
+		}
+		specs = append(specs, TaskSpec{Name: "sink", Body: body("sink"), OnDone: hook("sink"), Deps: slab[1+2*mids:]})
+
+		if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
+			t.Fatal(err)
+		}
+		for i := range slab {
+			slab[i] = InOut("elsewhere")
+		}
+		for i := range specs {
+			specs[i] = TaskSpec{
+				Body:   func(context.Context) error { t.Error("a body overwritten after the submit ran"); return nil },
+				Deps:   []Dep{Out("elsewhere")},
+				OnDone: func(error) { t.Error("a hook overwritten after the submit ran") },
+			}
+		}
+		close(gate)
+		r.Wait()
+
+		mu.Lock()
+		defer mu.Unlock()
+		if len(ran) != mids+2 || ran[0] != "src" || ran[len(ran)-1] != "sink" {
+			t.Fatalf("bodies ran %v, want src, the %d middles, sink", ran, mids)
+		}
+		got, want := slices.Clone(hooked), slices.Clone(ran)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("hooks ran %v, want one per task of %v", hooked, ran)
+		}
+		g, err := r.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range g.Nodes() {
+			if n.Name == "sink" && len(n.Preds()) != mids || n.Name == "src" && len(n.Succs()) != mids {
+				t.Errorf("the trace gives %s preds %v succs %v, want the %d middles", n.Name, n.Preds(), n.Succs(), mids)
+			}
+		}
+	})
 }
 
 // Batch deps must also link against previously-submitted (non-batch)

@@ -182,9 +182,9 @@ func TestParseLane(t *testing.T) {
 		{"telemetry", LaneTelemetry, true},
 		{"bulk", LaneData, false},
 	} {
-		l, err := ParseLane(c.in)
+		l, err := parseLane([]byte(c.in))
 		if (err == nil) != c.ok || (c.ok && l != c.lane) {
-			t.Errorf("ParseLane(%q) = %v, %v; want %v, ok=%v", c.in, l, err, c.lane, c.ok)
+			t.Errorf("parseLane(%q) = %v, %v; want %v, ok=%v", c.in, l, err, c.lane, c.ok)
 		}
 	}
 	if LaneControl.Priority() <= LaneData.Priority() || LaneData.Priority() <= LaneTelemetry.Priority() {

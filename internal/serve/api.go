@@ -69,9 +69,9 @@ func poolHint(l Lane, launch uint64) int {
 	return l.Priority()<<hintShift - 2*int(launch)
 }
 
-// ParseLane resolves a wire lane name; the empty string is LaneData.
-func ParseLane(s string) (Lane, error) {
-	switch s {
+// parseLane resolves a wire lane name; the empty string is LaneData.
+func parseLane(b []byte) (Lane, error) {
+	switch string(b) {
 	case "control":
 		return LaneControl, nil
 	case "data", "":
@@ -79,7 +79,7 @@ func ParseLane(s string) (Lane, error) {
 	case "telemetry":
 		return LaneTelemetry, nil
 	default:
-		return LaneData, fmt.Errorf("unknown lane %q (want control, data, or telemetry)", s)
+		return LaneData, fmt.Errorf("unknown lane %q (want control, data, or telemetry)", b)
 	}
 }
 
@@ -241,20 +241,20 @@ var spinSink atomic.Uint64
 
 // parseOnFailure validates a graph's failure policy and reports whether
 // it is fail-fast.
-func parseOnFailure(s string) (bool, error) {
-	switch s {
+func parseOnFailure(b []byte) (bool, error) {
+	switch string(b) {
 	case "", "continue":
 		return false, nil
 	case "fail_fast":
 		return true, nil
 	default:
-		return false, fmt.Errorf("unknown on_failure %q (want continue or fail_fast)", s)
+		return false, fmt.Errorf("unknown on_failure %q (want continue or fail_fast)", b)
 	}
 }
 
 // parseMode resolves a wire dependence mode.
-func parseMode(s string) (runtime.AccessMode, bool) {
-	switch s {
+func parseMode(b []byte) (runtime.AccessMode, bool) {
+	switch string(b) {
 	case "in":
 		return runtime.ModeIn, true
 	case "out":
@@ -270,7 +270,7 @@ func parseMode(s string) (runtime.AccessMode, bool) {
 // on. It runs before admission — a malformed graph is a 400 that burns no
 // quota — and allocates nothing for a valid one, so a request that is then
 // refused has cost its decode and its reply only.
-func (s *Server) validateGraph(req *GraphRequest) error {
+func (s *Server) validateGraph(req *wireGraph) error {
 	if len(req.Tasks) == 0 {
 		return fmt.Errorf("graph has no tasks")
 	}
@@ -279,18 +279,18 @@ func (s *Server) validateGraph(req *GraphRequest) error {
 	}
 	for i := range req.Tasks {
 		tr := &req.Tasks[i]
-		if _, ok := s.ops[tr.Op]; !ok {
-			return fmt.Errorf("task %d: unknown op %q", i, tr.Op)
+		if _, ok := s.ops[string(tr.Op)]; !ok {
+			return fmt.Errorf("task %d: unknown op %q", i, []byte(tr.Op))
 		}
 		if tr.Amount < 0 {
 			return fmt.Errorf("task %d: negative amount", i)
 		}
 		for j, d := range tr.Deps {
-			if d.Key == "" {
+			if len(d.Key) == 0 {
 				return fmt.Errorf("task %d: dep %d has empty key", i, j)
 			}
 			if _, ok := parseMode(d.Mode); !ok {
-				return fmt.Errorf("task %d: dep %d has unknown mode %q (want in, out, or inout)", i, j, d.Mode)
+				return fmt.Errorf("task %d: dep %d has unknown mode %q (want in, out, or inout)", i, j, []byte(d.Mode))
 			}
 		}
 		if r := tr.Retry; r != nil {

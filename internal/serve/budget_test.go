@@ -14,20 +14,21 @@ import (
 
 // What one job may allocate from POST /v1/graphs to its terminal state,
 // driven through the handler with no socket: the measured count plus 8
-// objects admitted, 7 refused (under a tenth), the harness's own request
-// and recorder (about 25 objects) included.
+// objects admitted, 7 refused, the harness's own request and recorder
+// (about 17 objects) included.
 // Before graphs were lowered into slabs at launch the same harness read
 // 225 for the admitted job and 139 for the refused one, which used to
 // lower its graph too and now pays for its decode and its reply only;
 // before the tracker recycled reader lists and the handler read the body
-// into a pooled buffer, 112 and 81. DESIGN.md § Service layer has the
-// stage-by-stage table; CI's -benchmem step holds
-// BenchmarkServeJobDiamond8 to the same two numbers. Counted with go1.24:
-// about two thirds of either figure is net/http's and encoding/json's,
-// which may move a few objects on another release.
+// into a pooled buffer, 112 and 81; before the graph was decoded into
+// reused buffers and replies encoded into a pooled one, 97 and 75.
+// DESIGN.md § Service layer has the stage-by-stage table; CI's -benchmem
+// step holds BenchmarkServeJobDiamond8 to the same two numbers. Counted
+// with go1.24: most of what is left is the harness's and net/http's, which
+// may move a few objects on another release.
 const (
-	admittedJobAllocBudget = 105 // measured 97
-	refusedJobAllocBudget  = 82  // measured 75
+	admittedJobAllocBudget = 50 // measured 42
+	refusedJobAllocBudget  = 30 // measured 23
 )
 
 // diamond8Body is the benchmark's diamond-8 on the wire: a source, six

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"time"
+	"unsafe"
 
 	"repro/internal/flightrec"
 	"repro/internal/runtime"
@@ -50,16 +51,16 @@ func (s *Server) dispatchLoop() {
 		// The queue entry is gone, and with it the job's claim on its
 		// request: launch lowers it, a job cancelled while queued (already
 		// finished; the entry is just reaped) never needed it.
-		req := j.req
-		j.req = nil
+		sb := j.sub
+		j.sub = nil
 		if j.state.terminal() {
-			s.putRequest(req)
+			s.putSubmit(sb)
 			continue
 		}
 		j.state = jobRunning
 		s.running[j.lane]++
 		s.mu.Unlock()
-		s.launch(j, req, poolHint(j.lane, launched))
+		s.launch(j, sb, poolHint(j.lane, launched))
 		launched++
 		s.mu.Lock()
 	}
@@ -117,17 +118,18 @@ type keyCell struct{ _ byte }
 const internKeep = 256
 
 // lower turns a validated request into the runtime's task specs for j:
-// one slab each of specs, dependences (sub-sliced per task) and key cells
-// (job-local names interned to cell addresses), one body closure per task
-// and one completion hook for the graph. It runs on the dispatcher
-// goroutine only, for admitted jobs only.
-func (s *Server) lower(j *job, req *GraphRequest, hint int) []runtime.TaskSpec {
+// the dispatcher's spec and dependence slabs (sub-sliced per task), a
+// slab of key cells of the job's own (job-local names interned to cell
+// addresses), one body closure per task and one completion hook for the
+// graph. It runs on the dispatcher goroutine only, for admitted jobs only.
+func (s *Server) lower(j *job, req *wireGraph, hint int) []runtime.TaskSpec {
 	ndeps := 0
 	for i := range req.Tasks {
 		ndeps += len(req.Tasks[i].Deps)
 	}
-	specs := make([]runtime.TaskSpec, len(req.Tasks))
-	deps := make([]runtime.Dep, 0, ndeps)
+	// The slabs grow in place, zeroed (launch cleared what they held).
+	specs := append(s.specs[:0], make([]runtime.TaskSpec, len(req.Tasks))...)
+	deps := append(s.deps[:0], make([]runtime.Dep, ndeps)...)[:0]
 	cells := make([]keyCell, 0, ndeps) // never regrown: addresses are keys
 
 	// One hook closure for the whole graph: every task accounts itself
@@ -151,20 +153,24 @@ func (s *Server) lower(j *job, req *GraphRequest, hint int) []runtime.TaskSpec {
 		tr := &req.Tasks[i]
 		first := len(deps)
 		for _, d := range tr.Deps {
-			cell := s.intern[d.Key]
+			// The name is the request's own bytes, unchanged until its
+			// submitBuf is decoded into again, which is after launch; the
+			// table is emptied before lower returns.
+			name := unsafe.String(unsafe.SliceData(d.Key), len(d.Key))
+			cell := s.intern[name]
 			if cell == nil {
 				cells = append(cells, keyCell{})
 				cell = &cells[len(cells)-1]
-				s.intern[d.Key] = cell
+				s.intern[name] = cell
 			}
 			mode, _ := parseMode(d.Mode)
 			deps = append(deps, runtime.Dep{Key: cell, Mode: mode})
 		}
 		spec := &specs[i]
-		spec.Name = tr.Name
+		spec.Name = string(tr.Name)
 		spec.Cost = tr.Cost
 		spec.Priority = hint
-		spec.Body = s.taskBody(j, i, s.ops[tr.Op], tr.Amount)
+		spec.Body = s.taskBody(j, i, s.ops[string(tr.Op)], tr.Amount)
 		spec.Deps = deps[first:len(deps):len(deps)]
 		spec.OnDone = hook
 		if r := tr.Retry; r != nil {
@@ -181,6 +187,7 @@ func (s *Server) lower(j *job, req *GraphRequest, hint int) []runtime.TaskSpec {
 	} else {
 		clear(s.intern)
 	}
+	s.specs, s.deps = specs, deps
 	return specs
 }
 
@@ -207,9 +214,13 @@ func (s *Server) taskBody(j *job, i int, op Op, amount int64) runtime.Body {
 
 // launch lowers one job's graph and submits it into the pool, every task
 // under the given priority hint. Called without s.mu.
-func (s *Server) launch(j *job, req *GraphRequest, hint int) {
-	specs := s.lower(j, req, hint)
-	s.putRequest(req)
+func (s *Server) launch(j *job, sb *submitBuf, hint int) {
+	specs := s.lower(j, &sb.g, hint)
+	s.putSubmit(sb)
+	// The runtime keeps nothing of the slabs: once the submit returns they
+	// are cleared for the next launch, so that no finished job's hook or
+	// key cells stay pinned.
+	defer func() { clear(specs); clear(s.deps) }()
 	s.marker(j, flightrec.MarkerLaunch)
 	if _, err := s.rt.SubmitBatchCtx(j.ctx, specs); err != nil {
 		// Nothing was submitted (cancelled before launch, or the pool is

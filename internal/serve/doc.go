@@ -47,7 +47,9 @@
 // reach the shared dependence tracker as addresses, so tenants cannot
 // construct cross-job hazards there. Graphs are validated before
 // admission and lowered to runtime specs only when the dispatcher
-// launches them; the decoded request is pooled and scrubbed between uses.
+// launches them. A request is decoded through a pooled json.Decoder into a
+// pooled wire form whose arrays are cleared and kept between uses, so a
+// POST allocates per request, not per JSON field.
 //
 // The built-in sleep op, the stand-in for a body that waits on I/O, keeps
 // the time it is given, and so does a sub-second long-poll: both wait

@@ -90,9 +90,9 @@ func TestCancelledWhileQueuedIsNeverLowered(t *testing.T) {
 	}
 	queued := jobRecord(s, 2)
 	s.mu.Lock()
-	held := queued.req
+	held := queued.sub
 	s.mu.Unlock()
-	if held == nil || len(held.Tasks) != 3 {
+	if held == nil || len(held.g.Tasks) != 3 {
 		t.Fatalf("a queued job holds request %+v, want its three tasks", held)
 	}
 
@@ -113,7 +113,7 @@ func TestCancelledWhileQueuedIsNeverLowered(t *testing.T) {
 	s.rt.Wait()
 
 	s.mu.Lock()
-	state, req := queued.state, queued.req
+	state, req := queued.state, queued.sub
 	s.mu.Unlock()
 	if state != jobCancelled {
 		t.Errorf("cancelled-while-queued job ended %v", state)

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"net/url"
 	stdruntime "runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -106,6 +108,9 @@ type Server struct {
 	mux *http.ServeMux
 	// inj is the optional chaos injector wrapped around launched bodies.
 	inj *chaos.Injector
+	// retryAfter is every deferred reply's Retry-After value, RetryAfter
+	// in whole seconds rounded up, shared as jsonContentType is.
+	retryAfter []string
 
 	mu   sync.Mutex
 	cond *sync.Cond // wakes the dispatcher: admits, completions, drain
@@ -129,9 +134,12 @@ type Server struct {
 	// statsBuf backs /metrics' StatsInto snapshots.
 	statsBuf runtime.Stats
 
-	// intern is lower's key-name → cell table, emptied after every job.
-	// Dispatcher goroutine only; not guarded by mu.
+	// Dispatcher goroutine only; not guarded by mu. intern is lower's
+	// key-name → cell table, emptied after every job; specs and deps are
+	// the slabs lower fills and launch clears.
 	intern map[string]*keyCell
+	specs  []runtime.TaskSpec
+	deps   []runtime.Dep
 }
 
 // New builds a Server and its runtime pool and starts the dispatcher.
@@ -149,13 +157,14 @@ func New(cfg Config) (*Server, error) {
 		ops[name] = op
 	}
 	s := &Server{
-		cfg:     cfg,
-		rt:      runtime.New(opts...),
-		ops:     ops,
-		tenants: make(map[string]*tenant),
-		jobs:    make(map[string]*job),
-		idle:    make(chan struct{}),
-		intern:  make(map[string]*keyCell),
+		cfg:        cfg,
+		rt:         runtime.New(opts...),
+		ops:        ops,
+		retryAfter: []string{strconv.Itoa(int((cfg.RetryAfter + time.Second - 1) / time.Second))},
+		tenants:    make(map[string]*tenant),
+		jobs:       make(map[string]*job),
+		idle:       make(chan struct{}),
+		intern:     make(map[string]*keyCell),
 	}
 	if cfg.Chaos != nil {
 		s.inj = chaos.New(*cfg.Chaos)
@@ -252,16 +261,16 @@ func (s *Server) marker(j *job, phase uint64) {
 	}
 }
 
-// admitJob runs the admission ladder for one validated graph and, on
-// admit, creates + enqueues the job, which takes ownership of req.
+// admitJob runs the admission ladder for one checked request and, on
+// admit, creates + enqueues the job, which takes ownership of sb.
 // Exactly one verdict counter is bumped per call.
-func (s *Server) admitJob(tenantID string, lane Lane, req *GraphRequest, failFast bool) (*job, decision) {
-	cost := int64(len(req.Tasks))
+func (s *Server) admitJob(sb *submitBuf) (*job, decision) {
+	cost := int64(len(sb.g.Tasks))
 	s.mu.Lock()
-	tn := s.tenantLocked(tenantID)
+	tn := s.tenantLocked(sb.tenant)
 	d := decide(admissionInputs{
 		draining:    s.draining,
-		lane:        lane,
+		lane:        sb.lane,
 		cost:        cost,
 		quota:       s.cfg.TenantQuota,
 		inFlight:    tn.inFlight,
@@ -277,14 +286,15 @@ func (s *Server) admitJob(tenantID string, lane Lane, req *GraphRequest, failFas
 		return nil, d
 	}
 	s.jobSeq++
+	var idBuf [24]byte // the id's digits are appended here, then copied once
 	j := &job{
-		id:         "j-" + strconv.FormatUint(s.jobSeq, 10),
+		id:         string(strconv.AppendUint(append(idBuf[:0], "j-"...), s.jobSeq, 10)),
 		num:        s.jobSeq,
 		tenant:     tn,
-		lane:       lane,
-		req:        req,
+		lane:       sb.lane,
+		sub:        sb,
 		cost:       cost,
-		failFast:   failFast,
+		failFast:   sb.failFast,
 		admittedAt: time.Now(),
 		done:       make(chan struct{}),
 	}
@@ -360,65 +370,31 @@ func (s *Server) jobFinished(j *job) {
 
 // --- HTTP handlers ---
 
-// writeJSON writes one JSON response body.
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
 // handleSubmit is POST /v1/graphs: decode, validate, admit, enqueue. The
 // graph is lowered to runtime specs only once the dispatcher launches it.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req := getRequest()
+	sb := submitPool.Get().(*submitBuf)
 	admitted := false
 	defer func() {
 		if !admitted {
-			s.putRequest(req)
+			s.putSubmit(sb)
 		}
 	}()
-	body := getBody()
-	defer putBody(body)
-	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err == nil {
-		err = json.Unmarshal(body.Bytes(), req) // copies what it keeps: req holds nothing of body
-	}
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
-		return
-	}
-	tenantID := r.Header.Get("X-RAA-Tenant")
-	if tenantID == "" {
-		tenantID = req.Tenant
-	}
-	if tenantID == "" {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing tenant (X-RAA-Tenant header or tenant field)"})
-		return
-	}
-	lane, err := ParseLane(req.Lane)
-	if err != nil {
+	// The tenant header is X-RAA-Tenant, spelled in the canonical form Get
+	// would otherwise build.
+	if err := s.check(sb, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.Header.Get("X-Raa-Tenant")); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	failFast, err := parseOnFailure(req.OnFailure)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	if err := s.validateGraph(req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	j, d := s.admitJob(tenantID, lane, req, failFast)
+	j, d := s.admitJob(sb)
 	switch d.verdict {
 	case VerdictAdmit:
 		admitted = true
 		writeJSON(w, http.StatusAccepted, SubmitResponse{Job: j.id, Status: "queued"})
 	case VerdictDefer:
-		retry := s.cfg.RetryAfter
-		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(retry)))
+		w.Header()["Retry-After"] = s.retryAfter
 		writeJSON(w, http.StatusServiceUnavailable, SubmitResponse{
-			Status: "deferred", Reason: d.reason, RetryAfterMS: retry.Milliseconds(),
+			Status: "deferred", Reason: d.reason, RetryAfterMS: s.cfg.RetryAfter.Milliseconds(),
 		})
 	case VerdictReject:
 		writeJSON(w, http.StatusTooManyRequests, SubmitResponse{Status: "rejected", Reason: d.reason})
@@ -427,14 +403,27 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// retrySeconds rounds a Retry-After delay up to whole seconds (the
-// header's unit), with a floor of 1.
-func retrySeconds(d time.Duration) int {
-	sec := int((d + time.Second - 1) / time.Second)
-	if sec < 1 {
-		sec = 1
+// check decodes one POST body into sb and checks everything admission
+// relies on, in the order a 400 reports it: the body, the tenant (the
+// header's, else the body's), the lane, the failure policy, the graph.
+// Its error is the 400 reply's message.
+func (s *Server) check(sb *submitBuf, body io.Reader, tenant string) (err error) {
+	if err = sb.decode(body); err != nil {
+		return errors.New("bad request body: " + err.Error())
 	}
-	return sec
+	if sb.tenant = tenant; tenant == "" {
+		sb.tenant = string(sb.g.Tenant)
+	}
+	if sb.tenant == "" {
+		return errors.New("missing tenant (X-RAA-Tenant header or tenant field)")
+	}
+	if sb.lane, err = parseLane(sb.g.Lane); err != nil {
+		return err
+	}
+	if sb.failFast, err = parseOnFailure(sb.g.OnFailure); err != nil {
+		return err
+	}
+	return s.validateGraph(&sb.g)
 }
 
 // statusLocked renders a job's status. Caller holds s.mu.
@@ -471,7 +460,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown job"})
 		return
 	}
-	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
+	if waitStr := queryValue(r.URL.RawQuery, "wait"); waitStr != "" {
 		d, err := time.ParseDuration(waitStr)
 		if err != nil || d < 0 {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad wait duration"})
@@ -483,6 +472,22 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	st := s.statusLocked(j)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, st)
+}
+
+// queryValue is url.ParseQuery(raw).Get(key) without building the map:
+// the value of the first pair named key among those ParseQuery keeps.
+func queryValue(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		k, v, _ := strings.Cut(pair, "=")
+		k, kerr := url.QueryUnescape(k)
+		v, verr := url.QueryUnescape(v)
+		if k == key && kerr == nil && verr == nil && !strings.Contains(pair, ";") {
+			return v
+		}
+	}
+	return ""
 }
 
 // handleCancel is POST /v1/jobs/{id}/cancel. Cancelling a queued job

@@ -79,10 +79,10 @@ type job struct {
 	num    uint64 // numeric identity for flight-recorder markers
 	tenant *tenant
 	lane   Lane
-	// req is the pooled wire request, owned by the job from admission
-	// until the dispatcher pops it: launch lowers it into the pool, a job
+	// sub is the pooled request, owned by the job from admission until
+	// the dispatcher pops it: launch lowers its graph into the pool, a job
 	// cancelled while queued just hands it back. Nil from then on.
-	req  *GraphRequest
+	sub  *submitBuf
 	cost int64
 
 	state jobState
