@@ -31,6 +31,17 @@
 // (TaskPlacement), so heterogeneous workloads can scale simulated work to
 // the class that runs them.
 //
+// A task is a function plus an argument — the paper's outlined function
+// and argument block. TaskSpec.Run is called as Run(ctx, Arg) on every
+// attempt: the first, a retry, a deadline-bounded one (on the deadline
+// goroutine) and one that parks through CompleteAfter; the argument is
+// dropped when the task completes. A caller lowering many tasks points
+// each Arg into one slab and passes one package-level Run, so a graph
+// costs one object instead of a closure per task (a pointer, or an integer
+// below 256, converts to any without allocating). The task record holds
+// this one (run, arg) body: Body and Fn are adapters over it, and an Fn is
+// still called without a context.
+//
 // # Submission and dependence tracking
 //
 // Submission order defines program order, and the tracker resolves
@@ -80,12 +91,14 @@
 // # Memory lifecycle and trace retention
 //
 // By default the runtime's memory stays bounded by the work in flight:
-// completed tasks drop their body, context, and dependence log, queue
-// slots release popped pointers, and the dependence tracker scavenges its
-// per-key records — a key's last writer and its reader list — once every
-// task that named the key is retired (and hands the list to the next key
-// that needs one), so a runtime can serve submissions indefinitely even
-// when every submission mints fresh keys. Building with
+// completed tasks drop their body, argument, context, and dependence log,
+// queue slots release popped pointers, and the dependence tracker
+// scavenges its per-key records — a key's last writer and its reader list
+// — once every task that named the key is retired (and hands the list to
+// the next key that needs one), so a runtime can serve submissions
+// indefinitely even when every submission mints fresh keys. A full reader
+// list drops its retired readers before it grows, so a key that is only
+// ever read holds its live readers, not its history. Building with
 // WithTraceRetention keeps the full task trace instead, which Graph needs
 // for export; without it Graph fails with ErrNoTrace.
 //

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	stdruntime "runtime"
@@ -98,7 +99,7 @@ func TestCompleteReleasesTaskReferences(t *testing.T) {
 		for _, tk := range s.tasks {
 			seen++
 			tk.mu.Lock()
-			if tk.fn != nil || tk.plainFn != nil {
+			if tk.run != nil || tk.arg != nil {
 				t.Errorf("task %q keeps its body after completion", tk.name)
 			}
 			if tk.ctx != nil {
@@ -152,6 +153,29 @@ func TestReadersTailSlotsClearedOnWriterTruncate(t *testing.T) {
 	}
 }
 
+// A key that is only ever read holds its live readers, not its history: a
+// full reader list drops its dead readers in place before it grows. One
+// key never passes the sweep floor, so no sweep helps here; without the
+// in-place drop its list held every one of the 100 000 readers.
+func TestReadOnlyKeyListBounded(t *testing.T) {
+	r := New(WithWorkers(2), WithShards(1))
+	defer r.Shutdown()
+	const readers = 100_000
+	for i := 0; i < readers; i++ {
+		if _, err := r.Submit("r", 1, func() {}, In("k")); err != nil {
+			t.Fatal(err)
+		}
+		r.Wait()
+	}
+	s := r.shards[0]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rs := s.keys["k"].readers; cap(rs) > maxSpareCap {
+		t.Fatalf("a key read by %d tasks, one at a time, holds a list of len %d cap %d, bound %d",
+			readers, len(rs), cap(rs), maxSpareCap)
+	}
+}
+
 // End-to-end collectability: the payloads captured by task bodies must be
 // garbage once the tasks complete — nothing in the scheduler queues, shard
 // state, or task structs may pin them (default, no trace retention).
@@ -182,6 +206,69 @@ func submitWithPayloads(t *testing.T, r *Runtime, n int, finalized *int32) {
 		p := new([1 << 12]byte)
 		stdruntime.SetFinalizer(p, func(*[1 << 12]byte) { atomic.AddInt32(finalized, 1) })
 		if _, err := r.Submit(fmt.Sprintf("t%d", i), 1, func() { p[0]++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A Run task's argument is dropped with its body: once Wait returns,
+// nothing of the runtime pins an Arg, whichever path its task took — a
+// plain run, a retry, a deadline-bounded attempt or a parked wait.
+func TestRunArgCollectableAfterWait(t *testing.T) {
+	eachScheduler(t, func(t *testing.T, kind SchedulerKind) {
+		const n = 100
+		r := New(WithWorkers(2), WithScheduler(kind))
+		defer r.Shutdown()
+		var finalized int32
+		submitWithArgs(t, r, n, &finalized)
+		r.Wait()
+		deadline := time.Now().Add(20 * time.Second)
+		for atomic.LoadInt32(&finalized) < n && time.Now().Before(deadline) {
+			stdruntime.GC()
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := atomic.LoadInt32(&finalized); got != n {
+			t.Fatalf("%d/%d task arguments still uncollectable after Wait", n-got, n)
+		}
+	})
+}
+
+// argPayload is a Run argument with a finalizer. mode picks the path its
+// task takes: 0 plain, 1 retried, 2 deadline-bounded, 3 parked. buf gives
+// it a size: a finalizer on a tiny allocation need never run.
+type argPayload struct {
+	buf   [1 << 12]byte
+	mode  int
+	calls int
+}
+
+func payloadRun(ctx context.Context, arg any) error {
+	p := arg.(*argPayload)
+	p.calls++
+	switch {
+	case p.mode == 1 && p.calls == 1:
+		return errors.New("first attempt fails")
+	case p.mode == 3:
+		CompleteAfter(ctx, time.Millisecond)
+	}
+	return nil
+}
+
+// submitWithArgs lives in its own frame so no argument stays reachable
+// from the test function's stack.
+func submitWithArgs(t *testing.T, r *Runtime, n int, finalized *int32) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		p := &argPayload{mode: i % 4}
+		stdruntime.SetFinalizer(p, func(*argPayload) { atomic.AddInt32(finalized, 1) })
+		sp := TaskSpec{Name: "arg", Run: payloadRun, Arg: p}
+		switch p.mode {
+		case 1:
+			sp.Retry = RetryPolicy{Max: 1}
+		case 2:
+			sp.Deadline = time.Minute
+		}
+		if _, err := r.SubmitBatch([]TaskSpec{sp}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -53,7 +53,9 @@ func (m AccessMode) String() string {
 // Dep pairs a data key with its access mode. Keys may be anything
 // comparable: pointers, strings, struct{array, block} pairs…
 type Dep struct {
-	Key  any
+	// Key names the datum; equal keys are one datum.
+	Key any
+	// Mode is how the task accesses it.
 	Mode AccessMode
 }
 
@@ -132,6 +134,21 @@ type TaskID int
 // placement of the body it was handed to.
 type Body func(ctx context.Context) error
 
+// A task record holds one body, a run function and its argument. Body and
+// Fn are stored as these adapters over that pair, with the caller's
+// function as the argument (a func value converts to any without
+// allocating), and a task without a body as an Fn that does nothing.
+func runBody(ctx context.Context, arg any) error { return arg.(Body)(ctx) }
+
+func runPlain(_ context.Context, arg any) error { arg.(plainBody)(); return nil }
+
+// plainBody is an Fn as a task's argument. Only this package can name the
+// type, so it marks exactly the bodies that take no context.
+type plainBody func()
+
+// noBody is the Fn of a task submitted without a body.
+var noBody = plainBody(func() {})
+
 // inlineArity is the dependence/successor count a task record holds inline.
 // Tasks with at most this many deps (and successors) allocate nothing for
 // them; larger fans spill to a slice that the record keeps (and reuses)
@@ -159,10 +176,11 @@ type task struct {
 	// stale-entry protocol and is always zero now. complete() retires the
 	// record by bumping the generation (inside its t.mu critical section),
 	// which atomically invalidates every outstanding reference.
-	claim   uint64
-	fn      Body
-	plainFn func() // plain-function body (Submit); fn wins when both are set
-	ctx     context.Context
+	claim uint64
+	// run and arg are the body: every attempt calls run(ctx, arg).
+	run func(context.Context, any) error
+	arg any
+	ctx context.Context
 	// onDone is the batch path's per-task completion hook (TaskSpec.OnDone):
 	// called exactly once on the executing worker after the body returns (or
 	// after the skip decision on a cancelled context), strictly before the
@@ -319,6 +337,9 @@ func (t *task) takeSuccs(buf []*task) []*task {
 
 // Stats summarises a runtime's activity.
 type Stats struct {
+	// Submitted counts accepted tasks, Executed the tasks whose body ran to
+	// its terminal attempt (failed or not), Steals the dispatches a worker
+	// took from another worker's queue.
 	Submitted uint64
 	Executed  uint64
 	Steals    uint64

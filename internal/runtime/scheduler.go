@@ -98,11 +98,6 @@ type classLayout struct {
 	classOf []int
 }
 
-// homogeneousLayout is the layout of a single-class pool.
-func homogeneousLayout(workers int) classLayout {
-	return classLayout{workers: workers, fastN: workers}
-}
-
 // class maps a worker ID to its class index.
 func (l classLayout) class(w int) int {
 	if l.classOf == nil {

@@ -321,6 +321,11 @@ func layoutClassCount(l classLayout) int {
 	return n
 }
 
+// homogeneousLayout is the layout of a single-class pool.
+func homogeneousLayout(workers int) classLayout {
+	return classLayout{workers: workers, fastN: workers}
+}
+
 // newTestSteal/newTestCATS/newTestFIFO build schedulers with a fresh
 // policy/signals pair, the way New wires them.
 func newTestSteal(l classLayout, window int) *stealScheduler {

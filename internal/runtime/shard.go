@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"reflect"
 	stdruntime "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -231,10 +232,7 @@ func (r *Runtime) trackDeps(t *task) []taskRef {
 		// for, since we do not rename storage.
 		addPred(k.writer)
 		if d.Mode == ModeIn {
-			if n := len(s.spare); n > 0 && cap(k.readers) == 0 {
-				k.readers, s.spare[n-1], s.spare = s.spare[n-1], nil, s.spare[:n-1]
-			}
-			k.readers = append(k.readers, self)
+			k.readers = append(s.readerRoom(k.readers), self)
 		} else {
 			// WAR: wait for every reader since the previous writer.
 			for _, rd := range k.readers {
@@ -284,13 +282,7 @@ const maxSpare, maxSpareCap = sweepFloor, 8
 // s.mu.
 func (s *depShard) sweep() {
 	for key, k := range s.keys {
-		live := k.readers[:0]
-		for _, rd := range k.readers {
-			if !rd.dead() {
-				live = append(live, rd)
-			}
-		}
-		clear(k.readers[len(live):])
+		live := dropDead(k.readers)
 		if k.writer.t != nil && k.writer.dead() {
 			k.writer = taskRef{}
 		}
@@ -304,6 +296,38 @@ func (s *depShard) sweep() {
 		}
 	}
 	s.sweepAt = 2*len(s.keys) + sweepFloor
+}
+
+// readerRoom returns a key's reader list with room for one more reader. A
+// key's first list is a shelved one or a fresh one of maxSpareCap slots,
+// so no list regrows for a key with that few readers. A full list first
+// drops its dead readers in place, so a key that is only ever read holds
+// its live readers, not its history, without waiting for a sweep; it grows
+// only if that freed less than half of it, which keeps the scans amortised
+// constant per reader. Caller holds s.mu.
+func (s *depShard) readerRoom(rs []taskRef) []taskRef {
+	switch n := len(s.spare); {
+	case cap(rs) == 0 && n > 0:
+		rs, s.spare[n-1], s.spare = s.spare[n-1], nil, s.spare[:n-1]
+	case len(rs) == cap(rs): // a list with no slots at all grows to maxSpareCap
+		if rs = dropDead(rs); 2*len(rs) >= cap(rs) {
+			rs = slices.Grow(rs, max(cap(rs), maxSpareCap))
+		}
+	}
+	return rs
+}
+
+// dropDead compacts a reader list to its live references in place and
+// zeroes the slots it vacates, so the list pins no retired record.
+func dropDead(rs []taskRef) []taskRef {
+	live := rs[:0]
+	for _, rd := range rs {
+		if !rd.dead() {
+			live = append(live, rd)
+		}
+	}
+	clear(rs[len(live):])
+	return live
 }
 
 // linkPreds registers the dependence edges collected by trackDeps. npreds

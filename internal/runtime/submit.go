@@ -10,19 +10,31 @@ import (
 	"repro/internal/flightrec"
 )
 
-// TaskSpec describes one task of a batch submission. Exactly one of Body
-// and Fn should be set (Body wins when both are); a nil body is a no-op
-// task that still participates in dependence ordering.
+// TaskSpec describes one task of a batch submission. Exactly one of Run,
+// Body and Fn should be set (Run wins, then Body); a task with none is a
+// no-op that still participates in dependence ordering.
 type TaskSpec struct {
+	// Name labels the task in errors, the trace and Graph.
 	Name string
 	// Cost is the abstract work estimate used for criticality analysis.
 	Cost float64
 	// Priority is the programmer priority hint (the OmpSs priority
 	// clause); higher runs earlier under CATS.
 	Priority int
+	// Run is the task body as a function plus an argument, the paper's
+	// outlined function and its argument block: every attempt — the first,
+	// a retry, a deadline-bounded one, one that parks through CompleteAfter
+	// — calls Run(ctx, Arg), with ctx as a Body's. One package-level Run
+	// over a slab of arguments submits a graph without a closure per task.
+	Run func(ctx context.Context, arg any) error
+	// Arg is Run's argument, dropped when the task completes. A pointer
+	// (into a caller's slab, say) or an integer below 256 converts to any
+	// without allocating.
+	Arg any
 	// Body is the context-aware, error-returning task body.
 	Body Body
-	// Fn is the plain-function convenience form of Body.
+	// Fn is the plain-function convenience form of Body; it is called
+	// without a context.
 	Fn func()
 	// Deps are the task's dependence annotations.
 	Deps []Dep
@@ -341,15 +353,22 @@ func (r *Runtime) newTask(ctx context.Context, sp *TaskSpec, deps []Dep) *task {
 	t.name = sp.Name
 	t.cost = sp.Cost
 	atomic.StoreInt64(&t.priority, int64(sp.Priority))
-	t.fn = sp.Body
-	t.plainFn = sp.Fn
+	t.run, t.arg = runPlain, noBody
+	switch {
+	case sp.Run != nil:
+		t.run, t.arg = sp.Run, sp.Arg
+	case sp.Body != nil:
+		t.run, t.arg = runBody, sp.Body
+	case sp.Fn != nil:
+		t.arg = plainBody(sp.Fn)
+	}
 	t.ctx = ctx
-	// Recycled records must not inherit a hook or fault state.
+	// Recycled records must not inherit a hook or fault state (complete
+	// already dropped the skip cause).
 	t.onDone = sp.OnDone
 	t.retry = sp.Retry
 	t.deadline = sp.Deadline
 	t.attempt = 0
-	t.skipCause = nil
 	t.done = false
 	t.setDeps(deps)
 	atomic.AddInt64(&r.outstanding, 1)

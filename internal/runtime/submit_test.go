@@ -94,10 +94,11 @@ func TestSubmitBatchHazardOrdering(t *testing.T) {
 // SubmitBatchCtx keeps nothing of its specs: a caller that reuses them —
 // and the dependence slab their Deps share, as a service layer lowering one
 // graph after another does — the moment the call returns still has the
-// tasks it submitted run their own bodies, in their own dependence order,
-// with their own hooks, and the retained trace records their own
-// dependences. The sink declares more dependences than a task holds
-// inline, so both of setDeps' copies are covered.
+// tasks it submitted run their own bodies with their own arguments, in
+// their own dependence order, with their own hooks, and the retained trace
+// records their own dependences. The middles are Run tasks, the source and
+// the sink Body tasks; the sink declares more dependences than a task
+// holds inline, so both of setDeps' copies are covered.
 func TestSubmitBatchRetainsNoSpec(t *testing.T) {
 	eachScheduler(t, func(t *testing.T, kind SchedulerKind) {
 		r := New(WithWorkers(4), WithScheduler(kind), WithTraceRetention())
@@ -116,6 +117,7 @@ func TestSubmitBatchRetainsNoSpec(t *testing.T) {
 				return nil
 			}
 		}
+		run := func(ctx context.Context, arg any) error { return body(arg.(string))(ctx) }
 		hook := func(name string) func(error) {
 			return func(error) {
 				mu.Lock()
@@ -136,7 +138,7 @@ func TestSubmitBatchRetainsNoSpec(t *testing.T) {
 		specs := []TaskSpec{{Name: "src", Body: body("src"), OnDone: hook("src"), Deps: slab[:1:1]}}
 		for i := range keys {
 			name := "mid-" + keys[i]
-			specs = append(specs, TaskSpec{Name: name, Body: body(name), OnDone: hook(name), Deps: slab[1+2*i : 3+2*i : 3+2*i]})
+			specs = append(specs, TaskSpec{Name: name, Run: run, Arg: name, OnDone: hook(name), Deps: slab[1+2*i : 3+2*i : 3+2*i]})
 		}
 		specs = append(specs, TaskSpec{Name: "sink", Body: body("sink"), OnDone: hook("sink"), Deps: slab[1+2*mids:]})
 
@@ -151,6 +153,10 @@ func TestSubmitBatchRetainsNoSpec(t *testing.T) {
 				Body:   func(context.Context) error { t.Error("a body overwritten after the submit ran"); return nil },
 				Deps:   []Dep{Out("elsewhere")},
 				OnDone: func(error) { t.Error("a hook overwritten after the submit ran") },
+			}
+			if i%2 == 1 { // Run wins over Body: half the specs keep the Body check
+				specs[i].Run = func(context.Context, any) error { t.Error("a Run overwritten after the submit ran"); return nil }
+				specs[i].Arg = "overwritten"
 			}
 		}
 		close(gate)

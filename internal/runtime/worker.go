@@ -202,7 +202,7 @@ func (w *workerState) runFaultyAttempt(t *task, poison error) (taskEnd, bool) {
 // recorded now, so the task is not ready to the verifier while it waits.
 func (w *workerState) exec(t *task, pc context.Context) (taskEnd, bool) {
 	w.parkFor = -1
-	err := execBody(t.name, t.fn, t.plainFn, pc)
+	err := execBody(t.name, t.run, t.arg, pc)
 	d := w.parkFor
 	w.parkFor = 0
 	if d < 0 || err != nil {
@@ -227,8 +227,8 @@ func (w *workerState) skipCancelled(err error) taskEnd {
 // bodyCtx returns the placement wrapper a context-aware body receives (nil
 // for a plain-function body, which takes no context).
 func (w *workerState) bodyCtx(t *task) context.Context {
-	switch {
-	case t.fn == nil:
+	switch _, plain := t.arg.(plainBody); {
+	case plain:
 		return nil
 	case t.ctx == context.Background():
 		// Release the cached request-scoped context: a worker must not pin
@@ -315,31 +315,26 @@ func (w *workerState) finish(t *task, end taskEnd) {
 // execBody invokes a task body under panic isolation: a panicking body is
 // recovered into a typed *PanicError carrying the panic value and the
 // goroutine stack, and the task fails like any error-returning body instead
-// of unwinding the worker. The body's identity is passed as plain values —
-// never the task record — so the deadline path can keep running an
-// abandoned body after the record has been recycled.
-func execBody(name string, fn Body, plain func(), pc context.Context) (err error) {
+// of unwinding the worker. The body is passed as plain values — never the
+// task record — so the deadline path can keep running an abandoned body
+// after the record has been recycled.
+func execBody(name string, run func(context.Context, any) error, arg any, pc context.Context) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{TaskName: name, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	if fn != nil {
-		return fn(pc)
-	}
-	if plain != nil {
-		plain()
-	}
-	return nil
+	return run(pc, arg)
 }
 
 // runWithDeadline runs the body under its per-task deadline without ever
 // blocking the worker: the body runs on its own goroutine against a
 // deadline-bounded context, and when the bound passes first the task fails
 // with a *DeadlineError immediately. The overrunning body is abandoned —
-// its goroutine holds only the body closure and context (never the task
-// record, which complete may recycle at any moment after this returns) and
-// is collected whenever the body honours the cancellation or returns.
+// its goroutine holds only the body, its argument and the context (never
+// the task record, which complete may recycle at any moment after this
+// returns) and is collected whenever the body honours the cancellation or
+// returns.
 func (r *Runtime) runWithDeadline(t *task, pc context.Context) error {
 	base := pc
 	if base == nil {
@@ -351,10 +346,10 @@ func (r *Runtime) runWithDeadline(t *task, pc context.Context) error {
 	// the attempt settles, not when an abandoned body returns.
 	defer alarm.Arm(t.deadline).Release()
 	done := make(chan error, 1)
-	name, fn, plain := t.name, t.fn, t.plainFn
+	name, run, arg := t.name, t.run, t.arg
 	go func() {
 		defer cancel()
-		done <- execBody(name, fn, plain, dctx)
+		done <- execBody(name, run, arg, dctx)
 	}()
 	// A cooperative body that observes the bound returns ctx.Err() through
 	// done, racing the watchdog arm; normalise both paths to the same
@@ -440,8 +435,8 @@ func (r *Runtime) callOnDone(hook func(error), taskErr error, name string) {
 }
 
 // complete marks a task done, releases its successors, and drops the
-// references the task no longer needs — the body closure (often the
-// heaviest retained object) and the submission context. Without trace
+// references the task no longer needs — the body and its argument (often
+// the heaviest retained objects) and the submission context. Without trace
 // retention it goes further and retires the whole record into the
 // runtime's freelist: the generation bump in the claim word (performed
 // inside this critical section) atomically invalidates every reference
@@ -481,8 +476,7 @@ func (w *workerState) complete(t *task, poison error, faultPack uint64) {
 	t.mu.Lock()
 	t.done = true
 	succs := t.takeSuccs(w.succs[:0])
-	t.fn = nil
-	t.plainFn = nil
+	t.run, t.arg = nil, nil
 	t.ctx = nil
 	t.onDone = nil
 	t.skipCause = nil

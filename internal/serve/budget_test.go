@@ -21,13 +21,15 @@ import (
 // lower its graph too and now pays for its decode and its reply only;
 // before the tracker recycled reader lists and the handler read the body
 // into a pooled buffer, 112 and 81; before the graph was decoded into
-// reused buffers and replies encoded into a pooled one, 97 and 75.
+// reused buffers and replies encoded into a pooled one, 97 and 75; before
+// a task carried its argument (one slab a job, not a closure a task) and
+// a small graph's key cells moved into the job record, 42 and 23.
 // DESIGN.md § Service layer has the stage-by-stage table; CI's -benchmem
 // step holds BenchmarkServeJobDiamond8 to the same two numbers. Counted
 // with go1.24: most of what is left is the harness's and net/http's, which
 // may move a few objects on another release.
 const (
-	admittedJobAllocBudget = 50 // measured 42
+	admittedJobAllocBudget = 41 // measured 33
 	refusedJobAllocBudget  = 30 // measured 23
 )
 

@@ -108,20 +108,54 @@ func (s *Server) popLocked() *job {
 // runtime's tracker sees: a pointer in an interface costs no allocation,
 // and no two live jobs can share one, so jobs are isolated from each other
 // in the tracker by construction. The tracker's map entry for a key keeps
-// the job's cell slab reachable, so the address cannot be reused while
-// anything still names it. A cell has a size so that cells have distinct
-// addresses.
+// the job record (or the job's cell slab) reachable, so the address cannot
+// be reused while anything still names it. A cell has a size so that cells
+// have distinct addresses.
 type keyCell struct{ _ byte }
+
+// jobCells is how many key cells a job record holds inline: enough for the
+// distinct keys of a small graph, and they round the record up to the next
+// size class.
+const jobCells = 24
 
 // internKeep bounds the intern table the dispatcher reuses across
 // launches; a job with more distinct keys leaves a fresh one behind.
 const internKeep = 256
 
+// taskArg is one lowered task's argument: what runTask needs to run its
+// op. lower makes one slab of them per job and points each task's Arg at
+// its entry, so a job's tasks cost one object, not a closure each.
+type taskArg struct {
+	j      *job
+	op     Op
+	amount int64
+	// faulty is the chaos injector's wrapper of call (nil without
+	// Config.Chaos), made once per task because its transient/sticky
+	// schedule is per wrapper.
+	faulty func(context.Context) error
+}
+
+// call runs the task's op.
+func (a *taskArg) call(ctx context.Context) error { return a.op(ctx, a.amount) }
+
+// runTask is every lowered task's Run. It counts the attempt first,
+// outermost, so JobStatus.Attempts sees every execution, injected faults
+// included, then runs the op, through the chaos wrapper when there is one.
+func runTask(ctx context.Context, arg any) error {
+	a := arg.(*taskArg)
+	a.j.attempts.Add(1)
+	if a.faulty != nil {
+		return a.faulty(ctx)
+	}
+	return a.call(ctx)
+}
+
 // lower turns a validated request into the runtime's task specs for j:
-// the dispatcher's spec and dependence slabs (sub-sliced per task), a
-// slab of key cells of the job's own (job-local names interned to cell
-// addresses), one body closure per task and one completion hook for the
-// graph. It runs on the dispatcher goroutine only, for admitted jobs only.
+// the dispatcher's spec and dependence slabs (sub-sliced per task), key
+// cells of the job's own (job-local names interned to cell addresses; the
+// record's inline cells first), one argument slab and one completion hook
+// for the graph. It runs on the dispatcher goroutine only, for admitted
+// jobs only.
 func (s *Server) lower(j *job, req *wireGraph, hint int) []runtime.TaskSpec {
 	ndeps := 0
 	for i := range req.Tasks {
@@ -130,7 +164,8 @@ func (s *Server) lower(j *job, req *wireGraph, hint int) []runtime.TaskSpec {
 	// The slabs grow in place, zeroed (launch cleared what they held).
 	specs := append(s.specs[:0], make([]runtime.TaskSpec, len(req.Tasks))...)
 	deps := append(s.deps[:0], make([]runtime.Dep, ndeps)...)[:0]
-	cells := make([]keyCell, 0, ndeps) // never regrown: addresses are keys
+	args := make([]taskArg, len(req.Tasks))
+	cells := j.cells[:0] // never regrown: addresses are keys
 
 	// One hook closure for the whole graph: every task accounts itself
 	// exactly once (executed or skipped), and the last one finishes the
@@ -159,6 +194,9 @@ func (s *Server) lower(j *job, req *wireGraph, hint int) []runtime.TaskSpec {
 			name := unsafe.String(unsafe.SliceData(d.Key), len(d.Key))
 			cell := s.intern[name]
 			if cell == nil {
+				if len(cells) == cap(cells) {
+					cells = make([]keyCell, 0, ndeps) // room for every key left
+				}
 				cells = append(cells, keyCell{})
 				cell = &cells[len(cells)-1]
 				s.intern[name] = cell
@@ -166,11 +204,16 @@ func (s *Server) lower(j *job, req *wireGraph, hint int) []runtime.TaskSpec {
 			mode, _ := parseMode(d.Mode)
 			deps = append(deps, runtime.Dep{Key: cell, Mode: mode})
 		}
+		a := &args[i]
+		*a = taskArg{j: j, op: s.ops[string(tr.Op)], amount: tr.Amount}
+		if s.inj != nil {
+			a.faulty = s.inj.Wrap(j.num<<16|uint64(i), a.call)
+		}
 		spec := &specs[i]
 		spec.Name = string(tr.Name)
 		spec.Cost = tr.Cost
 		spec.Priority = hint
-		spec.Body = s.taskBody(j, i, s.ops[string(tr.Op)], tr.Amount)
+		spec.Run, spec.Arg = runTask, a
 		spec.Deps = deps[first:len(deps):len(deps)]
 		spec.OnDone = hook
 		if r := tr.Retry; r != nil {
@@ -191,48 +234,24 @@ func (s *Server) lower(j *job, req *wireGraph, hint int) []runtime.TaskSpec {
 	return specs
 }
 
-// taskBody is task i's one body closure: it counts the attempt first,
-// outermost, so JobStatus.Attempts sees every execution, injected faults
-// included, then runs the op — through the chaos injector when one is
-// configured. The injector's wrapper is made once per task, here, because
-// its transient/sticky schedule is per wrapper.
-func (s *Server) taskBody(j *job, i int, op Op, amount int64) runtime.Body {
-	if s.inj == nil {
-		return func(ctx context.Context) error {
-			j.attempts.Add(1)
-			return op(ctx, amount)
-		}
-	}
-	faulty := s.inj.Wrap(j.num<<16|uint64(i), func(ctx context.Context) error {
-		return op(ctx, amount)
-	})
-	return func(ctx context.Context) error {
-		j.attempts.Add(1)
-		return faulty(ctx)
-	}
-}
-
 // launch lowers one job's graph and submits it into the pool, every task
 // under the given priority hint. Called without s.mu.
 func (s *Server) launch(j *job, sb *submitBuf, hint int) {
 	specs := s.lower(j, &sb.g, hint)
 	s.putSubmit(sb)
 	// The runtime keeps nothing of the slabs: once the submit returns they
-	// are cleared for the next launch, so that no finished job's hook or
-	// key cells stay pinned.
+	// are cleared for the next launch, so that no finished job's hook,
+	// arguments or key cells stay pinned.
 	defer func() { clear(specs); clear(s.deps) }()
 	s.marker(j, flightrec.MarkerLaunch)
 	if _, err := s.rt.SubmitBatchCtx(j.ctx, specs); err != nil {
 		// Nothing was submitted (cancelled before launch, or the pool is
 		// shutting down): finish here — no task will ever account itself.
+		// A pool shutting down fails the job like any other submit error.
 		s.mu.Lock()
-		switch {
-		case errors.Is(err, context.Canceled) || j.cancelRequested:
+		if errors.Is(err, context.Canceled) || j.cancelRequested {
 			s.finishLocked(j, jobCancelled)
-		case errors.Is(err, runtime.ErrShutdown):
-			j.noteErr(err)
-			s.finishLocked(j, jobFailed)
-		default:
+		} else {
 			j.noteErr(err)
 			s.finishLocked(j, jobFailed)
 		}

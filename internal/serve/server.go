@@ -220,19 +220,9 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	if !s.draining {
-		s.draining = true
-	}
+	s.draining = true
 	for _, j := range s.jobs {
-		if !j.state.terminal() {
-			if j.state == jobQueued {
-				j.cancelRequested = true
-				s.finishLocked(j, jobCancelled)
-			} else {
-				j.cancelRequested = true
-				j.cancel()
-			}
-		}
+		s.cancelLocked(j)
 	}
 	s.cond.Broadcast()
 	idle := s.idle
@@ -490,12 +480,7 @@ func queryValue(raw, key string) string {
 	return ""
 }
 
-// handleCancel is POST /v1/jobs/{id}/cancel. Cancelling a queued job
-// finishes it immediately (the dispatcher reaps its queue entry);
-// cancelling a running job cancels its context — tasks not yet started
-// are skipped, in-flight ops observe the cancellation, and the job
-// reaches "cancelled" when its last task accounts itself. Cancelling a
-// terminal job is a no-op.
+// handleCancel is POST /v1/jobs/{id}/cancel (see cancelLocked).
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j := s.jobs[r.PathValue("id")]
@@ -504,6 +489,18 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown job"})
 		return
 	}
+	s.cancelLocked(j)
+	st := s.statusLocked(j)
+	s.mu.Unlock()
+	writeJSON(w, http.StatusOK, st)
+}
+
+// cancelLocked cancels a job. A queued job finishes immediately (the
+// dispatcher reaps its queue entry); a running job has its context
+// cancelled — tasks not yet started are skipped, in-flight ops observe the
+// cancellation, and the job reaches "cancelled" when its last task
+// accounts itself. A terminal job is left as it is. Caller holds s.mu.
+func (s *Server) cancelLocked(j *job) {
 	switch j.state {
 	case jobQueued:
 		j.cancelRequested = true
@@ -512,9 +509,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		j.cancelRequested = true
 		j.cancel()
 	}
-	st := s.statusLocked(j)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
 }
 
 // handleHealthz is GET /healthz: 200 while serving, 503 while draining.

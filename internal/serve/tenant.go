@@ -115,6 +115,10 @@ type job struct {
 	admittedAt time.Time
 	doneAt     time.Time
 	doneSeq    uint64
+
+	// cells are the first key cells lower hands out: a small graph's
+	// dependence keys are addresses in its own record.
+	cells [jobCells]keyCell
 }
 
 // noteErr records the first task error.

@@ -68,8 +68,9 @@ func wireOf(g *GraphRequest) *wireGraph {
 }
 
 // loweredTask is what lower made of one task, in a form DeepEqual
-// compares: the op and amount its body was built from, the spec fields,
-// and each dependence key as the index of its first use in the graph.
+// compares: the op its argument was built from and the amount the argument
+// carries, the spec fields, and each dependence key as the index of its
+// first use in the graph.
 type loweredTask struct {
 	Op       string
 	Amount   int64
@@ -92,7 +93,7 @@ func lowered(s *Server, g *wireGraph) []loweredTask {
 	first := map[any]int{}
 	out := make([]loweredTask, len(specs))
 	for i, sp := range specs {
-		out[i] = loweredTask{Op: string(g.Tasks[i].Op), Amount: g.Tasks[i].Amount, Name: sp.Name, Cost: sp.Cost, Retry: sp.Retry, Deadline: sp.Deadline}
+		out[i] = loweredTask{Op: string(g.Tasks[i].Op), Amount: sp.Arg.(*taskArg).amount, Name: sp.Name, Cost: sp.Cost, Retry: sp.Retry, Deadline: sp.Deadline}
 		for _, d := range sp.Deps {
 			if _, ok := first[d.Key]; !ok {
 				first[d.Key] = len(first)
@@ -213,6 +214,44 @@ func TestSubmitDecodeParity(t *testing.T) {
 			body = append(body, " x"...)
 		}
 		checkSubmitDecode(t, s, sb, body)
+	}
+}
+
+// TestLowerCellsPastTheRecord: a job's first key cells are its record's,
+// and a graph with more distinct keys than those goes on into a slab. Every
+// name is one cell wherever it is used, and no two names share a cell.
+func TestLowerCellsPastTheRecord(t *testing.T) {
+	s := testServer()
+	var g GraphRequest
+	const keys = 2*jobCells + 3
+	for i := 0; i < keys; i++ { // task i writes key i and reads key i/2
+		g.Tasks = append(g.Tasks, TaskRequest{Op: "noop", Deps: []DepRequest{
+			{Key: fmt.Sprintf("k%d", i), Mode: "out"}, {Key: fmt.Sprintf("k%d", i/2), Mode: "in"}}})
+	}
+	j := &job{}
+	specs := s.lower(j, wireOf(&g), 0)
+	defer func() { clear(s.specs); clear(s.deps) }()
+	cellOf, nameOf := map[string]any{}, map[any]string{}
+	for i, sp := range specs {
+		for d, dep := range sp.Deps {
+			name := g.Tasks[i].Deps[d].Key
+			if c, ok := cellOf[name]; ok && c != dep.Key {
+				t.Fatalf("task %d names %s by a second cell", i, name)
+			}
+			if other, ok := nameOf[dep.Key]; ok && other != name {
+				t.Fatalf("%s and %s share a cell", name, other)
+			}
+			cellOf[name], nameOf[dep.Key] = dep.Key, name
+		}
+	}
+	inRecord := 0
+	for k := range j.cells {
+		if _, ok := nameOf[&j.cells[k]]; ok {
+			inRecord++
+		}
+	}
+	if len(cellOf) != keys || inRecord != jobCells {
+		t.Fatalf("%d names lowered to %d cells, %d of them in the record; want %d, %d", keys, len(cellOf), inRecord, keys, jobCells)
 	}
 }
 

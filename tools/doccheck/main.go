@@ -7,9 +7,11 @@
 //
 // For every non-test Go file it requires a doc comment on each exported
 // top-level function, method (on an exported receiver type), type, and
-// const/var name; a group doc comment on a const/var block covers the
-// whole block. Offenders are listed as file:line: name and the command
-// exits non-zero.
+// const/var name, and a doc or line comment on each exported field of an
+// exported struct type; a group doc comment on a const/var block covers
+// the whole block, and a field's comment covers the fields on the lines
+// directly below it. Offenders are listed as file:line: name and the
+// command exits non-zero.
 package main
 
 import (
@@ -91,8 +93,31 @@ func checkFile(fset *token.FileSet, f *ast.File) []string {
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					if s.Name.IsExported() && d.Doc.Text() == "" && s.Doc.Text() == "" {
+					if !s.Name.IsExported() {
+						continue
+					}
+					if d.Doc.Text() == "" && s.Doc.Text() == "" {
 						report(s.Pos(), s.Name.Name)
+					}
+					st, ok := s.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					// A field's comment covers the fields on the lines
+					// directly below it, as a block's covers its names.
+					covered, prevEnd := false, 0
+					for _, fld := range st.Fields.List {
+						line := fset.Position(fld.Pos()).Line
+						covered = fld.Doc.Text() != "" || fld.Comment.Text() != "" || covered && line == prevEnd+1
+						prevEnd = fset.Position(fld.End()).Line
+						if covered {
+							continue
+						}
+						for _, n := range fld.Names {
+							if n.IsExported() {
+								report(n.Pos(), s.Name.Name+"."+n.Name)
+							}
+						}
 					}
 				case *ast.ValueSpec:
 					// A doc comment on the const/var block covers every
