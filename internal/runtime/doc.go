@@ -21,7 +21,7 @@
 //	    runtime.WithShards(16),              // dependence-tracker shards; 0 = auto
 //	    runtime.WithLocalityWindow(32),      // worker-local successor window
 //	    runtime.WithAdaptive(runtime.AdaptiveOptions{}), // online self-tuning
-//	    runtime.WithTraceRetention(),        // keep the task trace for Graph
+//	    runtime.WithTraceRetention(),        // keep a registration log for Graph
 //	)
 //
 // Task bodies receive a context and may return an error; the runtime
@@ -90,17 +90,18 @@
 //
 // # Memory lifecycle and trace retention
 //
-// By default the runtime's memory stays bounded by the work in flight:
-// completed tasks drop their body, argument, context, and dependence log,
-// queue slots release popped pointers, and the dependence tracker
-// scavenges its per-key records — a key's last writer and its reader list
-// — once every task that named the key is retired (and hands the list to
-// the next key that needs one), so a runtime can serve submissions
-// indefinitely even when every submission mints fresh keys. A full reader
-// list drops its retired readers before it grows, so a key that is only
-// ever read holds its live readers, not its history. Building with
-// WithTraceRetention keeps the full task trace instead, which Graph needs
-// for export; without it Graph fails with ErrNoTrace.
+// The runtime's memory stays bounded by the work in flight: completed
+// tasks drop their body, argument, context, and dependences, queue slots
+// release popped pointers, and the dependence tracker scavenges its
+// per-key records — a key's last writer and its reader list — once every
+// task that named the key is retired (and hands the list to the next key
+// that needs one), so a runtime can serve submissions indefinitely even
+// when every submission mints fresh keys. A full reader list drops its
+// retired readers before it grows, so a key that is only ever read holds
+// its live readers, not its history. WithTraceRetention adds a
+// registration log of every task, which Graph replays; it is the one thing
+// that grows with the tasks submitted, and without it Graph fails with
+// ErrNoTrace.
 //
 // Beyond bounded, the steady-state lifecycle is allocation-free: task
 // records recycle through a per-runtime freelist (made safe by
@@ -161,10 +162,10 @@
 // nothing, so the controller never laps the submit-path history), and
 // Stats.Adaptive reports the live mask plus sample/decision counts. The
 // locality window and the injector refill chunk are construction-time
-// constants, not policy (DESIGN.md § Adaptive control › "Mechanism table"
-// has the measurements). The throughput experiment's adaptive scenario
-// pits the controller against the static configurations on a
-// phase-shifting workload, one paired ratio per static arm;
-// internal/throughput's
-// TestAdaptiveClassRuleRent fails if the rule stops paying.
+// constants, not policy (rules that adapted them measured at no benefit;
+// CHANGES.md keeps the measurements). The throughput experiment's
+// adaptive scenario pits the controller against the static configurations
+// on a phase-shifting workload, one paired ratio per static arm;
+// internal/throughput's TestAdaptiveClassRuleRent fails if the rule stops
+// paying.
 package runtime

@@ -11,16 +11,11 @@ import (
 	"time"
 )
 
-// shardLogLen sums the task-log length over all shards.
-func shardLogLen(r *Runtime) int {
-	all := uint64(1)<<len(r.shards) - 1
-	r.lockShards(all)
-	defer r.unlockShards(all)
-	n := 0
-	for _, s := range r.shards {
-		n += len(s.tasks)
-	}
-	return n
+// traceLen is the length of the registration log.
+func traceLen(r *Runtime) int {
+	r.traceMu.Lock()
+	defer r.traceMu.Unlock()
+	return len(r.trace)
 }
 
 // submitRounds drives rounds of mixed-dependence submissions, each followed
@@ -47,16 +42,15 @@ func submitRounds(t *testing.T, r *Runtime, rounds, perRound int) {
 	}
 }
 
-// Without WithTraceRetention the shard task logs must stay empty however
-// long the runtime lives: every completed task is released rather than
-// pinned by the introspection layer.
+// Without WithTraceRetention the registration log must stay empty however
+// long the runtime lives: nothing grows with the tasks submitted.
 func TestShardLogsStayEmptyWithoutRetention(t *testing.T) {
 	eachScheduler(t, func(t *testing.T, kind SchedulerKind) {
 		r := New(WithWorkers(4), WithScheduler(kind))
 		defer r.Shutdown()
 		submitRounds(t, r, 5, 300)
-		if n := shardLogLen(r); n != 0 {
-			t.Fatalf("shard task logs hold %d tasks without trace retention", n)
+		if n := traceLen(r); n != 0 {
+			t.Fatalf("the registration log holds %d tasks without trace retention", n)
 		}
 		if _, err := r.Graph(); !errors.Is(err, ErrNoTrace) {
 			t.Fatalf("Graph without retention = %v, want ErrNoTrace", err)
@@ -64,14 +58,14 @@ func TestShardLogsStayEmptyWithoutRetention(t *testing.T) {
 	})
 }
 
-// With WithTraceRetention the log keeps everything and Graph exports it —
-// the pre-existing behaviour, now opt-in.
+// With WithTraceRetention the log keeps every registration and Graph
+// exports it.
 func TestTraceRetentionKeepsFullLog(t *testing.T) {
 	r := New(WithWorkers(4), WithTraceRetention())
 	defer r.Shutdown()
 	const rounds, perRound = 3, 200
 	submitRounds(t, r, rounds, perRound)
-	if n := shardLogLen(r); n != rounds*perRound {
+	if n := traceLen(r); n != rounds*perRound {
 		t.Fatalf("retained log holds %d tasks, want %d", n, rounds*perRound)
 	}
 	g, err := r.Graph()
@@ -83,44 +77,79 @@ func TestTraceRetentionKeepsFullLog(t *testing.T) {
 	}
 }
 
-// complete must drop the references a finished task no longer needs, even
-// when the task record itself is retained for the trace.
+// complete must drop everything a finished task holds and retire its
+// record into the freelist, with trace retention as without: the records
+// the freelist ring hands back hold no body, context, successor or
+// dependence, and their generation has moved on.
 func TestCompleteReleasesTaskReferences(t *testing.T) {
-	r := New(WithWorkers(2), WithTraceRetention())
-	defer r.Shutdown()
-	r.Submit("a", 1, func() {}, Out("k"))
-	r.Submit("b", 1, func() {}, In("k"))
-	r.Wait()
-	all := uint64(1)<<len(r.shards) - 1
-	r.lockShards(all)
-	defer r.unlockShards(all)
-	seen := 0
-	for _, s := range r.shards {
-		for _, tk := range s.tasks {
+	for _, opts := range [][]Option{{WithWorkers(2)}, {WithWorkers(2), WithTraceRetention()}} {
+		r := New(opts...)
+		// One batch, so b cannot reuse a's record.
+		if _, err := r.SubmitBatch([]TaskSpec{
+			{Name: "a", Fn: func() {}, Deps: []Dep{Out("k")}},
+			{Name: "b", Fn: func() {}, Deps: []Dep{In("k")}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		r.Wait()
+		seen := 0
+		for tk := r.free.get(); tk != nil; tk = r.free.get() {
 			seen++
 			tk.mu.Lock()
 			if tk.run != nil || tk.arg != nil {
-				t.Errorf("task %q keeps its body after completion", tk.name)
+				t.Errorf("a retired record keeps its body")
 			}
 			if tk.ctx != nil {
-				t.Errorf("task %q keeps its context after completion", tk.name)
+				t.Errorf("a retired record keeps its context")
 			}
-			if tk.nsuccs != 0 || len(tk.succsOvf) != 0 {
-				t.Errorf("task %q keeps successors after completion", tk.name)
+			if tk.nsuccs != 0 || len(tk.succsOvf) != 0 || tk.succsInl != [inlineArity]*task{} {
+				t.Errorf("a retired record keeps successors")
 			}
-			for _, s := range tk.succsInl {
-				if s != nil {
-					t.Errorf("task %q keeps an inline successor slot after completion", tk.name)
-				}
+			if tk.ndeps != 0 || tk.depsInl != [inlineArity]Dep{} || tk.name != "" {
+				t.Errorf("a retired record keeps its name or dependences")
 			}
-			if len(tk.deps()) == 0 {
-				t.Errorf("task %q lost its dependence log despite retention", tk.name)
+			if atomic.LoadUint64(&tk.claim)>>1 == 0 {
+				t.Errorf("a retired record's generation did not advance")
 			}
 			tk.mu.Unlock()
 		}
+		r.Shutdown()
+		if seen != 2 {
+			t.Fatalf("options %d: the freelist ring holds %d records, want 2", len(opts), seen)
+		}
 	}
-	if seen != 2 {
-		t.Fatalf("log holds %d tasks, want 2", seen)
+}
+
+// A task whose keys hold a dead reference to a record and a live reference
+// to the record's next life must wait for that next life. Key "a" keeps a
+// finished writer's record, which the freelist hands to the writer of key
+// "b"; a reader of both must not mistake the live reference for a
+// duplicate of the dead one and run while "b"'s writer is still running.
+func TestLiveRefBesideDeadRefToSameRecord(t *testing.T) {
+	r := New(WithWorkers(1), WithShards(1))
+	defer r.Shutdown()
+	if _, err := r.Submit("x", 1, func() {}, Out("a")); err != nil {
+		t.Fatal(err)
+	}
+	r.Wait()
+	started, gate := make(chan struct{}), make(chan struct{})
+	defer close(gate)
+	if _, err := r.Submit("y", 1, func() { close(started); <-gate }, Out("b")); err != nil {
+		t.Fatal(err)
+	}
+	<-started // y holds the one worker
+	s := r.shards[0]
+	s.mu.Lock()
+	same := s.keys["a"].writer.t == s.keys["b"].writer.t
+	s.mu.Unlock()
+	if !same {
+		t.Fatal("precondition: y did not reuse x's record")
+	}
+	if _, err := r.Submit("z", 1, func() {}, In("a"), In("b")); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.sched.queued(); n != 0 {
+		t.Fatalf("z is queued (%d) while its predecessor y is still running", n)
 	}
 }
 
@@ -352,17 +381,22 @@ func TestTrackerForgetsFinishedKeys(t *testing.T) {
 	}
 }
 
-// Under WithTraceRetention records are never retired, generations never
-// advance, and the sweep forgets nothing: retention keeps the whole
-// dependence history by contract.
-func TestTrackerKeepsEverythingUnderRetention(t *testing.T) {
-	const jobs, round = 2_000, 500
-	r := New(WithWorkers(2), WithTraceRetention())
+// WithTraceRetention keeps a log beside the tracker, not the tracker's
+// records: retired tasks' generations advance as without it, so the sweep
+// forgets finished keys under retention too, and the log alone holds the
+// history.
+func TestTrackerForgetsUnderRetention(t *testing.T) {
+	const jobs, round, keysPerJob = 2_000, 500, 4
+	// One shard, so the bound is below the 8 000 records a tracker that
+	// forgot nothing would hold, whatever the host's GOMAXPROCS.
+	r := New(WithWorkers(2), WithShards(1), WithTraceRetention())
 	defer r.Shutdown()
-	submitUniqueKeyJobs(t, r, jobs, round)
-	// One record per job and key, holding its writer and its reader list.
-	if got, want := trackerEntries(r), 4*jobs; got != want {
-		t.Fatalf("tracker holds %d records under retention, want all %d", got, want)
+	peak := submitUniqueKeyJobs(t, r, jobs, round)
+	if bound := 3*keysPerJob*round + sweepFloor; peak > bound {
+		t.Fatalf("tracker holds %d records under retention after %d jobs, bound %d", peak, jobs, bound)
+	}
+	if got, want := traceLen(r), keysPerJob*jobs; got != want {
+		t.Fatalf("the registration log holds %d tasks, want all %d", got, want)
 	}
 }
 

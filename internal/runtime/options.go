@@ -152,13 +152,11 @@ func WithQueueBound(n int) Option {
 	}
 }
 
-// WithTraceRetention keeps the full task trace — every submitted task,
-// with its dependence log — in the shard task logs for Graph export. It is
-// off by default: a long-lived runtime then releases each completed task
-// (body, context, dependence log) so memory stays bounded by the work in
-// flight and the distinct dependence keys used, rather than growing with
-// every task ever submitted. Turn it on
-// only for bounded runs whose graph you intend to export or replay; with
+// WithTraceRetention keeps a registration log — every submitted task's
+// name, cost and dependences, in the order the tracker linked them — for
+// Graph export. Task records are released and reused as without it; the
+// log is what grows, by one entry per task ever submitted, so turn it on
+// only for bounded runs whose graph you intend to export or replay. With
 // it off, Graph fails with ErrNoTrace.
 func WithTraceRetention() Option {
 	return func(o *options) { o.retainTrace = true }
@@ -208,7 +206,6 @@ func WithFlightRecorder(fo flightrec.Options) Option {
 // single-lock renamer (the baseline the repo benchmark prices as
 // runtime.tracker.shards1_ratio). Values are clamped to at most 64; 0 or
 // negative (the default) auto-sizes to the next power of two ≥ GOMAXPROCS.
-// The resolved count is reported by Runtime.Shards.
 func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
 }

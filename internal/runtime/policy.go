@@ -14,8 +14,8 @@ import "sync/atomic"
 // widens. Bit 0 (the fast class) can never be cleared.
 //
 // Everything else about placement — the locality window, the injector
-// refill chunk — is fixed at construction; DESIGN.md § Adaptive control ›
-// "Mechanism table" has the measurements behind that split.
+// refill chunk — is fixed at construction: rules that adapted them
+// measured at no benefit (CHANGES.md keeps the measurements).
 type policyWords struct {
 	classMask atomic.Uint64
 	// fullMask has one bit per resolved worker class; immutable. classMask

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,9 +17,9 @@ import (
 var ErrShutdown = errors.New("runtime: submit after Shutdown")
 
 // ErrNoTrace is returned by Graph when the runtime was built without
-// WithTraceRetention: the task trace needed for the export is not kept
-// (by default completed tasks are released, so a long-lived runtime's
-// memory stays bounded by the work in flight).
+// WithTraceRetention: the registration log the export replays is not kept
+// (it grows with every task submitted, so a long-lived runtime leaves it
+// off).
 var ErrNoTrace = errors.New("runtime: Graph requires WithTraceRetention (task trace is not retained by default)")
 
 // AccessMode is the dependence annotation of one task argument.
@@ -155,20 +154,18 @@ var noBody = plainBody(func() {})
 // across pool recycles.
 const inlineArity = 4
 
-// task is one task record. Records are pooled: when the runtime runs
-// without WithTraceRetention, complete() retires the record back into the
-// runtime's freelist and a later submission reuses it, so the steady-state
-// task lifecycle performs no heap allocation. Reuse is made safe by the
-// claim word (see below): the references that can outlive the task — the
-// tracker's per-key writer and reader references (keyState) — carry the
-// generation they were created under and are ignored once the generations
-// diverge. A scheduler's queue entry never outlives the task: every
-// scheduler holds one entry per ready task, gone at the pop that
-// dispatches it.
+// task is one task record. Records are pooled: complete() retires the
+// record back into the runtime's freelist and a later submission reuses
+// it, so the steady-state task lifecycle performs no heap allocation.
+// Reuse is made safe by the claim word (see below): the references that
+// can outlive the task — the tracker's per-key writer and reader
+// references (keyState) — carry the generation they were created under and
+// are ignored once the generations diverge. A scheduler's queue entry
+// never outlives the task: every scheduler holds one entry per ready task,
+// gone at the pop that dispatches it.
 type task struct {
 	id       TaskID // also the submission order, for deterministic tie-breaks
 	name     string
-	cost     float64
 	priority int64 // CATS bottom-level estimate (accessed atomically)
 	// claim is the record's reuse generation, kept as gen<<1 — the layout
 	// the flight recorder's events and dumps carry (flightrec.ClaimGen).
@@ -220,8 +217,7 @@ type task struct {
 	succsInl [inlineArity]*task
 	succsOvf []*task
 
-	// Declared dependences, same inline-then-spill scheme. With trace
-	// retention these double as the dependence log Graph replays.
+	// Declared dependences, same inline-then-spill scheme.
 	ndeps   int32
 	depsInl [inlineArity]Dep
 	depsOvf []Dep
@@ -230,9 +226,14 @@ type task struct {
 	// once per registration.
 	shardInl [inlineArity]uint8
 	shardOvf []uint8
+}
 
-	// logShard is the shard whose task log records t (retention only).
-	logShard int32
+// traceEntry is one registration in the trace log Graph replays.
+type traceEntry struct {
+	id   TaskID
+	name string
+	cost float64
+	deps []Dep // a copy: the task record's own are cleared at completion
 }
 
 // taskRef is a generation-tagged task reference: a *task plus the claim
@@ -493,6 +494,10 @@ type Runtime struct {
 	// seq is the task-ID allocator; TaskIDs double as the sequence numbers
 	// that define program order for WAR/WAW resolution.
 	seq int64
+	// trace is the registration log Graph replays (WithTraceRetention only),
+	// appended under traceMu while the registering task's shards are held.
+	traceMu sync.Mutex
+	trace   []traceEntry
 
 	outstanding int64 // submitted but not finished
 	waitMu      sync.Mutex
@@ -518,12 +523,12 @@ type Runtime struct {
 	// the single writer of the class mask once running.
 	ctrl *adaptiveController
 
-	// free and pool are the two tiers of the task-record freelist. Without
-	// trace retention, complete retires each finished record — first into
-	// the fixed-capacity lock-free ring (GC-immune, so the steady state
-	// stays allocation-free across collections), overflowing into the
-	// sync.Pool (GC-reclaimable) — and newTask reuses it, so the
-	// steady-state submit→execute→complete path allocates nothing.
+	// free and pool are the two tiers of the task-record freelist. complete
+	// retires each finished record — first into the fixed-capacity
+	// lock-free ring (GC-immune, so the steady state stays allocation-free
+	// across collections), overflowing into the sync.Pool (GC-reclaimable)
+	// — and newTask reuses it, so the steady-state submit→execute→complete
+	// path allocates nothing.
 	free *taskFreelist
 	pool sync.Pool
 	// scratch recycles submitSpecs' per-batch []*task scratch.
@@ -774,43 +779,28 @@ func resized[T any](s []T, n int) []T {
 // replay on the simulated machine. Call after Wait for a complete graph.
 //
 // Graph requires the runtime to have been built with WithTraceRetention —
-// the trace of completed tasks is otherwise released as tasks finish, and
-// Graph fails with ErrNoTrace. With retention on, the export replays the
-// dependence log in task-ID order — for tasks submitted from a single
-// goroutine that is exactly the live tracking order; for concurrent
-// submitters it is one valid serialisation of the program order (ID
-// allocation and shard registration may interleave differently, but any
-// total order yields an acyclic graph with the same per-key hazard
-// structure).
+// the registration log is otherwise not kept, and Graph fails with
+// ErrNoTrace. The export replays the log in registration order, node i
+// being the i-th registration: any two tasks that share a key were logged
+// in the order the tracker linked them, so the exported edges are the ones
+// the runtime ran, however many goroutines submitted.
 func (r *Runtime) Graph() (*tdg.Graph, error) {
 	if !r.opts.retainTrace {
 		return nil, ErrNoTrace
 	}
-	// Holding every shard lock excludes in-flight registrations, so the
-	// collected log slabs are mutually consistent.
-	all := uint64(1)<<len(r.shards) - 1
-	r.lockShards(all)
-	var tasks []*task
-	for _, s := range r.shards {
-		tasks = append(tasks, s.tasks...)
-	}
-	r.unlockShards(all)
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].id < tasks[j].id })
-
+	r.traceMu.Lock()
+	defer r.traceMu.Unlock()
 	// succs lists are consumed on completion, so rebuild edges from the
-	// dependence log with a shadow tracking pass through a tdg.Builder.
-	// IDs are remapped (rather than assumed dense) so a snapshot taken
-	// while submissions are in flight still exports the registered subset.
+	// log with a shadow tracking pass through a tdg.Builder.
 	b := tdg.NewBuilder()
-	node := make(map[TaskID]tdg.NodeID, len(tasks))
-	for _, t := range tasks {
-		node[t.id] = b.AddNode(t.name, t.cost)
+	for _, e := range r.trace {
+		b.AddNode(e.name, e.cost)
 	}
 	shadowWriter := make(map[any]tdg.NodeID)
 	shadowReaders := make(map[any][]tdg.NodeID)
-	for _, t := range tasks {
-		id := node[t.id]
-		for _, d := range t.deps() {
+	for i, e := range r.trace {
+		id := tdg.NodeID(i)
+		for _, d := range e.deps {
 			switch d.Mode {
 			case ModeIn:
 				if w, ok := shadowWriter[d.Key]; ok {

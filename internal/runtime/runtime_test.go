@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -260,6 +262,63 @@ func TestGraphExport(t *testing.T) {
 	}
 	if _, err := g.TopoOrder(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Graph replays registrations in the order the tracker saw them, so with
+// two submitters on one key the exported chain is the chain that ran. An
+// export sorted by task ID disagrees with it: IDs are allocated before the
+// shard lock is taken, so two submitters' IDs and registrations interleave
+// differently.
+func TestGraphFollowsRunOrderWithConcurrentSubmitters(t *testing.T) {
+	const iterations, perSubmitter = 10, 2000
+	bad := 0
+	for it := 0; it < iterations; it++ {
+		r := New(WithWorkers(2), WithTraceRetention())
+		var ran []string // the InOut chain serialises the bodies
+		var wg sync.WaitGroup
+		for p := 0; p < 2; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for i := 0; i < perSubmitter; i++ {
+					name := fmt.Sprintf("p%d-%d", p, i)
+					if _, err := r.Submit(name, 1, func() { ran = append(ran, name) }, InOut("k")); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(p)
+		}
+		wg.Wait()
+		r.Wait()
+		g, err := r.Graph()
+		r.Shutdown()
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots := g.Roots()
+		if len(roots) != 1 {
+			t.Fatalf("iteration %d: the chain has %d roots", it, len(roots))
+		}
+		var chain []string
+		for id := roots[0]; ; {
+			chain = append(chain, g.Node(id).Name)
+			succs := g.Node(id).Succs()
+			if len(succs) == 0 {
+				break
+			}
+			if len(succs) != 1 {
+				t.Fatalf("iteration %d: %s has %d successors in a chain", it, g.Node(id).Name, len(succs))
+			}
+			id = succs[0]
+		}
+		if !slices.Equal(chain, ran) {
+			bad++
+		}
+	}
+	if bad != 0 {
+		t.Fatalf("the exported chain disagreed with the run order in %d of %d iterations", bad, iterations)
 	}
 }
 

@@ -532,7 +532,7 @@ func (s *stealScheduler) pop(workerID int) (*task, bool) {
 }
 
 // searchRounds is the idle search's budget per busy→idle transition, chosen
-// from the sweep in DESIGN.md § WorkSteal › "Parking list": throughput is on
+// from a sweep on rt-deps (CHANGES.md keeps the table): throughput is on
 // its plateau from 128 rounds, and 256 is the smallest setting that keeps
 // parks under one per thousand tasks with margin. At ~160 ns a round it is
 // ~41 µs of otherwise idle CPU — less than the ~67 µs of P that one

@@ -29,10 +29,9 @@ type keyState struct {
 }
 
 // depShard is one slice of the dependence tracker: the renamer state for
-// every data key that hashes here, plus a slab of the global task log.
-// Shards are locked in ascending index order — the total order that makes
-// multi-shard submissions deadlock-free and serialises any two
-// registrations that share a key.
+// every data key that hashes here. Shards are locked in ascending index
+// order — the total order that makes multi-shard submissions deadlock-free
+// and serialises any two registrations that share a key.
 type depShard struct {
 	mu   sync.Mutex
 	keys map[any]keyState
@@ -45,15 +44,10 @@ type depShard struct {
 	// sweepAt is the record count past which the next registration
 	// scavenges keys (see sweep).
 	sweepAt int
-	// tasks is this shard's slab of the task log (tasks whose log shard is
-	// this one). The full log is the sorted-by-seq union over all shards.
-	// Populated only under WithTraceRetention — by default the log stays
-	// empty so completed tasks are collectable (and their records
-	// recyclable).
-	tasks []*task
 	// predScratch is the registration scratch trackDeps collects
 	// predecessor refs into and linkPreds consumes, valid only while this
-	// shard (the registering task's log shard) is locked. Living on the
+	// shard (the one the registering task's first key hashes to) is
+	// locked. Living on the
 	// shard rather than the task record, its capacity converges to the
 	// workload's fan width once per shard instead of once per pooled
 	// record — records drifting into a wide-fan role for the first time
@@ -162,22 +156,13 @@ func hashString[T string | []byte](s T) uint64 {
 }
 
 // shardPlan computes the lock set for registering t: one bit per shard the
-// task's dependence keys hash to, plus the log shard the task record is
-// appended to (recorded in t.logShard — a field rather than a second
-// return so the batch path needs no per-batch side array). Dependence-free
-// tasks log to ID-round-robin shards so an embarrassingly-parallel stream
-// spreads instead of serialising — and when no trace is retained they lock
-// nothing at all, since their registration touches no tracker state
-// (lockShards(0) is a no-op).
+// task's dependence keys hash to, each key's shard kept in t for trackDeps.
+// A dependence-free task locks nothing (lockShards(0) is a no-op): its
+// registration touches no tracker state.
 func (r *Runtime) shardPlan(t *task) (mask uint64) {
 	deps := t.deps()
 	if len(deps) == 0 {
-		if !r.opts.retainTrace {
-			t.logShard = 0
-			return 0
-		}
-		t.logShard = int32(uint64(t.id) % uint64(len(r.shards)))
-		return 1 << t.logShard
+		return 0
 	}
 	idx := t.shardInl[:0]
 	if len(deps) > inlineArity {
@@ -191,40 +176,36 @@ func (r *Runtime) shardPlan(t *task) (mask uint64) {
 	if len(deps) > inlineArity {
 		t.shardOvf = idx
 	}
-	t.logShard = int32(idx[0])
 	return mask
 }
 
 // trackDeps runs the renamer for t: it resolves RAW/WAR/WAW hazards
-// against the per-key tracking state, updates that state, and appends t to
-// the shard task log. Predecessor references are collected into the log
-// shard's predScratch — returned for linkPreds to consume while the shard
-// is still locked. Every shard t's keys hash to (plus the log shard) must
-// be locked by the caller.
+// against the per-key tracking state and updates that state. Predecessor
+// references are collected into the predScratch of the first key's shard —
+// returned for linkPreds to consume while the shard is still locked. Every
+// shard t's keys hash to must be locked by the caller.
 func (r *Runtime) trackDeps(t *task) []taskRef {
 	if len(t.deps()) == 0 {
-		if r.opts.retainTrace {
-			r.shards[t.logShard].tasks = append(r.shards[t.logShard].tasks, t)
-		}
 		return nil
 	}
-	// The log shard is deps[0].Key's shard, so it is always in the caller's
-	// lock mask when deps exist — its scratch is exclusively ours here.
-	ls := r.shards[t.logShard]
+	shardOf := t.depShards()
+	ls := r.shards[shardOf[0]]
 	preds := ls.predScratch[:0]
 	addPred := func(p taskRef) {
 		if p.t == nil || p.t == t {
 			return
 		}
+		// Only the whole reference is a duplicate: a dead reference to a
+		// record and a live one to its next life name different tasks, and
+		// keeping only the first would drop the live edge.
 		for _, q := range preds {
-			if q.t == p.t {
+			if q == p {
 				return
 			}
 		}
 		preds = append(preds, p)
 	}
 	self := t.ref()
-	shardOf := t.depShards()
 	for i, d := range t.deps() {
 		s := r.shards[shardOf[i]]
 		k := s.keys[d.Key]
@@ -248,9 +229,6 @@ func (r *Runtime) trackDeps(t *task) []taskRef {
 		if len(s.keys) > s.sweepAt {
 			s.sweep()
 		}
-	}
-	if r.opts.retainTrace {
-		ls.tasks = append(ls.tasks, t)
 	}
 	ls.predScratch = preds // write back so the grown capacity is kept
 	return preds
@@ -277,9 +255,7 @@ const maxSpare, maxSpareCap = sweepFloor, 8
 // it buys is that a service minting fresh keys per job holds tracker state
 // for the jobs in flight, not for every job it ever ran. The next sweep is
 // due at twice what survived, which keeps the cost amortised constant per
-// insertion. Under WithTraceRetention generations never advance and
-// nothing is forgotten — that option retains by contract. Caller holds
-// s.mu.
+// insertion. Caller holds s.mu.
 func (s *depShard) sweep() {
 	for key, k := range s.keys {
 		live := dropDead(k.readers)

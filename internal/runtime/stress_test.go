@@ -157,7 +157,7 @@ func stressOnce(t *testing.T, kind SchedulerKind, shards int) {
 // span many keys (hence many shards, locked in ascending order) submitted
 // from many goroutines must neither deadlock nor drop dependences.
 func TestStressMultiShardLockOrdering(t *testing.T) {
-	// Trace retention on: countDeps audits the shard task logs at the end.
+	// Trace retention on: countDeps audits the registration log at the end.
 	r := New(WithWorkers(4), WithShards(8), WithTraceRetention())
 	defer r.Shutdown()
 	const producers = 8
@@ -348,16 +348,13 @@ func TestStressCATSBumpDuringPublishWindow(t *testing.T) {
 	}
 }
 
-// countDeps sums the dependence counts over the task log.
+// countDeps sums the dependence counts over the registration log.
 func countDeps(r *Runtime) int64 {
 	var n int64
-	all := uint64(1)<<len(r.shards) - 1
-	r.lockShards(all)
-	defer r.unlockShards(all)
-	for _, s := range r.shards {
-		for _, t := range s.tasks {
-			n += int64(len(t.deps()))
-		}
+	r.traceMu.Lock()
+	defer r.traceMu.Unlock()
+	for _, e := range r.trace {
+		n += int64(len(e.deps))
 	}
 	return n
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -222,6 +223,13 @@ func (r *Runtime) submitSpecs(ctx context.Context, specs []TaskSpec, loneDeps []
 			t = tasks[i]
 		}
 		r.linkPreds(t, r.trackDeps(t))
+		if r.opts.retainTrace {
+			// Logged while t's shards are held: two registrations that share
+			// a key are logged in the order they were linked.
+			r.traceMu.Lock()
+			r.trace = append(r.trace, traceEntry{t.id, t.name, specs[i].Cost, slices.Clone(t.deps())})
+			r.traceMu.Unlock()
+		}
 		// Flight recorder: a task that stays pending gets a submit event; an
 		// immediately-ready one gets only its ready event (submission
 		// implied), keeping the hot path at one event per submit. The submit
@@ -351,7 +359,6 @@ func (r *Runtime) newTask(ctx context.Context, sp *TaskSpec, deps []Dep) *task {
 	}
 	t.id = TaskID(atomic.AddInt64(&r.seq, 1) - 1)
 	t.name = sp.Name
-	t.cost = sp.Cost
 	atomic.StoreInt64(&t.priority, int64(sp.Priority))
 	t.run, t.arg = runPlain, noBody
 	switch {

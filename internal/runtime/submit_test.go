@@ -428,9 +428,10 @@ func TestOneTaskEntryPointsThroughUnifiedPath(t *testing.T) {
 	eachScheduler(t, func(t *testing.T, kind SchedulerKind) {
 		for _, e := range entries {
 			t.Run(e.name, func(t *testing.T) {
-				// Retention keeps every record, so the ID the wrapper returned
-				// can be checked against the ID the task itself carried —
-				// however quickly the pool ran (and would have recycled) it.
+				// The registration log keeps every task's ID and name, so the
+				// ID the wrapper returned can be checked against the ID the
+				// task itself carried — however quickly the pool ran and
+				// recycled it.
 				r := New(WithWorkers(2), WithScheduler(kind), WithQueueBound(4), WithTraceRetention())
 				var got atomic.Int64
 				const n = 50
@@ -450,14 +451,14 @@ func TestOneTaskEntryPointsThroughUnifiedPath(t *testing.T) {
 				if got.Load() != n {
 					t.Fatalf("%d of %d bodies ran", got.Load(), n)
 				}
-				for _, sh := range r.shards {
-					for _, tk := range sh.tasks {
-						if ids[tk.id] != tk.name {
-							t.Fatalf("task %q carries ID %d, but that ID was returned for %q", tk.name, tk.id, ids[tk.id])
-						}
-						delete(ids, tk.id)
+				r.traceMu.Lock()
+				for _, e := range r.trace {
+					if ids[e.id] != e.name {
+						t.Fatalf("task %q carries ID %d, but that ID was returned for %q", e.name, e.id, ids[e.id])
 					}
+					delete(ids, e.id)
 				}
+				r.traceMu.Unlock()
 				if len(ids) != 0 {
 					t.Fatalf("%d returned IDs match no task: %v", len(ids), ids)
 				}

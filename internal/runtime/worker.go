@@ -434,15 +434,15 @@ func (r *Runtime) callOnDone(hook func(error), taskErr error, name string) {
 	hook(taskErr)
 }
 
-// complete marks a task done, releases its successors, and drops the
-// references the task no longer needs — the body and its argument (often
-// the heaviest retained objects) and the submission context. Without trace
-// retention it goes further and retires the whole record into the
-// runtime's freelist: the generation bump in the claim word (performed
-// inside this critical section) atomically invalidates every reference
-// that may still point here — the tracker's per-key writer and reader
-// references (keyState) — so the record can be reused by the next
-// submission without those holders ever observing the new task's state.
+// complete marks a task done, releases its successors, drops everything
+// the record holds — the body and its argument (often the heaviest
+// retained objects), the submission context, the dependences — and
+// retires the record into the runtime's freelist: the generation bump in
+// the claim word (performed inside this critical section) atomically
+// invalidates every reference that may still point here — the tracker's
+// per-key writer and reader references (keyState) — so the record can be
+// reused by the next submission without those holders ever observing the
+// new task's state.
 //
 // Newly-ready successors are released with the completing worker's
 // identity: the scheduler's locality path pushes them onto this worker's
@@ -459,7 +459,6 @@ func (r *Runtime) callOnDone(hook func(error), taskErr error, name string) {
 // completion event so the two can never be separated by a collector sweep.
 func (w *workerState) complete(t *task, poison error, faultPack uint64) {
 	r := w.r
-	recycle := !r.opts.retainTrace
 	// The complete event carries the pre-retirement claim word but is
 	// recorded after this critical section, paired with the first released
 	// successor's ready in one two-slot ring write (or standalone when
@@ -480,17 +479,15 @@ func (w *workerState) complete(t *task, poison error, faultPack uint64) {
 	t.ctx = nil
 	t.onDone = nil
 	t.skipCause = nil
-	if recycle {
-		t.name = ""
-		t.clearDeps()
-		// Retire the record: from here on every generation-tagged
-		// reference to it is dead. This store must stay inside the t.mu
-		// critical section — linkPreds validates generations under the
-		// same mutex, so a reference holder either runs before this bump
-		// (and sees done) or after it (and sees the mismatch without
-		// touching any other field). The word is gen<<1, so +2 is gen+1.
-		atomic.AddUint64(&t.claim, 2)
-	}
+	t.name = ""
+	t.clearDeps()
+	// Retire the record: from here on every generation-tagged reference to
+	// it is dead. This store must stay inside the t.mu critical section —
+	// linkPreds validates generations under the same mutex, so a reference
+	// holder either runs before this bump (and sees done) or after it (and
+	// sees the mismatch without touching any other field). The word is
+	// gen<<1, so +2 is gen+1.
+	atomic.AddUint64(&t.claim, 2)
 	t.mu.Unlock()
 	if !ce.recorded && faultPack != 0 {
 		// A terminal fault rides one paired ring write with its completion
@@ -560,7 +557,7 @@ func (w *workerState) complete(t *task, poison error, faultPack uint64) {
 	// freelist by the time that submitter reaches newTask, it allocates a
 	// fresh one — a leak of exactly one record per race, which is where the
 	// old steady-state benchmarks' residual bytes/op came from.
-	if recycle && !r.free.put(t) {
+	if !r.free.put(t) {
 		r.pool.Put(t)
 	}
 	r.releaseSlots(1)

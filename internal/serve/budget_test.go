@@ -24,7 +24,7 @@ import (
 // reused buffers and replies encoded into a pooled one, 97 and 75; before
 // a task carried its argument (one slab a job, not a closure a task) and
 // a small graph's key cells moved into the job record, 42 and 23.
-// DESIGN.md § Service layer has the stage-by-stage table; CI's -benchmem
+// DESIGN.md § Service has the stage-by-stage table; CI's -benchmem
 // step holds BenchmarkServeJobDiamond8 to the same two numbers. Counted
 // with go1.24: most of what is left is the harness's and net/http's, which
 // may move a few objects on another release.

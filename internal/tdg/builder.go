@@ -5,8 +5,7 @@ import "sync"
 // Builder accumulates a graph safely from concurrent goroutines and hands
 // the finished Graph off once construction is complete. Graph itself is
 // deliberately unsynchronised (analysis passes want lock-free reads), so
-// concurrent producers — runtime shards exporting their task logs,
-// parallel generators — go through a Builder and call Graph exactly once
+// concurrent producers go through a Builder and call Graph exactly once
 // when every producer is done.
 type Builder struct {
 	mu sync.Mutex

@@ -85,29 +85,6 @@ func Embarrassing(n int, cost float64) *Graph {
 	return g
 }
 
-// ForkJoin builds levels of width-wide fork-join stages, the structure of a
-// barrier-based data-parallel code.
-func ForkJoin(levels, width int, cost float64) *Graph {
-	g := New()
-	var barrier NodeID = -1
-	for l := 0; l < levels; l++ {
-		join := NodeID(-1)
-		ids := make([]NodeID, width)
-		for w := 0; w < width; w++ {
-			ids[w] = g.AddNode(fmt.Sprintf("w%d.%d", l, w), cost)
-			if barrier >= 0 {
-				g.AddEdge(barrier, ids[w])
-			}
-		}
-		join = g.AddNode(fmt.Sprintf("join%d", l), cost/10)
-		for _, id := range ids {
-			g.AddEdge(id, join)
-		}
-		barrier = join
-	}
-	return g
-}
-
 // RandomDAG builds a random layered DAG for property tests: nodes in later
 // layers depend on random subsets of earlier layers. Deterministic per seed.
 func RandomDAG(layers, width int, seed int64) *Graph {

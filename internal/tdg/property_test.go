@@ -187,7 +187,6 @@ func TestPropertyGenerators(t *testing.T) {
 	checkGraphProperties(t, Cholesky(6, 1))
 	checkGraphProperties(t, Chain(64, 2))
 	checkGraphProperties(t, Embarrassing(64, 1))
-	checkGraphProperties(t, ForkJoin(5, 8, 10))
 	for seed := int64(0); seed < 10; seed++ {
 		checkGraphProperties(t, RandomDAG(6, 8, seed))
 	}

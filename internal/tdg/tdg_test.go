@@ -174,20 +174,6 @@ func TestCholeskyStructure(t *testing.T) {
 	}
 }
 
-func TestForkJoin(t *testing.T) {
-	g := ForkJoin(3, 4, 10)
-	if g.Len() != 3*(4+1) {
-		t.Fatalf("forkjoin nodes = %d", g.Len())
-	}
-	mp, err := g.MaxParallelism()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mp <= 1 || mp > 4 {
-		t.Fatalf("forkjoin parallelism = %v, want in (1,4]", mp)
-	}
-}
-
 func TestDOT(t *testing.T) {
 	g := diamond(1, 2, 3, 4)
 	dot := g.DOT("d")

@@ -1,17 +1,23 @@
-// Command doccheck is the CI docs gate: it fails when any exported
-// identifier in the given directories lacks a doc comment — the
-// behaviour of revive's "exported" rule, implemented on the standard
-// library so the gate needs no external dependency.
+// Command doccheck is the CI docs gate. The argument decides the check:
 //
-//	go run ./tools/doccheck ./raa ./raa/experiments ./internal/runtime
+//	go run ./tools/doccheck ./raa ./internal/runtime   # package directories
+//	go run ./tools/doccheck DESIGN.md README.md        # Markdown documents
 //
-// For every non-test Go file it requires a doc comment on each exported
-// top-level function, method (on an exported receiver type), type, and
-// const/var name, and a doc or line comment on each exported field of an
-// exported struct type; a group doc comment on a const/var block covers
-// the whole block, and a field's comment covers the fields on the lines
-// directly below it. Offenders are listed as file:line: name and the
-// command exits non-zero.
+// A directory is a package whose doc comments are checked — revive's
+// "exported" rule, implemented on the standard library so the gate needs
+// no external dependency. For every non-test Go file it requires a doc
+// comment on each exported top-level function, method (on an exported
+// receiver type), type, and const/var name, and a doc or line comment on
+// each exported field of an exported struct type; a group doc comment on a
+// const/var block covers the whole block, and a field's comment covers the
+// fields on the lines directly below it.
+//
+// An argument ending in .md is a document whose references are resolved
+// against the module the working directory is in (refs.go has the rules):
+// the tests, identifiers and file lines it cites must exist.
+//
+// Offenders are listed as file:line: problem and the command exits
+// non-zero.
 package main
 
 import (
@@ -25,25 +31,47 @@ import (
 )
 
 func main() {
-	dirs := os.Args[1:]
-	if len(dirs) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: doccheck dir [dir...]")
+	args := os.Args[1:]
+	if len(args) == 0 {
+		fmt.Fprintln(os.Stderr, "usage: doccheck dir|doc.md [dir|doc.md...]")
 		os.Exit(2)
 	}
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "doccheck:", err)
+		os.Exit(2)
+	}
+	var ix *index
 	bad := 0
-	for _, dir := range dirs {
-		missing, err := checkDir(dir)
+	for _, arg := range args {
+		var problems []string
+		var err error
+		if strings.HasSuffix(arg, ".md") {
+			if ix == nil {
+				root, err := moduleRoot(".")
+				if err != nil {
+					fail(err)
+				}
+				if ix, err = buildIndex(root); err != nil {
+					fail(err)
+				}
+			}
+			var text []byte
+			if text, err = os.ReadFile(arg); err == nil {
+				problems = ix.checkDoc(arg, text)
+			}
+		} else {
+			problems, err = checkDir(arg)
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "doccheck:", err)
-			os.Exit(2)
+			fail(err)
 		}
-		for _, m := range missing {
-			fmt.Println(m)
+		for _, p := range problems {
+			fmt.Println(p)
 		}
-		bad += len(missing)
+		bad += len(problems)
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d exported identifier(s) without a doc comment\n", bad)
+		fmt.Fprintf(os.Stderr, "doccheck: %d problem(s)\n", bad)
 		os.Exit(1)
 	}
 }
