@@ -98,7 +98,15 @@ func TestAdaptiveComposesWithClasses(t *testing.T) {
 		WithAdaptive(AdaptiveOptions{Period: 100 * time.Microsecond, Hysteresis: 1}),
 		WithFlightRecorder(flightrec.Options{}),
 	)
-	defer r.Shutdown()
+	// A task stranded behind the class gate fails the test here instead of
+	// hanging it (the pool is then left running: Shutdown would wait too).
+	wait := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := r.WaitCtx(ctx); err != nil {
+			t.Fatalf("Wait: %v with %d tasks outstanding", err, r.Backlog())
+		}
+	}
 	const rounds, links, fans = 3, 50, 32
 	for round := 0; round < rounds; round++ {
 		for i := 0; i < links; i++ {
@@ -106,13 +114,13 @@ func TestAdaptiveComposesWithClasses(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		r.Wait()
+		wait()
 		for i := 0; i < fans; i++ {
 			if _, err := r.Submit("fan", 1, func() {}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		r.Wait()
+		wait()
 		time.Sleep(2 * time.Millisecond) // idle beat for the controller
 	}
 	var st Stats
@@ -139,6 +147,7 @@ func TestAdaptiveComposesWithClasses(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		r.StatsInto(&st)
 	}
+	r.Shutdown()
 }
 
 // A constant load must yield zero decisions: an adaptation that fires

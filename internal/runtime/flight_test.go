@@ -207,7 +207,8 @@ func TestFlightOnlineVerifierCleanStress(t *testing.T) {
 // record recycling — with the checker watching. The raise no longer reaches
 // the scheduler (one heap entry per ready task, filed by the push that
 // follows the ready event), so the window is closed by construction; the
-// test keeps it closed: exactly-once dispatch, violation-free timeline.
+// test keeps it closed: every task executed exactly once, a violation-free
+// timeline.
 func TestFlightCATSPublishWindowStress(t *testing.T) {
 	r := New(WithWorkers(4), WithScheduler(CATS), WithQueueBound(512),
 		WithFlightRecorder(flightrec.Options{PerWorkerEvents: 1 << 14}))
@@ -234,6 +235,9 @@ func TestFlightCATSPublishWindowStress(t *testing.T) {
 	wg.Wait()
 	r.Wait()
 	r.Shutdown()
+	if ex := r.Stats().Executed; ex != 4*2000 {
+		t.Errorf("executed %d tasks, want %d, each once", ex, 4*2000)
+	}
 	st := online.Stop()
 	logWeakened(t, st)
 	if st.Total != 0 {

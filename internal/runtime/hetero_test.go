@@ -314,6 +314,7 @@ func TestCATSFastPlacementAndSaturationFallback(t *testing.T) {
 
 	started := make(chan Placement, 1)
 	release := make(chan struct{})
+	defer close(release) // before Shutdown: a failed check must not strand the hold
 	if _, err := rt.SubmitPriority("blocker", 1, 10, func() {}); err != nil {
 		t.Fatal(err)
 	}
@@ -355,8 +356,6 @@ func TestCATSFastPlacementAndSaturationFallback(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("critical task starved while the fast class was saturated")
 	}
-	close(release)
-	rt.Wait()
 }
 
 // End to end: on a chain-plus-fanout DAG the chain (critical, priority-

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	stdruntime "runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -192,49 +191,6 @@ func TestDerivedBodyContextOutlivesBody(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-// Helper goroutines inside a body may submit with the body's context
-// concurrently — the hinted path goes through the mutex-guarded submit
-// buffer, never the owner-only deque bottom, so no task can be lost. Run
-// with -race; a lost task would hang Wait.
-func TestConcurrentBodyCtxSubmissions(t *testing.T) {
-	r := New(WithWorkers(4))
-	defer r.Shutdown()
-	const helpers = 8
-	const each = 50
-	var ran int32
-	if _, err := r.SubmitCtx(context.Background(), "parent", 1, func(ctx context.Context) error {
-		var wg sync.WaitGroup
-		errs := make(chan error, helpers)
-		for h := 0; h < helpers; h++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < each; i++ {
-					if _, err := r.SubmitCtx(ctx, "child", 1, func(context.Context) error {
-						atomic.AddInt32(&ran, 1)
-						return nil
-					}); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		return <-errs
-	}); err != nil {
-		t.Fatal(err)
-	}
-	r.Wait()
-	if got := atomic.LoadInt32(&ran); got != helpers*each {
-		t.Fatalf("%d of %d concurrently submitted children ran", got, helpers*each)
-	}
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // A chain that grows itself from inside task bodies (each link submits the

@@ -189,6 +189,41 @@ func TestStealWorkersParkWhenIdle(t *testing.T) {
 		"workers to re-park after the task")
 }
 
+// A fan a worker releases lands on its own deque, so while that worker is
+// held by the fan's first leaf only a thief can run the rest. Without deque
+// steals the other worker finds nothing and parks, and the first leaf waits
+// for a sibling in vain.
+func TestStealRunsFanBehindBusyOwner(t *testing.T) {
+	r := New(WithWorkers(2))
+	defer r.Shutdown()
+	gate := make(chan struct{})
+	if _, err := r.Submit("root", 1, func() { <-gate }, Out("fan")); err != nil {
+		t.Fatal(err)
+	}
+	var started atomic.Int32
+	var lonely atomic.Bool
+	for i := 0; i < 8; i++ {
+		if _, err := r.Submit("leaf", 1, func() {
+			if started.Add(1) > 1 {
+				return
+			}
+			for deadline := time.Now().Add(2 * time.Second); started.Load() < 2; stdruntime.Gosched() {
+				if time.Now().After(deadline) {
+					lonely.Store(true)
+					return
+				}
+			}
+		}, In("fan")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(gate) // root completes with every leaf registered behind it
+	r.Wait()
+	if lonely.Load() {
+		t.Fatal("no second leaf ran while the first held its worker: the fan on its deque was never stolen")
+	}
+}
+
 // Regression: with a single worker the injector refill used to grab
 // n/1+1 tasks — one more than the ring held — pushing a nil task and
 // desyncing the length mirror so a later submission was never seen and

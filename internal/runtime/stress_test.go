@@ -298,56 +298,6 @@ func TestStressStealHeavyFanOutShutdown(t *testing.T) {
 	})
 }
 
-// Regression stress for the CATS publish-window race. Between a pusher
-// recording a task ready and its scheduler insert, a concurrent
-// registration that finds the task as a predecessor raises its priority.
-// That raise used to insert a second heap entry on the spot — EARLY, able
-// to dispatch the task to completion and recycling before the original
-// push ran, whose late entry then had to be unclaimable. Now the raise only
-// writes task.priority and the push's entry is the task's only one, so
-// there is no early entry to race; the test pins the outcome: every task
-// executes exactly once. The shape maximises raise pressure: many
-// producers hammering short chains over a tiny key space, so nearly every
-// registration raises a just-released predecessor's bottom level while its
-// push is in flight.
-func TestStressCATSBumpDuringPublishWindow(t *testing.T) {
-	const (
-		producers = 8
-		opsEach   = 400
-		keys      = 4
-	)
-	r := New(WithWorkers(4), WithScheduler(CATS), WithShards(1))
-	defer r.Shutdown()
-	cells := make([]int32, producers*opsEach)
-	var next int32
-	var wg sync.WaitGroup
-	wg.Add(producers)
-	for p := 0; p < producers; p++ {
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < opsEach; i++ {
-				cell := atomic.AddInt32(&next, 1) - 1
-				if _, err := r.Submit("t", 1, func() { atomic.AddInt32(&cells[cell], 1) },
-					InOut(i%keys)); err != nil {
-					t.Errorf("Submit: %v", err)
-					return
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	r.Wait()
-	st := r.Stats()
-	if st.Executed != producers*opsEach {
-		t.Fatalf("executed %d, want %d", st.Executed, producers*opsEach)
-	}
-	for i, c := range cells {
-		if c != 1 {
-			t.Fatalf("cell %d executed %d times", i, c)
-		}
-	}
-}
-
 // countDeps sums the dependence counts over the registration log.
 func countDeps(r *Runtime) int64 {
 	var n int64
