@@ -76,7 +76,7 @@ func BenchmarkTaskSubmit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Submit("t", 1, func() {}, runtime.InOut("k"))
+		rt.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }, runtime.InOut("k"))
 	}
 	rt.Wait()
 }
@@ -107,16 +107,16 @@ func submitChain(b *testing.B, opts ...runtime.Option) {
 	rt := runtime.New(opts...)
 	defer rt.Shutdown()
 	deps := []runtime.Dep{runtime.InOut("k")}
-	noop := func() {}
+	noop := func(context.Context) error { return nil }
 	// Warm the freelist to the bound before measuring.
 	for i := 0; i < 512; i++ {
-		rt.Submit("warm", 1, noop, deps...)
+		rt.SubmitCtx(context.Background(), "warm", noop, deps...)
 	}
 	rt.Wait()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Submit("t", 1, noop, deps...)
+		rt.SubmitCtx(context.Background(), "t", noop, deps...)
 	}
 	rt.Wait()
 }
@@ -134,7 +134,7 @@ func BenchmarkDispatchStealFan(b *testing.B) {
 	const groups = 512
 	rt := runtime.New(runtime.WithWorkers(4), runtime.WithQueueBound(2048))
 	defer rt.Shutdown()
-	noop := func() {}
+	noop := func(context.Context) error { return nil }
 	outDeps := make([][]runtime.Dep, groups)
 	inDeps := make([][]runtime.Dep, groups)
 	for g := 0; g < groups; g++ {
@@ -145,9 +145,9 @@ func BenchmarkDispatchStealFan(b *testing.B) {
 	submit := func(i int) {
 		g := (i / (fan + 1)) % groups
 		if i%(fan+1) == 0 {
-			rt.Submit("root", 1, noop, outDeps[g]...)
+			rt.SubmitCtx(context.Background(), "root", noop, outDeps[g]...)
 		} else {
-			rt.Submit("child", 1, noop, inDeps[g]...)
+			rt.SubmitCtx(context.Background(), "child", noop, inDeps[g]...)
 		}
 	}
 	// Warm the task pool, the tracker's per-key state, and the reader
@@ -176,7 +176,7 @@ func BenchmarkStatsInto(b *testing.B) {
 	)
 	defer rt.Shutdown()
 	for i := 0; i < 256; i++ {
-		rt.Submit("t", 1, func() {}, runtime.InOut("k"))
+		rt.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }, runtime.InOut("k"))
 	}
 	rt.Wait()
 	var st runtime.Stats
@@ -193,37 +193,38 @@ func BenchmarkStatsInto(b *testing.B) {
 // (default) vs off (injector baseline). The figure-style sweep is the
 // throughput experiment's "locality" scenario.
 func BenchmarkLocalityChain(b *testing.B) {
-	b.Run("locality-on", localityChain(runtime.DefaultLocalityWindow()))
-	b.Run("locality-off", localityChain(-1))
+	b.Run("locality-on", localityChain())
+	b.Run("locality-off", localityChain(runtime.WithLocalityWindow(-1)))
 }
 
-// localityChain is BenchmarkLocalityChain at one locality window (<= 0
-// disables the worker-local path): one serialized chain per worker, each
-// link walking its chain's 32 KiB payload.
-func localityChain(window int) func(b *testing.B) {
+// localityChain is BenchmarkLocalityChain under opts (none for the default
+// window): one serialized chain per worker, each link walking its chain's
+// 32 KiB payload.
+func localityChain(opts ...runtime.Option) func(b *testing.B) {
 	return func(b *testing.B) {
 		const chains = 4
 		const words = 32 * 1024 / 8
-		rt := runtime.New(runtime.WithWorkers(chains), runtime.WithLocalityWindow(window))
+		rt := runtime.New(append(opts, runtime.WithWorkers(chains))...)
 		defer rt.Shutdown()
 		var sink uint64
-		bodies := make([]func(), chains)
+		bodies := make([]runtime.Body, chains)
 		for c := 0; c < chains; c++ {
 			buf := make([]uint64, words)
-			bodies[c] = func() {
+			bodies[c] = func(context.Context) error {
 				var acc uint64
 				for i := range buf {
 					buf[i] = buf[i]*1664525 + 1013904223
 					acc += buf[i]
 				}
 				atomic.AddUint64(&sink, acc)
+				return nil
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c := i % chains
-			if _, err := rt.Submit("link", 1, bodies[c], runtime.InOut(c)); err != nil {
+			if _, err := rt.SubmitCtx(context.Background(), "link", bodies[c], runtime.InOut(c)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -238,7 +239,7 @@ func BenchmarkWorkStealingFanOut(b *testing.B) {
 	defer rt.Shutdown()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Submit("t", 1, func() {})
+		rt.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil })
 	}
 	rt.Wait()
 }
@@ -258,7 +259,7 @@ func BenchmarkSubmitMultiProducer(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				key := fmt.Sprintf("chain-%d", atomic.AddInt64(&next, 1))
 				for pb.Next() {
-					rt.Submit("t", 1, func() {}, runtime.InOut(key))
+					rt.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }, runtime.InOut(key))
 				}
 			})
 			rt.Wait()
@@ -275,7 +276,7 @@ func BenchmarkSubmitBatch(b *testing.B) {
 		defer rt.Shutdown()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rt.Submit("t", 1, func() {})
+			rt.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil })
 		}
 		rt.Wait()
 	})
@@ -284,7 +285,7 @@ func BenchmarkSubmitBatch(b *testing.B) {
 		defer rt.Shutdown()
 		specs := make([]runtime.TaskSpec, batch)
 		for i := range specs {
-			specs[i] = runtime.TaskSpec{Name: "t", Cost: 1, Fn: func() {}}
+			specs[i] = runtime.TaskSpec{Name: "t", Body: func(context.Context) error { return nil }}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i += batch {
@@ -292,7 +293,7 @@ func BenchmarkSubmitBatch(b *testing.B) {
 			if b.N-i < n {
 				n = b.N - i
 			}
-			if _, err := rt.SubmitBatch(specs[:n]); err != nil {
+			if _, err := rt.SubmitBatchCtx(context.Background(), specs[:n]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -316,9 +317,9 @@ func BenchmarkDispatchStealHeavy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				group := i / (fan + 1)
 				if i%(fan+1) == 0 {
-					rt.Submit("root", 1, func() {}, runtime.Out(group))
+					rt.SubmitCtx(context.Background(), "root", func(context.Context) error { return nil }, runtime.Out(group))
 				} else {
-					rt.Submit("child", 1, func() {}, runtime.In(group))
+					rt.SubmitCtx(context.Background(), "child", func(context.Context) error { return nil }, runtime.In(group))
 				}
 			}
 			rt.Wait()
@@ -366,11 +367,11 @@ func BenchmarkHeteroCriticalPath(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if i%(fan+1) == 0 {
 					links++
-					if _, err := rt.SubmitPriorityCtx(context.Background(), "chain", 1, 1+b.N-i, body,
+					if _, err := rt.SubmitPriorityCtx(context.Background(), "chain", 1+b.N-i, body,
 						runtime.InOut("chain"), runtime.Out(links)); err != nil {
 						b.Fatal(err)
 					}
-				} else if _, err := rt.SubmitCtx(context.Background(), "fan", 1, body, runtime.In(links)); err != nil {
+				} else if _, err := rt.SubmitCtx(context.Background(), "fan", body, runtime.In(links)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -393,7 +394,7 @@ func BenchmarkLongLivedSubmitWait(b *testing.B) {
 			n = b.N - i
 		}
 		for j := 0; j < n; j++ {
-			rt.Submit("t", 1, func() {})
+			rt.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil })
 		}
 		rt.Wait()
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -49,17 +50,19 @@ func runFlightDump(path string) error {
 		StarveBound: 10 * time.Second,
 	}, time.Millisecond)
 
+	// The bodies are nil: a task without one is a no-op that still takes
+	// part in dependence ordering.
 	for i := 0; i < 2000; i++ {
-		if _, err := r.Submit("chain", 1, func() {}, runtime.InOut("c")); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "chain", nil, runtime.InOut("c")); err != nil {
 			return err
 		}
 		if i%16 == 0 {
 			fan := fmt.Sprintf("f%d", i)
-			if _, err := r.Submit("root", 1, func() {}, runtime.Out(fan)); err != nil {
+			if _, err := r.SubmitCtx(context.Background(), "root", nil, runtime.Out(fan)); err != nil {
 				return err
 			}
 			for j := 0; j < 7; j++ {
-				if _, err := r.Submit("leaf", 1, func() {}, runtime.In(fan)); err != nil {
+				if _, err := r.SubmitCtx(context.Background(), "leaf", nil, runtime.In(fan)); err != nil {
 					return err
 				}
 			}

@@ -100,10 +100,10 @@ func runOnPool(g *tdg.Graph, crit []bool, kind runtime.SchedulerKind) (time.Dura
 			deps = append(deps, runtime.In(int(p)))
 		}
 		isCrit := crit[id]
-		// The bottom level — cost remaining to the sink — is exactly the
-		// CATS priority; scale it down to keep the hints in int range.
+		// The bottom level — work remaining to the sink — goes in as the
+		// CATS priority hint, scaled down to keep the hints in int range.
 		prio := int(levels[id] / 1e5)
-		_, err := rt.SubmitPriorityCtx(context.Background(), n.Name, n.Cost, prio,
+		_, err := rt.SubmitPriorityCtx(context.Background(), n.Name, prio,
 			func(ctx context.Context) error {
 				speed := 1.0
 				if pl, ok := runtime.TaskPlacement(ctx); ok {

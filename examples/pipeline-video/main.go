@@ -34,17 +34,17 @@ func main() {
 	var decoded, processed, updated int64
 	for f := 0; f < frames; f++ {
 		f := f
-		rt.SubmitCtx(ctx, fmt.Sprintf("decode(%d)", f), 10, func(context.Context) error {
+		rt.SubmitCtx(ctx, fmt.Sprintf("decode(%d)", f), func(context.Context) error {
 			atomic.AddInt64(&decoded, 1)
 			return nil
 		}, runtime.InOut("input-stream"), runtime.Out(fmt.Sprintf("frame%d", f)))
 		for c := 0; c < chunks; c++ {
-			rt.SubmitCtx(ctx, fmt.Sprintf("track(%d,%d)", f, c), 30, func(context.Context) error {
+			rt.SubmitCtx(ctx, fmt.Sprintf("track(%d,%d)", f, c), func(context.Context) error {
 				atomic.AddInt64(&processed, 1)
 				return nil
 			}, runtime.In(fmt.Sprintf("frame%d", f)), runtime.Out(fmt.Sprintf("w%d.%d", f, c%4)))
 		}
-		rt.SubmitCtx(ctx, fmt.Sprintf("update(%d)", f), 10, func(context.Context) error {
+		rt.SubmitCtx(ctx, fmt.Sprintf("update(%d)", f), func(context.Context) error {
 			atomic.AddInt64(&updated, 1)
 			return nil
 		}, runtime.In(fmt.Sprintf("w%d.0", f)), runtime.In(fmt.Sprintf("w%d.1", f)),

@@ -43,14 +43,14 @@ func main() {
 	for b := 0; b < blocks; b++ {
 		b := b
 		// Writer: scale the block (out dependence on the block).
-		rt.SubmitCtx(ctx, fmt.Sprintf("scale(%d)", b), float64(blockSize), func(context.Context) error {
+		rt.SubmitCtx(ctx, fmt.Sprintf("scale(%d)", b), func(context.Context) error {
 			for i := range data[b] {
 				data[b][i] *= 2
 			}
 			return nil
 		}, runtime.Out(b))
 		// Reader: reduce the block (in on the block, inout on the total).
-		rt.SubmitCtx(ctx, fmt.Sprintf("sum(%d)", b), float64(blockSize), func(context.Context) error {
+		rt.SubmitCtx(ctx, fmt.Sprintf("sum(%d)", b), func(context.Context) error {
 			var s float64
 			for _, v := range data[b] {
 				s += v
@@ -79,7 +79,6 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	cp, cost, _ := g.CriticalPath()
-	fmt.Printf("task graph: %d nodes, critical path %d tasks (cost %.0f)\n",
-		g.Len(), len(cp), cost)
+	cp, _, _ := g.CriticalPath()
+	fmt.Printf("task graph: %d nodes, critical path %d tasks\n", g.Len(), len(cp))
 }

@@ -39,13 +39,13 @@ func main() {
 	rt := runtime.New(runtime.WithWorkers(4), runtime.WithScheduler(runtime.CATS))
 	defer rt.Shutdown()
 	recovered := make(chan int, 1)
-	rt.SubmitPriorityCtx(ctx, "recovery", 1, 0, func(context.Context) error {
+	rt.SubmitPriorityCtx(ctx, "recovery", 0, func(context.Context) error {
 		// Low priority: the solver's own tasks (high priority) go first.
 		recovered <- 1
 		return nil
 	}, runtime.Out("lost-block"))
 	for i := 0; i < 8; i++ {
-		rt.SubmitPriority(fmt.Sprintf("solver-work(%d)", i), 1, 10, func() {})
+		rt.SubmitPriorityCtx(ctx, fmt.Sprintf("solver-work(%d)", i), 10, nil)
 	}
 	if err := rt.WaitCtx(ctx); err != nil {
 		panic(err)

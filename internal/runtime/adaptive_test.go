@@ -110,13 +110,13 @@ func TestAdaptiveComposesWithClasses(t *testing.T) {
 	const rounds, links, fans = 3, 50, 32
 	for round := 0; round < rounds; round++ {
 		for i := 0; i < links; i++ {
-			if _, err := r.Submit("link", 1, func() {}, InOut("c")); err != nil {
+			if _, err := r.SubmitCtx(context.Background(), "link", func(context.Context) error { return nil }, InOut("c")); err != nil {
 				t.Fatal(err)
 			}
 		}
 		wait()
 		for i := 0; i < fans; i++ {
-			if _, err := r.Submit("fan", 1, func() {}); err != nil {
+			if _, err := r.SubmitCtx(context.Background(), "fan", func(context.Context) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -177,22 +177,23 @@ func TestAdaptiveStableUnderConstantLoad(t *testing.T) {
 			r := New(tc.pool)
 			defer r.Shutdown()
 			var stop atomic.Bool
-			var body func()
-			body = func() {
+			var body Body
+			body = func(context.Context) error {
 				time.Sleep(20 * time.Microsecond)
 				if !stop.Load() {
 					// A body that read stop just before the deferred store
 					// below may resubmit after Shutdown has begun: that
 					// refusal is the test ending, not a failure.
-					if _, err := r.Submit("t", 1, body); err != nil && !(stop.Load() && errors.Is(err, ErrShutdown)) {
+					if _, err := r.SubmitCtx(context.Background(), "t", body); err != nil && !(stop.Load() && errors.Is(err, ErrShutdown)) {
 						t.Error(err)
 					}
 				}
+				return nil
 			}
 			// Stop the population before the deferred Shutdown drains it.
 			defer stop.Store(true)
 			for i := 0; i < population; i++ {
-				if _, err := r.Submit("t", 1, body); err != nil {
+				if _, err := r.SubmitCtx(context.Background(), "t", body); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -286,7 +287,7 @@ func TestShutdownRacesControllerTick(t *testing.T) {
 			WithFlightRecorder(flightrec.Options{}),
 		)
 		for j := 0; j < 50; j++ {
-			if _, err := r.Submit("t", 1, func() {}, InOut("k")); err != nil {
+			if _, err := r.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }, InOut("k")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -328,11 +329,11 @@ func TestClassGateLivenessUnderMaskChurn(t *testing.T) {
 			}
 		}()
 		for i := 0; i < 300; i++ {
-			if _, err := r.Submit("link", 1, func() {}, InOut("chain")); err != nil {
+			if _, err := r.SubmitCtx(context.Background(), "link", func(context.Context) error { return nil }, InOut("chain")); err != nil {
 				t.Fatal(err)
 			}
 			if i%3 == 0 {
-				if _, err := r.Submit("fan", 1, func() {}); err != nil {
+				if _, err := r.SubmitCtx(context.Background(), "fan", func(context.Context) error { return nil }); err != nil {
 					t.Fatal(err)
 				}
 			}

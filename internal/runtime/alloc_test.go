@@ -1,17 +1,18 @@
 package runtime
 
 import (
+	"context"
 	"runtime/debug"
 	"testing"
 )
 
-// The hot-path budgets the tests below enforce. Submit must be
+// The hot-path budgets the tests below enforce. SubmitCtx must be
 // allocation-free in steady state (the headline zero-alloc claim);
-// SubmitBatch is allowed exactly the allocations its API requires — the
+// SubmitBatchCtx is allowed exactly the allocations its API requires — the
 // returned ID slice plus one internal scratch — independent of batch size.
 const (
-	submitAllocBudget = 0.01 // amortized allocs per Submit→execute→complete
-	batchAllocBudget  = 3    // allocs per SubmitBatch call, any batch size
+	submitAllocBudget = 0.01 // amortized allocs per SubmitCtx→execute→complete
+	batchAllocBudget  = 3    // allocs per SubmitBatchCtx call, any batch size
 )
 
 // withGCOff disables the garbage collector for the duration of fn so
@@ -43,7 +44,7 @@ func TestSubmitPathAllocationFree(t *testing.T) {
 		withGCOff(func() {
 			r := New(WithWorkers(2), WithScheduler(kind))
 			defer r.Shutdown()
-			noop := func() {}
+			noop := func(context.Context) error { return nil }
 			// A chain (worst-case tracker pressure), a read fan, and a
 			// 4-dep mixed shape — all within the inline arity.
 			chain := []Dep{InOut("chain")}
@@ -53,13 +54,13 @@ func TestSubmitPathAllocationFree(t *testing.T) {
 			mixed := []Dep{InOut("chain"), InOut("a"), InOut("b"), Out("c")}
 			submitAll := func() {
 				for i := 0; i < 8; i++ {
-					if _, err := r.Submit("t", 1, noop, chain...); err != nil {
+					if _, err := r.SubmitCtx(context.Background(), "t", noop, chain...); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := r.Submit("t", 1, noop, read...); err != nil {
+					if _, err := r.SubmitCtx(context.Background(), "t", noop, read...); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := r.Submit("t", 1, noop, mixed...); err != nil {
+					if _, err := r.SubmitCtx(context.Background(), "t", noop, mixed...); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -102,7 +103,7 @@ func TestInlineArityFreshRecordAllocFree(t *testing.T) {
 	}
 }
 
-// SubmitBatch must stay within its fixed per-call budget regardless of the
+// SubmitBatchCtx must stay within its fixed per-call budget regardless of the
 // batch width: the returned IDs and one task scratch, nothing per task.
 func TestSubmitBatchAllocBudget(t *testing.T) {
 	skipUnderRace(t)
@@ -111,12 +112,12 @@ func TestSubmitBatchAllocBudget(t *testing.T) {
 		defer r.Shutdown()
 		const width = 32
 		specs := make([]TaskSpec, width)
-		noop := func() {}
+		noop := func(context.Context) error { return nil }
 		for i := range specs {
-			specs[i] = TaskSpec{Name: "b", Cost: 1, Fn: noop, Deps: []Dep{InOut(i % 4)}}
+			specs[i] = TaskSpec{Name: "b", Body: noop, Deps: []Dep{InOut(i % 4)}}
 		}
 		run := func() {
-			if _, err := r.SubmitBatch(specs); err != nil {
+			if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 				t.Fatal(err)
 			}
 			r.Wait()
@@ -126,7 +127,7 @@ func TestSubmitBatchAllocBudget(t *testing.T) {
 		}
 		avg := testing.AllocsPerRun(100, run)
 		if avg > batchAllocBudget {
-			t.Fatalf("%.1f allocs per %d-task SubmitBatch, budget %d", avg, width, batchAllocBudget)
+			t.Fatalf("%.1f allocs per %d-task SubmitBatchCtx, budget %d", avg, width, batchAllocBudget)
 		}
 	})
 }
@@ -140,7 +141,7 @@ func TestRecycledRecordsGetFreshIDs(t *testing.T) {
 	seen := make(map[TaskID]bool)
 	for round := 0; round < 40; round++ {
 		for i := 0; i < 25; i++ {
-			id, err := r.Submit("t", 1, func() {}, InOut(i%4))
+			id, err := r.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }, InOut(i%4))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +157,7 @@ func TestRecycledRecordsGetFreshIDs(t *testing.T) {
 // diamond8Job is the service layer's job shape: a diamond-8 (a source, six
 // middles reading it, a sink joining the six) over seven keys, the
 // addresses of the cells it is handed. submit rewrites the keys in place,
-// so a job over fresh cells costs the cells, what SubmitBatch costs over
+// so a job over fresh cells costs the cells, what SubmitBatchCtx costs over
 // any keys, and whatever the tracker allocates for seven keys it has never
 // seen.
 type diamond8Job struct {
@@ -165,10 +166,10 @@ type diamond8Job struct {
 
 type diamond8Cells [7]struct{ _ byte }
 
-func newDiamond8Job(body func()) *diamond8Job {
+func newDiamond8Job(body Body) *diamond8Job {
 	j := &diamond8Job{specs: make([]TaskSpec, 8)}
 	for i := range j.specs {
-		j.specs[i] = TaskSpec{Fn: body}
+		j.specs[i] = TaskSpec{Body: body}
 	}
 	j.specs[0].Deps = make([]Dep, 1)
 	for m := 1; m <= 6; m++ {
@@ -184,7 +185,7 @@ func (j *diamond8Job) submit(tb testing.TB, r *Runtime, k *diamond8Cells) {
 		j.specs[m].Deps[0], j.specs[m].Deps[1] = In(&k[0]), Out(&k[m])
 		j.specs[7].Deps[m-1] = In(&k[m])
 	}
-	if _, err := r.SubmitBatch(j.specs); err != nil {
+	if _, err := r.SubmitBatchCtx(context.Background(), j.specs); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -201,7 +202,7 @@ func TestTrackerFreshKeysAllocFree(t *testing.T) {
 	withGCOff(func() {
 		r := New(WithWorkers(2), WithShards(1))
 		defer r.Shutdown()
-		job := newDiamond8Job(func() {})
+		job := newDiamond8Job(func(context.Context) error { return nil })
 		known := new(diamond8Cells)
 		reused := func() {
 			job.submit(t, r, known)

@@ -48,7 +48,7 @@ func TestRunSeesItsArg(t *testing.T) {
 		r := New(WithWorkers(2), WithScheduler(kind))
 		defer r.Shutdown()
 		gate := make(chan struct{})
-		if _, err := r.Submit("gate", 1, func() { <-gate }, Out("gate")); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "gate", func(context.Context) error { <-gate; return nil }, Out("gate")); err != nil {
 			t.Fatal(err)
 		}
 		submit := func(ctx context.Context, p *runProbe, sp TaskSpec) {

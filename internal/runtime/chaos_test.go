@@ -83,7 +83,7 @@ func chaosStressOnce(t *testing.T, kind SchedulerKind, layout []Option) {
 			for i := 0; i < tasksEach; i++ {
 				body := inj.Wrap(key.Add(1)-1, func(context.Context) error { return nil })
 				sp := TaskSpec{
-					Name: "c", Cost: 1, Body: body,
+					Name: "c", Body: body,
 					Retry:  RetryPolicy{Max: 2, Backoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond},
 					OnDone: func(error) { hooks.Add(1) },
 				}
@@ -97,8 +97,8 @@ func chaosStressOnce(t *testing.T, kind SchedulerKind, layout []Option) {
 					// become deadline overruns.
 					sp.Deadline = 500 * time.Microsecond
 				}
-				if _, err := r.SubmitBatch([]TaskSpec{sp}); err != nil {
-					t.Errorf("SubmitBatch: %v", err)
+				if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{sp}); err != nil {
+					t.Errorf("SubmitBatchCtx: %v", err)
 					return
 				}
 			}

@@ -8,19 +8,19 @@ import (
 	"time"
 )
 
-// Regression: a Submit racing past Shutdown used to enqueue into a woken
+// Regression: a SubmitCtx racing past Shutdown used to enqueue into a woken
 // scheduler and hang the next Wait forever. It must fail fast instead.
 func TestSubmitAfterShutdownErrors(t *testing.T) {
 	eachScheduler(t, func(t *testing.T, kind SchedulerKind) {
 		r := New(WithWorkers(2), WithScheduler(kind))
-		if _, err := r.Submit("ok", 1, func() {}); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "ok", func(context.Context) error { return nil }); err != nil {
 			t.Fatalf("pre-shutdown submit: %v", err)
 		}
 		r.Shutdown()
-		if _, err := r.Submit("late", 1, func() { t.Error("late task ran") }); !errors.Is(err, ErrShutdown) {
+		if _, err := r.SubmitCtx(context.Background(), "late", func(context.Context) error { t.Error("late task ran"); return nil }); !errors.Is(err, ErrShutdown) {
 			t.Fatalf("submit after shutdown = %v, want ErrShutdown", err)
 		}
-		if _, err := r.SubmitCtx(context.Background(), "late", 1, nil); !errors.Is(err, ErrShutdown) {
+		if _, err := r.SubmitCtx(context.Background(), "late", nil); !errors.Is(err, ErrShutdown) {
 			t.Fatalf("SubmitCtx after shutdown = %v, want ErrShutdown", err)
 		}
 		// Wait must return immediately: nothing was enqueued.
@@ -38,9 +38,9 @@ func TestBodyErrorCaptured(t *testing.T) {
 	r := New(WithWorkers(4))
 	defer r.Shutdown()
 	boom := errors.New("boom")
-	r.SubmitCtx(context.Background(), "fail", 1, func(context.Context) error { return boom })
+	r.SubmitCtx(context.Background(), "fail", func(context.Context) error { return boom })
 	for i := 0; i < 16; i++ {
-		r.SubmitCtx(context.Background(), "ok", 1, func(context.Context) error { return nil })
+		r.SubmitCtx(context.Background(), "ok", func(context.Context) error { return nil })
 	}
 	if err := r.WaitCtx(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("WaitCtx = %v, want wrapped boom", err)
@@ -59,7 +59,7 @@ func TestContextCancellation(t *testing.T) {
 
 	started := make(chan struct{})
 	var ran int32
-	r.SubmitCtx(ctx, "inflight", 1, func(c context.Context) error {
+	r.SubmitCtx(ctx, "inflight", func(c context.Context) error {
 		close(started)
 		select {
 		case <-c.Done():
@@ -72,10 +72,7 @@ func TestContextCancellation(t *testing.T) {
 	// The successors only become ready once the in-flight task finishes —
 	// i.e. strictly after the cancellation below.
 	for i := 0; i < 8; i++ {
-		r.SubmitCtx(ctx, "pending", 1, func(context.Context) error {
-			atomic.AddInt32(&ran, 1)
-			return nil
-		}, In("gate"))
+		r.SubmitCtx(ctx, "pending", func(context.Context) error { atomic.AddInt32(&ran, 1); return nil }, In("gate"))
 	}
 	<-started
 	cancel()
@@ -95,7 +92,7 @@ func TestWaitCtxReturnsOnCancelledWait(t *testing.T) {
 	r := New(WithWorkers(1))
 	defer r.Shutdown()
 	release := make(chan struct{})
-	r.Submit("block", 1, func() { <-release })
+	r.SubmitCtx(context.Background(), "block", func(context.Context) error { <-release; return nil })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := r.WaitCtx(ctx); !errors.Is(err, context.Canceled) {
@@ -109,7 +106,7 @@ func TestSubmitCtxPreCancelled(t *testing.T) {
 	defer r.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.SubmitCtx(ctx, "t", 1, nil); !errors.Is(err, context.Canceled) {
+	if _, err := r.SubmitCtx(ctx, "t", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SubmitCtx with cancelled ctx = %v", err)
 	}
 }
@@ -122,13 +119,13 @@ func TestQueueBoundBackpressure(t *testing.T) {
 	defer r.Shutdown()
 	release := make(chan struct{})
 	for i := 0; i < 2; i++ {
-		if _, err := r.Submit("hold", 1, func() { <-release }); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "hold", func(context.Context) error { <-release; return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := r.Submit("third", 1, func() {})
+		_, err := r.SubmitCtx(context.Background(), "third", func(context.Context) error { return nil })
 		blocked <- err
 	}()
 	select {
@@ -145,12 +142,12 @@ func TestQueueBoundBackpressure(t *testing.T) {
 	// Cancellation while blocked on the bound.
 	release2 := make(chan struct{})
 	for i := 0; i < 2; i++ {
-		r.Submit("hold2", 1, func() { <-release2 })
+		r.SubmitCtx(context.Background(), "hold2", func(context.Context) error { <-release2; return nil })
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := r.SubmitCtx(ctx, "fourth", 1, nil)
+		_, err := r.SubmitCtx(ctx, "fourth", nil)
 		errc <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

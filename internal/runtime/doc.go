@@ -39,8 +39,8 @@
 // each Arg into one slab and passes one package-level Run, so a graph
 // costs one object instead of a closure per task (a pointer, or an integer
 // below 256, converts to any without allocating). The task record holds
-// this one (run, arg) body: Body and Fn are adapters over it, and an Fn is
-// still called without a context.
+// this one (run, arg) body: a Body is an adapter over it, and a task
+// without a body runs a package-level no-op Body.
 //
 // # Submission and dependence tracking
 //
@@ -50,8 +50,9 @@
 // the machine by default): submissions whose keys land on different shards
 // register fully in parallel, and a task spanning several shards locks
 // them in ascending index order, so the submit path scales with producer
-// count instead of funnelling through one renamer lock. SubmitBatch and
-// SubmitBatchCtx amortise shard locking and scheduler wakeups over a
+// count instead of funnelling through one renamer lock. There are three
+// entry points: SubmitCtx and SubmitPriorityCtx submit one task, and
+// SubmitBatchCtx amortises shard locking and scheduler wakeups over a
 // whole slice of TaskSpecs.
 //
 // # Scheduler taxonomy
@@ -67,14 +68,14 @@
 //	          critical work inside their class, and slow workers stealing
 //	          a fast worker's oldest entries help its backlog drain.
 //	CATS      criticality-aware: a central priority structure ordered by
-//	          the dynamically-maintained bottom-level estimate, so tasks
-//	          on the critical path run first (Section 3.1). On a
-//	          heterogeneous pool it is also placement-aware: critical
-//	          tasks go to fast-class workers, and slow workers take
-//	          critical work only when every fast worker is already
-//	          running critical work (saturation). A ready task holds one
-//	          heap entry; one that turns critical while queued is
-//	          refiled as critical work when it surfaces.
+//	          the Priority hint, where a task with a successor is raised
+//	          above it, so tasks on a dependence chain run before leaves
+//	          (Section 3.1). On a heterogeneous pool it is also
+//	          placement-aware: critical tasks go to fast-class workers,
+//	          and slow workers take critical work only when every fast
+//	          worker is already running critical work (saturation). A
+//	          ready task holds one heap entry; one that turns critical
+//	          while queued is refiled as critical work when it surfaces.
 //
 // # Worker classes
 //
@@ -129,7 +130,7 @@
 //
 // One implementation per step of a task's life:
 //
-//	submit.go      the six Submit entry points (thin wrappers), submitSpecs
+//	submit.go      the three Submit entry points (thin wrappers), submitSpecs
 //	               (the one submission path) and markReady (the one ready
 //	               transition: the recorder's ready event, written before
 //	               the scheduler push that makes the task dispatchable)

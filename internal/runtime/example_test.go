@@ -1,26 +1,27 @@
 package runtime_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/runtime"
 )
 
-// ExampleRuntime_SubmitBatch registers a producer/consumer pipeline in one
-// batched submission: the whole slice registers under a single acquisition
-// of the dependence-tracker shards it touches, and intra-batch dependences
-// work in slice order exactly as per-task Submits would.
-func ExampleRuntime_SubmitBatch() {
+// ExampleRuntime_SubmitBatchCtx registers a producer/consumer pipeline in
+// one batched submission: the whole slice registers under a single
+// acquisition of the dependence-tracker shards it touches, and intra-batch
+// dependences work in slice order exactly as one-task SubmitCtx calls would.
+func ExampleRuntime_SubmitBatchCtx() {
 	rt := runtime.New(runtime.WithWorkers(4))
 	defer rt.Shutdown()
 
 	var acc int
 	specs := []runtime.TaskSpec{
-		{Name: "produce", Fn: func() { acc = 20 }, Deps: []runtime.Dep{runtime.Out("k")}},
-		{Name: "double", Fn: func() { acc *= 2 }, Deps: []runtime.Dep{runtime.InOut("k")}},
-		{Name: "add", Fn: func() { acc += 2 }, Deps: []runtime.Dep{runtime.InOut("k")}},
+		{Name: "produce", Body: func(context.Context) error { acc = 20; return nil }, Deps: []runtime.Dep{runtime.Out("k")}},
+		{Name: "double", Body: func(context.Context) error { acc *= 2; return nil }, Deps: []runtime.Dep{runtime.InOut("k")}},
+		{Name: "add", Body: func(context.Context) error { acc += 2; return nil }, Deps: []runtime.Dep{runtime.InOut("k")}},
 	}
-	ids, err := rt.SubmitBatch(specs)
+	ids, err := rt.SubmitBatchCtx(context.Background(), specs)
 	if err != nil {
 		panic(err)
 	}

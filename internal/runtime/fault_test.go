@@ -20,7 +20,7 @@ func TestPanicIsolation(t *testing.T) {
 		specs := make([]TaskSpec, 64)
 		for i := range specs {
 			boom := i == 10
-			specs[i] = TaskSpec{Name: "p", Cost: 1, Body: func(context.Context) error {
+			specs[i] = TaskSpec{Name: "p", Body: func(context.Context) error {
 				if boom {
 					panic("kaboom")
 				}
@@ -28,7 +28,7 @@ func TestPanicIsolation(t *testing.T) {
 				return nil
 			}}
 		}
-		if _, err := r.SubmitBatch(specs); err != nil {
+		if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 			t.Fatal(err)
 		}
 		err := r.WaitCtx(context.Background())
@@ -59,8 +59,7 @@ func TestRetryThenSucceed(t *testing.T) {
 		var attempts atomic.Int64
 		var seen atomic.Int64 // the Placement.Attempt of the successful run
 		specs := []TaskSpec{{
-			Name: "flaky", Cost: 1,
-			Retry: RetryPolicy{Max: 3, Backoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond},
+			Name: "flaky", Retry: RetryPolicy{Max: 3, Backoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond},
 			Body: func(ctx context.Context) error {
 				if attempts.Add(1) <= 2 {
 					return errors.New("transient")
@@ -71,7 +70,7 @@ func TestRetryThenSucceed(t *testing.T) {
 				return nil
 			},
 		}}
-		if _, err := r.SubmitBatch(specs); err != nil {
+		if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.WaitCtx(context.Background()); err != nil {
@@ -102,15 +101,14 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	var attempts atomic.Int64
 	var hookErr atomic.Pointer[error]
 	specs := []TaskSpec{{
-		Name: "poison", Cost: 1,
-		Retry: RetryPolicy{Max: 2},
+		Name: "poison", Retry: RetryPolicy{Max: 2},
 		Body: func(context.Context) error {
 			attempts.Add(1)
 			panic("always")
 		},
 		OnDone: func(err error) { hookErr.Store(&err) },
 	}}
-	if _, err := r.SubmitBatch(specs); err != nil {
+	if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	err := r.WaitCtx(context.Background())
@@ -139,14 +137,14 @@ func TestDeadlineDoesNotBlockWorker(t *testing.T) {
 	release := make(chan struct{})
 	var after atomic.Int64
 	specs := []TaskSpec{
-		{Name: "zombie", Cost: 1, Deadline: 2 * time.Millisecond,
+		{Name: "zombie", Deadline: 2 * time.Millisecond,
 			Body: func(context.Context) error {
 				<-release // ignores ctx: the runtime must abandon, not wait
 				return nil
 			}},
-		{Name: "next", Cost: 1, Body: func(context.Context) error { after.Add(1); return nil }},
+		{Name: "next", Body: func(context.Context) error { after.Add(1); return nil }},
 	}
-	if _, err := r.SubmitBatch(specs); err != nil {
+	if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -178,9 +176,8 @@ func TestDeadlineCooperativeBody(t *testing.T) {
 	defer r.Shutdown()
 	var attempts atomic.Int64
 	specs := []TaskSpec{{
-		Name: "slow-then-fast", Cost: 1,
-		Deadline: 5 * time.Millisecond,
-		Retry:    RetryPolicy{Max: 1},
+		Name: "slow-then-fast", Deadline: 5 * time.Millisecond,
+		Retry: RetryPolicy{Max: 1},
 		Body: func(ctx context.Context) error {
 			if attempts.Add(1) == 1 {
 				<-ctx.Done() // cooperative: observe the bound
@@ -189,7 +186,7 @@ func TestDeadlineCooperativeBody(t *testing.T) {
 			return nil
 		},
 	}}
-	if _, err := r.SubmitBatch(specs); err != nil {
+	if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.WaitCtx(context.Background()); err != nil {
@@ -221,14 +218,14 @@ func TestPanicPoisonsSuccessors(t *testing.T) {
 			}
 		}
 		specs := []TaskSpec{
-			{Name: "root", Cost: 1, Deps: []Dep{Out("k")}, OnDone: hook,
+			{Name: "root", Deps: []Dep{Out("k")}, OnDone: hook,
 				Body: func(context.Context) error { panic("root down") }},
-			{Name: "mid", Cost: 1, Deps: []Dep{InOut("k")}, OnDone: hook,
+			{Name: "mid", Deps: []Dep{InOut("k")}, OnDone: hook,
 				Body: func(context.Context) error { ran.Add(1); return nil }},
-			{Name: "leaf", Cost: 1, Deps: []Dep{In("k")}, OnDone: hook,
+			{Name: "leaf", Deps: []Dep{In("k")}, OnDone: hook,
 				Body: func(context.Context) error { ran.Add(1); return nil }},
 		}
-		if _, err := r.SubmitBatch(specs); err != nil {
+		if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 			t.Fatal(err)
 		}
 		r.Wait()
@@ -249,12 +246,12 @@ func TestPlainBodyErrorDoesNotPoison(t *testing.T) {
 	defer r.Shutdown()
 	var ran atomic.Int64
 	specs := []TaskSpec{
-		{Name: "fail", Cost: 1, Deps: []Dep{Out("k")},
+		{Name: "fail", Deps: []Dep{Out("k")},
 			Body: func(context.Context) error { return errors.New("plain") }},
-		{Name: "succ", Cost: 1, Deps: []Dep{In("k")},
+		{Name: "succ", Deps: []Dep{In("k")},
 			Body: func(context.Context) error { ran.Add(1); return nil }},
 	}
-	if _, err := r.SubmitBatch(specs); err != nil {
+	if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	r.Wait()
@@ -270,17 +267,15 @@ func TestPanicInOnDoneContained(t *testing.T) {
 	r := New(WithWorkers(1))
 	defer r.Shutdown()
 	var after atomic.Int64
-	if _, err := r.SubmitBatch([]TaskSpec{{
-		Name: "hook-bomb", Cost: 1,
-		Body:   func(context.Context) error { return nil },
+	if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{{
+		Name: "hook-bomb", Body: func(context.Context) error { return nil },
 		OnDone: func(error) { panic("hook boom") },
 	}}); err != nil {
 		t.Fatal(err)
 	}
 	r.Wait()
-	if _, err := r.SubmitBatch([]TaskSpec{{
-		Name: "after", Cost: 1,
-		Body: func(context.Context) error { after.Add(1); return nil },
+	if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{{
+		Name: "after", Body: func(context.Context) error { after.Add(1); return nil },
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -317,8 +312,7 @@ func TestRetryCancelledContextIsTerminal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var attempts atomic.Int64
 	if _, err := r.SubmitBatchCtx(ctx, []TaskSpec{{
-		Name: "doomed", Cost: 1,
-		Retry: RetryPolicy{Max: 5},
+		Name: "doomed", Retry: RetryPolicy{Max: 5},
 		Body: func(context.Context) error {
 			attempts.Add(1)
 			cancel() // the request dies mid-attempt

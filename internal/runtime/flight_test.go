@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ func TestFlightRecorderDisabledByDefault(t *testing.T) {
 	if r.FlightRecorder() != nil {
 		t.Fatal("recorder present without WithFlightRecorder")
 	}
-	if _, err := r.Submit("t", 1, func() {}); err != nil {
+	if _, err := r.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	r.Wait()
@@ -70,7 +71,7 @@ func mustSubmit(t *testing.T, r *Runtime, name string, deps []Dep) TaskID {
 	if deps == nil {
 		deps = []Dep{Out("k")}
 	}
-	id, err := r.Submit(name, 1, func() {}, deps...)
+	id, err := r.SubmitCtx(context.Background(), name, func(context.Context) error { return nil }, deps...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +84,10 @@ func TestFlightPendingTaskGetsSubmitEvent(t *testing.T) {
 	r := New(WithWorkers(1), WithFlightRecorder(flightrec.Options{}))
 	defer r.Shutdown()
 	release := make(chan struct{})
-	if _, err := r.Submit("w", 1, func() { <-release }, Out("k")); err != nil {
+	if _, err := r.SubmitCtx(context.Background(), "w", func(context.Context) error { <-release; return nil }, Out("k")); err != nil {
 		t.Fatal(err)
 	}
-	dep, err := r.Submit("r", 1, func() {}, In("k"))
+	dep, err := r.SubmitCtx(context.Background(), "r", func(context.Context) error { return nil }, In("k"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,18 +166,18 @@ func TestFlightOnlineVerifierCleanStress(t *testing.T) {
 						defer wg.Done()
 						key := fmt.Sprintf("chain%d", g)
 						for i := 0; i < 400; i++ {
-							if _, err := r.SubmitPriority("c", 1, i%3, func() {}, InOut(key)); err != nil {
+							if _, err := r.SubmitPriorityCtx(context.Background(), "c", i%3, func(context.Context) error { return nil }, InOut(key)); err != nil {
 								t.Error(err)
 								return
 							}
 							if i%8 == 0 {
 								fan := fmt.Sprintf("fan%d-%d", g, i)
-								if _, err := r.Submit("w", 1, func() {}, Out(fan)); err != nil {
+								if _, err := r.SubmitCtx(context.Background(), "w", func(context.Context) error { return nil }, Out(fan)); err != nil {
 									t.Error(err)
 									return
 								}
 								for j := 0; j < 6; j++ {
-									if _, err := r.Submit("r", 1, func() {}, In(fan)); err != nil {
+									if _, err := r.SubmitCtx(context.Background(), "r", func(context.Context) error { return nil }, In(fan)); err != nil {
 										t.Error(err)
 										return
 									}
@@ -225,7 +226,7 @@ func TestFlightCATSPublishWindowStress(t *testing.T) {
 			defer wg.Done()
 			shared := fmt.Sprintf("s%d", g%2) // cross-goroutine raise traffic
 			for i := 0; i < 2000; i++ {
-				if _, err := r.SubmitPriority("p", 1, i%2, func() {}, InOut(shared)); err != nil {
+				if _, err := r.SubmitPriorityCtx(context.Background(), "p", i%2, func(context.Context) error { return nil }, InOut(shared)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -265,7 +266,7 @@ func TestStatsIntoConcurrentCallers(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := r.Submit("t", 1, func() {}, InOut(fmt.Sprintf("k%d", i%8))); err != nil {
+			if _, err := r.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }, InOut(fmt.Sprintf("k%d", i%8))); err != nil {
 				t.Error(err)
 				return
 			}
@@ -379,14 +380,14 @@ func TestFlightRecorderSubmitAllocationFree(t *testing.T) {
 	defer r.Shutdown()
 	// Warm the task pool and the dependence-tracker maps.
 	for i := 0; i < 512; i++ {
-		if _, err := r.Submit("warm", 1, func() {}, InOut("k")); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "warm", func(context.Context) error { return nil }, InOut("k")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r.Wait()
-	body := func() {}
+	body := func(context.Context) error { return nil }
 	allocs := testing.AllocsPerRun(2000, func() {
-		if _, err := r.Submit("s", 1, body, InOut("k")); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "s", body, InOut("k")); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -315,13 +315,13 @@ func TestCATSFastPlacementAndSaturationFallback(t *testing.T) {
 	started := make(chan Placement, 1)
 	release := make(chan struct{})
 	defer close(release) // before Shutdown: a failed check must not strand the hold
-	if _, err := rt.SubmitPriority("blocker", 1, 10, func() {}); err != nil {
+	if _, err := rt.SubmitPriorityCtx(context.Background(), "blocker", 10, func(context.Context) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	rt.Wait() // warm-up critical task also proves dispatch works
 
 	// Occupy the fast worker with a long-running critical task.
-	_, err := rt.SubmitPriorityCtx(nil, "hold", 1, 10, func(ctx context.Context) error {
+	_, err := rt.SubmitPriorityCtx(nil, "hold", 10, func(ctx context.Context) error {
 		pl, _ := TaskPlacement(ctx)
 		started <- pl
 		<-release
@@ -339,7 +339,7 @@ func TestCATSFastPlacementAndSaturationFallback(t *testing.T) {
 	// Fast class saturated: the next critical task must run on a slow
 	// worker rather than wait for the fast one.
 	ranOn := make(chan Placement, 1)
-	_, err = rt.SubmitPriorityCtx(nil, "spill", 1, 5, func(ctx context.Context) error {
+	_, err = rt.SubmitPriorityCtx(nil, "spill", 5, func(ctx context.Context) error {
 		pl, _ := TaskPlacement(ctx)
 		ranOn <- pl
 		return nil
@@ -384,7 +384,7 @@ func TestCATSChainRunsOnFastClass(t *testing.T) {
 	}
 	for i := 0; i < chain; i++ {
 		i := i
-		_, err := rt.SubmitPriorityCtx(nil, "chain", 1, chain-i, func(ctx context.Context) error {
+		_, err := rt.SubmitPriorityCtx(nil, "chain", chain-i, func(ctx context.Context) error {
 			pl, ok := TaskPlacement(ctx)
 			probe.record("chain", pl, ok)
 			spin()
@@ -394,7 +394,7 @@ func TestCATSChainRunsOnFastClass(t *testing.T) {
 			t.Fatal(err)
 		}
 		for f := 0; f < fan; f++ {
-			_, err := rt.SubmitCtx(nil, "fan", 1, func(ctx context.Context) error {
+			_, err := rt.SubmitCtx(nil, "fan", func(ctx context.Context) error {
 				pl, ok := TaskPlacement(ctx)
 				probe.record("fan", pl, ok)
 				spin()
@@ -457,7 +457,7 @@ func TestHeterogeneousPoolAllSchedulers(t *testing.T) {
 						case 1:
 							deps = []Dep{In(p), Out(p*100 + i)}
 						}
-						if _, err := rt.SubmitPriority("t", 1, i%7, func() {}, deps...); err != nil {
+						if _, err := rt.SubmitPriorityCtx(context.Background(), "t", i%7, func(context.Context) error { return nil }, deps...); err != nil {
 							t.Error(err)
 							return
 						}

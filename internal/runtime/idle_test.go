@@ -74,14 +74,15 @@ func TestSearchShutdownPromptMidSearch(t *testing.T) {
 				var arrived atomic.Int32
 				specs := make([]TaskSpec, workers)
 				for j := range specs {
-					specs[j] = TaskSpec{Name: "barrier", Fn: func() {
+					specs[j] = TaskSpec{Name: "barrier", Body: func(context.Context) error {
 						arrived.Add(1)
 						for arrived.Load() < workers {
 							stdruntime.Gosched()
 						}
+						return nil
 					}}
 				}
-				if _, err := r.SubmitBatch(specs); err != nil {
+				if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 					t.Fatal(err)
 				}
 				shutdownWithin(t, r, 20*time.Second, fmt.Sprintf("iteration %d", i))
@@ -136,14 +137,14 @@ func TestSearchNoLostWakeup(t *testing.T) {
 								ran.Add(1)
 								go func() {
 									defer helpers.Done()
-									if _, err := r.SubmitCtx(ctx, "hinted", 1, child); err != nil {
+									if _, err := r.SubmitCtx(ctx, "hinted", child); err != nil {
 										t.Errorf("hinted submit: %v", err)
 									}
 								}()
 								return nil
 							}
 						}
-						if _, err := r.SubmitCtx(context.Background(), "plain", 1, body); err != nil {
+						if _, err := r.SubmitCtx(context.Background(), "plain", body); err != nil {
 							t.Errorf("submit: %v", err)
 							return
 						}
@@ -191,7 +192,7 @@ func TestParkHandshakeEightWayRecorderStress(t *testing.T) {
 		},
 	}, time.Millisecond)
 	var ran, want atomic.Int64
-	body := func() { ran.Add(1) }
+	body := func(context.Context) error { ran.Add(1); return nil }
 	var prods sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		prods.Add(1)
@@ -201,23 +202,23 @@ func TestParkHandshakeEightWayRecorderStress(t *testing.T) {
 			chain := fmt.Sprintf("chain%d", p)
 			for b := 0; b < bursts; b++ {
 				fan := fmt.Sprintf("fan%d-%d", p, b)
-				specs := []TaskSpec{{Name: "root", Fn: body, Deps: []Dep{Out(fan)}}}
+				specs := []TaskSpec{{Name: "root", Body: body, Deps: []Dep{Out(fan)}}}
 				for i := 0; i < 6; i++ {
 					specs = append(specs,
-						TaskSpec{Name: "leaf", Fn: body, Deps: []Dep{In(fan)}},
-						TaskSpec{Name: "link", Fn: body, Priority: i % 3, Deps: []Dep{InOut(chain)}})
+						TaskSpec{Name: "leaf", Body: body, Deps: []Dep{In(fan)}},
+						TaskSpec{Name: "link", Body: body, Priority: i % 3, Deps: []Dep{InOut(chain)}})
 				}
 				want.Add(int64(len(specs)))
 				// Alternate the two publish shapes: one batch (a broadcast
 				// wake-up) and one task at a time (signals).
 				if b%2 == 0 {
-					if _, err := r.SubmitBatch(specs); err != nil {
+					if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 						t.Errorf("batch: %v", err)
 						return
 					}
 				} else {
 					for i := range specs {
-						if _, err := r.SubmitBatch(specs[i : i+1]); err != nil {
+						if _, err := r.SubmitBatchCtx(context.Background(), specs[i:i+1]); err != nil {
 							t.Errorf("submit: %v", err)
 							return
 						}
@@ -258,7 +259,7 @@ func TestSearchYieldsToSubmitter(t *testing.T) {
 	defer r.Shutdown()
 	done := make(chan struct{}, 1)
 	trip := func() {
-		if _, err := r.Submit("t", 1, func() { done <- struct{}{} }); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "t", func(context.Context) error { done <- struct{}{}; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		<-done
@@ -298,9 +299,10 @@ func braidLoop(t *testing.T, r *Runtime, graphs, inflight int, grain time.Durati
 		for j := range s.specs {
 			s.specs[j] = TaskSpec{
 				Name: "braid",
-				Fn: func() {
+				Body: func(context.Context) error {
 					for t0 := time.Now(); time.Since(t0) < grain; {
 					}
+					return nil
 				},
 				OnDone: func(error) {
 					if s.remaining.Add(-1) == 0 {
@@ -328,7 +330,7 @@ func braidLoop(t *testing.T, r *Runtime, graphs, inflight int, grain time.Durati
 			}
 		}
 		s.remaining.Store(int32(len(s.specs)))
-		if _, err := r.SubmitBatch(s.specs[:]); err != nil {
+		if _, err := r.SubmitBatchCtx(context.Background(), s.specs[:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -358,7 +360,7 @@ func TestSearchGatedWorkerNeverSearches(t *testing.T) {
 	var started atomic.Int32
 	release := make(chan struct{})
 	for i := 0; i < r.Workers(); i++ {
-		if _, err := r.Submit("hold", 1, func() { started.Add(1); <-release }); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "hold", func(context.Context) error { started.Add(1); <-release; return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -372,7 +374,7 @@ func TestSearchGatedWorkerNeverSearches(t *testing.T) {
 	// The fast worker alone serves a load; the slow class sits at the gate.
 	ran := slow(executed)
 	for i := 0; i < 400; i++ {
-		if _, err := r.Submit("t", 1, func() { spinFor(5 * time.Microsecond) }); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "t", func(context.Context) error { spinFor(5 * time.Microsecond); return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -393,7 +395,7 @@ func TestSearchGatedWorkerNeverSearches(t *testing.T) {
 		t.Fatalf("slow workers searched %d times on their way back from the gate", got-before)
 	}
 	for i := 0; i < 400; i++ {
-		if _, err := r.Submit("t", 1, func() {}); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

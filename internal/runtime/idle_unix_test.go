@@ -3,6 +3,7 @@
 package runtime
 
 import (
+	"context"
 	stdruntime "runtime"
 	"syscall"
 	"testing"
@@ -33,7 +34,7 @@ func TestSearchIdlePoolIsAsleep(t *testing.T) {
 	defer r.Shutdown()
 	s := r.sched.(*stealScheduler)
 	for i := 0; i < 200; i++ {
-		if _, err := r.Submit("t", 1, func() { spinFor(5 * time.Microsecond) }); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "t", func(context.Context) error { spinFor(5 * time.Microsecond); return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

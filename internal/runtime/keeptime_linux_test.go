@@ -47,7 +47,7 @@ func TestRetryBackoffKeepsTime(t *testing.T) {
 	keepsTime(t, "retry backoff, failure → retried attempt,", func() time.Duration {
 		var failed, retried time.Time
 		attempts := 0
-		if _, err := r.SubmitBatch([]TaskSpec{{
+		if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{{
 			Name: "flaky", Retry: RetryPolicy{Max: 1, Backoff: waitAsked},
 			Body: func(context.Context) error {
 				if attempts++; attempts == 1 {
@@ -78,7 +78,7 @@ func TestDeadlineKeepsTime(t *testing.T) {
 		var end error
 		release := make(chan struct{})
 		defer close(release)
-		if _, err := r.SubmitBatch([]TaskSpec{{
+		if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{{
 			Name: "overrun", Deadline: waitAsked,
 			Body: func(context.Context) error {
 				started.Store(time.Now().UnixNano())

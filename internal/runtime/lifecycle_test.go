@@ -34,7 +34,7 @@ func submitRounds(t *testing.T, r *Runtime, rounds, perRound int) {
 			default:
 				deps = []Dep{InOut(key), In((key + 1) % 8)}
 			}
-			if _, err := r.Submit("t", 1, func() {}, deps...); err != nil {
+			if _, err := r.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }, deps...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -85,9 +85,9 @@ func TestCompleteReleasesTaskReferences(t *testing.T) {
 	for _, opts := range [][]Option{{WithWorkers(2)}, {WithWorkers(2), WithTraceRetention()}} {
 		r := New(opts...)
 		// One batch, so b cannot reuse a's record.
-		if _, err := r.SubmitBatch([]TaskSpec{
-			{Name: "a", Fn: func() {}, Deps: []Dep{Out("k")}},
-			{Name: "b", Fn: func() {}, Deps: []Dep{In("k")}},
+		if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{
+			{Name: "a", Body: func(context.Context) error { return nil }, Deps: []Dep{Out("k")}},
+			{Name: "b", Body: func(context.Context) error { return nil }, Deps: []Dep{In("k")}},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -128,13 +128,13 @@ func TestCompleteReleasesTaskReferences(t *testing.T) {
 func TestLiveRefBesideDeadRefToSameRecord(t *testing.T) {
 	r := New(WithWorkers(1), WithShards(1))
 	defer r.Shutdown()
-	if _, err := r.Submit("x", 1, func() {}, Out("a")); err != nil {
+	if _, err := r.SubmitCtx(context.Background(), "x", func(context.Context) error { return nil }, Out("a")); err != nil {
 		t.Fatal(err)
 	}
 	r.Wait()
 	started, gate := make(chan struct{}), make(chan struct{})
 	defer close(gate)
-	if _, err := r.Submit("y", 1, func() { close(started); <-gate }, Out("b")); err != nil {
+	if _, err := r.SubmitCtx(context.Background(), "y", func(context.Context) error { close(started); <-gate; return nil }, Out("b")); err != nil {
 		t.Fatal(err)
 	}
 	<-started // y holds the one worker
@@ -145,7 +145,7 @@ func TestLiveRefBesideDeadRefToSameRecord(t *testing.T) {
 	if !same {
 		t.Fatal("precondition: y did not reuse x's record")
 	}
-	if _, err := r.Submit("z", 1, func() {}, In("a"), In("b")); err != nil {
+	if _, err := r.SubmitCtx(context.Background(), "z", func(context.Context) error { return nil }, In("a"), In("b")); err != nil {
 		t.Fatal(err)
 	}
 	if n := r.sched.queued(); n != 0 {
@@ -160,9 +160,9 @@ func TestReadersTailSlotsClearedOnWriterTruncate(t *testing.T) {
 	defer r.Shutdown()
 	const readers = 6
 	for i := 0; i < readers; i++ {
-		r.Submit("r", 1, func() {}, In("k"))
+		r.SubmitCtx(context.Background(), "r", func(context.Context) error { return nil }, In("k"))
 	}
-	r.Submit("w", 1, func() {}, Out("k"))
+	r.SubmitCtx(context.Background(), "w", func(context.Context) error { return nil }, Out("k"))
 	r.Wait()
 	s := r.shards[0]
 	s.mu.Lock()
@@ -191,7 +191,7 @@ func TestReadOnlyKeyListBounded(t *testing.T) {
 	defer r.Shutdown()
 	const readers = 100_000
 	for i := 0; i < readers; i++ {
-		if _, err := r.Submit("r", 1, func() {}, In("k")); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "r", func(context.Context) error { return nil }, In("k")); err != nil {
 			t.Fatal(err)
 		}
 		r.Wait()
@@ -234,7 +234,7 @@ func submitWithPayloads(t *testing.T, r *Runtime, n int, finalized *int32) {
 	for i := 0; i < n; i++ {
 		p := new([1 << 12]byte)
 		stdruntime.SetFinalizer(p, func(*[1 << 12]byte) { atomic.AddInt32(finalized, 1) })
-		if _, err := r.Submit(fmt.Sprintf("t%d", i), 1, func() { p[0]++ }); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), fmt.Sprintf("t%d", i), func(context.Context) error { p[0]++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,7 +297,7 @@ func submitWithArgs(t *testing.T, r *Runtime, n int, finalized *int32) {
 		case 2:
 			sp.Deadline = time.Minute
 		}
-		if _, err := r.SubmitBatch([]TaskSpec{sp}); err != nil {
+		if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{sp}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,16 +323,16 @@ func trackerEntries(r *Runtime) int {
 // tracker size seen at a round boundary.
 func submitUniqueKeyJobs(t *testing.T, r *Runtime, jobs, round int) (peak int) {
 	t.Helper()
-	noop := func() {}
+	noop := func(context.Context) error { return nil }
 	for j := 0; j < jobs; j++ {
 		k := new([4]struct{ _ byte })
 		specs := []TaskSpec{
-			{Fn: noop, Deps: []Dep{Out(&k[0])}},
-			{Fn: noop, Deps: []Dep{In(&k[0]), Out(&k[1])}},
-			{Fn: noop, Deps: []Dep{In(&k[0]), Out(&k[2])}},
-			{Fn: noop, Deps: []Dep{In(&k[1]), In(&k[2]), Out(&k[3])}},
+			{Body: noop, Deps: []Dep{Out(&k[0])}},
+			{Body: noop, Deps: []Dep{In(&k[0]), Out(&k[1])}},
+			{Body: noop, Deps: []Dep{In(&k[0]), Out(&k[2])}},
+			{Body: noop, Deps: []Dep{In(&k[1]), In(&k[2]), Out(&k[3])}},
 		}
-		if _, err := r.SubmitBatch(specs); err != nil {
+		if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 			t.Fatal(err)
 		}
 		if (j+1)%round == 0 {
@@ -412,8 +412,8 @@ type versionOp struct {
 	write  bool
 }
 
-func versionBody(bad *atomic.Int64, ops ...versionOp) func() {
-	return func() {
+func versionBody(bad *atomic.Int64, ops ...versionOp) Body {
+	return func(context.Context) error {
 		for _, op := range ops {
 			v := *op.c
 			if v != op.expect {
@@ -423,6 +423,7 @@ func versionBody(bad *atomic.Int64, ops ...versionOp) func() {
 				*op.c = v + 1
 			}
 		}
+		return nil
 	}
 }
 
@@ -445,7 +446,7 @@ func TestRecycledReaderListCarriesNoStaleReader(t *testing.T) {
 	gate := make(chan struct{})
 	openGate := sync.OnceFunc(func() { close(gate) })
 	defer openGate() // before Shutdown, which waits for the gated writer
-	if _, err := r.Submit("gate", 1, func() { <-gate; hold++ }, Out(&hold)); err != nil {
+	if _, err := r.SubmitCtx(context.Background(), "gate", func(context.Context) error { <-gate; hold++; return nil }, Out(&hold)); err != nil {
 		t.Fatal(err)
 	}
 	sweeps, recycled, records := 0, 0, 0
@@ -495,14 +496,14 @@ func TestRecycledReaderListCarriesNoStaleReader(t *testing.T) {
 		l := j % longKeys
 		rewrite := j%8 == 7
 		specs := []TaskSpec{{
-			Fn:   versionBody(&bad, versionOp{&k[0], 0, true}, versionOp{&long[l], longWrites[l], false}),
+			Body: versionBody(&bad, versionOp{&k[0], 0, true}, versionOp{&long[l], longWrites[l], false}),
 			Deps: []Dep{Out(&k[0]), In(&long[l])},
 		}}
 		var sinkOps []versionOp
 		var sinkDeps []Dep
 		for m := 1; m <= 6; m++ {
 			specs = append(specs, TaskSpec{
-				Fn:   versionBody(&bad, versionOp{&k[0], 1, false}, versionOp{&k[m], 0, true}),
+				Body: versionBody(&bad, versionOp{&k[0], 1, false}, versionOp{&k[m], 0, true}),
 				Deps: []Dep{In(&k[0]), Out(&k[m])},
 			})
 			sinkOps = append(sinkOps, versionOp{&k[m], 1, false})
@@ -514,12 +515,12 @@ func TestRecycledReaderListCarriesNoStaleReader(t *testing.T) {
 			longWrites[l]++
 		}
 		specs = append(specs,
-			TaskSpec{Fn: versionBody(&bad, sinkOps...), Deps: sinkDeps},
-			TaskSpec{Fn: versionBody(&bad, versionOp{&hold, 1, false}), Deps: []Dep{In(&hold)}})
+			TaskSpec{Body: versionBody(&bad, sinkOps...), Deps: sinkDeps},
+			TaskSpec{Body: versionBody(&bad, versionOp{&hold, 1, false}), Deps: []Dep{In(&hold)}})
 		s.mu.Lock()
 		spareBefore := len(s.spare)
 		s.mu.Unlock()
-		if _, err := r.SubmitBatch(specs); err != nil {
+		if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 			t.Fatal(err)
 		}
 		if err := audit(j, k, spareBefore); err != nil {
@@ -533,7 +534,7 @@ func TestRecycledReaderListCarriesNoStaleReader(t *testing.T) {
 		}
 	}
 	openGate()
-	if _, err := r.Submit("after", 1, versionBody(&bad, versionOp{&hold, 1, true}), InOut(&hold)); err != nil {
+	if _, err := r.SubmitCtx(context.Background(), "after", versionBody(&bad, versionOp{&hold, 1, true}), InOut(&hold)); err != nil {
 		t.Fatal(err)
 	}
 	r.Wait()

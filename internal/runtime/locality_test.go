@@ -83,7 +83,7 @@ func TestSubmitHintResolution(t *testing.T) {
 		t.Fatalf("background ctx hint = %d, want -1", h)
 	}
 	own := make(chan int, 1)
-	if _, err := r.SubmitCtx(context.Background(), "probe", 1, func(ctx context.Context) error {
+	if _, err := r.SubmitCtx(context.Background(), "probe", func(ctx context.Context) error {
 		own <- r.submitHint(ctx)
 		return nil
 	}); err != nil {
@@ -99,7 +99,7 @@ func TestSubmitHintResolution(t *testing.T) {
 	r2 := New(WithWorkers(2))
 	defer r2.Shutdown()
 	foreign := make(chan int, 1)
-	if _, err := r2.SubmitCtx(context.Background(), "probe", 1, func(ctx context.Context) error {
+	if _, err := r2.SubmitCtx(context.Background(), "probe", func(ctx context.Context) error {
 		foreign <- r.submitHint(ctx) // note: r, not r2
 		return nil
 	}); err != nil {
@@ -167,12 +167,12 @@ func TestDerivedBodyContextOutlivesBody(t *testing.T) {
 		defer r.Shutdown()
 		type key struct{}
 		got := make(chan any, 1)
-		if _, err := r.SubmitCtx(context.Background(), "parent", 1, func(ctx context.Context) error {
+		if _, err := r.SubmitCtx(context.Background(), "parent", func(ctx context.Context) error {
 			derived := context.WithValue(ctx, key{}, "payload")
 			// The child's dependence on the parent's key guarantees it
 			// dispatches only after the parent completed — exactly the
 			// window where a mutated wrapper used to be nil.
-			_, err := r.SubmitCtx(derived, "child", 1, func(cctx context.Context) error {
+			_, err := r.SubmitCtx(derived, "child", func(cctx context.Context) error {
 				got <- cctx.Value(key{})
 				if _, ok := TaskPlacement(cctx); !ok {
 					t.Error("child lost its placement through the derived chain")
@@ -205,13 +205,13 @@ func TestSubmitFromBodyChainCompletes(t *testing.T) {
 		var step func(ctx context.Context) error
 		step = func(ctx context.Context) error {
 			if atomic.AddInt32(&ran, 1) < depth {
-				if _, err := r.SubmitCtx(ctx, "link", 1, step); err != nil {
+				if _, err := r.SubmitCtx(ctx, "link", step); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		if _, err := r.SubmitCtx(context.Background(), "link", 1, step); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "link", step); err != nil {
 			t.Fatal(err)
 		}
 		// The chain keeps outstanding nonzero until the last link, so one
@@ -258,7 +258,7 @@ func TestStressSubmitFromBodyDuringShutdown(t *testing.T) {
 				for c := 0; c < width; c++ {
 					child := spawn(depth + 1)
 					// Body ctx: the worker-local fast path under test.
-					if _, err := r.SubmitCtx(ctx, "child", 1, child); err != nil {
+					if _, err := r.SubmitCtx(ctx, "child", child); err != nil {
 						if errors.Is(err, ErrShutdown) {
 							return nil
 						}
@@ -270,7 +270,7 @@ func TestStressSubmitFromBodyDuringShutdown(t *testing.T) {
 			}
 		}
 		for i := 0; i < roots; i++ {
-			if _, err := r.SubmitCtx(context.Background(), "root", 1, spawn(0)); err != nil {
+			if _, err := r.SubmitCtx(context.Background(), "root", spawn(0)); err != nil {
 				t.Fatal(err)
 			}
 			atomic.AddInt64(&accepted, 1)

@@ -30,7 +30,6 @@ func TestOnDoneFiresExactlyOncePerTask(t *testing.T) {
 			fail := i%7 == 0
 			specs[i] = TaskSpec{
 				Name: "t",
-				Cost: 1,
 				Body: func(context.Context) error {
 					if fail {
 						return boom
@@ -51,7 +50,7 @@ func TestOnDoneFiresExactlyOncePerTask(t *testing.T) {
 				},
 			}
 		}
-		if _, err := r.SubmitBatch(specs); err != nil {
+		if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 			t.Fatal(err)
 		}
 		<-done // hook-driven completion, independent of Wait
@@ -97,7 +96,6 @@ func TestOnDoneFiresForSkippedTasks(t *testing.T) {
 	specs := make([]TaskSpec, n)
 	specs[0] = TaskSpec{
 		Name: "gate",
-		Cost: 1,
 		Body: func(context.Context) error {
 			select {
 			case entered <- struct{}{}:
@@ -112,7 +110,6 @@ func TestOnDoneFiresForSkippedTasks(t *testing.T) {
 	for i := 1; i < n; i++ {
 		specs[i] = TaskSpec{
 			Name:   "succ",
-			Cost:   1,
 			Body:   func(context.Context) error { return nil },
 			OnDone: hook,
 			Deps:   []Dep{InOut("k")},
@@ -142,21 +139,20 @@ func TestOnDoneHookNotInheritedByRecycledRecords(t *testing.T) {
 	var hooks atomic.Int64
 	specs := []TaskSpec{{
 		Name:   "hooked",
-		Cost:   1,
 		Body:   func(context.Context) error { return nil },
 		OnDone: func(error) { hooks.Add(1) },
 	}}
-	if _, err := r.SubmitBatch(specs); err != nil {
+	if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	r.Wait()
 	// Recycle the pool with hook-less tasks over both submission paths.
 	for i := 0; i < 8; i++ {
-		if _, err := r.Submit("plain", 1, func() {}); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "plain", func(context.Context) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.SubmitBatch([]TaskSpec{{Name: "plain", Cost: 1, Fn: func() {}}}); err != nil {
+	if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{{Name: "plain", Body: func(context.Context) error { return nil }}}); err != nil {
 		t.Fatal(err)
 	}
 	r.Wait()
@@ -177,7 +173,7 @@ func TestBacklog(t *testing.T) {
 	mu.Lock()
 	entered := make(chan struct{}, 1)
 	specs := []TaskSpec{
-		{Name: "hold", Cost: 1, Fn: func() {
+		{Name: "hold", Body: func(context.Context) error {
 			select {
 			case entered <- struct{}{}:
 			default:
@@ -185,10 +181,11 @@ func TestBacklog(t *testing.T) {
 			mu.Lock()
 			//lint:ignore SA2001 gate: the lock is the gate, held by the test
 			mu.Unlock()
+			return nil
 		}},
-		{Name: "free", Cost: 1, Fn: func() {}},
+		{Name: "free", Body: func(context.Context) error { return nil }},
 	}
-	if _, err := r.SubmitBatch(specs); err != nil {
+	if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	<-entered

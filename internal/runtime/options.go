@@ -153,7 +153,7 @@ func WithQueueBound(n int) Option {
 }
 
 // WithTraceRetention keeps a registration log — every submitted task's
-// name, cost and dependences, in the order the tracker linked them — for
+// name and dependences, in the order the tracker linked them — for
 // Graph export. Task records are released and reused as without it; the
 // log is what grows, by one entry per task ever submitted, so turn it on
 // only for bounded runs whose graph you intend to export or replay. With
@@ -178,11 +178,6 @@ func WithTraceRetention() Option {
 func WithLocalityWindow(n int) Option {
 	return func(o *options) { o.localWindow = n }
 }
-
-// DefaultLocalityWindow reports the locality window a runtime uses when
-// WithLocalityWindow is not given — for tooling that wants to pin the
-// default explicitly (benchmark sweeps, config echo).
-func DefaultLocalityWindow() int { return defaultLocalityWindow }
 
 // WithFlightRecorder attaches an always-on flight recorder to the runtime:
 // fixed-memory per-worker event rings capturing the scheduling timeline

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	stdruntime "runtime"
 	"strings"
 	"testing"
@@ -109,7 +110,7 @@ func TestShardCountsPreserveSemantics(t *testing.T) {
 		for round := 0; round < rounds; round++ {
 			for k := range counters {
 				k := k
-				r.Submit("inc", 1, func() { counters[k]++ }, InOut(k))
+				r.SubmitCtx(context.Background(), "inc", func(context.Context) error { counters[k]++; return nil }, InOut(k))
 			}
 		}
 		r.Wait()

@@ -13,7 +13,8 @@ import (
 	"repro/internal/tdg"
 )
 
-// ErrShutdown is returned by Submit variants called after Shutdown.
+// ErrShutdown is returned by every Submit entry point called after
+// Shutdown.
 var ErrShutdown = errors.New("runtime: submit after Shutdown")
 
 // ErrNoTrace is returned by Graph when the runtime was built without
@@ -133,20 +134,14 @@ type TaskID int
 // placement of the body it was handed to.
 type Body func(ctx context.Context) error
 
-// A task record holds one body, a run function and its argument. Body and
-// Fn are stored as these adapters over that pair, with the caller's
-// function as the argument (a func value converts to any without
-// allocating), and a task without a body as an Fn that does nothing.
+// A task record holds one body, a run function and its argument. A Body is
+// stored as this adapter over that pair, with the caller's function as the
+// argument (a func value converts to any without allocating), and a task
+// without a body as noBody.
 func runBody(ctx context.Context, arg any) error { return arg.(Body)(ctx) }
 
-func runPlain(_ context.Context, arg any) error { arg.(plainBody)(); return nil }
-
-// plainBody is an Fn as a task's argument. Only this package can name the
-// type, so it marks exactly the bodies that take no context.
-type plainBody func()
-
-// noBody is the Fn of a task submitted without a body.
-var noBody = plainBody(func() {})
+// noBody is the Body of a task submitted without one.
+var noBody Body = func(context.Context) error { return nil }
 
 // inlineArity is the dependence/successor count a task record holds inline.
 // Tasks with at most this many deps (and successors) allocate nothing for
@@ -166,7 +161,7 @@ const inlineArity = 4
 type task struct {
 	id       TaskID // also the submission order, for deterministic tie-breaks
 	name     string
-	priority int64 // CATS bottom-level estimate (accessed atomically)
+	priority int64 // the Priority hint, raised above each successor's (atomic)
 	// claim is the record's reuse generation, kept as gen<<1 — the layout
 	// the flight recorder's events and dumps carry (flightrec.ClaimGen).
 	// Bit 0 is retired: it was the dispatch-claim bit of the CATS heap's
@@ -232,7 +227,6 @@ type task struct {
 type traceEntry struct {
 	id   TaskID
 	name string
-	cost float64
 	deps []Dep // a copy: the task record's own are cleared at completion
 }
 
@@ -530,7 +524,7 @@ type Runtime struct {
 	waits       chan parked
 	idleWaiters atomic.Int32
 
-	closed   int32 // Submit guard, set at Shutdown entry
+	closed   int32 // submission guard, set at Shutdown entry
 	shutdown int32 // worker stop flag, set once the pool drains
 	wg       sync.WaitGroup
 }
@@ -766,8 +760,9 @@ func resized[T any](s []T, n int) []T {
 }
 
 // Graph exports the dependence graph of everything submitted so far as a
-// tdg.Graph (task costs carried over), for criticality analysis or for
-// replay on the simulated machine. Call after Wait for a complete graph.
+// tdg.Graph, for criticality analysis or for replay on the simulated
+// machine. Every node weighs 1: the runtime ranks by graph shape, not by
+// work estimates. Call after Wait for a complete graph.
 //
 // Graph requires the runtime to have been built with WithTraceRetention —
 // the registration log is otherwise not kept, and Graph fails with
@@ -785,7 +780,7 @@ func (r *Runtime) Graph() (*tdg.Graph, error) {
 	// log with a shadow tracking pass through a tdg.Builder.
 	b := tdg.NewBuilder()
 	for _, e := range r.trace {
-		b.AddNode(e.name, e.cost)
+		b.AddNode(e.name, 1)
 	}
 	shadowWriter := make(map[any]tdg.NodeID)
 	shadowReaders := make(map[any][]tdg.NodeID)

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -21,7 +22,7 @@ func TestSingleTaskRuns(t *testing.T) {
 		r := New(WithWorkers(2), WithScheduler(kind))
 		defer r.Shutdown()
 		var ran int32
-		r.Submit("t", 1, func() { atomic.AddInt32(&ran, 1) })
+		r.SubmitCtx(context.Background(), "t", func(context.Context) error { atomic.AddInt32(&ran, 1); return nil })
 		r.Wait()
 		if ran != 1 {
 			t.Fatalf("task ran %d times", ran)
@@ -35,9 +36,9 @@ func TestRAWOrdering(t *testing.T) {
 		defer r.Shutdown()
 		x := 0
 		key := "x"
-		r.Submit("write", 1, func() { x = 42 }, Out(key))
+		r.SubmitCtx(context.Background(), "write", func(context.Context) error { x = 42; return nil }, Out(key))
 		got := 0
-		r.Submit("read", 1, func() { got = x }, In(key))
+		r.SubmitCtx(context.Background(), "read", func(context.Context) error { got = x; return nil }, In(key))
 		r.Wait()
 		if got != 42 {
 			t.Fatalf("RAW violated: read %d", got)
@@ -52,18 +53,14 @@ func TestWARandWAWOrdering(t *testing.T) {
 		key := "k"
 		var log []string
 		var mu sync.Mutex
-		rec := func(s string) func() {
-			return func() {
-				mu.Lock()
-				log = append(log, s)
-				mu.Unlock()
-			}
+		rec := func(s string) Body {
+			return func(context.Context) error { mu.Lock(); log = append(log, s); mu.Unlock(); return nil }
 		}
-		r.Submit("w1", 1, rec("w1"), Out(key))
-		r.Submit("r1", 1, rec("r1"), In(key))
-		r.Submit("r2", 1, rec("r2"), In(key))
-		r.Submit("w2", 1, rec("w2"), Out(key)) // WAR after r1,r2; WAW after w1
-		r.Submit("r3", 1, rec("r3"), In(key))  // RAW after w2
+		r.SubmitCtx(context.Background(), "w1", rec("w1"), Out(key))
+		r.SubmitCtx(context.Background(), "r1", rec("r1"), In(key))
+		r.SubmitCtx(context.Background(), "r2", rec("r2"), In(key))
+		r.SubmitCtx(context.Background(), "w2", rec("w2"), Out(key)) // WAR after r1,r2; WAW after w1
+		r.SubmitCtx(context.Background(), "r3", rec("r3"), In(key))  // RAW after w2
 		r.Wait()
 		pos := map[string]int{}
 		for i, s := range log {
@@ -90,12 +87,13 @@ func TestIndependentTasksRunInParallel(t *testing.T) {
 	release := make(chan struct{})
 	ready := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
-		r.Submit("p", 1, func() {
+		r.SubmitCtx(context.Background(), "p", func(context.Context) error {
 			mu.Lock()
 			started++
 			mu.Unlock()
 			ready <- struct{}{}
 			<-release
+			return nil
 		})
 	}
 	for i := 0; i < n; i++ {
@@ -118,7 +116,7 @@ func TestInOutChainIsSerial(t *testing.T) {
 		counter := 0 // deliberately unsynchronised: the chain must serialise
 		const n = 200
 		for i := 0; i < n; i++ {
-			r.Submit("inc", 1, func() { counter++ }, InOut("counter"))
+			r.SubmitCtx(context.Background(), "inc", func(context.Context) error { counter++; return nil }, InOut("counter"))
 		}
 		r.Wait()
 		if counter != n {
@@ -131,12 +129,12 @@ func TestWaitThenMoreTasks(t *testing.T) {
 	r := New(WithWorkers(2), WithScheduler(WorkSteal))
 	defer r.Shutdown()
 	var a, b int32
-	r.Submit("a", 1, func() { atomic.StoreInt32(&a, 1) })
+	r.SubmitCtx(context.Background(), "a", func(context.Context) error { atomic.StoreInt32(&a, 1); return nil })
 	r.Wait()
 	if a != 1 {
 		t.Fatalf("first batch incomplete")
 	}
-	r.Submit("b", 1, func() { atomic.StoreInt32(&b, 1) })
+	r.SubmitCtx(context.Background(), "b", func(context.Context) error { atomic.StoreInt32(&b, 1); return nil })
 	r.Wait()
 	if b != 1 {
 		t.Fatalf("second batch incomplete")
@@ -148,12 +146,13 @@ func TestStatsAndWorkDistribution(t *testing.T) {
 	const n = 400
 	var done int64
 	for i := 0; i < n; i++ {
-		r.Submit("t", 1, func() {
+		r.SubmitCtx(context.Background(), "t", func(context.Context) error {
 			// A little spin so multiple workers engage.
 			for j := 0; j < 1000; j++ {
 				_ = j * j
 			}
 			atomic.AddInt64(&done, 1)
+			return nil
 		})
 	}
 	r.Wait()
@@ -174,15 +173,15 @@ func TestStatsAndWorkDistribution(t *testing.T) {
 // catsOrder runs submit on a one-worker CATS pool behind a gatekeeper that
 // holds the worker until everything is queued, and returns the order the
 // recorded bodies ran in.
-func catsOrder(submit func(r *Runtime, rec func(string) func())) string {
+func catsOrder(submit func(r *Runtime, rec func(string) Body)) string {
 	r := New(WithWorkers(1), WithScheduler(CATS))
 	defer r.Shutdown()
 	var mu sync.Mutex
 	var order []string
 	gate := make(chan struct{})
-	r.Submit("gatekeeper", 1, func() { <-gate })
-	submit(r, func(s string) func() {
-		return func() { mu.Lock(); order = append(order, s); mu.Unlock() }
+	r.SubmitCtx(context.Background(), "gatekeeper", func(context.Context) error { <-gate; return nil })
+	submit(r, func(s string) Body {
+		return func(context.Context) error { mu.Lock(); order = append(order, s); mu.Unlock(); return nil }
 	})
 	close(gate)
 	r.Wait()
@@ -190,10 +189,10 @@ func catsOrder(submit func(r *Runtime, rec func(string) func())) string {
 }
 
 func TestPriorityOrderUnderCATS(t *testing.T) {
-	got := catsOrder(func(r *Runtime, rec func(string) func()) {
-		r.SubmitPriority("low", 1, 0, rec("low"))
-		r.SubmitPriority("high", 1, 10, rec("high"))
-		r.SubmitPriority("mid", 1, 5, rec("mid"))
+	got := catsOrder(func(r *Runtime, rec func(string) Body) {
+		r.SubmitPriorityCtx(context.Background(), "low", 0, rec("low"))
+		r.SubmitPriorityCtx(context.Background(), "high", 10, rec("high"))
+		r.SubmitPriorityCtx(context.Background(), "mid", 5, rec("mid"))
 	})
 	if want := "[high mid low]"; got != want {
 		t.Fatalf("CATS order = %v, want %v", got, want)
@@ -207,11 +206,11 @@ func TestCATSBumpsCriticalPredecessors(t *testing.T) {
 	// before filler, which was queued before it. Without the raise pred is
 	// plain and, filed after filler, runs after it. (An entry already
 	// queued is not re-sorted by a raise; the refile tests cover that.)
-	got := catsOrder(func(r *Runtime, rec func(string) func()) {
-		r.Submit("x", 1, rec("x"), Out("x"))
-		r.Submit("filler", 1, rec("filler"))
-		r.Submit("pred", 1, rec("pred"), In("x"), Out("d"))
-		r.SubmitPriority("succ", 1, 50, rec("succ"), In("d"))
+	got := catsOrder(func(r *Runtime, rec func(string) Body) {
+		r.SubmitCtx(context.Background(), "x", rec("x"), Out("x"))
+		r.SubmitCtx(context.Background(), "filler", rec("filler"))
+		r.SubmitCtx(context.Background(), "pred", rec("pred"), In("x"), Out("d"))
+		r.SubmitPriorityCtx(context.Background(), "succ", 50, rec("succ"), In("d"))
 	})
 	if want := "[x pred succ filler]"; got != want {
 		t.Fatalf("CATS should run raised pred before filler: got %v, want %s", got, want)
@@ -221,10 +220,10 @@ func TestCATSBumpsCriticalPredecessors(t *testing.T) {
 func TestGraphExport(t *testing.T) {
 	r := New(WithWorkers(2), WithScheduler(WorkSteal), WithTraceRetention())
 	defer r.Shutdown()
-	r.Submit("w", 3, func() {}, Out("x"))
-	r.Submit("r1", 1, func() {}, In("x"))
-	r.Submit("r2", 1, func() {}, In("x"))
-	r.Submit("w2", 2, func() {}, InOut("x"))
+	r.SubmitCtx(context.Background(), "w", func(context.Context) error { return nil }, Out("x"))
+	r.SubmitCtx(context.Background(), "r1", func(context.Context) error { return nil }, In("x"))
+	r.SubmitCtx(context.Background(), "r2", func(context.Context) error { return nil }, In("x"))
+	r.SubmitCtx(context.Background(), "w2", func(context.Context) error { return nil }, InOut("x"))
 	r.Wait()
 	g, err := r.Graph()
 	if err != nil {
@@ -263,7 +262,7 @@ func TestGraphFollowsRunOrderWithConcurrentSubmitters(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < perSubmitter; i++ {
 					name := fmt.Sprintf("p%d-%d", p, i)
-					if _, err := r.Submit(name, 1, func() { ran = append(ran, name) }, InOut("k")); err != nil {
+					if _, err := r.SubmitCtx(context.Background(), name, func(context.Context) error { ran = append(ran, name); return nil }, InOut("k")); err != nil {
 						t.Error(err)
 						return
 					}
@@ -350,13 +349,14 @@ func TestQuickDataflowMatchesSequential(t *testing.T) {
 		for _, o := range ops {
 			o := o
 			k := o.Key % 4
-			r.Submit("op", 1, func() {
+			r.SubmitCtx(context.Background(), "op", func(context.Context) error {
 				switch o.Kind % 2 {
 				case 0:
 					got[k] += int64(o.Val)
 				default:
 					got[k] = got[k]*3 + int64(o.Val)
 				}
+				return nil
 			}, InOut(k))
 		}
 		r.Wait()
@@ -385,11 +385,11 @@ func TestQuickGraphAcyclic(t *testing.T) {
 			key := d % 5
 			switch (d >> 8) % 3 {
 			case 0:
-				r.Submit("t", 1, func() {}, In(key))
+				r.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }, In(key))
 			case 1:
-				r.Submit("t", 1, func() {}, Out(key))
+				r.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }, Out(key))
 			default:
-				r.Submit("t", 1, func() {}, InOut(key))
+				r.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }, InOut(key))
 			}
 		}
 		r.Wait()

@@ -28,7 +28,7 @@ type scheduler interface {
 	// end is owner-only.
 	push(t *task, workerHint int)
 	// pushBatch enqueues a slice of ready tasks with at most one (broadcast)
-	// wakeup — the scheduler half of SubmitBatch's amortisation. The
+	// wakeup — the scheduler half of SubmitBatchCtx's amortisation. The
 	// workerHint contract matches push.
 	pushBatch(ts []*task, workerHint int)
 	// pop dequeues a task for workerID, reporting whether it was stolen

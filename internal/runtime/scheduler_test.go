@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"math/rand"
 	stdruntime "runtime"
 	"sync"
@@ -180,7 +181,7 @@ func TestStealWorkersParkWhenIdle(t *testing.T) {
 		"all idle workers to park")
 	// A submission must wake a parked worker and run.
 	var ran int32
-	r.Submit("t", 1, func() { atomic.AddInt32(&ran, 1) })
+	r.SubmitCtx(context.Background(), "t", func(context.Context) error { atomic.AddInt32(&ran, 1); return nil })
 	r.Wait()
 	if atomic.LoadInt32(&ran) != 1 {
 		t.Fatalf("task ran %d times", ran)
@@ -197,22 +198,23 @@ func TestStealRunsFanBehindBusyOwner(t *testing.T) {
 	r := New(WithWorkers(2))
 	defer r.Shutdown()
 	gate := make(chan struct{})
-	if _, err := r.Submit("root", 1, func() { <-gate }, Out("fan")); err != nil {
+	if _, err := r.SubmitCtx(context.Background(), "root", func(context.Context) error { <-gate; return nil }, Out("fan")); err != nil {
 		t.Fatal(err)
 	}
 	var started atomic.Int32
 	var lonely atomic.Bool
 	for i := 0; i < 8; i++ {
-		if _, err := r.Submit("leaf", 1, func() {
+		if _, err := r.SubmitCtx(context.Background(), "leaf", func(context.Context) error {
 			if started.Add(1) > 1 {
-				return
+				return nil
 			}
 			for deadline := time.Now().Add(2 * time.Second); started.Load() < 2; stdruntime.Gosched() {
 				if time.Now().After(deadline) {
 					lonely.Store(true)
-					return
+					return nil
 				}
 			}
+			return nil
 		}, In("fan")); err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +236,7 @@ func TestSingleWorkerInjectorRefill(t *testing.T) {
 	var ran int32
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 5; i++ {
-			r.Submit("t", 1, func() { atomic.AddInt32(&ran, 1) })
+			r.SubmitCtx(context.Background(), "t", func(context.Context) error { atomic.AddInt32(&ran, 1); return nil })
 		}
 		done := make(chan struct{})
 		go func() { r.Wait(); close(done) }()

@@ -330,11 +330,10 @@ func (r *Runtime) linkPreds(t *task, preds []taskRef) {
 		if !p.done {
 			p.addSucc(t)
 			atomic.AddInt32(&t.npreds, 1)
-			// CATS: a new successor raises the predecessor's bottom-level
-			// estimate (single-step propagation, as the original heuristic).
-			// A predecessor already queued keeps its heap entry; the
-			// scheduler reads the raised estimate when it places it (see
-			// catsScheduler.take).
+			// CATS: a task with a successor is raised above it (one hop,
+			// unweighted). A predecessor already queued keeps its heap
+			// entry; the scheduler reads the raised priority when it
+			// places it (see catsScheduler.take).
 			if est := atomic.LoadInt64(&t.priority) + 1; est > atomic.LoadInt64(&p.priority) {
 				atomic.StoreInt64(&p.priority, est)
 			}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,14 +11,14 @@ import (
 	"testing"
 )
 
-// Stress: 8 producers hammer a runtime with a mix of Submit and
-// SubmitBatch over a shared key space while Shutdown fires mid-stream.
+// Stress: 8 producers hammer a runtime with a mix of SubmitCtx and
+// SubmitBatchCtx over a shared key space while Shutdown fires mid-stream.
 // Invariants, per scheduler kind and shard count:
 //   - every accepted task executes exactly once (no lost tasks, no double
 //     execution);
 //   - every rejected submission fails with ErrShutdown and its body never
 //     runs;
-//   - after Shutdown returns, further Submit/SubmitBatch fail fast.
+//   - after Shutdown returns, further SubmitCtx/SubmitBatchCtx fail fast.
 //
 // Run with -race: this is the main concurrency witness for the sharded
 // tracker's lock ordering and the gate/Shutdown protocol.
@@ -46,8 +47,8 @@ func stressOnce(t *testing.T, kind SchedulerKind, shards int) {
 	cells := make([]int32, maxTasks)
 	var next int32 // cell allocator
 	var accepted int64
-	body := func(cell int32) func() {
-		return func() { atomic.AddInt32(&cells[cell], 1) }
+	body := func(cell int32) Body {
+		return func(context.Context) error { atomic.AddInt32(&cells[cell], 1); return nil }
 	}
 	randomDeps := func(rng *rand.Rand) []Dep {
 		nd := rng.Intn(3)
@@ -79,9 +80,9 @@ func stressOnce(t *testing.T, kind SchedulerKind, shards int) {
 					specs := make([]TaskSpec, n)
 					base := atomic.AddInt32(&next, int32(n)) - int32(n)
 					for j := range specs {
-						specs[j] = TaskSpec{Name: "b", Cost: 1, Fn: body(base + int32(j)), Deps: randomDeps(rng)}
+						specs[j] = TaskSpec{Name: "b", Body: body(base + int32(j)), Deps: randomDeps(rng)}
 					}
-					ids, err := r.SubmitBatch(specs)
+					ids, err := r.SubmitBatchCtx(context.Background(), specs)
 					switch {
 					case err == nil:
 						if len(ids) != n {
@@ -91,19 +92,19 @@ func stressOnce(t *testing.T, kind SchedulerKind, shards int) {
 					case errors.Is(err, ErrShutdown):
 						return // rejected batches are all-or-nothing; cells stay 0
 					default:
-						t.Errorf("SubmitBatch: %v", err)
+						t.Errorf("SubmitBatchCtx: %v", err)
 						return
 					}
 				} else {
 					cell := atomic.AddInt32(&next, 1) - 1
-					_, err := r.Submit("s", 1, body(cell), randomDeps(rng)...)
+					_, err := r.SubmitCtx(context.Background(), "s", body(cell), randomDeps(rng)...)
 					switch {
 					case err == nil:
 						atomic.AddInt64(&accepted, 1)
 					case errors.Is(err, ErrShutdown):
 						return
 					default:
-						t.Errorf("Submit: %v", err)
+						t.Errorf("SubmitCtx: %v", err)
 						return
 					}
 				}
@@ -145,11 +146,11 @@ func stressOnce(t *testing.T, kind SchedulerKind, shards int) {
 	}
 
 	// The pool is closed: everything must fail fast now.
-	if _, err := r.Submit("late", 1, func() { t.Error("post-shutdown task ran") }); !errors.Is(err, ErrShutdown) {
-		t.Errorf("Submit after stress shutdown = %v, want ErrShutdown", err)
+	if _, err := r.SubmitCtx(context.Background(), "late", func(context.Context) error { t.Error("post-shutdown task ran"); return nil }); !errors.Is(err, ErrShutdown) {
+		t.Errorf("SubmitCtx after stress shutdown = %v, want ErrShutdown", err)
 	}
-	if _, err := r.SubmitBatch([]TaskSpec{{Name: "late", Cost: 1}}); !errors.Is(err, ErrShutdown) {
-		t.Errorf("SubmitBatch after stress shutdown = %v, want ErrShutdown", err)
+	if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{{Name: "late"}}); !errors.Is(err, ErrShutdown) {
+		t.Errorf("SubmitBatchCtx after stress shutdown = %v, want ErrShutdown", err)
 	}
 }
 
@@ -182,12 +183,13 @@ func TestStressMultiShardLockOrdering(t *testing.T) {
 				for _, d := range deps {
 					keys = append(keys, d.Key.(int))
 				}
-				if _, err := r.Submit("t", 1, func() {
+				if _, err := r.SubmitCtx(context.Background(), "t", func(context.Context) error {
 					for _, k := range keys {
 						counters[k]++
 					}
+					return nil
 				}, deps...); err != nil {
-					t.Errorf("Submit: %v", err)
+					t.Errorf("SubmitCtx: %v", err)
 					return
 				}
 			}
@@ -229,12 +231,13 @@ func TestStressStealHeavyFanOutShutdown(t *testing.T) {
 		cells := make([]int32, maxTasks)
 		var next int32
 		var accepted int64
-		body := func(cell int32) func() {
-			return func() {
+		body := func(cell int32) Body {
+			return func(context.Context) error {
 				for i := 0; i < 200; i++ { // a little spin so fans overlap
 					_ = i * i
 				}
 				atomic.AddInt32(&cells[cell], 1)
+				return nil
 			}
 		}
 		var wg sync.WaitGroup
@@ -246,21 +249,21 @@ func TestStressStealHeavyFanOutShutdown(t *testing.T) {
 				for g := 0; g < groups; g++ {
 					key := fmt.Sprintf("fan-%d-%d", p, g)
 					cell := atomic.AddInt32(&next, 1) - 1
-					if _, err := r.Submit("root", 1, body(cell), Out(key)); err != nil {
+					if _, err := r.SubmitCtx(context.Background(), "root", body(cell), Out(key)); err != nil {
 						if errors.Is(err, ErrShutdown) {
 							return
 						}
-						t.Errorf("Submit root: %v", err)
+						t.Errorf("SubmitCtx root: %v", err)
 						return
 					}
 					atomic.AddInt64(&accepted, 1)
 					for c := 0; c < fan; c++ {
 						cell := atomic.AddInt32(&next, 1) - 1
-						if _, err := r.Submit("child", 1, body(cell), In(key)); err != nil {
+						if _, err := r.SubmitCtx(context.Background(), "child", body(cell), In(key)); err != nil {
 							if errors.Is(err, ErrShutdown) {
 								return
 							}
-							t.Errorf("Submit child: %v", err)
+							t.Errorf("SubmitCtx child: %v", err)
 							return
 						}
 						atomic.AddInt64(&accepted, 1)

@@ -11,13 +11,14 @@ import (
 	"repro/internal/flightrec"
 )
 
-// TaskSpec describes one task of a batch submission. Exactly one of Run,
-// Body and Fn should be set (Run wins, then Body); a task with none is a
-// no-op that still participates in dependence ordering.
+// TaskSpec describes one task of a batch submission. At most one of Run
+// and Body should be set (Run wins); a task with neither is a no-op that
+// still participates in dependence ordering.
 type TaskSpec struct {
 	// Name labels the task in errors, the trace and Graph.
 	Name string
-	// Cost is the abstract work estimate used for criticality analysis.
+	// Cost is ignored: no scheduler, trace or export reads it. It goes
+	// once the benchmark harness stops setting it.
 	Cost float64
 	// Priority is the programmer priority hint (the OmpSs priority
 	// clause); higher runs earlier under CATS.
@@ -32,11 +33,8 @@ type TaskSpec struct {
 	// (into a caller's slab, say) or an integer below 256 converts to any
 	// without allocating.
 	Arg any
-	// Body is the context-aware, error-returning task body.
+	// Body is the task body as one closure (Run wins when both are set).
 	Body Body
-	// Fn is the plain-function convenience form of Body; it is called
-	// without a context.
-	Fn func()
 	// Deps are the task's dependence annotations.
 	Deps []Dep
 	// OnDone, if set, is called exactly once on the executing worker when
@@ -59,47 +57,29 @@ type TaskSpec struct {
 	Deadline time.Duration
 }
 
-// Submit adds a task with the given dependences and returns its ID. cost is
-// an abstract work estimate used for criticality analysis (0 is fine); fn is
-// the task body. Submission order defines the program order used to resolve
-// WAR/WAW hazards, as in OmpSs. Submit fails with ErrShutdown after
-// Shutdown.
-func (r *Runtime) Submit(name string, cost float64, fn func(), deps ...Dep) (TaskID, error) {
-	return r.submitOne(context.Background(), &[1]TaskSpec{{Name: name, Cost: cost, Fn: fn}}, deps)
+// SubmitCtx submits one task with the given dependences and returns its
+// ID. Submission order defines the program order used to resolve WAR/WAW
+// hazards, as in OmpSs. The context is remembered with the task: if it is
+// cancelled before the task starts, the body is skipped and the
+// cancellation error captured; the body itself receives ctx so in-flight
+// work can observe cancellation. SubmitCtx also blocks for a backpressure
+// slot when WithQueueBound is set, aborting with ctx.Err() if the context
+// is cancelled while waiting. It fails with ErrShutdown after Shutdown.
+func (r *Runtime) SubmitCtx(ctx context.Context, name string, fn Body, deps ...Dep) (TaskID, error) {
+	return r.submitOne(ctx, &[1]TaskSpec{{Name: name, Body: fn}}, deps)
 }
 
-// SubmitPriority is Submit with an explicit programmer priority hint (the
+// SubmitPriorityCtx is SubmitCtx with a programmer priority hint (the
 // OmpSs priority clause); higher runs earlier under CATS.
-func (r *Runtime) SubmitPriority(name string, cost float64, priority int, fn func(), deps ...Dep) (TaskID, error) {
-	return r.submitOne(context.Background(), &[1]TaskSpec{{Name: name, Cost: cost, Priority: priority, Fn: fn}}, deps)
-}
-
-// SubmitCtx is the context-aware, error-returning submission path. The
-// context is remembered with the task: if it is cancelled before the task
-// starts, the body is skipped and the cancellation error captured; the body
-// itself receives ctx so in-flight work can observe cancellation. SubmitCtx
-// also blocks for a backpressure slot when WithQueueBound is set, aborting
-// with ctx.Err() if the context is cancelled while waiting.
-func (r *Runtime) SubmitCtx(ctx context.Context, name string, cost float64, fn Body, deps ...Dep) (TaskID, error) {
-	return r.submitOne(ctx, &[1]TaskSpec{{Name: name, Cost: cost, Body: fn}}, deps)
-}
-
-// SubmitPriorityCtx is SubmitCtx with a priority hint.
-func (r *Runtime) SubmitPriorityCtx(ctx context.Context, name string, cost float64, priority int, fn Body, deps ...Dep) (TaskID, error) {
-	return r.submitOne(ctx, &[1]TaskSpec{{Name: name, Cost: cost, Priority: priority, Body: fn}}, deps)
-}
-
-// SubmitBatch submits a slice of tasks in one registration pass and
-// returns their IDs in spec order. See SubmitBatchCtx.
-func (r *Runtime) SubmitBatch(specs []TaskSpec) ([]TaskID, error) {
-	return r.submitSpecs(context.Background(), specs, nil, nil)
+func (r *Runtime) SubmitPriorityCtx(ctx context.Context, name string, priority int, fn Body, deps ...Dep) (TaskID, error) {
+	return r.submitOne(ctx, &[1]TaskSpec{{Name: name, Priority: priority, Body: fn}}, deps)
 }
 
 // SubmitBatchCtx is the batched submission path: the whole slice is
 // registered under one acquisition of the dependence-tracker shards it
 // touches, and the tasks that come out ready are pushed to the scheduler
-// with a single wakeup — amortising lock traffic that per-task Submit
-// pays N times. Specs are registered in slice order, so a later spec may
+// with a single wakeup — amortising lock traffic that SubmitCtx pays N
+// times. Specs are registered in slice order, so a later spec may
 // depend on an earlier one through shared keys exactly as if the tasks
 // had been submitted one by one.
 //
@@ -144,12 +124,12 @@ func unwrapCtx(ctx context.Context) context.Context {
 	return ctx
 }
 
-// submitSpecs is the one submission path; every exported Submit variant is
-// a wrapper of it. It registers specs in slice order under one acquisition
-// of the tracker shards they touch and publishes the tasks that come out
-// ready with at most one wakeup. loneDeps, when non-nil, stands in for
-// specs[0].Deps (see submitOne); ids, when non-nil, receives the task IDs
-// instead of a fresh slice.
+// submitSpecs is the one submission path; the three exported entry points
+// are wrappers of it. It registers specs in slice order under one
+// acquisition of the tracker shards they touch and publishes the tasks
+// that come out ready with at most one wakeup. loneDeps, when non-nil,
+// stands in for specs[0].Deps (see submitOne); ids, when non-nil, receives
+// the task IDs instead of a fresh slice.
 func (r *Runtime) submitSpecs(ctx context.Context, specs []TaskSpec, loneDeps []Dep, ids []TaskID) ([]TaskID, error) {
 	n := len(specs)
 	if n == 0 {
@@ -227,7 +207,7 @@ func (r *Runtime) submitSpecs(ctx context.Context, specs []TaskSpec, loneDeps []
 			// Logged while t's shards are held: two registrations that share
 			// a key are logged in the order they were linked.
 			r.traceMu.Lock()
-			r.trace = append(r.trace, traceEntry{t.id, t.name, specs[i].Cost, slices.Clone(t.deps())})
+			r.trace = append(r.trace, traceEntry{t.id, t.name, slices.Clone(t.deps())})
 			r.traceMu.Unlock()
 		}
 		// Flight recorder: a task that stays pending gets a submit event; an
@@ -360,14 +340,12 @@ func (r *Runtime) newTask(ctx context.Context, sp *TaskSpec, deps []Dep) *task {
 	t.id = TaskID(atomic.AddInt64(&r.seq, 1) - 1)
 	t.name = sp.Name
 	atomic.StoreInt64(&t.priority, int64(sp.Priority))
-	t.run, t.arg = runPlain, noBody
+	t.run, t.arg = runBody, noBody
 	switch {
 	case sp.Run != nil:
 		t.run, t.arg = sp.Run, sp.Arg
 	case sp.Body != nil:
-		t.run, t.arg = runBody, sp.Body
-	case sp.Fn != nil:
-		t.arg = plainBody(sp.Fn)
+		t.arg = sp.Body
 	}
 	t.ctx = ctx
 	// Recycled records must not inherit a hook or fault state (complete

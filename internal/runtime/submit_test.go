@@ -20,9 +20,9 @@ func TestSubmitBatchRunsEverything(t *testing.T) {
 		var ran int64
 		specs := make([]TaskSpec, n)
 		for i := range specs {
-			specs[i] = TaskSpec{Name: "t", Cost: 1, Fn: func() { atomic.AddInt64(&ran, 1) }}
+			specs[i] = TaskSpec{Name: "t", Body: func(context.Context) error { atomic.AddInt64(&ran, 1); return nil }}
 		}
-		ids, err := r.SubmitBatch(specs)
+		ids, err := r.SubmitBatchCtx(context.Background(), specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,9 +46,9 @@ func TestSubmitBatchIntraBatchDeps(t *testing.T) {
 		const n = 150
 		specs := make([]TaskSpec, n)
 		for i := range specs {
-			specs[i] = TaskSpec{Name: "inc", Cost: 1, Fn: func() { counter++ }, Deps: []Dep{InOut("c")}}
+			specs[i] = TaskSpec{Name: "inc", Body: func(context.Context) error { counter++; return nil }, Deps: []Dep{InOut("c")}}
 		}
-		if _, err := r.SubmitBatch(specs); err != nil {
+		if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 			t.Fatal(err)
 		}
 		r.Wait()
@@ -65,18 +65,14 @@ func TestSubmitBatchHazardOrdering(t *testing.T) {
 	defer r.Shutdown()
 	var mu sync.Mutex
 	var log []string
-	rec := func(s string) func() {
-		return func() {
-			mu.Lock()
-			log = append(log, s)
-			mu.Unlock()
-		}
+	rec := func(s string) Body {
+		return func(context.Context) error { mu.Lock(); log = append(log, s); mu.Unlock(); return nil }
 	}
-	_, err := r.SubmitBatch([]TaskSpec{
-		{Name: "w1", Cost: 1, Fn: rec("w1"), Deps: []Dep{Out("k")}},
-		{Name: "r1", Cost: 1, Fn: rec("r1"), Deps: []Dep{In("k")}},
-		{Name: "r2", Cost: 1, Fn: rec("r2"), Deps: []Dep{In("k")}},
-		{Name: "w2", Cost: 1, Fn: rec("w2"), Deps: []Dep{Out("k")}},
+	_, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{
+		{Name: "w1", Body: rec("w1"), Deps: []Dep{Out("k")}},
+		{Name: "r1", Body: rec("r1"), Deps: []Dep{In("k")}},
+		{Name: "r2", Body: rec("r2"), Deps: []Dep{In("k")}},
+		{Name: "w2", Body: rec("w2"), Deps: []Dep{Out("k")}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,14 +187,14 @@ func TestSubmitBatchInteroperatesWithSubmit(t *testing.T) {
 	r := New(WithWorkers(4))
 	defer r.Shutdown()
 	x := 0
-	r.Submit("w", 1, func() { x = 41 }, Out("x"))
+	r.SubmitCtx(context.Background(), "w", func(context.Context) error { x = 41; return nil }, Out("x"))
 	got := 0
-	if _, err := r.SubmitBatch([]TaskSpec{
-		{Name: "bump", Cost: 1, Fn: func() { x++ }, Deps: []Dep{InOut("x")}},
+	if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{
+		{Name: "bump", Body: func(context.Context) error { x++; return nil }, Deps: []Dep{InOut("x")}},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r.Submit("read", 1, func() { got = x }, In("x"))
+	r.SubmitCtx(context.Background(), "read", func(context.Context) error { got = x; return nil }, In("x"))
 	r.Wait()
 	if got != 42 {
 		t.Fatalf("cross-path dependence chain read %d, want 42", got)
@@ -208,20 +204,20 @@ func TestSubmitBatchInteroperatesWithSubmit(t *testing.T) {
 func TestSubmitBatchAfterShutdown(t *testing.T) {
 	r := New(WithWorkers(2))
 	r.Shutdown()
-	if _, err := r.SubmitBatch([]TaskSpec{{Name: "late", Cost: 1, Fn: func() { t.Error("late batch ran") }}}); !errors.Is(err, ErrShutdown) {
-		t.Fatalf("SubmitBatch after Shutdown = %v, want ErrShutdown", err)
+	if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{{Name: "late", Body: func(context.Context) error { t.Error("late batch ran"); return nil }}}); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("SubmitBatchCtx after Shutdown = %v, want ErrShutdown", err)
 	}
 }
 
 func TestSubmitBatchEmptyAndNilBody(t *testing.T) {
 	r := New(WithWorkers(2))
 	defer r.Shutdown()
-	ids, err := r.SubmitBatch(nil)
+	ids, err := r.SubmitBatchCtx(context.Background(), nil)
 	if err != nil || ids != nil {
 		t.Fatalf("empty batch = (%v, %v), want (nil, nil)", ids, err)
 	}
 	// A nil-body spec is a pure synchronisation point.
-	if _, err := r.SubmitBatch([]TaskSpec{{Name: "sync", Cost: 1, Deps: []Dep{InOut("k")}}}); err != nil {
+	if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{{Name: "sync", Deps: []Dep{InOut("k")}}}); err != nil {
 		t.Fatal(err)
 	}
 	r.Wait()
@@ -232,13 +228,13 @@ func TestSubmitBatchExceedsQueueBound(t *testing.T) {
 	defer r.Shutdown()
 	specs := make([]TaskSpec, 5)
 	for i := range specs {
-		specs[i] = TaskSpec{Name: "t", Cost: 1, Fn: func() {}}
+		specs[i] = TaskSpec{Name: "t", Body: func(context.Context) error { return nil }}
 	}
-	if _, err := r.SubmitBatch(specs); err == nil || !strings.Contains(err.Error(), "queue bound") {
+	if _, err := r.SubmitBatchCtx(context.Background(), specs); err == nil || !strings.Contains(err.Error(), "queue bound") {
 		t.Fatalf("oversized batch = %v, want queue-bound error", err)
 	}
 	// A batch that fits must still go through.
-	if _, err := r.SubmitBatch(specs[:4]); err != nil {
+	if _, err := r.SubmitBatchCtx(context.Background(), specs[:4]); err != nil {
 		t.Fatal(err)
 	}
 	r.Wait()
@@ -266,10 +262,10 @@ func TestConcurrentBatchesUnderQueueBoundNoDeadlock(t *testing.T) {
 				for i := 0; i < rounds; i++ {
 					specs := make([]TaskSpec, 3) // 2×3 > bound of 4
 					for j := range specs {
-						specs[j] = TaskSpec{Name: "t", Cost: 1, Fn: func() { atomic.AddInt64(&ran, 1) }}
+						specs[j] = TaskSpec{Name: "t", Body: func(context.Context) error { atomic.AddInt64(&ran, 1); return nil }}
 					}
-					if _, err := r.SubmitBatch(specs); err != nil {
-						t.Errorf("SubmitBatch: %v", err)
+					if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
+						t.Errorf("SubmitBatchCtx: %v", err)
 						return
 					}
 				}
@@ -293,14 +289,14 @@ func TestSubmitBatchCancelledWhileBlocked(t *testing.T) {
 	defer r.Shutdown()
 	release := make(chan struct{})
 	for i := 0; i < 2; i++ {
-		if _, err := r.Submit("hold", 1, func() { <-release }); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "hold", func(context.Context) error { <-release; return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := r.SubmitBatchCtx(ctx, []TaskSpec{{Name: "a", Cost: 1}, {Name: "b", Cost: 1}})
+		_, err := r.SubmitBatchCtx(ctx, []TaskSpec{{Name: "a"}, {Name: "b"}})
 		errc <- err
 	}()
 	cancel()
@@ -324,18 +320,18 @@ func TestSubmitBatchCancelledBehindBlockedBatch(t *testing.T) {
 	unblock := func() { once.Do(func() { close(release) }) }
 	defer unblock() // before Shutdown, so a failed assertion cannot hang the drain
 	for i := 0; i < 2; i++ {
-		if _, err := r.Submit("hold", 1, func() { <-release }); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "hold", func(context.Context) error { <-release; return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var ran int32
 	specs := func(name string) []TaskSpec {
-		fn := func() { atomic.AddInt32(&ran, 1) }
-		return []TaskSpec{{Name: name, Cost: 1, Fn: fn}, {Name: name, Cost: 1, Fn: fn}}
+		fn := func(context.Context) error { atomic.AddInt32(&ran, 1); return nil }
+		return []TaskSpec{{Name: name, Body: fn}, {Name: name, Body: fn}}
 	}
 	errA := make(chan error, 1)
 	go func() {
-		_, err := r.SubmitBatch(specs("a"))
+		_, err := r.SubmitBatchCtx(context.Background(), specs("a"))
 		errA <- err
 	}()
 	// A holds the turnstile once it is inside its slot wait.
@@ -399,7 +395,7 @@ func (c *doneSpy) Done() <-chan struct{} {
 	return c.Context.Done()
 }
 
-// The four one-task entry points are wrappers of the one submission path.
+// The one-task entry points are wrappers of the one submission path.
 // Each must return its own task's ID, reject a pre-cancelled context
 // without consuming a slot, and fail with ErrShutdown after Shutdown —
 // under every scheduler.
@@ -407,22 +403,23 @@ func TestOneTaskEntryPointsThroughUnifiedPath(t *testing.T) {
 	type entry struct {
 		name string
 		// call submits one task named name recording into got; ctx is ignored
-		// by the context-free entry points.
+		// by Submit and SubmitPriority, the calls that replaced the deleted
+		// context-free entry points: the Ctx form over context.Background().
 		call func(r *Runtime, ctx context.Context, name string, got *atomic.Int64) (TaskID, error)
 		ctx  bool
 	}
 	entries := []entry{
 		{name: "Submit", call: func(r *Runtime, _ context.Context, name string, got *atomic.Int64) (TaskID, error) {
-			return r.Submit(name, 1, func() { got.Add(1) }, InOut(name))
+			return r.SubmitCtx(context.Background(), name, func(context.Context) error { got.Add(1); return nil }, InOut(name))
 		}},
 		{name: "SubmitPriority", call: func(r *Runtime, _ context.Context, name string, got *atomic.Int64) (TaskID, error) {
-			return r.SubmitPriority(name, 1, 3, func() { got.Add(1) }, InOut(name))
+			return r.SubmitPriorityCtx(context.Background(), name, 3, func(context.Context) error { got.Add(1); return nil }, InOut(name))
 		}},
 		{name: "SubmitCtx", ctx: true, call: func(r *Runtime, ctx context.Context, name string, got *atomic.Int64) (TaskID, error) {
-			return r.SubmitCtx(ctx, name, 1, func(context.Context) error { got.Add(1); return nil }, InOut(name))
+			return r.SubmitCtx(ctx, name, func(context.Context) error { got.Add(1); return nil }, InOut(name))
 		}},
 		{name: "SubmitPriorityCtx", ctx: true, call: func(r *Runtime, ctx context.Context, name string, got *atomic.Int64) (TaskID, error) {
-			return r.SubmitPriorityCtx(ctx, name, 1, 3, func(context.Context) error { got.Add(1); return nil }, InOut(name))
+			return r.SubmitPriorityCtx(ctx, name, 3, func(context.Context) error { got.Add(1); return nil }, InOut(name))
 		}},
 	}
 	eachScheduler(t, func(t *testing.T, kind SchedulerKind) {
@@ -495,11 +492,11 @@ func TestOneTaskHintedSubmissionBypassesInjector(t *testing.T) {
 	noop := func(context.Context) error { return nil }
 	const parents = 10
 	for i := 0; i < parents; i++ {
-		if _, err := r.SubmitCtx(context.Background(), "parent", 1, func(ctx context.Context) error {
-			if _, err := r.SubmitCtx(ctx, "child", 1, noop); err != nil {
+		if _, err := r.SubmitCtx(context.Background(), "parent", func(ctx context.Context) error {
+			if _, err := r.SubmitCtx(ctx, "child", noop); err != nil {
 				return err
 			}
-			if _, err := r.SubmitPriorityCtx(ctx, "child", 1, 2, noop); err != nil {
+			if _, err := r.SubmitPriorityCtx(ctx, "child", 2, noop); err != nil {
 				return err
 			}
 			if buf, inj := s.side[0].n.Load(), s.inj.n.Load(); buf != 2 || inj != 0 {
@@ -526,9 +523,9 @@ func TestSubmitBatchIDs(t *testing.T) {
 	defer r.Shutdown()
 	specs := make([]TaskSpec, 10)
 	for i := range specs {
-		specs[i] = TaskSpec{Name: "t", Cost: 1}
+		specs[i] = TaskSpec{Name: "t"}
 	}
-	ids, err := r.SubmitBatch(specs)
+	ids, err := r.SubmitBatchCtx(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}

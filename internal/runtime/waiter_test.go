@@ -24,7 +24,7 @@ func TestCompleteAfterRules(t *testing.T) {
 	}
 	var kept context.Context
 	got := map[string]bool{}
-	if _, err := r.SubmitBatch([]TaskSpec{{
+	if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{{
 		Name: "asks",
 		Body: func(ctx context.Context) error {
 			kept = ctx
@@ -78,11 +78,11 @@ func TestParkedTaskFreesItsWorker(t *testing.T) {
 	defer r.Shutdown()
 	var parkedDone, succStart atomic.Int64
 	start := time.Now()
-	if _, err := r.SubmitBatch([]TaskSpec{
+	if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{
 		{Name: "parked", Body: parkFor(wait), Deps: []Dep{Out("k")},
 			OnDone: func(error) { parkedDone.Store(time.Now().UnixNano()) }},
 		{Name: "successor", Deps: []Dep{In("k")},
-			Fn: func() { succStart.Store(time.Now().UnixNano()) }},
+			Body: func(context.Context) error { succStart.Store(time.Now().UnixNano()); return nil }},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestParkedTaskFreesItsWorker(t *testing.T) {
 		t.Errorf("Backlog %d while the task is parked, want 2 (it and its successor)", b)
 	}
 	ran := make(chan struct{})
-	if _, err := r.Submit("beside", 1, func() { close(ran) }); err != nil {
+	if _, err := r.SubmitCtx(context.Background(), "beside", func(context.Context) error { close(ran); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	<-ran
@@ -153,7 +153,7 @@ func TestParkedCompletionAllocFree(t *testing.T) {
 		defer r.Shutdown()
 		body := parkFor(time.Microsecond)
 		run := func() {
-			if _, err := r.SubmitCtx(context.Background(), "parked", 1, body); err != nil {
+			if _, err := r.SubmitCtx(context.Background(), "parked", body); err != nil {
 				t.Fatal(err)
 			}
 			r.Wait()
@@ -215,7 +215,7 @@ func TestWaitersBounded(t *testing.T) {
 	for i := range specs {
 		specs[i] = TaskSpec{Name: "parked", Body: parkFor(20 * time.Millisecond)}
 	}
-	if _, err := r.SubmitBatch(specs); err != nil {
+	if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	r.Wait()
@@ -278,7 +278,7 @@ func TestFlightParkedTasksClean(t *testing.T) {
 			for j := 0; j < 4; j++ {
 				specs = append(specs, TaskSpec{Name: "fan", Body: parkFor(50 * time.Microsecond), Deps: []Dep{In("chain")}})
 			}
-			if _, err := r.SubmitBatch(specs); err != nil {
+			if _, err := r.SubmitBatchCtx(context.Background(), specs); err != nil {
 				t.Fatal(err)
 			}
 		}

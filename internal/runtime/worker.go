@@ -158,7 +158,7 @@ func (w *workerState) runFaultyAttempt(t *task, poison error) (taskEnd, bool) {
 		return w.skipCancelled(err), true
 	}
 	pc := w.bodyCtx(t)
-	if t.attempt > 0 && pc != nil {
+	if t.attempt > 0 {
 		// Retried attempts are rare and must surface their attempt count
 		// through TaskPlacement: a fresh uncached wrapper keeps the shared
 		// cached wrappers (and the fault-free path's zero-allocation
@@ -198,12 +198,9 @@ func (w *workerState) skipCancelled(err error) taskEnd {
 	return taskEnd{err: err}
 }
 
-// bodyCtx returns the placement wrapper a context-aware body receives (nil
-// for a plain-function body, which takes no context).
+// bodyCtx returns the placement wrapper a body receives.
 func (w *workerState) bodyCtx(t *task) context.Context {
-	switch _, plain := t.arg.(plainBody); {
-	case plain:
-		return nil
+	switch {
 	case t.ctx == context.Background():
 		// Release the cached request-scoped context: a worker must not pin
 		// a dead request's values past the next Background-context dispatch.
@@ -310,11 +307,7 @@ func execBody(name string, run func(context.Context, any) error, arg any, pc con
 // returns) and is collected whenever the body honours the cancellation or
 // returns.
 func (r *Runtime) runWithDeadline(t *task, pc context.Context) error {
-	base := pc
-	if base == nil {
-		base = t.ctx
-	}
-	dctx, cancel := context.WithTimeout(base, t.deadline)
+	dctx, cancel := context.WithTimeout(pc, t.deadline)
 	// The alarm, armed now and released on return, wakes an idle process
 	// for the context's timer. It is the attempt's, so it goes back when
 	// the attempt settles, not when an abandoned body returns.
@@ -329,7 +322,7 @@ func (r *Runtime) runWithDeadline(t *task, pc context.Context) error {
 	// done, racing the watchdog arm; normalise both paths to the same
 	// verdict so classification never depends on which select arm wins.
 	verdict := func(err error) error {
-		if err != nil && errors.Is(err, context.DeadlineExceeded) && base.Err() == nil {
+		if err != nil && errors.Is(err, context.DeadlineExceeded) && pc.Err() == nil {
 			return &DeadlineError{TaskName: name, Limit: t.deadline}
 		}
 		return err
@@ -344,7 +337,7 @@ func (r *Runtime) runWithDeadline(t *task, pc context.Context) error {
 			return verdict(err)
 		default:
 		}
-		if err := base.Err(); err != nil {
+		if err := pc.Err(); err != nil {
 			// The submission context died, not the deadline: classify as a
 			// plain cancellation, like the pre-start skip path would.
 			return err

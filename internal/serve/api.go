@@ -122,8 +122,6 @@ type TaskRequest struct {
 	Op string `json:"op"`
 	// Amount parameterises the op (spin iterations, sleep nanoseconds).
 	Amount int64 `json:"amount,omitempty"`
-	// Cost is the abstract work estimate for criticality analysis.
-	Cost float64 `json:"cost,omitempty"`
 	// Deps are the task's dependence annotations.
 	Deps []DepRequest `json:"deps,omitempty"`
 	// Retry is the task's optional retry policy.

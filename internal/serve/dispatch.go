@@ -211,7 +211,6 @@ func (s *Server) lower(j *job, req *wireGraph, hint int) []runtime.TaskSpec {
 		}
 		spec := &specs[i]
 		spec.Name = string(tr.Name)
-		spec.Cost = tr.Cost
 		spec.Priority = hint
 		spec.Run, spec.Arg = runTask, a
 		spec.Deps = deps[first:len(deps):len(deps)]

@@ -45,7 +45,6 @@ type wireTask struct {
 	Name       wireStr    `json:"name"`
 	Op         wireStr    `json:"op"`
 	Amount     int64      `json:"amount"`
-	Cost       float64    `json:"cost"`
 	Deps       []wireDep  `json:"deps"`
 	Retry      *RetrySpec `json:"retry"`
 	DeadlineMS int64      `json:"deadline_ms"`

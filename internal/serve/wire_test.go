@@ -58,7 +58,7 @@ func parentCheck(s *Server, body []byte, tenant string) (*GraphRequest, error) {
 func wireOf(g *GraphRequest) *wireGraph {
 	w := &wireGraph{Tenant: wireStr(g.Tenant), Lane: wireStr(g.Lane), OnFailure: wireStr(g.OnFailure)}
 	for _, t := range g.Tasks {
-		wt := wireTask{Name: wireStr(t.Name), Op: wireStr(t.Op), Amount: t.Amount, Cost: t.Cost, Retry: t.Retry, DeadlineMS: t.DeadlineMS}
+		wt := wireTask{Name: wireStr(t.Name), Op: wireStr(t.Op), Amount: t.Amount, Retry: t.Retry, DeadlineMS: t.DeadlineMS}
 		for _, d := range t.Deps {
 			wt.Deps = append(wt.Deps, wireDep{Key: wireStr(d.Key), Mode: wireStr(d.Mode)})
 		}
@@ -75,7 +75,6 @@ type loweredTask struct {
 	Op       string
 	Amount   int64
 	Name     string
-	Cost     float64
 	Retry    runtime.RetryPolicy
 	Deadline time.Duration
 	Deps     []loweredDep
@@ -93,7 +92,7 @@ func lowered(s *Server, g *wireGraph) []loweredTask {
 	first := map[any]int{}
 	out := make([]loweredTask, len(specs))
 	for i, sp := range specs {
-		out[i] = loweredTask{Op: string(g.Tasks[i].Op), Amount: sp.Arg.(*taskArg).amount, Name: sp.Name, Cost: sp.Cost, Retry: sp.Retry, Deadline: sp.Deadline}
+		out[i] = loweredTask{Op: string(g.Tasks[i].Op), Amount: sp.Arg.(*taskArg).amount, Name: sp.Name, Retry: sp.Retry, Deadline: sp.Deadline}
 		for _, d := range sp.Deps {
 			if _, ok := first[d.Key]; !ok {
 				first[d.Key] = len(first)
@@ -274,6 +273,9 @@ var hygieneSeeds = [][2]string{
 		`{"tasks":[{"op":"x"},{"op":"y"},{"op":"z"}]}`},
 	{`{"tasks":[{"op":"noop","deps":[{"key":"k","mode":"in"}]}]}`, `{"tasks":[{"op":"noop","deps":null}]}`},
 	{`{"tasks":[{"op":"noop","cost":2.5}]}`, `{"tasks":[]}`},
+	// "cost" is no member of the wire form: whatever it holds, even a
+	// string, is skipped, and the task lowers as if it were absent.
+	{`{"tasks":[{"op":"noop"}]}`, `{"tasks":[{"op":"noop","cost":"x"}]}`},
 	{`{"tasks":[{"op":"noop","name":"n"}`, `{"tenant":"t"}`},
 	// Escaped and non-ASCII strings: one key spelled two ways is one key,
 	// and an op that is not ASCII, or not UTF-8, is named as a string

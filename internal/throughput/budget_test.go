@@ -123,7 +123,7 @@ func submitRandomDAG(ctx context.Context, rt *runtime.Runtime, n int, body runti
 					deps[j] = runtime.InOut(key)
 				}
 			}
-			specs = append(specs, runtime.TaskSpec{Name: "t", Cost: 1, Body: body, Deps: deps})
+			specs = append(specs, runtime.TaskSpec{Name: "t", Body: body, Deps: deps})
 		}
 		if _, err := rt.SubmitBatchCtx(ctx, specs); err != nil {
 			return err

@@ -300,7 +300,7 @@ func submitAdaptiveSegment(ctx context.Context, rt *runtime.Runtime, mode, name 
 	}
 	specs := make([]runtime.TaskSpec, n)
 	for i := range specs {
-		specs[i] = runtime.TaskSpec{Name: name, Cost: 1, Body: body, Deps: deps}
+		specs[i] = runtime.TaskSpec{Name: name, Body: body, Deps: deps}
 	}
 	return submitSpecs(ctx, rt, mode, specs)
 }
@@ -315,7 +315,7 @@ func submitChains(ctx context.Context, rt *runtime.Runtime, mode string, n int, 
 		specs = specs[:0]
 		for c := 0; c < len(bodies) && submitted+len(specs) < n; c++ {
 			specs = append(specs, runtime.TaskSpec{
-				Name: "link", Cost: 1, Body: bodies[c],
+				Name: "link", Body: bodies[c],
 				Deps: []runtime.Dep{runtime.InOut(int64(c))},
 			})
 		}
@@ -450,7 +450,7 @@ func submitChaos(ctx context.Context, rt *runtime.Runtime, mode string, n int, i
 	}
 	for i := 0; i < n; i++ {
 		sp := runtime.TaskSpec{
-			Name: "c", Cost: 1,
+			Name:  "c",
 			Body:  inj.Wrap(uint64(i), base),
 			Retry: runtime.RetryPolicy{Max: chaosRetryMax, Backoff: chaosBackoff, MaxBackoff: chaosMaxBackoff},
 		}

@@ -7,7 +7,7 @@
 // (Point.CritOnFast); locality, adaptive and chaos are paired comparisons
 // (locality on/off, static arms against the adaptive controller, a fault
 // load against a clean run). Each is swept over scheduler × submission mode
-// (per-task Submit vs SubmitBatch) at the runtime's default shard count.
+// (per-task SubmitPriorityCtx vs SubmitBatchCtx) at the runtime's default shard count.
 // Dependence shapes, producer counts and the shard axis are not swept here:
 // the repo benchmark's per-layer arms and the root benchmarks price them
 // (DESIGN.md § Testing has the number → where-measured table).
@@ -136,8 +136,8 @@ type Config struct {
 	Tasks int `json:"tasks"`
 	// Workers is the pool size.
 	Workers int `json:"workers"`
-	// Batch, when > 1, additionally measures SubmitBatch in chunks of
-	// this size alongside the per-task Submit mode.
+	// Batch, when > 1, additionally measures SubmitBatchCtx in chunks of
+	// this size alongside the per-task mode.
 	Batch int `json:"batch"`
 	// Grain is the spin-work iterations per task body (0 = empty body).
 	// ScenarioAdaptive ignores it: its verdict is only meaningful at the
@@ -174,7 +174,7 @@ type Config struct {
 type Point struct {
 	Scenario  string
 	Scheduler string
-	// Mode is "single" (per-task Submit) or "batch" (SubmitBatch).
+	// Mode is "single" (per-task SubmitPriorityCtx) or "batch" (SubmitBatchCtx).
 	Mode  string
 	Tasks int
 	// Elapsed covers submission through Wait.
@@ -465,12 +465,12 @@ func heteroWorkload(ctx context.Context, mode string, cfg Config) (submit func(*
 			}
 			specs := make([]runtime.TaskSpec, 0, fan+1)
 			specs = append(specs, runtime.TaskSpec{
-				Name: "chain", Cost: 1, Priority: groups - g, Body: chainBody,
+				Name: "chain", Priority: groups - g, Body: chainBody,
 				Deps: []runtime.Dep{runtime.InOut("chain"), runtime.Out(int64(g))},
 			})
 			for f := 0; f < fan; f++ {
 				specs = append(specs, runtime.TaskSpec{
-					Name: "fan", Cost: 1, Body: body,
+					Name: "fan", Body: body,
 					Deps: []runtime.Dep{runtime.In(int64(g))},
 				})
 			}
@@ -490,7 +490,7 @@ func heteroWorkload(ctx context.Context, mode string, cfg Config) (submit func(*
 	return submit, critOnFast
 }
 
-// submitSpecs submits specs as one SubmitBatch or one task at a time,
+// submitSpecs submits specs as one SubmitBatchCtx or one task at a time,
 // according to mode.
 func submitSpecs(ctx context.Context, rt *runtime.Runtime, mode string, specs []runtime.TaskSpec) error {
 	if mode == "batch" {
@@ -498,7 +498,7 @@ func submitSpecs(ctx context.Context, rt *runtime.Runtime, mode string, specs []
 		return err
 	}
 	for _, sp := range specs {
-		if _, err := rt.SubmitPriorityCtx(ctx, sp.Name, sp.Cost, sp.Priority, sp.Body, sp.Deps...); err != nil {
+		if _, err := rt.SubmitPriorityCtx(ctx, sp.Name, sp.Priority, sp.Body, sp.Deps...); err != nil {
 			return err
 		}
 	}

@@ -30,6 +30,11 @@ import (
 //   - every backticked span that is exactly one lower-camelCase identifier
 //     (markReady, stealScheduler) must be declared somewhere in the module:
 //     a top-level name, a method, a field or an interface method;
+//   - so must every backticked span that is exactly one exported name of
+//     two or more capitalised words (SubmitBatchCtx, KindAdapt), or else
+//     be exported by a standard-library package (MemStats); an acronym
+//     word (ServeHTTP, or VmHWM, a /proc field) keeps a name out of the
+//     rule;
 //   - every path.go:N must name a module file at least N lines long.
 //
 // A name followed by … or * is a pattern, not a reference. A dotted name
@@ -44,6 +49,7 @@ var (
 	testName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)\w*`)
 	dotted   = regexp.MustCompile(`[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+`)
 	camel    = regexp.MustCompile(`^[a-z]+[A-Z]\w*$`)
+	exported = regexp.MustCompile(`^(?:[A-Z][a-z0-9]+){2,}$`)
 	fileLine = regexp.MustCompile(`([\w./-]+\.go):(\d+)(?:[–-](\d+))?`)
 )
 
@@ -166,9 +172,13 @@ type index struct {
 	files   []string            // module files, slash-separated and relative to root
 	metrics []string            // names BENCHMARK.json declares
 	// std holds standard-library packages by name, parsed on first use;
-	// stdDirs maps a package name to the GOROOT directories that bear it.
+	// stdDirs maps a package name to the GOROOT directories that bear it
+	// (see stdPkgDirs).
 	std     map[string][]*decls
 	stdDirs map[string][]string
+	// stdNames is every name the standard library declares, members
+	// included, built on the first bare exported name the module lacks.
+	stdNames map[string]bool
 }
 
 // moduleRoot walks up from dir to the directory holding go.mod.
@@ -289,12 +299,9 @@ func (ix *index) metric(name string) bool {
 	return false
 }
 
-// stdPkgs returns the standard-library packages named name, parsing them
-// on first use.
-func (ix *index) stdPkgs(name string) []*decls {
-	if ds, ok := ix.std[name]; ok {
-		return ds
-	}
+// stdPkgDirs maps each standard-library package name to the GOROOT
+// directories that bear it, listed on first use.
+func (ix *index) stdPkgDirs() map[string][]string {
 	if ix.stdDirs == nil {
 		ix.stdDirs = map[string][]string{}
 		src := filepath.Join(build.Default.GOROOT, "src")
@@ -311,9 +318,18 @@ func (ix *index) stdPkgs(name string) []*decls {
 			return nil
 		})
 	}
+	return ix.stdDirs
+}
+
+// stdPkgs returns the standard-library packages named name, parsing them
+// on first use.
+func (ix *index) stdPkgs(name string) []*decls {
+	if ds, ok := ix.std[name]; ok {
+		return ds
+	}
 	var ds []*decls
 	fset := token.NewFileSet()
-	for _, dir := range ix.stdDirs[name] {
+	for _, dir := range ix.stdPkgDirs()[name] {
 		d := newDecls()
 		entries, _ := os.ReadDir(dir)
 		for _, e := range entries {
@@ -329,6 +345,27 @@ func (ix *index) stdPkgs(name string) []*decls {
 	}
 	ix.std[name] = ds
 	return ds
+}
+
+// inStd reports whether some standard-library package declares name, as a
+// top-level name or a member.
+func (ix *index) inStd(name string) bool {
+	if ix.stdNames == nil {
+		ix.stdNames = map[string]bool{}
+		for pkg := range ix.stdPkgDirs() {
+			for _, d := range ix.stdPkgs(pkg) {
+				for n := range d.idents {
+					ix.stdNames[n] = true
+				}
+				for _, ms := range d.members {
+					for n := range ms {
+						ix.stdNames[n] = true
+					}
+				}
+			}
+		}
+	}
+	return ix.stdNames[name]
 }
 
 // resolve checks one dotted name, returning "" when it resolves or is not
@@ -420,8 +457,12 @@ func (ix *index) checkDoc(name string, text []byte) []string {
 	}
 	for _, sp := range span.FindAllIndex(text, -1) {
 		body := text[sp[0]:sp[1]]
-		if id := string(body[1 : len(body)-1]); camel.MatchString(id) && !pattern(sp[1]) && !ix.names[id] {
+		switch id := string(body[1 : len(body)-1]); {
+		case pattern(sp[1]) || ix.names[id] || testName.FindString(id) == id: // a test has its own rule
+		case camel.MatchString(id):
 			report(sp[0], fmt.Sprintf("%s: nothing in the module declares it", id))
+		case exported.MatchString(id) && !ix.inStd(id):
+			report(sp[0], fmt.Sprintf("%s: nothing in the module or the standard library declares it", id))
 		}
 		for _, m := range testName.FindAllIndex(body, -1) {
 			if t := string(body[m[0]:m[1]]); !pattern(sp[0]+m[1]) && !ix.tests[t] {

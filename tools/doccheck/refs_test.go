@@ -85,6 +85,17 @@ func TestUnexportedNamesResolve(t *testing.T) {
 	})
 }
 
+// A bare exported name of two or more capitalised words must be declared
+// in the module or exported by the standard library; a name with an
+// acronym word is not checked.
+func TestExportedNamesResolve(t *testing.T) {
+	runRefCases(t, []refCase{
+		{"batches went through `Submit" + "Batch`", "Submit" + "Batch: nothing in the module or the standard library declares it"},
+		{"the `Runtime" + "Shards` count", "doc.md:1: Runtime" + "Shards"},
+		{"`SubmitBatchCtx`, `KindAdapt`, `MemStats`, `ResponseWriter`, `ServeHTTP`, `VmHWM`, `FIFO`, `Submit" + "Batch`…", ""},
+	})
+}
+
 func TestFileLinesResolve(t *testing.T) {
 	runRefCases(t, []refCase{
 		{"see `internal/alarm/alarm.go:100000`", "internal/alarm/alarm.go:100000: the file has"},
