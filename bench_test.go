@@ -166,12 +166,17 @@ func BenchmarkDispatchStealFan(b *testing.B) {
 
 // BenchmarkStatsInto measures the monitoring read path the adaptive
 // controller and external pollers share: one coherent Stats snapshot of a
-// live pool, taken into a caller-owned buffer. CI's alloc-budget gate
-// holds this at zero allocs/op — an observer that allocates on every
-// sample would perturb the zero-alloc steady state it is watching.
+// live pool, taken into a caller-owned buffer. The pool has two classes,
+// so a controller runs and its counters are on the path. CI's
+// alloc-budget gate holds this at zero allocs/op — an observer that
+// allocates on every sample would perturb the zero-alloc steady state it
+// is watching.
 func BenchmarkStatsInto(b *testing.B) {
 	rt := runtime.New(
-		runtime.WithWorkers(4),
+		runtime.WithWorkerClasses(
+			runtime.WorkerClass{Name: "fast", Count: 2, Speed: 1},
+			runtime.WorkerClass{Name: "slow", Count: 2, Speed: 0.5},
+		),
 		runtime.WithAdaptive(runtime.AdaptiveOptions{}),
 	)
 	defer rt.Shutdown()

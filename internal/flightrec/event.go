@@ -41,8 +41,7 @@ const (
 	_
 	// KindAdapt: the adaptive controller applied one policy decision — a
 	// timeline marker, no invariant rests on it. Arg is the queued-task
-	// count the rule saw, Arg2 a PackAdapt word (rule identifier plus old
-	// and new setting).
+	// count the rule saw, Arg2 the active-class mask it installed.
 	KindAdapt
 	// KindMarker: a request-scoped timeline marker recorded by a layer
 	// above the runtime (the serve front end stamps one per job phase
@@ -230,31 +229,4 @@ func PackRetry(attempt, max int) uint64 {
 func RetryInfo(arg2 uint64) (attempt, max int) {
 	return int((arg2 >> faultAttemptShift) & faultAttemptMask),
 		int((arg2 >> retryMaxShift) & faultAttemptMask)
-}
-
-// AdaptClassMask is the adaptive-controller rule identifier carried in
-// KindAdapt events: the active worker-class set changed (old/new are the
-// masks). It is the only rule the controller has; the code stays 2 — codes
-// 1, 3 and 4 belonged to the deleted window, crit-first and refill rules —
-// so dumps recorded before the deletion still decode.
-const AdaptClassMask uint8 = 2
-
-// Adapt Arg2 layout: rule in the low byte, then two 28-bit settings.
-const (
-	adaptOldShift   = 8
-	adaptNewShift   = 36
-	maxAdaptSetting = 0xfffffff
-)
-
-// PackAdapt encodes one applied decision into Event.Arg2: which rule
-// fired and the setting's old and new values (28 bits each — a class mask
-// fits; larger values saturate).
-func PackAdapt(rule uint8, old, new uint64) uint64 {
-	if old > maxAdaptSetting {
-		old = maxAdaptSetting
-	}
-	if new > maxAdaptSetting {
-		new = maxAdaptSetting
-	}
-	return uint64(rule) | old<<adaptOldShift | new<<adaptNewShift
 }

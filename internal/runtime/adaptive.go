@@ -35,11 +35,13 @@ const (
 // class while the pool is effectively serial and widens it back when
 // there is work for everyone (see proposePolicy). Every applied decision
 // is recorded as a flight-recorder adapt event (a timeline marker carrying
-// the queued-task count the rule saw) and summarised in Stats.Adaptive;
-// samples that change nothing record nothing, so an idle controller never
-// laps the recorder's submit-path history. It composes with every
-// scheduler, and needs WithWorkerClasses to have anything to decide: on a
-// homogeneous pool the controller samples and never acts.
+// the queued-task count the rule saw and the mask it installed) and
+// summarised in Stats.Adaptive; samples that change nothing record
+// nothing, so an idle controller never laps the recorder's submit-path
+// history. The controller acts through WorkSteal's class gate and needs
+// two or more worker classes (WithWorkerClasses) to have anything to
+// decide: under FIFO or CATS, or on a homogeneous pool, the option starts
+// no controller and Stats.Adaptive.Enabled reads false.
 func WithAdaptive(opts AdaptiveOptions) Option {
 	return func(o *options) { o.adaptive = &opts }
 }
@@ -47,14 +49,15 @@ func WithAdaptive(opts AdaptiveOptions) Option {
 // AdaptiveStats is the Stats.Adaptive snapshot. Scalars only, so
 // StatsInto stays allocation-free.
 type AdaptiveStats struct {
-	// Enabled reports whether the runtime runs an adaptive controller.
+	// Enabled reports whether the runtime runs an adaptive controller
+	// (WithAdaptive on a WorkSteal pool of two or more classes).
 	Enabled bool
 	// Samples is the number of queued-task readings the controller has
 	// taken; Decisions the number of class-mask changes it applied.
 	Samples   uint64
 	Decisions uint64
-	// ActiveClasses is the class mask as of this snapshot (live even
-	// without WithAdaptive — it then holds every class).
+	// ActiveClasses is the class mask as of this snapshot: every class's
+	// bit unless a controller runs and has narrowed it.
 	ActiveClasses uint64
 }
 
@@ -83,13 +86,12 @@ func proposePolicy(pending int64, fullMask uint64, workers int) uint64 {
 
 // adaptiveController is the monitor→reason→adapt loop. One goroutine
 // (run) owns everything except the atomic counters StatsInto reads; the
-// mask it writes is the schedulers' cached atomic, so adaptation never
-// takes a scheduler lock on the dispatch path.
+// mask it writes is WorkSteal's cached atomic, so adaptation never takes
+// a scheduler lock on the dispatch path.
 type adaptiveController struct {
 	opts    AdaptiveOptions
 	workers int
-	pol     *policyWords
-	sched   scheduler
+	sched   *stealScheduler
 	rec     *flightrec.Recorder
 
 	stop chan struct{}
@@ -107,9 +109,8 @@ type adaptiveController struct {
 }
 
 // newAdaptiveController resolves the options and wires the controller to
-// the runtime's policy, scheduler, and recorder. The caller
-// starts run().
-func newAdaptiveController(r *Runtime, opts AdaptiveOptions) *adaptiveController {
+// the runtime's scheduler s and recorder. The caller starts run().
+func newAdaptiveController(r *Runtime, s *stealScheduler, opts AdaptiveOptions) *adaptiveController {
 	if opts.Period <= 0 {
 		opts.Period = defaultAdaptivePeriod
 	}
@@ -119,8 +120,7 @@ func newAdaptiveController(r *Runtime, opts AdaptiveOptions) *adaptiveController
 	return &adaptiveController{
 		opts:    opts,
 		workers: r.opts.workers,
-		pol:     r.pol,
-		sched:   r.sched,
+		sched:   s,
 		rec:     r.rec,
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -153,11 +153,12 @@ func (c *adaptiveController) step() {
 // revise is the reason→adapt half of one cycle, split from step so tests
 // can drive it with synthetic samples: compute the proposal, update the
 // hysteresis streak, and once the proposal has held for Hysteresis
-// consecutive samples install it, notify gate-parked workers, and record
-// the adapt event carrying the pending count the rule saw.
+// consecutive samples install it (which wakes gate-parked workers) and
+// record the adapt event carrying the pending count the rule saw and the
+// new mask.
 func (c *adaptiveController) revise(pending int64) {
-	cur := c.pol.classMask.Load()
-	next := proposePolicy(pending, c.pol.fullMask, c.workers)
+	cur := c.sched.classMask.Load()
+	next := proposePolicy(pending, c.sched.fullMask, c.workers)
 	if next == 0 || next == cur {
 		// No proposal (or already there): the phase did not hold, so the
 		// pending streak dies.
@@ -169,12 +170,10 @@ func (c *adaptiveController) revise(pending int64) {
 		return
 	}
 	c.streak = 0
-	c.pol.setClassMask(next)
+	c.sched.setClassMask(next)
 	c.decisions.Add(1)
-	c.sched.policyChanged()
 	if c.rec != nil {
-		c.rec.RecordExternal(flightrec.KindAdapt, 0, uint64(pending),
-			flightrec.PackAdapt(flightrec.AdaptClassMask, cur, next))
+		c.rec.RecordExternal(flightrec.KindAdapt, 0, uint64(pending), next)
 	}
 }
 

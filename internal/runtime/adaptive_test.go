@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -52,16 +51,15 @@ func TestAdaptiveHysteresisPreventsFlapping(t *testing.T) {
 	c := &adaptiveController{
 		opts:    AdaptiveOptions{Period: time.Millisecond, Hysteresis: 2},
 		workers: 4,
-		pol:     newPolicyWords(2),
-		sched:   newTestFIFO(4),
+		sched:   newTestSteal(classLayout{workers: 4, fastN: 1, classOf: []int{0, 1, 1, 1}}, 0),
 	}
-	full := c.pol.fullMask
+	full := c.sched.fullMask
 	const narrow, neutral = 1, 2 // pending counts proposing fast-only / nothing
 	for i := 0; i < 10; i++ {
 		c.revise(narrow)
 		c.revise(neutral)
 	}
-	if got := c.pol.classMask.Load(); got != full {
+	if got := c.sched.classMask.Load(); got != full {
 		t.Fatalf("mask %b after flapping proposals, want untouched %b", got, full)
 	}
 	if n := c.decisions.Load(); n != 0 {
@@ -70,7 +68,7 @@ func TestAdaptiveHysteresisPreventsFlapping(t *testing.T) {
 
 	c.revise(narrow)
 	c.revise(narrow)
-	if got := c.pol.classMask.Load(); got != 1 {
+	if got := c.sched.classMask.Load(); got != 1 {
 		t.Fatalf("mask %b after a held serial phase, want fast-only 1", got)
 	}
 	if n := c.decisions.Load(); n != 1 {
@@ -199,7 +197,7 @@ func TestAdaptiveStableUnderConstantLoad(t *testing.T) {
 			}
 			// Attached from the goroutine that also reads it (StatsInto,
 			// Shutdown), so the late assignment is not a race.
-			r.ctrl = newAdaptiveController(r, AdaptiveOptions{Period: 100 * time.Microsecond})
+			r.ctrl = newAdaptiveController(r, r.sched.(*stealScheduler), AdaptiveOptions{Period: 100 * time.Microsecond})
 			go r.ctrl.run()
 			var st Stats
 			deadline := time.Now().Add(30 * time.Second)
@@ -267,12 +265,13 @@ func TestSamplerLeavesSubmitHistory(t *testing.T) {
 		t.Errorf("after %d idle controller samples the first submit-path ready is gone from Snapshot()", st.Adaptive.Samples)
 	}
 	// The idle pool narrows to the fast class once and stays there: that
-	// decision is on the timeline with the queued count the rule saw.
+	// decision is on the timeline with the queued count the rule saw and
+	// the mask it installed.
 	if uint64(len(adapts)) != st.Adaptive.Decisions || len(adapts) == 0 {
 		t.Fatalf("%d adapt events for %d decisions, want equal and non-zero", len(adapts), st.Adaptive.Decisions)
 	}
-	if e := adapts[0]; e.Arg > 1 || e.Arg2 != flightrec.PackAdapt(flightrec.AdaptClassMask, 3, 1) {
-		t.Errorf("first adapt event: pending %d, word %#x; want pending ≤ 1 and the 3→1 class-mask word", e.Arg, e.Arg2)
+	if e := adapts[0]; e.Arg > 1 || e.Arg2 != 1 {
+		t.Errorf("first adapt event: pending %d, mask %b; want pending ≤ 1 and the fast-class mask 1", e.Arg, e.Arg2)
 	}
 }
 
@@ -295,55 +294,45 @@ func TestShutdownRacesControllerTick(t *testing.T) {
 	}
 }
 
-// A worker parked at the class gate must never strand work: whatever sits
-// in its deque or submit buffer when the gate closes has to be handed off
-// to active-class workers, and a lot wake it absorbed on the way to the
-// gate has to be passed along. This drives serialised chains (whose links
-// hand off owner-locally, the shape that can strand) under continuous
-// class-mask churn; a lost task or wake hangs WaitCtx and fails the test.
+// A lot wake that lands on a gated worker must be passed on — the relay
+// at the top of stealScheduler.pop's class gate. One fast and one slow
+// worker park on the lot in that order (slow first), the mask narrows to
+// the fast class, and one task is pushed: sync.Cond wakes in FIFO order, so
+// the push's signal reaches the slow worker first. Without the relay the
+// wake dies at the gate and the task strands with the fast worker asleep.
 func TestClassGateLivenessUnderMaskChurn(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	for iter := 0; iter < 10; iter++ {
-		r := New(heteroAdaptiveClasses())
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			narrow := true
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if narrow {
-					r.pol.setClassMask(1)
-				} else {
-					r.pol.setClassMask(r.pol.fullMask)
-				}
-				narrow = !narrow
-				r.sched.policyChanged()
-				time.Sleep(50 * time.Microsecond)
-			}
-		}()
-		for i := 0; i < 300; i++ {
-			if _, err := r.SubmitCtx(context.Background(), "link", func(context.Context) error { return nil }, InOut("chain")); err != nil {
-				t.Fatal(err)
-			}
-			if i%3 == 0 {
-				if _, err := r.SubmitCtx(context.Background(), "fan", func(context.Context) error { return nil }); err != nil {
-					t.Fatal(err)
-				}
-			}
+	r := New(WithWorkerClasses(
+		WorkerClass{Name: "fast", Count: 1, Speed: 1},
+		WorkerClass{Name: "slow", Count: 1, Speed: 0.5},
+	)) // worker 0 fast, 1 slow
+	s := r.sched.(*stealScheduler)
+	release := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var started atomic.Int32
+	for i := 0; i < 2; i++ {
+		// Each body holds its worker, so the two land on different ones.
+		if _, err := r.SubmitCtx(context.Background(), "hold", func(ctx context.Context) error {
+			p, _ := TaskPlacement(ctx)
+			started.Add(1)
+			<-release[p.Worker]
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		err := r.WaitCtx(ctx)
-		close(stop)
-		wg.Wait()
-		if err != nil {
-			t.Fatalf("iter %d: wait hung under class-mask churn: %v", iter, err)
-		}
-		r.Shutdown()
 	}
+	waitFor(t, 5*time.Second, func() bool { return started.Load() == 2 }, "both workers to be inside a body")
+	close(release[1])
+	waitFor(t, 5*time.Second, func() bool { return s.parked.Load() == 1 }, "the slow worker to park")
+	close(release[0])
+	waitFor(t, 5*time.Second, func() bool { return s.parked.Load() == 2 }, "the fast worker to park behind it")
+	s.setClassMask(1)
+	if _, err := r.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := r.WaitCtx(ctx); err != nil {
+		// The pool is left running: Shutdown would wait for the task too.
+		t.Fatalf("the wake died at the class gate: %v with %d tasks outstanding", err, r.Backlog())
+	}
+	r.Shutdown()
 }

@@ -144,28 +144,28 @@
 //	               complete, and the fault paths (retry, deadline, poison)
 //	signals.go     the per-worker counter block and the cross-cutting
 //	               counters StatsInto groups at read time
-//	adaptive.go, policy.go
-//	               the controller and the class mask it rewrites
+//	adaptive.go    the controller, which rewrites WorkSteal's class mask
 //	runtime.go     types, construction, Wait, Shutdown, Stats, Graph
 //
 // # Adaptive control
 //
-// WithAdaptive closes one loop over a heterogeneous pool — the paper's
-// runtime that observes its task graph and decides which cores run it. A
-// background controller reads the scheduler's queued-task count every
-// AdaptiveOptions.Period and runs one pure rule on it: a serial phase
-// (at most one task queued) narrows the active-class mask to the fast
-// class — slow workers gate-park until the mask widens — and work for
-// every worker widens it back. The mask changes only after the proposal
-// has held for Hysteresis consecutive samples, every applied decision is
-// recorded in the flight recorder as a timeline marker (KindAdapt, carrying
-// the queued count the rule saw; a tick that changes nothing records
+// WithAdaptive closes one loop over a heterogeneous WorkSteal pool — the
+// paper's runtime that observes its task graph and decides which cores run
+// it; under FIFO or CATS, or on one class, it starts nothing. A background
+// controller reads the scheduler's queued-task count every
+// AdaptiveOptions.Period and runs one pure rule on it: a serial phase (at
+// most one task queued) narrows the active-class mask to the fast class —
+// slow workers gate-park until the mask widens — and work for every worker
+// widens it back. The mask changes only after the proposal has held for
+// Hysteresis consecutive samples, every applied decision is recorded in
+// the flight recorder as a timeline marker (KindAdapt, carrying the queued
+// count the rule saw and the new mask; a tick that changes nothing records
 // nothing, so the controller never laps the submit-path history), and
 // Stats.Adaptive reports the live mask plus sample/decision counts. The
 // locality window is a construction-time setting, not policy (rules that
-// adapted it measured at no benefit; CHANGES.md keeps the measurements). The throughput experiment's
-// adaptive scenario pits the controller against the static configurations
-// on a phase-shifting workload, one paired ratio per static arm;
-// internal/throughput's TestAdaptiveClassRuleRent fails if the rule stops
-// paying.
+// adapted it measured at no benefit; CHANGES.md keeps the measurements).
+// The throughput experiment's adaptive scenario pits the controller
+// against the static configurations on a phase-shifting workload, one
+// paired ratio per static arm; internal/throughput's
+// TestAdaptiveClassRuleRent fails if the rule stops paying.
 package runtime

@@ -246,7 +246,7 @@ func TestCATSRaisedPlainEntryPlacedAsCritical(t *testing.T) {
 	l := classLayout{workers: 2, fastN: 1}
 	rec := flightrec.New(l.workers, flightrec.Options{})
 	defer rec.Close()
-	s := newCATSScheduler(l, newPolicyWords(layoutClassCount(l)), newSignals(l.workers), rec)
+	s := newCATSScheduler(l, newSignals(l.workers), rec)
 	pushRaised := func(id TaskID) *task {
 		tk := &task{id: id}
 		rec.RecordExternal(flightrec.KindReady, uint64(id), 0, 0)

@@ -366,8 +366,7 @@ func TestSearchGatedWorkerNeverSearches(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool { return int(started.Load()) == r.Workers() }, "every worker to be inside a body")
 	before := slow(searches)
-	r.pol.setClassMask(1)
-	r.sched.policyChanged()
+	s.setClassMask(1)
 	close(release)
 	r.Wait()
 
@@ -388,8 +387,7 @@ func TestSearchGatedWorkerNeverSearches(t *testing.T) {
 
 	// Widen the mask: the slow workers rejoin through find → park, still
 	// without a search, and the pool stays live.
-	r.pol.setClassMask(r.pol.fullMask)
-	r.sched.policyChanged()
+	s.setClassMask(s.fullMask)
 	waitFor(t, 5*time.Second, func() bool { return int(s.parked.Load()) == r.Workers() }, "the ungated pool to park")
 	if got := slow(searches); got != before {
 		t.Fatalf("slow workers searched %d times on their way back from the gate", got-before)

@@ -367,8 +367,8 @@ type Stats struct {
 	// FlightEvents is the total number of events the flight recorder has
 	// captured (0 without WithFlightRecorder).
 	FlightEvents uint64
-	// Adaptive is the policy-layer snapshot: the live class mask plus,
-	// with WithAdaptive, the controller's sample and decision counters.
+	// Adaptive is the class-gate snapshot: the live class mask plus, when
+	// a controller runs, its sample and decision counters.
 	Adaptive AdaptiveStats
 }
 
@@ -499,13 +499,12 @@ type Runtime struct {
 
 	// sig is the signals layer — the single source of truth for execution
 	// counters (per-worker, padded, owner-bumped), grouped at read time by
-	// StatsInto. pol is the policy layer: the cached class mask every
-	// scheduler's pop consults.
+	// StatsInto.
 	sig *signals
-	pol *policyWords
 
-	// ctrl is the adaptive controller (nil without WithAdaptive). It is
-	// the single writer of the class mask once running.
+	// ctrl is the adaptive controller (nil unless WithAdaptive on a
+	// WorkSteal pool of two or more classes): the one writer of
+	// WorkSteal's class mask.
 	ctrl *adaptiveController
 
 	// free and pool are the two tiers of the task-record freelist. complete
@@ -543,7 +542,6 @@ func New(opts ...Option) *Runtime {
 		classOf: classOf,
 		shards:  newShards(resolveShards(o.shards)),
 		sig:     newSignals(o.workers),
-		pol:     newPolicyWords(len(classes)),
 	}
 	// Freelist ring capacity covers twice the queue bound — every
 	// outstanding record plus the transient excess that recycle/slot races
@@ -568,19 +566,22 @@ func New(opts ...Option) *Runtime {
 	layout := classLayout{workers: o.workers, fastN: fastN, classOf: classOf}
 	switch o.scheduler {
 	case FIFO:
-		r.sched = newFIFOScheduler(layout, r.pol, r.sig, r.rec)
+		r.sched = newFIFOScheduler(r.sig, r.rec)
 	case CATS:
-		r.sched = newCATSScheduler(layout, r.pol, r.sig, r.rec)
+		r.sched = newCATSScheduler(layout, r.sig, r.rec)
 		r.schedSelfRecords = r.rec != nil
 	default:
-		r.sched = newStealScheduler(layout, o.localWindow, r.pol, r.sig, r.rec)
+		s := newStealScheduler(layout, o.localWindow, r.sig, r.rec)
+		r.sched = s
+		if o.adaptive != nil && len(classes) > 1 {
+			r.ctrl = newAdaptiveController(r, s, *o.adaptive)
+		}
 	}
 	for w := 0; w < o.workers; w++ {
 		r.wg.Add(1)
 		go r.worker(w)
 	}
-	if o.adaptive != nil {
-		r.ctrl = newAdaptiveController(r, *o.adaptive)
+	if r.ctrl != nil {
 		go r.ctrl.run()
 	}
 	return r
@@ -743,9 +744,10 @@ func (r *Runtime) StatsInto(s *Stats) {
 	if r.rec != nil {
 		s.FlightEvents = r.rec.EventCount()
 	}
-	s.Adaptive = AdaptiveStats{ActiveClasses: r.pol.classMask.Load()}
+	s.Adaptive = AdaptiveStats{ActiveClasses: 1<<uint(len(r.classes)) - 1}
 	if c := r.ctrl; c != nil {
 		s.Adaptive.Enabled = true
+		s.Adaptive.ActiveClasses = c.sched.classMask.Load()
 		s.Adaptive.Samples = c.samples.Load()
 		s.Adaptive.Decisions = c.decisions.Load()
 	}

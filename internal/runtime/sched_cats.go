@@ -66,12 +66,12 @@ type catsEntry struct {
 	prio int64
 }
 
-func newCATSScheduler(layout classLayout, pol *policyWords, sig *signals, rec *flightrec.Recorder) *catsScheduler {
+func newCATSScheduler(layout classLayout, sig *signals, rec *flightrec.Recorder) *catsScheduler {
 	s := &catsScheduler{
 		fastN:    layout.fastN,
 		lastCrit: make([]bool, layout.fastN),
 	}
-	s.init(layout, pol, sig, rec, s.insert)
+	s.init(sig, rec, s.insert)
 	return s
 }
 
@@ -188,22 +188,9 @@ func (s *catsScheduler) taskDone(workerID int) {
 
 func (s *catsScheduler) pop(workerID int) (*task, bool) {
 	fast := workerID < s.fastN
-	class := s.classOf(workerID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		// The policy class gate: an inactive class's worker waits without
-		// taking work and without joining the fastIdle baton accounting (a
-		// gated fast worker must not attract the critical-work signal).
-		// CATS's native criticality gating is unaffected — the class gate
-		// composes on top.
-		if !s.pol.classActive(class) {
-			if s.woken {
-				return nil, false
-			}
-			s.park(workerID)
-			continue
-		}
 		if t, fromCrit := s.take(workerID); t != nil {
 			if fast && fromCrit {
 				s.lastCrit[workerID] = true

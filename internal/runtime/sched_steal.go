@@ -62,13 +62,18 @@ type stealScheduler struct {
 	// one CAS at a time (window <= 0 disables the locality path entirely:
 	// every release goes through the injector, the central-queue baseline).
 	window int64
-	// pol is the policy layer: pol.classMask gates worker classes (see pop).
-	pol *policyWords
-	// classOf maps workerID → class index for the policy gate.
+	// classMask is the class gate's one word — which worker classes may
+	// dispatch: bit c set lets class c's workers pop. Only the adaptive
+	// controller writes it (setClassMask); without one it stays fullMask,
+	// one bit per class of the layout, immutable. Bit 0, the fast class,
+	// is never cleared.
+	classMask atomic.Uint64
+	fullMask  uint64
+	// classOf maps workerID → class index for the gate.
 	classOf func(int) int
 
 	// gateMu/gateCond form the class gate: a worker whose class bit is
-	// clear in pol.classMask parks here (outside the parking lot and the
+	// clear in classMask parks here (outside the parking lot and the
 	// pending/parked protocol — a gated worker is withdrawn from the pool,
 	// not idle). Its deque and submit buffer stay stealable by active
 	// workers, and its queued tasks stay counted in pending, so no active
@@ -123,21 +128,22 @@ type stealLocal struct {
 	_          [6]uint64
 }
 
-func newStealScheduler(layout classLayout, window int, pol *policyWords, sig *signals, rec *flightrec.Recorder) *stealScheduler {
+func newStealScheduler(layout classLayout, window int, sig *signals, rec *flightrec.Recorder) *stealScheduler {
 	s := &stealScheduler{
 		parkLog: parkLog{sig: sig, rec: rec},
 		deques:  make([]*wsDeque, layout.workers),
 		local:   make([]stealLocal, layout.workers),
 		victims: buildVictimPlans(layout),
 		window:  int64(window),
-		pol:     pol,
 		classOf: layout.class,
 		side:    make([]lockedRing, layout.workers),
 	}
 	for i := range s.deques {
 		s.deques[i] = newWSDeque()
 		s.local[i].rand = mix64(uint64(i) + 0x9e3779b97f4a7c15)
+		s.fullMask |= 1 << uint(layout.class(i))
 	}
+	s.classMask.Store(s.fullMask)
 	s.parkCond = sync.NewCond(&s.parkMu)
 	s.gateCond = sync.NewCond(&s.gateMu)
 	return s
@@ -194,17 +200,12 @@ func (s *stealScheduler) push(t *task, workerHint int) {
 	if s.localRoom(workerHint) > 0 {
 		s.deques[workerHint].pushBottom(t)
 	} else {
-		s.inject(t)
+		s.inj.mu.Lock()
+		s.inj.q.push(t)
+		s.inj.mu.Unlock()
+		s.inj.n.Add(1)
 	}
 	s.wakeWorkers(1)
-}
-
-// inject pushes one task into the injector.
-func (s *stealScheduler) inject(t *task) {
-	s.inj.mu.Lock()
-	s.inj.q.push(t)
-	s.inj.mu.Unlock()
-	s.inj.n.Add(1)
 }
 
 // submitLocal: a hinted submission lands in the target worker's submit
@@ -408,27 +409,16 @@ func (s *stealScheduler) pop(workerID int) (*task, bool) {
 	class := s.classOf(workerID)
 	loc := &s.local[workerID]
 	for {
-		// The policy class gate: a worker whose class is inactive parks
-		// outside the pool until the mask widens. Anything it still holds
-		// locally must be handed off first — pending counts it, but parked
-		// peers are only woken by new pushes, and a push that found them
-		// awake woke nobody, so a task left in the gating worker's deque or
-		// submit buffer would strand with every active-class worker asleep
-		// by now. Spill it to the injector and wake for it; a hinted
-		// submission landing in the side buffer after the spill is covered
-		// by submitLocal's own wake plus stealSide.
-		if !s.pol.classActive(class) {
-			n := s.evacuate(workerID)
-			if n == 0 && s.pending.Load() > 0 {
-				// This worker may be here because a pusher's wake signal
-				// landed on it while work sits elsewhere (injector, another
-				// deque). Pass the wake along rather than absorbing it: the
-				// next lot waiter either takes the work or, gated too,
-				// relays again until an active-class worker gets it.
-				n = 1
-			}
-			if n > 0 {
-				s.wakeWorkers(n)
+		// The class gate: a worker whose class is inactive parks outside
+		// the pool until the mask widens. It may be here because a
+		// pusher's wake signal landed on it, and whatever it still holds
+		// in its deque or submit buffer stays stealable and counted in
+		// pending. So while pending is positive it relays one wake rather
+		// than absorbing it: the next lot waiter either takes the work or,
+		// gated too, relays again until an active-class worker gets it.
+		if !s.classActive(class) {
+			if s.pending.Load() > 0 {
+				s.wakeWorkers(1)
 			}
 			// The gate is withdrawal, not idleness: a gated worker never
 			// searches, here or on its way back into the pool.
@@ -549,25 +539,6 @@ func (s *stealScheduler) search(workerID int) bool {
 	return false
 }
 
-// evacuate spills everything a gating worker still owns — its submit
-// buffer and then its deque — to the injector and returns how many tasks
-// moved, so an active-class worker can be woken to refill from there.
-func (s *stealScheduler) evacuate(workerID int) int {
-	if s.side[workerID].n.Load() > 0 {
-		s.drainSide(workerID)
-	}
-	n := 0
-	for {
-		t := s.deques[workerID].popBottom()
-		if t == nil {
-			break
-		}
-		s.inject(t)
-		n++
-	}
-	return n
-}
-
 // gatePark blocks workerID at the class gate until its class is active
 // again (false) or the pool is waking for shutdown (true).
 func (s *stealScheduler) gatePark(workerID, class int) (shutdown bool) {
@@ -577,19 +548,27 @@ func (s *stealScheduler) gatePark(workerID, class int) (shutdown bool) {
 		if s.woken.Load() {
 			return true
 		}
-		if s.pol.classActive(class) {
+		if s.classActive(class) {
 			return false
 		}
 		s.wait(s.gateCond, workerID)
 	}
 }
 
-// policyChanged makes gated workers re-examine the class mask. The
-// broadcast is made under the gate mutex so it cannot slip between a
-// parking worker's mask check and its Wait.
-func (s *stealScheduler) policyChanged() {
+// classActive reports whether class c's workers may dispatch.
+func (s *stealScheduler) classActive(c int) bool {
+	return s.classMask.Load()&(1<<uint(c)) != 0
+}
+
+// setClassMask installs a new active-class set, forcing bit 0 — the fast
+// class is never parked, so some worker can always dispatch any task and
+// the gate can never deadlock the pool — and makes gated workers
+// re-examine it. The broadcast is made under the gate mutex so it cannot
+// slip between a parking worker's mask check and its Wait.
+func (s *stealScheduler) setClassMask(m uint64) {
 	s.gateMu.Lock()
 	defer s.gateMu.Unlock()
+	s.classMask.Store((m | 1) & s.fullMask)
 	s.gateCond.Broadcast()
 }
 

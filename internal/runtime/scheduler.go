@@ -6,17 +6,18 @@ import (
 	"repro/internal/flightrec"
 )
 
-// scheduler is the ready-queue policy contract — every call the runtime,
-// the sampler and the adaptive controller make into a scheduler, with no
-// capability discovered by type assertion. The first six methods are
-// implemented by all three schedulers; the rest are scheduler-specific
-// hooks whose no-op defaults come from the embedded schedHooks:
+// scheduler is the ready-queue policy contract — every call the runtime
+// and the sampler make into a scheduler, with no capability discovered by
+// type assertion. The first five methods are implemented by all three
+// schedulers; the rest are scheduler-specific hooks whose no-op defaults
+// come from the embedded schedHooks. The class gate the adaptive
+// controller drives is WorkSteal's alone (stealScheduler.setClassMask):
+// New attaches a controller to no other scheduler.
 //
 //	method            fifo      worksteal   cats
 //	push/pushBatch    queue     route       heap insert
 //	pop               queue     find+park   refile+take
 //	wake              lot       lot+gate    lot
-//	policyChanged     lot       gate        lot
 //	queued            1 queue   pending     2 heaps
 //	submitLocal*      —         side buffer —
 //	taskDone          —         —           saturation
@@ -38,9 +39,6 @@ type scheduler interface {
 	pop(workerID int) (t *task, stolen bool)
 	// wake unblocks all waiting workers (used at shutdown).
 	wake()
-	// policyChanged is called by the adaptive controller after rewriting
-	// the class mask, so workers parked at the class gate re-examine it.
-	policyChanged()
 	// queued is the number of ready, undispatched tasks the scheduler
 	// holds — the sampler's Pending.
 	queued() int64
@@ -81,7 +79,7 @@ type classLayout struct {
 	// the pool's top speed, always ≥ 1.
 	fastN int
 	// classOf maps workerID → class index (nil = every worker class 0);
-	// the policy layer's class gate is keyed by it.
+	// WorkSteal's class gate is keyed by it.
 	classOf []int
 }
 
@@ -116,26 +114,20 @@ func (p *parkLog) wait(cond *sync.Cond, workerID int) {
 }
 
 // centralLot is what the two central-queue schedulers (FIFO, CATS) share:
-// one mutex guarding the queue, one condition variable every idle or
-// gated worker waits on, the policy class gate — a worker whose class bit
-// is clear in the policy mask waits without consuming queued work — and
-// the push side, which differs only in the queue insert (enqueue, called
-// under mu).
+// one mutex guarding the queue, one condition variable every idle worker
+// waits on, and the push side, which differs only in the queue insert
+// (enqueue, called under mu).
 type centralLot struct {
 	schedHooks
 	parkLog
 	mu      sync.Mutex
 	cond    *sync.Cond
 	woken   bool
-	pol     *policyWords
-	classOf func(int) int
 	enqueue func(*task)
 }
 
-func (c *centralLot) init(layout classLayout, pol *policyWords, sig *signals, rec *flightrec.Recorder, enqueue func(*task)) {
+func (c *centralLot) init(sig *signals, rec *flightrec.Recorder, enqueue func(*task)) {
 	c.parkLog = parkLog{sig: sig, rec: rec}
-	c.pol = pol
-	c.classOf = layout.class
 	c.cond = sync.NewCond(&c.mu)
 	c.enqueue = enqueue
 }
@@ -159,14 +151,10 @@ func (c *centralLot) pushBatch(ts []*task, _ int) {
 	c.kick(len(ts))
 }
 
-// kick delivers the wakeup for n pushed tasks: a broadcast for a batch;
-// for one task a signal in the ungated steady state, a broadcast while
-// any class is parked at the gate (gated workers that wake just go back
-// to waiting; the broadcast guarantees an active worker hears about the
-// work too, so a signal can never be swallowed by a gated worker and die
-// there with active workers still parked).
+// kick delivers the wakeup for n pushed tasks: a broadcast for a batch,
+// a signal for one task.
 func (c *centralLot) kick(n int) {
-	if n > 1 || c.pol.gated() {
+	if n > 1 {
 		c.cond.Broadcast()
 	} else {
 		c.cond.Signal()
@@ -180,14 +168,5 @@ func (c *centralLot) wake() {
 	c.mu.Lock()
 	c.woken = true
 	c.mu.Unlock()
-	c.cond.Broadcast()
-}
-
-// policyChanged makes gated workers re-examine the class mask. The
-// broadcast is made under the queue mutex so it cannot slip between a
-// worker's mask check and its Wait.
-func (c *centralLot) policyChanged() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.cond.Broadcast()
 }

@@ -347,35 +347,23 @@ func TestTaskRingShrinksWhenMostlyEmpty(t *testing.T) {
 
 // --- test constructors -------------------------------------------------------
 
-// layoutClassCount counts the classes a layout spans (1 for nil classOf).
-func layoutClassCount(l classLayout) int {
-	n := 1
-	for _, c := range l.classOf {
-		if c+1 > n {
-			n = c + 1
-		}
-	}
-	return n
-}
-
 // homogeneousLayout is the layout of a single-class pool.
 func homogeneousLayout(workers int) classLayout {
 	return classLayout{workers: workers, fastN: workers}
 }
 
 // newTestSteal/newTestCATS/newTestFIFO build schedulers with a fresh
-// policy/signals pair, the way New wires them.
+// signals layer, the way New wires them.
 func newTestSteal(l classLayout, window int) *stealScheduler {
-	return newStealScheduler(l, window, newPolicyWords(layoutClassCount(l)), newSignals(l.workers), nil)
+	return newStealScheduler(l, window, newSignals(l.workers), nil)
 }
 
 func newTestCATS(l classLayout) *catsScheduler {
-	return newCATSScheduler(l, newPolicyWords(layoutClassCount(l)), newSignals(l.workers), nil)
+	return newCATSScheduler(l, newSignals(l.workers), nil)
 }
 
 func newTestFIFO(workers int) *fifoScheduler {
-	l := homogeneousLayout(workers)
-	return newFIFOScheduler(l, newPolicyWords(1), newSignals(workers), nil)
+	return newFIFOScheduler(newSignals(workers), nil)
 }
 
 // --- CATS heap ---------------------------------------------------------------
