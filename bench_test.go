@@ -249,27 +249,21 @@ func BenchmarkWorkStealingFanOut(b *testing.B) {
 	rt.Wait()
 }
 
-// BenchmarkSubmitMultiProducer measures the contended submit path: every
-// benchmark goroutine drives its own inout chain (distinct keys), so with
-// one tracker shard all producers serialise on the renamer lock and with
-// many shards they proceed in parallel. This is the headline number for
-// the sharded dependence tracker.
+// BenchmarkSubmitMultiProducer measures the contended submit path:
+// producers on distinct keys serialise on the tracker lock. Every
+// benchmark goroutine drives its own inout chain.
 func BenchmarkSubmitMultiProducer(b *testing.B) {
-	for _, shards := range []int{1, 64} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			rt := runtime.New(runtime.WithWorkers(4), runtime.WithShards(shards))
-			defer rt.Shutdown()
-			var next int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				key := fmt.Sprintf("chain-%d", atomic.AddInt64(&next, 1))
-				for pb.Next() {
-					rt.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }, runtime.InOut(key))
-				}
-			})
-			rt.Wait()
-		})
-	}
+	rt := runtime.New(runtime.WithWorkers(4))
+	defer rt.Shutdown()
+	var next int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		key := fmt.Sprintf("chain-%d", atomic.AddInt64(&next, 1))
+		for pb.Next() {
+			rt.SubmitCtx(context.Background(), "t", func(context.Context) error { return nil }, runtime.InOut(key))
+		}
+	})
+	rt.Wait()
 }
 
 // BenchmarkSubmitBatch measures batched vs per-task submission of

@@ -11,10 +11,10 @@ import (
 // Options configures a Recorder.
 type Options struct {
 	// PerWorkerEvents is the per-ring capacity in events, rounded up to a
-	// power of two (minimum 64). Each worker owns one ring, each submit
-	// lane (see NewWithLanes) one more, and the shared external ring is
-	// last, so total memory is (workers+lanes+1) × capacity × 48 bytes,
-	// fixed at construction. Default 2048.
+	// power of two (minimum 64). Each worker owns one ring, the submit
+	// lane (see RecordLane) one more, and the shared external ring is
+	// last, so total memory is (workers+2) × capacity × 48 bytes, fixed at
+	// construction. Default 2048.
 	PerWorkerEvents int
 	// ClockInterval is the granularity of the coarse event clock: a
 	// background goroutine refreshes the timestamp every interval, so the
@@ -37,37 +37,37 @@ func (o Options) resolve() Options {
 }
 
 // Recorder is an always-on flight recorder: one fixed-memory event ring per
-// worker (single-writer, written lock-free on the dispatch path) plus one
-// shared ring for submit-path events (serialised by a spin lock — submitting
-// goroutines have no ring of their own, and the critical section is a few
-// plain stores, far too short for a sleeping mutex to pay off). Recording
+// worker (single-writer, written lock-free on the dispatch path), one submit
+// lane whose serialisation the caller provides, and one shared ring for the
+// other off-pool events (serialised by a spin lock — those goroutines have
+// no ring of their own, and the critical section is a few plain stores, far
+// too short for a sleeping mutex to pay off). Recording
 // never allocates and never blocks on a reader; snapshots merge the rings
 // into one timeline ordered by the global sequence number and never block
 // a writer.
 type Recorder struct {
 	opts    Options
 	workers int
-	lanes   int
-	rings   []ring // worker rings, then lane rings, then the external ring last
+	rings   []ring // worker rings, then the lane ring, then the external ring
 
-	// laneNext/laneEnd are each lane's current reserved sequence block. A
-	// lane is a single-writer ring whose serialisation the CALLER provides
-	// — the task runtime maps each dependence-tracker shard to a lane and
-	// records a pending task's submit event while still holding that
-	// shard's mutex, which removes even the spin lock from the steady
-	// submit path. Plain words on purpose: an atomic Store compiles to a
-	// full-barrier exchange on amd64, and paying one per recorded submit
-	// is exactly the cost the lanes exist to avoid. EventCount never reads
-	// them — it works from laneReserved and the lane ring's head instead.
-	laneNext []uint64
-	laneEnd  []uint64
-	// laneReserved counts sequence numbers ever reserved by each lane
+	// laneNext/laneEnd are the submit lane's current reserved sequence
+	// block. The lane is a single-writer ring whose serialisation the
+	// CALLER provides — the task runtime records a pending task's submit
+	// event while holding its dependence-tracker lock, which removes even
+	// the spin lock from the steady submit path. Plain words on purpose:
+	// an atomic Store compiles to a full-barrier exchange on amd64, and
+	// paying one per recorded submit is exactly the cost the lane exists
+	// to avoid. EventCount never reads them — it works from laneReserved
+	// and the lane ring's head instead.
+	laneNext uint64
+	laneEnd  uint64
+	// laneReserved counts sequence numbers ever reserved by the lane
 	// (bumped once per block refill, so the atomic add is 1/laneSeqBlock
 	// amortised). reserved − ring head = the lane's unused reservation,
 	// which is what EventCount must exclude.
-	laneReserved []atomic.Uint64
+	laneReserved atomic.Uint64
 
-	// extLock serialises the external ring's writers. Unlike the lanes, the
+	// extLock serialises the external ring's writers. Unlike the lane, the
 	// external ring allocates every sequence FRESH from gseq: it records
 	// ready-at-submit events, which must sort after the same task's lane
 	// submit event, and only a fresh allocation (causally after the lane
@@ -93,29 +93,15 @@ type Recorder struct {
 // New creates a Recorder for a pool of the given worker count and starts
 // its clock. Close it when the pool shuts down.
 func New(workers int, opts Options) *Recorder {
-	return NewWithLanes(workers, 0, opts)
-}
-
-// NewWithLanes creates a Recorder with, in addition to the worker rings,
-// `lanes` caller-serialised submit lanes (see RecordLane). The task runtime
-// passes its dependence-tracker shard count, one lane per shard.
-func NewWithLanes(workers, lanes int, opts Options) *Recorder {
 	if workers < 1 {
 		workers = 1
 	}
-	if lanes < 0 {
-		lanes = 0
-	}
 	opts = opts.resolve()
 	r := &Recorder{
-		opts:         opts,
-		workers:      workers,
-		lanes:        lanes,
-		rings:        make([]ring, workers+lanes+1),
-		laneNext:     make([]uint64, lanes),
-		laneEnd:      make([]uint64, lanes),
-		laneReserved: make([]atomic.Uint64, lanes),
-		stop:         make(chan struct{}),
+		opts:    opts,
+		workers: workers,
+		rings:   make([]ring, workers+2),
+		stop:    make(chan struct{}),
 	}
 	for i := range r.rings {
 		r.rings[i].init(opts.PerWorkerEvents)
@@ -170,7 +156,7 @@ func (r *Recorder) RecordWorker2(worker int, k1 Kind, t1, a1, a21 uint64, k2 Kin
 	if worker < 0 {
 		r.lockExternal()
 		s := r.gseq.Add(2)
-		r.rings[r.workers+r.lanes].write2(s-1, r.now.Load(), ExternalWorker, k1, t1, a1, a21, k2, t2, a2, a22)
+		r.rings[r.workers+1].write2(s-1, r.now.Load(), ExternalWorker, k1, t1, a1, a21, k2, t2, a2, a22)
 		r.extLock.Store(0)
 		return
 	}
@@ -181,28 +167,28 @@ func (r *Recorder) RecordWorker2(worker int, k1 Kind, t1, a1, a21 uint64, k2 Kin
 // laneSeqBlock is how many sequence numbers one lane reservation grabs.
 const laneSeqBlock = 16
 
-// RecordLane records an event on the given lane ring. The caller must
-// provide the serialisation (the runtime holds the matching tracker-shard
-// mutex), which is what makes this path lock-free here: one amortised
-// global RMW per laneSeqBlock events and plain slot stores.
+// RecordLane records an event on the submit lane. The caller must provide
+// the serialisation (the runtime holds its dependence-tracker lock), which
+// is what makes this path lock-free here: one amortised global RMW per
+// laneSeqBlock events and plain slot stores.
 //
 // The reserved block makes lane sequences stale-low, which is sound ONLY
-// because a lane carries nothing but the first event of each task (the
+// because the lane carries nothing but the first event of each task (the
 // pending submit): every later event of that task allocates fresh from
 // gseq — causally after this block's reservation, hence larger than every
 // sequence in it — and so sorts after. Collect completes the guarantee by
-// reading the lane rings last, so no merge batch holds a task's later
+// reading the lane ring last, so no merge batch holds a task's later
 // event without the submit that precedes it.
-func (r *Recorder) RecordLane(lane int, kind Kind, task, arg, arg2 uint64) {
-	s := r.laneNext[lane]
-	if s == r.laneEnd[lane] {
+func (r *Recorder) RecordLane(kind Kind, task, arg, arg2 uint64) {
+	s := r.laneNext
+	if s == r.laneEnd {
 		end := r.gseq.Add(laneSeqBlock)
 		s = end - laneSeqBlock + 1
-		r.laneEnd[lane] = end + 1
-		r.laneReserved[lane].Add(laneSeqBlock)
+		r.laneEnd = end + 1
+		r.laneReserved.Add(laneSeqBlock)
 	}
-	r.laneNext[lane] = s + 1
-	r.rings[r.workers+lane].write(s, r.now.Load(), kind, ExternalWorker, task, arg, arg2)
+	r.laneNext = s + 1
+	r.rings[r.workers].write(s, r.now.Load(), kind, ExternalWorker, task, arg, arg2)
 }
 
 // RecordExternal records a submit-path event on the shared external ring,
@@ -210,7 +196,7 @@ func (r *Recorder) RecordLane(lane int, kind Kind, task, arg, arg2 uint64) {
 // Sequences here are always fresh — see the extLock field comment.
 func (r *Recorder) RecordExternal(kind Kind, task, arg, arg2 uint64) {
 	r.lockExternal()
-	r.rings[r.workers+r.lanes].write(r.gseq.Add(1), r.now.Load(), kind, ExternalWorker, task, arg, arg2)
+	r.rings[r.workers+1].write(r.gseq.Add(1), r.now.Load(), kind, ExternalWorker, task, arg, arg2)
 	r.extLock.Store(0)
 }
 
@@ -225,16 +211,12 @@ func (r *Recorder) lockExternal() {
 
 // EventCount reports how many events have been recorded in total (including
 // ones already overwritten). With concurrent recording in flight the count
-// is accurate to within one reservation block per lane.
+// is accurate to within one lane reservation block.
 func (r *Recorder) EventCount() uint64 {
-	g := r.gseq.Load()
-	for i := 0; i < r.lanes; i++ {
-		// Written first, reserved second: reserved only grows, so the
-		// difference (the lane's unused reservation) never underflows.
-		written := r.rings[r.workers+i].head.Load()
-		g -= r.laneReserved[i].Load() - written
-	}
-	return g
+	// Written first, reserved second: reserved only grows, so the
+	// difference (the lane's unused reservation) never underflows.
+	written := r.rings[r.workers].head.Load()
+	return r.gseq.Load() - (r.laneReserved.Load() - written)
 }
 
 // Now reports the recorder's coarse clock (UnixNano) — the time base events
@@ -259,10 +241,10 @@ func (r *Recorder) Collect(cur *Cursor, buf []Event) (events []Event, gap bool) 
 		cur.pos = make([]uint64, len(r.rings))
 	}
 	events = buf
-	// Read order matters: worker rings and the external ring first, lane
-	// rings LAST. Lane sequences are stale-low (block-reserved), so a lane
-	// submit's sequence is always smaller than any later event of the same
-	// task — reading lanes last guarantees a batch never holds a task's
+	// Read order matters: worker rings and the external ring first, the
+	// lane ring LAST. Lane sequences are stale-low (block-reserved), so a
+	// lane submit's sequence is always smaller than any later event of the
+	// same task — reading the lane last guarantees a batch never holds a task's
 	// later event without the submit that precedes it, even though the
 	// submit was written (wall-clock) earlier.
 	collect := func(i int) {
@@ -273,10 +255,8 @@ func (r *Recorder) Collect(cur *Cursor, buf []Event) (events []Event, gap bool) 
 	for i := 0; i < r.workers; i++ {
 		collect(i)
 	}
-	collect(r.workers + r.lanes) // external ring
-	for i := r.workers; i < r.workers+r.lanes; i++ {
-		collect(i)
-	}
+	collect(r.workers + 1) // external ring
+	collect(r.workers)     // lane ring
 	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
 	return events, gap
 }

@@ -200,7 +200,7 @@ func (j *diamond8Job) submit(tb testing.TB, r *Runtime, k *diamond8Cells) {
 func TestTrackerFreshKeysAllocFree(t *testing.T) {
 	skipUnderRace(t)
 	withGCOff(func() {
-		r := New(WithWorkers(2), WithShards(1))
+		r := New(WithWorkers(2))
 		defer r.Shutdown()
 		job := newDiamond8Job(func(context.Context) error { return nil })
 		known := new(diamond8Cells)

@@ -18,7 +18,6 @@
 //	    ),
 //	    runtime.WithScheduler(runtime.CATS), // FIFO | WorkSteal | CATS
 //	    runtime.WithQueueBound(256),         // backpressure; 0 = unbounded
-//	    runtime.WithShards(16),              // dependence-tracker shards; 0 = auto
 //	    runtime.WithLocalityWindow(32),      // worker-local successor window
 //	    runtime.WithAdaptive(runtime.AdaptiveOptions{}), // online self-tuning
 //	    runtime.WithTraceRetention(),        // keep a registration log for Graph
@@ -46,13 +45,11 @@
 //
 // Submission order defines program order, and the tracker resolves
 // RAW/WAR/WAW hazards against it per key — OmpSs semantics with no storage
-// renaming. The tracker is sharded by key hash (WithShards, auto-sized to
-// the machine by default): submissions whose keys land on different shards
-// register fully in parallel, and a task spanning several shards locks
-// them in ascending index order, so the submit path scales with producer
-// count instead of funnelling through one renamer lock. There are three
-// entry points: SubmitCtx and SubmitPriorityCtx submit one task, and
-// SubmitBatchCtx amortises shard locking and scheduler wakeups over a
+// renaming. The tracker is one map behind one lock: a registration holds
+// it for all its keys, so two registrations that share a key never
+// interleave, and a task with no dependence never takes it. There are
+// three entry points: SubmitCtx and SubmitPriorityCtx submit one task, and
+// SubmitBatchCtx amortises the tracker lock and scheduler wakeups over a
 // whole slice of TaskSpecs.
 //
 // # Scheduler taxonomy
@@ -134,7 +131,7 @@
 //	               (the one submission path) and markReady (the one ready
 //	               transition: the recorder's ready event, written before
 //	               the scheduler push that makes the task dispatchable)
-//	shard.go       the sharded dependence tracker (trackDeps, linkPreds)
+//	tracker.go     the dependence tracker (trackDeps, linkPreds)
 //	scheduler.go   the scheduler contract — one interface, no-op defaults
 //	               for the scheduler-specific hooks — and the pieces the
 //	               schedulers share (park/wake bookkeeping, the central lot)

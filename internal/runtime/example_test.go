@@ -9,7 +9,7 @@ import (
 
 // ExampleRuntime_SubmitBatchCtx registers a producer/consumer pipeline in
 // one batched submission: the whole slice registers under a single
-// acquisition of the dependence-tracker shards it touches, and intra-batch
+// acquisition of the dependence-tracker lock, and intra-batch
 // dependences work in slice order exactly as one-task SubmitCtx calls would.
 func ExampleRuntime_SubmitBatchCtx() {
 	rt := runtime.New(runtime.WithWorkers(4))

@@ -126,7 +126,7 @@ func TestCompleteReleasesTaskReferences(t *testing.T) {
 // "b"; a reader of both must not mistake the live reference for a
 // duplicate of the dead one and run while "b"'s writer is still running.
 func TestLiveRefBesideDeadRefToSameRecord(t *testing.T) {
-	r := New(WithWorkers(1), WithShards(1))
+	r := New(WithWorkers(1))
 	defer r.Shutdown()
 	if _, err := r.SubmitCtx(context.Background(), "x", func(context.Context) error { return nil }, Out("a")); err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestLiveRefBesideDeadRefToSameRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started // y holds the one worker
-	s := r.shards[0]
+	s := &r.tracker
 	s.mu.Lock()
 	same := s.keys["a"].writer.t == s.keys["b"].writer.t
 	s.mu.Unlock()
@@ -156,7 +156,7 @@ func TestLiveRefBesideDeadRefToSameRecord(t *testing.T) {
 // A writer truncating a key's reader list must nil the slots: readers[:0]
 // alone keeps the old reader tasks reachable through the backing array.
 func TestReadersTailSlotsClearedOnWriterTruncate(t *testing.T) {
-	r := New(WithWorkers(2), WithShards(1))
+	r := New(WithWorkers(2))
 	defer r.Shutdown()
 	const readers = 6
 	for i := 0; i < readers; i++ {
@@ -164,7 +164,7 @@ func TestReadersTailSlotsClearedOnWriterTruncate(t *testing.T) {
 	}
 	r.SubmitCtx(context.Background(), "w", func(context.Context) error { return nil }, Out("k"))
 	r.Wait()
-	s := r.shards[0]
+	s := &r.tracker
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tail := s.keys["k"].readers
@@ -187,7 +187,7 @@ func TestReadersTailSlotsClearedOnWriterTruncate(t *testing.T) {
 // key never passes the sweep floor, so no sweep helps here; without the
 // in-place drop its list held every one of the 100 000 readers.
 func TestReadOnlyKeyListBounded(t *testing.T) {
-	r := New(WithWorkers(2), WithShards(1))
+	r := New(WithWorkers(2))
 	defer r.Shutdown()
 	const readers = 100_000
 	for i := 0; i < readers; i++ {
@@ -196,7 +196,7 @@ func TestReadOnlyKeyListBounded(t *testing.T) {
 		}
 		r.Wait()
 	}
-	s := r.shards[0]
+	s := &r.tracker
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rs := s.keys["k"].readers; cap(rs) > maxSpareCap {
@@ -206,7 +206,7 @@ func TestReadOnlyKeyListBounded(t *testing.T) {
 }
 
 // End-to-end collectability: the payloads captured by task bodies must be
-// garbage once the tasks complete — nothing in the scheduler queues, shard
+// garbage once the tasks complete — nothing in the scheduler queues, tracker
 // state, or task structs may pin them (default, no trace retention).
 func TestTaskPayloadsCollectableAfterComplete(t *testing.T) {
 	eachScheduler(t, func(t *testing.T, kind SchedulerKind) {
@@ -303,18 +303,13 @@ func submitWithArgs(t *testing.T, r *Runtime, n int, finalized *int32) {
 	}
 }
 
-// trackerEntries counts the tracker's key records over all shards — what
-// sweepFloor and sweepAt count: one record per key, holding the key's last
-// writer and its reader list (two map entries before the maps were merged).
+// trackerEntries counts the tracker's key records — what sweepFloor and
+// sweepAt count: one record per key, holding the key's last writer and its
+// reader list (two map entries before the maps were merged).
 func trackerEntries(r *Runtime) int {
-	all := uint64(1)<<len(r.shards) - 1
-	r.lockShards(all)
-	defer r.unlockShards(all)
-	n := 0
-	for _, s := range r.shards {
-		n += len(s.keys)
-	}
-	return n
+	r.tracker.mu.Lock()
+	defer r.tracker.mu.Unlock()
+	return len(r.tracker.keys)
 }
 
 // submitUniqueKeyJobs submits jobs four-task diamonds, each over four keys
@@ -345,7 +340,7 @@ func submitUniqueKeyJobs(t *testing.T, r *Runtime, jobs, round int) (peak int) {
 
 // A long-lived runtime fed keys that are unique per job — the service
 // layer's shape — must hold tracker state for the jobs in flight, not for
-// every job it ever ran: the shards scavenge records whose tasks are all
+// every job it ever ran: the tracker scavenges records whose tasks are all
 // retired. Without the sweep this grows by four records per job (200 k
 // here) and by everything those keys pin.
 func TestTrackerForgetsFinishedKeys(t *testing.T) {
@@ -353,7 +348,7 @@ func TestTrackerForgetsFinishedKeys(t *testing.T) {
 	r := New(WithWorkers(2))
 	defer r.Shutdown()
 	peak := submitUniqueKeyJobs(t, r, jobs, round)
-	// Each key holds one record; a shard sweeps once it passes twice what
+	// Each key holds one record; the tracker sweeps once it passes twice what
 	// the previous sweep left plus the floor, and a sweep leaves nothing
 	// but the jobs in flight. The same expression over half the count the
 	// two-map tracker gave it (a written key held an entry in each map, 32
@@ -362,22 +357,21 @@ func TestTrackerForgetsFinishedKeys(t *testing.T) {
 	// 937 kB. The spare lists below are what the difference may be spent
 	// on, 155 kB at their bound.
 	inFlight := keysPerJob * round
-	if bound := 3*inFlight + len(r.shards)*sweepFloor; peak > bound {
+	if bound := 3*inFlight + sweepFloor; peak > bound {
 		t.Fatalf("tracker holds %d records after %d jobs of unique keys, bound %d (%d keys in flight at most)",
 			peak, jobs, bound, keysPerJob*round)
 	}
-	for i, s := range r.shards {
-		s.mu.Lock()
-		if len(s.spare) > maxSpare {
-			t.Errorf("shard %d shelves %d reader lists, bound %d", i, len(s.spare), maxSpare)
+	s := &r.tracker
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.spare) > maxSpare {
+		t.Errorf("the tracker shelves %d reader lists, bound %d", len(s.spare), maxSpare)
+	}
+	for _, l := range s.spare {
+		if len(l) != 0 || cap(l) == 0 || cap(l) > maxSpareCap {
+			t.Errorf("the tracker shelves a list of len %d cap %d, want empty and 1..%d slots", len(l), cap(l), maxSpareCap)
+			break
 		}
-		for _, l := range s.spare {
-			if len(l) != 0 || cap(l) == 0 || cap(l) > maxSpareCap {
-				t.Errorf("shard %d shelves a list of len %d cap %d, want empty and 1..%d slots", i, len(l), cap(l), maxSpareCap)
-				break
-			}
-		}
-		s.mu.Unlock()
 	}
 }
 
@@ -387,9 +381,9 @@ func TestTrackerForgetsFinishedKeys(t *testing.T) {
 // history.
 func TestTrackerForgetsUnderRetention(t *testing.T) {
 	const jobs, round, keysPerJob = 2_000, 500, 4
-	// One shard, so the bound is below the 8 000 records a tracker that
-	// forgot nothing would hold, whatever the host's GOMAXPROCS.
-	r := New(WithWorkers(2), WithShards(1), WithTraceRetention())
+	// The bound is below the 8 000 records a tracker that forgot nothing
+	// would hold.
+	r := New(WithWorkers(2), WithTraceRetention())
 	defer r.Shutdown()
 	peak := submitUniqueKeyJobs(t, r, jobs, round)
 	if bound := 3*keysPerJob*round + sweepFloor; peak > bound {
@@ -437,9 +431,9 @@ func versionBody(bad *atomic.Int64, ops ...versionOp) Body {
 // keys are read by every job and rewritten by every eighth.
 func TestRecycledReaderListCarriesNoStaleReader(t *testing.T) {
 	const jobs, longKeys = 600, 4
-	r := New(WithWorkers(4), WithShards(1))
+	r := New(WithWorkers(4))
 	defer r.Shutdown()
-	s := r.shards[0]
+	s := &r.tracker
 	var bad atomic.Int64
 	var hold uint64
 	var long, longWrites [longKeys]uint64
@@ -451,7 +445,7 @@ func TestRecycledReaderListCarriesNoStaleReader(t *testing.T) {
 	}
 	sweeps, recycled, records := 0, 0, 0
 	// audit checks the tracker after job j, whose keys are k, under the
-	// shard lock; spareBefore is the shelf's size before the job.
+	// tracker lock; spareBefore is the shelf's size before the job.
 	audit := func(j int, k *[7]uint64, spareBefore int) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -554,38 +548,48 @@ func TestRecycledReaderListCarriesNoStaleReader(t *testing.T) {
 	}
 }
 
-// Equal keys must land on one shard whatever their type: pointer-kind keys
-// hash by address, anything without an inline case by its printed form —
-// neither through an allocation per lookup for the pointer case.
+// Equal keys name one datum whatever their type: an InOut chain over a
+// pointer, a struct, a channel or a string key runs its tasks one at a
+// time, in submission order. The chains are submitted interleaved, and the
+// counters are unsynchronised, so a broken chain is a wrong count and a
+// data race under -race.
 func TestShardIndexPointerAndFallbackKeys(t *testing.T) {
 	type pair struct {
 		job  uint64
 		name string
 	}
-	r := New(WithWorkers(1), WithShards(16))
+	r := New(WithWorkers(4))
 	defer r.Shutdown()
-	cells := make([]struct{ _ byte }, 256)
-	seen := map[int]bool{}
-	for i := range cells {
-		var key any = &cells[i]
-		idx := r.shardIndex(key)
-		if again := r.shardIndex(&cells[i]); again != idx {
-			t.Fatalf("cell %d hashed to shards %d and %d", i, idx, again)
+	cell, ch := new(struct{ _ byte }), make(chan int)
+	key := func(i int) any {
+		switch i {
+		case 0:
+			return cell
+		case 1:
+			return pair{7, "x"}
+		case 2:
+			return ch
 		}
-		seen[idx] = true
+		return string([]byte("k")) // a fresh string each time
 	}
-	if len(seen) < 8 {
-		t.Errorf("256 adjacent cells spread over %d of 16 shards only", len(seen))
+	const chain = 200
+	var counts [4]int
+	var bad atomic.Int64
+	for n := 0; n < chain; n++ {
+		for i := range counts {
+			if _, err := r.SubmitCtx(context.Background(), "link", func(context.Context) error {
+				if counts[i] != n {
+					bad.Add(1)
+				}
+				counts[i]++
+				return nil
+			}, InOut(key(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if a, b := r.shardIndex(pair{7, "x"}), r.shardIndex(pair{7, "x"}); a != b {
-		t.Errorf("equal struct keys hashed to shards %d and %d", a, b)
-	}
-	ch := make(chan int)
-	if a, b := r.shardIndex(ch), r.shardIndex(ch); a != b {
-		t.Errorf("one channel hashed to shards %d and %d", a, b)
-	}
-	var key any = &cells[0]
-	if n := testing.AllocsPerRun(100, func() { r.shardIndex(key) }); n != 0 {
-		t.Errorf("hashing a pointer key allocates %.0f objects", n)
+	r.Wait()
+	if counts != [4]int{chain, chain, chain, chain} || bad.Load() != 0 {
+		t.Fatalf("chains ran %v links with %d out of order, want %d each in order", counts, bad.Load(), chain)
 	}
 }

@@ -16,7 +16,6 @@ type options struct {
 	classes     []WorkerClass
 	scheduler   SchedulerKind
 	queueBound  int
-	shards      int
 	retainTrace bool
 	localWindow int
 	flight      *flightrec.Options
@@ -187,7 +186,7 @@ func WithLocalityWindow(n int) Option {
 // flightrec/verify invariant checker. The record path is allocation-free
 // and lock-free on workers (the submit path shares one mutex-guarded
 // ring), so the recorder is cheap enough to leave on in production; memory
-// is fixed at (workers+1) × PerWorkerEvents slots. The zero Options value
+// is fixed at (workers+2) × PerWorkerEvents slots. The zero Options value
 // selects the defaults (2048 events per ring, 10ms clock). It composes with
 // every scheduler and with worker classes: CATS dispatch events carry the
 // class-gating evidence (crit origin, fast-class saturation) the verifier
@@ -196,11 +195,8 @@ func WithFlightRecorder(fo flightrec.Options) Option {
 	return func(o *options) { o.flight = &fo }
 }
 
-// WithShards sets the dependence-tracker shard count. Submissions touching
-// keys on different shards register concurrently; 1 reproduces the old
-// single-lock renamer (the baseline the repo benchmark prices as
-// runtime.tracker.shards1_ratio). Values are clamped to at most 64; 0 or
-// negative (the default) auto-sizes to the next power of two ≥ GOMAXPROCS.
-func WithShards(n int) Option {
-	return func(o *options) { o.shards = n }
+// WithShards is ignored: the dependence tracker is one lock. It stays for
+// callers that still pass it, such as the repo benchmark's shards1 arm.
+func WithShards(int) Option {
+	return func(*options) {}
 }

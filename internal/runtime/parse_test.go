@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"context"
-	stdruntime "runtime"
 	"strings"
 	"testing"
 )
@@ -70,55 +69,39 @@ func TestSchedulerNameRoundTrip(t *testing.T) {
 	}
 }
 
+// WithShards is ignored: a pool built with any value, the benchmark's 1
+// included, runs a dependent chain as one built without it.
 func TestWithShardsResolution(t *testing.T) {
-	cases := []struct {
-		in   int
-		want int
-	}{
-		{1, 1},
-		{2, 2},
-		{7, 7}, // non-power-of-two counts are allowed (modulo hashing)
-		{64, 64},
-		{1000, maxShards},
-	}
-	for _, c := range cases {
-		r := New(WithWorkers(1), WithShards(c.in))
-		if got := len(r.shards); got != c.want {
-			t.Errorf("WithShards(%d) resolved to %d, want %d", c.in, got, c.want)
-		}
-		r.Shutdown()
-	}
-	// Auto-sizing: next power of two >= GOMAXPROCS, within [1, maxShards].
-	r := New(WithWorkers(1))
-	defer r.Shutdown()
-	got := len(r.shards)
-	if got < 1 || got > maxShards || got&(got-1) != 0 {
-		t.Fatalf("auto shards = %d, want a power of two in [1, %d]", got, maxShards)
-	}
-	if got < stdruntime.GOMAXPROCS(0) && got != maxShards {
-		t.Fatalf("auto shards = %d < GOMAXPROCS %d", got, stdruntime.GOMAXPROCS(0))
-	}
-}
-
-// Every shard count must preserve dataflow semantics; exercise a key space
-// much larger than the shard count so multi-key collisions occur.
-func TestShardCountsPreserveSemantics(t *testing.T) {
-	for _, shards := range []int{1, 3, 8, 64} {
-		r := New(WithWorkers(4), WithShards(shards))
-		counters := make([]int, 50) // unsynchronised: per-key chains must serialise
-		const rounds = 20
-		for round := 0; round < rounds; round++ {
-			for k := range counters {
-				k := k
-				r.SubmitCtx(context.Background(), "inc", func(context.Context) error { counters[k]++; return nil }, InOut(k))
-			}
+	for _, n := range []int{0, 1, 7, 1000} {
+		r := New(WithWorkers(2), WithShards(n))
+		var count int // unsynchronised: the InOut chain must serialise
+		for i := 0; i < 100; i++ {
+			r.SubmitCtx(context.Background(), "inc", func(context.Context) error { count++; return nil }, InOut("k"))
 		}
 		r.Wait()
 		r.Shutdown()
-		for k, c := range counters {
-			if c != rounds {
-				t.Fatalf("shards=%d key %d: %d increments, want %d", shards, k, c, rounds)
-			}
+		if count != 100 {
+			t.Errorf("WithShards(%d): the chain ran %d links, want 100", n, count)
+		}
+	}
+}
+
+// The one tracker preserves dataflow semantics over a key space of many
+// concurrent chains.
+func TestShardCountsPreserveSemantics(t *testing.T) {
+	r := New(WithWorkers(4))
+	defer r.Shutdown()
+	counters := make([]int, 50) // unsynchronised: per-key chains must serialise
+	const rounds = 20
+	for round := 0; round < rounds; round++ {
+		for k := range counters {
+			r.SubmitCtx(context.Background(), "inc", func(context.Context) error { counters[k]++; return nil }, InOut(k))
+		}
+	}
+	r.Wait()
+	for k, c := range counters {
+		if c != rounds {
+			t.Fatalf("key %d: %d increments, want %d", k, c, rounds)
 		}
 	}
 }

@@ -216,11 +216,6 @@ type task struct {
 	ndeps   int32
 	depsInl [inlineArity]Dep
 	depsOvf []Dep
-	// The shard each dependence key hashes to, parallel to the deps:
-	// shardPlan fills it and trackDeps reads it back, so a key is hashed
-	// once per registration.
-	shardInl [inlineArity]uint8
-	shardOvf []uint8
 }
 
 // traceEntry is one registration in the trace log Graph replays.
@@ -272,15 +267,6 @@ func (t *task) deps() []Dep {
 		return t.depsInl[:t.ndeps]
 	}
 	return t.depsOvf
-}
-
-// depShards returns the shard index of each declared dependence, valid
-// between shardPlan and trackDeps of one registration.
-func (t *task) depShards() []uint8 {
-	if int(t.ndeps) <= inlineArity {
-		return t.shardInl[:t.ndeps]
-	}
-	return t.shardOvf
 }
 
 // clearDeps drops the dependence annotations (and the interface keys they
@@ -471,16 +457,15 @@ type Runtime struct {
 
 	// gate serialises submission against Shutdown: submitters hold the
 	// (shared, scalable) read side for the registration window, Shutdown
-	// takes the write side to set closed. The dependence tracker itself is
-	// sharded — see depShard — so concurrent submitters touching disjoint
-	// keys proceed in parallel.
-	gate   sync.RWMutex
-	shards []*depShard
+	// takes the write side to set closed. The dependence tracker has its
+	// own mutex, which only a submission with a dependence takes.
+	gate    sync.RWMutex
+	tracker tracker
 	// seq is the task-ID allocator; TaskIDs double as the sequence numbers
 	// that define program order for WAR/WAW resolution.
 	seq int64
 	// trace is the registration log Graph replays (WithTraceRetention only),
-	// appended under traceMu while the registering task's shards are held.
+	// appended under traceMu while the registering task holds tracker.mu.
 	traceMu sync.Mutex
 	trace   []traceEntry
 
@@ -540,7 +525,7 @@ func New(opts ...Option) *Runtime {
 		opts:    o,
 		classes: classes,
 		classOf: classOf,
-		shards:  newShards(resolveShards(o.shards)),
+		tracker: tracker{keys: make(map[any]keyState), sweepAt: sweepFloor},
 		sig:     newSignals(o.workers),
 	}
 	// Freelist ring capacity covers twice the queue bound — every
@@ -558,10 +543,10 @@ func New(opts ...Option) *Runtime {
 	r.waitCond = sync.NewCond(&r.waitMu)
 	r.waits = make(chan parked)
 	if o.flight != nil {
-		// One submit lane per tracker shard: the submit path records a
-		// pending task's submit event while still holding a shard mutex,
-		// so the lane needs no locking of its own.
-		r.rec = flightrec.NewWithLanes(o.workers, len(r.shards), *o.flight)
+		// The submit path records a pending task's submit event on the
+		// recorder's submit lane while holding tracker.mu, so the lane
+		// needs no locking of its own.
+		r.rec = flightrec.New(o.workers, *o.flight)
 	}
 	layout := classLayout{workers: o.workers, fastN: fastN, classOf: classOf}
 	switch o.scheduler {

@@ -247,7 +247,7 @@ func TestGraphExport(t *testing.T) {
 // Graph replays registrations in the order the tracker saw them, so with
 // two submitters on one key the exported chain is the chain that ran. An
 // export sorted by task ID disagrees with it: IDs are allocated before the
-// shard lock is taken, so two submitters' IDs and registrations interleave
+// tracker lock is taken, so two submitters' IDs and registrations interleave
 // differently.
 func TestGraphFollowsRunOrderWithConcurrentSubmitters(t *testing.T) {
 	const iterations, perSubmitter = 10, 2000

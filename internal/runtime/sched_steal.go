@@ -149,6 +149,17 @@ func newStealScheduler(layout classLayout, window int, sig *signals, rec *flight
 	return s
 }
 
+// mix64 is the splitmix64 finaliser: it spreads the worker index into a
+// well-mixed, non-zero seed for the worker's xorshift state.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
 // victimPlan is one worker's precomputed steal order: every other worker
 // exactly once, fast class first. order[:fast] is the fast-class tier,
 // order[fast:] the slow-class one.

@@ -13,15 +13,18 @@ import (
 
 // Stress: 8 producers hammer a runtime with a mix of SubmitCtx and
 // SubmitBatchCtx over a shared key space while Shutdown fires mid-stream.
-// Invariants, per scheduler kind and shard count:
+// Invariants, per scheduler kind:
 //   - every accepted task executes exactly once (no lost tasks, no double
 //     execution);
 //   - every rejected submission fails with ErrShutdown and its body never
 //     runs;
 //   - after Shutdown returns, further SubmitCtx/SubmitBatchCtx fail fast.
 //
-// Run with -race: this is the main concurrency witness for the sharded
-// tracker's lock ordering and the gate/Shutdown protocol.
+// Run with -race: this is the main concurrency witness for the tracker
+// lock and the gate/Shutdown protocol. The three rounds keep the names they
+// had when each built a different tracker; WithShards is ignored now, so
+// they are three passes of one stress, over pools built with and without
+// the option.
 func TestStressMixedSubmitBatchShutdown(t *testing.T) {
 	for _, shards := range []int{1, 4, 0} {
 		shards := shards
@@ -154,12 +157,12 @@ func stressOnce(t *testing.T, kind SchedulerKind, shards int) {
 	}
 }
 
-// Stress the multi-shard lock ordering specifically: tasks whose dep lists
-// span many keys (hence many shards, locked in ascending order) submitted
-// from many goroutines must neither deadlock nor drop dependences.
+// Stress the tracker lock with multi-key tasks: tasks whose dep lists span
+// several keys, submitted from many goroutines, must neither deadlock nor
+// drop dependences.
 func TestStressMultiShardLockOrdering(t *testing.T) {
 	// Trace retention on: countDeps audits the registration log at the end.
-	r := New(WithWorkers(4), WithShards(8), WithTraceRetention())
+	r := New(WithWorkers(4), WithTraceRetention())
 	defer r.Shutdown()
 	const producers = 8
 	const tasksEach = 200

@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -76,12 +75,12 @@ func (r *Runtime) SubmitPriorityCtx(ctx context.Context, name string, priority i
 }
 
 // SubmitBatchCtx is the batched submission path: the whole slice is
-// registered under one acquisition of the dependence-tracker shards it
-// touches, and the tasks that come out ready are pushed to the scheduler
-// with a single wakeup — amortising lock traffic that SubmitCtx pays N
-// times. Specs are registered in slice order, so a later spec may
-// depend on an earlier one through shared keys exactly as if the tasks
-// had been submitted one by one.
+// registered under one acquisition of the dependence-tracker lock (none
+// when no spec has a dependence), and the tasks that come out ready are
+// pushed to the scheduler with a single wakeup — amortising lock traffic
+// that SubmitCtx pays N times. Specs are registered in slice order, so a
+// later spec may depend on an earlier one through shared keys exactly as
+// if the tasks had been submitted one by one.
 //
 // The batch is atomic with respect to Shutdown: either every task is
 // accepted (and will execute) or none is and ErrShutdown is returned.
@@ -126,8 +125,8 @@ func unwrapCtx(ctx context.Context) context.Context {
 
 // submitSpecs is the one submission path; the three exported entry points
 // are wrappers of it. It registers specs in slice order under one
-// acquisition of the tracker shards they touch and publishes the tasks
-// that come out ready with at most one wakeup. loneDeps, when non-nil,
+// acquisition of the tracker lock and publishes the tasks that come out
+// ready with at most one wakeup. loneDeps, when non-nil,
 // stands in for specs[0].Deps (see submitOne); ids, when non-nil, receives
 // the task IDs instead of a fresh slice.
 func (r *Runtime) submitSpecs(ctx context.Context, specs []TaskSpec, loneDeps []Dep, ids []TaskID) ([]TaskID, error) {
@@ -178,7 +177,7 @@ func (r *Runtime) submitSpecs(ctx context.Context, specs []TaskSpec, loneDeps []
 		tasks = (*scratch)[:n]
 	}
 	var t *task
-	var mask uint64
+	tracked := false
 	for i := range specs {
 		deps := specs[i].Deps
 		if loneDeps != nil {
@@ -189,23 +188,25 @@ func (r *Runtime) submitSpecs(ctx context.Context, specs []TaskSpec, loneDeps []
 		// execute, complete, and be recycled for an unrelated submission,
 		// so no field of it may be read past that point.
 		ids[i] = t.id
-		mask |= r.shardPlan(t)
+		tracked = tracked || t.ndeps > 0
 		if tasks != nil {
 			tasks[i] = t
 		}
 	}
-	// One lock pass over the union of every task's shards; registration
-	// stays in spec order underneath it, which is what makes intra-batch
-	// dependences work.
-	r.lockShards(mask)
+	// One tracker acquisition for the batch, none for a batch without a
+	// dependence; registration stays in spec order underneath it, which is
+	// what makes intra-batch dependences work.
+	if tracked {
+		r.tracker.mu.Lock()
+	}
 	for i := 0; i < n; i++ {
 		if tasks != nil {
 			t = tasks[i]
 		}
-		r.linkPreds(t, r.trackDeps(t))
+		r.linkPreds(t, r.tracker.trackDeps(t))
 		if r.opts.retainTrace {
-			// Logged while t's shards are held: two registrations that share
-			// a key are logged in the order they were linked.
+			// Logged under the tracker lock: two registrations that share a
+			// key are logged in the order they were linked.
 			r.traceMu.Lock()
 			r.trace = append(r.trace, traceEntry{t.id, t.name, slices.Clone(t.deps())})
 			r.traceMu.Unlock()
@@ -216,16 +217,16 @@ func (r *Runtime) submitSpecs(ctx context.Context, specs []TaskSpec, loneDeps []
 		// event must be recorded BEFORE the final npreds decrement: our own
 		// reference keeps the count positive here, so no completing
 		// predecessor can record the task's ready event with an earlier
-		// sequence number. It goes to the recorder lane of one of the shards
-		// held here — the lowest set in mask, non-zero because a pending task
-		// registered real predecessors — so the shard mutex doubles as the
-		// lane's serialisation and the record costs no locking of its own.
+		// sequence number. It goes to the recorder's submit lane: a pending
+		// task registered real predecessors, so the tracker lock is held and
+		// doubles as the lane's serialisation.
 		if r.rec != nil && atomic.LoadInt32(&t.npreds) > 1 {
-			r.rec.RecordLane(bits.TrailingZeros64(mask), flightrec.KindSubmit,
-				uint64(t.id), atomic.LoadUint64(&t.claim), 0)
+			r.rec.RecordLane(flightrec.KindSubmit, uint64(t.id), atomic.LoadUint64(&t.claim), 0)
 		}
 	}
-	r.unlockShards(mask)
+	if tracked {
+		r.tracker.mu.Unlock()
+	}
 	r.gate.RUnlock()
 
 	// The final decrement releases the submission's own reference; a task

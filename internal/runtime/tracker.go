@@ -1,20 +1,10 @@
 package runtime
 
 import (
-	"fmt"
-	"math"
-	"math/bits"
-	"reflect"
-	stdruntime "runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 )
-
-// maxShards bounds the dependence-tracker shard count so a shard set fits
-// in one uint64 bitmask (the lock-plan representation used on the submit
-// path).
-const maxShards = 64
 
 // keyState is everything the tracker holds for one data key: the last
 // task that wrote it and the tasks that read it since. Both are
@@ -28,11 +18,11 @@ type keyState struct {
 	readers []taskRef
 }
 
-// depShard is one slice of the dependence tracker: the renamer state for
-// every data key that hashes here. Shards are locked in ascending index
-// order — the total order that makes multi-shard submissions deadlock-free
-// and serialises any two registrations that share a key.
-type depShard struct {
+// tracker is the dependence tracker: the renamer state for every data
+// key, behind one mutex. Holding it for a whole registration serialises
+// any two registrations, which keeps each key's chain in submission order
+// and the graph acyclic. A dependence-free task never takes it.
+type tracker struct {
 	mu   sync.Mutex
 	keys map[any]keyState
 	// spare holds the reader lists of keys the sweep deleted (empty, every
@@ -45,152 +35,23 @@ type depShard struct {
 	// scavenges keys (see sweep).
 	sweepAt int
 	// predScratch is the registration scratch trackDeps collects
-	// predecessor refs into and linkPreds consumes, valid only while this
-	// shard (the one the registering task's first key hashes to) is
-	// locked. Living on the
-	// shard rather than the task record, its capacity converges to the
-	// workload's fan width once per shard instead of once per pooled
-	// record — records drifting into a wide-fan role for the first time
-	// were the last steady-state allocation trickle.
+	// predecessor refs into and linkPreds consumes, valid only while mu is
+	// held. Living on the tracker rather than the task record, its
+	// capacity converges to the workload's fan width once instead of once
+	// per pooled record — records drifting into a wide-fan role for the
+	// first time were the last steady-state allocation trickle.
 	predScratch []taskRef
-}
-
-func newShards(n int) []*depShard {
-	shards := make([]*depShard, n)
-	for i := range shards {
-		shards[i] = &depShard{keys: make(map[any]keyState), sweepAt: sweepFloor}
-	}
-	return shards
-}
-
-// resolveShards turns the WithShards option into the actual shard count:
-// 0 (auto) becomes the next power of two ≥ GOMAXPROCS, everything is
-// clamped to [1, maxShards].
-func resolveShards(n int) int {
-	if n <= 0 {
-		n = 1
-		for n < stdruntime.GOMAXPROCS(0) {
-			n <<= 1
-		}
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	return n
-}
-
-// shardIndex maps a dependence key to its shard. Equal keys always map to
-// the same shard (the only correctness requirement); distinct keys sharing
-// a shard merely share a lock. Common key types get an inline integer mix,
-// pointer-kind keys a mix of their address (the collector does not move
-// heap objects, and a key stays reachable through the tracker's own map
-// entry for as long as its address matters); anything else falls back to
-// hashing the printed form, which is stable for any comparable value.
-func (r *Runtime) shardIndex(key any) int {
-	n := uint64(len(r.shards))
-	if n == 1 {
-		return 0
-	}
-	var h uint64
-	switch k := key.(type) {
-	case string:
-		h = hashString(k)
-	case int:
-		h = mix64(uint64(k))
-	case int8:
-		h = mix64(uint64(k))
-	case int16:
-		h = mix64(uint64(k))
-	case int32:
-		h = mix64(uint64(k))
-	case int64:
-		h = mix64(uint64(k))
-	case uint:
-		h = mix64(uint64(k))
-	case uint8:
-		h = mix64(uint64(k))
-	case uint16:
-		h = mix64(uint64(k))
-	case uint32:
-		h = mix64(uint64(k))
-	case uint64:
-		h = mix64(k)
-	case uintptr:
-		h = mix64(uint64(k))
-	case float64:
-		h = mix64(math.Float64bits(k))
-	case float32:
-		h = mix64(uint64(math.Float32bits(k)))
-	default:
-		switch v := reflect.ValueOf(key); v.Kind() {
-		case reflect.Pointer, reflect.UnsafePointer, reflect.Chan:
-			h = mix64(uint64(v.Pointer()))
-		default:
-			var buf [64]byte
-			h = hashString(fmt.Appendf(buf[:0], "%T\x00%v", key, key))
-		}
-	}
-	return int(h % n)
-}
-
-// mix64 is the splitmix64 finaliser: a cheap, well-distributed integer
-// hash, so consecutive keys (block indices…) spread across shards.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// hashString is FNV-1a, inlined to avoid the hash.Hash allocation on the
-// common string-key path (and, over bytes, on the printed-form fallback).
-func hashString[T string | []byte](s T) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// shardPlan computes the lock set for registering t: one bit per shard the
-// task's dependence keys hash to, each key's shard kept in t for trackDeps.
-// A dependence-free task locks nothing (lockShards(0) is a no-op): its
-// registration touches no tracker state.
-func (r *Runtime) shardPlan(t *task) (mask uint64) {
-	deps := t.deps()
-	if len(deps) == 0 {
-		return 0
-	}
-	idx := t.shardInl[:0]
-	if len(deps) > inlineArity {
-		idx = t.shardOvf[:0]
-	}
-	for _, d := range deps {
-		i := r.shardIndex(d.Key)
-		idx = append(idx, uint8(i)) // maxShards fits a byte
-		mask |= 1 << i
-	}
-	if len(deps) > inlineArity {
-		t.shardOvf = idx
-	}
-	return mask
 }
 
 // trackDeps runs the renamer for t: it resolves RAW/WAR/WAW hazards
 // against the per-key tracking state and updates that state. Predecessor
-// references are collected into the predScratch of the first key's shard —
-// returned for linkPreds to consume while the shard is still locked. Every
-// shard t's keys hash to must be locked by the caller.
-func (r *Runtime) trackDeps(t *task) []taskRef {
+// references are collected into predScratch, returned for linkPreds to
+// consume while s.mu is still held. Caller holds s.mu.
+func (s *tracker) trackDeps(t *task) []taskRef {
 	if len(t.deps()) == 0 {
 		return nil
 	}
-	shardOf := t.depShards()
-	ls := r.shards[shardOf[0]]
-	preds := ls.predScratch[:0]
+	preds := s.predScratch[:0]
 	addPred := func(p taskRef) {
 		if p.t == nil || p.t == t {
 			return
@@ -206,8 +67,7 @@ func (r *Runtime) trackDeps(t *task) []taskRef {
 		preds = append(preds, p)
 	}
 	self := t.ref()
-	for i, d := range t.deps() {
-		s := r.shards[shardOf[i]]
+	for _, d := range t.deps() {
 		k := s.keys[d.Key]
 		// RAW for a reader; for a writer WAW, which even a plain Out waits
 		// for, since we do not rename storage.
@@ -230,16 +90,16 @@ func (r *Runtime) trackDeps(t *task) []taskRef {
 			s.sweep()
 		}
 	}
-	ls.predScratch = preds // write back so the grown capacity is kept
+	s.predScratch = preds // write back so the grown capacity is kept
 	return preds
 }
 
-// sweepFloor is the number of key records below which a shard never
+// sweepFloor is the number of key records below which the tracker never
 // scavenges: a workload that reuses a few hundred keys never pays for a
 // sweep.
 const sweepFloor = 512
 
-// maxSpare and maxSpareCap bound what a shard keeps for reuse: as many
+// maxSpare and maxSpareCap bound what the tracker keeps for reuse: as many
 // lists as the floor lets accumulate between two sweeps, and no list so
 // long that a few-reader key would pin a fan's worth of slots.
 const maxSpare, maxSpareCap = sweepFloor, 8
@@ -256,7 +116,7 @@ const maxSpare, maxSpareCap = sweepFloor, 8
 // for the jobs in flight, not for every job it ever ran. The next sweep is
 // due at twice what survived, which keeps the cost amortised constant per
 // insertion. Caller holds s.mu.
-func (s *depShard) sweep() {
+func (s *tracker) sweep() {
 	for key, k := range s.keys {
 		live := dropDead(k.readers)
 		if k.writer.t != nil && k.writer.dead() {
@@ -281,7 +141,7 @@ func (s *depShard) sweep() {
 // its live readers, not its history, without waiting for a sweep; it grows
 // only if that freed less than half of it, which keeps the scans amortised
 // constant per reader. Caller holds s.mu.
-func (s *depShard) readerRoom(rs []taskRef) []taskRef {
+func (s *tracker) readerRoom(rs []taskRef) []taskRef {
 	switch n := len(s.spare); {
 	case cap(rs) == 0 && n > 0:
 		rs, s.spare[n-1], s.spare = s.spare[n-1], nil, s.spare[:n-1]
@@ -341,23 +201,6 @@ func (r *Runtime) linkPreds(t *task, preds []taskRef) {
 		p.mu.Unlock()
 	}
 	// Clear the scratch so completed predecessors are not pinned by the
-	// shard (the capacity is kept for the next registration).
+	// tracker (the capacity is kept for the next registration).
 	clear(preds)
-}
-
-// lockShards acquires every shard in mask in ascending index order. Any
-// two submissions with overlapping masks are thereby fully serialised
-// (their registration critical sections cannot interleave), which keeps
-// per-key dependence chains consistent and the resulting graph acyclic.
-func (r *Runtime) lockShards(mask uint64) {
-	for ; mask != 0; mask &= mask - 1 {
-		r.shards[bits.TrailingZeros64(mask)].mu.Lock()
-	}
-}
-
-// unlockShards releases every shard in mask.
-func (r *Runtime) unlockShards(mask uint64) {
-	for ; mask != 0; mask &= mask - 1 {
-		r.shards[bits.TrailingZeros64(mask)].mu.Unlock()
-	}
 }

@@ -7,8 +7,8 @@
 // (Point.CritOnFast); locality, adaptive and chaos are paired comparisons
 // (locality on/off, static arms against the adaptive controller, a fault
 // load against a clean run). Each is swept over scheduler × submission mode
-// (per-task SubmitPriorityCtx vs SubmitBatchCtx) at the runtime's default shard count.
-// Dependence shapes, producer counts and the shard axis are not swept here:
+// (per-task SubmitPriorityCtx vs SubmitBatchCtx). Dependence shapes and
+// producer counts are not swept here:
 // the repo benchmark's per-layer arms and the root benchmarks price them
 // (DESIGN.md § Testing has the number → where-measured table).
 //
