@@ -164,10 +164,10 @@ func BenchmarkDispatchStealFan(b *testing.B) {
 	rt.Wait()
 }
 
-// BenchmarkStatsInto measures the monitoring read path the adaptive
-// controller and external pollers share: one coherent Stats snapshot of a
-// live pool, taken into a caller-owned buffer. The pool has two classes,
-// so a controller runs and its counters are on the path. CI's
+// BenchmarkStatsInto measures the monitoring read path external pollers
+// (the service's /metrics page among them) use: one coherent Stats
+// snapshot of a live pool, taken into a caller-owned buffer. The pool has
+// two classes, so the per-class grouping is on the path. CI's
 // alloc-budget gate holds this at zero allocs/op — an observer that
 // allocates on every sample would perturb the zero-alloc steady state it
 // is watching.
@@ -177,7 +177,6 @@ func BenchmarkStatsInto(b *testing.B) {
 			runtime.WorkerClass{Name: "fast", Count: 2, Speed: 1},
 			runtime.WorkerClass{Name: "slow", Count: 2, Speed: 0.5},
 		),
-		runtime.WithAdaptive(runtime.AdaptiveOptions{}),
 	)
 	defer rt.Shutdown()
 	for i := 0; i < 256; i++ {

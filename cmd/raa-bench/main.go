@@ -17,8 +17,6 @@
 //	raa-bench -experiment throughput \
 //	    -spec '{"scenarios": ["locality"]}'       # worker-local vs injector successor placement
 //	raa-bench -experiment throughput \
-//	    -spec '{"scenarios": ["adaptive"], "batch": 0}'  # the controller vs each static arm
-//	raa-bench -experiment throughput \
 //	    -spec '{"scenarios": ["chaos"], "schedulers": ["worksteal"]}'  # fault load vs clean run
 //	raa-bench -flight-dump FLIGHT.json            # flight-recorder timeline + invariant
 //	                                              # verdict from a mixed workload

@@ -34,15 +34,13 @@ const (
 	// context) and its successors are about to be released. Arg is the
 	// claim word before any recycle-time generation bump.
 	KindComplete
-	// Code 8 is retired: it was KindSignals, one event per adaptive-
-	// controller tick, which lapped the external ring and evicted the
-	// submit-path history (deleted in PR 21). The kinds after it keep their
-	// numbers so dumps recorded before still decode.
+	// Codes 8 and 9 are retired: 8 was KindSignals, one event per
+	// adaptive-controller tick, which lapped the external ring and evicted
+	// the submit-path history; 9 was the adapt event, one per applied
+	// decision of that controller, which is gone too. The kinds after them
+	// keep their numbers so dumps recorded before still decode.
 	_
-	// KindAdapt: the adaptive controller applied one policy decision — a
-	// timeline marker, no invariant rests on it. Arg is the queued-task
-	// count the rule saw, Arg2 the active-class mask it installed.
-	KindAdapt
+	_
 	// KindMarker: a request-scoped timeline marker recorded by a layer
 	// above the runtime (the serve front end stamps one per job phase
 	// transition), so a merged timeline can be cut along request
@@ -94,8 +92,6 @@ func (k Kind) String() string {
 		return "wake"
 	case KindComplete:
 		return "complete"
-	case KindAdapt:
-		return "adapt"
 	case KindMarker:
 		return "marker"
 	case KindFault:

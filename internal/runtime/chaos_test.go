@@ -34,7 +34,6 @@ func TestChaosStressSurvival(t *testing.T) {
 				WorkerClass{Name: "little", Count: 2, Speed: 1},
 			),
 		}},
-		{"adaptive", []Option{heteroAdaptiveClasses(), WithAdaptive(AdaptiveOptions{Period: 100 * time.Microsecond, Hysteresis: 1})}},
 	}
 	for _, kind := range []SchedulerKind{WorkSteal, FIFO, CATS} {
 		for _, lay := range layouts {
@@ -109,10 +108,6 @@ func chaosStressOnce(t *testing.T, kind SchedulerKind, layout []Option) {
 	r.Shutdown()
 
 	st := r.Stats()
-	// WithAdaptive starts a controller only where it can act: WorkSteal.
-	if r.opts.adaptive != nil && st.Adaptive.Enabled != (kind == WorkSteal) {
-		t.Fatalf("Stats.Adaptive.Enabled = %v under %v with WithAdaptive on two classes", st.Adaptive.Enabled, kind)
-	}
 	if st.Submitted != total {
 		t.Fatalf("submitted %d, want %d", st.Submitted, total)
 	}

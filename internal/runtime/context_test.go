@@ -130,6 +130,7 @@ func TestQueueBoundBackpressure(t *testing.T) {
 	}()
 	select {
 	case err := <-blocked:
+		close(release) // let the deferred Shutdown drain the holds
 		t.Fatalf("third submit did not block (err=%v)", err)
 	case <-time.After(100 * time.Millisecond):
 	}
@@ -153,6 +154,7 @@ func TestQueueBoundBackpressure(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
+		close(release2)
 		t.Fatalf("blocked submit on cancel = %v, want context.Canceled", err)
 	}
 	close(release2)

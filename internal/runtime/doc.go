@@ -19,7 +19,6 @@
 //	    runtime.WithScheduler(runtime.CATS), // FIFO | WorkSteal | CATS
 //	    runtime.WithQueueBound(256),         // backpressure; 0 = unbounded
 //	    runtime.WithLocalityWindow(32),      // worker-local successor window
-//	    runtime.WithAdaptive(runtime.AdaptiveOptions{}), // online self-tuning
 //	    runtime.WithTraceRetention(),        // keep a registration log for Graph
 //	)
 //
@@ -60,10 +59,8 @@
 //	          by design.
 //	WorkSteal per-worker lock-free Chase–Lev deques with randomized FIFO
 //	          stealing and a parking list for idle workers (the production
-//	          default, Nanos++-style). On a heterogeneous pool, victim
-//	          sweeps visit fast-class deques first: fast workers keep
-//	          critical work inside their class, and slow workers stealing
-//	          a fast worker's oldest entries help its backlog drain.
+//	          default, Nanos++-style), class-blind: a thief sweeps every
+//	          other worker once from a random offset.
 //	CATS      criticality-aware: a central priority structure ordered by
 //	          the Priority hint, where a task with a successor is raised
 //	          above it, so tasks on a dependence chain run before leaves
@@ -141,28 +138,12 @@
 //	               complete, and the fault paths (retry, deadline, poison)
 //	signals.go     the per-worker counter block and the cross-cutting
 //	               counters StatsInto groups at read time
-//	adaptive.go    the controller, which rewrites WorkSteal's class mask
 //	runtime.go     types, construction, Wait, Shutdown, Stats, Graph
 //
-// # Adaptive control
+// # Heterogeneous pools
 //
-// WithAdaptive closes one loop over a heterogeneous WorkSteal pool — the
-// paper's runtime that observes its task graph and decides which cores run
-// it; under FIFO or CATS, or on one class, it starts nothing. A background
-// controller reads the scheduler's queued-task count every
-// AdaptiveOptions.Period and runs one pure rule on it: a serial phase (at
-// most one task queued) narrows the active-class mask to the fast class —
-// slow workers gate-park until the mask widens — and work for every worker
-// widens it back. The mask changes only after the proposal has held for
-// Hysteresis consecutive samples, every applied decision is recorded in
-// the flight recorder as a timeline marker (KindAdapt, carrying the queued
-// count the rule saw and the new mask; a tick that changes nothing records
-// nothing, so the controller never laps the submit-path history), and
-// Stats.Adaptive reports the live mask plus sample/decision counts. The
-// locality window is a construction-time setting, not policy (rules that
-// adapted it measured at no benefit; CHANGES.md keeps the measurements).
-// The throughput experiment's adaptive scenario pits the controller
-// against the static configurations on a phase-shifting workload, one
-// paired ratio per static arm; internal/throughput's
-// TestAdaptiveClassRuleRent fails if the rule stops paying.
+// CATS is the one class-aware scheduler: it keeps a critical chain on the
+// fast class with no controller beside it. WorkSteal and FIFO are
+// class-blind. WithAdaptive is accepted and ignored, and Stats.Adaptive
+// reads zero.
 package runtime

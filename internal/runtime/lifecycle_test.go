@@ -153,6 +153,42 @@ func TestLiveRefBesideDeadRefToSameRecord(t *testing.T) {
 	}
 }
 
+// A reference to a retired record is dead whoever holds the record now
+// (taskRef.dead, the generation check). x1 and x2 finish and retire their
+// records in that order; a batch takes them back in that order, so B gets
+// x1's record and A x2's. B reads "a", whose writer reference is x2's past
+// life; A reads "b", which B writes. Were that reference taken for A, B
+// would wait on A and A on B, and neither would run: the bounded wait fails
+// on it, and the pool is not shut down then, since Shutdown would wait too.
+func TestRecycledRecordNeverWaitsOnItsPastLife(t *testing.T) {
+	r := New(WithWorkers(1))
+	noop := func(context.Context) error { return nil }
+	for _, key := range []string{"p", "a"} {
+		if _, err := r.SubmitCtx(context.Background(), "x", noop, Out(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Wait()
+	s := &r.tracker
+	s.mu.Lock()
+	past := s.keys["a"].writer.t
+	s.mu.Unlock()
+	if _, err := r.SubmitBatchCtx(context.Background(), []TaskSpec{
+		{Name: "B", Body: noop, Deps: []Dep{In("a"), Out("b")}},
+		{Name: "A", Body: noop, Deps: []Dep{In("b")}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	boundedWait(t, r, 2*time.Second, "a batch on recycled records")
+	s.mu.Lock()
+	reused := s.keys["b"].readers[0].t == past
+	s.mu.Unlock()
+	if !reused {
+		t.Fatal("precondition: A did not reuse x2's record")
+	}
+	r.Shutdown()
+}
+
 // A writer truncating a key's reader list must nil the slots: readers[:0]
 // alone keeps the old reader tasks reachable through the backing array.
 func TestReadersTailSlotsClearedOnWriterTruncate(t *testing.T) {

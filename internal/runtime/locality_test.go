@@ -13,7 +13,7 @@ import (
 // a full deque must spill too.
 func TestLocalityWindowSpillsToInjector(t *testing.T) {
 	const window = 4
-	s := newTestSteal(homogeneousLayout(2), window)
+	s := newTestSteal(2, window)
 	tasks := make([]task, 10)
 	ts := make([]*task, len(tasks))
 	for i := range tasks {
@@ -46,7 +46,7 @@ func TestLocalityWindowSpillsToInjector(t *testing.T) {
 // central injector — the baseline the locality experiment compares
 // against.
 func TestLocalityDisabledRoutesCentrally(t *testing.T) {
-	s := newTestSteal(homogeneousLayout(2), 0)
+	s := newTestSteal(2, 0)
 	s.push(&task{}, 0)
 	s.pushBatch([]*task{{}, {}}, 0)
 	if got := s.deques[0].size(); got != 0 {
@@ -60,7 +60,7 @@ func TestLocalityDisabledRoutesCentrally(t *testing.T) {
 // An out-of-range hint (a submitting goroutine, hint -1) must never touch
 // a deque whatever the window.
 func TestLocalityIgnoresInvalidHint(t *testing.T) {
-	s := newTestSteal(homogeneousLayout(2), 8)
+	s := newTestSteal(2, 8)
 	s.push(&task{}, -1)
 	s.pushBatch([]*task{{}, {}}, 7)
 	for w, d := range s.deques {
@@ -116,7 +116,7 @@ func TestSubmitHintResolution(t *testing.T) {
 // stay stealable by other workers.
 func TestSubmitLocalSideBuffer(t *testing.T) {
 	const window = 4
-	s := newTestSteal(homogeneousLayout(2), window)
+	s := newTestSteal(2, window)
 	tasks := make([]task, window+2)
 	for i := range tasks[:window] {
 		if !s.submitLocal(&tasks[i], 0) {
@@ -147,7 +147,7 @@ func TestSubmitLocalSideBuffer(t *testing.T) {
 		t.Fatalf("side buffer holds %d after drain, want 0", got)
 	}
 	// Disabled locality refuses outright.
-	off := newTestSteal(homogeneousLayout(2), 0)
+	off := newTestSteal(2, 0)
 	if off.submitLocal(&tasks[0], 0) {
 		t.Fatal("submitLocal accepted with locality disabled")
 	}

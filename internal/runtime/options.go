@@ -19,7 +19,6 @@ type options struct {
 	retainTrace bool
 	localWindow int
 	flight      *flightrec.Options
-	adaptive    *AdaptiveOptions
 }
 
 // defaultLocalityWindow is the locality window a runtime uses when
@@ -41,10 +40,9 @@ type Option func(*options)
 // workers share the class; Speed is the class's relative speed multiplier
 // (1.0 = nominal, 0.5 = half as fast). The runtime uses the classes for
 // criticality-aware placement: CATS reserves high-bottom-level tasks for
-// the fastest class, and the work-stealing scheduler biases victim
-// selection toward fast-class deques. Name is an optional label ("big",
-// "LITTLE") surfaced by diagnostics; unnamed classes are labelled
-// "class<i>" after resolution.
+// the fastest class; FIFO and WorkSteal are class-blind. Name is an
+// optional label ("big", "LITTLE") surfaced by diagnostics; unnamed
+// classes are labelled "class<i>" after resolution.
 type WorkerClass struct {
 	// Name labels the class in stats and diagnostics ("" = auto).
 	Name string
@@ -199,4 +197,22 @@ func WithFlightRecorder(fo flightrec.Options) Option {
 // callers that still pass it, such as the repo benchmark's shards1 arm.
 func WithShards(int) Option {
 	return func(*options) {}
+}
+
+// AdaptiveOptions has no fields: WithAdaptive is ignored.
+type AdaptiveOptions struct{}
+
+// WithAdaptive is ignored: it starts nothing on any scheduler. CATS is the
+// runtime's one class-aware scheduler (WithScheduler, WithWorkerClasses).
+// The option stays for callers that still pass it, such as the repo
+// benchmark's adaptive arm.
+func WithAdaptive(AdaptiveOptions) Option {
+	return func(*options) {}
+}
+
+// AdaptiveStats is Stats.Adaptive, always zero since no controller runs.
+// It stays for callers that still read it.
+type AdaptiveStats struct {
+	// Decisions is always 0.
+	Decisions uint64
 }

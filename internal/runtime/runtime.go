@@ -330,9 +330,9 @@ type Stats struct {
 	// successors they took down with them.
 	Quarantined uint64
 	// Parks and Wakes count worker sleep/wake transitions across the
-	// scheduler's parking lots and the class gate. Parks per thousand
-	// executed tasks is the idle-protocol health figure: a pool that parks
-	// often under steady load is paying the OS wake path per task.
+	// scheduler's parking lots. Parks per thousand executed tasks is the
+	// idle-protocol health figure: a pool that parks often under steady
+	// load is paying the OS wake path per task.
 	Parks uint64
 	Wakes uint64
 	// Searches counts the idle-search phases WorkSteal workers entered
@@ -353,8 +353,7 @@ type Stats struct {
 	// FlightEvents is the total number of events the flight recorder has
 	// captured (0 without WithFlightRecorder).
 	FlightEvents uint64
-	// Adaptive is the class-gate snapshot: the live class mask plus, when
-	// a controller runs, its sample and decision counters.
+	// Adaptive is always zero: WithAdaptive is ignored.
 	Adaptive AdaptiveStats
 }
 
@@ -487,11 +486,6 @@ type Runtime struct {
 	// StatsInto.
 	sig *signals
 
-	// ctrl is the adaptive controller (nil unless WithAdaptive on a
-	// WorkSteal pool of two or more classes): the one writer of
-	// WorkSteal's class mask.
-	ctrl *adaptiveController
-
 	// free and pool are the two tiers of the task-record freelist. complete
 	// retires each finished record — first into the fixed-capacity
 	// lock-free ring (GC-immune, so the steady state stays allocation-free
@@ -548,26 +542,18 @@ func New(opts ...Option) *Runtime {
 		// needs no locking of its own.
 		r.rec = flightrec.New(o.workers, *o.flight)
 	}
-	layout := classLayout{workers: o.workers, fastN: fastN, classOf: classOf}
 	switch o.scheduler {
 	case FIFO:
 		r.sched = newFIFOScheduler(r.sig, r.rec)
 	case CATS:
-		r.sched = newCATSScheduler(layout, r.sig, r.rec)
+		r.sched = newCATSScheduler(classLayout{workers: o.workers, fastN: fastN}, r.sig, r.rec)
 		r.schedSelfRecords = r.rec != nil
 	default:
-		s := newStealScheduler(layout, o.localWindow, r.sig, r.rec)
-		r.sched = s
-		if o.adaptive != nil && len(classes) > 1 {
-			r.ctrl = newAdaptiveController(r, s, *o.adaptive)
-		}
+		r.sched = newStealScheduler(o.workers, o.localWindow, r.sig, r.rec)
 	}
 	for w := 0; w < o.workers; w++ {
 		r.wg.Add(1)
 		go r.worker(w)
-	}
-	if r.ctrl != nil {
-		go r.ctrl.run()
 	}
 	return r
 }
@@ -671,12 +657,6 @@ func (r *Runtime) Shutdown() {
 	}
 	r.sched.wake()
 	r.wg.Wait()
-	if r.ctrl != nil {
-		// Stop the controller after the workers: it may keep adapting while
-		// the pool drains (that is the point), but must not race the
-		// recorder's Close below.
-		r.ctrl.halt()
-	}
 	if r.rec != nil {
 		// Stop the recorder's clock; the rings stay readable for post-run
 		// snapshots (Tail, the bench tool's -flight-dump).
@@ -728,13 +708,6 @@ func (r *Runtime) StatsInto(s *Stats) {
 	s.FlightEvents = 0
 	if r.rec != nil {
 		s.FlightEvents = r.rec.EventCount()
-	}
-	s.Adaptive = AdaptiveStats{ActiveClasses: 1<<uint(len(r.classes)) - 1}
-	if c := r.ctrl; c != nil {
-		s.Adaptive.Enabled = true
-		s.Adaptive.ActiveClasses = c.sched.classMask.Load()
-		s.Adaptive.Samples = c.samples.Load()
-		s.Adaptive.Decisions = c.decisions.Load()
 	}
 }
 

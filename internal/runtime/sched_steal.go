@@ -18,8 +18,8 @@ import (
 //     worker with an empty deque takes one task from it at a time.
 //   - A worker with nothing local steals from the top of a victim's deque
 //     (FIFO: the oldest task, which heads the largest remaining subtree) —
-//     a single CAS, no lock. Victims are visited fast-class before slow
-//     (see buildVictimPlans), each tier swept from a random offset.
+//     a single CAS, no lock. Every other worker is a victim, swept once
+//     from a random offset (see sweep).
 //   - Only when everything is empty does a worker go idle: fresh off a
 //     task it first searches (a bounded number of yield-and-poll rounds,
 //     see search), then parks on the pool's one parking lot. The parking
@@ -31,7 +31,7 @@ import (
 type stealScheduler struct {
 	schedHooks
 	// parkLog carries the runtime's signals layer and flight recorder for
-	// the park/wake accounting of the parking lot and the class gate.
+	// the park/wake accounting of the parking lot.
 	parkLog
 
 	deques []*wsDeque
@@ -51,9 +51,6 @@ type stealScheduler struct {
 	parkCond *sync.Cond
 	woken    atomic.Bool
 
-	// victims holds each worker's precomputed tier-ordered victim plan.
-	victims []victimPlan
-
 	// window is the locality window (WithLocalityWindow), immutable: a push
 	// carrying a worker hint goes to that worker's own deque only while the
 	// deque holds fewer than window tasks, and spills to the injector past
@@ -62,24 +59,6 @@ type stealScheduler struct {
 	// one CAS at a time (window <= 0 disables the locality path entirely:
 	// every release goes through the injector, the central-queue baseline).
 	window int64
-	// classMask is the class gate's one word — which worker classes may
-	// dispatch: bit c set lets class c's workers pop. Only the adaptive
-	// controller writes it (setClassMask); without one it stays fullMask,
-	// one bit per class of the layout, immutable. Bit 0, the fast class,
-	// is never cleared.
-	classMask atomic.Uint64
-	fullMask  uint64
-	// classOf maps workerID → class index for the gate.
-	classOf func(int) int
-
-	// gateMu/gateCond form the class gate: a worker whose class bit is
-	// clear in classMask parks here (outside the parking lot and the
-	// pending/parked protocol — a gated worker is withdrawn from the pool,
-	// not idle). Its deque and submit buffer stay stealable by active
-	// workers, and its queued tasks stay counted in pending, so no active
-	// worker can park while a gated worker's work remains.
-	gateMu   sync.Mutex
-	gateCond *sync.Cond
 
 	// side holds one submit buffer per worker: the landing zone for
 	// hinted submissions (tasks submitted with a worker's body context,
@@ -121,31 +100,26 @@ func (b *lockedRing) offer(t *task, win int64) bool {
 // line so neighbouring workers don't false-share: the xorshift state behind
 // its victim-selection draws, and the idle-search rounds it has left —
 // refilled by every dispatch, spent by search (a worker never sleeps with
-// any left), forfeited by gating (see search).
+// any left; see search).
 type stealLocal struct {
 	rand       uint64
 	searchLeft int
 	_          [6]uint64
 }
 
-func newStealScheduler(layout classLayout, window int, sig *signals, rec *flightrec.Recorder) *stealScheduler {
+func newStealScheduler(workers, window int, sig *signals, rec *flightrec.Recorder) *stealScheduler {
 	s := &stealScheduler{
 		parkLog: parkLog{sig: sig, rec: rec},
-		deques:  make([]*wsDeque, layout.workers),
-		local:   make([]stealLocal, layout.workers),
-		victims: buildVictimPlans(layout),
+		deques:  make([]*wsDeque, workers),
+		local:   make([]stealLocal, workers),
 		window:  int64(window),
-		classOf: layout.class,
-		side:    make([]lockedRing, layout.workers),
+		side:    make([]lockedRing, workers),
 	}
 	for i := range s.deques {
 		s.deques[i] = newWSDeque()
 		s.local[i].rand = mix64(uint64(i) + 0x9e3779b97f4a7c15)
-		s.fullMask |= 1 << uint(layout.class(i))
 	}
-	s.classMask.Store(s.fullMask)
 	s.parkCond = sync.NewCond(&s.parkMu)
-	s.gateCond = sync.NewCond(&s.gateMu)
 	return s
 }
 
@@ -158,37 +132,6 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// victimPlan is one worker's precomputed steal order: every other worker
-// exactly once, fast class first. order[:fast] is the fast-class tier,
-// order[fast:] the slow-class one.
-type victimPlan struct {
-	order []int32
-	fast  int
-}
-
-// buildVictimPlans precomputes every worker's victim list from the layout.
-// Worker IDs are assigned fastest class first, so ascending ID order is
-// already tier order. Keeping the plan static (only the per-tier starting
-// offset is randomised per sweep) makes the tier ordering a checkable
-// invariant rather than an emergent property of per-sweep filtering.
-func buildVictimPlans(l classLayout) []victimPlan {
-	plans := make([]victimPlan, l.workers)
-	for w := range plans {
-		p := &plans[w]
-		p.order = make([]int32, 0, l.workers-1)
-		for v := 0; v < l.workers; v++ {
-			if v == w {
-				continue
-			}
-			if v < l.fastN {
-				p.fast++
-			}
-			p.order = append(p.order, int32(v))
-		}
-	}
-	return plans
 }
 
 // hinted reports whether workerHint names a worker of this pool whose
@@ -268,7 +211,7 @@ func (s *stealScheduler) drainSide(w int) {
 // stealSide takes one task from another worker's submit buffer — the
 // fallback that keeps buffered submissions reachable when their target
 // worker is blocked inside a long-running body. Buffers are visited in
-// the thief's victim-plan order.
+// the thief's sweep order.
 func (s *stealScheduler) stealSide(w int) *task {
 	t, _ := s.sweep(w, func(v int) (*task, bool) {
 		b := &s.side[v]
@@ -348,34 +291,33 @@ func (s *stealScheduler) refill() *task {
 	return t
 }
 
-// sweep walks w's victims in plan order — fast-class tier, then slow, each
-// rotated by a fresh random offset so concurrent thieves don't convoy on
-// one victim — asking take for a task from each until one yields. Fast-class
-// victims lead because the released successors of critical tasks live there
-// and stealing their oldest (least critical) entries keeps the fast LIFO end
-// free for the path itself. Every victim is visited at most once and w
-// itself never is — the property the sweep test checks. take's second
-// result (a lost race) is OR-ed into the sweep's: a caller that came back
-// empty-handed but contended must not park on this evidence alone.
+// sweep walks every other worker once, starting from a fresh random offset
+// so concurrent thieves don't convoy on one victim, asking take for a task
+// from each until one yields. w itself is never visited — the property the
+// sweep test checks. take's second result (a lost race) is OR-ed into the
+// sweep's: a caller that came back empty-handed but contended must not park
+// on this evidence alone.
 func (s *stealScheduler) sweep(w int, take func(v int) (*task, bool)) (*task, bool) {
-	p := &s.victims[w]
+	workers := len(s.deques)
+	n := workers - 1 // the victims are w+1 … w+n, wrapped
+	if n == 0 {
+		return nil, false
+	}
 	contended := false
-	for _, tier := range [2][]int32{p.order[:p.fast], p.order[p.fast:]} {
-		n := len(tier)
-		if n == 0 {
-			continue
+	off := int(s.nextRand(w) % uint64(n))
+	for i := 0; i < n; i++ {
+		j := off + i
+		if j >= n {
+			j -= n
 		}
-		off := int(s.nextRand(w) % uint64(n))
-		for i := 0; i < n; i++ {
-			j := off + i
-			if j >= n {
-				j -= n
-			}
-			t, retry := take(int(tier[j]))
-			contended = contended || retry
-			if t != nil {
-				return t, contended
-			}
+		v := w + 1 + j
+		if v >= workers {
+			v -= workers
+		}
+		t, retry := take(v)
+		contended = contended || retry
+		if t != nil {
+			return t, contended
 		}
 	}
 	return nil, contended
@@ -417,28 +359,8 @@ func (s *stealScheduler) find(w int) (t *task, stolen, contended bool) {
 }
 
 func (s *stealScheduler) pop(workerID int) (*task, bool) {
-	class := s.classOf(workerID)
 	loc := &s.local[workerID]
 	for {
-		// The class gate: a worker whose class is inactive parks outside
-		// the pool until the mask widens. It may be here because a
-		// pusher's wake signal landed on it, and whatever it still holds
-		// in its deque or submit buffer stays stealable and counted in
-		// pending. So while pending is positive it relays one wake rather
-		// than absorbing it: the next lot waiter either takes the work or,
-		// gated too, relays again until an active-class worker gets it.
-		if !s.classActive(class) {
-			if s.pending.Load() > 0 {
-				s.wakeWorkers(1)
-			}
-			// The gate is withdrawal, not idleness: a gated worker never
-			// searches, here or on its way back into the pool.
-			loc.searchLeft = 0
-			if s.gatePark(workerID, class) {
-				return nil, false // shutdown wake
-			}
-			continue
-		}
 		t, stolen, contended := s.find(workerID)
 		if t != nil {
 			s.pending.Add(-1)
@@ -550,47 +472,11 @@ func (s *stealScheduler) search(workerID int) bool {
 	return false
 }
 
-// gatePark blocks workerID at the class gate until its class is active
-// again (false) or the pool is waking for shutdown (true).
-func (s *stealScheduler) gatePark(workerID, class int) (shutdown bool) {
-	s.gateMu.Lock()
-	defer s.gateMu.Unlock()
-	for {
-		if s.woken.Load() {
-			return true
-		}
-		if s.classActive(class) {
-			return false
-		}
-		s.wait(s.gateCond, workerID)
-	}
-}
-
-// classActive reports whether class c's workers may dispatch.
-func (s *stealScheduler) classActive(c int) bool {
-	return s.classMask.Load()&(1<<uint(c)) != 0
-}
-
-// setClassMask installs a new active-class set, forcing bit 0 — the fast
-// class is never parked, so some worker can always dispatch any task and
-// the gate can never deadlock the pool — and makes gated workers
-// re-examine it. The broadcast is made under the gate mutex so it cannot
-// slip between a parking worker's mask check and its Wait.
-func (s *stealScheduler) setClassMask(m uint64) {
-	s.gateMu.Lock()
-	defer s.gateMu.Unlock()
-	s.classMask.Store((m | 1) & s.fullMask)
-	s.gateCond.Broadcast()
-}
-
 func (s *stealScheduler) wake() {
 	s.woken.Store(true)
 	s.parkMu.Lock()
 	s.parkCond.Broadcast()
 	s.parkMu.Unlock()
-	s.gateMu.Lock()
-	s.gateCond.Broadcast()
-	s.gateMu.Unlock()
 }
 
 // queued: the parking protocol's pending count is already the total over

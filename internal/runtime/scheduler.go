@@ -10,14 +10,12 @@ import (
 // and the sampler make into a scheduler, with no capability discovered by
 // type assertion. The first five methods are implemented by all three
 // schedulers; the rest are scheduler-specific hooks whose no-op defaults
-// come from the embedded schedHooks. The class gate the adaptive
-// controller drives is WorkSteal's alone (stealScheduler.setClassMask):
-// New attaches a controller to no other scheduler.
+// come from the embedded schedHooks.
 //
 //	method            fifo      worksteal   cats
 //	push/pushBatch    queue     route       heap insert
 //	pop               queue     find+park   refile+take
-//	wake              lot       lot+gate    lot
+//	wake              lot       lot         lot
 //	queued            1 queue   pending     2 heaps
 //	submitLocal*      —         side buffer —
 //	taskDone          —         —           saturation
@@ -68,27 +66,16 @@ func (schedHooks) submitLocal(*task, int) bool       { return false }
 func (schedHooks) submitLocalBatch([]*task, int) int { return 0 }
 func (schedHooks) taskDone(int)                      {}
 
-// classLayout is the view of the pool class-aware schedulers receive.
-// Worker IDs are assigned fastest class first (options.resolveClasses), so
-// a single comparison — id < fastN — classifies a worker, and fastN ==
-// workers means the pool is homogeneous (every placement rule degenerates
-// to the class-blind behaviour).
+// classLayout is the view of the pool CATS, the class-aware scheduler,
+// receives. Worker IDs are assigned fastest class first
+// (options.resolveClasses), so a single comparison — id < fastN —
+// classifies a worker, and fastN == workers means the pool is homogeneous
+// (every placement rule degenerates to the class-blind behaviour).
 type classLayout struct {
 	workers int
 	// fastN is the number of fast-class workers: those whose class ties
 	// the pool's top speed, always ≥ 1.
 	fastN int
-	// classOf maps workerID → class index (nil = every worker class 0);
-	// WorkSteal's class gate is keyed by it.
-	classOf []int
-}
-
-// class maps a worker ID to its class index.
-func (l classLayout) class(w int) int {
-	if l.classOf == nil {
-		return 0
-	}
-	return l.classOf[w]
 }
 
 // parkLog is the park/wake bookkeeping every blocking site of every

@@ -21,6 +21,17 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	}
 }
 
+// boundedWait fails the test if r does not drain within d. The pool is then
+// left running: Shutdown would wait for the stranded tasks too.
+func boundedWait(t *testing.T, r *Runtime, d time.Duration, what string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	if err := r.WaitCtx(ctx); err != nil {
+		t.Fatalf("%s: %v with %d tasks outstanding", what, err, r.Backlog())
+	}
+}
+
 // --- wsDeque -----------------------------------------------------------------
 
 func TestWSDequeOwnerLIFOThiefFIFO(t *testing.T) {
@@ -252,44 +263,45 @@ func TestSingleWorkerInjectorRefill(t *testing.T) {
 }
 
 // TestVictimSweepClassTierProperty is the randomized property test for the
-// tiered steal sweep: across random pools (1–12 workers, with and without a
-// fast worker class) every worker's full sweep visits each fast-class victim
-// before any slow-class one, never visits itself, and covers every other
-// deque exactly once. The per-tier random rotation only reorders victims
-// within a tier, so the property must hold for every worker on every trial.
+// steal sweep: across random pools of 1–12 workers every worker's full sweep
+// visits every other deque exactly once and never its own, and the random
+// rotation moves where a worker's sweeps start.
 func TestVictimSweepClassTierProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xA17))
 	for trial := 0; trial < 300; trial++ {
 		workers := 1 + rng.Intn(12)
-		fastN := workers
-		if workers > 1 && rng.Intn(2) == 0 {
-			fastN = 1 + rng.Intn(workers-1)
-		}
-		s := newTestSteal(classLayout{workers: workers, fastN: fastN}, 0)
+		s := newTestSteal(workers, 0)
 		fail := func(format string, args ...any) {
 			t.Helper()
-			t.Fatalf("trial %d (workers=%d fastN=%d): "+format, append([]any{trial, workers, fastN}, args...)...)
+			t.Fatalf("trial %d (workers=%d): "+format, append([]any{trial, workers}, args...)...)
 		}
 		for w := 0; w < workers; w++ {
-			seen := make(map[int]bool, workers)
-			slow := false
-			s.sweep(w, func(v int) (*task, bool) {
-				switch {
-				case v == w:
-					fail("worker %d sweeps its own deque", w)
-				case v < 0 || v >= workers:
-					fail("worker %d visits out-of-range victim %d", w, v)
-				case seen[v]:
-					fail("worker %d visits victim %d twice", w, v)
-				case v < fastN && slow:
-					fail("worker %d visits fast victim %d after a slow one", w, v)
+			firsts := map[int]bool{}
+			for sweep := 0; sweep < 16; sweep++ {
+				seen := make(map[int]bool, workers)
+				first := -1
+				s.sweep(w, func(v int) (*task, bool) {
+					switch {
+					case v == w:
+						fail("worker %d sweeps its own deque", w)
+					case v < 0 || v >= workers:
+						fail("worker %d visits out-of-range victim %d", w, v)
+					case seen[v]:
+						fail("worker %d visits victim %d twice", w, v)
+					}
+					if first < 0 {
+						first = v
+					}
+					seen[v] = true
+					return nil, false
+				})
+				if len(seen) != workers-1 {
+					fail("worker %d swept %d of %d victims", w, len(seen), workers-1)
 				}
-				seen[v] = true
-				slow = slow || v >= fastN
-				return nil, false
-			})
-			if len(seen) != workers-1 {
-				fail("worker %d swept %d of %d victims", w, len(seen), workers-1)
+				firsts[first] = true
+			}
+			if workers > 2 && len(firsts) == 1 {
+				fail("worker %d started all 16 sweeps at victim %v", w, firsts)
 			}
 		}
 	}
@@ -354,8 +366,8 @@ func homogeneousLayout(workers int) classLayout {
 
 // newTestSteal/newTestCATS/newTestFIFO build schedulers with a fresh
 // signals layer, the way New wires them.
-func newTestSteal(l classLayout, window int) *stealScheduler {
-	return newStealScheduler(l, window, newSignals(l.workers), nil)
+func newTestSteal(workers, window int) *stealScheduler {
+	return newStealScheduler(workers, window, newSignals(workers), nil)
 }
 
 func newTestCATS(l classLayout) *catsScheduler {
@@ -431,7 +443,7 @@ func TestCATSHeapRaisedEntryRefiledOnce(t *testing.T) {
 func TestWakeUnblocksPoppingWorkers(t *testing.T) {
 	for _, mk := range []func() scheduler{
 		func() scheduler { return newTestFIFO(4) },
-		func() scheduler { return newTestSteal(homogeneousLayout(4), defaultLocalityWindow) },
+		func() scheduler { return newTestSteal(4, defaultLocalityWindow) },
 		func() scheduler { return newTestCATS(homogeneousLayout(4)) },
 	} {
 		s := mk()

@@ -28,17 +28,15 @@ var _ [0]struct{} = [unsafe.Sizeof(workerSig{}) - 64]struct{}{}
 
 // signals is the runtime's self-observation layer: the one set of cheap
 // counters every hot path already touches, from which the public Stats
-// snapshot is derived (the adaptive controller reads one figure beside it,
-// the scheduler's queued-task count). The
-// per-worker counters live in workers (padded, owner-bumped); the
-// cross-cutting ones — park/wake churn, the fault counters — are single
-// atomics bumped at the schedulers' slow-path sites only, so the busy
-// steady state never contends on them.
+// snapshot is derived. The per-worker counters live in workers (padded,
+// owner-bumped); the cross-cutting ones — park/wake churn, the fault
+// counters — are single atomics bumped at the schedulers' slow-path sites
+// only, so the busy steady state never contends on them.
 type signals struct {
 	workers []workerSig
 	// parks and wakes count worker park/wake transitions across all
-	// schedulers and the class gate — the churn signal of a pool that is
-	// under-loaded (or thrashing between phases).
+	// schedulers — the churn signal of a pool that is under-loaded (or
+	// thrashing between phases).
 	parks atomic.Uint64
 	wakes atomic.Uint64
 	// The fault-tolerance counters are bumped on failure paths only, so

@@ -14,16 +14,16 @@ import (
 	"repro/internal/runtime"
 )
 
-// The two wall-clock verdicts that are failing checks rather than numbers
-// in a report share their rules. Both are stated for GOMAXPROCS=2 on two
-// real CPUs, without the race detector (pinTwoCPUs). Both are ratios
-// measured on a shared host, so one attempt over the line is re-measured
-// (twice at most) before it counts: noise that moves one attempt does not
-// repeat, a mechanism that really misses its line fails all three. And an
-// attempt counts against the mechanism only if the process had its CPUs (at
-// least minShare of them over the attempt's wall time): go test runs
-// packages side by side, and a ratio taken while another package holds the
-// CPUs measures that package (judgeRatio).
+// The wall-clock verdict that is a failing check rather than a number in a
+// report has its own rules. It is stated for GOMAXPROCS=2 on two real
+// CPUs, without the race detector (pinTwoCPUs). It is a ratio measured on a
+// shared host, so one attempt over the line is re-measured (twice at most)
+// before it counts: noise that moves one attempt does not repeat, a
+// mechanism that really misses its line fails all three. And an attempt
+// counts against the mechanism only if the process had its CPUs (at least
+// minShare of them over the attempt's wall time): go test runs packages
+// side by side, and a ratio taken while another package holds the CPUs
+// measures that package (judgeRatio).
 func pinTwoCPUs(t *testing.T) {
 	t.Helper()
 	switch {
@@ -130,39 +130,6 @@ func submitRandomDAG(ctx context.Context, rt *runtime.Runtime, n int, body runti
 		}
 	}
 	return nil
-}
-
-// The rent check of the one rule the adaptive controller keeps: on the
-// phase-shifting hetero workload (ScenarioAdaptive's legs — serial chains
-// whose links cost SlowFactor× on a slow worker, alternating with fans) a
-// worksteal pool under the controller must beat the same pool without it
-// by at least 1.30× — static÷adaptive elapsed through pairedRounds, nine
-// rounds. Measured 1.65–1.70 with the class-mask rule and 1.04–1.07 with
-// it commented out (which is also what a controller with no rules reads),
-// so the line fails when the rule stops working and not before. The
-// workload is mostly one chain plus idle beats, so a quiet attempt uses
-// 0.5–0.7 of a CPU; under 0.4 another process had them.
-func TestAdaptiveClassRuleRent(t *testing.T) {
-	const (
-		rent     = 1.30
-		rounds   = 9
-		workers  = 4
-		legTasks = 40 * (adaptiveChainLinks + 2*workers) // 40 chain+fan segment pairs, ~0.1 s per leg
-	)
-	pinTwoCPUs(t)
-	ctx := context.Background()
-	all := adaptiveArms(Config{Workers: workers})
-	arms := []adaptiveArm{all[0], all[len(all)-1]} // static worksteal, adaptive (the baseline)
-	var st runtime.Stats
-	judgeRatio(t, "static worksteal÷adaptive", 0.4, func(m float64) bool { return m >= rent }, func() (PairedRatio, error) {
-		res, err := pairedRounds(ctx, 2*rounds*legTasks, rounds, len(arms), 1, true, func(arm, n int) (time.Duration, error) {
-			return adaptiveLeg(ctx, arms[arm], "single", n, workers).run(ctx, &st)
-		})
-		if err != nil {
-			return PairedRatio{}, err
-		}
-		return res[0].ratio, nil
-	})
 }
 
 // processCPU is the process's user+system CPU time so far.

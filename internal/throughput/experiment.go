@@ -16,7 +16,7 @@ func init() { raa.Register(experiment{}) }
 func (experiment) Name() string { return "throughput" }
 
 func (experiment) Describe() string {
-	return "Task-runtime verdict scenarios: criticality-aware placement on a heterogeneous pool, locality on/off, the adaptive controller vs static arms, and a fault load vs a clean run — tasks/sec per scenario, scheduler and submission mode, every ratio paired and reported with its spread"
+	return "Task-runtime verdict scenarios: criticality-aware placement on a heterogeneous pool, locality on/off, and a fault load vs a clean run — tasks/sec per scenario, scheduler and submission mode, every ratio paired and reported with its spread"
 }
 
 func (experiment) Aliases() []string { return []string{"tput"} }
@@ -35,7 +35,7 @@ func (experiment) QuickSpec() raa.Spec {
 // verdictSuffix names the metric a paired scenario's Point.Ratio is reported
 // under.
 var verdictSuffix = map[string]string{
-	ScenarioLocality: "_speedup", ScenarioAdaptive: "_ratio", ScenarioChaos: "_chaos_overhead",
+	ScenarioLocality: "_speedup", ScenarioChaos: "_chaos_overhead",
 }
 
 func (e experiment) Run(ctx context.Context, spec raa.Spec) (*raa.Result, error) {
@@ -78,20 +78,15 @@ func (e experiment) Run(ctx context.Context, spec raa.Spec) (*raa.Result, error)
 			// The placement verdict: what fraction of the critical chain
 			// ran on the fast worker class.
 			res.Metrics[key+"_crit_on_fast"] = p.CritOnFast
-		case ScenarioLocality, ScenarioAdaptive, ScenarioChaos:
+		case ScenarioLocality, ScenarioChaos:
 			res.Metrics[key+"_ns_per_task"] = p.NsPerTask
 		}
 		if p.Ratio.Rounds > 0 {
 			// The drift-cancelled verdict of a paired scenario's non-baseline
 			// arm, median and spread: a locality-on cell's speedup over
-			// locality-off, a static arm's static÷adaptive elapsed ratio
-			// (> 1: the controller beat this static setting), the faulty
-			// arm's overhead over the clean one.
+			// locality-off, the faulty arm's overhead over the clean one.
 			res.Metrics[key+verdictSuffix[p.Scenario]] = p.Ratio.Median
 			res.Metrics[key+verdictSuffix[p.Scenario]+"_iqr"] = p.Ratio.IQR()
-		}
-		if p.AdaptiveDecisions > 0 {
-			res.Metrics[key+"_decisions"] = float64(p.AdaptiveDecisions)
 		}
 		if p.Faulty {
 			// The other half of the robustness verdict: whether every
@@ -146,7 +141,6 @@ func variantLabel(scenario string, window int, faulty bool) string {
 func summarize(pts []Point) []string {
 	notes := localityNotes(pts)
 	notes = append(notes, heteroNotes(pts)...)
-	notes = append(notes, adaptiveNotes(pts)...)
 	return append(notes, chaosNotes(pts)...)
 }
 
@@ -175,24 +169,6 @@ func chaosNotes(pts []Point) []string {
 	return []string{fmt.Sprintf(
 		"chaos: survival %.3f across faulty cells; worst fault-load overhead vs the clean arm: %v (%s/%s)",
 		survival, worst.Ratio, worst.Scheduler, worst.Mode)}
-}
-
-// adaptiveNotes summarises the adaptive scenario, one line per static arm
-// and mode: that arm's elapsed time over the controller arm's (> 1 means
-// the monitor→reason→adapt controller beat that static setting), then how
-// many policy decisions the controller applied to get there.
-func adaptiveNotes(pts []Point) []string {
-	var notes []string
-	for _, p := range pts {
-		switch {
-		case p.Scenario != ScenarioAdaptive:
-		case p.Ratio.Rounds > 0:
-			notes = append(notes, fmt.Sprintf("adaptive: static %s ÷ the adaptive controller: %v (%s mode)", p.Scheduler, p.Ratio, p.Mode))
-		case p.AdaptiveDecisions > 0:
-			notes = append(notes, fmt.Sprintf("adaptive: %d policy decisions applied (%s mode)", p.AdaptiveDecisions, p.Mode))
-		}
-	}
-	return notes
 }
 
 // localityNotes summarises the locality scenario: the best locality-on

@@ -169,142 +169,6 @@ func runLocality(ctx context.Context, kind runtime.SchedulerKind, mode string, c
 	return pts, nil
 }
 
-// ScenarioAdaptive's phase shape: each segment pair is one serial chain of
-// adaptiveChainLinks speed-scaled links followed by a fan burst of
-// 2×Workers fixed-grain tasks, with an adaptiveIdleGap pause after each
-// pair (and one before the first) — the quiet beat in which the adaptive
-// arm's controller observes the phase and retunes before the next segment
-// starts.
-const (
-	adaptiveChainLinks = 64
-	adaptiveIdleGap    = 500 * time.Microsecond
-	// adaptiveGrain is the per-task spin grain — a shape constant like the
-	// others, not Config.Grain: heavy enough that a chain segment's wall
-	// time dwarfs submission and hand-off overhead, so the measured ratio
-	// is placement, not bookkeeping. (At the sweep's default grain of 32 a
-	// controller with no rules at all reads 1.13× against static
-	// worksteal: its ticker keeps a P awake.)
-	adaptiveGrain = 8192
-	// The adaptive arm's controller settings: a tight sampling period and
-	// minimum hysteresis, so a phase is recognised within the idle gap
-	// separating two segments.
-	adaptivePeriod     = 100 * time.Microsecond
-	adaptiveHysteresis = 1
-)
-
-// adaptiveArm is one arm of ScenarioAdaptive: a full scheduler
-// configuration (the arms ARE the comparison axis) identified by the name
-// reported in Point.Scheduler.
-type adaptiveArm struct {
-	name string
-	opts []runtime.Option
-}
-
-// adaptiveArms builds the scenario's arms on the hetero pool: the static
-// configurations a tuner could have frozen — worksteal as shipped,
-// worksteal with the locality window off, and cats — against worksteal
-// under adaptive control, listed last.
-func adaptiveArms(cfg Config) []adaptiveArm {
-	return []adaptiveArm{
-		{name: "worksteal", opts: heteroOpts(cfg, runtime.WithScheduler(runtime.WorkSteal))},
-		{name: "worksteal-nolocal", opts: heteroOpts(cfg, runtime.WithScheduler(runtime.WorkSteal), runtime.WithLocalityWindow(-1))},
-		{name: "cats", opts: heteroOpts(cfg, runtime.WithScheduler(runtime.CATS))},
-		{name: "adaptive", opts: heteroOpts(cfg,
-			runtime.WithScheduler(runtime.WorkSteal),
-			runtime.WithAdaptive(runtime.AdaptiveOptions{Period: adaptivePeriod, Hysteresis: adaptiveHysteresis}),
-		)},
-	}
-}
-
-// runAdaptive measures ScenarioAdaptive over one mode through
-// pairedRounds: every arm executes the same phase-shifting workload, with
-// the adaptive arm as the baseline, so each round contributes one
-// static÷adaptive elapsed ratio per static arm. Every static arm's Point
-// carries its own verdict in Ratio; the adaptive arm's carries the
-// controller's total applied-decision count and no ratio (it is what the
-// others are measured against).
-func runAdaptive(ctx context.Context, mode string, cfg Config, st *runtime.Stats) ([]Point, error) {
-	arms := adaptiveArms(cfg)
-	adaptIdx := len(arms) - 1
-	executed := make([]uint64, len(arms))
-	var decisions uint64
-	res, err := pairedRounds(ctx, cfg.Tasks, cfg.PairRounds, len(arms), adaptIdx, true, func(ai, n int) (time.Duration, error) {
-		el, err := adaptiveLeg(ctx, arms[ai], mode, n, cfg.Workers).run(ctx, st)
-		executed[ai] += st.Executed
-		decisions += st.Adaptive.Decisions // 0 on the static arms' legs
-		return el, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]Point, len(arms))
-	for ai, arm := range arms {
-		pts[ai] = newPoint(ScenarioAdaptive, arm.name, mode, cfg.Tasks, res[ai].elapsed, executed[ai])
-		pts[ai].Ratio = res[ai].ratio
-	}
-	pts[adaptIdx].AdaptiveDecisions = decisions
-	return pts, nil
-}
-
-// adaptiveLeg is one leg of ScenarioAdaptive: n tasks of the phase-shifting
-// workload on arm's pool. Chain links simulate the asymmetry the
-// class-gating rule exists for — a link spins SlowFactor× longer on a slow
-// worker; fan tasks spin a fixed grain — any worker serves a burst equally
-// well.
-func adaptiveLeg(ctx context.Context, arm adaptiveArm, mode string, n, workers int) leg {
-	chainBody, fanBody := scaledBody(adaptiveGrain), taskBody(adaptiveGrain)
-	return leg{
-		label: ScenarioAdaptive + "/" + arm.name, mode: mode, tasks: n, opts: arm.opts,
-		submit: func(rt *runtime.Runtime) error {
-			return submitAdaptivePhases(ctx, rt, mode, n, 2*workers, chainBody, fanBody)
-		},
-	}
-}
-
-// submitAdaptivePhases drives one leg of ScenarioAdaptive: n tasks as
-// alternating chain segments and fan bursts of the given width, each phase
-// drained before the next, with an idle gap before the first segment and
-// after every pair.
-func submitAdaptivePhases(ctx context.Context, rt *runtime.Runtime, mode string, n, fanWidth int, chainBody, fanBody runtime.Body) error {
-	time.Sleep(adaptiveIdleGap)
-	for seg := 0; n > 0; seg++ {
-		links := min(adaptiveChainLinks, n)
-		if err := submitAdaptiveSegment(ctx, rt, mode, "link", links, int64(seg), chainBody); err != nil {
-			return err
-		}
-		if err := rt.WaitCtx(ctx); err != nil {
-			return err
-		}
-		n -= links
-		if fan := min(fanWidth, n); fan > 0 {
-			if err := submitAdaptiveSegment(ctx, rt, mode, "fan", fan, -1, fanBody); err != nil {
-				return err
-			}
-			if err := rt.WaitCtx(ctx); err != nil {
-				return err
-			}
-			n -= fan
-		}
-		time.Sleep(adaptiveIdleGap)
-	}
-	return nil
-}
-
-// submitAdaptiveSegment submits one phase segment: a chain segment
-// (key ≥ 0) serialises its n tasks InOut on the segment key, a fan segment
-// (key < 0) submits n independent tasks.
-func submitAdaptiveSegment(ctx context.Context, rt *runtime.Runtime, mode, name string, n int, key int64, body runtime.Body) error {
-	var deps []runtime.Dep
-	if key >= 0 {
-		deps = []runtime.Dep{runtime.InOut(key)}
-	}
-	specs := make([]runtime.TaskSpec, n)
-	for i := range specs {
-		specs[i] = runtime.TaskSpec{Name: name, Body: body, Deps: deps}
-	}
-	return submitSpecs(ctx, rt, mode, specs)
-}
-
 // submitChains submits n chain links in round-robin waves — one wave holds
 // the next link of every chain, InOut-serialised per chain, so the chains
 // progress together and every worker has its own chain hot — per-task or

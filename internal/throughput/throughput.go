@@ -1,12 +1,11 @@
-// Package throughput holds the runtime's four verdict scenarios — the
+// Package throughput holds the runtime's three verdict scenarios — the
 // comparisons that decide something and have no other home: hetero runs a
 // critical chain with fanout on an asymmetric (fast+slow-class) pool to
 // separate criticality-aware placement (cats) from class-blind scheduling —
 // slow workers simulate their speed deficit by spinning proportionally
 // longer, and each cell reports which class ran the chain
-// (Point.CritOnFast); locality, adaptive and chaos are paired comparisons
-// (locality on/off, static arms against the adaptive controller, a fault
-// load against a clean run). Each is swept over scheduler × submission mode
+// (Point.CritOnFast); locality and chaos are paired comparisons (locality
+// on/off, a fault load against a clean run). Each is swept over scheduler × submission mode
 // (per-task SubmitPriorityCtx vs SubmitBatchCtx). Dependence shapes and
 // producer counts are not swept here:
 // the repo benchmark's per-layer arms and the root benchmarks price them
@@ -16,8 +15,7 @@
 // the scenario's submissions, WaitCtx, a counter snapshot, Shutdown, and an
 // audit that every submitted task reached a terminal state.
 //
-// Every ratio the package reports — locality on/off, static/adaptive,
-// faulty/clean — comes from one driver, pairedRounds. Its
+// Every ratio the package reports — locality on/off, faulty/clean — comes from one driver, pairedRounds. Its
 // contract: the task count is split exactly over the rounds (Config.PairRounds,
 // default 3, shrunk so no round holds fewer than two tasks) and each round's
 // share over two legs per arm; a round runs the arms forward then in reverse
@@ -27,14 +25,12 @@
 // scenario's named baseline arm, baseline÷arm elapsed where the scenario
 // reports a speedup and arm÷baseline where it reports an overhead; the
 // verdict is the median of those per-round ratios, reported with its
-// quartiles and round count (PairedRatio). The baseline arms are: the first
-// locality-off window (locality), the adaptive arm itself (adaptive — every
-// static arm carries its own static÷adaptive ratio) and the clean arm
-// (chaos).
+// quartiles and round count (PairedRatio). The baseline arms are the first
+// locality-off window (locality) and the clean arm (chaos).
 //
 // The numbers a change is gated on come from the repo benchmark under
-// benchmark/; the two ratios that are failing checks here are
-// TestFlightRecorderBudget and TestAdaptiveClassRuleRent.
+// benchmark/; the one ratio that is a failing check here is
+// TestFlightRecorderBudget.
 package throughput
 
 import (
@@ -71,21 +67,6 @@ const (
 	// (Point.Ratio is the median of per-round ratios) rather than two
 	// back-to-back runs, so machine drift between cells cancels out.
 	ScenarioLocality = "locality"
-	// ScenarioAdaptive is the phase-shifting workload the adaptive
-	// controller is built for, run on an asymmetric (fast+slow-class) pool:
-	// legs alternate serial chain segments (InOut links with speed-scaled
-	// bodies and no priority hints, so no static scheduler gets placement
-	// help) with wide fan bursts and short idle gaps. No single static
-	// configuration fits both phases — chains want the slow class parked so
-	// links stop landing on workers that hold them SlowFactor× longer, fans
-	// want the whole pool — so the scenario compares static arms (worksteal
-	// with and without locality, cats) against worksteal+WithAdaptive as
-	// drift-cancelling paired rounds. Every static arm's Point.Ratio is its
-	// own median per-round static÷adaptive elapsed ratio: > 1 means the
-	// controller beat that static setting. Unlike the other scenarios this
-	// one does not sweep the scheduler axis — the scheduler configurations
-	// are its arms.
-	ScenarioAdaptive = "adaptive"
 	// ScenarioChaos is throughput under faults: the same retry- and
 	// deadline-configured workload runs twice per paired round — a clean
 	// arm (no injector) against a faulty arm whose bodies are wrapped by a
@@ -123,7 +104,7 @@ const defaultPairRounds = 3
 
 // Scenarios lists every scenario in presentation order.
 func Scenarios() []string {
-	return []string{ScenarioHetero, ScenarioLocality, ScenarioAdaptive, ScenarioChaos}
+	return []string{ScenarioHetero, ScenarioLocality, ScenarioChaos}
 }
 
 // Config parameterises a run. It is also the spec of the registered
@@ -140,16 +121,13 @@ type Config struct {
 	// this size alongside the per-task mode.
 	Batch int `json:"batch"`
 	// Grain is the spin-work iterations per task body (0 = empty body).
-	// ScenarioAdaptive ignores it: its verdict is only meaningful at the
-	// scenario's own grain (adaptiveGrain).
 	Grain int `json:"grain"`
-	// FastWorkers is the fast-class pool size of ScenarioHetero and
-	// ScenarioAdaptive; the remaining Workers form the slow class, and the
+	// FastWorkers is the fast-class pool size of ScenarioHetero; the remaining Workers form the slow class, and the
 	// total always equals Workers. 0 defaults to a quarter of the pool; the
 	// value is clamped to [1, Workers-1] so at least one worker of each
 	// class exists (a single-worker pool keeps just the fast class).
 	FastWorkers int `json:"fast_workers,omitempty"`
-	// SlowFactor is the simulated asymmetry of those two scenarios:
+	// SlowFactor is the simulated asymmetry of ScenarioHetero:
 	// slow-class workers spin SlowFactor× the nominal grain per task (their
 	// class speed is 1/SlowFactor). 0 defaults to 4.
 	SlowFactor float64 `json:"slow_factor,omitempty"`
@@ -163,7 +141,7 @@ type Config struct {
 	// 32, one L1d worth).
 	PayloadKB int `json:"payload_kb,omitempty"`
 	// PairRounds is the round count of the paired scenarios (locality,
-	// adaptive, chaos; 0 = 3) — see pairedRounds.
+	// chaos; 0 = 3) — see pairedRounds.
 	PairRounds int `json:"pair_rounds,omitempty"`
 	// Seed makes ScenarioChaos's fault schedule reproducible.
 	Seed int64 `json:"seed"`
@@ -195,17 +173,11 @@ type Point struct {
 	// Ratio is the driver's verdict on a paired scenario's non-baseline
 	// arm — the median of per-round elapsed ratios with its quartiles and
 	// round count: on a ScenarioLocality cell its drift-cancelled speedup
-	// over the locality-off baseline (off÷on), on each of ScenarioAdaptive's
-	// static arms static÷adaptive, on ScenarioChaos's faulty arm the
+	// over the locality-off baseline (off÷on), on ScenarioChaos's faulty arm the
 	// fault-load overhead faulty÷clean — how much slower the same workload
 	// ran with the fault schedule active, recovery included. Zero on
 	// baseline arms and on ScenarioHetero.
 	Ratio PairedRatio
-	// AdaptiveDecisions is the number of policy changes the adaptive
-	// controller applied over this cell's legs (ScenarioAdaptive's adaptive
-	// arm only) — the evidence that the static arms' ratios came from
-	// online adaptation rather than a lucky static setting.
-	AdaptiveDecisions uint64
 	// NsPerTask is the headline latency view of the rate: Elapsed/Tasks in
 	// nanoseconds.
 	NsPerTask float64
@@ -273,13 +245,7 @@ func Run(ctx context.Context, cfg Config) ([]Point, error) {
 	// through StatsInto, so per-cell reporting reuses these slices.
 	var st runtime.Stats
 	for _, scenario := range cfg.Scenarios {
-		// The adaptive scenario's arms are scheduler configurations, so it
-		// runs once per mode, not once per swept scheduler.
-		cellKinds := kinds
-		if scenario == ScenarioAdaptive {
-			cellKinds = kinds[:1]
-		}
-		for _, kind := range cellKinds {
+		for _, kind := range kinds {
 			for _, mode := range modes {
 				if err := ctx.Err(); err != nil {
 					return nil, err
@@ -292,8 +258,6 @@ func Run(ctx context.Context, cfg Config) ([]Point, error) {
 				switch scenario {
 				case ScenarioLocality:
 					ps, err = runLocality(ctx, kind, mode, cfg, &st)
-				case ScenarioAdaptive:
-					ps, err = runAdaptive(ctx, mode, cfg, &st)
 				case ScenarioChaos:
 					ps, err = runChaos(ctx, kind, mode, cfg, &st)
 				default:
@@ -370,7 +334,7 @@ func runHetero(ctx context.Context, kind runtime.SchedulerKind, mode string, cfg
 	submit, critOnFast := heteroWorkload(ctx, mode, cfg)
 	elapsed, err := leg{
 		label: ScenarioHetero + "/" + kind.String(), mode: mode, tasks: cfg.Tasks,
-		opts: heteroOpts(cfg, runtime.WithScheduler(kind)), submit: submit,
+		opts: heteroOpts(cfg, kind), submit: submit,
 	}.run(ctx, st)
 	if err != nil {
 		return nil, err
@@ -380,8 +344,8 @@ func runHetero(ctx context.Context, kind runtime.SchedulerKind, mode string, cfg
 	return []Point{p}, nil
 }
 
-// heteroPool resolves the class split of ScenarioHetero's and
-// ScenarioAdaptive's pool from the Config. The pool always totals
+// heteroPool resolves the class split of ScenarioHetero's pool from the
+// Config. The pool always totals
 // cfg.Workers: FastWorkers is clamped to leave at least one slow worker (a
 // single-worker pool degenerates to one fast worker and no slow class at
 // all).
@@ -404,14 +368,14 @@ func heteroPool(cfg Config) (fast, slow int, factor float64) {
 	return fast, slow, factor
 }
 
-// heteroOpts is the asymmetric fast+slow pool ScenarioHetero and
-// ScenarioAdaptive run on, plus the arm-specific extras.
-func heteroOpts(cfg Config, extra ...runtime.Option) []runtime.Option {
+// heteroOpts is the asymmetric fast+slow pool ScenarioHetero runs on, under
+// the given scheduler.
+func heteroOpts(cfg Config, kind runtime.SchedulerKind) []runtime.Option {
 	fast, slow, factor := heteroPool(cfg)
-	return append([]runtime.Option{runtime.WithWorkerClasses(
+	return []runtime.Option{runtime.WithScheduler(kind), runtime.WithWorkerClasses(
 		runtime.WorkerClass{Name: "fast", Count: fast, Speed: 1},
 		runtime.WorkerClass{Name: "slow", Count: slow, Speed: 1 / factor},
-	)}, extra...)
+	)}
 }
 
 // scaledBody simulates the pool's asymmetry: the body reads its placement

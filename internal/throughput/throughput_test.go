@@ -24,11 +24,9 @@ func TestRunAllScenarios(t *testing.T) {
 		t.Fatal(err)
 	}
 	// scenarios × schedulers × modes(single, batch); the locality scenario
-	// additionally sweeps its two default window cells (off, on), the chaos
-	// scenario its two arms (clean, faulty), and the adaptive scenario runs
-	// four arms per mode instead of the scheduler axis (three extra rows at
-	// one configured scheduler).
-	want := (len(Scenarios()) + 1 + 1 + 3) * 1 * 2
+	// additionally sweeps its two default window cells (off, on) and the
+	// chaos scenario its two arms (clean, faulty).
+	want := (len(Scenarios()) + 1 + 1) * 1 * 2
 	if len(pts) != want {
 		t.Fatalf("got %d points, want %d", len(pts), want)
 	}
@@ -58,9 +56,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		t.Fatal("zero workers must be rejected")
 	}
 	cfg := smallConfig()
-	// "steal" was a scenario of the unpaired sweep (deleted in PR 21): a
-	// retired name is an unknown name.
-	for _, name := range []string{"bogus", "steal"} {
+	// "steal" was a scenario of the unpaired sweep (deleted in PR 21), and
+	// "adaptive" the class-mask controller's: a retired name is an unknown
+	// name.
+	for _, name := range []string{"bogus", "steal", "adaptive"} {
 		cfg.Scenarios = []string{name}
 		if _, err := Run(ctx, cfg); err == nil || !strings.Contains(err.Error(), name) {
 			t.Fatalf("unknown scenario %q = %v, want naming error", name, err)
@@ -116,7 +115,7 @@ func TestTableShape(t *testing.T) {
 	if strings.Contains(s, "-shard") {
 		t.Errorf("table still has a shard column:\n%s", s)
 	}
-	for _, col := range []string{"Ktasks/s", "single", "batch", "off", "def", "clean", "faulty", "worksteal-nolocal"} {
+	for _, col := range []string{"Ktasks/s", "single", "batch", "off", "def", "clean", "faulty"} {
 		if !strings.Contains(s, col) {
 			t.Errorf("table missing %q:\n%s", col, s)
 		}
@@ -130,20 +129,15 @@ func TestSummarizeNotes(t *testing.T) {
 	}
 	notes := summarize(pts)
 	// One locality on-vs-off note, one hetero placement note per scheduler
-	// in the run (a single one here), per mode one adaptive note per static
-	// arm plus the decision count, and the chaos survival/overhead note.
+	// in the run (a single one here) and the chaos survival/overhead note.
 	// Nothing else: every ratio in a note is a pairedRounds verdict.
-	if want := 1 + 1 + 2*(3+1) + 1; len(notes) != want {
-		t.Fatalf("got %d notes, want %d (locality + hetero placement + 2 modes × (3 static arms + decisions) + chaos):\n%v",
+	if want := 1 + 1 + 1; len(notes) != want {
+		t.Fatalf("got %d notes, want %d (locality + hetero placement + chaos):\n%v",
 			len(notes), want, notes)
 	}
 	for _, want := range []string{
 		"critical chain on the fast class",
 		"worker-local successor placement",
-		"static worksteal ÷ the adaptive controller",
-		"static worksteal-nolocal ÷ the adaptive controller",
-		"static cats ÷ the adaptive controller",
-		"policy decisions applied",
 		"chaos: survival 1.000",
 	} {
 		if !slices.ContainsFunc(notes, func(n string) bool { return strings.Contains(n, want) }) {
@@ -153,9 +147,6 @@ func TestSummarizeNotes(t *testing.T) {
 	for _, n := range notes {
 		if strings.Contains(n, "best sharded") || strings.Contains(n, "best SubmitBatch") {
 			t.Errorf("unpaired sweep note survived: %q", n)
-		}
-		if strings.HasPrefix(n, "adaptive: static") && !strings.Contains(n, "rounds") {
-			t.Errorf("adaptive arm note carries no spread: %q", n)
 		}
 	}
 }
@@ -199,63 +190,6 @@ func TestLocalityScenarioCells(t *testing.T) {
 	for _, p := range pts {
 		if p.Window != 4 {
 			t.Errorf("explicit window sweep ran window %d, want 4", p.Window)
-		}
-	}
-}
-
-// The adaptive scenario must produce one cell per arm (three static, one
-// adaptive), execute every task in each, report on every static arm its own
-// paired static÷adaptive ratio with a spread, and on the adaptive arm the
-// controller's decision count and no ratio.
-func TestAdaptiveScenarioCells(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Scenarios = []string{ScenarioAdaptive}
-	cfg.Tasks = 400
-	cfg.Workers = 4
-	pts, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 4 * 2; len(pts) != want { // 4 arms × 2 modes
-		t.Fatalf("got %d points, want %d", len(pts), want)
-	}
-	arms := map[string]bool{}
-	for _, p := range pts {
-		arms[p.Scheduler] = true
-		if p.Executed != uint64(cfg.Tasks) {
-			t.Errorf("adaptive/%s %s: executed %d, want %d", p.Scheduler, p.Mode, p.Executed, cfg.Tasks)
-		}
-		if p.Scheduler == "adaptive" {
-			if p.Ratio != (PairedRatio{}) {
-				t.Errorf("adaptive arm (%s mode) carries a ratio against itself: %+v", p.Mode, p.Ratio)
-			}
-			if p.AdaptiveDecisions == 0 {
-				t.Errorf("adaptive arm (%s mode) applied no policy decisions", p.Mode)
-			}
-		} else {
-			if p.Ratio.Median <= 0 || p.Ratio.Rounds == 0 {
-				t.Errorf("static arm %s (%s mode) missing its own paired ratio: %+v", p.Scheduler, p.Mode, p.Ratio)
-			}
-			if p.AdaptiveDecisions != 0 {
-				t.Errorf("static arm %s (%s mode) counts %d controller decisions", p.Scheduler, p.Mode, p.AdaptiveDecisions)
-			}
-		}
-	}
-	for _, a := range []string{"worksteal", "worksteal-nolocal", "cats", "adaptive"} {
-		if !arms[a] {
-			t.Fatalf("run missing arm %q: %v", a, arms)
-		}
-	}
-	// Each static arm's verdict reaches the report under its own key.
-	res, err := experiment{}.Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range []string{"worksteal", "worksteal_nolocal", "cats"} {
-		for _, k := range []string{"adaptive_" + a + "_single_ratio", "adaptive_" + a + "_batch_ratio_iqr"} {
-			if _, ok := res.Metrics[k]; !ok {
-				t.Errorf("metric %q missing from %v", k, res.Metrics)
-			}
 		}
 	}
 }

@@ -179,7 +179,6 @@ func TestSpecUnknownKeyRejected(t *testing.T) {
 		{"vsort", `{"n": 65536}`},
 		{"throughput", `{"scenarios": ["locality"]}`},
 		{"throughput", `{"scenarios": ["hetero"], "schedulers": ["cats", "fifo"]}`},
-		{"throughput", `{"scenarios": ["adaptive"], "batch": 0}`},
 		{"throughput", `{"scenarios": ["chaos"], "schedulers": ["worksteal"]}`},
 		{"parsec-scalability", `{"threads": [1, 2, 4, 8, 16]}`},
 		{"resilient-cg", `{"grid": 96, "trace_stride": 8}`},

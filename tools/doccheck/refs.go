@@ -31,7 +31,7 @@ import (
 //     (markReady, stealScheduler) must be declared somewhere in the module:
 //     a top-level name, a method, a field or an interface method;
 //   - so must every backticked span that is exactly one exported name of
-//     two or more capitalised words (SubmitBatchCtx, KindAdapt), or else
+//     two or more capitalised words (SubmitBatchCtx, KindMarker), or else
 //     be exported by a standard-library package (MemStats); an acronym
 //     word (ServeHTTP, or VmHWM, a /proc field) keeps a name out of the
 //     rule;

@@ -92,7 +92,7 @@ func TestExportedNamesResolve(t *testing.T) {
 	runRefCases(t, []refCase{
 		{"batches went through `Submit" + "Batch`", "Submit" + "Batch: nothing in the module or the standard library declares it"},
 		{"the `Runtime" + "Shards` count", "doc.md:1: Runtime" + "Shards"},
-		{"`SubmitBatchCtx`, `KindAdapt`, `MemStats`, `ResponseWriter`, `ServeHTTP`, `VmHWM`, `FIFO`, `Submit" + "Batch`…", ""},
+		{"`SubmitBatchCtx`, `KindMarker`, `MemStats`, `ResponseWriter`, `ServeHTTP`, `VmHWM`, `FIFO`, `Submit" + "Batch`…", ""},
 	})
 }
 
