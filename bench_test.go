@@ -93,10 +93,13 @@ func BenchmarkSubmitSteadyState(b *testing.B) {
 
 // BenchmarkSubmitSteadyStateFlightRecorder is BenchmarkSubmitSteadyState
 // with the flight recorder enabled — its pairing with the recorder-off
-// number bounds the recorder's submit-path overhead (one external ring
-// event per submission; the gated ratio is benchmark/'s
-// flightrec.overhead_ratio arm). Same alloc budget (zero), and within a
-// few percent of the recorder-off time.
+// number prices the recorder on a no-op chain. Each task makes three record
+// calls (park and wake events aside), each with one monotonic clock read:
+// its submit on the submit lane, its dispatch, and its complete paired with
+// the successor's ready (the gated ratio is benchmark/'s
+// flightrec.overhead_ratio arm). Same alloc budget (zero). On a 2-vCPU host
+// at GOMAXPROCS=2 it reads about 1.4× the recorder-off time (1.20–1.44 over
+// six runs): a no-op body leaves nothing to hide the clock reads behind.
 func BenchmarkSubmitSteadyStateFlightRecorder(b *testing.B) {
 	submitChain(b, runtime.WithWorkers(4), runtime.WithQueueBound(256),
 		runtime.WithFlightRecorder(flightrec.Options{}))

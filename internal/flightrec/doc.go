@@ -11,15 +11,17 @@
 // memory instead of choosing between unbounded trace retention and
 // nothing.
 //
-// Three mechanisms make the recorder cheap enough to leave on:
+// Three mechanisms make the recorder cheap enough to leave on and exact
+// enough to time a job:
 //
 //   - The record path copies a handful of words into a preallocated slot;
 //     no allocation, no lock on the worker rings or the lane (the submit
 //     path records on the lane under a mutex it already holds), and one short
 //     spin-lock hold on the shared external ring.
-//   - Timestamps come from a coarse clock word a background goroutine
-//     refreshes (Options.ClockInterval, default 10ms) — one atomic load per
-//     event instead of a time.Now call.
+//   - Timestamps are one monotonic clock read per record call (a paired
+//     RecordWorker2 shares one between its two events), offset to wall
+//     time at New: fine enough to time a stage of a sub-millisecond job,
+//     and no goroutine runs beside the pool to keep a clock word fresh.
 //   - Ordering comes from a global sequence counter: one atomic add per
 //     event on the worker and external rings, amortised over a reserved
 //     block on the lane (sound because the lane carries only first-of-task

@@ -121,10 +121,12 @@ type Event struct {
 	// synchronises-with edge, so causally ordered events always have
 	// ascending Seq.
 	Seq uint64 `json:"seq"`
-	// Time is a coarse wall-clock timestamp (UnixNano), advanced by the
-	// recorder's background clock at Options.ClockInterval granularity —
-	// cheap enough to stamp on every event, precise enough for the
-	// starvation bound.
+	// Time is the event's timestamp (UnixNano): wall time at the
+	// recorder's New plus the monotonic time since, read when the event is
+	// recorded. It rises with Seq within one ring, not across rings: the
+	// submit lane's block-reserved sequences sort a lane event before
+	// older events of other rings (see RecordLane), so a time window is a
+	// filter over a merged timeline, never a prefix cut (Recorder.Tail).
 	Time int64 `json:"time_unix_ns"`
 	// Kind is the event type.
 	Kind Kind `json:"kind"`

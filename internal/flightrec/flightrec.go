@@ -3,7 +3,6 @@ package flightrec
 import (
 	stdruntime "runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -16,37 +15,19 @@ type Options struct {
 	// last, so total memory is (workers+2) × capacity × 48 bytes, fixed at
 	// construction. Default 2048.
 	PerWorkerEvents int
-	// ClockInterval is the granularity of the coarse event clock: a
-	// background goroutine refreshes the timestamp every interval, so the
-	// record path reads one atomic word instead of calling time.Now.
-	// Default 10ms — timestamps serve human-scale windows (Tail) and
-	// starvation bounds, and every tick preempts a core, which a 1kHz
-	// clock makes measurable on small hosts.
-	ClockInterval time.Duration
-}
-
-// resolve fills in the defaults.
-func (o Options) resolve() Options {
-	if o.PerWorkerEvents <= 0 {
-		o.PerWorkerEvents = 2048
-	}
-	if o.ClockInterval <= 0 {
-		o.ClockInterval = 10 * time.Millisecond
-	}
-	return o
 }
 
 // Recorder is an always-on flight recorder: one fixed-memory event ring per
 // worker (single-writer, written lock-free on the dispatch path), one submit
 // lane whose serialisation the caller provides, and one shared ring for the
 // other off-pool events (serialised by a spin lock — those goroutines have
-// no ring of their own, and the critical section is a few plain stores, far
-// too short for a sleeping mutex to pay off). Recording
-// never allocates and never blocks on a reader; snapshots merge the rings
-// into one timeline ordered by the global sequence number and never block
-// a writer.
+// no ring of their own, and the critical section is a few plain stores and
+// a clock read, far too short for a sleeping mutex to pay off). Every event
+// is stamped from the monotonic clock as it is recorded; the recorder runs
+// no goroutine. Recording never allocates and never blocks on a reader;
+// snapshots merge the rings into one timeline ordered by the global
+// sequence number and never block a writer.
 type Recorder struct {
-	opts    Options
 	workers int
 	rings   []ring // worker rings, then the lane ring, then the external ring
 
@@ -78,58 +59,42 @@ type Recorder struct {
 	// gseq is the global event sequence: one atomic add per event gives the
 	// cross-ring total order snapshots merge by. It is the one word every
 	// recording thread contends on, so it gets a cache line to itself —
-	// otherwise the read-mostly clock word below would bounce with it and
-	// every timestamp load would pay for the sequence traffic.
+	// otherwise the clock anchor below, which every stamp reads, would share
+	// its line and every stamp would pay for the sequence traffic.
 	_    [64]byte
 	gseq atomic.Uint64
 	_    [56]byte
-	// now is the coarse clock word the record path stamps events with.
-	now atomic.Int64
-
-	stop    chan struct{}
-	stopped sync.Once
+	// start is the monotonic anchor taken at New and wall its UnixNano:
+	// an event's Time is wall plus the monotonic time since start (stamp).
+	start time.Time
+	wall  int64
 }
 
-// New creates a Recorder for a pool of the given worker count and starts
-// its clock. Close it when the pool shuts down.
+// New creates a Recorder for a pool of the given worker count. It starts
+// no goroutine.
 func New(workers int, opts Options) *Recorder {
 	if workers < 1 {
 		workers = 1
 	}
-	opts = opts.resolve()
-	r := &Recorder{
-		opts:    opts,
-		workers: workers,
-		rings:   make([]ring, workers+2),
-		stop:    make(chan struct{}),
+	if opts.PerWorkerEvents <= 0 {
+		opts.PerWorkerEvents = 2048
 	}
+	r := &Recorder{workers: workers, rings: make([]ring, workers+2), start: time.Now()}
+	r.wall = r.start.UnixNano()
 	for i := range r.rings {
 		r.rings[i].init(opts.PerWorkerEvents)
 	}
-	r.now.Store(time.Now().UnixNano())
-	go r.clock()
 	return r
 }
 
-// clock is the coarse-timestamp updater.
-func (r *Recorder) clock() {
-	t := time.NewTicker(r.opts.ClockInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case now := <-t.C:
-			r.now.Store(now.UnixNano())
-		}
-	}
-}
+// stamp is the event clock (UnixNano): wall time at New plus the monotonic
+// time since, so stamps never step back with the wall clock.
+func (r *Recorder) stamp() int64 { return r.wall + int64(time.Since(r.start)) }
 
-// Close stops the clock goroutine. The rings stay readable (Snapshot/Tail)
-// and even writable afterwards — events just keep the last clock value.
-func (r *Recorder) Close() {
-	r.stopped.Do(func() { close(r.stop) })
-}
+// Close does nothing: the recorder holds no goroutine or other resource to
+// release. It stays for callers that still defer it, such as the repo
+// benchmark's recorder arm.
+func (r *Recorder) Close() {}
 
 // Workers returns the worker-ring count the recorder was built for.
 func (r *Recorder) Workers() int { return r.workers }
@@ -144,24 +109,25 @@ func (r *Recorder) RecordWorker(worker int, kind Kind, task, arg, arg2 uint64) {
 		r.RecordExternal(kind, task, arg, arg2)
 		return
 	}
-	r.rings[worker].write(r.gseq.Add(1), r.now.Load(), kind, int32(worker), task, arg, arg2)
+	r.rings[worker].write(r.gseq.Add(1), r.stamp(), kind, int32(worker), task, arg, arg2)
 }
 
 // RecordWorker2 records two adjacent events on the given worker's ring with
-// one sequence allocation and one publish — half the atomic traffic of two
-// RecordWorker calls. The completion path uses it to pair a task's complete
-// with its first successor's ready. Same single-writer rule, and the same
-// external ring for a negative worker, as RecordWorker.
+// one sequence allocation, one clock read and one publish — half the
+// atomic traffic of two RecordWorker calls. The completion path uses it to
+// pair a task's complete with its first successor's ready. Same
+// single-writer rule, and the same external ring for a negative worker, as
+// RecordWorker.
 func (r *Recorder) RecordWorker2(worker int, k1 Kind, t1, a1, a21 uint64, k2 Kind, t2, a2, a22 uint64) {
 	if worker < 0 {
 		r.lockExternal()
 		s := r.gseq.Add(2)
-		r.rings[r.workers+1].write2(s-1, r.now.Load(), ExternalWorker, k1, t1, a1, a21, k2, t2, a2, a22)
+		r.rings[r.workers+1].write2(s-1, r.stamp(), ExternalWorker, k1, t1, a1, a21, k2, t2, a2, a22)
 		r.extLock.Store(0)
 		return
 	}
 	s := r.gseq.Add(2)
-	r.rings[worker].write2(s-1, r.now.Load(), int32(worker), k1, t1, a1, a21, k2, t2, a2, a22)
+	r.rings[worker].write2(s-1, r.stamp(), int32(worker), k1, t1, a1, a21, k2, t2, a2, a22)
 }
 
 // laneSeqBlock is how many sequence numbers one lane reservation grabs.
@@ -188,7 +154,7 @@ func (r *Recorder) RecordLane(kind Kind, task, arg, arg2 uint64) {
 		r.laneReserved.Add(laneSeqBlock)
 	}
 	r.laneNext = s + 1
-	r.rings[r.workers].write(s, r.now.Load(), kind, ExternalWorker, task, arg, arg2)
+	r.rings[r.workers].write(s, r.stamp(), kind, ExternalWorker, task, arg, arg2)
 }
 
 // RecordExternal records a submit-path event on the shared external ring,
@@ -196,7 +162,7 @@ func (r *Recorder) RecordLane(kind Kind, task, arg, arg2 uint64) {
 // Sequences here are always fresh — see the extLock field comment.
 func (r *Recorder) RecordExternal(kind Kind, task, arg, arg2 uint64) {
 	r.lockExternal()
-	r.rings[r.workers+1].write(r.gseq.Add(1), r.now.Load(), kind, ExternalWorker, task, arg, arg2)
+	r.rings[r.workers+1].write(r.gseq.Add(1), r.stamp(), kind, ExternalWorker, task, arg, arg2)
 	r.extLock.Store(0)
 }
 
@@ -219,9 +185,9 @@ func (r *Recorder) EventCount() uint64 {
 	return r.gseq.Load() - (r.laneReserved.Load() - written)
 }
 
-// Now reports the recorder's coarse clock (UnixNano) — the time base events
+// Now reads the recorder's event clock (UnixNano) — the time base events
 // are stamped with, for consumers that compare event ages against it.
-func (r *Recorder) Now() int64 { return r.now.Load() }
+func (r *Recorder) Now() int64 { return r.stamp() }
 
 // Cursor tracks per-ring read positions across Collect calls, so an online
 // consumer sees each event exactly once and knows when the window lapped
@@ -271,13 +237,19 @@ func (r *Recorder) Snapshot() []Event {
 
 // Tail returns the merged timeline of the last d of wall-clock time (the
 // snapshot-on-demand view: "what did the runtime do in the last N
-// seconds"), bounded by what is still resident in the rings.
+// seconds"), bounded by what is still resident in the rings: every event
+// stamped at or after now − d, in sequence order. It filters rather than
+// cutting a prefix because Time rises with Seq only within a ring — a lane
+// event's block-reserved sequence sorts it before older events of other
+// rings.
 func (r *Recorder) Tail(d time.Duration) []Event {
-	since := r.now.Load() - d.Nanoseconds()
+	since := r.stamp() - d.Nanoseconds()
 	all := r.Snapshot()
-	cut := 0
-	for cut < len(all) && all[cut].Time < since {
-		cut++
+	tail := all[:0]
+	for _, e := range all {
+		if e.Time >= since {
+			tail = append(tail, e)
+		}
 	}
-	return all[cut:]
+	return tail
 }

@@ -1,6 +1,7 @@
 package flightrec
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -73,7 +74,6 @@ func TestRingSnapshotWindowAndGap(t *testing.T) {
 
 func TestRecorderMergeAndCursor(t *testing.T) {
 	rec := New(2, Options{PerWorkerEvents: 256})
-	defer rec.Close()
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
@@ -121,7 +121,6 @@ func TestRecorderMergeAndCursor(t *testing.T) {
 
 func TestSnapshotNeverBlocksWriter(t *testing.T) {
 	rec := New(1, Options{PerWorkerEvents: 64})
-	defer rec.Close()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -142,26 +141,27 @@ func TestSnapshotNeverBlocksWriter(t *testing.T) {
 	<-done
 }
 
+// TestTailFiltersByTime: Time rises with Seq only within a ring. A lane
+// event's block-reserved sequence sorts it before older events of other
+// rings, so a Tail that cut the merged timeline at its first recent event
+// would return the old worker event behind the recent lane one.
 func TestTailFiltersByTime(t *testing.T) {
-	rec := New(1, Options{PerWorkerEvents: 64, ClockInterval: time.Hour})
-	defer rec.Close()
-	// Freeze the clock far apart manually: old events, then new ones.
-	rec.now.Store(1_000_000_000)
-	rec.RecordWorker(0, KindDispatch, 1, 0, 0)
-	rec.now.Store(5_000_000_000)
-	rec.RecordWorker(0, KindDispatch, 2, 0, 0)
-	tail := rec.Tail(2 * time.Second)
-	if len(tail) != 1 || tail[0].Task != 2 {
-		t.Fatalf("tail = %+v, want just task 2", tail)
+	rec := New(1, Options{PerWorkerEvents: 64})
+	rec.RecordLane(KindSubmit, 1, 0, 0)        // reserves the lane's block
+	rec.RecordWorker(0, KindDispatch, 2, 0, 0) // sequenced after the block
+	time.Sleep(200 * time.Millisecond)
+	rec.RecordLane(KindSubmit, 3, 0, 0) // recent, but inside the old block
+	tail := rec.Tail(100 * time.Millisecond)
+	if len(tail) != 1 || tail[0].Task != 3 {
+		t.Fatalf("tail = %+v, want just task 3", tail)
 	}
-	if all := rec.Tail(10 * time.Second); len(all) != 2 {
-		t.Fatalf("wide tail = %d events, want 2", len(all))
+	if all := rec.Tail(time.Hour); len(all) != 3 {
+		t.Fatalf("wide tail = %d events, want 3", len(all))
 	}
 }
 
 func TestRecordPathAllocationFree(t *testing.T) {
 	rec := New(1, Options{PerWorkerEvents: 128})
-	defer rec.Close()
 	if a := testing.AllocsPerRun(1000, func() {
 		rec.RecordWorker(0, KindDispatch, 7, 1, 2)
 	}); a != 0 {
@@ -174,13 +174,31 @@ func TestRecordPathAllocationFree(t *testing.T) {
 	}
 }
 
-func TestCloseStopsClock(t *testing.T) {
-	rec := New(1, Options{ClockInterval: time.Millisecond})
-	rec.Close()
-	rec.Close() // idempotent
-	// Recording still works after Close (frozen clock).
+// TestRecorderKeepsTime: New starts no goroutine, every event is stamped
+// when it is recorded (two events 2 ms apart carry Times 2 ms apart), and
+// Close, a no-op, leaves recording and the clock working.
+func TestRecorderKeepsTime(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rec := New(1, Options{})
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New started %d goroutines", after-before)
+	}
 	rec.RecordWorker(0, KindPark, 0, 0, 0)
-	if n := rec.EventCount(); n != 1 {
-		t.Fatalf("EventCount = %d", n)
+	time.Sleep(2 * time.Millisecond)
+	rec.RecordWorker(0, KindWake, 0, 0, 0)
+	rec.Close()
+	time.Sleep(2 * time.Millisecond)
+	rec.RecordExternal(KindReady, 1, 0, 0)
+	evs := rec.Snapshot()
+	if len(evs) != 3 {
+		t.Fatalf("%d events, want 3", len(evs))
+	}
+	for i := 1; i < 3; i++ {
+		if gap := time.Duration(evs[i].Time - evs[i-1].Time); gap < 2*time.Millisecond {
+			t.Errorf("events %d and %d recorded ≥ 2ms apart are stamped %v apart", i-1, i, gap)
+		}
+	}
+	if now := rec.Now(); now < evs[2].Time {
+		t.Errorf("Now %d reads before the last event's Time %d", now, evs[2].Time)
 	}
 }

@@ -87,7 +87,7 @@ type Violation struct {
 type Options struct {
 	// StarveBound is the longest a ready task may wait undispatched while
 	// later events keep arriving. It should be comfortably above the
-	// recorder's clock granularity. <= 0 disables the starvation check.
+	// interval the checker is fed at. <= 0 disables the starvation check.
 	// Default (zero value): disabled.
 	StarveBound time.Duration
 	// MaxTracked bounds the in-flight task table. When exceeded the table

@@ -245,7 +245,6 @@ func TestCATSCriticalTaskGoesToIdleFastWorker(t *testing.T) {
 func TestCATSRaisedPlainEntryPlacedAsCritical(t *testing.T) {
 	l := classLayout{workers: 2, fastN: 1}
 	rec := flightrec.New(l.workers, flightrec.Options{})
-	defer rec.Close()
 	s := newCATSScheduler(l, newSignals(l.workers), rec)
 	pushRaised := func(id TaskID) *task {
 		tk := &task{id: id}

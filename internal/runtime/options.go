@@ -184,11 +184,12 @@ func WithLocalityWindow(n int) Option {
 // flightrec/verify invariant checker. The record path is allocation-free
 // and lock-free on workers (the submit path shares one mutex-guarded
 // ring), so the recorder is cheap enough to leave on in production; memory
-// is fixed at (workers+2) × PerWorkerEvents slots. The zero Options value
-// selects the defaults (2048 events per ring, 10ms clock). It composes with
-// every scheduler and with worker classes: CATS dispatch events carry the
-// class-gating evidence (crit origin, fast-class saturation) the verifier
-// checks placement against.
+// is fixed at (workers+2) × PerWorkerEvents slots; every event is stamped
+// from the monotonic clock as it is recorded, and the recorder runs no
+// goroutine. The zero Options value selects 2048 events per ring. It
+// composes with every scheduler and with worker classes: CATS dispatch
+// events carry the class-gating evidence (crit origin, fast-class
+// saturation) the verifier checks placement against.
 func WithFlightRecorder(fo flightrec.Options) Option {
 	return func(o *options) { o.flight = &fo }
 }

@@ -657,11 +657,6 @@ func (r *Runtime) Shutdown() {
 	}
 	r.sched.wake()
 	r.wg.Wait()
-	if r.rec != nil {
-		// Stop the recorder's clock; the rings stay readable for post-run
-		// snapshots (Tail, the bench tool's -flight-dump).
-		r.rec.Close()
-	}
 }
 
 // Stats returns a snapshot of execution counters. Each call allocates

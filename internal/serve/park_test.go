@@ -99,8 +99,9 @@ func TestDeadlineBoundSleepWaitsInPlace(t *testing.T) {
 
 // TestSleepDiamondsVerified: a flight-recorded server runs diamond-8s of
 // 100 µs sleeps, two jobs at a time, under the online checker. The
-// timeline is spotless, and the parked tasks' complete events are on the
-// external ring.
+// timeline is spotless, the parked tasks' complete events are on the
+// external ring, and each job's markers time it: admit ≤ launch ≤ done,
+// with the three sleeps of the critical path between admit and done.
 func TestSleepDiamondsVerified(t *testing.T) {
 	h := servetest.Start(t, serve.Config{Workers: 2, FlightRecorder: true})
 	rec := h.Server.Runtime().FlightRecorder()
@@ -137,13 +138,28 @@ func TestSleepDiamondsVerified(t *testing.T) {
 	if st.Total != 0 || st.Events == 0 {
 		t.Fatalf("verifier over %d events: %+v", st.Events, st)
 	}
-	external := 0
+	external, marks := 0, map[uint64][4]int64{} // job → Time by Marker* phase
 	for _, e := range rec.Snapshot() {
 		if e.Kind == flightrec.KindComplete && e.Worker == flightrec.ExternalWorker {
 			external++
 		}
+		if e.Kind == flightrec.KindMarker {
+			m := marks[e.Task]
+			m[e.Arg] = e.Time
+			marks[e.Task] = m
+		}
 	}
 	if external == 0 {
 		t.Fatal("no complete event on the external ring: the sleeps did not complete off the workers")
+	}
+	if len(marks) != 20 {
+		t.Fatalf("markers of %d jobs, want 20", len(marks))
+	}
+	for num, m := range marks {
+		admit, launch, done := m[flightrec.MarkerAdmit], m[flightrec.MarkerLaunch], m[flightrec.MarkerDone]
+		if admit == 0 || admit > launch || launch > done || done-admit < 3*d {
+			t.Errorf("job %d: admit→launch %v, launch→done %v; want ordered, ≥ %v in all",
+				num, time.Duration(launch-admit), time.Duration(done-launch), time.Duration(3*d))
+		}
 	}
 }

@@ -294,9 +294,9 @@ func (s *Server) admitJob(sb *submitBuf) (*job, decision) {
 	tn.q.push(j)
 	s.pendingJobs++
 	s.jobs[j.id] = j
+	s.marker(j, flightrec.MarkerAdmit) // before the dispatcher can launch j
 	s.cond.Signal()
 	s.mu.Unlock()
-	s.marker(j, flightrec.MarkerAdmit)
 	return j, d
 }
 
