@@ -209,7 +209,6 @@ func TestClassGateLivenessUnderMaskChurn(t *testing.T) {
 		WorkerClass{Name: "fast", Count: 1, Speed: 1},
 		WorkerClass{Name: "slow", Count: 1, Speed: 0.5},
 	)) // worker 0 fast, 1 slow
-	s := r.sched.(*stealScheduler)
 	release := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
 	var started atomic.Int32
 	for i := 0; i < 2; i++ {
@@ -225,9 +224,9 @@ func TestClassGateLivenessUnderMaskChurn(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool { return started.Load() == 2 }, "both workers to be inside a body")
 	close(release[1])
-	waitFor(t, 5*time.Second, func() bool { return s.parked.Load() == 1 }, "the slow worker to park")
+	waitFor(t, 5*time.Second, func() bool { return r.lot.parked.Load() == 1 }, "the slow worker to park")
 	close(release[0])
-	waitFor(t, 5*time.Second, func() bool { return s.parked.Load() == 2 }, "the fast worker to park behind it")
+	waitFor(t, 5*time.Second, func() bool { return r.lot.parked.Load() == 2 }, "the fast worker to park behind it")
 	mustSubmit(t, r, "t", nil)
 	boundedWait(t, r, time.Second, "one push on a parked two-class pool")
 	r.Shutdown()

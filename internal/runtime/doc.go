@@ -130,8 +130,9 @@
 //	               the scheduler push that makes the task dispatchable)
 //	tracker.go     the dependence tracker (trackDeps, linkPreds)
 //	scheduler.go   the scheduler contract — one interface, no-op defaults
-//	               for the scheduler-specific hooks — and the pieces the
-//	               schedulers share (park/wake bookkeeping, the central lot)
+//	               for the scheduler-specific hooks — the worker's pop
+//	               (take, then park), the one parking lot every idle
+//	               worker sleeps on, and the central queues' push side
 //	sched_fifo.go, sched_steal.go, sched_cats.go
 //	               the three schedulers
 //	worker.go      the worker loop: accountDispatch, runAttempt, finish,

@@ -156,7 +156,7 @@ func TestFastClassCoversTopSpeedTies(t *testing.T) {
 // to critical work only once the whole fast class is running critical
 // tasks.
 func TestCATSSlowWorkerPrefersPlainThenFallsBack(t *testing.T) {
-	s := newTestCATS(classLayout{workers: 3, fastN: 1})
+	s := newTestCATS(3, 1)
 	crit1 := &task{priority: 5, id: 0}
 	crit2 := &task{priority: 4, id: 1}
 	plain := &task{priority: 0, id: 2}
@@ -166,16 +166,16 @@ func TestCATSSlowWorkerPrefersPlainThenFallsBack(t *testing.T) {
 
 	// The fast worker dispatches the most critical entry: the class is now
 	// saturated (its only fast worker runs critical work).
-	if tk, _ := s.pop(0); tk != crit1 {
+	if tk, _ := pop(s, 0); tk != crit1 {
 		t.Fatalf("fast pop = id %d, want the top critical task", tk.id)
 	}
 	// The slow worker prefers plain work even under saturation.
-	if tk, _ := s.pop(2); tk != plain {
+	if tk, _ := pop(s, 2); tk != plain {
 		t.Fatalf("slow pop = id %d, want the plain task", tk.id)
 	}
 	// Only critical work remains and the fast class is saturated: the slow
 	// worker takes it rather than idling the machine.
-	if tk, _ := s.pop(2); tk != crit2 {
+	if tk, _ := pop(s, 2); tk != crit2 {
 		t.Fatalf("saturated slow pop = id %d, want the critical task", tk.id)
 	}
 	// Completion (taskDone, called by the worker before successors are
@@ -191,7 +191,7 @@ func TestCATSSlowWorkerPrefersPlainThenFallsBack(t *testing.T) {
 	}
 	// Plain dispatches leave the saturation count alone.
 	s.push(&task{priority: 0, id: 3}, -1)
-	if tk, _ := s.pop(0); tk == nil || tk.id != 3 {
+	if tk, _ := pop(s, 0); tk == nil || tk.id != 3 {
 		t.Fatalf("fast pop after saturation = %v, want id 3", tk)
 	}
 	s.taskDone(0)
@@ -203,12 +203,12 @@ func TestCATSSlowWorkerPrefersPlainThenFallsBack(t *testing.T) {
 // With a fast worker idle in pop, a critical task must reach it, not a
 // slow worker that is also waiting.
 func TestCATSCriticalTaskGoesToIdleFastWorker(t *testing.T) {
-	s := newTestCATS(classLayout{workers: 3, fastN: 1})
+	s := newTestCATS(3, 1)
 	fastGot := make(chan *task, 1)
 	slowGot := make(chan *task, 1)
-	go func() { tk, _ := s.pop(0); fastGot <- tk }()
+	go func() { tk, _ := pop(s, 0); fastGot <- tk }()
 	time.Sleep(20 * time.Millisecond) // let the fast worker park first
-	go func() { tk, _ := s.pop(2); slowGot <- tk }()
+	go func() { tk, _ := pop(s, 2); slowGot <- tk }()
 	time.Sleep(20 * time.Millisecond)
 
 	crit := &task{priority: 7, id: 0}
@@ -243,9 +243,8 @@ func TestCATSCriticalTaskGoesToIdleFastWorker(t *testing.T) {
 // second raised entry may leak to the slow worker, a dispatch the
 // verifier's ClassGating judges from the recorded saturation facts.
 func TestCATSRaisedPlainEntryPlacedAsCritical(t *testing.T) {
-	l := classLayout{workers: 2, fastN: 1}
-	rec := flightrec.New(l.workers, flightrec.Options{})
-	s := newCATSScheduler(l, newSignals(l.workers), rec)
+	rec := flightrec.New(2, flightrec.Options{})
+	s := newCATSScheduler(1, newLot(newSignals(2), rec))
 	pushRaised := func(id TaskID) *task {
 		tk := &task{id: id}
 		rec.RecordExternal(flightrec.KindReady, uint64(id), 0, 0)
@@ -255,18 +254,18 @@ func TestCATSRaisedPlainEntryPlacedAsCritical(t *testing.T) {
 	}
 	a := pushRaised(1)
 	s.mu.Lock()
-	got, _ := s.take(1)
+	got := s.pick(1)
 	crit, plain := len(s.crit), len(s.plain)
 	s.mu.Unlock()
 	if got != nil || crit != 1 || plain != 0 {
-		t.Fatalf("slow take = %v with crit %d, plain %d; want nothing, the entry refiled (1, 0)", got, crit, plain)
+		t.Fatalf("slow pick = %v with crit %d, plain %d; want nothing, the entry refiled (1, 0)", got, crit, plain)
 	}
-	if tk, _ := s.pop(0); tk != a || !s.lastCrit[0] {
+	if tk, _ := pop(s, 0); tk != a || !s.lastCrit[0] {
 		t.Fatalf("fast pop = %v (from crit: %v), want the raised task from crit", tk, s.lastCrit[0])
 	}
 	// The fast class is saturated now: the slow worker may take the next one.
 	b := pushRaised(2)
-	if tk, _ := s.pop(1); tk != b {
+	if tk, _ := pop(s, 1); tk != b {
 		t.Fatalf("saturated slow pop = %v, want the second raised task", tk)
 	}
 	chk := verify.New(verify.Options{})

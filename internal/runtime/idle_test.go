@@ -344,7 +344,6 @@ func braidLoop(t *testing.T, r *Runtime, graphs, inflight int, grain time.Durati
 func TestSearchGatedWorkerNeverSearches(t *testing.T) {
 	r := New(heteroAdaptiveClasses()) // worker 0 fast, 1–3 slow
 	defer r.Shutdown()
-	s := r.sched.(*stealScheduler)
 	// One body per worker, all held open until every worker is inside one.
 	var started atomic.Int32
 	release := make(chan struct{})
@@ -356,7 +355,7 @@ func TestSearchGatedWorkerNeverSearches(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return int(started.Load()) == r.Workers() }, "every worker to be inside a body")
 	close(release)
 	r.Wait()
-	waitFor(t, 5*time.Second, func() bool { return int(s.parked.Load()) == r.Workers() }, "the pool to park")
+	waitFor(t, 5*time.Second, func() bool { return int(r.lot.parked.Load()) == r.Workers() }, "the pool to park")
 	for w := range r.sig.workers {
 		sig := &r.sig.workers[w]
 		if atomic.LoadUint64(&sig.executed) != 1 || atomic.LoadUint64(&sig.searches) == 0 {

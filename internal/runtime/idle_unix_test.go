@@ -39,7 +39,7 @@ func TestSearchIdlePoolIsAsleep(t *testing.T) {
 		}
 	}
 	r.Wait()
-	waitFor(t, 5*time.Second, func() bool { return s.parked.Load() == workers }, "the drained pool to park")
+	waitFor(t, 5*time.Second, func() bool { return r.lot.parked.Load() == workers }, "the drained pool to park")
 
 	// Other goroutines of the test binary (the collector above all) also
 	// bill RUSAGE_SELF, and noise only ever adds CPU: the quietest of a few
@@ -63,10 +63,10 @@ func TestSearchIdlePoolIsAsleep(t *testing.T) {
 	// sleeper has left the lot, which is what losing the race for a
 	// broadcast batch looks like from the loser's side.
 	s.pending.Add(1)
-	s.wakeWorkers(workers)
+	r.lot.kick(workers)
 	waitFor(t, 5*time.Second, func() bool { return readIdle(r).since(before).wakes == workers }, "every sleeper to wake")
 	s.pending.Add(-1)
-	waitFor(t, 5*time.Second, func() bool { return s.parked.Load() == workers }, "the woken workers to park again")
+	waitFor(t, 5*time.Second, func() bool { return r.lot.parked.Load() == workers }, "the woken workers to park again")
 	if d := readIdle(r).since(before); d.searches != 0 || d.parks != workers {
 		t.Fatalf("workers woken to an empty pool: %d searches, %d parks, want 0 and %d", d.searches, d.parks, workers)
 	}

@@ -135,7 +135,7 @@ func TestSubmitLocalSideBuffer(t *testing.T) {
 	}
 	// The owner's pop drains the rest into its own deque and returns the
 	// LIFO end.
-	tk, stolen := s.pop(0)
+	tk, stolen := pop(s, 0)
 	if tk == nil || stolen {
 		t.Fatalf("owner pop = (%v, %v), want a local task", tk, stolen)
 	}

@@ -157,7 +157,7 @@ const inlineArity = 4
 // references (keyState) — carry the generation they were created under and
 // are ignored once the generations diverge. A scheduler's queue entry
 // never outlives the task: every scheduler holds one entry per ready task,
-// gone at the pop that dispatches it.
+// gone at the take that dispatches it.
 type task struct {
 	id       TaskID // also the submission order, for deterministic tie-breaks
 	name     string
@@ -329,8 +329,8 @@ type Stats struct {
 	// budget, if any, never produced a clean run) plus the skip-poisoned
 	// successors they took down with them.
 	Quarantined uint64
-	// Parks and Wakes count worker sleep/wake transitions across the
-	// scheduler's parking lots. Parks per thousand executed tasks is the
+	// Parks and Wakes count worker sleep/wake transitions on the pool's
+	// parking lot. Parks per thousand executed tasks is the
 	// idle-protocol health figure: a pool that parks often under steady
 	// load is paying the OS wake path per task.
 	Parks uint64
@@ -439,11 +439,13 @@ func (r *Runtime) submitHint(ctx context.Context) int {
 type Runtime struct {
 	opts  options
 	sched scheduler
+	// lot is where every idle worker sleeps, whatever the scheduler.
+	lot *lot
 
 	// rec is the flight recorder (nil without WithFlightRecorder); every
 	// instrumentation site is gated on it so a recorder-less runtime pays
 	// one predictable branch. schedSelfRecords marks a scheduler that
-	// records its own dispatch events from inside pop — CATS does, carrying
+	// records its own dispatch events from inside take — CATS does, carrying
 	// the class-gating evidence only it has — so the worker loop must not
 	// record a duplicate.
 	rec              *flightrec.Recorder
@@ -503,7 +505,7 @@ type Runtime struct {
 	idleWaiters atomic.Int32
 
 	closed   int32 // submission guard, set at Shutdown entry
-	shutdown int32 // worker stop flag, set once the pool drains
+	shutdown int32 // set once the pool drains: waits is closed once
 	wg       sync.WaitGroup
 }
 
@@ -542,14 +544,15 @@ func New(opts ...Option) *Runtime {
 		// needs no locking of its own.
 		r.rec = flightrec.New(o.workers, *o.flight)
 	}
+	r.lot = newLot(r.sig, r.rec)
 	switch o.scheduler {
 	case FIFO:
-		r.sched = newFIFOScheduler(r.sig, r.rec)
+		r.sched = newFIFOScheduler(r.lot)
 	case CATS:
-		r.sched = newCATSScheduler(classLayout{workers: o.workers, fastN: fastN}, r.sig, r.rec)
+		r.sched = newCATSScheduler(fastN, r.lot)
 		r.schedSelfRecords = r.rec != nil
 	default:
-		r.sched = newStealScheduler(o.workers, o.localWindow, r.sig, r.rec)
+		r.sched = newStealScheduler(o.workers, o.localWindow, r.lot)
 	}
 	for w := 0; w < o.workers; w++ {
 		r.wg.Add(1)
@@ -655,7 +658,7 @@ func (r *Runtime) Shutdown() {
 	if atomic.CompareAndSwapInt32(&r.shutdown, 0, 1) {
 		close(r.waits) // nothing is parked once Wait returns
 	}
-	r.sched.wake()
+	r.lot.wake()
 	r.wg.Wait()
 }
 

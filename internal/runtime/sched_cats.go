@@ -10,7 +10,7 @@ import (
 // bottom-level estimates (higher first), submission order breaking ties —
 // critical-path tasks start as early as possible (Section 3.1).
 //
-// A ready task holds exactly one heap entry from its push to the pop that
+// A ready task holds exactly one heap entry from its push to the take that
 // dispatches it, filed under the priority it had at the push. A queued
 // task whose estimate is raised later (linkPreds, when a successor
 // registers) is not re-sorted: its entry dispatches it later than a fresh
@@ -24,32 +24,34 @@ import (
 // to plain; slow workers drain plain first and take critical work only
 // when the fast class is saturated. A plain entry whose task has turned
 // critical while queued is refiled into crit when it surfaces at the plain
-// root (see take), so it is never handed out as plain work. Saturation
+// root (see pick), so it is never handed out as plain work. Saturation
 // means every fast worker is currently executing critical work
 // (fastCritRunning == fastN) — not merely "no fast worker is idle": a fast
 // worker busy with a plain task is still the critical task's best ride,
-// since its very next pop will take it, whereas handing the task to a slow
+// since its very next take gets it, whereas handing the task to a slow
 // worker bakes the slowdown in. Workers report the end of a dispatch
 // through taskDone — before the task's successors are released, so a
 // newly-ready critical successor never sees a stale saturation count.
-// Liveness: a slow worker that declines critical work passes its wakeup to
-// a parked fast worker when one exists (the wait list is FIFO, so the
-// baton reaches it), and otherwise some fast worker is mid-task and
-// guaranteed to pop again; a fast worker whose dispatch saturates the
-// class re-signals if critical work remains, releasing parked slow workers
-// to help. With a homogeneous layout every worker is fast-class and the
-// two heaps behave exactly like the single global order (crit priorities
-// are all > plain's zero).
+// Liveness: a slow worker that declines critical work passes its wakeup on
+// (kick) when a fast worker is in park (the wait list is FIFO, so the
+// baton reaches it); otherwise no fast worker has begun to park, and its
+// park's re-check will see the critical work. A fast worker whose dispatch
+// saturates the class kicks if critical work remains, releasing parked
+// slow workers to help. Both kicks come after s.mu is released: the lot's
+// re-check runs pick under lot.mu, so the lock order is lot.mu → s.mu.
+// With a homogeneous layout every worker is fast-class and the two heaps
+// behave exactly like the single global order (crit priorities are all >
+// plain's zero).
 type catsScheduler struct {
-	centralLot
+	centralQueue
 	// crit holds ready tasks filed under a positive priority, plain the
 	// priority-zero (and hint-negative) rest.
 	crit  catsHeap
 	plain catsHeap
 	// fastN classifies workers (id < fastN → fast class); fastIdle counts
-	// fast-class workers blocked in pop.
+	// fast-class workers in park.
 	fastN    int
-	fastIdle int
+	fastIdle atomic.Int32
 	// lastCrit[w] records that fast worker w's previous dispatch came from
 	// the crit heap; fastCritRunning counts them. fastCritRunning == fastN
 	// is the saturation signal that lets slow workers take critical work.
@@ -58,7 +60,7 @@ type catsScheduler struct {
 }
 
 // catsEntry is one heap element: a task and the priority it was filed
-// under. The entry is the task's only one and leaves the heap at the pop
+// under. The entry is the task's only one and leaves the heap at the take
 // that dispatches it, so it never outlives the task life it names and t.id
 // is safe to read at compare time.
 type catsEntry struct {
@@ -66,12 +68,13 @@ type catsEntry struct {
 	prio int64
 }
 
-func newCATSScheduler(layout classLayout, sig *signals, rec *flightrec.Recorder) *catsScheduler {
-	s := &catsScheduler{
-		fastN:    layout.fastN,
-		lastCrit: make([]bool, layout.fastN),
-	}
-	s.init(sig, rec, s.insert)
+// newCATSScheduler builds CATS for a pool whose first fastN workers are
+// the fast class (options.resolveClasses assigns IDs fastest class first;
+// fastN == workers is a homogeneous pool, where every placement rule
+// degenerates to the class-blind behaviour).
+func newCATSScheduler(fastN int, l *lot) *catsScheduler {
+	s := &catsScheduler{fastN: fastN, lastCrit: make([]bool, fastN)}
+	s.lot, s.enqueue = l, s.insert
 	return s
 }
 
@@ -126,7 +129,7 @@ func (h *catsHeap) pop() *task {
 	return t
 }
 
-// insert files a ready task under its live priority — the centralLot's
+// insert files a ready task under its live priority — the centralQueue's
 // enqueue. Caller holds s.mu.
 func (s *catsScheduler) insert(t *task) {
 	e := catsEntry{t: t, prio: atomic.LoadInt64(&t.priority)}
@@ -137,9 +140,9 @@ func (s *catsScheduler) insert(t *task) {
 	}
 }
 
-// take pops the best task workerID's class may dispatch right now (nil for
-// none), reporting which heap it came from. Caller holds s.mu.
-func (s *catsScheduler) take(workerID int) (t *task, fromCrit bool) {
+// pick returns the heap workerID's class may dispatch from right now (nil
+// for none). Caller holds s.mu.
+func (s *catsScheduler) pick(workerID int) *catsHeap {
 	// A plain entry whose task gained a successor while queued is critical
 	// now: refile it when it surfaces, so it is placed as critical work —
 	// late in the crit order at worst, never as plain work.
@@ -150,24 +153,24 @@ func (s *catsScheduler) take(workerID int) (t *task, fromCrit bool) {
 		// Fast class: most critical work first, help with plain when the
 		// critical heap is dry.
 		if len(s.crit) > 0 {
-			return s.crit.pop(), true
+			return &s.crit
 		}
 		if len(s.plain) > 0 {
-			return s.plain.pop(), false
+			return &s.plain
 		}
-		return nil, false
+		return nil
 	}
 	// Slow class: plain work first; critical work only once every fast
 	// worker is running critical work — better a critical task on a slow
 	// worker than a saturated fast class, but never while a fast worker
 	// is idle or about to come back for it.
 	if len(s.plain) > 0 {
-		return s.plain.pop(), false
+		return &s.plain
 	}
 	if len(s.crit) > 0 && s.fastCritRunning == s.fastN {
-		return s.crit.pop(), true
+		return &s.crit
 	}
-	return nil, false
+	return nil
 }
 
 // taskDone records that workerID finished its dispatched task. Called by
@@ -186,54 +189,60 @@ func (s *catsScheduler) taskDone(workerID int) {
 	s.mu.Unlock()
 }
 
-func (s *catsScheduler) pop(workerID int) (*task, bool) {
+// take dispatches from the heap pick names, or declines (see the type
+// comment for the wakeups either may owe).
+func (s *catsScheduler) take(workerID int) (*task, bool) {
 	fast := workerID < s.fastN
+	var t *task
+	kick := false
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if t, fromCrit := s.take(workerID); t != nil {
-			if fast && fromCrit {
-				s.lastCrit[workerID] = true
-				s.fastCritRunning++
-				if s.fastCritRunning == s.fastN && len(s.crit) > 0 {
-					// This dispatch saturates the fast class with critical
-					// work left over: release a parked slow worker to help
-					// (its earlier decline consumed the wakeup that
-					// announced the backlog).
-					s.cond.Signal()
-				}
-			}
-			if s.rec != nil {
-				// CATS self-records its dispatches (the runtime's worker
-				// loop skips them): only here, under s.mu at the moment of
-				// the placement decision, are the class-gating facts — crit
-				// origin and exact fast-class saturation — available to
-				// stamp into the event for the verifier.
-				s.rec.RecordWorker(workerID, flightrec.KindDispatch, uint64(t.id),
-					atomic.LoadUint64(&t.claim), flightrec.PackDispatch(false, fromCrit, s.fastCritRunning, s.fastN))
-			}
-			return t, false
+	if h := s.pick(workerID); h == nil {
+		// Declining critical work in favour of a fast worker in park
+		// consumes the wakeup that announced it: pass it on.
+		kick = !fast && len(s.crit) > 0 && s.fastIdle.Load() > 0
+	} else {
+		fromCrit := h == &s.crit
+		t = h.pop()
+		if fast && fromCrit {
+			s.lastCrit[workerID] = true
+			s.fastCritRunning++
+			// Saturating the fast class with critical work left over:
+			// release a parked slow worker to help.
+			kick = s.fastCritRunning == s.fastN && len(s.crit) > 0
 		}
-		if s.woken {
-			return nil, false
-		}
-		if !fast && len(s.crit) > 0 && s.fastIdle > 0 {
-			// Declining critical work in favour of an idle fast worker
-			// consumes the wakeup that announced it; pass the signal on so
-			// it keeps bouncing (FIFO through the wait list) until the
-			// fast worker accepts. With no fast worker parked the signal
-			// can die here: whichever fast worker is mid-task will take
-			// the critical entry on its own next pop.
-			s.cond.Signal()
-		}
-		if fast {
-			s.fastIdle++
-		}
-		s.park(workerID)
-		if fast {
-			s.fastIdle--
+		if s.lot.rec != nil {
+			// CATS self-records its dispatches (the runtime's worker loop
+			// skips them): only here, under s.mu at the moment of the
+			// placement decision, are the class-gating facts — crit origin
+			// and exact fast-class saturation — available to stamp into the
+			// event for the verifier.
+			s.lot.rec.RecordWorker(workerID, flightrec.KindDispatch, uint64(t.id),
+				atomic.LoadUint64(&t.claim), flightrec.PackDispatch(false, fromCrit, s.fastCritRunning, s.fastN))
 		}
 	}
+	s.mu.Unlock()
+	if kick {
+		s.lot.kick(1)
+	}
+	return t, false
+}
+
+// park's re-check is pick itself: anything pick would hand this worker's
+// class keeps it awake.
+func (s *catsScheduler) park(workerID int) bool {
+	fast := workerID < s.fastN
+	if fast {
+		s.fastIdle.Add(1)
+	}
+	ok := s.lot.park(workerID, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.pick(workerID) != nil
+	})
+	if fast {
+		s.fastIdle.Add(-1)
+	}
+	return ok
 }
 
 // queued: the two heaps — one entry per ready, undispatched task.

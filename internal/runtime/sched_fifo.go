@@ -1,35 +1,30 @@
 package runtime
 
-import "repro/internal/flightrec"
-
 // fifoScheduler is a single central FIFO queue — a mutex-guarded ring
 // buffer. Popped slots are nilled and oversized buffers shrink, so the
 // queue never pins dead task pointers (the old queue[1:] slide kept every
-// popped *task alive in the backing array). Pushing, parking and wakeups
-// are the centralLot's.
+// popped *task alive in the backing array). Pushing is the centralQueue's,
+// parking the lot's.
 type fifoScheduler struct {
-	centralLot
+	centralQueue
 	queue taskRing
 }
 
-func newFIFOScheduler(sig *signals, rec *flightrec.Recorder) *fifoScheduler {
+func newFIFOScheduler(l *lot) *fifoScheduler {
 	s := &fifoScheduler{}
-	s.init(sig, rec, s.queue.push)
+	s.lot, s.enqueue = l, s.queue.push
 	return s
 }
 
-func (s *fifoScheduler) pop(workerID int) (*task, bool) {
+func (s *fifoScheduler) take(int) (*task, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.queue.len() > 0 {
-			return s.queue.pop(), false
-		}
-		if s.woken {
-			return nil, false
-		}
-		s.park(workerID)
-	}
+	t := s.queue.pop()
+	s.mu.Unlock()
+	return t, false
+}
+
+func (s *fifoScheduler) park(workerID int) bool {
+	return s.lot.park(workerID, func() bool { return s.queued() > 0 })
 }
 
 func (s *fifoScheduler) queued() int64 {

@@ -4,8 +4,6 @@ import (
 	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/flightrec"
 )
 
 // stealScheduler is the multi-core dispatch path: one Chase–Lev deque per
@@ -22,17 +20,12 @@ import (
 //     from a random offset (see sweep).
 //   - Only when everything is empty does a worker go idle: fresh off a
 //     task it first searches (a bounded number of yield-and-poll rounds,
-//     see search), then parks on the pool's one parking lot. The parking
-//     protocol is sequentially consistent: pushers bump the pending count
-//     before enqueuing and check the parked count after; parkers register
-//     in parked under the lot lock and re-check pending before sleeping —
-//     so a task published concurrently with a park attempt is always seen
-//     by one side.
+//     see search), then parks on the pool's one lot. Pushers bump the
+//     pending count before enqueuing and kick the lot after; the lot's
+//     re-check is pending > 0.
 type stealScheduler struct {
 	schedHooks
-	// parkLog carries the runtime's signals layer and flight recorder for
-	// the park/wake accounting of the parking lot.
-	parkLog
+	lot *lot
 
 	deques []*wsDeque
 
@@ -44,12 +37,6 @@ type stealScheduler struct {
 	// Maintained with seqcst atomics purely for the parking protocol; the
 	// queues themselves are the source of truth.
 	pending atomic.Int64
-	// parked counts workers asleep on the parking lot (parkMu/parkCond),
-	// read lock-free by pushers deciding whether to wake anyone at all.
-	parked   atomic.Int32
-	parkMu   sync.Mutex
-	parkCond *sync.Cond
-	woken    atomic.Bool
 
 	// window is the locality window (WithLocalityWindow), immutable: a push
 	// carrying a worker hint goes to that worker's own deque only while the
@@ -64,7 +51,7 @@ type stealScheduler struct {
 	// hinted submissions (tasks submitted with a worker's body context,
 	// possibly from arbitrary goroutines — the deque bottom is owner-only,
 	// this is not). The owner drains its buffer into its deque at the top
-	// of pop; thieves with nothing else to do steal from other workers'
+	// of take; thieves with nothing else to do steal from other workers'
 	// buffers, so a task parked here by a body that then blocks is still
 	// reachable by the rest of the pool.
 	side []lockedRing
@@ -107,19 +94,18 @@ type stealLocal struct {
 	_          [6]uint64
 }
 
-func newStealScheduler(workers, window int, sig *signals, rec *flightrec.Recorder) *stealScheduler {
+func newStealScheduler(workers, window int, l *lot) *stealScheduler {
 	s := &stealScheduler{
-		parkLog: parkLog{sig: sig, rec: rec},
-		deques:  make([]*wsDeque, workers),
-		local:   make([]stealLocal, workers),
-		window:  int64(window),
-		side:    make([]lockedRing, workers),
+		lot:    l,
+		deques: make([]*wsDeque, workers),
+		local:  make([]stealLocal, workers),
+		window: int64(window),
+		side:   make([]lockedRing, workers),
 	}
 	for i := range s.deques {
 		s.deques[i] = newWSDeque()
 		s.local[i].rand = mix64(uint64(i) + 0x9e3779b97f4a7c15)
 	}
-	s.parkCond = sync.NewCond(&s.parkMu)
 	return s
 }
 
@@ -159,7 +145,7 @@ func (s *stealScheduler) push(t *task, workerHint int) {
 		s.inj.mu.Unlock()
 		s.inj.n.Add(1)
 	}
-	s.wakeWorkers(1)
+	s.lot.kick(1)
 }
 
 // submitLocal: a hinted submission lands in the target worker's submit
@@ -171,7 +157,7 @@ func (s *stealScheduler) submitLocal(t *task, workerID int) bool {
 		return false
 	}
 	s.pending.Add(1)
-	s.wakeWorkers(1)
+	s.lot.kick(1)
 	return true
 }
 
@@ -191,7 +177,7 @@ func (s *stealScheduler) submitLocalBatch(ts []*task, workerID int) int {
 	if take > 0 {
 		b.n.Add(int64(take))
 		s.pending.Add(int64(take))
-		s.wakeWorkers(take)
+		s.lot.kick(take)
 	}
 	return take
 }
@@ -253,26 +239,7 @@ func (s *stealScheduler) pushBatch(ts []*task, workerHint int) {
 		s.inj.mu.Unlock()
 		s.inj.n.Add(int64(len(rest)))
 	}
-	s.wakeWorkers(len(ts))
-}
-
-// wakeWorkers unparks one worker (n == 1) or all of them if any are parked.
-// The parked check is a lock-free fast path: with no one parked (the busy
-// steady state) a push touches no lock at all. It cannot miss a committed
-// sleeper: a parker registers in parked (seqcst) before its pending
-// re-check, so a pusher whose enqueue the parker did not see always sees
-// the parker's registration.
-func (s *stealScheduler) wakeWorkers(n int) {
-	if s.parked.Load() == 0 {
-		return
-	}
-	s.parkMu.Lock()
-	if n == 1 {
-		s.parkCond.Signal()
-	} else {
-		s.parkCond.Broadcast()
-	}
-	s.parkMu.Unlock()
+	s.lot.kick(len(ts))
 }
 
 // refill takes one task from the injector on behalf of a worker whose own
@@ -335,7 +302,7 @@ func (s *stealScheduler) nextRand(w int) uint64 {
 
 // find is one pass over every source worker w may take work from, nearest
 // first: its submit buffer, its deque, the injector, the other workers'
-// deques and finally their submit buffers. It does not touch pending (pop
+// deques and finally their submit buffers. It does not touch pending (take
 // accounts the task it returns); contended reports that some steal CAS lost
 // a race, so an empty-handed caller must not park on this evidence alone.
 func (s *stealScheduler) find(w int) (t *task, stolen, contended bool) {
@@ -358,66 +325,33 @@ func (s *stealScheduler) find(w int) (t *task, stolen, contended bool) {
 	return t, t != nil, contended
 }
 
-func (s *stealScheduler) pop(workerID int) (*task, bool) {
-	loc := &s.local[workerID]
+// take runs find until it yields a task or the pool is provably empty of
+// work for this worker: a lost steal race, or a pending count ahead of the
+// queues (a push between its increment and its enqueue), means work is on
+// its way, so take yields and rescans rather than report nothing.
+func (s *stealScheduler) take(workerID int) (*task, bool) {
 	for {
 		t, stolen, contended := s.find(workerID)
 		if t != nil {
 			s.pending.Add(-1)
-			loc.searchLeft = searchRounds
+			s.local[workerID].searchLeft = searchRounds
 			return t, stolen
 		}
-		if contended {
-			// Someone holds work we raced for; try again without parking —
-			// but yield first so the holder can make progress when cores
-			// are oversubscribed.
-			stdruntime.Gosched()
-			continue
-		}
-		// Nothing anywhere. A worker with search budget left — fresh off a
-		// task — polls before it sleeps (see search); one that saw work
-		// published goes straight back to find.
-		if loc.searchLeft > 0 && s.search(workerID) {
-			continue
-		}
-		// Park — unless a task was published since the sweep (the pending
-		// re-check under the lock closes the race with a concurrent push,
-		// whose pending increment precedes its parked check in seqcst
-		// order).
-		s.parkMu.Lock()
-		woken := false
-		slept := false
-		for {
-			if s.woken.Load() {
-				woken = true
-				break
-			}
-			// Register as parked BEFORE re-checking pending: a pusher does
-			// pending.Add then parked.Load, so with this order one side
-			// always sees the other (seqcst). Checking pending first would
-			// let a push slip between the check and the registration with
-			// parked still 0 — a lost wakeup.
-			s.parked.Add(1)
-			idle := s.pending.Load() <= 0
-			if idle {
-				s.wait(s.parkCond, workerID)
-				slept = true
-			}
-			s.parked.Add(-1)
-			if !idle {
-				break
-			}
-		}
-		s.parkMu.Unlock()
-		if woken {
+		if !contended && s.pending.Load() <= 0 {
 			return nil, false
 		}
-		if !slept {
-			// pending raced ahead of the enqueue we are about to rescan
-			// for; give the publisher a beat instead of spinning the sweep.
-			stdruntime.Gosched()
-		}
+		stdruntime.Gosched()
 	}
+}
+
+// park searches first — a worker with search budget left, fresh off a
+// task, polls before it sleeps (see search) — then sleeps on the lot,
+// whose re-check is pending.
+func (s *stealScheduler) park(workerID int) bool {
+	if s.local[workerID].searchLeft > 0 && s.search(workerID) {
+		return true
+	}
+	return s.lot.park(workerID, func() bool { return s.pending.Load() > 0 })
 }
 
 // searchRounds is the idle search's budget per busy→idle transition, chosen
@@ -429,8 +363,8 @@ func (s *stealScheduler) pop(workerID int) (*task, bool) {
 // knob: nothing in the repo needs a second value.
 const searchRounds = 256
 
-// search is the first phase of the idle protocol: a worker whose find came
-// back empty and uncontended polls for new work before it parks, because a
+// search is the first phase of the idle protocol: a worker whose take came
+// back empty polls for new work before it parks, because a
 // park that is undone microseconds later costs far more of the P
 // (cond.Wait → stopm/futex → wakep/futex) than the polling does. A round is
 // one runtime.Gosched followed by one load of pending. It yields rather than
@@ -438,12 +372,12 @@ const searchRounds = 256
 // P's runnext, an HTTP handler, the recorder's collector — gets the P
 // first; at GOMAXPROCS=1 that is what lets the work being searched for be
 // published at all. It reports true as soon as pending is positive (the
-// caller re-runs find) and false when the budget is spent or the pool is
-// waking for shutdown — then the caller falls through to the park
+// caller re-runs take) and false when the budget is spent or the pool is
+// waking for shutdown — then the caller falls through to the lot's
 // handshake, which is untouched: the search only delays it, so the
-// lost-wakeup argument stands as written, and the handshake's own woken
-// check stays the single shutdown exit (a searcher that answered woken by
-// going back to find would find nothing, search again, and never reach it).
+// lost-wakeup argument stands as written, and the lot's own woken check
+// stays the single shutdown exit (a searcher that answered woken by going
+// back to take would find nothing, search again, and never reach it).
 //
 // The budget is loc.searchLeft: only a dispatch refills it to searchRounds,
 // and a worker reaches the handshake with none left, so only a worker that
@@ -456,12 +390,12 @@ const searchRounds = 256
 // on its own deque). No flight-recorder event marks a search: a searching
 // worker is simply awake.
 func (s *stealScheduler) search(workerID int) bool {
-	loc, sig := &s.local[workerID], &s.sig.workers[workerID]
+	loc, sig := &s.local[workerID], &s.lot.sig.workers[workerID]
 	atomic.AddUint64(&sig.searches, 1)
 	for loc.searchLeft > 0 {
 		loc.searchLeft--
 		stdruntime.Gosched()
-		if s.woken.Load() {
+		if s.lot.woken.Load() {
 			return false
 		}
 		if s.pending.Load() > 0 {
@@ -470,13 +404,6 @@ func (s *stealScheduler) search(workerID int) bool {
 		}
 	}
 	return false
-}
-
-func (s *stealScheduler) wake() {
-	s.woken.Store(true)
-	s.parkMu.Lock()
-	s.parkCond.Broadcast()
-	s.parkMu.Unlock()
 }
 
 // queued: the parking protocol's pending count is already the total over

@@ -179,26 +179,39 @@ func TestStressDequeOwnerVsThieves(t *testing.T) {
 
 // --- steal scheduler parking -------------------------------------------------
 
+// The lot's handshake order, driven deterministically: the re-check
+// misses the work and the push lands between it and the wait. ready starts
+// the pusher's kick and gives it 20 ms before answering idle. Registered
+// first, the parker holds the lot lock through its re-check, so the kick
+// sees it, waits for the lock and wakes it; with the re-check first, the
+// kick reads nobody parked and the parker sleeps forever. Then the same
+// park-then-wake on a live WorkSteal pool.
 func TestStealWorkersParkWhenIdle(t *testing.T) {
+	l, woke := newTestLot(1), make(chan bool)
+	go func() {
+		woke <- l.park(0, func() bool {
+			go l.kick(1)
+			time.Sleep(20 * time.Millisecond)
+			return false
+		})
+	}()
+	select {
+	case ok := <-woke:
+		if !ok || l.sig.parks.Load() != 1 || l.sig.wakes.Load() != 1 {
+			t.Fatalf("park = %v with %d parks, %d wakes; want true, 1, 1", ok, l.sig.parks.Load(), l.sig.wakes.Load())
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a push between the re-check and the wait was lost: the parker sleeps on")
+	}
+
 	const workers = 3
 	r := New(WithWorkers(workers))
 	defer r.Shutdown()
-	s, ok := r.sched.(*stealScheduler)
-	if !ok {
-		t.Fatalf("default scheduler is %T, want *stealScheduler", r.sched)
-	}
-	// Idle workers must end up parked, not spinning the queues.
-	waitFor(t, 5*time.Second, func() bool { return s.parked.Load() == workers },
-		"all idle workers to park")
-	// A submission must wake a parked worker and run.
-	var ran int32
-	r.SubmitCtx(context.Background(), "t", func(context.Context) error { atomic.AddInt32(&ran, 1); return nil })
-	r.Wait()
-	if atomic.LoadInt32(&ran) != 1 {
-		t.Fatalf("task ran %d times", ran)
-	}
-	waitFor(t, 5*time.Second, func() bool { return s.parked.Load() == workers },
-		"workers to re-park after the task")
+	asleep := func() bool { return r.lot.parked.Load() == workers }
+	waitFor(t, 5*time.Second, asleep, "all idle workers to park")
+	mustSubmit(t, r, "t", nil) // Wait hangs unless it wakes a parked worker
+	boundedWait(t, r, time.Second, "one push on a parked pool")
+	waitFor(t, 5*time.Second, asleep, "workers to re-park after the task")
 }
 
 // A fan a worker releases lands on its own deque, so while that worker is
@@ -359,29 +372,23 @@ func TestTaskRingShrinksWhenMostlyEmpty(t *testing.T) {
 
 // --- test constructors -------------------------------------------------------
 
-// homogeneousLayout is the layout of a single-class pool.
-func homogeneousLayout(workers int) classLayout {
-	return classLayout{workers: workers, fastN: workers}
-}
+// newTestLot/newTestSteal/newTestCATS build a lot with a fresh signals
+// layer and schedulers on one, the way New wires them; a CATS pool's first
+// fastN workers are its fast class.
+func newTestLot(workers int) *lot { return newLot(newSignals(workers), nil) }
 
-// newTestSteal/newTestCATS/newTestFIFO build schedulers with a fresh
-// signals layer, the way New wires them.
 func newTestSteal(workers, window int) *stealScheduler {
-	return newStealScheduler(workers, window, newSignals(workers), nil)
+	return newStealScheduler(workers, window, newTestLot(workers))
 }
 
-func newTestCATS(l classLayout) *catsScheduler {
-	return newCATSScheduler(l, newSignals(l.workers), nil)
-}
-
-func newTestFIFO(workers int) *fifoScheduler {
-	return newFIFOScheduler(newSignals(workers), nil)
+func newTestCATS(workers, fastN int) *catsScheduler {
+	return newCATSScheduler(fastN, newTestLot(workers))
 }
 
 // --- CATS heap ---------------------------------------------------------------
 
 func TestCATSHeapPopsByPriorityThenSeq(t *testing.T) {
-	s := newTestCATS(homogeneousLayout(4))
+	s := newTestCATS(4, 4)
 	mk := func(prio int64, id TaskID) *task { return &task{priority: prio, id: id} }
 	ts := []*task{mk(1, 0), mk(9, 1), mk(5, 2), mk(9, 3), mk(0, 4)}
 	for _, tk := range ts {
@@ -389,7 +396,7 @@ func TestCATSHeapPopsByPriorityThenSeq(t *testing.T) {
 	}
 	wantID := []TaskID{1, 3, 2, 0, 4} // prio 9 (id 1 before 3), 5, 1, 0
 	for i, want := range wantID {
-		tk, _ := s.pop(0)
+		tk, _ := pop(s, 0)
 		if tk.id != want {
 			t.Fatalf("pop %d = id %d, want %d", i, tk.id, want)
 		}
@@ -404,7 +411,7 @@ func TestCATSHeapPopsByPriorityThenSeq(t *testing.T) {
 // and a woken pop after the last one reports empty instead of dispatching
 // anything a second time.
 func TestCATSHeapRaisedEntryRefiledOnce(t *testing.T) {
-	s := newTestCATS(homogeneousLayout(4))
+	s := newTestCATS(4, 4)
 	t1, t2, t3 := &task{id: 1}, &task{id: 2}, &task{id: 3}
 	for _, tk := range []*task{t1, t2, t3} {
 		s.push(tk, -1)
@@ -422,7 +429,7 @@ func TestCATSHeapRaisedEntryRefiledOnce(t *testing.T) {
 		if q := s.queued(); q != int64(3-i) {
 			t.Fatalf("queued() = %d before pop %d, want %d", q, i, 3-i)
 		}
-		tk, _ := s.pop(0)
+		tk, _ := pop(s, 0)
 		if tk != want.t || s.lastCrit[0] != want.fromCrit {
 			t.Fatalf("pop %d = id %d (from crit: %v), want id %d (from crit: %v)",
 				i, tk.id, s.lastCrit[0], want.t.id, want.fromCrit)
@@ -432,8 +439,8 @@ func TestCATSHeapRaisedEntryRefiledOnce(t *testing.T) {
 	if q := s.queued(); q != 0 {
 		t.Fatalf("queued() = %d after the last pop, want 0", q)
 	}
-	s.wake()
-	if tk, _ := s.pop(0); tk != nil {
+	s.lot.wake()
+	if tk, _ := pop(s, 0); tk != nil {
 		t.Fatalf("task %d dispatched a second time", tk.id)
 	}
 }
@@ -441,24 +448,25 @@ func TestCATSHeapRaisedEntryRefiledOnce(t *testing.T) {
 // --- cross-scheduler wake ----------------------------------------------------
 
 func TestWakeUnblocksPoppingWorkers(t *testing.T) {
-	for _, mk := range []func() scheduler{
-		func() scheduler { return newTestFIFO(4) },
-		func() scheduler { return newTestSteal(4, defaultLocalityWindow) },
-		func() scheduler { return newTestCATS(homogeneousLayout(4)) },
+	for _, mk := range []func(*lot) scheduler{
+		func(l *lot) scheduler { return newFIFOScheduler(l) },
+		func(l *lot) scheduler { return newStealScheduler(4, defaultLocalityWindow, l) },
+		func(l *lot) scheduler { return newCATSScheduler(4, l) },
 	} {
-		s := mk()
+		l := newTestLot(4)
+		s := mk(l)
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				if tk, _ := s.pop(w); tk != nil {
+				if tk, _ := pop(s, w); tk != nil {
 					t.Errorf("pop on empty scheduler returned %v", tk)
 				}
 			}(w)
 		}
 		time.Sleep(10 * time.Millisecond) // let them block
-		s.wake()
+		l.wake()
 		done := make(chan struct{})
 		go func() { wg.Wait(); close(done) }()
 		select {

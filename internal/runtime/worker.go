@@ -84,12 +84,9 @@ func (r *Runtime) worker(id int) {
 	defer r.wg.Done()
 	w := newWorkerState(r, id)
 	for {
-		t, stole := r.sched.pop(id)
+		t, stole := pop(r.sched, id)
 		if t == nil {
-			if atomic.LoadInt32(&r.shutdown) != 0 {
-				return
-			}
-			continue
+			return
 		}
 		w.accountDispatch(t, stole)
 		t.mu.Lock()
@@ -117,9 +114,9 @@ func (w *workerState) accountDispatch(t *task, stole bool) {
 	if stole {
 		r.rec.RecordWorker(id, flightrec.KindSteal, uint64(t.id), atomic.LoadUint64(&t.claim), 0)
 	}
-	// CATS records its own dispatch events inside pop (with the
+	// CATS records its own dispatch events inside take (with the
 	// class-gating evidence only the scheduler has); for the other
-	// schedulers the worker records them here, strictly after the pop's
+	// schedulers the worker records them here, strictly after the take's
 	// synchronises-with edge to the ready-side push.
 	if r.schedSelfRecords {
 		return

@@ -69,7 +69,7 @@ func TestIdentifiersResolve(t *testing.T) {
 		{"`serve.Config.Scheduler`", "serve.Config.Scheduler"},
 		{"a round is one `runtime.Gosched()`, and `context.AfterFunc` wakes the wait", ""},
 		{"`runtime.CompleteAfter(ctx, d)`, `serve.Config.Workers`, `Stats.ParkedTasks`, `JobStatus.latency_ms`", ""},
-		{"`stealScheduler.pop`, `http.Header.Add`, `json.Decoder.Decode`", ""},
+		{"`stealScheduler.take`, `http.Header.Add`, `json.Decoder.Decode`", ""},
 		{"metrics and files: `runtime.submit.ns_per_task`, `runtime.submit`, `serve.lane.*.shed_frac`, `submit.go`, `t.mu`", ""},
 	})
 }
